@@ -17,11 +17,12 @@ Usage (from the repo root)::
     PYTHONPATH=src python -m benchmarks.perf.harness --check
 
 ``--write`` refreshes the committed ``BENCH_perf.json`` baseline;
-``--check`` exits non-zero if the engine throughput drops, or the
-total wall time grows, by more than ``--tolerance`` (default 30%)
-against the baseline.  Per-figure times are reported in the check
-output but only the aggregate numbers gate, because individual small
-figures are too noisy on shared CI runners.
+``--check`` exits 1 if the engine throughput drops, or the total wall
+time grows, by more than ``--tolerance`` (default 30%) against the
+baseline, and 2 — before measuring anything — if there is no baseline
+or it was written by a different schema version.  Per-figure times
+are reported in the check output but only the aggregate numbers gate,
+because individual small figures are too noisy on shared CI runners.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ BASELINE_PATH = REPO_ROOT / "BENCH_perf.json"
 ENGINE_RINGS = 8
 ENGINE_WIDTH = 4
 ENGINE_HOPS = 4_000
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- engine throughput ---------------------------------------------------------
@@ -103,39 +104,6 @@ def measure_engine() -> dict:
     }
 
 
-def measure_engine_sharded() -> dict:
-    """Engine throughput through the exact-mode sharded facade.
-
-    The same workload as :func:`measure_engine`, driven through
-    ``ShardedSimulator`` at each shard count — this is the facade the
-    full system runs on under ``M3System(shards=n)``, so the ratio to
-    the monolithic number is the per-event cost of the (cycle, seq)
-    heap merge.
-    """
-    from repro.noc.topology import MeshTopology
-    from repro.sim.shard import ShardPlan, ShardedSimulator
-
-    topology = MeshTopology(4, 3)
-    nodes = list(range(8))
-    rates: dict[str, float] = {}
-    for shards in (1, 2, 4):
-        chunk, extra = divmod(len(nodes), shards)
-        domains, base = [], 0
-        for index in range(shards):
-            width = chunk + (1 if index < extra else 0)
-            domains.append(nodes[base:base + width])
-            base += width
-        plan = ShardPlan.from_domains(domains, shards, topology, 3)
-        best = None
-        for _ in range(ENGINE_REPEATS):
-            start = time.perf_counter()
-            cycles, _tokens = engine_workload(ShardedSimulator(plan))
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        rates[str(shards)] = round(cycles / best, 1)
-    return rates
-
-
 # -- per-figure wall time ------------------------------------------------------
 
 
@@ -164,41 +132,6 @@ def measure_figures() -> dict:
     return timings
 
 
-def measure_traffic_shards() -> dict:
-    """Wall seconds for the traffic evals per shard count.
-
-    Times the reference traffic point and the 4-domain variant at each
-    shard count — the numbers the sharded-simulation work gates on:
-    sharding must not cost wall time at the default shape, and the
-    4-domain variant is where the boundary crossings actually flow.
-    """
-    from repro.eval import traffic as traffic_eval
-    from repro.workloads import traffic
-
-    reference = traffic_eval._curve_profile(traffic_eval.REFERENCE_GAP)
-    timings: dict[str, dict[str, float]] = {"traffic": {}, "variant4": {}}
-    for shards in (1, 2):
-        start = time.perf_counter()
-        traffic.run_profile(reference, shards=shards)
-        timings["traffic"][str(shards)] = round(
-            time.perf_counter() - start, 3
-        )
-    for shards in (1, 2, 4):
-        start = time.perf_counter()
-        traffic.run_profile(
-            reference,
-            shards=shards,
-            pe_count=traffic_eval.VARIANT_PE_COUNT,
-            kernel_count=traffic_eval.VARIANT_KERNEL_COUNT,
-            gateways=traffic_eval.VARIANT_GATEWAYS,
-            ep_count=traffic_eval.VARIANT_EP_COUNT,
-        )
-        timings["variant4"][str(shards)] = round(
-            time.perf_counter() - start, 3
-        )
-    return timings
-
-
 def measure_autoscale_boot() -> dict:
     """The warm-vs-cold replica boot comparison, in *simulated* cycles.
 
@@ -221,15 +154,11 @@ def measure_autoscale_boot() -> dict:
 
 def measure() -> dict:
     engine = measure_engine()
-    engine_sharded = measure_engine_sharded()
     figures = measure_figures()
-    traffic_shards = measure_traffic_shards()
     return {
         "schema": SCHEMA_VERSION,
         "engine": engine,
-        "engine_sharded_cycles_per_second": engine_sharded,
         "figures": figures,
-        "traffic_shards_seconds": traffic_shards,
         "autoscale_boot": measure_autoscale_boot(),
         "total_seconds": round(sum(figures.values()), 3),
     }
@@ -263,16 +192,7 @@ def report(current: dict, baseline: dict | None) -> str:
         f"engine: {current['engine']['sim_cycles_per_second']:,.0f} "
         f"sim cycles/s over {current['engine']['simulated_cycles']:,} "
         f"cycles",
-        "sharded engine (exact mode): " + ", ".join(
-            f"shards={shards}: {rate:,.0f}/s" for shards, rate in
-            current["engine_sharded_cycles_per_second"].items()
-        ),
     ]
-    for label, per_shard in current["traffic_shards_seconds"].items():
-        lines.append(f"  {label:<20s} " + "  ".join(
-            f"shards={shards}: {seconds:.3f}s"
-            for shards, seconds in per_shard.items()
-        ))
     boot = current.get("autoscale_boot")
     if boot is not None:
         lines.append(
@@ -313,6 +233,16 @@ def main(argv=None) -> int:
     baseline = None
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
+    if options.check:
+        if baseline is None:
+            print(f"no baseline at {BASELINE_PATH}; run with --write first",
+                  file=sys.stderr)
+            return 2
+        if baseline.get("schema") != SCHEMA_VERSION:
+            print(f"{BASELINE_PATH.name} is schema {baseline.get('schema')}, "
+                  f"this harness writes schema {SCHEMA_VERSION}; "
+                  "regenerate it with --write", file=sys.stderr)
+            return 2
 
     current = measure()
     print(report(current, baseline if options.check else None))
@@ -322,10 +252,6 @@ def main(argv=None) -> int:
         print(f"wrote {BASELINE_PATH}")
         return 0
     if options.check:
-        if baseline is None:
-            print(f"no baseline at {BASELINE_PATH}; run with --write first",
-                  file=sys.stderr)
-            return 2
         failures = check(current, baseline, options.tolerance)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

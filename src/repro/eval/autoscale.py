@@ -25,7 +25,7 @@ This eval closes that loop end to end on the 4-domain variant platform:
 
 Fully deterministic: every number is a pure function of the profile
 seed; ``runall`` reproduces ``results/autoscale.txt`` byte-identically
-for any ``--jobs`` and ``--shards`` value.
+for any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from repro.workloads import traffic
 
 DEFAULT_SEED = 20160402  # the paper's conference date
 
-#: the 4-domain variant shape (eval/traffic's shard variant), with
-#: doubled gateways so the kv tier — not the gateway tier — is the
-#: contended stage the autoscaler relieves.
+#: a 24-PE mesh split into 4 kernel domains, with 6 gateways spread
+#: over the non-zero domains so the kv tier — not the gateway tier —
+#: is the contended stage the autoscaler relieves.
 PE_COUNT = 24
 KERNEL_COUNT = 4
 GATEWAYS = 6
@@ -94,14 +94,14 @@ def _profile(name: str) -> traffic.TrafficProfile:
     )
 
 
-def _run_point(name: str, elastic: bool, shards: int = 1,
+def _run_point(name: str, elastic: bool,
                fault_plan=None) -> traffic.TrafficResult:
     kwargs: dict = dict(policy="rr")
     if elastic:
         kwargs = dict(policy="depth", heartbeats=True,
                       autoscale=dict(AUTOSCALE))
     return traffic.run_profile(
-        _profile(name), shards=shards, fault_plan=fault_plan,
+        _profile(name), fault_plan=fault_plan,
         pe_count=PE_COUNT, kernel_count=KERNEL_COUNT, gateways=GATEWAYS,
         ep_count=EP_COUNT, kv_domains=list(KV_DOMAINS),
         kv_op_cycles=KV_OP_CYCLES, **kwargs,
@@ -230,11 +230,11 @@ def boot_comparison() -> dict:
 # -- the main comparison ------------------------------------------------------
 
 
-def run(seed: int = DEFAULT_SEED, shards: int = 1) -> dict:
+def run(seed: int = DEFAULT_SEED) -> dict:
     """Static vs elastic at equal offered load, plus the side studies."""
     del seed  # the profile carries its own seed (kept for symmetry)
-    static = _run_point("static-2", elastic=False, shards=shards)
-    result = _run_point("elastic", elastic=True, shards=shards)
+    static = _run_point("static-2", elastic=False)
+    result = _run_point("elastic", elastic=True)
     scaler = result.scaler
     kernels = result.system.kernels
     return {
@@ -384,16 +384,11 @@ def main(argv=None) -> str:
         "--variant", choices=("fault",), default=None,
         help="run only the named variant (CI determinism gate)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="engine shard count (results are byte-identical at any "
-        "value; see docs/performance.md)",
-    )
     options = parser.parse_args(argv)
     if options.variant == "fault":
         report = fault_variant()
     else:
-        report = bench_table(run(shards=options.shards))
+        report = bench_table(run())
     print(report)
     return report
 

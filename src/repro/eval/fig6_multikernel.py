@@ -50,20 +50,13 @@ def _spin_replay_app(trace, service, go):
     return app
 
 
-def average_instance_time(benchmark: str, kernel_count: int,
-                          shards: int = 1) -> float:
+def average_instance_time(benchmark: str, kernel_count: int) -> float:
     """Average cycles per instance: 16 instances spread round-robin
-    over ``kernel_count`` kernel domains, each with its own m3fs.
-
-    ``shards`` runs the sharded engine (capped at ``kernel_count`` —
-    shard boundaries follow domain boundaries); averages are identical
-    at every legal shard count.
-    """
+    over ``kernel_count`` kernel domains, each with its own m3fs."""
     from repro.m3.services.m3fs.superblock import SuperBlock
 
     system = M3System(
         pe_count=PE_COUNT, kernel_count=kernel_count, dram_bytes=DRAM_BYTES,
-        shards=min(shards, kernel_count),
     ).boot(with_fs=False)
     for domain in range(kernel_count):
         system.start_m3fs(
@@ -93,14 +86,14 @@ def average_instance_time(benchmark: str, kernel_count: int,
     return sum(walls) / len(walls)
 
 
-def run(benchmarks=None, kernel_counts=None, shards: int = 1) -> dict:
+def run(benchmarks=None, kernel_counts=None) -> dict:
     """benchmark -> [(kernel domains, avg cycles, vs 1 domain)]."""
     results: dict = {}
     for benchmark in benchmarks or BENCHMARKS:
         series = []
         baseline = None
         for count in kernel_counts or KERNEL_COUNTS:
-            average = average_instance_time(benchmark, count, shards=shards)
+            average = average_instance_time(benchmark, count)
             if baseline is None:
                 baseline = average
             series.append((count, average, average / baseline))
@@ -139,19 +132,8 @@ def bench_table(results: dict) -> str:
     )
 
 
-def main(argv=None) -> str:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval.fig6_multikernel"
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="engine shard count (capped per point at its kernel count; "
-        "the table is byte-identical at any value)",
-    )
-    options = parser.parse_args(argv)
-    table = bench_table(run(shards=options.shards))
+def main() -> str:
+    table = bench_table(run())
     print(table)
     return table
 

@@ -25,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import multiprocessing
 import pathlib
@@ -98,19 +97,19 @@ def _critical_path() -> dict:
             critical_path.bench_table(critical_path.run()) + "\n"}
 
 
-def _traffic(shards: int = 1) -> dict:
+def _traffic() -> dict:
     return {"traffic.txt":
-            traffic.bench_table(traffic.run(shards=shards)) + "\n"}
+            traffic.bench_table(traffic.run()) + "\n"}
 
 
-def _autoscale(shards: int = 1) -> dict:
+def _autoscale() -> dict:
     return {"autoscale.txt":
-            autoscale.bench_table(autoscale.run(shards=shards)) + "\n"}
+            autoscale.bench_table(autoscale.run()) + "\n"}
 
 
-def _telemetry(shards: int = 1) -> dict:
+def _telemetry() -> dict:
     return {"telemetry.txt":
-            telemetry.bench_table(telemetry.run(shards=shards)) + "\n"}
+            telemetry.bench_table(telemetry.run()) + "\n"}
 
 
 def _profile() -> dict:
@@ -141,23 +140,10 @@ _FIGURES = {
 }
 
 
-def _execute(job: tuple, shards: int = 1):
-    """Run one job spec in a (possibly forked) worker process.
-
-    ``shards`` threads the engine shard count into the evals that
-    support it (traffic, fig6 multikernel); every other figure ignores
-    it.  Results are byte-identical for any value — the determinism
-    contract covers host workers (``--jobs``) and engine shards
-    (``--shards``) alike.
-    """
+def _execute(job: tuple):
+    """Run one job spec in a (possibly forked) worker process."""
     kind = job[0]
     if kind == "figure":
-        if job[1] == "traffic":
-            return _traffic(shards=shards)
-        if job[1] == "autoscale":
-            return _autoscale(shards=shards)
-        if job[1] == "telemetry":
-            return _telemetry(shards=shards)
         return _FIGURES[job[1]]()
     if kind == "ablation":
         sweep, table = ablations.BENCH_SWEEPS[job[1]]
@@ -167,9 +153,7 @@ def _execute(job: tuple, shards: int = 1):
         return fig6_scale.average_instance_time(benchmark, count)
     if kind == "fig6mk-point":
         _, benchmark, kernel_count = job
-        return fig6_multikernel.average_instance_time(
-            benchmark, kernel_count, shards=shards
-        )
+        return fig6_multikernel.average_instance_time(benchmark, kernel_count)
     raise ValueError(f"unknown job kind: {job!r}")
 
 
@@ -260,27 +244,24 @@ def _collect(jobs: list[tuple], outcomes: list) -> dict:
 
 
 def run_all(jobs: int | None = None, select: list[str] | None = None,
-            results_dir=None, shards: int = 1) -> dict:
+            results_dir=None) -> dict:
     """Run the evaluation suite; write results files; return contents.
 
     ``jobs`` is the pool size (``None`` = one per CPU, 1 = serial
-    in-process); ``shards`` is the engine shard count for the evals
-    that support sharding.  Output is identical for every value of
-    both.
+    in-process).  Output is identical for every value.
     """
     specs = build_jobs(select)
     if jobs is None:
         jobs = multiprocessing.cpu_count()
     workers = max(1, min(jobs, len(specs)))
     if workers == 1:
-        outcomes = [_execute(spec, shards=shards) for spec in specs]
+        outcomes = [_execute(spec) for spec in specs]
     else:
         # fork shares the already-imported modules with the children;
         # chunksize=1 keeps the slow fig6 points spread across workers.
-        execute = functools.partial(_execute, shards=shards)
         context = multiprocessing.get_context("fork")
         with context.Pool(processes=workers) as pool:
-            outcomes = pool.map(execute, specs, chunksize=1)
+            outcomes = pool.map(_execute, specs, chunksize=1)
     files = _collect(specs, outcomes)
     directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
     directory.mkdir(exist_ok=True)
@@ -306,14 +287,9 @@ def main(argv=None) -> int:
         "--results-dir", default=None,
         help=f"output directory (default: {RESULTS_DIR})",
     )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="engine shard count for the sharded evals (results are "
-        "byte-identical at any value; see docs/performance.md)",
-    )
     options = parser.parse_args(argv)
     files = run_all(jobs=options.jobs, select=options.select,
-                    results_dir=options.results_dir, shards=options.shards)
+                    results_dir=options.results_dir)
     for filename in sorted(files):
         print(filename)
     return 0

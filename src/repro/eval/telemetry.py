@@ -21,7 +21,7 @@ The observability PR's end-to-end demonstration, in two acts:
   below is exactly what lands in CI artifacts after a real failure.
 
 Everything is a pure function of the seeds: the report is
-byte-identical across runs, worker counts, and engine shard counts.
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _alert_rows(monitors: dict) -> list[tuple]:
 # -- act one: the serving run -------------------------------------------------
 
 
-def serving_results(shards: int = 1) -> dict:
+def serving_results() -> dict:
     """The faulted reference point with telemetry and SLOs attached."""
     state: dict = {}
 
@@ -115,8 +115,7 @@ def serving_results(shards: int = 1) -> dict:
                                         window=FAULT_WINDOW)
     result = traffic.run_profile(
         _curve_profile(REFERENCE_GAP, name="telemetered"),
-        fault_plan=plan, observe=True, shards=shards,
-        instrument=instrument,
+        fault_plan=plan, observe=True, instrument=instrument,
     )
     telemetry = state["telemetry"]
     telemetry.flush()
@@ -221,10 +220,10 @@ def failover_results(seed: int = DEFAULT_SEED,
     }
 
 
-def run(seed: int = DEFAULT_SEED, shards: int = 1) -> dict:
+def run(seed: int = DEFAULT_SEED) -> dict:
     del seed  # both acts carry their own seeds (kept for symmetry)
     return {
-        "serving": serving_results(shards=shards),
+        "serving": serving_results(),
         "failover": failover_results(),
     }
 
@@ -371,16 +370,11 @@ def main(argv=None) -> str:
         "--variant", choices=("flight",), default=None,
         help="run only the named variant (CI determinism gate)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="engine shard count for the serving act (results are "
-        "byte-identical at any value; see docs/performance.md)",
-    )
     options = parser.parse_args(argv)
     if options.variant == "flight":
         report = flight_variant()
     else:
-        report = bench_table(run(shards=options.shards))
+        report = bench_table(run())
     print(report)
     return report
 

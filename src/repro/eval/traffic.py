@@ -110,30 +110,23 @@ def _attribute_tail(result: traffic.TrafficResult) -> dict:
     }
 
 
-def run(seed: int = DEFAULT_SEED, shards: int = 1) -> dict:
-    """Every load point plus the tail attribution, summarized.
-
-    ``shards`` runs every point on the sharded engine; the summaries —
-    and therefore the report — are byte-identical at any shard count
-    (the determinism contract, see docs/performance.md).
-    """
+def run(seed: int = DEFAULT_SEED) -> dict:
+    """Every load point plus the tail attribution, summarized."""
     del seed  # each profile carries its own seed (kept for symmetry)
     points = []
     reference = None
     for gap in CURVE_GAPS:
         observed = gap == REFERENCE_GAP
-        result = traffic.run_profile(_curve_profile(gap), observe=observed,
-                                     shards=shards)
+        result = traffic.run_profile(_curve_profile(gap), observe=observed)
         points.append(_summarize(result))
         if observed:
             reference = result
     bursty = traffic.run_profile(_curve_profile(
         REFERENCE_GAP, name="bursty", arrival="bursty",
-    ), shards=shards)
+    ))
     plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE, window=FAULT_WINDOW)
     faulted = traffic.run_profile(
         _curve_profile(REFERENCE_GAP, name="faulted"), fault_plan=plan,
-        shards=shards,
     )
     return {
         "curve": points,
@@ -259,81 +252,19 @@ def fault_variant() -> str:
     )
 
 
-#: the 4-domain scale variant: a 24-PE mesh split into 4 kernel
-#: domains, one kv replica per domain, 3 gateways spread over the
-#: non-zero domains — the shape the sharded engine is for.
-VARIANT_PE_COUNT = 24
-VARIANT_KERNEL_COUNT = 4
-VARIANT_GATEWAYS = 3
-#: a 4-domain kernel holds 3 peer send gates; give its DTU headroom.
-VARIANT_EP_COUNT = 12
-
-
-def shard_variant(shards: int = 1) -> str:
-    """The 4-domain reference point (CI's shard-determinism gate).
-
-    Byte-identical output for any ``shards`` in 1..4 — the table also
-    reports the engine's cross-shard packet accounting at the *maximum*
-    partition so the boundary traffic itself is pinned by the gate
-    (the count is a property of the plan, not of ``shards``).
-    """
-    result = traffic.run_profile(
-        _curve_profile(REFERENCE_GAP, name="4-domain"),
-        shards=shards,
-        pe_count=VARIANT_PE_COUNT, kernel_count=VARIANT_KERNEL_COUNT,
-        gateways=VARIANT_GATEWAYS, ep_count=VARIANT_EP_COUNT,
-    )
-    point = _summarize(result)
-    sharded = traffic.run_profile(
-        _curve_profile(REFERENCE_GAP, name="4-domain"),
-        shards=VARIANT_KERNEL_COUNT,
-        pe_count=VARIANT_PE_COUNT, kernel_count=VARIANT_KERNEL_COUNT,
-        gateways=VARIANT_GATEWAYS, ep_count=VARIANT_EP_COUNT,
-    )
-    table = render_table(
-        f"Traffic 4-domain variant: {VARIANT_PE_COUNT} PEs, "
-        f"{VARIANT_KERNEL_COUNT} kernel domains, "
-        f"{VARIANT_GATEWAYS} gateways",
-        ["point", "offered/Mcyc", "goodput/Mcyc", "done",
-         "p50", "p99", "p999", "tx retries", "dropped",
-         "routes", "replicas served"],
-        [_point_row(point) + (
-            "/".join(str(count) for _name, count
-                     in sorted(point["route_counts"].items())),
-            "/".join(str(served) for _name, served
-                     in sorted(point["replica_requests"].items())),
-        )],
-    )
-    cross = sharded.system.sim.cross_packets
-    cross_bytes = sharded.system.sim.cross_bytes
-    return "\n".join([
-        table,
-        f"cross-shard traffic at shards={VARIANT_KERNEL_COUNT}: "
-        f"{cross:,} packets, {cross_bytes:,} bytes over the "
-        f"quantum-barrier seam",
-    ])
-
-
 def main(argv=None) -> str:
     import argparse
 
     parser = argparse.ArgumentParser(prog="python -m repro.eval.traffic")
     parser.add_argument(
-        "--variant", choices=("fault", "shard"), default=None,
+        "--variant", choices=("fault",), default=None,
         help="run only the named variant (CI determinism gate)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="engine shard count (results are byte-identical at any "
-        "value; see docs/performance.md)",
     )
     options = parser.parse_args(argv)
     if options.variant == "fault":
         report = fault_variant()
-    elif options.variant == "shard":
-        report = shard_variant(shards=options.shards)
     else:
-        report = bench_table(run(shards=options.shards))
+        report = bench_table(run())
     print(report)
     return report
 

@@ -51,46 +51,25 @@ class PlatformConfig:
 
 
 class Platform:
-    """The assembled chip: simulator, NoC, PEs, DRAM.
+    """The assembled chip: simulator, NoC, PEs, DRAM."""
 
-    With a :class:`~repro.sim.shard.ShardPlan` installed the single
-    ``Simulator`` becomes a :class:`~repro.sim.shard.ShardedSimulator`:
-    each hardware component schedules into its own node's shard queue,
-    and NoC deliveries cross shard boundaries through the explicit
-    injection seam on :class:`~repro.noc.network.Network`.
-    """
-
-    def __init__(self, config: PlatformConfig, shard_plan=None):
+    def __init__(self, config: PlatformConfig):
         self.config = config
         self.topology = MeshTopology(config.mesh_width, config.mesh_height)
-        self.shard_plan = shard_plan
-        if shard_plan is None:
-            self.sim = Simulator()
-        else:
-            from repro.sim.shard import ShardedSimulator
-
-            if len(shard_plan.node_to_shard) != self.topology.node_count:
-                raise ValueError(
-                    f"shard plan covers {len(shard_plan.node_to_shard)} "
-                    f"nodes, mesh has {self.topology.node_count}"
-                )
-            self.sim = ShardedSimulator(shard_plan)
+        self.sim = Simulator()
         self.network = Network(
             self.sim,
             self.topology,
             hop_cycles=config.noc_hop_cycles,
             bytes_per_cycle=config.noc_bytes_per_cycle,
         )
-        if shard_plan is not None:
-            self.network.shards = self.sim
         self.dram_node = self.topology.node_count - 1
         self.dram = DramModule(
-            self.sim_for(self.dram_node), self.network, self.dram_node,
-            config.dram_bytes
+            self.sim, self.network, self.dram_node, config.dram_bytes
         )
         self.pes: list[ProcessingElement] = [
             ProcessingElement(
-                self.sim_for(node),
+                self.sim,
                 self.network,
                 node,
                 CORE_TYPES[type_name],
@@ -99,14 +78,6 @@ class Platform:
             )
             for node, type_name in enumerate(config.pe_types)
         ]
-
-    def sim_for(self, node: int):
-        """The simulator a component at ``node`` should schedule into:
-        the node's shard member under a shard plan, else the one
-        simulator.  Clocks agree either way."""
-        if self.shard_plan is None:
-            return self.sim
-        return self.sim.member_for(node)
 
     def pe(self, node: int) -> ProcessingElement:
         """The PE at ``node`` (which must not be the DRAM node)."""
@@ -143,14 +114,13 @@ class Platform:
 
     @classmethod
     def build(cls, pe_count: int = 8, accelerators: dict | None = None,
-              shard_plan=None, **config_kwargs) -> "Platform":
+              **config_kwargs) -> "Platform":
         """Convenience constructor: ``pe_count`` Xtensa PEs plus optional
         accelerators given as ``{"fft-accel": 1, ...}``."""
         types = ["xtensa"] * pe_count
         for name, count in (accelerators or {}).items():
             types.extend([name] * count)
-        return cls(PlatformConfig(pe_types=types, **config_kwargs),
-                   shard_plan=shard_plan)
+        return cls(PlatformConfig(pe_types=types, **config_kwargs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

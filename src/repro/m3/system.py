@@ -30,27 +30,7 @@ class M3System:
                  kernel_node: int = 0, kernel_count: int = 1,
                  multiplexing: bool = False,
                  auto_rebalance: bool = False, reliable: bool = False,
-                 observe: bool = False, shards: int = 1, **platform_kwargs):
-        #: shard count of the sharded engine (1 = the classic single
-        #: event queue).  Shards follow the kernel-domain boundaries, so
-        #: ``shards`` may not exceed ``kernel_count``; results are
-        #: byte-identical at every shard count (see docs/performance.md,
-        #: "Parallel simulation").
-        self.shards = shards
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        if shards > 1:
-            if platform is not None:
-                raise ValueError(
-                    "shards>1 requires M3System to build the platform "
-                    "(pass pe_count/platform kwargs instead of a Platform)"
-                )
-            platform = Platform.build(
-                pe_count,
-                shard_plan=self._plan_shards(shards, pe_count, kernel_count,
-                                             platform_kwargs),
-                **platform_kwargs,
-            )
+                 observe: bool = False, **platform_kwargs):
         self.platform = platform or Platform.build(pe_count, **platform_kwargs)
         #: whether DTUs run with reliable delivery; device DTUs created
         #: after boot (e.g. NICs) consult this to match the chip.
@@ -124,44 +104,6 @@ class M3System:
         self._app_processes: list = []
         #: serial console: (cycle, vpe_id, line) records.
         self.serial_log: list = []
-
-    @staticmethod
-    def _plan_shards(shards: int, pe_count: int, kernel_count: int,
-                     platform_kwargs: dict):
-        """Derive the :class:`~repro.sim.shard.ShardPlan` for this layout.
-
-        Mirrors the kernel partition below exactly — same PE node list,
-        same contiguous divmod chunking — so shard boundaries coincide
-        with kernel-domain boundaries and the only cross-shard NoC
-        traffic is traffic that already crosses a domain (plus shared
-        DRAM/device nodes, which the plan assigns to their nearest
-        domain).
-        """
-        from repro import params
-        from repro.noc.topology import MeshTopology
-        from repro.sim.shard import ShardPlan
-
-        total_pes = pe_count + sum(
-            (platform_kwargs.get("accelerators") or {}).values()
-        )
-        pe_nodes = list(range(total_pes))
-        if kernel_count <= 1:
-            domains = [pe_nodes]
-        else:
-            share, extra = divmod(len(pe_nodes), kernel_count)
-            domains, start = [], 0
-            for domain_id in range(kernel_count):
-                size = share + (1 if domain_id < extra else 0)
-                domains.append(pe_nodes[start:start + size])
-                start += size
-        topology = MeshTopology(
-            platform_kwargs.get("mesh_width", params.DEFAULT_MESH_WIDTH),
-            platform_kwargs.get("mesh_height", params.DEFAULT_MESH_HEIGHT),
-        )
-        return ShardPlan.from_domains(
-            domains, shards, topology,
-            platform_kwargs.get("noc_hop_cycles", params.NOC_HOP_CYCLES),
-        )
 
     def enable_observability(self, **kwargs):
         """Install a :class:`repro.obs.Observer` on the simulator.

@@ -65,10 +65,6 @@ class Network:
         #: optional fault plan (see :mod:`repro.faults`); with None
         #: installed, delivery pays exactly one branch per packet.
         self.fault_plan = None
-        #: optional sharded engine (see :mod:`repro.sim.shard`); when
-        #: set, deliveries route through its cross-shard injection seam
-        #: instead of this facade's own queue.
-        self.shards = None
         self.packets_lost = 0
         self.packets_corrupted = 0
         self.packets_delayed = 0
@@ -176,12 +172,7 @@ class Network:
             )
         if self.sim.obs is not None:
             self._observe_packet(packet, completion, verdict)
-        if self.shards is None:
-            self.sim.schedule(completion - self.sim.now, handler, packet)
-        else:
-            # The cross-shard seam: deliveries land in the queue of the
-            # destination node's shard (counted when crossing a boundary).
-            self.shards.deliver(packet, handler, completion)
+        self.sim.schedule(completion - self.sim.now, handler, packet)
         return completion
 
     def _observe_packet(self, packet: Packet, completion: int,

@@ -22,8 +22,8 @@ package is the first-class observability layer:
   intervals that determined end-to-end latency, attributed per
   component (libm3 / DTU / NoC / kernel / service / inter-kernel RPC).
 - :mod:`repro.obs.timeseries` — the streaming telemetry plane:
-  epoch-bucketed counter/gauge/quantile series with ring retention and
-  mergeable snapshots (``observer.enable_telemetry()``).
+  epoch-bucketed counter/gauge/quantile series with ring retention
+  (``observer.enable_telemetry()``).
 - :mod:`repro.obs.slo` — declarative latency/availability SLOs
   evaluated in-sim with multi-window burn-rate alerting; alerts feed
   the autoscaler (``policy="slo"``) and failover verdicts.
@@ -54,7 +54,7 @@ from repro.obs.causal import (
 from repro.obs.metrics import Histogram
 from repro.obs.observer import Instant, Observer, Span
 from repro.obs.chrome import trace_events, to_chrome_trace, export_chrome_trace
-from repro.obs.timeseries import Telemetry, merge_snapshots
+from repro.obs.timeseries import Telemetry
 from repro.obs.slo import SloMonitor, SloSpec, last_alert_before
 from repro.obs.flight import FlightRecorder, render_dump
 from repro.obs.prom import render_prometheus
@@ -78,7 +78,6 @@ __all__ = [
     "find_request",
     "header_context",
     "last_alert_before",
-    "merge_snapshots",
     "render_dump",
     "render_prometheus",
     "trace_events",

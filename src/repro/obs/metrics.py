@@ -137,10 +137,10 @@ class Histogram:
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram.
 
-        Merging shard-local histograms is exact: the result is bit for
-        bit the histogram a single simulator would have produced from
-        the union of the samples (same buckets, same sub-buckets, same
-        quantile bounds).  Both sides must share the same ``precision``.
+        Merging is exact: the result is bit for bit the histogram one
+        recorder would have produced from the union of the samples
+        (same buckets, same sub-buckets, same quantile bounds).  Both
+        sides must share the same ``precision``.
         """
         if other.precision != self.precision:
             raise ValueError(
@@ -161,46 +161,6 @@ class Histogram:
         if self.fine is not None and other.fine:
             for low, fine_count in other.fine.items():
                 self.fine[low] = self.fine.get(low, 0) + fine_count
-
-    def snapshot(self) -> dict:
-        """A JSON-safe, mergeable snapshot of this histogram.
-
-        Sparse and deterministic: only non-empty buckets appear, in
-        ascending order.  ``from_snapshot`` round-trips exactly.
-        """
-        snap = {
-            "name": self.name,
-            "precision": self.precision,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "counts": [
-                [index, bucket_count]
-                for index, bucket_count in enumerate(self.counts)
-                if bucket_count
-            ],
-        }
-        if self.fine is not None:
-            snap["fine"] = [
-                [low, self.fine[low]] for low in sorted(self.fine)
-            ]
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`snapshot` output."""
-        hist = cls(snap["name"], precision=snap["precision"])
-        for index, bucket_count in snap["counts"]:
-            hist.counts[index] = bucket_count
-        hist.count = snap["count"]
-        hist.total = snap["total"]
-        hist.min = snap["min"]
-        hist.max = snap["max"]
-        if hist.fine is not None:
-            for low, fine_count in snap.get("fine", ()):
-                hist.fine[low] = fine_count
-        return hist
 
     def rows(self) -> list[tuple[str, int, str]]:
         """(range, count, cumulative%) rows for non-empty buckets."""

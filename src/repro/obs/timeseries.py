@@ -23,12 +23,7 @@ gauge pairs) are polled — this is how sources that nobody pushes, like
 per-replica kv queue depth, get a series.
 
 Retention is a ring: each series keeps the most recent ``retention``
-epochs and counts what it dropped.  :meth:`Telemetry.snapshot` emits a
-JSON-safe, *mergeable* form — :func:`merge_snapshots` combines
-shard-local or worker-local snapshots deterministically (counters add,
-gauges add across disjoint sources, histograms merge exactly), so
-``runall`` workers and ``ShardedSimulator`` shards aggregate to the
-same bytes as a monolithic run.
+epochs and counts what it dropped.
 """
 
 from __future__ import annotations
@@ -225,90 +220,7 @@ class Telemetry:
                 total += value
         return total
 
-    # -- snapshots -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-safe, mergeable snapshot of every closed epoch."""
-        series = {}
-        for name in sorted(self._series):
-            kind = self.kinds[name]
-            points = [
-                [index,
-                 value.snapshot() if kind == QUANTILE else value]
-                for index, value in self._series[name]
-            ]
-            series[name] = {"kind": kind, "points": points}
-        return {
-            "epoch": self.epoch,
-            "precision": self.precision,
-            "dropped": dict(sorted(self.dropped_epochs.items())),
-            "series": series,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Telemetry epoch={self.epoch} "
                 f"series={len(self._series)} open={self._open_index}>")
 
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Merge shard-local telemetry snapshots deterministically.
-
-    All snapshots must share the same epoch length.  Same-named series
-    must agree on kind; same-epoch points combine as counter-add,
-    gauge-add (gauges from different shards are disjoint sources, e.g.
-    distinct replicas), and exact histogram merge.  The result is
-    independent of snapshot order and equals what one telemetry hub
-    fed all the records would have produced.
-    """
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    epoch = snapshots[0]["epoch"]
-    precision = snapshots[0]["precision"]
-    for snap in snapshots:
-        if snap["epoch"] != epoch:
-            raise ValueError(
-                f"cannot merge snapshots with epochs "
-                f"{epoch} and {snap['epoch']}"
-            )
-    merged_series: dict[str, dict] = {}
-    dropped: dict[str, int] = {}
-    for snap in snapshots:
-        for name, count in snap["dropped"].items():
-            dropped[name] = dropped.get(name, 0) + count
-        for name, body in snap["series"].items():
-            into = merged_series.setdefault(
-                name, {"kind": body["kind"], "points": {}}
-            )
-            if into["kind"] != body["kind"]:
-                raise ValueError(
-                    f"series {name!r} is a {into['kind']} in one "
-                    f"snapshot and a {body['kind']} in another"
-                )
-            points = into["points"]
-            for index, value in body["points"]:
-                if index not in points:
-                    points[index] = (
-                        Histogram.from_snapshot(value)
-                        if body["kind"] == QUANTILE else value
-                    )
-                elif body["kind"] == QUANTILE:
-                    points[index].merge(Histogram.from_snapshot(value))
-                else:
-                    points[index] = points[index] + value
-    out_series = {}
-    for name in sorted(merged_series):
-        body = merged_series[name]
-        out_series[name] = {
-            "kind": body["kind"],
-            "points": [
-                [index,
-                 value.snapshot() if body["kind"] == QUANTILE else value]
-                for index, value in sorted(body["points"].items())
-            ],
-        }
-    return {
-        "epoch": epoch,
-        "precision": precision,
-        "dropped": dict(sorted(dropped.items())),
-        "series": out_series,
-    }

@@ -104,11 +104,8 @@ class Simulator:
     def schedule_at(self, when: int, callback, argument: object = None) -> list:
         """Run ``callback(argument)`` at absolute cycle ``when`` (>= now).
 
-        The cross-shard injection primitive (:mod:`repro.sim.shard`):
-        barrier drains re-schedule egressed events into the peer
-        shard's queue at their original cycle.  Same-cycle injections
-        keep FIFO order behind the currently queued callbacks.
-        Returns a handle accepted by :meth:`cancel`.
+        Same-cycle calls keep FIFO order behind the currently queued
+        callbacks.  Returns a handle accepted by :meth:`cancel`.
         """
         if type(when) is not int:
             when = _as_cycles(when, "when")

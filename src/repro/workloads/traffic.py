@@ -383,7 +383,7 @@ class TrafficResult:
 
 def run_profile(profile: TrafficProfile,
                 fault_plan: "FaultPlan | None" = None,
-                observe: bool = False, shards: int = 1,
+                observe: bool = False,
                 pe_count: int = PE_COUNT,
                 kernel_count: int = KERNEL_COUNT,
                 gateways: int = GATEWAYS,
@@ -397,14 +397,12 @@ def run_profile(profile: TrafficProfile,
                 **system_kwargs) -> TrafficResult:
     """Boot the serving stack, drive one load point, measure it.
 
-    ``shards`` runs the sharded engine (byte-identical results at any
-    count — see docs/performance.md); ``pe_count``/``kernel_count``/
-    ``gateways`` grow the platform for scale variants (defaults are the
-    fixed 12-PE, 2-domain shape above).  Gateways spread round-robin
-    over the non-zero domains, so the default places both in domain 1
-    exactly as before.  Extra keyword arguments reach ``M3System``
-    (e.g. ``ep_count`` — a 4-domain kernel needs a bigger EP table for
-    its peer send gates).
+    ``pe_count``/``kernel_count``/``gateways`` grow the platform for
+    scale variants (defaults are the fixed 12-PE, 2-domain shape
+    above).  Gateways spread round-robin over the non-zero domains, so
+    the default places both in domain 1 exactly as before.  Extra
+    keyword arguments reach ``M3System`` (e.g. ``ep_count`` — a
+    4-domain kernel needs a bigger EP table for its peer send gates).
 
     Elastic-scaling knobs (all off by default — the defaults are
     byte-identical to the pre-elastic stack): ``policy`` selects the
@@ -425,8 +423,7 @@ def run_profile(profile: TrafficProfile,
     on when it boots).
     """
     system = M3System(pe_count=pe_count, kernel_count=kernel_count,
-                      reliable=True, observe=observe, shards=shards,
-                      **system_kwargs)
+                      reliable=True, observe=observe, **system_kwargs)
     if fault_plan is not None:
         fault_plan.install(system.platform)
     system.boot(with_fs=False)

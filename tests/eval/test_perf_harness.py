@@ -1,6 +1,9 @@
 """The wall-clock perf harness: workload determinism and the gate."""
 
 import copy
+import json
+
+import pytest
 
 from benchmarks.perf import harness
 
@@ -55,10 +58,22 @@ def test_check_fails_on_wall_time_regression():
 
 def test_committed_baseline_is_valid():
     assert harness.BASELINE_PATH.exists()
-    import json
-
     baseline = json.loads(harness.BASELINE_PATH.read_text())
     assert baseline["schema"] == harness.SCHEMA_VERSION
     assert baseline["engine"]["sim_cycles_per_second"] > 0
     assert set(baseline["figures"]) >= {"fig3_micro", "fig6_scale"}
     assert baseline["total_seconds"] > 0
+
+
+def test_check_refuses_a_baseline_of_another_schema(tmp_path, monkeypatch,
+                                                    capsys):
+    stale = _sample()
+    stale["schema"] = harness.SCHEMA_VERSION - 1
+    path = tmp_path / "BENCH_perf.json"
+    path.write_text(json.dumps(stale))
+    monkeypatch.setattr(harness, "BASELINE_PATH", path)
+    monkeypatch.setattr(harness, "measure", lambda: pytest.fail("measured"))
+    assert harness.main(["--check"]) == 2
+    message = capsys.readouterr().err
+    assert f"schema {harness.SCHEMA_VERSION - 1}" in message
+    assert f"schema {harness.SCHEMA_VERSION}" in message

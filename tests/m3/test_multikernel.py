@@ -63,6 +63,12 @@ def test_too_small_mesh_is_rejected():
         M3System(pe_count=5, kernel_count=4)
 
 
+def test_unknown_platform_keyword_is_rejected():
+    # ``shards`` was an engine option once; it is gone, not ignored.
+    with pytest.raises(TypeError, match="shards"):
+        M3System(pe_count=4, **{"shards": 2})
+
+
 def test_service_registries_are_per_domain():
     system = boot_partitioned(pe_count=12, kernel_count=2)
     start_domain_fs(system, 2)

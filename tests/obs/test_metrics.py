@@ -208,20 +208,3 @@ def test_merge_empty_and_precision_mismatch():
         hist.merge(Histogram())
     with pytest.raises(ValueError):
         Histogram().merge(hist)
-
-
-def test_snapshot_round_trip():
-    import json
-
-    hist = Histogram("rt", precision=5)
-    for value in (0, 7, 7, 4096, 123456789):
-        hist.observe(value)
-    snap = json.loads(json.dumps(hist.snapshot()))  # JSON-safe
-    back = Histogram.from_snapshot(snap)
-    assert back.counts == hist.counts
-    assert back.fine == hist.fine
-    assert (back.count, back.total, back.min, back.max) == \
-        (hist.count, hist.total, hist.min, hist.max)
-    assert back.name == "rt" and back.precision == 5
-    empty = Histogram.from_snapshot(Histogram("e").snapshot())
-    assert empty.count == 0 and empty.min is None and empty.fine is None

@@ -1,10 +1,9 @@
-"""Property tests: sharded histogram merges are exact.
+"""Property tests: histogram merges are exact.
 
-The telemetry plane merges shard-local histograms (``runall`` workers,
-``ShardedSimulator`` members) into one; these properties pin the merge
-to be indistinguishable — bucket for bucket, sub-bucket for
-sub-bucket, quantile for quantile — from a single histogram fed the
-union of the samples.
+The telemetry plane folds per-flush histograms into the open epoch's
+live one; these properties pin the merge to be indistinguishable —
+bucket for bucket, sub-bucket for sub-bucket, quantile for quantile —
+from a single histogram fed the union of the samples.
 """
 
 from hypothesis import given, settings
@@ -64,22 +63,16 @@ def test_merge_preserves_quantiles_and_is_associative(
 
 
 @settings(max_examples=80, deadline=None)
-@given(samples, precisions)
-def test_snapshot_round_trip_property(values, precision):
-    original = _fill(values, precision)
-    _same(Histogram.from_snapshot(original.snapshot()), original)
-
-
-@settings(max_examples=80, deadline=None)
-@given(samples, samples, precisions, fractions)
-def test_snapshot_merge_path_equals_monolithic(left, right, precision,
-                                               fraction):
-    # The path the telemetry snapshots take: serialize per shard,
-    # rebuild, merge — still exact.
-    rebuilt = Histogram.from_snapshot(_fill(left, precision).snapshot())
-    rebuilt.merge(
-        Histogram.from_snapshot(_fill(right, precision).snapshot())
-    )
-    whole = _fill(left + right, precision)
-    _same(rebuilt, whole)
-    assert rebuilt.percentile(fraction) == whole.percentile(fraction)
+@given(samples, samples, samples, precisions, fractions)
+def test_merge_into_live_histogram_equals_monolithic(
+    left, right, later, precision, fraction
+):
+    # The path the telemetry window fold takes: merge into a live
+    # histogram that keeps recording afterwards — still exact.
+    live = _fill(left, precision)
+    live.merge(_fill(right, precision))
+    for value in later:
+        live.observe(value)
+    whole = _fill(left + right + later, precision)
+    _same(live, whole)
+    assert live.percentile(fraction) == whole.percentile(fraction)

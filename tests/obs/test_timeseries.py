@@ -1,10 +1,8 @@
-"""The telemetry plane: epoch bucketing, retention, merge, forwarding."""
-
-import json
+"""The telemetry plane: epoch bucketing, retention, forwarding."""
 
 import pytest
 
-from repro.obs import Observer, merge_snapshots
+from repro.obs import Observer
 from repro.obs.timeseries import Telemetry
 from repro.sim import Simulator
 
@@ -107,49 +105,6 @@ def test_window_sum_and_value_at():
     assert telemetry.window_sum("req", 3, 2) == 5  # epochs 2..3
     assert telemetry.value_at("req", 1) == 3
     assert telemetry.value_at("req", 2) == 0
-
-
-def test_snapshot_merge_equals_monolithic():
-    def run(offsets):
-        sim = Simulator()
-        obs = Observer.install(sim)
-        telemetry = obs.enable_telemetry(epoch=100)
-        for cycle in offsets:
-            sim.schedule(cycle, lambda _: obs.count("req"))
-            sim.schedule(cycle, lambda _, c=cycle: obs.observe("lat", c))
-        sim.run()
-        telemetry.flush()
-        return telemetry
-
-    shard_a = run((10, 20, 150))
-    shard_b = run((30, 250))
-    whole = run((10, 20, 30, 150, 250))
-    merged = merge_snapshots([shard_a.snapshot(), shard_b.snapshot()])
-    # Byte-level determinism of the merged form, and equality with the
-    # monolithic run's own snapshot.
-    assert json.dumps(merged, sort_keys=True) == \
-        json.dumps(whole.snapshot(), sort_keys=True)
-    # Merge is order-independent.
-    flipped = merge_snapshots([shard_b.snapshot(), shard_a.snapshot()])
-    assert flipped == merged
-
-
-def test_merge_rejects_mismatched_epochs_and_kinds():
-    sim = Simulator()
-    a = Telemetry(sim, epoch=100)
-    b = Telemetry(sim, epoch=200)
-    with pytest.raises(ValueError, match="epochs"):
-        merge_snapshots([a.snapshot(), b.snapshot()])
-    with pytest.raises(ValueError, match="nothing to merge"):
-        merge_snapshots([])
-    c = Telemetry(sim, epoch=100)
-    c.counter("x")
-    c.flush()
-    d = Telemetry(sim, epoch=100)
-    d.gauge("x", 1)
-    d.flush()
-    with pytest.raises(ValueError, match="in another"):
-        merge_snapshots([c.snapshot(), d.snapshot()])
 
 
 def test_observer_without_telemetry_keeps_plain_metrics():

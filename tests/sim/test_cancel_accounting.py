@@ -102,7 +102,7 @@ def test_cancel_after_until_event_run():
 
 
 def test_schedule_at_handles_cancel_exactly():
-    """The cross-shard injection primitive plays by the same rules."""
+    """Absolute-cycle scheduling plays by the same rules."""
     sim = Simulator()
     ran = []
     executed = sim.schedule_at(4, ran.append)

@@ -96,3 +96,33 @@ def test_mid_load_fault_plan_is_survived():
     assert result.fault_events > 0
     assert result.noc_packets_lost == result.fault_events
     assert result.dtu_retransmits > 0
+
+
+def _fingerprint(result: traffic.TrafficResult) -> tuple:
+    """Everything the eval report is a function of, hashable."""
+    return (
+        result.sent, result.completed, result.makespan,
+        tuple(sorted(result.latencies.items())),
+        result.tx_retries, result.gw_tx_retries,
+        tuple(result.served_by),
+        tuple(sorted(result.route_counts.items())),
+        tuple(sorted(result.replica_requests.items())),
+        result.noc_packets_lost, result.dtu_retransmits,
+    )
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param({}, id="12pe-2domain"),
+    pytest.param(dict(pe_count=24, kernel_count=4, gateways=3, ep_count=12),
+                 id="24pe-4domain"),
+])
+def test_double_run_is_deterministic_and_quiesces(shape):
+    mini = TrafficProfile(
+        name="mini", seed=77, clients=24, requests=36, mean_gap=2_500,
+        drain_cycles=200_000,
+    )
+    first, second = run_profile(mini, **shape), run_profile(mini, **shape)
+    assert _fingerprint(first) == _fingerprint(second)
+    # run_profile returns at quiescence: nothing is left on the queue.
+    assert first.system.sim.pending_events == 0
+    assert second.system.sim.pending_events == 0
