@@ -10,7 +10,7 @@ application PE: each worker gets the PE while the parent waits
 restored afterwards.  The closing report shows what it cost.
 """
 
-from repro.eval import stats
+from repro.eval import profile
 from repro.m3.lib import serial
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
@@ -41,7 +41,7 @@ def main():
         print(" ", line)
     print(f"context switches performed: {system.kernel.ctxsw.switch_count}")
     print()
-    print(stats.report(system))
+    print(profile.report(system))
 
 
 if __name__ == "__main__":

@@ -184,7 +184,7 @@ def run(seed: int = DEFAULT_SEED) -> dict:
         len(vpe.remote_waiters)
         for kernel in system.kernels if not kernel.pe.failed
         for vpe in kernel.vpes.values()
-    ) + len(k0._ik_pending) + len(k0._ik_outstanding)
+    ) + int(not k0.ik.idle)
     return {
         "find": find_result,
         "migration": mig_result,

@@ -173,7 +173,7 @@ def pe_kill_scenario(seed: int = DEFAULT_SEED) -> dict:
     plan.kill_pe(node=2, at=KILL_AT)
     plan.install(system.platform)
     system.boot(with_fs=False)
-    system.kernel.start_watchdog(
+    system.kernel.failover.start_watchdog(
         period=WATCHDOG_PERIOD, probe_timeout=PROBE_TIMEOUT
     )
 
@@ -192,7 +192,7 @@ def pe_kill_scenario(seed: int = DEFAULT_SEED) -> dict:
         return outcome, env.sim.now
 
     outcome, finished_at = system.run_app(parent, name="parent")
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     victim_pe = system.platform.pe(2)
     return {
         "outcome": outcome,

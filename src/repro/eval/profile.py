@@ -3,8 +3,8 @@
 This module turns an installed :class:`repro.obs.Observer` into the
 plain-text reports the repo's other figures use: latency histograms
 (log2 buckets), named counters, and exact per-link NoC occupancy.  It
-also owns the raw counter collection that used to be hand-rolled in
-:mod:`repro.eval.stats` — ``stats.collect`` now delegates here.
+also owns the raw counter collection (:func:`collect`) and its compact
+single-page summary (:func:`report`), which need no observer.
 
 ``main()`` runs a Figure-3-style microbenchmark (null syscalls plus a
 buffered file read) with observability enabled and writes both
@@ -35,14 +35,12 @@ PROFILE_BUFFER_BYTES = params.MICRO_BUFFER_BYTES
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
 
 
-# -- raw counter collection (moved from eval/stats.py) ------------------------
+# -- raw counter collection ---------------------------------------------------
 
 
 def collect(system: "M3System") -> dict:
     """All layer counters as one nested dict."""
     network = system.platform.network
-    utilisation = network.utilization_report()
-    busiest = sorted(utilisation.items(), key=lambda kv: -kv[1])[:5]
     dtus = []
     for pe in system.platform.pes:
         dtu = pe.dtu
@@ -61,7 +59,6 @@ def collect(system: "M3System") -> dict:
             "packets": network.packets_sent,
             "payload_bytes": network.bytes_sent,
             "packets_injected": network.packets_injected,
-            "busiest_links": busiest,
         },
         "dtus": dtus,
         "kernel": {
@@ -71,22 +68,17 @@ def collect(system: "M3System") -> dict:
             "context_switches": system.kernel.ctxsw.switch_count,
             "dram_free_bytes": system.kernel.memory.free_bytes,
         },
-        "filesystems": dict(fs_items(system)),
+        "filesystems": {
+            name: {
+                "requests": server.requests_served,
+                "blocks_used": server.fs.block_bitmap.used,
+                "inodes": len(server.fs.inodes),
+            }
+            for name, server in system.fs_servers.items()
+        },
         "ledger": system.sim.ledger.snapshot(),
         "serial_lines": len(system.serial_log),
     }
-
-
-def fs_items(system: "M3System") -> list[tuple[str, dict]]:
-    """Per-filesystem-service counters as (name, dict) pairs."""
-    return [
-        (name, {
-            "requests": server.requests_served,
-            "blocks_used": server.fs.block_bitmap.used,
-            "inodes": len(server.fs.inodes),
-        })
-        for name, server in system.fs_servers.items()
-    ]
 
 
 # -- table rendering -----------------------------------------------------------
@@ -165,6 +157,53 @@ def link_series_table(observer: "Observer", top: int = 3) -> str:
         ["link", "epoch end", "busy"],
         rows,
     )
+
+
+def report(system: "M3System") -> str:
+    """Human-readable multi-table dump of :func:`collect` — the
+    summary that needs no observer ("was the NoC the bottleneck?")."""
+    data = collect(system)
+    pieces = [
+        render_table(
+            f"System state at cycle {data['cycles']:,}",
+            ["counter", "value"],
+            [
+                ("NoC packets", data["noc"]["packets"]),
+                ("NoC payload bytes", data["noc"]["payload_bytes"]),
+                ("kernel syscalls", data["kernel"]["syscalls"]),
+                ("VPEs created", data["kernel"]["vpes_created"]),
+                ("context switches", data["kernel"]["context_switches"]),
+                ("DRAM free bytes", data["kernel"]["dram_free_bytes"]),
+                ("serial lines", data["serial_lines"]),
+            ],
+        )
+    ]
+    if data["dtus"]:
+        pieces.append(
+            render_table(
+                "DTU traffic",
+                ["node", "sent", "dropped", "privileged"],
+                [
+                    (d["node"], d["sent"], d["dropped"],
+                     "yes" if d["privileged"] else "no")
+                    for d in data["dtus"]
+                ],
+            )
+        )
+    if data["filesystems"]:
+        pieces.append(
+            render_table(
+                "Filesystem services",
+                ["service", "requests", "blocks used", "inodes"],
+                [
+                    (name, entry["requests"], entry["blocks_used"],
+                     entry["inodes"])
+                    for name, entry in data["filesystems"].items()
+                ],
+            )
+        )
+    pieces.append(utilization_table(system.platform.network, top=5))
+    return "\n\n".join(pieces)
 
 
 def render(system: "M3System") -> str:

@@ -138,14 +138,14 @@ class AutoScaler:
 
     def _route(self) -> tuple:
         """The current replica route ``((service_name, domain), ...)``."""
-        return self.system.kernels[0].service_routes.get(self.name, ())
+        return self.system.kernels[0].router.service_routes.get(self.name, ())
 
     def _depths(self) -> dict:
         """Queue depth per routed replica, sampled at the owning
         kernel (the authoritative copy of the gossiped telemetry)."""
         depths = {}
         for replica, owner in self._route():
-            depths[replica] = self.system.kernels[owner]._local_depth(replica)
+            depths[replica] = self.system.kernels[owner].local_depth(replica)
         return depths
 
     # -- the epoch loop ------------------------------------------------
@@ -225,7 +225,7 @@ class AutoScaler:
         # Warm boot (gem5-style): snapshot the donor — the timed
         # checkpoint transfer *is* the snapshot cost — and seed the
         # clone from its image instead of starting cold.
-        yield from source_kernel.checkpoint_vpe(source.vpe)
+        yield from source_kernel.migration.checkpoint_vpe(source.vpe)
         clone = KvServ(service_name=f"{self.name}{self._next_index}",
                        op_cycles=source.op_cycles)
         self._next_index += 1
@@ -247,9 +247,10 @@ class AutoScaler:
             source_kernel.start_vpe(vpe, clone.main, ())
             yield clone.staged
             try:
-                new_id, _node = yield from source_kernel.migrate_vpe_cross(
-                    vpe, target_domain
-                )
+                new_id, _node = yield from \
+                    source_kernel.migration.migrate_vpe_cross(
+                        vpe, target_domain
+                    )
             except SyscallError:
                 # No room after all (lost a race for the target PE):
                 # release the staged clone and give up this epoch.
@@ -315,7 +316,7 @@ class AutoScaler:
         )
         drained = False
         for _ in range(self.drain_patience):
-            if not victim.sessions and kernel._local_depth(victim_name) == 0:
+            if not victim.sessions and kernel.local_depth(victim_name) == 0:
                 drained = True
                 break
             yield self.sim.delay(self.epoch)

@@ -1,9 +1,8 @@
 """VPE checkpoints: deterministic in-sim snapshots of PE-local state.
 
 A checkpoint captures everything a VPE keeps on its PE — the data-SPM
-image, the DTU endpoint registers, the SPM allocator mark — plus a
-summary of its capability table.  The kernel uses checkpoints for two
-things: live migration (``migrate_vpe`` re-materialises the state on a
+image, the DTU endpoint registers, the SPM allocator mark.  The kernel
+uses checkpoints for two things: live migration (``migrate_vpe`` re-materialises the state on a
 free PE and redirects in-flight messages) and recover-by-migrate (the
 watchdog salvages the SPM image off a node whose *core* died — the DTU
 keeps answering reads in hardware — and restarts the VPE elsewhere).
@@ -38,10 +37,6 @@ class VpeCheckpoint:
     #: endpoint, cloned via ``dataclasses.replace`` so later mutation
     #: of the live registers cannot leak into the snapshot.
     eps: tuple
-    #: ``(selector, kind)`` summary of the capability table — the caps
-    #: themselves stay kernel-owned; the summary exists for audits and
-    #: round-trip tests.
-    caps: tuple
     taken_at: int
 
     @property
@@ -51,35 +46,28 @@ class VpeCheckpoint:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VpeCheckpoint vpe={self.vpe_id} node={self.node} "
-            f"{self.spm_bytes}B spm, {len(self.eps)} eps, "
-            f"{len(self.caps)} caps @ {self.taken_at}>"
+            f"{self.spm_bytes}B spm, {len(self.eps)} eps @ {self.taken_at}>"
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class MigrationDescriptor:
-    """A checkpoint serialized for the ``ik_migrate_in`` RPC.
+    """A checkpoint serialized for the ``migrate_in`` RPC.
 
     Everything the *target* kernel needs to re-materialize a VPE in its
-    own domain: the checkpoint image and endpoint registers, a
+    own domain: the checkpoint (image and endpoint registers), a
     capability manifest rich enough to rebuild memory grants (regions
     left behind in the source domain become foreign-flagged caps), and
     the software context.  In a real system the software state lives in
     the SPM image itself; the in-sim ``env`` object stands in for it,
-    the same way ``ik_vpe_start`` carries entry callables.
+    the same way ``vpe_start`` carries entry callables.
     """
 
-    vpe_id: int
-    name: str
-    node: int
-    spm_image: bytes
-    alloc_mark: int
-    eps: tuple
+    checkpoint: VpeCheckpoint
     #: ``(selector, kind value, detail)`` rows; ``detail`` is
     #: ``(node, address, size, perm value, foreign)`` for memory caps
     #: and ``None`` for everything else.
     caps: tuple
-    taken_at: int
     migrations: int
     last_entry: object
     env: object
@@ -101,23 +89,8 @@ class MigrationDescriptor:
             else:
                 detail = None
             manifest.append((cap.selector, cap.kind.value, detail))
-        return cls(
-            vpe_id=vpe.id,
-            name=vpe.name,
-            node=checkpoint.node,
-            spm_image=checkpoint.spm_image,
-            alloc_mark=checkpoint.alloc_mark,
-            eps=checkpoint.eps,
-            caps=tuple(manifest),
-            taken_at=checkpoint.taken_at,
-            migrations=vpe.migrations,
-            last_entry=vpe.last_entry,
-            env=env,
-        )
+        return cls(checkpoint, tuple(manifest), vpe.migrations,
+                   vpe.last_entry, env)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MigrationDescriptor vpe={self.vpe_id} node={self.node} "
-            f"{len(self.spm_image)}B spm, {len(self.eps)} eps, "
-            f"{len(self.caps)} caps @ {self.taken_at}>"
-        )
+        return f"<MigrationDescriptor {self.checkpoint!r}, {len(self.caps)} caps>"

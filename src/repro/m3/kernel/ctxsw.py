@@ -36,6 +36,7 @@ import typing
 from repro import params
 from repro.dtu.registers import MemoryPerm
 from repro.m3.kernel.objects import MemObject
+from repro.m3.kernel.syscalls import NO_REPLY
 from repro.m3.kernel.vpe import VpeObject, VpeState
 from repro.sim.ledger import Tag
 
@@ -283,8 +284,6 @@ class ContextSwitcher:
                 self.sim.process(
                     self._switch_out(vpe), f"ctxsw.out.{vpe.name}"
                 )
-        from repro.m3.kernel.kernel import NO_REPLY
-
         return NO_REPLY
         yield  # pragma: no cover
 

@@ -9,6 +9,17 @@ kernel PE" (Section 3).  Each syscall message is
 
 from __future__ import annotations
 
+
+class SyscallError(Exception):
+    """A syscall was denied or failed; carried back in the reply."""
+
+
+class _NoReply:
+    """Sentinel: the handler acknowledged the slot itself or deferred."""
+
+
+NO_REPLY = _NoReply()
+
 # -- VPE lifecycle -----------------------------------------------------------
 
 #: (name, pe_type|None) -> (vpe_sel, spm_mem_sel); allocates a PE.

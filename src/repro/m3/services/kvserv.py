@@ -283,9 +283,9 @@ def start_kv_tier(system: "M3System", replicas: int | None = None,
         def depth_sampler():
             return tuple(
                 (f"kv.{replica}.depth",
-                 system.kernels[owner]._local_depth(replica))
+                 system.kernels[owner].local_depth(replica))
                 for replica, owner in
-                system.kernels[0].service_routes.get(name, ())
+                system.kernels[0].router.service_routes.get(name, ())
             )
 
         obs.telemetry.add_sampler(depth_sampler)

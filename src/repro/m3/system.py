@@ -75,7 +75,6 @@ class M3System:
                     dram_base=domain_id * dram_share,
                     dram_bytes=dram_share,
                 )
-                kernel.label = f"kernel{domain_id}"
                 self.kernels.append(kernel)
             for kernel in self.kernels:
                 kernel.set_peers(
@@ -197,12 +196,12 @@ class M3System:
         docs/protocols.md, "Failure model & recovery"."""
         for kernel in self.kernels:
             if kernel.peers:
-                kernel.start_heartbeat(**kwargs)
+                kernel.failover.start_heartbeat(**kwargs)
 
     def stop_heartbeats(self) -> None:
         for kernel in self.kernels:
             if kernel.peers:
-                kernel.stop_heartbeat()
+                kernel.failover.stop_heartbeat()
 
     def start_m3fs(self, name: str = "m3fs", domain: int | None = None,
                    **fs_kwargs) -> "M3fsServer":
@@ -249,7 +248,7 @@ class M3System:
         """
         replicas = tuple(replicas)
         for kernel in self.kernels:
-            kernel.register_route(name, replicas, policy=policy)
+            kernel.router.register(name, replicas, policy=policy)
             for replica, domain in replicas:
                 if domain != kernel.kernel_id:
                     kernel._remote_services.setdefault(replica, domain)

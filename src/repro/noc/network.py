@@ -60,25 +60,12 @@ class Network:
         #: will reach) their handler — faults can make these lower.
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: optional tracer (see :meth:`enable_tracing`).
-        self.tracer = None
         #: optional fault plan (see :mod:`repro.faults`); with None
         #: installed, delivery pays exactly one branch per packet.
         self.fault_plan = None
         self.packets_lost = 0
         self.packets_corrupted = 0
         self.packets_delayed = 0
-
-    def enable_tracing(self, capacity: int | None = None) -> "object":
-        """Record every packet injection; returns the Tracer.
-
-        ``capacity`` bounds the record store with ring semantics (see
-        :class:`repro.sim.tracing.Tracer`).
-        """
-        from repro.sim.tracing import Tracer
-
-        self.tracer = Tracer(self.sim, enabled=True, capacity=capacity)
-        return self.tracer
 
     # -- attachment ----------------------------------------------------------
 
@@ -147,12 +134,6 @@ class Network:
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
                 self.packets_lost += 1
-                if self.tracer is not None:
-                    self.tracer.log(
-                        packet.kind,
-                        f"{packet.source}->{packet.destination} "
-                        f"{packet.size_bytes}B DROPPED",
-                    )
                 if self.sim.obs is not None:
                     self._observe_packet(packet, completion, verdict)
                 return completion
@@ -164,12 +145,6 @@ class Network:
                 completion += extra
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes
-        if self.tracer is not None:
-            self.tracer.log(
-                packet.kind,
-                f"{packet.source}->{packet.destination} "
-                f"{packet.size_bytes}B eta={completion}",
-            )
         if self.sim.obs is not None:
             self._observe_packet(packet, completion, verdict)
         self.sim.schedule(completion - self.sim.now, handler, packet)

@@ -1,6 +1,6 @@
 """The profiling report module."""
 
-from repro.eval import profile, stats
+from repro.eval import profile
 from repro.obs import Observer
 from repro.sim import Simulator
 
@@ -39,8 +39,7 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     assert "NoC link utilisation" in text
     assert "epoch" in text  # occupancy series made it in
 
-    # stats.collect delegates to profile.collect — same data.
-    data = stats.collect(system)
+    data = profile.collect(system)
     assert data is not None and data["cycles"] == system.sim.now
     assert data["noc"]["packets_injected"] == data["noc"]["packets"]  # no faults
-    assert stats.report(system).startswith("System state at cycle")
+    assert profile.report(system).startswith("System state at cycle")

@@ -1,6 +1,6 @@
-"""System introspection and NoC tracing."""
+"""System introspection: the no-observer counter summary."""
 
-from repro.eval import stats
+from repro.eval import profile
 from repro.m3.lib.file import OpenFlags
 from repro.m3.system import M3System
 
@@ -20,7 +20,7 @@ def _busy_system():
 
 def test_collect_counts_everything():
     system = _busy_system()
-    data = stats.collect(system)
+    data = profile.collect(system)
     assert data["cycles"] == system.sim.now > 0
     assert data["noc"]["packets"] > 10
     assert data["kernel"]["syscalls"] >= 4
@@ -35,25 +35,9 @@ def test_collect_counts_everything():
 
 def test_report_renders_tables():
     system = _busy_system()
-    text = stats.report(system)
+    text = profile.report(system)
     assert "System state at cycle" in text
     assert "DTU traffic" in text
     assert "Filesystem services" in text
     assert "m3fs" in text
 
-
-def test_noc_tracing_records_packets():
-    system = M3System(pe_count=3)
-    tracer = system.platform.network.enable_tracing()
-    system.boot(with_fs=False)
-
-    def app(env):
-        yield from env.syscall("noop")
-        return ()
-
-    system.run_app(app)
-    kinds = {record.category for record in tracer.records}
-    assert "message" in kinds  # the syscall message
-    assert "ep_config" in kinds  # boot-time downgrades
-    rendered = tracer.render()
-    assert "->" in rendered

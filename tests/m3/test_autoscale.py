@@ -27,11 +27,11 @@ def test_route_with_all_replica_domains_dead_fails_fast():
         "kv", (("kv0", 1), ("kv1", 1)), policy="rr"
     )
     k0.dead_peers.add(1)
-    cursor_before = dict(k0._route_cursor)
+    cursor_before = dict(k0.router.cursors)
     counts_before = dict(k0.route_counts)
     with pytest.raises(SyscallError, match="no live replica for route 'kv'"):
-        k0._resolve_route("kv")
-    assert k0._route_cursor == cursor_before
+        k0.router.resolve("kv")
+    assert k0.router.cursors == cursor_before
     assert k0.route_counts == counts_before
 
     # End to end: a client opening a session sees the same error (not a
@@ -48,7 +48,8 @@ def test_route_with_all_replica_domains_dead_fails_fast():
 
 def test_no_live_replica_dumps_the_flight_recorder():
     """The no-live-replica verdict is a failure: with the recorder on,
-    the router freezes the black box before raising."""
+    the kernel freezes the black box before err-replying the
+    ``open_session``."""
     system = M3System(pe_count=4, kernel_count=2, reliable=True,
                       observe=True)
     k0, _k1 = system.kernels
@@ -58,8 +59,14 @@ def test_no_live_replica_dumps_the_flight_recorder():
         "kv", (("kv0", 1), ("kv1", 1)), policy="rr"
     )
     k0.dead_peers.add(1)
-    with pytest.raises(SyscallError, match="no live replica"):
-        k0._resolve_route("kv")
+
+    def client(env):
+        try:
+            yield from KvClient.connect(env, service="kv")
+        except SyscallError as exc:
+            return str(exc)
+
+    assert "no live replica" in system.run_app(client, name="client")
     assert len(flight.dumps) == 1
     assert flight.dumps[0]["reason"] == \
         "kernel0: no live replica for route 'kv'"
@@ -75,7 +82,7 @@ def test_depth_route_skips_dead_domains_too():
     )
     k0.dead_peers.add(1)
     with pytest.raises(SyscallError, match="no live replica"):
-        k0._resolve_route("kv")
+        k0.router.resolve("kv")
 
 
 # -- queue-depth routing ------------------------------------------------------
@@ -90,15 +97,15 @@ def test_depth_policy_prefers_least_loaded_replica():
     system.register_service_route(
         "kv", (("kva", 1), ("kvb", 1)), policy="depth"
     )
-    k0.replica_depths = {"kva": (10, 4), "kvb": (10, 1)}
-    assert k0._resolve_route("kv") == "kvb"
-    assert k0._resolve_route("kv") == "kvb"  # still the least loaded
-    k0.replica_depths = {"kva": (20, 0), "kvb": (20, 3)}
-    assert k0._resolve_route("kv") == "kva"
+    k0.router.replica_depths = {"kva": (10, 4), "kvb": (10, 1)}
+    assert k0.router.resolve("kv") == "kvb"
+    assert k0.router.resolve("kv") == "kvb"  # still the least loaded
+    k0.router.replica_depths = {"kva": (20, 0), "kvb": (20, 3)}
+    assert k0.router.resolve("kv") == "kva"
     # Equal depths: the cursor tiebreak rotates like round-robin.
-    k0.replica_depths = {"kva": (30, 2), "kvb": (30, 2)}
-    first = k0._resolve_route("kv")
-    second = k0._resolve_route("kv")
+    k0.router.replica_depths = {"kva": (30, 2), "kvb": (30, 2)}
+    first = k0.router.resolve("kv")
+    second = k0.router.resolve("kv")
     assert {first, second} == {"kva", "kvb"}
     assert k0.route_counts["kvb"] >= 1 and k0.route_counts["kva"] >= 1
 
@@ -111,8 +118,8 @@ def test_unknown_replica_depth_counts_as_idle():
         "kv", (("kva", 1), ("kvb", 1)), policy="depth"
     )
     # Only kva was ever heard about; kvb defaults to depth 0 and wins.
-    k0.replica_depths = {"kva": (10, 7)}
-    assert k0._resolve_route("kv") == "kvb"
+    k0.router.replica_depths = {"kva": (10, 7)}
+    assert k0.router.resolve("kv") == "kvb"
 
 
 # -- the depth gossip rider ---------------------------------------------------
@@ -125,9 +132,9 @@ def test_rr_routes_keep_the_gossip_rider_silent():
     system = M3System(pe_count=4, kernel_count=2, reliable=True)
     k0, _k1 = system.kernels
     system.boot(with_fs=False)
-    assert k0._ik_rider() is None
+    assert k0.router.rider(system.sim.now) is None
     system.register_service_route("kv", (("kv0", 1),), policy="rr")
-    assert k0._ik_rider() is None
+    assert k0.router.rider(system.sim.now) is None
 
 
 def test_gossip_rider_merges_newest_stamp_wins():
@@ -135,16 +142,16 @@ def test_gossip_rider_merges_newest_stamp_wins():
     k0, k1 = system.kernels
     system.boot(with_fs=False)
     system.register_service_route("kv", (("kv0", 0),), policy="depth")
-    k0.replica_depths = {"kv0": (100, 3), "kv1": (50, 9)}
-    rider = k0._ik_rider()
+    k0.router.replica_depths = {"kv0": (100, 3), "kv1": (50, 9)}
+    rider = k0.router.rider(system.sim.now)
     assert rider == (("kv0", 100, 3), ("kv1", 50, 9))
-    k1.replica_depths = {"kv1": (80, 2)}
-    k1._absorb_rider(rider)
+    k1.router.replica_depths = {"kv1": (80, 2)}
+    k1.router.absorb(rider)
     # kv0 was news; kv1's relayed stamp 50 must not roll back the
     # fresher direct sample at stamp 80.
     assert k1.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
     # Re-absorbing the same (now stale) rider changes nothing.
-    k1._absorb_rider(rider)
+    k1.router.absorb(rider)
     assert k1.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
 
 
@@ -187,7 +194,7 @@ def test_scale_up_warm_boots_clone_via_cross_domain_migration():
     assert "kv1" in k1.services  # registered with the *target* kernel
     # Every kernel routes over the grown tier now.
     for kernel in system.kernels:
-        assert kernel.service_routes["kv"] == (("kv0", 0), ("kv1", 1))
+        assert kernel.router.service_routes["kv"] == (("kv0", 0), ("kv1", 1))
 
 
 def test_scale_down_drains_and_merges_store_into_survivor():
@@ -209,7 +216,7 @@ def test_scale_down_drains_and_merges_store_into_survivor():
     assert kv1.vpe.state == VpeState.DEAD
     assert k1.services.get("kv1") is None
     for kernel in system.kernels:
-        assert kernel.service_routes["kv"] == (("kv0", 0),)
+        assert kernel.router.service_routes["kv"] == (("kv0", 0),)
     assert scaler.events[-1][1] == "scale_down"
     assert "64B merged into kv0" in scaler.events[-1][4]
 
@@ -332,4 +339,4 @@ def test_scale_down_aborts_while_sessions_are_open():
     assert action == "scale_down_aborted" and replica == "kv1"
     assert "1 sessions undrained" in detail
     for kernel in system.kernels:
-        assert kernel.service_routes["kv"] == (("kv0", 0), ("kv1", 1))
+        assert kernel.router.service_routes["kv"] == (("kv0", 0), ("kv1", 1))

@@ -62,7 +62,7 @@ def test_cross_domain_migration_round_trips_vpe_and_wait():
     assert moved.name == "mover" and moved.state == VpeState.DEAD
     assert moved.exit_code == 777
     assert all(v.name != "mover" for v in k0.vpes.values())
-    assert k0._migrated_out  # old id -> (peer, new id)
+    assert k0.migration.migrated_out  # old id -> (peer, new id)
     # The parent's capability now holds the child through a proxy that
     # tracked the forwarded verdict.
     proxies = [
@@ -147,7 +147,7 @@ def test_target_domain_dies_inside_redirect_window():
         child = next(v for v in k0.vpes.values() if v.name == "castaway")
         old_node = child.node
         assert child.waiters  # the parent's wait is parked locally
-        _new_id, new_node = yield from k0.migrate_vpe_cross(child, 1)
+        _new_id, new_node = yield from k0.migration.migrate_vpe_cross(child, 1)
         # Still inside the window: the old DTU forwards to the peer
         # domain this very cycle.
         assert system.platform.pe(old_node).dtu.redirect_to == new_node
@@ -203,7 +203,7 @@ def test_parked_cross_domain_wait_follows_migration():
         yield system.sim.delay(12_000)
         child = next(v for v in k1.vpes.values() if v.name == "walker")
         assert child.remote_waiters  # domain 0's wait is parked here
-        yield from k1.migrate_vpe_cross(child, 2)
+        yield from k1.migration.migrate_vpe_cross(child, 2)
 
     # Fill domain 0 so the child spills into domain 1.
     system.spawn(hog, name="hog", domain=0)
@@ -225,7 +225,7 @@ def test_parked_cross_domain_wait_follows_migration():
     ]
     assert proxies and proxies[0].kernel_id == 1
     assert proxies[0].exit_code == 13
-    assert k1._migrated_out  # the pass-through forwarding entry
+    assert k1.migration.migrated_out  # the pass-through forwarding entry
 
 
 # -- regression: a failed migration must release the reserved target PE ------
@@ -243,7 +243,7 @@ def test_failed_migration_releases_reserved_target_pe():
     FaultPlan(seed=5).kill_pe(node=2, at=8_000).install(system.platform)
     system.boot(with_fs=False)
     kernel = system.kernels[0]
-    kernel.start_watchdog(period=500)
+    kernel.failover.start_watchdog(period=500)
 
     def parent(env):
         vpe = yield from VPE.create(env, name="doomed")
@@ -255,7 +255,7 @@ def test_failed_migration_releases_reserved_target_pe():
             return str(exc)
 
     outcome = system.run_app(parent, name="parent")
-    kernel.stop_watchdog()
+    kernel.failover.stop_watchdog()
     system.sim.run()
 
     assert "died during checkpoint" in outcome

@@ -54,7 +54,7 @@ def test_delayed_replies_force_retries_but_execute_once():
     assert k0.ik_timeouts == 0  # but no RPC was given up on
     assert len(k1.vpes) == 1  # create_vpe executed once, not per copy
     system.sim.run()  # drain the remaining retry timers
-    assert not k0._ik_outstanding and not k0._ik_pending
+    assert k0.ik.idle
 
 
 def test_unanswered_rpc_times_out_with_capped_backoff():
@@ -67,7 +67,7 @@ def test_unanswered_rpc_times_out_with_capped_backoff():
     k1.pe.fail(cause="halted for the test")  # core dies, DTU answers
 
     verdicts = []
-    k0._ik_request(
+    k0.ik.request(
         1, "heartbeat", (0,),
         lambda payload: verdicts.append((system.sim.now, payload)),
     )
@@ -137,7 +137,7 @@ def test_heartbeats_detect_dead_kernel_and_fail_over():
     ]
     assert proxies and all(p.state == VpeState.DEAD for p in proxies)
     assert all(not v.remote_waiters for v in k0.vpes.values())
-    assert not k0._ik_pending and not k0._ik_outstanding
+    assert k0.ik.idle
 
 
 def test_failover_is_deterministic():
@@ -184,7 +184,7 @@ def test_remote_watchdog_recovers_spilled_vpe_and_unparks_wait():
         system.platform
     )
     system.boot(with_fs=False)
-    k1.start_watchdog(period=2_000)
+    k1.failover.start_watchdog(period=2_000)
 
     def parent(env):
         gate = yield from MemGate.create(env, 4096, MemoryPerm.RW.value)
@@ -199,7 +199,7 @@ def test_remote_watchdog_recovers_spilled_vpe_and_unparks_wait():
 
     vpe = system.spawn(parent, name="parent", domain=0)
     outcome = system.wait(vpe)
-    k1.stop_watchdog()
+    k1.failover.stop_watchdog()
     system.sim.run()  # drain the foreign-cap revocation sweep
 
     assert "err-replied" in outcome and "failed" in outcome
@@ -298,7 +298,7 @@ def test_watchdog_migrate_recovery_restores_spm_progress():
     # Deterministic placement: kernel=0, the child takes node 1.
     FaultPlan(seed=6).kill_pe(node=1, at=4_000).install(system.platform)
     system.boot(with_fs=False)
-    system.kernel.start_watchdog(period=1_000, recovery="migrate")
+    system.kernel.failover.start_watchdog(period=1_000, recovery="migrate")
     rounds = 12
 
     def phoenix(env, total):
@@ -314,7 +314,7 @@ def test_watchdog_migrate_recovery_restores_spm_progress():
 
     vpe = system.spawn(phoenix, rounds, name="phoenix")
     found, node = system.wait(vpe)
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     system.sim.run()
 
     assert found > 0  # the restart found prior progress in the image
@@ -337,7 +337,7 @@ def test_checkpoint_requires_a_resident_vpe():
     system.wait(vpe)
     vpe.resident = False
     with pytest.raises(SyscallError, match="not resident"):
-        list(system.kernel.checkpoint_vpe(vpe))
+        list(system.kernel.migration.checkpoint_vpe(vpe))
 
 
 # -- heartbeat plumbing -------------------------------------------------------
@@ -346,7 +346,7 @@ def test_checkpoint_requires_a_resident_vpe():
 def test_heartbeat_requires_peers():
     system = M3System(pe_count=4).boot(with_fs=False)
     with pytest.raises(RuntimeError, match="no peers"):
-        system.kernel.start_heartbeat()
+        system.kernel.failover.start_heartbeat()
 
 
 def test_start_heartbeats_only_touches_partitioned_kernels():

@@ -124,11 +124,11 @@ def test_router_skips_dead_domains():
 def test_route_registration_validation():
     system = M3System(pe_count=6).boot(with_fs=False)
     with pytest.raises(ValueError, match="at least one replica"):
-        system.kernel.register_route("kv", [])
+        system.kernel.router.register("kv", [])
     with pytest.raises(ValueError, match="cannot contain itself"):
-        system.kernel.register_route("kv", [("kv", 0)])
+        system.kernel.router.register("kv", [("kv", 0)])
     with pytest.raises(ValueError, match="unknown domain"):
-        system.kernel.register_route("kv", [("kv0", 3)])
+        system.kernel.router.register("kv", [("kv0", 3)])
 
 
 def test_unrouted_names_resolve_to_themselves():

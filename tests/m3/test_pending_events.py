@@ -11,8 +11,8 @@ from repro.m3.system import M3System
 
 
 def test_ik_retry_timers_leave_pending_events_exact():
-    """Every ik retry fires ``_ik_timer_fired`` *from its own timer*,
-    which then cancels that just-executed handle — the exact stale
+    """Every ik retry fires the transport's ``_timer_fired`` *from its
+    own timer*, which then cancels that just-executed handle — the exact stale
     cancel the engine fix makes a no-op.  Pre-fix, ``pending_events``
     went one negative per retry; it must drain to exactly zero."""
     system = M3System(pe_count=4, kernel_count=2, reliable=True)

@@ -31,7 +31,7 @@ def _immortal_child(env):
 def test_watchdog_detects_kill_and_fails_the_wait():
     # Node allocation is deterministic: kernel=0, parent=1, victim=2.
     system = _system(kill_node=2)
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def parent(env):
         vpe = yield from VPE.create(env, "victim")
@@ -41,7 +41,7 @@ def test_watchdog_detects_kill_and_fails_the_wait():
         return env.sim.now
 
     unblocked_at = system.run_app(parent, name="parent")
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     assert unblocked_at > KILL_AT
     assert system.kernel.recoveries == 1
     assert system.kernel.probes_sent >= 1
@@ -49,7 +49,7 @@ def test_watchdog_detects_kill_and_fails_the_wait():
 
 def test_recovery_quarantines_pe_and_revokes_caps():
     system = _system(kill_node=2)
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def parent(env):
         vpe = yield from VPE.create(env, "victim")
@@ -69,7 +69,7 @@ def test_recovery_quarantines_pe_and_revokes_caps():
         return (yield from replacement.wait())
 
     replacement_node = system.run_app(parent, name="parent")
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     assert system.platform.pe(2).failed
     assert replacement_node not in (0, 1, 2)
     victim = next(
@@ -83,7 +83,7 @@ def test_recovery_quarantines_pe_and_revokes_caps():
 
 def test_healthy_sibling_is_untouched_by_recovery():
     system = _system(pe_count=5, kill_node=2)
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def worker(env):
         yield env.pe.compute(60_000)
@@ -99,7 +99,7 @@ def test_healthy_sibling_is_untouched_by_recovery():
         return (yield from healthy.wait())
 
     assert system.run_app(parent, name="parent") == "survived"
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     assert system.kernel.recoveries == 1
     assert not system.platform.pe(3).failed
 
@@ -113,7 +113,7 @@ def test_recovery_dumps_the_flight_recorder():
     plan.install(system.platform)
     system.boot(with_fs=False)
     flight = system.enable_flight_recorder()
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def parent(env):
         vpe = yield from VPE.create(env, "victim")
@@ -125,7 +125,7 @@ def test_recovery_dumps_the_flight_recorder():
         return "done"
 
     system.run_app(parent, name="parent")
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     assert len(flight.dumps) == 1
     dump = flight.dumps[0]
     assert "watchdog recovers VPE" in dump["reason"]
@@ -138,7 +138,7 @@ def test_recovery_dumps_the_flight_recorder():
 
 def test_watchdog_leaves_healthy_system_alone():
     system = _system()  # no faults at all
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def parent(env):
         vpe = yield from VPE.create(env, "worker")
@@ -151,14 +151,14 @@ def test_watchdog_leaves_healthy_system_alone():
         return (yield from vpe.wait())
 
     assert system.run_app(parent, name="parent") == 13
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     assert system.kernel.recoveries == 0
     assert system.kernel.probes_sent >= 1  # it did probe, found life
 
 
 def test_stop_watchdog_stops_probing():
     system = _system()
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def parent(env):
         vpe = yield from VPE.create(env, "worker")
@@ -172,9 +172,9 @@ def test_stop_watchdog_stops_probing():
         return ()
 
     system.run_app(parent, name="parent")
-    system.kernel.stop_watchdog()
+    system.kernel.failover.stop_watchdog()
     after_stop = system.kernel.probes_sent
-    watchdog = system.kernel._watchdog
+    watchdog = system.kernel.failover._watchdog
 
     def idle(env):
         yield env.compute(5 * PERIOD)
@@ -187,7 +187,7 @@ def test_stop_watchdog_stops_probing():
 
 def test_double_start_rejected():
     system = _system()
-    system.kernel.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
     with pytest.raises(RuntimeError):
-        system.kernel.start_watchdog()
-    system.kernel.stop_watchdog()
+        system.kernel.failover.start_watchdog()
+    system.kernel.failover.stop_watchdog()

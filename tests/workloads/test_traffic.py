@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultPlan
+from repro.m3.kernel.ikrpc import IK_SEND_CREDITS
 from repro.obs import causal
 from repro.workloads import traffic
 from repro.workloads.traffic import TrafficProfile, build_schedule, run_profile
@@ -123,6 +124,43 @@ def test_double_run_is_deterministic_and_quiesces(shape):
     )
     first, second = run_profile(mini, **shape), run_profile(mini, **shape)
     assert _fingerprint(first) == _fingerprint(second)
-    # run_profile returns at quiescence: nothing is left on the queue.
-    assert first.system.sim.pending_events == 0
-    assert second.system.sim.pending_events == 0
+    _assert_quiescent(first.system)
+    _assert_quiescent(second.system)
+
+
+def _assert_quiescent(system) -> None:
+    """The global invariant ``run_profile`` must return at: nothing on
+    the event queue, no inter-kernel call or admitted request owed an
+    answer, and every peer send endpoint back at its full credit
+    window (each copy ever sent was refilled or reconciled)."""
+    assert system.sim.pending_events == 0
+    for kernel in system.kernels:
+        assert kernel.ik.idle, kernel.label
+        for peer, ep_index in kernel.peers.items():
+            assert kernel.dtu.ep(ep_index).credits == IK_SEND_CREDITS, \
+                (kernel.label, peer)
+
+
+def test_lossy_elastic_run_quiesces_with_credits_conserved():
+    """The mini ``elastic_kv_lossy``: 4 domains, depth routing over the
+    heartbeat-carried gossip, the autoscaler migrating warm clones
+    across domains, 2 % packet loss — retries, timeouts' refunds and
+    duplicate acks all happen, and the books still balance."""
+    profile = TrafficProfile(
+        name="lossy", seed=11, clients=96, requests=150, arrival="bursty",
+        mean_gap=1_000, burst=12, session_refresh=4, drain_cycles=400_000,
+    )
+    result = run_profile(
+        profile, fault_plan=FaultPlan(profile.seed).drop(0.02),
+        pe_count=24, kernel_count=4, gateways=6, ep_count=12,
+        kv_domains=[1, 2], kv_op_cycles=2_000, policy="depth",
+        heartbeats=True,
+        autoscale=dict(epoch=10_000, up_depth=3, down_total=-1,
+                       cooldown_epochs=2),
+    )
+    assert result.completed == result.sent == profile.requests
+    kernels = result.system.kernels
+    assert sum(kernel.ik_retries for kernel in kernels) > 0
+    assert sum(kernel.ik_duplicates for kernel in kernels) > 0
+    assert sum(kernel.migrations_out for kernel in kernels) > 0
+    _assert_quiescent(result.system)
