@@ -1,17 +1,14 @@
-"""Shared benchmark plumbing: the results directory for rendered tables."""
+"""Shared benchmark plumbing: the committed-bytes check."""
 
-import pathlib
-
-import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+from repro.eval import runall
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def assert_committed(name: str, report: str) -> None:
+    """``report`` is ``results/<name>.txt``, byte for byte.
 
-
-def write_result(results_dir: pathlib.Path, name: str, table: str) -> None:
-    (results_dir / f"{name}.txt").write_text(table + "\n")
+    The committed bytes came out of another process (``runall`` is the
+    only writer of ``results/``), so this is also the determinism
+    check: a fresh run with the same seeds renders identically.
+    """
+    committed = (runall.RESULTS_DIR / f"{name}.txt").read_text()
+    assert report + "\n" == committed, f"results/{name}.txt drifted"

@@ -6,10 +6,9 @@ Two measurements:
   processes (mailbox ping-pong rings plus timer churn) run on a bare
   :class:`repro.sim.Simulator`; reported as simulated cycles per
   wall-clock second and executed callbacks per second.
-- **Per-figure wall time**: every evaluation output (each figure,
-  each ablation sweep, the Figure-6 point sweep, the profile run)
-  timed individually through the same workers ``repro.eval.runall``
-  uses, plus the suite total.
+- **Per-figure wall time**: every entry of ``runall.EVALS`` timed
+  individually (all its points, serially, in this process), plus the
+  suite total.
 
 Usage (from the repo root)::
 
@@ -33,7 +32,7 @@ import pathlib
 import sys
 import time
 
-from repro.eval import ablations, fig6_multikernel, fig6_scale, runall
+from repro.eval import autoscale, runall
 from repro.sim import Mailbox, Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -45,7 +44,7 @@ BASELINE_PATH = REPO_ROOT / "BENCH_perf.json"
 ENGINE_RINGS = 8
 ENGINE_WIDTH = 4
 ENGINE_HOPS = 4_000
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # -- engine throughput ---------------------------------------------------------
@@ -108,27 +107,12 @@ def measure_engine() -> dict:
 
 
 def measure_figures() -> dict:
-    """Wall seconds per evaluation output, via the runall workers."""
+    """Wall seconds per registry entry: its points run and rendered."""
     timings: dict[str, float] = {}
-    for name in sorted(runall._FIGURES):
+    for entry in runall.EVALS:
         start = time.perf_counter()
-        runall._FIGURES[name]()
-        timings[name] = round(time.perf_counter() - start, 3)
-    for name in sorted(ablations.BENCH_SWEEPS):
-        sweep, table = ablations.BENCH_SWEEPS[name]
-        start = time.perf_counter()
-        table(sweep())
-        timings[name] = round(time.perf_counter() - start, 3)
-    start = time.perf_counter()
-    for benchmark in runall.FIG6_BENCHMARKS:
-        for count in runall.FIG6_INSTANCE_COUNTS:
-            fig6_scale.average_instance_time(benchmark, count)
-    timings["fig6_scale"] = round(time.perf_counter() - start, 3)
-    start = time.perf_counter()
-    for benchmark in fig6_multikernel.BENCHMARKS:
-        for kernel_count in fig6_multikernel.KERNEL_COUNTS:
-            fig6_multikernel.average_instance_time(benchmark, kernel_count)
-    timings["fig6_multikernel"] = round(time.perf_counter() - start, 3)
+        entry.run()
+        timings[entry.name] = round(time.perf_counter() - start, 3)
     return timings
 
 
@@ -141,9 +125,7 @@ def measure_autoscale_boot() -> dict:
     same keys.  Tracked in the baseline so a regression in the
     checkpoint/migration path shows up as a shrinking delta.
     """
-    from repro.eval import autoscale
-
-    boot = autoscale.boot_comparison()
+    boot = autoscale.run_point("boot")
     return {
         "keys": boot["keys"],
         "warm_cycles": boot["warm_cycles"],

@@ -4,10 +4,10 @@ See :mod:`repro.eval.ablations` for what each sweep probes.
 """
 
 from repro.eval import ablations
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_buffer_size_sweep(benchmark, results_dir):
+def test_buffer_size_sweep(benchmark):
     """"M3 benefits from larger buffer sizes until all available space
     in the SPM is used" (Section 5.4)."""
     rows = benchmark.pedantic(ablations.buffer_size_sweep, rounds=1,
@@ -19,22 +19,20 @@ def test_buffer_size_sweep(benchmark, results_dir):
     first_gain = times[0] - times[1]
     last_gain = times[-2] - times[-1]
     assert last_gain < first_gain / 4
-    write_result(results_dir, "abl_buffer_size",
-                 ablations.buffer_size_table(rows))
+    assert_committed("abl_buffer_size", ablations.buffer_size_table(rows))
 
 
-def test_pipe_slot_sweep(benchmark, results_dir):
+def test_pipe_slot_sweep(benchmark):
     """One ring slot serialises the pipe ends; more slots pipeline them."""
     rows = benchmark.pedantic(ablations.pipe_slot_sweep, rounds=1,
                               iterations=1)
     by_slots = dict(rows)
     assert by_slots[1] > by_slots[4] > by_slots[8] * 0.99
     assert by_slots[1] / by_slots[16] > 1.5  # pipelining pays
-    write_result(results_dir, "abl_pipe_slots",
-                 ablations.pipe_slot_table(rows))
+    assert_committed("abl_pipe_slots", ablations.pipe_slot_table(rows))
 
 
-def test_hop_latency_sweep(benchmark, results_dir):
+def test_hop_latency_sweep(benchmark):
     """Syscall cost grows (mildly) with NoC hop latency."""
     rows = benchmark.pedantic(ablations.hop_latency_sweep, rounds=1,
                               iterations=1)
@@ -44,22 +42,20 @@ def test_hop_latency_sweep(benchmark, results_dir):
     # Even a slow NoC keeps the syscall well under Linux's 410 cycles:
     # the software path dominates, not the wire.
     assert times[-1] < 410
-    write_result(results_dir, "abl_hop_latency",
-                 ablations.hop_latency_table(rows))
+    assert_committed("abl_hop_latency", ablations.hop_latency_table(rows))
 
 
-def test_placement_sweep(benchmark, results_dir):
+def test_placement_sweep(benchmark):
     """Placing an app farther from the kernel costs hop cycles."""
     rows = benchmark.pedantic(ablations.placement_sweep, rounds=1,
                               iterations=1)
     times = [cycles for _node, cycles in rows]
     assert times[-1] > times[0]
     assert all(a <= b for a, b in zip(times, times[1:]))
-    write_result(results_dir, "abl_placement",
-                 ablations.placement_table(rows))
+    assert_committed("abl_placement", ablations.placement_table(rows))
 
 
-def test_multiplexing_tradeoff(benchmark, results_dir):
+def test_multiplexing_tradeoff(benchmark):
     """Section 3.4's trade: dedicated PEs are faster; a shared PE costs
     wall time (context switches) but far fewer cores."""
     trade = benchmark.pedantic(ablations.multiplexing_tradeoff, rounds=1,
@@ -72,21 +68,20 @@ def test_multiplexing_tradeoff(benchmark, results_dir):
     assert shared["switches"] >= 2 * ablations.WORKER_COUNT
     # But it is not pathological: bounded by serialisation + switches.
     assert shared["wall"] < 8 * dedicated["wall"]
-    write_result(results_dir, "abl_multiplexing",
-                 ablations.multiplexing_table(trade))
+    assert_committed("abl_multiplexing", ablations.multiplexing_table(trade))
 
 
-def test_cache_vs_bulk(benchmark, results_dir):
+def test_cache_vs_bulk(benchmark):
     """Section 7's cache extension vs the prototype's SPM+bulk model:
     bulk DTU transfers win for streaming, caches win for hot sets."""
     results = benchmark.pedantic(ablations.cache_vs_bulk, rounds=1,
                                  iterations=1)
     assert results["stream_bulk"] < results["stream_cached"] / 5
     assert results["hot_cached"] < results["hot_bulk"]
-    write_result(results_dir, "abl_cache", ablations.cache_table(results))
+    assert_committed("abl_cache", ablations.cache_table(results))
 
 
-def test_multi_fs_instances(benchmark, results_dir):
+def test_multi_fs_instances(benchmark):
     """Section 7 future work: additional m3fs instances recover the
     scalability the single instance loses in Figure 6's find run."""
     rows = benchmark.pedantic(ablations.multi_fs_sweep, rounds=1,
@@ -94,5 +89,4 @@ def test_multi_fs_instances(benchmark, results_dir):
     by_servers = dict(rows)
     assert by_servers[2] < 0.7 * by_servers[1]
     assert by_servers[4] < by_servers[2]
-    write_result(results_dir, "abl_multi_fs",
-                 ablations.multi_fs_table(rows))
+    assert_committed("abl_multi_fs", ablations.multi_fs_table(rows))

@@ -5,16 +5,16 @@ Acceptance checks for the causal tracer:
   cycles to named components (the partition is exact, so 100%),
 - the cross-domain ``open_session`` at two kernel domains shows
   inter-kernel RPC hops on its critical path,
-- the rendered report lands in ``results/critical_path.txt``.
+- the rendered report is the committed ``results/critical_path.txt``.
 """
 
 from repro.eval import critical_path
 from repro.obs import causal
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_critical_path(benchmark, results_dir):
+def test_critical_path(benchmark):
     results = benchmark.pedantic(critical_path.run, rounds=1, iterations=1)
 
     syscall = results["syscall"]
@@ -34,5 +34,4 @@ def test_critical_path(benchmark, results_dir):
     assert remote_breakdown["inter-kernel"] > 0
     assert remote_breakdown["service"] > 0
 
-    write_result(results_dir, "critical_path",
-                 critical_path.bench_table(results))
+    assert_committed("critical_path", critical_path.render(results))

@@ -10,15 +10,15 @@ Shape assertions:
   service-owner entry for the dead domain's m3fs is purged.
 - Detection happens after the kill, failover completes after
   detection, and no parked wait is left unanswered.
-- Seeded runs are deterministic: a fresh run renders a byte-identical
-  report.
+- Seeded runs are deterministic: this run renders the committed
+  report, byte for byte.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 from repro.eval import domain_failover
 
 
-def test_domain_failover(benchmark, results_dir):
+def test_domain_failover(benchmark):
     results = benchmark.pedantic(domain_failover.run, rounds=1, iterations=1)
 
     find_verdict, find_wall = results["find"]
@@ -44,8 +44,4 @@ def test_domain_failover(benchmark, results_dir):
     assert rpc["heartbeats"] > 0
     assert rpc["timeouts"] > 0, "heartbeat verdicts should be timeouts"
 
-    # Determinism: a fresh run with the same seed renders byte-identically.
-    table = domain_failover.bench_table(results)
-    assert domain_failover.bench_table(domain_failover.run()) == table
-
-    write_result(results_dir, "domain_failover", table)
+    assert_committed("domain_failover", domain_failover.render(results))

@@ -10,12 +10,12 @@ Shape assertions:
 - Seeded runs are deterministic: same seed, same cycle counts.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 from repro.eval import fault_tolerance
 from repro.eval.fault_tolerance import LOSS_RATES, syscall_bench
 
 
-def test_fault_tolerance(benchmark, results_dir):
+def test_fault_tolerance(benchmark):
     results = benchmark.pedantic(fault_tolerance.run, rounds=1, iterations=1)
 
     sweep = results["loss"]
@@ -46,6 +46,4 @@ def test_fault_tolerance(benchmark, results_dir):
     assert again["cycles"] == lossy["syscall"]["cycles"]
     assert again["lost"] == lossy["syscall"]["lost"]
 
-    write_result(
-        results_dir, "fault_tolerance", fault_tolerance.render(results)
-    )
+    assert_committed("fault_tolerance", fault_tolerance.render(results))

@@ -7,10 +7,10 @@ Shape assertions from the paper (Section 5.3-5.4):
 """
 
 from repro.eval import fig3_micro
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_fig3_micro(benchmark, results_dir):
+def test_fig3_micro(benchmark):
     results = benchmark.pedantic(fig3_micro.run, rounds=1, iterations=1)
 
     syscall = results["syscall"]
@@ -34,4 +34,4 @@ def test_fig3_micro(benchmark, results_dir):
     # Write is more expensive than read on Linux (block zeroing).
     assert results["write"]["Lx"]["total"] > results["read"]["Lx"]["total"]
 
-    write_result(results_dir, "fig3_micro", fig3_micro.bench_table(results))
+    assert_committed("fig3_micro", fig3_micro.render(results))

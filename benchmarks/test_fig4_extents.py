@@ -7,10 +7,10 @@ the fragmented (16-block) end is clearly worse.
 
 from repro import params
 from repro.eval import fig4_extents
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_fig4_extents(benchmark, results_dir):
+def test_fig4_extents(benchmark):
     rows = benchmark.pedantic(fig4_extents.run, rounds=1, iterations=1)
     by_blocks = {blocks: (read, write) for blocks, read, write in rows}
 
@@ -30,4 +30,4 @@ def test_fig4_extents(benchmark, results_dir):
     assert by_blocks[256][1] < 1.06 * by_blocks[2048][1]
     assert params.M3FS_APPEND_BLOCKS == 256
 
-    write_result(results_dir, "fig4_extents", fig4_extents.bench_table(rows))
+    assert_committed("fig4_extents", fig4_extents.render(rows))

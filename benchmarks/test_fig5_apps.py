@@ -9,10 +9,10 @@ Shape assertions (Section 5.6):
 """
 
 from repro.eval import fig5_apps
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_fig5_apps(benchmark, results_dir):
+def test_fig5_apps(benchmark):
     results = benchmark.pedantic(fig5_apps.run, rounds=1, iterations=1)
 
     def ratio(name):
@@ -39,4 +39,4 @@ def test_fig5_apps(benchmark, results_dir):
     for name, systems in results.items():
         assert systems["M3"]["app"] == systems["Lx"]["app"]
 
-    write_result(results_dir, "fig5_apps", fig5_apps.bench_table(results))
+    assert_committed("fig5_apps", fig5_apps.render(results))

@@ -7,10 +7,10 @@ domains for both find and untar.
 """
 
 from repro.eval import fig6_multikernel
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_fig6_multikernel(benchmark, results_dir):
+def test_fig6_multikernel(benchmark):
     results = benchmark.pedantic(
         fig6_multikernel.run,
         rounds=1,
@@ -33,5 +33,4 @@ def test_fig6_multikernel(benchmark, results_dir):
     assert averages["find"][2] < 0.6 * averages["find"][1]
     assert averages["untar"][4] < 0.9 * averages["untar"][1]
 
-    write_result(results_dir, "fig6_multikernel",
-                 fig6_multikernel.bench_table(results))
+    assert_committed("fig6_multikernel", fig6_multikernel.render(results))

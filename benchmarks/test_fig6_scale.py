@@ -6,18 +6,11 @@ most, while tar and sqlite stay acceptable.
 """
 
 from repro.eval import fig6_scale
-from benchmarks.conftest import write_result
-
-INSTANCE_COUNTS = [1, 4, 16]
+from benchmarks.conftest import assert_committed
 
 
-def test_fig6_scale(benchmark, results_dir):
-    results = benchmark.pedantic(
-        fig6_scale.run,
-        kwargs={"instance_counts": INSTANCE_COUNTS},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_scale(benchmark):
+    results = benchmark.pedantic(fig6_scale.run, rounds=1, iterations=1)
 
     normalised = {
         bench: {count: norm for count, _avg, norm in series}
@@ -38,4 +31,4 @@ def test_fig6_scale(benchmark, results_dir):
     assert normalised["tar"][16] < 1.4
     assert normalised["sqlite"][16] < 1.3
 
-    write_result(results_dir, "fig6_scale", fig6_scale.bench_table(results))
+    assert_committed("fig6_scale", fig6_scale.render(results))

@@ -9,10 +9,10 @@ import pytest
 
 from repro import params
 from repro.eval import fig7_accel
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_fig7_accel(benchmark, results_dir):
+def test_fig7_accel(benchmark):
     results = benchmark.pedantic(fig7_accel.run, rounds=1, iterations=1)
     linux = results["Linux"]
     m3_soft = results["M3"]
@@ -34,4 +34,4 @@ def test_fig7_accel(benchmark, results_dir):
     m3_overhead = m3_accel["total"] - m3_accel["fft"]
     assert m3_overhead < 0.5 * linux_overhead
 
-    write_result(results_dir, "fig7_accel", fig7_accel.bench_table(results))
+    assert_committed("fig7_accel", fig7_accel.render(results))

@@ -4,16 +4,16 @@ Acceptance checks for the profiling pipeline:
 - the Chrome trace round-trips through ``json.loads`` and its events
   carry ``ph``/``ts``/``pid``,
 - the report has syscall-latency and message-RTT histograms,
-- link utilisation is exact (no value above 100%).
+- link utilisation is exact (no value above 100%),
+- report and trace are the committed bytes.
 """
 
 import json
 
-from repro.eval import profile
-from repro.obs import export_chrome_trace
+from repro.eval import profile, runall
 
 
-def test_profile(benchmark, results_dir):
+def test_profile(benchmark):
     system = benchmark.pedantic(profile.run, rounds=1, iterations=1)
     obs = system.sim.obs
 
@@ -27,15 +27,15 @@ def test_profile(benchmark, results_dir):
     report = system.platform.network.utilization_report()
     assert report and all(0.0 <= u <= 1.0 for u in report.values())
 
-    text = profile.render(system)
+    files = profile.files(system)
+    text = files[profile.REPORT_FILE]
     assert "kernel.syscall_cycles" in text
     assert "dtu.msg_rtt" in text
     assert "utilisation" in text
-    (results_dir / "profile.txt").write_text(text + "\n")
+    for filename, contents in files.items():
+        assert contents == (runall.RESULTS_DIR / filename).read_text()
 
-    trace_path = results_dir / "fig3_micro.trace.json"
-    export_chrome_trace(obs, trace_path)
-    trace = json.loads(trace_path.read_text())
+    trace = json.loads(files[profile.TRACE_FILE])
     events = trace["traceEvents"]
     assert events
     for event in events:

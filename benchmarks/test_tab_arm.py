@@ -5,10 +5,10 @@ has ~2.2 M / ~2.4 M cycles overhead; copying it ~3.2 M on both.
 """
 
 from repro.eval import tab_arm
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 
 
-def test_tab_arm(benchmark, results_dir):
+def test_tab_arm(benchmark):
     rows = benchmark.pedantic(tab_arm.run, rounds=1, iterations=1)
     metrics = {name: (xtensa, arm) for name, xtensa, arm in rows}
 
@@ -26,4 +26,4 @@ def test_tab_arm(benchmark, results_dir):
     # "3.2 million cycles overhead on both architectures": near-equal.
     assert abs(copy[0] - copy[1]) / copy[0] < 0.10
 
-    write_result(results_dir, "tab_arm", tab_arm.bench_table(rows))
+    assert_committed("tab_arm", tab_arm.render(rows))

@@ -12,15 +12,15 @@ Shape assertions:
   DTU retransmits, and still completed everything.
 - The session router spread the gateway sessions over both replicas,
   and both replicas served requests.
-- Seeded runs are deterministic: a fresh run renders a byte-identical
-  report.
+- Seeded runs are deterministic: this run renders the committed
+  report, byte for byte.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_committed
 from repro.eval import traffic
 
 
-def test_traffic(benchmark, results_dir):
+def test_traffic(benchmark):
     results = benchmark.pedantic(traffic.run, rounds=1, iterations=1)
 
     points = results["curve"] + [results["bursty"], results["faulted"]]
@@ -54,8 +54,4 @@ def test_traffic(benchmark, results_dir):
     assert sum(tail["breakdown"].values()) == tail["traced_cycles"]
     assert tail["breakdown"].get("service", 0) > 0, "kv never on the path?"
 
-    # Determinism: a fresh run with the same seeds renders byte-identically.
-    table = traffic.bench_table(results)
-    assert traffic.bench_table(traffic.run()) == table
-
-    write_result(results_dir, "traffic", table)
+    assert_committed("traffic", traffic.render(results))

@@ -20,6 +20,8 @@ Each quantifies a claim the paper makes in prose:
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import single
+from repro.eval.fig6_scale import average_instance_time
 from repro.eval.report import render_table
 from repro.hw.platform import Platform, PlatformConfig
 from repro.m3.kernel import syscalls
@@ -223,36 +225,13 @@ FIND_INSTANCES = 16
 def find_scaling_with_servers(server_count: int) -> float:
     """Average per-instance find time with 16 instances spread over
     ``server_count`` m3fs instances."""
-    from repro.m3.lib.m3fs_client import M3fsClient
-    from repro.workloads.tracegen import make_find_trace
-    from repro.workloads.trace import M3Replayer
-
     system = M3System(pe_count=40).boot()  # instance "m3fs"
-    servers = ["m3fs"] + [
+    services = ["m3fs"] + [
         system.start_m3fs(name=f"m3fs{i}").service_name
         for i in range(1, server_count)
     ]
-    go = system.sim.event("go")
-    vpes = []
-    for index in range(FIND_INSTANCES):
-        service = servers[index % server_count]
-        prefix = f"/i{index}"
-        setup_files, trace = make_find_trace(prefix)
-        system.fs_preload(setup_files, server=system.fs_servers[service])
-
-        def app(env, service=service, trace=trace):
-            client = yield from M3fsClient.connect(env, service=service)
-            env.vfs.mount("/", client)
-            yield go
-            start = env.sim.now
-            yield from M3Replayer(env).replay(trace)
-            return env.sim.now - start
-
-        vpes.append(system.spawn(app, name=f"find-{index}"))
-    system.sim.run()
-    go.succeed()
-    walls = [system.wait(vpe) for vpe in vpes]
-    return sum(walls) / len(walls)
+    return average_instance_time(system, "find", FIND_INSTANCES, services,
+                                 warm_stat=False)
 
 
 def multi_fs_sweep() -> list[tuple[int, float]]:
@@ -384,8 +363,7 @@ def cache_table(results: dict) -> str:
          ("2 KiB hot set x32", results["hot_bulk"], results["hot_cached"])])
 
 
-#: result-file stem -> (sweep function, table renderer); the benchmark
-#: suite and repro.eval.runall both write these files through this map.
+#: result-file stem -> (sweep function, table renderer)
 BENCH_SWEEPS = {
     "abl_buffer_size": (buffer_size_sweep, buffer_size_table),
     "abl_pipe_slots": (pipe_slot_sweep, pipe_slot_table),
@@ -396,53 +374,5 @@ BENCH_SWEEPS = {
     "abl_multi_fs": (multi_fs_sweep, multi_fs_table),
 }
 
-
-def main() -> str:  # pragma: no cover - CLI convenience
-    pieces = [
-        render_table("Ablation: read buffer size (1 MiB file)",
-                     ["buffer bytes", "cycles"], buffer_size_sweep()),
-        render_table("Ablation: pipe ring slots (256 KiB transfer)",
-                     ["slots", "cycles"], pipe_slot_sweep()),
-        render_table("Ablation: NoC hop latency vs syscall cost",
-                     ["hop cycles", "syscall cycles"], hop_latency_sweep()),
-        render_table("Ablation: app placement vs syscall cost",
-                     ["app node", "syscall cycles"], placement_sweep()),
-        render_table(
-            "Ablation: 16x find vs number of m3fs instances",
-            ["m3fs instances", "avg cycles/instance"],
-            multi_fs_sweep(),
-        ),
-    ]
-    cache = cache_vs_bulk()
-    pieces.append(
-        render_table(
-            "Ablation: SPM+bulk transfers vs cache (cycles)",
-            ["pattern", "bulk DTU", "cached"],
-            [
-                ("stream 64 KiB once", cache["stream_bulk"],
-                 cache["stream_cached"]),
-                ("2 KiB hot set x32", cache["hot_bulk"],
-                 cache["hot_cached"]),
-            ],
-        )
-    )
-    trade = multiplexing_tradeoff()
-    pieces.append(
-        render_table(
-            "Ablation: dedicated PEs vs one multiplexed PE (4 workers)",
-            ["configuration", "wall cycles", "PEs"],
-            [
-                ("dedicated", trade["dedicated"]["wall"],
-                 trade["dedicated"]["pes"]),
-                ("shared+ctxsw", trade["shared"]["wall"],
-                 trade["shared"]["pes"]),
-            ],
-        )
-    )
-    output = "\n\n".join(pieces)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVALS = tuple(single(name, sweep, table)
+              for name, (sweep, table) in sorted(BENCH_SWEEPS.items()))

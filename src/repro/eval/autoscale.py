@@ -30,6 +30,7 @@ for any ``--jobs`` value.
 
 from __future__ import annotations
 
+from repro.eval.common import DEFAULT_SEED, swept
 from repro.eval.report import render_table
 from repro.eval.traffic import _summarize
 from repro.faults import FaultPlan
@@ -37,8 +38,6 @@ from repro.m3.autoscale import AutoScaler
 from repro.m3.services.kvserv import KvClient, KvServ, start_kv_tier
 from repro.m3.system import M3System
 from repro.workloads import traffic
-
-DEFAULT_SEED = 20160402  # the paper's conference date
 
 #: a 24-PE mesh split into 4 kernel domains, with 6 gateways spread
 #: over the non-zero domains so the kv tier — not the gateway tier —
@@ -77,7 +76,7 @@ AUTOSCALE = dict(
     cooldown_epochs=2,
 )
 
-#: mid-load packet-loss window for the fault variant.
+#: mid-load packet-loss window for the ``autoscale_fault`` eval.
 FAULT_DROP_RATE = 0.01
 FAULT_WINDOW = (150_000, 900_000)
 
@@ -94,8 +93,12 @@ def _profile(name: str) -> traffic.TrafficProfile:
     )
 
 
-def _run_point(name: str, elastic: bool,
-               fault_plan=None) -> traffic.TrafficResult:
+#: the two serving tiers: point -> (profile name, elastic?)
+TIERS = {"static": ("static-2", False), "elastic": ("elastic", True)}
+
+
+def _serve(name: str, elastic: bool,
+           fault_plan=None) -> traffic.TrafficResult:
     kwargs: dict = dict(policy="rr")
     if elastic:
         kwargs = dict(policy="depth", heartbeats=True,
@@ -230,15 +233,22 @@ def boot_comparison() -> dict:
 # -- the main comparison ------------------------------------------------------
 
 
-def run(seed: int = DEFAULT_SEED) -> dict:
-    """Static vs elastic at equal offered load, plus the side studies."""
-    del seed  # the profile carries its own seed (kept for symmetry)
-    static = _run_point("static-2", elastic=False)
-    result = _run_point("elastic", elastic=True)
+#: one simulation per point: the two tiers at equal offered load,
+#: then the side studies.
+POINTS = (*TIERS, "shrink", "boot")
+
+
+def run_point(point: str) -> dict:
+    if point == "shrink":
+        return shrink_demo()
+    if point == "boot":
+        return boot_comparison()
+    result = _serve(*TIERS[point])
+    if point == "static":
+        return _summarize(result)
     scaler = result.scaler
     kernels = result.system.kernels
     return {
-        "static": _summarize(static),
         "elastic": _summarize(result),
         "timeline": list(scaler.events),
         "scaler": {
@@ -251,9 +261,21 @@ def run(seed: int = DEFAULT_SEED) -> dict:
             "out": sum(kernel.migrations_out for kernel in kernels),
             "in": sum(kernel.migrations_in for kernel in kernels),
         },
-        "shrink": shrink_demo(),
-        "boot": boot_comparison(),
     }
+
+
+def fold(outcomes: dict) -> dict:
+    """Static vs elastic at equal offered load, plus the side studies."""
+    return {
+        "static": outcomes["static"],
+        **outcomes["elastic"],
+        "shrink": outcomes["shrink"],
+        "boot": outcomes["boot"],
+    }
+
+
+def run() -> dict:
+    return fold({point: run_point(point) for point in POINTS})
 
 
 # -- rendering ----------------------------------------------------------------
@@ -276,7 +298,7 @@ _POINT_HEADERS = ["tier", "offered/Mcyc", "goodput/Mcyc", "done",
                   "p50", "p99", "p999", "kv errors"]
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/autoscale.txt`` report for :func:`run`."""
     static, elastic = results["static"], results["elastic"]
     comparison = render_table(
@@ -352,46 +374,30 @@ def bench_table(results: dict) -> str:
     return "\n".join(lines)
 
 
-def fault_variant() -> str:
-    """Both tiers ridden through a 1% mid-load loss window.
+def run_fault_point(tier: str) -> dict:
+    """One tier ridden through a 1% mid-load loss window.
 
-    The determinism gate's second angle: the depth gossip, migration
-    RPCs, and controller decisions all keep their byte-identical
-    outputs with the fault plan's retransmit pattern layered on top.
+    The ``autoscale_fault`` eval: the depth gossip, migration RPCs,
+    and controller decisions all keep their byte-identical outputs
+    with the fault plan's retransmit pattern layered on top.
     """
-    rows = []
-    for name, elastic in (("static-2", False), ("elastic", True)):
-        plan = FaultPlan(DEFAULT_SEED).drop(
-            FAULT_DROP_RATE, window=FAULT_WINDOW
-        )
-        point = _summarize(_run_point(
-            f"{name}/faulted", elastic=elastic, fault_plan=plan,
-        ))
-        rows.append(_point_row(point) + (point["retransmits"],))
+    name, elastic = TIERS[tier]
+    plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE, window=FAULT_WINDOW)
+    return _summarize(_serve(f"{name}/faulted", elastic, fault_plan=plan))
+
+
+def render_fault(points: dict) -> str:
+    """The ``results/autoscale_fault.txt`` table."""
     return render_table(
         f"Autoscale fault variant: drop rate {FAULT_DROP_RATE} in "
         f"[{FAULT_WINDOW[0]:,}, {FAULT_WINDOW[1]:,})",
         _POINT_HEADERS + ["retransmits"],
-        rows,
+        [_point_row(points[tier]) + (points[tier]["retransmits"],)
+         for tier in TIERS],
     )
 
 
-def main(argv=None) -> str:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="python -m repro.eval.autoscale")
-    parser.add_argument(
-        "--variant", choices=("fault",), default=None,
-        help="run only the named variant (CI determinism gate)",
-    )
-    options = parser.parse_args(argv)
-    if options.variant == "fault":
-        report = fault_variant()
-    else:
-        report = bench_table(run())
-    print(report)
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = swept("autoscale", POINTS, run_point,
+             lambda outcomes: render(fold(outcomes)))
+FAULT_EVAL = swept("autoscale_fault", tuple(TIERS), run_fault_point,
+                   render_fault)

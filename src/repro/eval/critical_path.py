@@ -25,6 +25,7 @@ byte-identically for any ``--jobs`` value.
 
 from __future__ import annotations
 
+from repro.eval.common import single
 from repro.eval.report import render_table
 from repro.m3.kernel import syscalls
 from repro.m3.lib.m3fs_client import M3fsClient
@@ -90,12 +91,8 @@ def named_cycles(breakdown: dict) -> int:
                if component != "other")
 
 
-def bench_table(results: dict) -> str:
-    """The ``results/critical_path.txt`` report for :func:`run`.
-
-    Shared by the benchmark suite and :mod:`repro.eval.runall` so both
-    write bit-identical files.
-    """
+def render(results: dict) -> str:
+    """The ``results/critical_path.txt`` report for :func:`run`."""
     parts = []
     for label, request in results.items():
         segments = causal.critical_path(request)
@@ -134,11 +131,4 @@ def bench_table(results: dict) -> str:
     return "\n\n".join(parts)
 
 
-def main() -> str:
-    table = bench_table(run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("critical_path", run, render)

@@ -24,6 +24,7 @@ report, byte for byte.
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import DEFAULT_SEED, fs_name, single
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
@@ -32,8 +33,6 @@ from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
 from repro.workloads.trace import M3Replayer
 from repro.workloads.tracegen import TRACE_BENCHMARKS
-
-DEFAULT_SEED = 20160402  # the paper's conference date
 
 #: 12 PEs, two domains of 6: kernels at nodes 0 and 6.
 PE_COUNT = 12
@@ -49,10 +48,6 @@ KILL_AT = 24_000
 MIG_ROUNDS = 36
 MIG_ROUND_COMPUTE = 3_000
 MIG_BUFFER_BYTES = 4_096
-
-
-def _fs_name(domain: int) -> str:
-    return "m3fs" if domain == 0 else f"m3fs{domain}"
 
 
 # -- the workload apps (module-level so they survive a fork) -----------------
@@ -119,7 +114,7 @@ def _spill_parent(env):
     # A cross-domain session first: opened against domain 1's m3fs via
     # srv_open (idempotent under the loss plan), proving the remote
     # service path works before the kill.
-    client = yield from M3fsClient.connect(env, service=_fs_name(1))
+    client = yield from M3fsClient.connect(env, service=fs_name(1))
     env.vfs.mount("/remote", client)
     stat = yield from env.vfs.stat("/remote/")
     session_ok = stat is not None
@@ -150,18 +145,18 @@ def run(seed: int = DEFAULT_SEED) -> dict:
     plan.install(system.platform)
     system.boot(with_fs=False)
     for domain in range(KERNEL_COUNT):
-        system.start_m3fs(name=_fs_name(domain), domain=domain)
+        system.start_m3fs(name=fs_name(domain), domain=domain)
     system.start_heartbeats()
 
     setup_files, trace = TRACE_BENCHMARKS["find"]("/work")
     if setup_files:
-        system.fs_preload(setup_files, server=system.fs_servers[_fs_name(0)])
+        system.fs_preload(setup_files, server=system.fs_servers[fs_name(0)])
 
     # Domain-0 node budget (6 PEs): kernel=0, m3fs=1, find=2,
     # mig-parent=3, spill-parent=4, pilgrim=5 — the domain is then
     # full, so spill-parent's child lands in domain 1.  The migration
     # fires after ``find`` exits, reusing its freed node as the target.
-    find_vpe = system.spawn(_find_app, _fs_name(0), trace,
+    find_vpe = system.spawn(_find_app, fs_name(0), trace,
                             name="find", domain=0)
     mig_vpe = system.spawn(_migration_parent, name="mig-parent", domain=0)
     spill_vpe = system.spawn(_spill_parent, name="spill-parent", domain=0)
@@ -192,7 +187,7 @@ def run(seed: int = DEFAULT_SEED) -> dict:
         "killed_at": KILL_AT,
         "detected_at": detected,
         "failover_done_at": completed,
-        "service_cache_purged": _fs_name(1) not in k0._remote_services,
+        "service_cache_purged": fs_name(1) not in k0._remote_services,
         "dead_domain_quarantined": all(
             system.platform.pe(node).failed for node in sorted(k1.domain)
         ),
@@ -216,7 +211,7 @@ def run(seed: int = DEFAULT_SEED) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/domain_failover.txt`` report."""
     find_verdict, find_wall = results["find"]
     mig_verdict, origin, new_node, final_node, moved = results["migration"]
@@ -274,11 +269,4 @@ def bench_table(results: dict) -> str:
     return "\n".join(lines)
 
 
-def main() -> str:
-    report = bench_table(run())
-    print(report)
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("domain_failover", run, render)

@@ -19,6 +19,7 @@ Both are fully deterministic: same seed, same cycle counts.
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import DEFAULT_SEED, single
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
@@ -31,7 +32,6 @@ from repro.workloads.data import deterministic_bytes
 
 #: per-packet drop probabilities swept by the loss experiment.
 LOSS_RATES = (0.0, 1e-4, 1e-3, 1e-2)
-DEFAULT_SEED = 20160402  # the paper's conference date
 
 #: smaller than the Figure 3 file so the 4-rate sweep stays fast.
 FILE_BYTES = 256 * 1024
@@ -246,11 +246,4 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def main() -> str:
-    report = render(run())
-    print(report)
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("fault_tolerance", run, render)

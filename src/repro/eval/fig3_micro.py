@@ -10,6 +10,7 @@ processes/VPEs, for M3 / Lx-$ (no cache misses) / Lx, each broken into
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import single
 from repro.eval.report import render_table
 from repro.linuxsim.machine import (
     LinuxMachine,
@@ -265,12 +266,8 @@ def run() -> dict:
     return results
 
 
-def bench_table(results: dict) -> str:
-    """The ``results/fig3_micro.txt`` table for :func:`run`'s results.
-
-    Shared by the benchmark suite and :mod:`repro.eval.runall` so both
-    write bit-identical files.
-    """
+def render(results: dict) -> str:
+    """The ``results/fig3_micro.txt`` table for :func:`run`'s results."""
     rows = []
     for op, systems in results.items():
         for name in ("M3", "Lx-$", "Lx"):
@@ -284,23 +281,4 @@ def bench_table(results: dict) -> str:
     )
 
 
-def main() -> str:
-    results = run()
-    rows = []
-    for op, systems in results.items():
-        for name in ("M3", "Lx-$", "Lx"):
-            entry = systems[name]
-            rows.append(
-                (op, name, entry["total"], entry["xfers"], entry["other"])
-            )
-    table = render_table(
-        "Figure 3: system calls and file operations (cycles)",
-        ["op", "system", "total", "xfers", "other"],
-        rows,
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("fig3_micro", run, render)

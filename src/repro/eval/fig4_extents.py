@@ -9,6 +9,7 @@ spot is 256 blocks" (Section 5.5).
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import single
 from repro.eval.report import render_table
 from repro.m3.lib.file import OpenFlags
 from repro.m3.system import M3System
@@ -75,7 +76,7 @@ def run() -> list[tuple[int, int, int]]:
     ]
 
 
-def bench_table(rows: list[tuple[int, int, int]]) -> str:
+def render(rows: list[tuple[int, int, int]]) -> str:
     """The ``results/fig4_extents.txt`` table for :func:`run`'s rows."""
     return render_table(
         "Figure 4: read/write time vs blocks per extent (2 MiB file)",
@@ -84,16 +85,4 @@ def bench_table(rows: list[tuple[int, int, int]]) -> str:
     )
 
 
-def main() -> str:
-    rows = run()
-    table = render_table(
-        "Figure 4: read/write time vs blocks per extent (2 MiB file)",
-        ["blocks/extent", "read (cycles)", "write (cycles)"],
-        rows,
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("fig4_extents", run, render)

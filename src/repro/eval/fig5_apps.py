@@ -8,6 +8,7 @@ find slightly *slower* on M3; sqlite near parity (compute-dominated).
 
 from __future__ import annotations
 
+from repro.eval.common import single
 from repro.eval.report import render_table, stacks
 from repro.linuxsim.machine import LinuxMachine
 from repro.m3.system import M3System
@@ -95,7 +96,7 @@ def run() -> dict:
     return results
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/fig5_apps.txt`` table for :func:`run`'s results."""
     rows = []
     for name, systems in results.items():
@@ -114,32 +115,4 @@ def bench_table(results: dict) -> str:
     )
 
 
-def main() -> str:
-    results = run()
-    rows = []
-    for benchmark, systems in results.items():
-        lx_total = systems["Lx"]["total"]
-        for name in ("M3", "Lx-$", "Lx"):
-            entry = systems[name]
-            rows.append(
-                (
-                    benchmark,
-                    name,
-                    entry["total"],
-                    entry["app"],
-                    entry["xfers"],
-                    entry["os"],
-                    f"{entry['total'] / lx_total:.2f}",
-                )
-            )
-    table = render_table(
-        "Figure 5: application-level benchmarks (cycles)",
-        ["benchmark", "system", "total", "app", "xfers", "os", "vs Lx"],
-        rows,
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("fig5_apps", run, render)

@@ -4,27 +4,38 @@
 benchmark instances in parallel ... we replaced the reading/writing
 from/to the DRAM with a spinning loop of the same time" (Section 5.7).
 Reported: average time per instance, normalised to the 1-instance run
-(flatter is better).  Expected shape: near-flat to 4 instances, mild
-degradation at 8, significant degradation for find and untar at 16,
-cat+tr nearly flat throughout.
+(flatter is better).  Expected shape: near-flat to 4 instances,
+significant degradation for find and untar at 16, cat+tr nearly flat
+throughout.
 """
 
 from __future__ import annotations
 
+from repro.eval.common import normalised, series_rows, swept
 from repro.eval.report import render_table
+from repro.m3.lib.m3fs_client import M3fsClient
+from repro.m3.services.m3fs.superblock import SuperBlock
 from repro.m3.system import M3System
 from repro.workloads.cat_tr import INPUT_PATH, input_bytes, m3_cat_tr
 from repro.workloads.trace import M3Replayer
 from repro.workloads.tracegen import TRACE_BENCHMARKS
 
 BENCHMARKS = ["cat+tr", "tar", "untar", "find", "sqlite"]
-INSTANCE_COUNTS = [1, 2, 4, 8, 16]
+INSTANCE_COUNTS = (1, 4, 16)
+#: one simulation per point; the 16-instance points dominate the wall
+#: clock, so they come first and no worker runs one alone at the end.
+POINTS = tuple((benchmark, count)
+               for count in reversed(INSTANCE_COUNTS)
+               for benchmark in BENCHMARKS)
 
 
-def _spin_replay_app(trace, go):
+def _replay_app(trace, service, go, warm_stat):
     def app(env):
         env.spin_io = True
-        yield from env.vfs.stat("/")  # session setup before the barrier
+        client = yield from M3fsClient.connect(env, service=service)
+        env.vfs.mount("/", client)
+        if warm_stat:
+            yield from env.vfs.stat("/")
         yield go
         start = env.sim.now
         yield from M3Replayer(env).replay(trace)
@@ -42,86 +53,68 @@ def _cat_tr_app(prefix, go):
     return app
 
 
-def average_instance_time(benchmark: str, instances: int) -> float:
-    """Average cycles per instance with ``instances`` running in parallel."""
-    from repro.m3.services.m3fs.superblock import SuperBlock
+def average_instance_time(system: M3System, benchmark: str, instances: int,
+                          services=("m3fs",), warm_stat=True) -> float:
+    """Average cycles per instance with ``instances`` running in parallel.
 
-    # 16 tar instances keep ~40 MiB of file data live; give the single
-    # m3fs instance a 128 MiB volume (the DRAM is sized to match).
-    system = M3System(pe_count=40, dram_bytes=192 * 1024 * 1024).boot(
-        fs_kwargs={"superblock": SuperBlock(total_blocks=128 * 1024)}
-    )
+    Instance ``i`` works under ``/i<i>`` on ``services[i % len(services)]``
+    (and in that kernel domain, when the system has as many); a barrier
+    releases all of them at once, after each has opened its session and
+    — with ``warm_stat`` — issued a first request over it.
+    """
     go = system.sim.event("go")
     vpes = []
     for index in range(instances):
+        slot = index % len(services)
+        server = system.fs_servers[services[slot]]
         prefix = f"/i{index}"
         if benchmark == "cat+tr":
-            system.fs_preload({prefix + INPUT_PATH: input_bytes()})
+            system.fs_preload({prefix + INPUT_PATH: input_bytes()},
+                              server=server)
             app = _cat_tr_app(prefix, go)
         else:
             setup_files, trace = TRACE_BENCHMARKS[benchmark](prefix)
             if setup_files:
-                system.fs_preload(setup_files)
-            elif not system.fs_server.fs.exists(prefix):
+                system.fs_preload(setup_files, server=server)
+            elif not server.fs.exists(prefix):
                 # benchmarks with no inputs still need their namespace
-                system.fs_server.fs.mkdir(prefix)
-            app = _spin_replay_app(trace, go)
-        vpes.append(system.spawn(app, name=f"{benchmark}-{index}"))
+                server.fs.mkdir(prefix)
+            app = _replay_app(trace, services[slot], go, warm_stat)
+        vpes.append(system.spawn(app, name=f"{benchmark}-{index}",
+                                 domain=slot % len(system.kernels)))
     system.sim.run()  # everyone reaches the barrier (or queues behind it)
     go.succeed()
     walls = [system.wait(vpe) for vpe in vpes]
     return sum(walls) / len(walls)
 
 
-def run(benchmarks=None, instance_counts=None) -> dict:
+def run_point(point: tuple) -> float:
+    benchmark, instances = point
+    # 16 tar instances keep ~40 MiB of file data live; give the single
+    # m3fs instance a 128 MiB volume (the DRAM is sized to match).
+    system = M3System(pe_count=40, dram_bytes=192 * 1024 * 1024).boot(
+        fs_kwargs={"superblock": SuperBlock(total_blocks=128 * 1024)}
+    )
+    return average_instance_time(system, benchmark, instances)
+
+
+def fold(averages: dict) -> dict:
     """benchmark -> [(instances, avg cycles, normalised)], flat-is-good."""
-    results: dict = {}
-    for benchmark in benchmarks or BENCHMARKS:
-        series = []
-        baseline = None
-        for count in instance_counts or INSTANCE_COUNTS:
-            if benchmark == "cat+tr" and count == 1:
-                # The paper has no 1-PE data point for cat+tr (it needs
-                # two PEs per instance); normalise to 2 instances? No —
-                # the paper normalises to one *instance*, which still
-                # uses two PEs.  Keep it.
-                pass
-            average = average_instance_time(benchmark, count)
-            if baseline is None:
-                baseline = average
-            series.append((count, average, average / baseline))
-        results[benchmark] = series
-    return results
+    return normalised(averages, BENCHMARKS, INSTANCE_COUNTS)
 
 
-def bench_table(results: dict) -> str:
+def run() -> dict:
+    return fold({point: run_point(point) for point in POINTS})
+
+
+def render(results: dict) -> str:
     """The ``results/fig6_scale.txt`` table for :func:`run`'s results."""
-    rows = []
-    for benchmark, series in results.items():
-        for count, average, norm in series:
-            rows.append((benchmark, count, int(average), f"{norm:.2f}"))
     return render_table(
         "Figure 6: avg time per instance, normalised (flatter is better)",
         ["benchmark", "instances", "avg cycles", "normalised"],
-        rows,
+        series_rows(results),
     )
 
 
-def main() -> str:
-    results = run()
-    rows = []
-    for benchmark, series in results.items():
-        for count, average, normalised in series:
-            rows.append((benchmark, count, int(average), f"{normalised:.2f}"))
-    table = render_table(
-        "Figure 6: scalability — avg time per instance, normalised to 1 "
-        "instance (flatter is better)",
-        ["benchmark", "instances", "avg cycles", "normalised"],
-        rows,
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = swept("fig6_scale", POINTS, run_point,
+             lambda averages: render(fold(averages)))

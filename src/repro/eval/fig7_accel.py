@@ -10,6 +10,7 @@ and M3's fast abstractions keep the surrounding overhead small
 
 from __future__ import annotations
 
+from repro.eval.common import single
 from repro.eval.report import render_table
 from repro.linuxsim.machine import LinuxMachine
 from repro.m3.system import M3System
@@ -62,7 +63,7 @@ def run() -> dict:
     }
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/fig7_accel.txt`` table for :func:`run`'s results."""
     rows = [
         (name, entry["total"], entry["fft"], entry["xfers"], entry["os"])
@@ -75,26 +76,4 @@ def bench_table(results: dict) -> str:
     )
 
 
-def main() -> str:
-    results = run()
-    rows = [
-        (
-            name,
-            entry["total"],
-            entry["fft"],
-            entry["xfers"],
-            entry["os"],
-        )
-        for name, entry in results.items()
-    ]
-    table = render_table(
-        "Figure 7: FFT accelerator benefits (cycles)",
-        ["configuration", "total", "fft", "xfers", "os"],
-        rows,
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("fig7_accel", run, render)

@@ -6,20 +6,21 @@ plain-text reports the repo's other figures use: latency histograms
 also owns the raw counter collection (:func:`collect`) and its compact
 single-page summary (:func:`report`), which need no observer.
 
-``main()`` runs a Figure-3-style microbenchmark (null syscalls plus a
-buffered file read) with observability enabled and writes both
-``results/profile.txt`` and a Chrome trace-event JSON
+The ``profile`` eval runs a Figure-3-style microbenchmark (null
+syscalls plus a buffered file read) with observability enabled and
+yields both ``results/profile.txt`` and a Chrome trace-event JSON
 (``results/fig3_micro.trace.json``) that loads in Perfetto.
 """
 
 from __future__ import annotations
 
-import pathlib
+import json
 import typing
 
 from repro import params
+from repro.eval.common import Eval
 from repro.eval.report import render_table
-from repro.obs import export_chrome_trace
+from repro.obs import to_chrome_trace
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.system import M3System
@@ -31,8 +32,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PROFILE_SYSCALLS = 16
 PROFILE_FILE_BYTES = 256 * 1024
 PROFILE_BUFFER_BYTES = params.MICRO_BUFFER_BYTES
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
 
 
 # -- raw counter collection ---------------------------------------------------
@@ -263,16 +262,19 @@ def run() -> "M3System":
     return system
 
 
-def main() -> str:
-    """Run the profile benchmark; write report + Chrome trace."""
-    system = run()
-    report = render(system)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "profile.txt").write_text(report + "\n")
-    export_chrome_trace(system.sim.obs, RESULTS_DIR / "fig3_micro.trace.json")
-    print(report)
-    return report
+REPORT_FILE, TRACE_FILE = "profile.txt", "fig3_micro.trace.json"
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def files(system: "M3System") -> dict:
+    """Both committed files for an observed run; the trace is exactly
+    what ``export_chrome_trace`` writes (compact, no trailing newline)."""
+    trace = to_chrome_trace(system.sim.obs)
+    return {
+        REPORT_FILE: render(system) + "\n",
+        TRACE_FILE: json.dumps(trace, indent=None, separators=(",", ":")),
+    }
+
+
+#: the system does not pickle, so the worker renders both files itself.
+EVAL = Eval("profile", (None,), lambda _point: files(run()),
+            lambda outcomes: outcomes[None], (REPORT_FILE, TRACE_FILE))

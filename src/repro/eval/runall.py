@@ -1,31 +1,29 @@
-"""Run every evaluation figure/table across a ``multiprocessing`` pool.
+"""The eval registry, and the one writer of ``results/``.
 
-Each figure, ablation sweep, and Figure-6 (benchmark, instance-count)
-point is an independent simulation: no shared state, no ordering
-requirement between them.  This module fans those points out over a
-process pool and merges the results deterministically:
+Every committed result is an :class:`~repro.eval.common.Eval` listed
+once in :data:`EVALS`.  Its points are independent simulations: no
+shared state, no ordering requirement between them.  This module fans
+all points of all evals out over a process pool and merges the
+outcomes deterministically:
 
-- The job list is a fixed, ordered sequence (``build_jobs``).
-- ``pool.map`` returns results in *input* order regardless of which
-  worker finished first, so the merged output is identical for any
+- The job list is ``(eval name, point)`` for every eval in registry
+  order (``build_jobs``).
+- ``pool.map`` returns outcomes in *input* order regardless of which
+  worker finished first, so the rendered output is identical for any
   worker count — including the serial in-process fallback.
-- Workers return rendered *file contents* (strings); only the parent
-  touches the filesystem.  A crashed worker therefore cannot leave a
-  half-written results file behind.
-
-The rendered tables are byte-identical to what the benchmark suite
-(``benchmarks/``) writes, because both go through the shared
-``bench_table``/``*_table`` renderers in the eval modules.
+- Workers return picklable outcomes; rendering and writing happen in
+  the parent.  A crashed worker therefore cannot leave a half-written
+  results file behind.
 
 Usage::
 
     PYTHONPATH=src python -m repro.eval.runall [--jobs N] [--select NAME]
+    PYTHONPATH=src python -m repro.eval NAME [NAME...]   # print, not write
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import pathlib
 import sys
@@ -47,199 +45,70 @@ from repro.eval import (
     telemetry,
     traffic,
 )
-from repro.obs import to_chrome_trace
+from repro.eval.common import Eval
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
 
-#: Figure-6 geometry matching the committed ``results/fig6_scale.txt``
-#: (the benchmark suite's instance counts, not ``fig6_scale.main()``'s
-#: full sweep — runall reproduces the repo's results files).
-FIG6_BENCHMARKS = tuple(fig6_scale.BENCHMARKS)
-FIG6_INSTANCE_COUNTS = (1, 4, 16)
+#: every eval, heaviest first (the serving runs take a second or two
+#: per point, everything else well under one) so no worker is left
+#: running a long point alone at the end.
+EVALS: tuple[Eval, ...] = (
+    traffic.EVAL,
+    telemetry.EVAL,
+    autoscale.FAULT_EVAL,
+    autoscale.EVAL,
+    traffic.FAULT_EVAL,
+    fig6_scale.EVAL,
+    fig6_multikernel.EVAL,
+    fig4_extents.EVAL,
+    fig3_micro.EVAL,
+    fig5_apps.EVAL,
+    *ablations.EVALS,
+    fault_tolerance.EVAL,
+    tab_arm.EVAL,
+    fig7_accel.EVAL,
+    domain_failover.EVAL,
+    profile.EVAL,
+    critical_path.EVAL,
+    telemetry.FLIGHT_EVAL,
+)
+BY_NAME = {entry.name: entry for entry in EVALS}
 
 
-# -- workers (module-level so they pickle under fork/spawn) -------------------
-
-
-def _fig3() -> dict:
-    return {"fig3_micro.txt": fig3_micro.bench_table(fig3_micro.run()) + "\n"}
-
-
-def _fig4() -> dict:
-    return {"fig4_extents.txt":
-            fig4_extents.bench_table(fig4_extents.run()) + "\n"}
-
-
-def _fig5() -> dict:
-    return {"fig5_apps.txt": fig5_apps.bench_table(fig5_apps.run()) + "\n"}
-
-
-def _fig7() -> dict:
-    return {"fig7_accel.txt": fig7_accel.bench_table(fig7_accel.run()) + "\n"}
-
-
-def _tab_arm() -> dict:
-    return {"tab_arm.txt": tab_arm.bench_table(tab_arm.run()) + "\n"}
-
-
-def _fault_tolerance() -> dict:
-    return {"fault_tolerance.txt":
-            fault_tolerance.render(fault_tolerance.run()) + "\n"}
-
-
-def _domain_failover() -> dict:
-    return {"domain_failover.txt":
-            domain_failover.bench_table(domain_failover.run()) + "\n"}
-
-
-def _critical_path() -> dict:
-    return {"critical_path.txt":
-            critical_path.bench_table(critical_path.run()) + "\n"}
-
-
-def _traffic() -> dict:
-    return {"traffic.txt":
-            traffic.bench_table(traffic.run()) + "\n"}
-
-
-def _autoscale() -> dict:
-    return {"autoscale.txt":
-            autoscale.bench_table(autoscale.run()) + "\n"}
-
-
-def _telemetry() -> dict:
-    return {"telemetry.txt":
-            telemetry.bench_table(telemetry.run()) + "\n"}
-
-
-def _profile() -> dict:
-    system = profile.run()
-    trace = to_chrome_trace(system.sim.obs)
-    return {
-        "profile.txt": profile.render(system) + "\n",
-        # Exactly what export_chrome_trace writes: compact separators,
-        # no trailing newline.
-        "fig3_micro.trace.json":
-            json.dumps(trace, indent=None, separators=(",", ":")),
-    }
-
-
-_FIGURES = {
-    "fig3_micro": _fig3,
-    "fig4_extents": _fig4,
-    "fig5_apps": _fig5,
-    "fig7_accel": _fig7,
-    "tab_arm": _tab_arm,
-    "fault_tolerance": _fault_tolerance,
-    "domain_failover": _domain_failover,
-    "profile": _profile,
-    "critical_path": _critical_path,
-    "traffic": _traffic,
-    "autoscale": _autoscale,
-    "telemetry": _telemetry,
-}
-
-
-def _execute(job: tuple):
-    """Run one job spec in a (possibly forked) worker process."""
-    kind = job[0]
-    if kind == "figure":
-        return _FIGURES[job[1]]()
-    if kind == "ablation":
-        sweep, table = ablations.BENCH_SWEEPS[job[1]]
-        return {f"{job[1]}.txt": table(sweep()) + "\n"}
-    if kind == "fig6-point":
-        _, benchmark, count = job
-        return fig6_scale.average_instance_time(benchmark, count)
-    if kind == "fig6mk-point":
-        _, benchmark, kernel_count = job
-        return fig6_multikernel.average_instance_time(benchmark, kernel_count)
-    raise ValueError(f"unknown job kind: {job!r}")
-
-
-# -- job list and deterministic merge -----------------------------------------
+def select_evals(names: list[str] | None = None) -> list[Eval]:
+    """The named evals (``None`` = all of them), in registry order."""
+    if names is None:
+        return list(EVALS)
+    unknown = sorted(set(names) - set(BY_NAME))
+    if unknown or not names:
+        problem = (f"unknown eval {', '.join(unknown)}" if unknown
+                   else "no eval named")
+        raise ValueError(
+            f"{problem}; the registry has: {', '.join(BY_NAME)}"
+        )
+    return [entry for entry in EVALS if entry.name in names]
 
 
 def build_jobs(select: list[str] | None = None) -> list[tuple]:
-    """The fixed job sequence; heaviest points first for load balance.
-
-    ``select`` filters by output name (``fig6_scale``, ``tab_arm``,
-    ``abl_cache``, ...); ``None`` means everything.
-    """
-
-    def wanted(name: str) -> bool:
-        return select is None or name in select
-
-    jobs: list[tuple] = []
-    # Figure 6's 16-instance points dominate the wall clock — front-load
-    # them so a worker is not left running one alone at the end.
-    if wanted("fig6_scale"):
-        for count in sorted(FIG6_INSTANCE_COUNTS, reverse=True):
-            for benchmark in FIG6_BENCHMARKS:
-                jobs.append(("fig6-point", benchmark, count))
-    # Every multi-kernel point runs 16 instances; fewer domains = one
-    # kernel serving more of them = slower, so k=1 goes first.
-    if wanted("fig6_multikernel"):
-        for kernel_count in sorted(fig6_multikernel.KERNEL_COUNTS):
-            for benchmark in fig6_multikernel.BENCHMARKS:
-                jobs.append(("fig6mk-point", benchmark, kernel_count))
-    # The traffic eval runs eight load points serially — heavy enough
-    # to start early alongside the fig6 points.
-    for name in ("traffic", "telemetry", "autoscale", "fig5_apps",
-                 "fault_tolerance", "domain_failover"):
-        if wanted(name):
-            jobs.append(("figure", name))
-    for name in sorted(ablations.BENCH_SWEEPS):
-        if wanted(name):
-            jobs.append(("ablation", name))
-    for name in ("fig3_micro", "fig4_extents", "fig7_accel", "tab_arm",
-                 "profile", "critical_path"):
-        if wanted(name):
-            jobs.append(("figure", name))
-    return jobs
+    """The fixed job sequence: one ``(eval name, point)`` per simulation."""
+    return [(entry.name, point)
+            for entry in select_evals(select) for point in entry.points]
 
 
-def merge_fig6(averages: dict) -> dict:
-    """Assemble ``fig6_scale.run()``-shaped results from point averages.
-
-    ``averages`` maps (benchmark, count) -> average cycles.  The merge
-    iterates benchmarks and counts in canonical order, so the result —
-    including the normalisation baseline (the smallest count) — does
-    not depend on the order the points finished in.
-    """
-    results: dict = {}
-    for benchmark in FIG6_BENCHMARKS:
-        series = []
-        baseline = None
-        for count in sorted(FIG6_INSTANCE_COUNTS):
-            average = averages[(benchmark, count)]
-            if baseline is None:
-                baseline = average
-            series.append((count, average, average / baseline))
-        results[benchmark] = series
-    return results
+def _execute(job: tuple):
+    """Run one job in a (possibly forked) worker process."""
+    name, point = job
+    return BY_NAME[name].run_point(point)
 
 
 def _collect(jobs: list[tuple], outcomes: list) -> dict:
     """Fold per-job outcomes (in job order) into {filename: content}."""
+    by_eval: dict[str, dict] = {}
+    for (name, point), outcome in zip(jobs, outcomes):
+        by_eval.setdefault(name, {})[point] = outcome
     files: dict[str, str] = {}
-    fig6_points: dict[tuple, float] = {}
-    fig6mk_points: dict[tuple, float] = {}
-    for job, outcome in zip(jobs, outcomes):
-        if job[0] == "fig6-point":
-            fig6_points[(job[1], job[2])] = outcome
-        elif job[0] == "fig6mk-point":
-            fig6mk_points[(job[1], job[2])] = outcome
-        else:
-            files.update(outcome)
-    if fig6_points:
-        table = fig6_scale.bench_table(merge_fig6(fig6_points))
-        files["fig6_scale.txt"] = table + "\n"
-    if fig6mk_points:
-        table = fig6_multikernel.bench_table(
-            fig6_multikernel.merge_points(fig6mk_points)
-        )
-        files["fig6_multikernel.txt"] = table + "\n"
+    for name, points in by_eval.items():
+        files.update(BY_NAME[name].render(points))
     return files
 
 
@@ -251,6 +120,8 @@ def run_all(jobs: int | None = None, select: list[str] | None = None,
     in-process).  Output is identical for every value.
     """
     specs = build_jobs(select)
+    directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
     if jobs is None:
         jobs = multiprocessing.cpu_count()
     workers = max(1, min(jobs, len(specs)))
@@ -258,13 +129,11 @@ def run_all(jobs: int | None = None, select: list[str] | None = None,
         outcomes = [_execute(spec) for spec in specs]
     else:
         # fork shares the already-imported modules with the children;
-        # chunksize=1 keeps the slow fig6 points spread across workers.
+        # chunksize=1 keeps the slow points spread across workers.
         context = multiprocessing.get_context("fork")
         with context.Pool(processes=workers) as pool:
             outcomes = pool.map(_execute, specs, chunksize=1)
     files = _collect(specs, outcomes)
-    directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
-    directory.mkdir(exist_ok=True)
     for filename in sorted(files):
         (directory / filename).write_text(files[filename])
     return files
@@ -281,13 +150,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--select", action="append", metavar="NAME",
-        help="only produce this output (repeatable); e.g. fig6_scale",
+        help="only produce this eval (repeatable); e.g. fig6_scale",
     )
     parser.add_argument(
         "--results-dir", default=None,
         help=f"output directory (default: {RESULTS_DIR})",
     )
     options = parser.parse_args(argv)
+    try:
+        select_evals(options.select)
+    except ValueError as error:
+        parser.error(str(error))  # exits 2 before anything runs
     files = run_all(jobs=options.jobs, select=options.select,
                     results_dir=options.results_dir)
     for filename in sorted(files):

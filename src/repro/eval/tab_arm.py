@@ -12,6 +12,7 @@ transfer time of the bytes moved.
 from __future__ import annotations
 
 from repro import params
+from repro.eval.common import single
 from repro.eval.report import render_table
 from repro.linuxsim.machine import (
     LinuxMachine,
@@ -110,7 +111,7 @@ def run() -> list[tuple]:
     return rows
 
 
-def bench_table(rows: list[tuple]) -> str:
+def render(rows: list[tuple]) -> str:
     """The ``results/tab_arm.txt`` table for :func:`run`'s rows."""
     return render_table(
         "Section 5.2: Linux on Xtensa vs ARM Cortex-A15",
@@ -119,15 +120,4 @@ def bench_table(rows: list[tuple]) -> str:
     )
 
 
-def main() -> str:
-    table = render_table(
-        "Section 5.2: Linux on Xtensa vs ARM Cortex-A15",
-        ["metric", "Xtensa", "ARM"],
-        run(),
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = single("tab_arm", run, render)

@@ -26,9 +26,9 @@ byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+from repro.eval.common import DEFAULT_SEED, single, swept
 from repro.eval.report import render_table
 from repro.eval.traffic import (
-    DEFAULT_SEED,
     FAULT_DROP_RATE,
     FAULT_WINDOW,
     REFERENCE_GAP,
@@ -220,12 +220,16 @@ def failover_results(seed: int = DEFAULT_SEED,
     }
 
 
-def run(seed: int = DEFAULT_SEED) -> dict:
-    del seed  # both acts carry their own seeds (kept for symmetry)
-    return {
-        "serving": serving_results(),
-        "failover": failover_results(),
-    }
+#: one simulation per act.
+POINTS = ("serving", "failover")
+
+
+def run_point(act: str) -> dict:
+    return serving_results() if act == "serving" else failover_results()
+
+
+def run() -> dict:
+    return {act: run_point(act) for act in POINTS}
 
 
 # -- rendering ----------------------------------------------------------------
@@ -298,7 +302,7 @@ def _alert_lines(alerts: list) -> list[str]:
     ]
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/telemetry.txt`` report for :func:`run`."""
     serving = results["serving"]
     failover = results["failover"]
@@ -339,11 +343,11 @@ def bench_table(results: dict) -> str:
 
 
 def flight_variant() -> str:
-    """A harsher, differently-seeded kill (CI's flight-recorder gate).
+    """The ``telemetry_flight`` eval: a harsher, differently-seeded kill.
 
     Re-rolls the loss schedule at twice the rate under a new seed, so
-    the CI determinism gate covers a distinct alert/dump pattern from
-    the committed report's.
+    the committed bytes cover a distinct alert/dump pattern from the
+    main report's.
     """
     results = failover_results(seed=DEFAULT_SEED + 1,
                                loss_rate=2 * FAIL_LOSS_RATE)
@@ -362,22 +366,5 @@ def flight_variant() -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> str:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="python -m repro.eval.telemetry")
-    parser.add_argument(
-        "--variant", choices=("flight",), default=None,
-        help="run only the named variant (CI determinism gate)",
-    )
-    options = parser.parse_args(argv)
-    if options.variant == "flight":
-        report = flight_variant()
-    else:
-        report = bench_table(run())
-    print(report)
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = swept("telemetry", POINTS, run_point, render)
+FLIGHT_EVAL = single("telemetry_flight", flight_variant, str)

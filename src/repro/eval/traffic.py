@@ -28,12 +28,11 @@ for any ``--jobs`` value.
 
 from __future__ import annotations
 
+from repro.eval.common import DEFAULT_SEED, single, swept
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
 from repro.obs import causal
 from repro.workloads import traffic
-
-DEFAULT_SEED = 20160402  # the paper's conference date
 
 #: Poisson sweep: mean inter-arrival gaps (cycles), heaviest last.
 CURVE_GAPS = (9_000, 4_500, 3_000, 1_500, 900, 600)
@@ -110,30 +109,46 @@ def _attribute_tail(result: traffic.TrafficResult) -> dict:
     }
 
 
-def run(seed: int = DEFAULT_SEED) -> dict:
+#: one simulation per point: the curve's gaps, then the two
+#: reference-rate variations.
+POINTS = CURVE_GAPS + ("bursty", "faulted")
+
+
+def run_point(point) -> tuple:
+    """(summary, tail attribution) of one load point.
+
+    Only the curve's reference point runs observed, so only it has a
+    tail attribution; it is computed here because the critical path
+    needs the live observer, which does not pickle.
+    """
+    observed = point == REFERENCE_GAP
+    if point == "bursty":
+        result = traffic.run_profile(_curve_profile(
+            REFERENCE_GAP, name="bursty", arrival="bursty",
+        ))
+    elif point == "faulted":
+        plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE,
+                                            window=FAULT_WINDOW)
+        result = traffic.run_profile(
+            _curve_profile(REFERENCE_GAP, name="faulted"), fault_plan=plan,
+        )
+    else:
+        result = traffic.run_profile(_curve_profile(point), observe=observed)
+    return _summarize(result), _attribute_tail(result) if observed else None
+
+
+def fold(outcomes: dict) -> dict:
     """Every load point plus the tail attribution, summarized."""
-    del seed  # each profile carries its own seed (kept for symmetry)
-    points = []
-    reference = None
-    for gap in CURVE_GAPS:
-        observed = gap == REFERENCE_GAP
-        result = traffic.run_profile(_curve_profile(gap), observe=observed)
-        points.append(_summarize(result))
-        if observed:
-            reference = result
-    bursty = traffic.run_profile(_curve_profile(
-        REFERENCE_GAP, name="bursty", arrival="bursty",
-    ))
-    plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE, window=FAULT_WINDOW)
-    faulted = traffic.run_profile(
-        _curve_profile(REFERENCE_GAP, name="faulted"), fault_plan=plan,
-    )
     return {
-        "curve": points,
-        "bursty": _summarize(bursty),
-        "faulted": _summarize(faulted),
-        "tail": _attribute_tail(reference),
+        "curve": [outcomes[gap][0] for gap in CURVE_GAPS],
+        "bursty": outcomes["bursty"][0],
+        "faulted": outcomes["faulted"][0],
+        "tail": outcomes[REFERENCE_GAP][1],
     }
+
+
+def run() -> dict:
+    return fold({point: run_point(point) for point in POINTS})
 
 
 # -- rendering ----------------------------------------------------------------
@@ -153,7 +168,7 @@ def _point_row(point: dict) -> tuple:
     )
 
 
-def bench_table(results: dict) -> str:
+def render(results: dict) -> str:
     """The ``results/traffic.txt`` report for :func:`run`."""
     headers = ["point", "offered/Mcyc", "goodput/Mcyc", "done",
                "p50", "p99", "p999", "tx retries", "dropped"]
@@ -229,11 +244,11 @@ def bench_table(results: dict) -> str:
 
 
 def fault_variant() -> str:
-    """A harsher, differently-seeded fault plan (CI's second gate).
+    """The ``traffic_fault`` eval: a harsher, differently-seeded plan.
 
-    The main report's faulted point double-checks one plan; this
-    variant re-rolls the loss schedule at twice the rate so the CI
-    determinism gate also covers a distinct retransmit pattern.
+    The main report's faulted point pins one plan; this one re-rolls
+    the loss schedule at twice the rate, so the committed bytes also
+    cover a distinct retransmit pattern.
     """
     plan = FaultPlan(DEFAULT_SEED + 1).drop(
         2 * FAULT_DROP_RATE, window=FAULT_WINDOW
@@ -252,22 +267,6 @@ def fault_variant() -> str:
     )
 
 
-def main(argv=None) -> str:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="python -m repro.eval.traffic")
-    parser.add_argument(
-        "--variant", choices=("fault",), default=None,
-        help="run only the named variant (CI determinism gate)",
-    )
-    options = parser.parse_args(argv)
-    if options.variant == "fault":
-        report = fault_variant()
-    else:
-        report = bench_table(run())
-    print(report)
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EVAL = swept("traffic", POINTS, run_point,
+             lambda outcomes: render(fold(outcomes)))
+FAULT_EVAL = single("traffic_fault", fault_variant, str)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from benchmarks.perf import harness
+from repro.eval import runall
 
 
 def test_engine_workload_is_deterministic():
@@ -61,7 +62,7 @@ def test_committed_baseline_is_valid():
     baseline = json.loads(harness.BASELINE_PATH.read_text())
     assert baseline["schema"] == harness.SCHEMA_VERSION
     assert baseline["engine"]["sim_cycles_per_second"] > 0
-    assert set(baseline["figures"]) >= {"fig3_micro", "fig6_scale"}
+    assert set(baseline["figures"]) == set(runall.BY_NAME)
     assert baseline["total_seconds"] > 0
 
 

@@ -17,21 +17,23 @@ trigger).
 
 import pytest
 
-from repro.eval import runall
+from repro.eval import autoscale, runall, telemetry, traffic
 
 
-def _committed(filename: str) -> str:
-    return (runall.RESULTS_DIR / filename).read_text()
-
-
-@pytest.mark.parametrize(
-    "worker",
-    [runall._traffic, runall._autoscale, runall._domain_failover],
-    ids=["traffic", "autoscale", "domain_failover"],
-)
-def test_eval_regenerates_committed_bytes(worker):
-    for filename, content in worker().items():
-        assert content == _committed(filename), (
+@pytest.mark.parametrize("name", ["traffic", "autoscale", "domain_failover"])
+def test_eval_regenerates_committed_bytes(name):
+    for filename, content in runall.BY_NAME[name].run().items():
+        committed = (runall.RESULTS_DIR / filename).read_text()
+        assert content == committed, (
             f"{filename} drifted from the committed bytes — the "
             f"telemetry plane leaked into an un-instrumented run"
         )
+
+
+@pytest.mark.parametrize("module", [traffic, autoscale, telemetry],
+                         ids=["traffic", "autoscale", "telemetry"])
+def test_run_takes_no_seed_it_would_ignore(module):
+    """Tombstone: these three accepted ``seed=`` and discarded it, so
+    ``run(seed=7)`` silently returned default-seed numbers."""
+    with pytest.raises(TypeError):
+        module.run(seed=7)
