@@ -8,7 +8,7 @@ the length of the message, and information for a potential reply"
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 import zlib
 
 #: Wire size of the header the DTU prepends (label, length, reply info).
@@ -18,9 +18,9 @@ import zlib
 HEADER_BYTES = 16
 
 
-@dataclasses.dataclass(frozen=True)
-class MessageHeader:
-    """DTU-generated metadata prepended to every message."""
+class MessageHeader(typing.NamedTuple):
+    """DTU-generated metadata prepended to every message (immutable;
+    a named tuple because one is built per message sent)."""
 
     #: receiver-chosen sender identification (unforgeable; Section 4.4.2).
     label: int
@@ -48,8 +48,7 @@ class MessageHeader:
     parent_span: int = -1
 
 
-@dataclasses.dataclass(frozen=True)
-class Message:
+class Message(typing.NamedTuple):
     """A delivered message sitting in a ringbuffer slot."""
 
     header: MessageHeader

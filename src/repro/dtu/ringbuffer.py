@@ -53,10 +53,6 @@ class RingBuffer:
         """
         return self._occupied
 
-    @property
-    def full(self) -> bool:
-        return self._slots[self._write_pos] is not None
-
     def push(self, message: Message, source: int = -1):
         """Store a delivered message.
 
@@ -65,21 +61,21 @@ class RingBuffer:
         message (``header.seq >= 0``) from ``source`` was already
         accepted — the caller re-acks without delivering twice.
         """
-        if message.size_bytes() > self.slot_size:
+        size = message.size_bytes()
+        if size > self.slot_size:
             # The sender's DTU enforces the size limit; this guards against
             # misconfiguration.  Slot size counts header plus payload.
             raise ValueError(
-                f"message of {message.size_bytes()}B exceeds slot of "
-                f"{self.slot_size}B"
+                f"message of {size}B exceeds slot of {self.slot_size}B"
             )
         seq = message.header.seq
         if seq >= 0 and (source, seq) in self._seen:
             self.duplicates += 1
             return DUPLICATE
-        if self.full:
+        slot = self._write_pos
+        if self._slots[slot] is not None:  # ring full: not acked yet
             self.dropped += 1
             return None
-        slot = self._write_pos
         self._slots[slot] = message
         self._write_pos = (slot + 1) % self.slot_count
         self._occupied += 1

@@ -95,8 +95,9 @@ class PacketRule:
         if self.link is not None:
             if packet.source == packet.destination:
                 return False
-            path = network.router.links_on_path(packet.source, packet.destination)
-            if tuple(self.link) not in path:
+            path = network.paths[packet.source, packet.destination]
+            if tuple(self.link) not in [(hop.source, hop.destination)
+                                        for hop in path]:
                 return False
         return True
 

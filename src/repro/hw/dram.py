@@ -76,12 +76,5 @@ class DramModule:
 
     def _respond(self, request: tuple) -> None:
         requester, transfer_id, data = request
-        self.network.send(
-            Packet(
-                source=self.node,
-                destination=requester,
-                kind="mem_resp",
-                size_bytes=len(data),
-                payload=(transfer_id, data),
-            )
-        )
+        self.network.send(Packet(self.node, requester, "mem_resp", len(data),
+                                 (transfer_id, data)))

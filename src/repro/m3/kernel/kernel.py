@@ -14,7 +14,6 @@ are components built in ``Kernel.__init__``, each owning its state:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
 import typing
@@ -594,10 +593,9 @@ class Kernel:
         message = ring.peek(slot)
         if message.header.reply_node == vpe.node:
             return
-        header = dataclasses.replace(
-            message.header, reply_node=vpe.node, reply_ep=APP_REPLY_EP
-        )
-        ring._slots[slot] = dataclasses.replace(message, header=header)
+        header = message.header._replace(reply_node=vpe.node,
+                                         reply_ep=APP_REPLY_EP)
+        ring._slots[slot] = message._replace(header=header)
 
     # ------------------------------------------------------------------
     # Syscall handlers.  Each is a generator taking (vpe, slot, *args).

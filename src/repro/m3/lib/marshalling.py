@@ -12,13 +12,14 @@ from __future__ import annotations
 
 def wire_size(value: object) -> int:
     """Bytes a value occupies in a message (8-byte aligned fields)."""
-    if value is None:
+    # Nearly every marshalled value is a word or a tuple of words:
+    # settle those on the exact type before the isinstance chain.
+    kind = type(value)
+    if kind is int or value is None:
         return 8
-    if isinstance(value, bool):
-        return 8
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
+    if kind is tuple:
+        return 8 + sum([wire_size(item) for item in value])
+    if isinstance(value, (int, float)):  # bool and int subclasses too
         return 8
     if isinstance(value, str):
         return 8 + _align8(len(value.encode("utf-8")))

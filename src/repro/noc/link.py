@@ -16,15 +16,17 @@ class Link:
 
     Occupancy windows are granted in non-decreasing order and never
     overlap, so the link keeps a compact merged-interval record
-    (contiguous windows collapse into one) from which
-    :meth:`busy_within` computes the exact occupancy inside any
-    ``[0, t)`` prefix — including windows that straddle or lie beyond
-    ``t``, which a bare busy-cycle counter would overcount.
+    (contiguous windows collapse into one): each window's end and the
+    idle cycles that precede it.  From those two :meth:`busy_within`
+    computes the exact occupancy inside any ``[0, t)`` prefix —
+    including windows that straddle or lie beyond ``t``, which a bare
+    busy-cycle counter would overcount — and ``next_free`` and
+    ``busy_cycles`` are read off the last window instead of being
+    written on every reservation.
     """
 
-    __slots__ = ("source", "destination", "bytes_per_cycle", "next_free",
-                 "busy_cycles", "packets", "_window_starts", "_window_ends",
-                 "_window_cum")
+    __slots__ = ("source", "destination", "bytes_per_cycle", "packets",
+                 "_window_ends", "_window_gaps")
 
     def __init__(self, source: int, destination: int, bytes_per_cycle: int):
         if bytes_per_cycle < 1:
@@ -32,14 +34,22 @@ class Link:
         self.source = source
         self.destination = destination
         self.bytes_per_cycle = bytes_per_cycle
-        self.next_free = 0
-        self.busy_cycles = 0
         self.packets = 0
-        #: merged occupancy windows (sorted, disjoint) plus cumulative
-        #: busy cycles up to each window's end.
-        self._window_starts: list[int] = []
-        self._window_ends: list[int] = []
-        self._window_cum: list[int] = []
+        #: merged occupancy windows (sorted, disjoint): where each ends,
+        #: and the cumulative idle cycles before it starts.  Both open
+        #: with an empty window at cycle 0, so ``[-1]`` always exists.
+        self._window_ends: list[int] = [0]
+        self._window_gaps: list[int] = [0]
+
+    @property
+    def next_free(self) -> int:
+        """The cycle from which the link is unreserved."""
+        return self._window_ends[-1]
+
+    @property
+    def busy_cycles(self) -> int:
+        """Cycles reserved so far, whenever they lie."""
+        return self._window_ends[-1] - self._window_gaps[-1]
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to push ``nbytes`` through this link."""
@@ -47,52 +57,29 @@ class Link:
             raise ValueError(f"negative transfer size: {nbytes}")
         # Pure-integer ceiling division: float division plus math.ceil
         # would round differently for very large byte counts.
-        duration = -(-nbytes // self.bytes_per_cycle)
-        return duration if duration > 0 else 1
+        return -(-nbytes // self.bytes_per_cycle) or 1
 
     def reserve(self, earliest: int, nbytes: int) -> tuple[int, int]:
         """Reserve the link for ``nbytes`` no earlier than ``earliest``.
 
-        Returns ``(start, end)`` of the granted occupancy window.  This
-        is the NoC's hottest call — every packet reserves every link on
-        its path — so it stays branch-light: one integer division, one
-        comparison against ``next_free``, and a constant-time extension
-        of the merged occupancy record in the common back-to-back case.
+        Returns ``(start, end)`` of the granted occupancy window: the
+        one-link case of :func:`reserve_path`.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        duration = -(-nbytes // self.bytes_per_cycle)
-        if duration <= 0:
-            duration = 1
-        next_free = self.next_free
-        start = earliest if earliest > next_free else next_free
-        end = start + duration
-        self.next_free = end
-        self.busy_cycles += duration
-        self.packets += 1
-        ends = self._window_ends
-        if ends and ends[-1] == start:
-            # Back-to-back with the previous window: extend it.
-            ends[-1] = end
-            self._window_cum[-1] += duration
-        else:
-            cum = self._window_cum
-            self._window_starts.append(start)
-            ends.append(end)
-            cum.append((cum[-1] if cum else 0) + duration)
-        return start, end
+        end = reserve_path((self,), earliest, 0, nbytes)
+        return end - self.serialization_cycles(nbytes), end
 
     def busy_within(self, elapsed: int) -> int:
         """Exact occupied cycles inside the window ``[0, elapsed)``."""
         if elapsed <= 0:
             return 0
+        ends, gaps = self._window_ends, self._window_gaps
         # Windows whose end is <= elapsed count fully...
-        index = bisect.bisect_right(self._window_ends, elapsed)
-        busy = self._window_cum[index - 1] if index else 0
-        # ...plus the in-window prefix of a straddling reservation.
-        if (index < len(self._window_starts)
-                and self._window_starts[index] < elapsed):
-            busy += elapsed - self._window_starts[index]
+        index = bisect.bisect_right(ends, elapsed)
+        busy = ends[index - 1] - gaps[index - 1] if index else 0
+        # ...and inside (or before) the next one, whatever of
+        # ``elapsed`` was not idle was busy.
+        if index < len(ends):
+            busy = max(busy, elapsed - gaps[index])
         return busy
 
     def utilization(self, elapsed: int) -> float:
@@ -109,3 +96,38 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
+
+
+def reserve_path(links, head: int, hop_cycles: int, nbytes: int) -> int:
+    """Reserve ``links`` in order for one ``nbytes`` packet whose head
+    flit is at ``head``; return the cycle its tail clears the last link.
+
+    The head advances one router per ``hop_cycles`` and stalls behind
+    whatever each link already carries; the body streams behind it.
+    This is the NoC's hottest loop — every packet reserves every link
+    on its path — and the only place window arithmetic lives: one
+    comparison against the link's last window end, then either that
+    window grows (the packet queues back-to-back) or a new one opens
+    after the idle gap.  The serialisation time is worked out once per
+    link bandwidth, not once per hop.
+    """
+    if nbytes < 0:
+        raise ValueError(f"negative transfer size: {nbytes}")
+    bandwidth = end = 0
+    for link in links:
+        if link.bytes_per_cycle != bandwidth:
+            bandwidth = link.bytes_per_cycle
+            duration = -(-nbytes // bandwidth) or 1
+        earliest = head + hop_cycles
+        ends = link._window_ends
+        head = ends[-1]
+        if earliest > head:
+            gaps = link._window_gaps
+            gaps.append(gaps[-1] + earliest - head)
+            head = earliest
+            end = head + duration
+            ends.append(end)
+        else:
+            ends[-1] = end = head + duration
+        link.packets += 1
+    return end

@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.noc.link import Link
+from repro.noc.link import Link, reserve_path
 from repro.noc.packet import Packet
 from repro.noc.routing import XYRouter
 from repro.noc.topology import MeshTopology
@@ -25,6 +25,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PACKET_HEADER_BYTES = 16
 
 DeliveryHandler = typing.Callable[[Packet], None]
+
+
+class _PathTable(dict):
+    """``(source, destination) -> tuple of Links``, resolved on first
+    use: the topology is immutable, so a route never changes, and a
+    hit costs the per-packet path one dict lookup and no call."""
+
+    def __init__(self, router: XYRouter, links: dict):
+        super().__init__()
+        self._router = router
+        self._links = links
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[Link, ...]:
+        source, destination = key
+        hops = (self._router.links_on_path(source, destination)
+                or [(source, source)])
+        path = self[key] = tuple(self._links[hop] for hop in hops)
+        return path
 
 
 class Network:
@@ -52,6 +70,9 @@ class Network:
         # transfers queue, count, and report like any other traffic.
         for node in range(topology.node_count):
             self._links[(node, node)] = Link(node, node, bytes_per_cycle)
+        #: ``paths[source, destination]``: the links a packet occupies,
+        #: in order (a same-node transfer crosses the loopback link).
+        self.paths = _PathTable(self.router, self._links)
         self._handlers: dict[int, DeliveryHandler] = {}
         #: injection-side counters: every packet handed to the NoC.
         self.packets_injected = 0
@@ -93,48 +114,37 @@ class Network:
 
     def delivery_time(self, packet: Packet) -> int:
         """Reserve the path now; return the absolute completion cycle."""
-        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        now = self.sim.now
-        if packet.source == packet.destination:
-            # Local loopback through the node's own router: a real link,
-            # so self-traffic queues and shows up in per-link stats.
-            _start, end = self._links[(packet.source, packet.source)].reserve(
-                now + self.hop_cycles, wire_bytes
-            )
-            return end
-        head_arrival = now
-        completion = now
-        links = self._links
-        hop_cycles = self.hop_cycles
-        for hop in self.router.links_on_path(packet.source, packet.destination):
-            start, end = links[hop].reserve(head_arrival + hop_cycles, wire_bytes)
-            head_arrival = start  # downstream hops stall behind contention
-            completion = end
-        return completion
+        return reserve_path(
+            self.paths[packet.source, packet.destination], self.sim.now,
+            self.hop_cycles, packet.size_bytes + PACKET_HEADER_BYTES,
+        )
 
     # -- sending ----------------------------------------------------------------
 
     def send(self, packet: Packet) -> int:
         """Inject ``packet``; schedule delivery; return the completion cycle."""
-        completion = self.delivery_time(packet)
-        self.packets_injected += 1
-        self.bytes_injected += packet.size_bytes
-        handler = self._handlers.get(packet.destination)
-        if handler is None:
+        try:
+            handler = self._handlers[packet.destination]
+        except KeyError:
             raise RuntimeError(
                 f"packet to node {packet.destination} but nothing is attached there"
-            )
+            ) from None
+        sim = self.sim
+        size = packet.size_bytes
+        completion = self.delivery_time(packet)
+        self.packets_injected += 1
+        self.bytes_injected += size
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
             # and the trace must record the packet's actual fate, not
             # the pre-fault plan.
-            verdict, extra = self.fault_plan.judge(packet, self.sim.now, self)
+            verdict, extra = self.fault_plan.judge(packet, sim.now, self)
             if verdict == "drop":
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
                 self.packets_lost += 1
-                if self.sim.obs is not None:
+                if sim.obs is not None:
                     self._observe_packet(packet, completion, verdict)
                 return completion
             if verdict == "corrupt":
@@ -144,10 +154,10 @@ class Network:
                 self.packets_delayed += 1
                 completion += extra
         self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
-        if self.sim.obs is not None:
+        self.bytes_sent += size
+        if sim.obs is not None:
             self._observe_packet(packet, completion, verdict)
-        self.sim.schedule(completion - self.sim.now, handler, packet)
+        sim.schedule(completion - sim.now, handler, packet)
         return completion
 
     def _observe_packet(self, packet: Packet, completion: int,
@@ -185,11 +195,7 @@ class Network:
     def _uncontended_completion(self, packet: Packet, now: int) -> int:
         """When the packet would complete on an idle path (no queueing)."""
         wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        if packet.source == packet.destination:
-            hops = 1
-        else:
-            hops = len(self.router.links_on_path(packet.source,
-                                                 packet.destination))
+        hops = len(self.paths[packet.source, packet.destination])
         serialization = -(-wire_bytes // self.bytes_per_cycle)
         return now + hops * self.hop_cycles + max(serialization, 1)
 

@@ -16,11 +16,6 @@ class XYRouter:
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
-        # The topology is immutable, so (source, destination) -> links
-        # is a pure function; cache it (route() dominates delivery-time
-        # computation on large meshes otherwise).  Subclasses share the
-        # cache machinery but not the cache — it keys off self.route.
-        self._links_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def route(self, source: int, destination: int) -> list[int]:
         """The node sequence from ``source`` to ``destination`` inclusive."""
@@ -42,18 +37,12 @@ class XYRouter:
         return self.topology.distance(source, destination)
 
     def links_on_path(self, source: int, destination: int) -> list[tuple[int, int]]:
-        """The directed links an XY packet occupies, in order.
-
-        The returned list is cached and shared — callers must treat it
-        as read-only.
-        """
-        key = (source, destination)
-        links = self._links_cache.get(key)
-        if links is None:
-            path = self.route(source, destination)
-            links = list(zip(path, path[1:]))
-            self._links_cache[key] = links
-        return links
+        """The directed links a packet occupies, in order (none for a
+        self-send).  A pure function of the immutable topology; the
+        :class:`~repro.noc.network.Network` caches what it resolves
+        them to."""
+        path = self.route(source, destination)
+        return list(zip(path, path[1:]))
 
 
 class YXRouter(XYRouter):

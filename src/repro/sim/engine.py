@@ -8,10 +8,14 @@ optimisation used by lightweight simulators):
   long same-cycle chains produced by process wake-ups and event
   dispatch never touch the heap.
 - ``_heap`` — a binary heap of ``[when, seq, callback, argument]``
-  entries for *future* cycles.  When the clock advances to a new cycle,
-  every heap entry due at that cycle is drained into the bucket in
-  sequence order, so FIFO ordering among same-cycle callbacks is
-  exactly what the old single-heap implementation produced.
+  entries for *future* cycles.  When the clock advances to a cycle
+  that several heap entries share, they are all drained into the bucket
+  in sequence order, so FIFO ordering among same-cycle callbacks is
+  exactly what a single heap would produce.  An entry that has its
+  cycle to itself — the common case: a packet delivery, a retransmit
+  timer — is run right where :meth:`Simulator.run` pops it; whatever it
+  queues for the same cycle lands in the empty bucket behind it, so
+  the order is the same and the entry skips a deque round trip.
 
 Entries are mutable lists so they double as cancellation handles: see
 :meth:`Simulator.cancel`.
@@ -19,11 +23,11 @@ Entries are mutable lists so they double as cancellation handles: see
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 
 from collections import deque
+from heapq import heappop, heappush
 
 from repro.sim.events import Event
 from repro.sim.ledger import TimeLedger
@@ -50,6 +54,10 @@ def _as_cycles(value, what: str) -> int:
         raise TypeError(
             f"{what} must be an int cycle count, got {type(value).__name__}"
         ) from None
+
+
+#: what :meth:`Simulator.run` watches when no ``until_event`` is given.
+_NEVER = Event(None, "never")
 
 
 class Simulator:
@@ -84,14 +92,14 @@ class Simulator:
         """
         if type(delay) is not int:
             delay = _as_cycles(delay, "delay")
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0:
+        if delay > 0:
+            entry = [self.now + delay, next(self._sequence), callback, argument]
+            heappush(self._heap, entry)
+        elif delay == 0:
             entry = [callback, argument]
             self._bucket.append(entry)
         else:
-            entry = [self.now + delay, next(self._sequence), callback, argument]
-            heapq.heappush(self._heap, entry)
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
         return entry
 
     def call_soon(self, callback, argument: object = None) -> list:
@@ -118,7 +126,7 @@ class Simulator:
             self._bucket.append(entry)
         else:
             entry = [when, next(self._sequence), callback, argument]
-            heapq.heappush(self._heap, entry)
+            heappush(self._heap, entry)
         return entry
 
     def cancel(self, handle: list) -> None:
@@ -161,7 +169,7 @@ class Simulator:
         if cycles == 0:
             self._bucket.append([done.succeed, None])
         else:
-            heapq.heappush(
+            heappush(
                 self._heap,
                 [self.now + cycles, next(self._sequence), done.succeed, None],
             )
@@ -180,7 +188,7 @@ class Simulator:
         entry due then into the bucket; False if the heap is empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             if entry[2] is None:
                 self._cancelled -= 1
                 continue
@@ -191,7 +199,7 @@ class Simulator:
             # live; callbacks sit at [-2] in both entry shapes.
             bucket.append(entry)
             while heap and heap[0][0] == when:
-                bucket.append(heapq.heappop(heap))
+                bucket.append(heappop(heap))
             return True
         return False
 
@@ -220,59 +228,46 @@ class Simulator:
         ``until`` still fire.  When ``until_event`` is given, execution
         stops right after the event triggers.
         """
-        bucket = self._bucket
-        if until is None and until_event is None:
-            # Fast drain loop: no bound checks on the hot path.
-            while True:
-                while bucket:
-                    entry = bucket.popleft()
-                    callback = entry[-2]
-                    if callback is None:
-                        self._cancelled -= 1
-                    else:
-                        entry[-2] = None
-                        callback(entry[-1])
-                if not self._advance():
-                    return
-        # Bounded loop: drain the bucket in bursts, checking the stop
-        # conditions only where they can change — ``until`` gates heap
-        # advancement, ``until_event`` can only trigger from inside a
-        # callback.
-        heap = self._heap
-        if until_event is not None and until_event.triggered:
+        bucket, heap = self._bucket, self._heap
+        # One loop serves all three modes: with no event to watch, the
+        # stop test reads the state of one that never triggers.
+        stop = until_event if until_event is not None else _NEVER
+        if stop._state:
             return
         while True:
-            if bucket:
-                if until_event is None:
-                    while bucket:
-                        entry = bucket.popleft()
-                        callback = entry[-2]
-                        if callback is None:
-                            self._cancelled -= 1
-                        else:
-                            entry[-2] = None
-                            callback(entry[-1])
-                else:
-                    while bucket:
-                        entry = bucket.popleft()
-                        callback = entry[-2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[-2] = None
-                        callback(entry[-1])
-                        if until_event.triggered:
-                            return
-                continue
+            while bucket:
+                entry = bucket.popleft()
+                callback = entry[-2]
+                if callback is None:
+                    self._cancelled -= 1
+                    continue
+                # Blank the entry before running it: the handle is
+                # consumed, so a later cancel is the promised no-op.
+                entry[-2] = None
+                callback(entry[-1])
+                if stop._state:
+                    return
             while heap and heap[0][2] is None:
-                heapq.heappop(heap)
+                heappop(heap)
                 self._cancelled -= 1
-            if not heap:
+            if not heap or (until is not None and heap[0][0] > until):
                 break
-            if until is not None and heap[0][0] > until:
-                self.now = until
+            entry = heappop(heap)
+            self.now = when = entry[0]
+            if heap and heap[0][0] == when:
+                # The cycle is shared: every entry due now moves to the
+                # bucket in sequence order (as-is, so cancel handles
+                # stay live) and runs FIFO from there.
+                bucket.append(entry)
+                while heap and heap[0][0] == when:
+                    bucket.append(heappop(heap))
+                continue
+            # A lone entry is run where it was popped; what it queues at
+            # this cycle lands in the (empty) bucket behind it.
+            callback, entry[2] = entry[2], None
+            callback(entry[3])
+            if stop._state:
                 return
-            self._advance()
         if until is not None and self.now < until:
             self.now = until
 

@@ -23,19 +23,21 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+#: Event states.  Pending is falsy, so the engine, ``Process._wake`` and
+#: the DTU test ``event._state`` directly where a ``triggered``/``ok``
+#: property call per executed callback would show in the profile.
+PENDING, SUCCEEDED, FAILED = 0, 1, 2
+
+
 class Event:
     """A one-shot occurrence at a point in simulated time."""
-
-    _PENDING = 0
-    _SUCCEEDED = 1
-    _FAILED = 2
 
     __slots__ = ("sim", "name", "_state", "_value", "_callbacks")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        self._state = Event._PENDING
+        self._state = PENDING
         self._value: object = None
         self._callbacks: list = []
 
@@ -44,12 +46,12 @@ class Event:
     @property
     def triggered(self) -> bool:
         """Whether the event has been succeeded or failed."""
-        return self._state != Event._PENDING
+        return self._state != PENDING
 
     @property
     def ok(self) -> bool:
         """Whether the event has succeeded."""
-        return self._state == Event._SUCCEEDED
+        return self._state == SUCCEEDED
 
     @property
     def value(self) -> object:
@@ -60,20 +62,20 @@ class Event:
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully, waking all waiters."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"event {self.name!r} triggered twice")
-        self._state = Event._SUCCEEDED
+        self._state = SUCCEEDED
         self._value = value
         self._dispatch()
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception, thrown into waiters."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"event {self.name!r} triggered twice")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._state = Event._FAILED
+        self._state = FAILED
         self._value = exception
         self._dispatch()
         return self
@@ -89,7 +91,7 @@ class Event:
 
     def add_callback(self, callback) -> None:
         """Register ``callback(event)``; runs via the queue if triggered."""
-        if self._state == Event._PENDING:
+        if not self._state:
             self._callbacks.append(callback)
         else:
             self.sim._bucket.append([callback, self])

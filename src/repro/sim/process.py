@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import SUCCEEDED, Event, Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -46,10 +46,12 @@ class Process:
 
     def _wake(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._advance(self.generator.send, event.value)
+        # Hottest wake-up path: read the event's slots, not its
+        # ``ok``/``value`` properties (two calls per resumed process).
+        if event._state == SUCCEEDED:
+            self._advance(self.generator.send, event._value)
         else:
-            self._advance(self.generator.throw, event.value)
+            self._advance(self.generator.throw, event._value)
 
     def _advance(self, resume, value) -> None:
         """Resume the generator (``resume`` is its ``send`` or ``throw``)
@@ -62,24 +64,29 @@ class Process:
         except BaseException as exc:
             self.done.fail(exc)
             return
-        self._block_on(target)
-
-    def _block_on(self, target) -> None:
         if type(target) is not Event:
-            if isinstance(target, Process):
-                target = target.done
-            elif isinstance(target, int):
-                target = self.sim.delay(target)
-            elif not isinstance(target, Event):
-                self.done.fail(
-                    TypeError(
-                        f"process {self.name!r} yielded {target!r}; expected "
-                        "an Event, a Process, or an int delay"
-                    )
-                )
+            target = self._as_event(target)
+            if target is None:
                 return
         self._waiting_on = target
         target.add_callback(self._wake)
+
+    def _as_event(self, target) -> Event | None:
+        """The event a yielded :class:`Process` or ``int`` stands for;
+        anything else fails the process (and yields ``None``)."""
+        if isinstance(target, Process):
+            return target.done
+        if isinstance(target, int):
+            return self.sim.delay(target)
+        if isinstance(target, Event):
+            return target
+        self.done.fail(
+            TypeError(
+                f"process {self.name!r} yielded {target!r}; expected "
+                "an Event, a Process, or an int delay"
+            )
+        )
+        return None
 
     # -- external control -----------------------------------------------------
 

@@ -120,11 +120,12 @@ class Signal:
     a message arrives" without busy-looping the simulator.
     """
 
-    __slots__ = ("sim", "name", "_waiters")
+    __slots__ = ("sim", "name", "_wait_name", "_waiters")
 
     def __init__(self, sim: "Simulator", name: str = "signal"):
         self.sim = sim
         self.name = name
+        self._wait_name = f"{name}.wait"  # built once, not per wait
         #: pending (event, timer-handle) pairs; the handle is None for
         #: unbounded waits.
         self._waiters: list[tuple[Event, list | None]] = []
@@ -139,7 +140,7 @@ class Signal:
         is cancelled (:meth:`Simulator.cancel`), so satisfied waits
         leave no dead callbacks in the event queue.
         """
-        event = Event(self.sim, f"{self.name}.wait")
+        event = Event(self.sim, self._wait_name)
         if timeout is None:
             self._waiters.append((event, None))
             return event

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dtu import MemoryPerm, NoPermission
+from repro.sim import Simulator
 from tests.dtu.conftest import configure_memory_ep
 
 
@@ -120,3 +121,34 @@ def test_memory_roundtrip_charged_as_xfer(platform):
 
     platform.sim.run_process(software())
     assert platform.sim.ledger.total("xfer") >= 1024 / 8
+
+
+def test_best_effort_read_schedules_only_the_packets_it_moves(platform,
+                                                              monkeypatch):
+    """A best-effort RDMA read is two packets, and nothing else is put
+    on the event queue for it: the request's injection and delivery,
+    the DRAM access, the response's delivery.  (The DTU used to build
+    and trigger a delivery event for the request that nobody awaited —
+    one more heap entry per transaction.)"""
+    dtu = platform.pe(0).dtu
+    configure_memory_ep(dtu, 0, platform.dram_node, 0, 1024)
+    scheduled = []
+    schedule = Simulator.schedule
+
+    def recording(sim, delay, callback, argument=None):
+        scheduled.append(callback.__qualname__)
+        return schedule(sim, delay, callback, argument)
+
+    monkeypatch.setattr(Simulator, "schedule", recording)
+
+    def software():
+        return (yield from dtu.read_memory(0, 0, 64))
+
+    assert platform.sim.run_process(software()) == bytes(64)
+    assert scheduled == [
+        "Network.send",              # the request, once injected
+        "DramModule.handle_packet",  # ...delivered to the DRAM module
+        "DramModule._respond",       # the DRAM access time
+        "DTU.handle_packet",         # the response, delivered back
+    ]
+    assert platform.sim.pending_events == 0

@@ -69,6 +69,17 @@ def test_send_without_handler_raises():
         net.send(Packet(0, 5, "message", 8))
 
 
+def test_send_without_handler_leaves_no_trace():
+    # The handler is resolved before anything is reserved or counted: a
+    # packet the NoC refuses must not occupy links or show in the stats.
+    sim, net = _network()
+    with pytest.raises(RuntimeError):
+        net.send(Packet(0, 5, "message", 8))
+    assert all(link.packets == 0 for _key, link in net.iter_links())
+    assert net.packets_injected == 0 and net.bytes_injected == 0
+    assert net.utilization_report() == {}
+
+
 def test_double_attach_rejected():
     sim, net = _network()
     net.attach(2, lambda p: None)
