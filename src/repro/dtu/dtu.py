@@ -377,9 +377,9 @@ class DTU:
         location the read data should be transferred to").
         """
         ep = self._memory_ep(ep_index, offset, length, MemoryPerm.READ)
-        data = yield from self._memory_transaction(
+        data = yield from self._transaction(
             "mem_read", ep.mem_node, MEM_REQUEST_BYTES,
-            ep.mem_addr + offset, length, expect_bytes=length,
+            (ep.mem_addr + offset, length), length, bytes=MEM_REQUEST_BYTES,
         )
         if into_addr is not None:
             self.local_memory.write(into_addr, data)
@@ -395,9 +395,10 @@ class DTU:
         if from_addr is not None:
             data = self.local_memory.read(from_addr, len(data))
         ep = self._memory_ep(ep_index, offset, len(data), MemoryPerm.WRITE)
-        yield from self._memory_transaction(
-            "mem_write", ep.mem_node, MEM_REQUEST_BYTES + len(data),
-            ep.mem_addr + offset, bytes(data),
+        size = MEM_REQUEST_BYTES + len(data)
+        yield from self._transaction(
+            "mem_write", ep.mem_node, size,
+            (ep.mem_addr + offset, bytes(data)), 0, bytes=size,
         )
         return len(data)
 
@@ -417,17 +418,17 @@ class DTU:
             )
         return ep
 
-    def _memory_transaction(self, kind: str, target: int, request_bytes: int,
-                            address: int, operand, expect_bytes: int = 0):
-        """Issue a request packet — ``(transaction, address, operand)``,
-        the operand being a read's length or a write's bytes — and wait
-        for the matching ``mem_resp``."""
+    def _transaction(self, kind: str, target: int, size_bytes: int,
+                     payload_tail: tuple, expect_bytes: int, **span_args):
+        """Generator: issue the request packet ``(transaction,
+        *payload_tail)`` and wait for the response that completes it;
+        ``expect_bytes`` is that response's size."""
         transaction = next(self._transaction_ids)
         done = Event(self.sim, self._transaction_name)
         self._pending[transaction] = done
         ctx, txn_span = self._stamp_context()
-        packet = Packet(self.node, target, kind, request_bytes,
-                        (transaction, address, operand), ctx.trace_id, txn_span)
+        packet = Packet(self.node, target, kind, size_bytes,
+                        (transaction, *payload_tail), ctx.trace_id, txn_span)
         started = self.sim.now
         self._inject_transaction(packet, transaction, expect_bytes)
         response = yield done
@@ -435,11 +436,11 @@ class DTU:
         # transfer time from the core's point of view.
         self.sim.ledger.charge(Tag.XFER, self.sim.now - started)
         if self.sim.obs is not None:
-            # The RDMA round trip as one DTU span; the request and
-            # response packets' NoC spans hang off it via the stamp.
+            # The round trip as one DTU span; the request and response
+            # packets' NoC spans hang off it via the stamp.
             self.sim.obs.complete(
                 kind, "dtu", self.node, started, span_id=txn_span,
-                parent=ctx, destination=target, bytes=request_bytes,
+                parent=ctx, destination=target, **span_args,
             )
         return response
 
@@ -478,28 +479,10 @@ class DTU:
         so only kernel PEs can reconfigure endpoints (Section 4.3).
         Raises :class:`NoPermission` if this DTU is unprivileged.
         """
-        transaction = next(self._transaction_ids)
-        done = Event(self.sim, self._transaction_name)
-        self._pending[transaction] = done
-        ctx, txn_span = self._stamp_context()
-        packet = Packet(
-            source=self.node,
-            destination=target_node,
-            kind="ep_config",
-            size_bytes=64,
-            payload=(transaction, self.privileged, operation, args),
-            trace_id=ctx.trace_id,
-            trace_parent=txn_span,
+        result = yield from self._transaction(
+            "ep_config", target_node, 64,
+            (self.privileged, operation, args), 0, operation=operation,
         )
-        self._inject_transaction(packet, transaction)
-        started = self.sim.now
-        result = yield done
-        self.sim.ledger.charge(Tag.XFER, self.sim.now - started)
-        if self.sim.obs is not None:
-            self.sim.obs.complete(
-                "ep_config", "dtu", self.node, started, span_id=txn_span,
-                parent=ctx, destination=target_node, operation=operation,
-            )
         if result == "denied":
             raise NoPermission(
                 f"DTU at node {self.node} is not privileged to configure "

@@ -35,6 +35,7 @@ from repro.eval.report import render_table
 from repro.eval.traffic import _summarize
 from repro.faults import FaultPlan
 from repro.m3.autoscale import AutoScaler
+from repro.m3.lib.service import start_service
 from repro.m3.services.kvserv import KvClient, KvServ, start_kv_tier
 from repro.m3.system import M3System
 from repro.workloads import traffic
@@ -201,13 +202,10 @@ def boot_comparison() -> dict:
     if not marks.get("grown"):
         raise RuntimeError("warm boot failed to grow the tier")
 
-    cold = KvServ(service_name="cold", op_cycles=KV_OP_CYCLES)
-    cold.ready = system.sim.event("cold.ready")
     cold_start = system.sim.now
-    system.spawn(cold.main, name="cold", domain=2)
-    system.sim.run(until_event=cold.ready)
-    if not cold.ready.triggered:
-        raise RuntimeError("cold replica failed to start")
+    start_service(
+        system, KvServ(service_name="cold", op_cycles=KV_OP_CYCLES), domain=2
+    )
     marks["cold_ready"] = system.sim.now - cold_start
     filled = system.sim.event("cold.filled")
 

@@ -311,8 +311,6 @@ class FaultPlan:
 
     def _record(self, cycle: int, action: str, detail: str) -> None:
         self.events.append(FaultRecord(cycle, action, detail))
-        if self.sim is not None:
-            self.sim.ledger.mark(cycle, Tag.FAULT, f"{action}: {detail}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FaultPlan seed={self.seed} rules={len(self.packet_rules)} "

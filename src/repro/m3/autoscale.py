@@ -227,7 +227,7 @@ class AutoScaler:
         # clone from its image instead of starting cold.
         yield from source_kernel.migration.checkpoint_vpe(source.vpe)
         clone = KvServ(service_name=f"{self.name}{self._next_index}",
-                       op_cycles=source.op_cycles)
+                       op_cycles=source.request_cycles)
         self._next_index += 1
         clone.store = dict(source.store)
         clone.bytes_stored = source.bytes_stored
@@ -290,11 +290,6 @@ class AutoScaler:
             self.sim.obs.instant("scale_up", "autoscale", vpe.node,
                                  replica=clone.service_name,
                                  domain=target_domain)
-        self.sim.ledger.mark(
-            self.sim.now, Tag.OS,
-            f"autoscale grows {self.name!r}: {clone.service_name} into "
-            f"domain {target_domain} ({detail})",
-        )
         return True
 
     # -- scale down ----------------------------------------------------
@@ -364,8 +359,3 @@ class AutoScaler:
             self.sim.obs.count("autoscale.scale_downs")
             self.sim.obs.instant("scale_down", "autoscale", vpe.node,
                                  replica=victim_name, domain=victim_domain)
-        self.sim.ledger.mark(
-            self.sim.now, Tag.OS,
-            f"autoscale shrinks {self.name!r}: retired {victim_name} "
-            f"from domain {victim_domain}",
-        )

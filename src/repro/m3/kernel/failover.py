@@ -159,10 +159,6 @@ class Failover:
                     domain=kernel.kernel_id,
                 )
         vpe.failed = True
-        self.sim.ledger.mark(
-            self.sim.now, Tag.FAULT,
-            f"kernel recovers VPE #{vpe.id} ({vpe.name}): {reason}",
-        )
         yield from kernel.quarantine_pe(vpe.pe)
         error = ("err", f"VPE {vpe.name!r} failed: {reason}")
         for waiter_vpe, slot in vpe.waiters + vpe.yield_waiters:
@@ -303,10 +299,6 @@ class Failover:
                     f"dead ({reason})",
                     domain=peer,
                 )
-        self.sim.ledger.mark(
-            detected, Tag.FAULT,
-            f"{kernel.label}: declared kernel {peer} dead ({reason})",
-        )
         self.sim.process(
             self._fail_over(peer, reason, detected, announce),
             f"{kernel.label}.failover.k{peer}",
@@ -405,8 +397,3 @@ class Failover:
                 "failover_done", "ik", kernel.node, peer=peer,
                 cycles=self.sim.now - detected,
             )
-        self.sim.ledger.mark(
-            self.sim.now, Tag.FAULT,
-            f"{kernel.label}: failover for kernel {peer} complete "
-            f"({self.sim.now - detected} cycles after detection)",
-        )

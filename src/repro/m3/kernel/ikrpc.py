@@ -281,11 +281,6 @@ class IkTransport:
         self.timeouts += 1
         if self.sim.obs is not None:
             self.sim.obs.count(f"kernel{self.kernel_id}.ik_timeouts")
-        self.sim.ledger.mark(
-            self.sim.now, Tag.FAULT,
-            f"kernel{self.kernel_id}: ik {call.operation} to kernel {peer} "
-            f"timed out after {call.attempts} attempts",
-        )
         # No reply will ever refund these credits.
         self._refund(peer, call.attempts)
         self._drain(peer)

@@ -171,11 +171,6 @@ class Migration:
             self.sim.obs.count("kernel.migrations")
             self.sim.obs.instant("migrate", "migrate", old_node,
                                  vpe=vpe.id, target=target_pe.node)
-        self.sim.ledger.mark(
-            self.sim.now, Tag.OS,
-            f"{kernel.label} migrates VPE #{vpe.id} ({vpe.name}) "
-            f"{old_node} -> {target_pe.node}",
-        )
 
         def close_window():
             yield self.sim.delay(params.DTU_REDIRECT_WINDOW_CYCLES)
@@ -218,11 +213,6 @@ class Migration:
             self.sim.obs.count("kernel.migrations")
             self.sim.obs.instant("migrate", "watchdog", old_pe.node,
                                  vpe=vpe.id, target=target.node)
-        self.sim.ledger.mark(
-            self.sim.now, Tag.FAULT,
-            f"{kernel.label} migrates VPE #{vpe.id} ({vpe.name}) off dead "
-            f"node {old_pe.node} to node {target.node}",
-        )
         vpe.pe = target
         # Restore the image, then restart the entry: the bump allocator
         # starts from zero again, so the re-run allocates the same
@@ -356,11 +346,6 @@ class Migration:
             self.sim.obs.count("kernel.migrations_out")
             self.sim.obs.instant("migrate_out", "migrate", child.node,
                                  vpe=old_id, peer=peer, target=new_node)
-        self.sim.ledger.mark(
-            self.sim.now, Tag.OS,
-            f"{kernel.label} migrates VPE #{old_id} ({child.name}) out to "
-            f"kernel {peer} node {new_node}",
-        )
         return ("ok", (new_id, new_node))
 
     def migrate_vpe_cross(self, child: VpeObject, peer: int):

@@ -4,65 +4,27 @@ from __future__ import annotations
 
 import typing
 
-from repro.m3.kernel import syscalls
-from repro.m3.lib.env import Env
-from repro.m3.lib.gate import BoundRecvGate, SendGate
+from repro import params
+from repro.m3.lib.service import ClientSession
 from repro.m3.services.m3fs.fs import FsError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.lib.file import File
 
 
-class M3fsClient:
-    """One application's session with the m3fs service."""
+class M3fsClient(ClientSession):
+    """One application's session with the m3fs service.
 
-    def __init__(self, env: Env, session_sel: int, sgate: SendGate):
-        self.env = env
-        self.session_sel = session_sel
-        self.sgate = sgate
-        self.reply_gate = BoundRecvGate(env, Env.EP_REPLY)
+    The client-side share of a request (marshalling, unmarshalling,
+    descriptor bookkeeping) dominates its cost; only the small
+    server-side share serialises at the service (see
+    :data:`repro.params.M3FS_CLIENT_RPC_CYCLES`).
+    """
 
-    @classmethod
-    def connect(cls, env: Env, service: str = "m3fs"):
-        """Generator: open a session with the filesystem service."""
-        session_sel, sgate_sel = yield from env.syscall(
-            syscalls.OPEN_SESSION, service
-        )
-        return cls(env, session_sel, SendGate(env, sgate_sel))
-
-    def request(self, operation: str, *args):
-        """Generator: one RPC to the service; returns the result payload.
-
-        The client-side share (marshalling, unmarshalling, descriptor
-        bookkeeping) dominates the request cost; only the small
-        server-side share serialises at the service (see
-        :data:`repro.params.M3FS_CLIENT_RPC_CYCLES`).
-        """
-        from repro import params
-
-        obs = self.env.sim.obs
-        # Root (or child, when called under a traced span) of the
-        # request's causal trace: the send gate's DTU message carries
-        # the context to the service.
-        span = -1
-        if obs is not None:
-            span = obs.begin(operation, "m3fs-client", self.env.pe.node,
-                             vpe=self.env.vpe_id)
-        try:
-            yield self.env.sim.delay(params.M3FS_CLIENT_RPC_CYCLES, tag="os")
-            message = yield from self.sgate.call(
-                (operation, args), self.reply_gate
-            )
-        except BaseException:
-            if obs is not None:
-                obs.end(span, outcome="interrupted")
-            raise
-        if obs is not None:
-            obs.end(span)
-        status, result = message.payload
-        if status != "ok":
-            raise FsError(result)
-        return result
+    service = "m3fs"
+    error = FsError
+    rpc_cycles = params.M3FS_CLIENT_RPC_CYCLES
+    category = "m3fs-client"
 
     # -- file access -----------------------------------------------------------
 

@@ -26,10 +26,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.m3.kernel import syscalls
-from repro.m3.lib.env import Env
-from repro.m3.lib.gate import BoundRecvGate, RecvGate, SendGate
-from repro.obs.causal import header_context
+from repro.m3.lib.service import ClientSession, Server, start_service
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.system import M3System
@@ -42,32 +39,24 @@ class KvError(Exception):
     """A kv request the service refused (bad key/value, closed session)."""
 
 
-class _KvSession:
-    """Per-client state: request accounting (the store is shared)."""
+class KvServ(Server):
+    """One replica: the store plus its operations."""
 
-    __slots__ = ("id", "requests")
-
-    def __init__(self, session_id: int):
-        self.id = session_id
-        self.requests = 0
-
-
-class KvServ:
-    """One replica: the store plus the service message loop."""
+    slot_size = params.KV_MSG_BYTES + 16
+    slot_count = params.KV_RING_SLOTS
+    errors = (KvError, TypeError)
+    category = "kv"
 
     def __init__(self, service_name: str = "kv",
                  op_cycles: int | None = None):
-        self.service_name = service_name
+        super().__init__(service_name)
         #: per-operation service cycles.  The default is the plain
         #: store cost; compute-heavy tiers (scoring, rendering — the
         #: elastic-scaling eval) raise it to model real per-request
         #: work on the replica's PE.
-        self.op_cycles = (
+        self.request_cycles = (
             params.KV_SERVER_CYCLES if op_cycles is None else op_cycles
         )
-        self.ready = None  # an Event, attached before spawn
-        self.env = None
-        self.vpe = None
         #: warm-boot staging (the autoscaler's clone path): with
         #: ``staged`` set, :meth:`main` announces itself on it and then
         #: parks on ``hold`` *before* creating its receive gate — so
@@ -78,8 +67,6 @@ class KvServ:
         #: the object store.  A plain dict: iteration order is
         #: insertion order, so reports stay deterministic.
         self.store: dict[str, bytes] = {}
-        self.sessions: dict[int, _KvSession] = {}
-        self.requests_served = 0
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -88,67 +75,17 @@ class KvServ:
         self.sessions_opened = 0
         self.sessions_closed = 0
 
-    # -- service software ---------------------------------------------------
-
-    def main(self, env):
-        """Generator: runs as the kvserv VPE."""
-        self.env = env
+    def _setup(self, env):
         if self.staged is not None:
             # Warm-boot staging: park before touching any kernel state
             # beyond the syscall channel.  The hold event survives a
             # live migration (env.pe/env.dtu are repointed under us).
             self.staged.succeed(self)
             yield self.hold
-        rgate = yield from RecvGate.create(
-            env, slot_size=params.KV_MSG_BYTES + 16,
-            slot_count=params.KV_RING_SLOTS,
-        )
-        yield from env.syscall(
-            syscalls.CREATE_SRV, self.service_name, rgate.selector
-        )
-        if self.ready is not None:
-            self.ready.succeed(self)
-        while True:
-            slot, message = yield from rgate.receive()
-            obs = env.sim.obs
-            started = env.sim.now
-            operation, args = message.payload
-            # Adopt the request's trace context (like m3fs), so a
-            # traced client request stays causally linked through the
-            # replica's handling.
-            span = -1
-            if obs is not None:
-                span = obs.begin(operation, "kv", env.pe.node,
-                                 parent=header_context(message.header),
-                                 service=self.service_name)
-            yield env.os_work(self.op_cycles)
-            self.requests_served += 1
-            if message.label == 0:
-                # kernel<->service channel: session management.
-                if operation == "open_session":
-                    session_id, _client_vpe = args
-                    self.sessions[session_id] = _KvSession(session_id)
-                    self.sessions_opened += 1
-                    response = ("ok", ())
-                else:
-                    response = ("err", f"unknown kernel op {operation!r}")
-            else:
-                session = self.sessions.get(message.label)
-                if session is None:
-                    response = ("err", "no such session")
-                else:
-                    session.requests += 1
-                    try:
-                        handler = getattr(self, f"_op_{operation}")
-                        result = yield from handler(session, *args)
-                        response = ("ok", result)
-                    except (KvError, AttributeError, TypeError) as exc:
-                        response = ("err", str(exc))
-            yield from rgate.reply(slot, response)
-            if obs is not None:
-                obs.count(f"kv.{self.service_name}.requests")
-                obs.observe("kv.request_cycles", env.sim.now - started)
-                obs.end(span, status=response[0])
+
+    def _open_session(self, session_id: int) -> int:
+        self.sessions_opened += 1
+        return session_id
 
     def _value_copy(self, nbytes: int):
         """Generator: the server-side copy of a value payload."""
@@ -159,7 +96,7 @@ class KvServ:
 
     # -- session operations ---------------------------------------------------
 
-    def _op_get(self, session: _KvSession, key: str):
+    def _op_get(self, session: int, key: str):
         """The value bytes, or None when the key is absent."""
         self.gets += 1
         value = self.store.get(key)
@@ -169,7 +106,7 @@ class KvServ:
         yield from self._value_copy(len(value))
         return value
 
-    def _op_put(self, session: _KvSession, key: str, value: bytes):
+    def _op_put(self, session: int, key: str, value: bytes):
         value = bytes(value)
         if not key:
             raise KvError("empty key")
@@ -184,7 +121,7 @@ class KvServ:
         self.puts += 1
         return len(value)
 
-    def _op_delete(self, session: _KvSession, key: str):
+    def _op_delete(self, session: int, key: str):
         self.deletes += 1
         previous = self.store.pop(key, None)
         if previous is None:
@@ -194,41 +131,20 @@ class KvServ:
         return True
         yield  # pragma: no cover
 
-    def _op_close(self, session: _KvSession):
+    def _op_close(self, session: int):
         """Reclaim the session (same contract as netserv's close)."""
-        self.sessions.pop(session.id, None)
+        self.sessions.pop(session, None)
         self.sessions_closed += 1
         return ()
         yield  # pragma: no cover
 
 
-class KvClient:
+class KvClient(ClientSession):
     """One application's session with a kv replica (or logical tier)."""
 
-    def __init__(self, env: Env, session_sel: int, sgate: SendGate):
-        self.env = env
-        self.session_sel = session_sel
-        self.sgate = sgate
-        self.reply_gate = BoundRecvGate(env, Env.EP_REPLY)
-
-    @classmethod
-    def connect(cls, env: Env, service: str = "kv"):
-        """Generator: open a (possibly routed) session with the tier."""
-        session_sel, sgate_sel = yield from env.syscall(
-            syscalls.OPEN_SESSION, service
-        )
-        return cls(env, session_sel, SendGate(env, sgate_sel))
-
-    def request(self, operation: str, *args):
-        """Generator: one RPC to the replica; returns the result."""
-        yield self.env.sim.delay(params.KV_CLIENT_RPC_CYCLES, tag="os")
-        message = yield from self.sgate.call(
-            (operation, args), self.reply_gate
-        )
-        status, result = message.payload
-        if status != "ok":
-            raise KvError(result)
-        return result
+    service = "kv"
+    error = KvError
+    rpc_cycles = params.KV_CLIENT_RPC_CYCLES
 
     def get(self, key: str):
         return (yield from self.request("get", key))
@@ -261,17 +177,12 @@ def start_kv_tier(system: "M3System", replicas: int | None = None,
     servers = []
     route = []
     for index, domain in enumerate(domains):
-        server = KvServ(service_name=f"{name}{index}", op_cycles=op_cycles)
-        server.ready = system.sim.event(f"{name}{index}.ready")
-        vpe = system.spawn(server.main, name=f"{name}{index}", domain=domain)
-        system.sim.run(until_event=server.ready)
-        if not server.ready.triggered:
-            raise RuntimeError(f"kv replica {name}{index} failed to start")
-        server.vpe = vpe
+        server = start_service(
+            system, KvServ(service_name=f"{name}{index}", op_cycles=op_cycles),
+            domain,
+        )
         servers.append(server)
         route.append((server.service_name, domain))
-        if system.sim.obs is not None:
-            system.sim.obs.label_node(vpe.node, f"service:{name}{index}")
     system.register_service_route(name, route, policy=policy)
     obs = system.sim.obs
     if obs is not None and obs.telemetry is not None:

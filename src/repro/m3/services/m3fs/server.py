@@ -11,14 +11,16 @@ service-delegation syscall.
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 from repro import params
 from repro.dtu.registers import MemoryPerm
 from repro.m3.kernel import syscalls
-from repro.m3.lib.gate import MemGate, RecvGate
+from repro.m3.lib.gate import MemGate
+from repro.m3.lib.service import Server
+from repro.m3.services.m3fs import image
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
-from repro.obs.causal import header_context
 
 #: maximum extents returned per get_locs reply (bounded by the reply
 #: message slot size, as on real hardware).
@@ -58,15 +60,19 @@ class _Session:
             raise FsError(f"bad file descriptor {fd}") from None
 
 
-class M3fsServer:
+class M3fsServer(Server):
     """Service wrapper around :class:`M3FS`, driven as VPE software."""
+
+    slot_size = FS_MSG_BYTES + 16
+    slot_count = FS_RING_SLOTS
+    request_cycles = params.M3FS_SERVER_CYCLES
+    errors = (FsError, TypeError, MemoryError)
+    category = "m3fs"
 
     def __init__(self, superblock: SuperBlock | None = None,
                  append_blocks: int = params.M3FS_APPEND_BLOCKS,
                  service_name: str = "m3fs", persist: bool = False):
-        from repro.m3.services.m3fs import image
-
-        self.service_name = service_name
+        super().__init__(service_name)
         #: when persistent, the front of the region holds the metadata
         #: image and the ``sync`` operation writes it out.
         self.persist = persist
@@ -75,70 +81,15 @@ class M3fsServer:
             append_blocks=append_blocks,
             reserve_meta_blocks=image.META_BLOCKS if persist else 0,
         )
-        self.ready = None  # an Event, attached by M3System before spawn
-        self.env = None
         self.region: MemGate | None = None
-        self.service_sel: int | None = None
-        self.requests_served = 0
-        self.vpe = None
 
-    # -- service software --------------------------------------------------
-
-    def main(self, env):
-        """Generator: runs as the m3fs VPE."""
-        self.env = env
+    def _setup(self, env):
         self.region = yield from MemGate.create(
             env, self.fs.sb.size_bytes, MemoryPerm.RW.value
         )
-        rgate = yield from RecvGate.create(
-            env, slot_size=FS_MSG_BYTES + 16, slot_count=FS_RING_SLOTS
-        )
-        self.service_sel = yield from env.syscall(
-            syscalls.CREATE_SRV, self.service_name, rgate.selector
-        )
-        sessions: dict[int, _Session] = {}
-        if self.ready is not None:
-            self.ready.succeed(self)
-        while True:
-            slot, message = yield from rgate.receive()
-            obs = env.sim.obs
-            started = env.sim.now
-            operation, args = message.payload
-            # The service span adopts the request's trace context from
-            # the message header, so everything done here — including
-            # delegation syscalls back to the kernel — stays causally
-            # linked to the client's request.
-            span = -1
-            if obs is not None:
-                span = obs.begin(operation, "m3fs", env.pe.node,
-                                 parent=header_context(message.header),
-                                 service=self.service_name)
-            yield env.os_work(params.M3FS_SERVER_CYCLES)
-            self.requests_served += 1
-            if message.label == 0:
-                # The kernel<->service channel: session management.
-                if operation == "open_session":
-                    session_id, _client_vpe = args
-                    sessions[session_id] = _Session(session_id)
-                    response = ("ok", ())
-                else:
-                    response = ("err", f"unknown kernel op {operation!r}")
-            else:
-                session = sessions.get(message.label)
-                if session is None:
-                    response = ("err", "no such session")
-                else:
-                    try:
-                        handler = getattr(self, f"_op_{operation}")
-                        result = yield from handler(session, *args)
-                        response = ("ok", result)
-                    except (FsError, AttributeError, TypeError, MemoryError) as exc:
-                        response = ("err", str(exc))
-            yield from rgate.reply(slot, response)
-            if obs is not None:
-                obs.count(f"m3fs.{self.service_name}.requests")
-                obs.observe("m3fs.request_cycles", env.sim.now - started)
-                obs.end(span, status=response[0])
+
+    def _open_session(self, session_id: int) -> _Session:
+        return _Session(session_id)
 
     # -- capability delegation ----------------------------------------------
 
@@ -261,10 +212,6 @@ class M3fsServer:
         """Write the metadata image into the region's reserved blocks
         (a real, timed DTU transfer) — the filesystem now survives a
         service restart from the DRAM contents alone."""
-        import struct
-
-        from repro.m3.services.m3fs import image
-
         if not self.persist:
             raise FsError("service was not started with persist=True")
         payload = image.serialize(self.fs)

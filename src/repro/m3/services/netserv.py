@@ -25,10 +25,10 @@ import typing
 from repro import params
 from repro.dtu.registers import MemoryPerm
 from repro.hw.device import CMD_RECV_EP, DMA_MEM_EP, IRQ_SEND_EP, NetworkDevice, Wire
-from repro.m3.kernel import syscalls
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.objects import RecvGateObject, SendGateObject
-from repro.m3.lib.gate import BoundRecvGate, MemGate, RecvGate, SendGate
+from repro.m3.lib.gate import BoundRecvGate, MemGate, SendGate
+from repro.m3.lib.service import ClientSession, Server, start_service
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.system import M3System
@@ -65,32 +65,34 @@ class _Socket:
         self.inbox_depth = inbox_depth
 
 
-class NetServ:
-    """The service: socket state plus the NIC driver loop."""
+class NetServ(Server):
+    """The service: socket state plus the NIC driver."""
+
+    slot_size = 512
+    slot_count = 32
+    request_cycles = params.M3FS_SERVER_CYCLES
+    errors = (ValueError, TypeError)
+    irq_label = IRQ_LABEL
 
     def __init__(self, service_name: str = "net",
                  inbox_depth: int = INBOX_DEPTH):
-        self.service_name = service_name
+        super().__init__(service_name)
         self.inbox_depth = inbox_depth
-        self.ready = None  # Event, attached before spawn
         #: Event, attached before spawn: succeeds once the system layer
         #: has wired the NIC and installed ``self.nic_cmd`` (replaces
         #: the old poll-every-500-cycles startup busy-wait).
         self.nic_attached = None
-        self.env = None
         self.buffer: MemGate | None = None
         self.nic_cmd: SendGate | None = None
-        self.vpe = None
         self.nic: NetworkDevice | None = None
-        self.sockets: dict[int, _Socket] = {}
+        #: the session table, by the name the driver side knows it by.
+        self.sockets: dict[int, _Socket] = self.sessions
         self.ports: dict[int, _Socket] = {}
         self.frames_routed = 0
         self.frames_dropped = 0
         self._tx_free: list[int] = list(range(TX_SLOTS))
 
-    def main(self, env):
-        """Generator: runs as the netserv VPE."""
-        self.env = env
+    def _setup(self, env):
         self.buffer = yield from MemGate.create(
             env, BUFFER_BYTES, MemoryPerm.RW.value
         )
@@ -99,12 +101,8 @@ class NetServ:
         # exhausts the gate after max_credits lifetime commands — the
         # NIC acks but never replies, so credits never come back.
         self._nic_reply = BoundRecvGate(env, env.EP_REPLY)
-        rgate = yield from RecvGate.create(env, slot_size=512, slot_count=32)
-        yield from env.syscall(
-            syscalls.CREATE_SRV, self.service_name, rgate.selector
-        )
-        if self.ready is not None:
-            self.ready.succeed(self)
+
+    def _started(self):
         # the system layer wires the NIC and installs self.nic_cmd,
         # then fires nic_attached — an event handoff, not a busy-wait.
         if self.nic_cmd is None:
@@ -114,35 +112,9 @@ class NetServ:
                     "nic_attached event to wait on (use start_network)"
                 )
             yield self.nic_attached
-        while True:
-            slot, message = yield from rgate.receive()
-            yield env.os_work(params.M3FS_SERVER_CYCLES)
-            if message.label == IRQ_LABEL:
-                rgate.ack(slot)
-                yield from self._handle_irq(message.payload)
-                continue
-            operation, args = message.payload
-            if message.label == 0:
-                if operation == "open_session":
-                    session_id, _vpe = args
-                    self.sockets[session_id] = _Socket(
-                        session_id, inbox_depth=self.inbox_depth
-                    )
-                    response = ("ok", ())
-                else:
-                    response = ("err", f"unknown kernel op {operation!r}")
-            else:
-                socket = self.sockets.get(message.label)
-                if socket is None:
-                    response = ("err", "no such session")
-                else:
-                    try:
-                        handler = getattr(self, f"_op_{operation}")
-                        result = yield from handler(socket, *args)
-                        response = ("ok", result)
-                    except (ValueError, AttributeError, TypeError) as exc:
-                        response = ("err", str(exc))
-            yield from rgate.reply(slot, response)
+
+    def _open_session(self, session_id: int) -> _Socket:
+        return _Socket(session_id, inbox_depth=self.inbox_depth)
 
     # -- the driver side ------------------------------------------------------
 
@@ -238,35 +210,14 @@ class NetServ:
         yield  # pragma: no cover
 
 
-class NetClient:
+class NetClient(ClientSession):
     """One application's session with a netserv instance.
 
-    Mirrors M3fsClient's request shape: every operation is a session
-    RPC; the service's ``("err", reason)`` replies surface as
+    The service's ``("err", reason)`` replies surface as
     :class:`RuntimeError`.
     """
 
-    def __init__(self, env, sgate: SendGate):
-        self.env = env
-        self.sgate = sgate
-        self.reply_gate = BoundRecvGate(env, env.EP_REPLY)
-
-    @classmethod
-    def connect(cls, env, service: str = "net"):
-        """Generator: open a session with a netserv instance."""
-        _session_sel, sgate_sel = yield from env.syscall(
-            syscalls.OPEN_SESSION, service
-        )
-        return cls(env, SendGate(env, sgate_sel))
-
-    def request(self, operation: str, *args):
-        """Generator: one session RPC; returns the result."""
-        message = yield from self.sgate.call((operation, args),
-                                             self.reply_gate)
-        status, result = message.payload
-        if status != "ok":
-            raise RuntimeError(result)
-        return result
+    service = "net"
 
     def bind(self, port: int):
         return (yield from self.request("bind", port))
@@ -316,15 +267,10 @@ def start_network(system: "M3System", service_names=("net", "net2"),
             nic.dtu.enable_reliability()
         nics.append(nic)
         server = NetServ(service_name=name)
-        server.ready = system.sim.event(f"{name}.ready")
         server.nic_attached = system.sim.event(f"{name}.nic-attached")
-        vpe = system.spawn(server.main, name=name)
-        system.sim.run(until_event=server.ready)
-        server.vpe = vpe
-        servers.append(server)
+        servers.append(start_service(system, server))
         if system.sim.obs is not None:
             system.sim.obs.label_node(nic.node, f"nic:{nic.name}")
-            system.sim.obs.label_node(vpe.node, f"service:{name}")
     wire.connect(nics[0], nics[1])
 
     def wire_devices():

@@ -18,6 +18,7 @@ from repro.hw.platform import Platform
 from repro.m3.kernel.kernel import Kernel
 from repro.m3.kernel.vpe import VpeObject
 from repro.m3.lib.env import Env
+from repro.m3.lib.service import start_service
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.services.m3fs.server import M3fsServer
@@ -215,18 +216,12 @@ class M3System:
         """
         from repro.m3.services.m3fs.server import M3fsServer
 
-        server = M3fsServer(service_name=name, **fs_kwargs)
-        server.ready = self.sim.event(f"{name}.ready")
-        vpe = self.spawn(server.main, name=name, domain=domain)
-        self.sim.run(until_event=server.ready)
-        if not server.ready.triggered:
-            raise RuntimeError(f"{name} failed to start")
-        server.vpe = vpe
+        server = start_service(
+            self, M3fsServer(service_name=name, **fs_kwargs), domain
+        )
         self.fs_servers[name] = server
         if self.fs_server is None:
             self.fs_server = server
-        if self.sim.obs is not None:
-            self.sim.obs.label_node(vpe.node, f"service:{name}")
         return server
 
     def register_service_route(self, name: str, replicas,

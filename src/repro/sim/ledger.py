@@ -29,10 +29,6 @@ class TimeLedger:
 
     def __init__(self):
         self._totals: dict[str, int] = {}
-        #: timestamped annotations (cycle, tag, text) — used by the
-        #: fault-injection layer so injected faults appear alongside the
-        #: cycle accounting; empty (and free) in fault-less runs.
-        self.marks: list[tuple] = []
 
     def charge(self, tag: str, cycles: int) -> None:
         """Attribute ``cycles`` to ``tag``."""
@@ -41,10 +37,6 @@ class TimeLedger:
         if tag is None:
             return
         self._totals[tag] = self._totals.get(tag, 0) + cycles
-
-    def mark(self, cycle: int, tag: str, text: str) -> None:
-        """Record a timestamped annotation (no cycles charged)."""
-        self.marks.append((cycle, tag, text))
 
     def total(self, tag: str) -> int:
         """Cycles charged to ``tag`` so far."""
@@ -64,9 +56,8 @@ class TimeLedger:
         return diff
 
     def reset(self) -> None:
-        """Clear all totals and marks."""
+        """Clear all totals."""
         self._totals.clear()
-        self.marks.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{t}={c}" for t, c in sorted(self._totals.items()))
