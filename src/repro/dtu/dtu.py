@@ -8,6 +8,14 @@ Timing: injection costs :data:`params.DTU_INJECT_CYCLES`; wire time is
 the NoC model's job; SPM-side service costs :data:`SPM_ACCESS_CYCLES`.
 Transfer durations are charged to the ``xfer`` ledger tag — the
 "Xfers" stack of the paper's figures.
+
+Every transfer — message, reply, memory or configuration request —
+takes one pipeline: *stamp* (an id, the trace context) → *inject*
+(:data:`params.DTU_INJECT_CYCLES`) → *wire* → *ack | response |
+timeout* → *settle*.  Reliability is the fourth stage and nothing
+else: a transfer stamped with a negative id (a best-effort message) or
+injected unarmed (a best-effort request) skips it, and every other
+line is shared.
 """
 
 from __future__ import annotations
@@ -16,20 +24,14 @@ import itertools
 import typing
 
 from repro import params
-from repro.dtu.message import (
-    HEADER_BYTES,
-    Message,
-    MessageHeader,
-    message_crc,
-    payload_crc,
-)
+from repro.dtu.message import HEADER_BYTES, Message, MessageHeader
 from repro.dtu.registers import EndpointKind, EndpointRegisters, MemoryPerm
 from repro.dtu.ringbuffer import DUPLICATE, RingBuffer
 from repro.noc.packet import Packet
 from repro.obs.causal import NO_CONTEXT
-from repro.sim.events import Event, first_of
+from repro.sim.events import Event
 from repro.sim.ledger import Tag
-from repro.sim.resources import Signal
+from repro.sim.resources import Signal, WaitTimeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.spm import Scratchpad
@@ -91,13 +93,22 @@ class DTU:
         self.eps: list[EndpointRegisters] = [
             EndpointRegisters() for _ in range(ep_count)
         ]
-        #: ringbuffer storage per receive endpoint.
+        #: ringbuffer storage per receive endpoint.  An endpoint has one
+        #: exactly while it is configured RECEIVE (only _apply_config
+        #: writes this), so one probe answers "is this a receive
+        #: endpoint" and yields its storage.
         self._ringbufs: dict[int, RingBuffer] = {}
         #: fired when a message lands in the endpoint's ringbuffer.
         self._signals: dict[int, Signal] = {}
-        #: outstanding memory/config transactions awaiting a response.
+        #: one id space for everything that awaits an answer: reliable
+        #: messages (their sequence number) and every transaction.
+        self._ids = itertools.count()
+        #: the event each id's ack or response completes.
         self._pending: dict[int, "Event"] = {}
-        self._transaction_ids = itertools.count()
+        #: reliable only: ``(packet, credit_ep)`` to resend until then.
+        self._retx: dict[int, tuple[Packet, int]] = {}
+        #: acknowledge and retransmit (see enable_reliability).
+        self.reliable = False
         # Event names, built once per DTU rather than once per packet.
         self._delivery_name = f"dtu{node}.delivery"
         self._transaction_name = f"dtu{node}.transaction"
@@ -106,16 +117,9 @@ class DTU:
         self.privileged = True
         self.messages_sent = 0
         self.messages_dropped = 0
-        # -- reliable delivery (opt-in; see enable_reliability) ---------
-        self._reliable = False
-        self._send_seq = itertools.count()
-        #: unacknowledged reliable transmissions, keyed ("msg", seq) for
-        #: messages/replies and ("txn", id) for memory/config requests.
-        self._retx: dict[tuple, dict] = {}
         self.retransmits = 0
         self.acks_sent = 0
         self.crc_drops = 0
-        self.transfer_failures = 0
         #: set by the owning PE: where the privileged "probe" config
         #: operation reads the core's halted/running status.
         self.status_source = None
@@ -127,18 +131,19 @@ class DTU:
         network.attach(node, self.handle_packet)
 
     def enable_reliability(self) -> None:
-        """Switch this DTU to reliable message delivery.
+        """Switch this DTU to reliable delivery.
 
-        Outgoing messages and replies get a sequence number and CRC and
-        are retransmitted with exponential backoff until acknowledged
+        Outgoing messages and replies get a sequence number and are
+        retransmitted with exponential backoff until acknowledged
         (hardware acks, :data:`params.DTU_RETX_MAX` attempts); memory
-        and configuration requests are re-issued the same way.  When
-        the budget is exhausted the DTU reconciles the spent credit and
-        fails the transfer with :class:`TransferTimeout` instead of
-        leaking endpoint state.  Off by default: the best-effort paths
-        are cycle-identical to the calibrated model.
+        and configuration requests are re-issued the same way until
+        answered.  When the budget is exhausted the DTU refunds the
+        spent credit and fails the transfer with
+        :class:`TransferTimeout` instead of leaking endpoint state.
+        Off by default: the best-effort paths are cycle-identical to
+        the calibrated model.
         """
-        self._reliable = True
+        self.reliable = True
 
     # ------------------------------------------------------------------
     # Local (software-visible) interface
@@ -150,19 +155,51 @@ class DTU:
             raise ValueError(f"endpoint {index} out of range")
         return self.eps[index]
 
+    def ringbuffer(self, ep_index: int) -> RingBuffer:
+        """The ringbuffer of a receive endpoint.
+
+        The one place that says what is wrong with an endpoint that has
+        none: the per-message operations probe ``_ringbufs`` themselves
+        and come here only on a miss.
+        """
+        ring = self._ringbufs.get(ep_index)
+        if ring is None:
+            self.ep(ep_index)  # out of range is a ValueError
+            raise NoPermission(f"EP{ep_index} is not a receive endpoint")
+        return ring
+
     def signal(self, ep_index: int) -> Signal:
         """The delivery signal of a receive endpoint (for wait loops)."""
-        ep = self.ep(ep_index)
-        if ep.kind is not _RECEIVE:
-            raise NoPermission(f"EP{ep_index} is not a receive endpoint")
+        if ep_index not in self._ringbufs:
+            self.ringbuffer(ep_index)  # raises what is wrong
         return self._signals[ep_index]
 
-    def ringbuffer(self, ep_index: int) -> RingBuffer:
-        """The ringbuffer of a receive endpoint."""
-        ep = self.ep(ep_index)
-        if ep.kind is not _RECEIVE:
-            raise NoPermission(f"EP{ep_index} is not a receive endpoint")
-        return self._ringbufs[ep_index]
+    def wake(self, ep_index: int) -> None:
+        """Spuriously wake whoever waits on ``ep_index``'s signal (no
+        message arrived; the waiter re-polls).  The kernel does this
+        when the software bound to this DTU now runs on another one."""
+        signal = self._signals.get(ep_index)
+        if signal is not None:
+            signal.fire()
+
+    def hand_off(self, successor: "DTU") -> None:
+        """Live migration, the hardware half: every ringbuffer whose
+        endpoint the kernel has configured at ``successor`` moves there
+        with its unread messages and its duplicate-suppression window,
+        and everything blocked on this DTU is woken to re-poll."""
+        for index in self._ringbufs.keys() & successor._ringbufs.keys():
+            successor._ringbufs[index] = self._ringbufs.pop(index)
+        for signal in self._signals.values():
+            signal.fire()
+
+    def refund_credit(self, ep_index: int) -> None:
+        """Give send endpoint ``ep_index`` one credit back, never past
+        its ceiling: a reply arrived, or the message that spent it was
+        given up on (here, or by software that knows no reply will
+        come) — a dead receiver cannot leak an endpoint's credits."""
+        ep = self.eps[ep_index]
+        if ep.kind is _SEND:
+            ep.credits = min(ep.credits + 1, ep.max_credits)
 
     # -- message passing ------------------------------------------------
 
@@ -199,38 +236,28 @@ class DTU:
             )
         if ep.credits < 1:
             raise MissingCredits(f"EP{ep_index} has no credits left")
-        if reply_ep is not None:
-            reply_regs = (eps[reply_ep] if 0 <= reply_ep < len(eps)
-                          else self.ep(reply_ep))
-            if reply_regs.kind is not _RECEIVE:
-                raise NoPermission(f"reply EP{reply_ep} is not a receive endpoint")
+        if reply_ep is None:
+            reply_node = reply_ep = -1
+        else:
+            if reply_ep not in self._ringbufs:
+                self.ringbuffer(reply_ep)  # raises what is wrong
+            reply_node = self.node
         ep.credits -= 1
-        seq, crc = -1, 0
-        if self._reliable:
-            seq = next(self._send_seq)
-            crc = payload_crc(ep.label, length, payload)
+        seq = next(self._ids) if self.reliable else -1
         ctx, msg_span = self._stamp_context()
         # Headers and packets are built positionally, in field order,
         # on the per-message paths: keyword binding doubles their cost.
-        reply_node, reply_to = ((self.node, reply_ep) if reply_ep is not None
-                                else (-1, -1))
         header = MessageHeader(
-            ep.label, length, reply_node, reply_to, reply_label, ep_index,
-            seq, crc, ctx.trace_id, msg_span,
+            ep.label, length, reply_node, reply_ep, reply_label, ep_index,
+            seq, ctx.trace_id, msg_span,
         )
         packet = Packet(
             self.node, ep.target_node, "message", HEADER_BYTES + length,
-            (ep.target_ep, Message(header, payload)), ctx.trace_id, msg_span,
+            (ep.target_ep, Message(header, payload), -1),
+            ctx.trace_id, msg_span,
         )
         self.messages_sent += 1
-        if not self._reliable:
-            done = self._inject(packet)
-        else:
-            done = self._inject(packet, retx_key=("msg", seq),
-                                credit_ep=ep_index)
-        if self.sim.obs is not None:
-            self._observe_message(packet, done, msg_span, ctx)
-        return done
+        return self._inject(packet, seq, ep_index, ctx, msg_span)
 
     def _stamp_context(self):
         """The trace context to stamp on an outgoing message, plus a
@@ -246,14 +273,6 @@ class DTU:
             return NO_CONTEXT, -1
         return ctx, obs.reserve_span_id()
 
-    def _reconcile_credit(self, ep_index: int) -> None:
-        """Refund the credit of a send that was given up on, so a dead
-        receiver (or a permanently lost reply) cannot leak an
-        endpoint's credits."""
-        ep = self.eps[ep_index]
-        if ep.kind is _SEND:
-            ep.credits = min(ep.credits + 1, ep.max_credits)
-
     def reply(
         self, ep_index: int, slot: int, payload: object, length: int
     ) -> "Event":
@@ -264,40 +283,27 @@ class DTU:
         credit refill for the original sender.  The slot is acknowledged
         (freed) as part of the reply.
         """
-        eps = self.eps
-        ep = eps[ep_index] if 0 <= ep_index < len(eps) else self.ep(ep_index)
-        if ep.kind is not _RECEIVE:
-            raise NoPermission(f"EP{ep_index} is not a receive endpoint")
-        if not ep.replies_enabled:
+        ring = self._ringbufs.get(ep_index) or self.ringbuffer(ep_index)
+        if not self.eps[ep_index].replies_enabled:
             raise NoPermission(f"EP{ep_index} has replies disabled")
-        ringbuf = self._ringbufs[ep_index]
-        request = ringbuf.peek(slot).header
+        request = ring.peek(slot).header
         if request.reply_node < 0:
             raise NoPermission("original message does not permit a reply")
-        seq, crc = -1, 0
-        if self._reliable:
-            seq = next(self._send_seq)
-            crc = payload_crc(request.reply_label, length, payload)
+        seq = next(self._ids) if self.reliable else -1
         ctx, msg_span = self._stamp_context()
         # No reply to a reply: reply_node/reply_ep/credit_ep stay -1.
         header = MessageHeader(request.reply_label, length, -1, -1, 0, -1,
-                               seq, crc, ctx.trace_id, msg_span)
+                               seq, ctx.trace_id, msg_span)
         packet = Packet(
             self.node, request.reply_node, "reply", HEADER_BYTES + length,
             (request.reply_ep, Message(header, payload), request.credit_ep),
             ctx.trace_id, msg_span,
         )
-        ringbuf.ack(slot)
-        if not self._reliable:
-            done = self._inject(packet)
-        else:
-            done = self._inject(packet, retx_key=("msg", seq))
-        if self.sim.obs is not None:
-            self._observe_message(packet, done, msg_span, ctx)
-        return done
+        ring.ack(slot)
+        return self._inject(packet, seq, -1, ctx, msg_span)
 
     def _observe_message(self, packet: Packet, done: "Event",
-                         span_id: int = -1, parent=NO_CONTEXT) -> None:
+                         span_id: int, parent) -> None:
         """Record a message/reply span and its round-trip histogram.
 
         The span closes (and the sample lands) when ``done`` triggers:
@@ -325,10 +331,8 @@ class DTU:
 
     def fetch_message(self, ep_index: int) -> tuple[int, Message] | None:
         """Poll a receive endpoint: the next unread (slot, message) or None."""
-        eps = self.eps
-        if 0 <= ep_index < len(eps) and eps[ep_index].kind is _RECEIVE:
-            return self._ringbufs[ep_index].fetch()
-        return self.ringbuffer(ep_index).fetch()  # raises what is wrong
+        ring = self._ringbufs.get(ep_index) or self.ringbuffer(ep_index)
+        return ring.fetch()
 
     def wait_message(self, ep_index: int, timeout: int | None = None):
         """Generator: block until a message is available, then return it.
@@ -353,18 +357,21 @@ class DTU:
             signal = self._signals[ep_index]
             if deadline is None:
                 yield signal.wait()
-                continue
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
+            elif deadline > self.sim.now:
+                try:
+                    yield signal.wait(deadline - self.sim.now)
+                except WaitTimeout:
+                    pass  # one last poll, then the branch below
+            else:
                 raise TransferTimeout(
                     f"no message on EP{ep_index} of node {self.node} "
                     f"within {timeout} cycles"
                 )
-            yield first_of(self.sim, signal.wait(), self.sim.delay(remaining))
 
     def ack_message(self, ep_index: int, slot: int) -> None:
         """Free a ringbuffer slot after processing (no reply sent)."""
-        self.ringbuffer(ep_index).ack(slot)
+        ring = self._ringbufs.get(ep_index) or self.ringbuffer(ep_index)
+        ring.ack(slot)
 
     # -- remote memory access ----------------------------------------------
 
@@ -422,15 +429,26 @@ class DTU:
                      payload_tail: tuple, expect_bytes: int, **span_args):
         """Generator: issue the request packet ``(transaction,
         *payload_tail)`` and wait for the response that completes it;
-        ``expect_bytes`` is that response's size."""
-        transaction = next(self._transaction_ids)
-        done = Event(self.sim, self._transaction_name)
-        self._pending[transaction] = done
+        ``expect_bytes`` is that response's size.
+
+        Requests are idempotent at the receiver (reads, overwrites,
+        register writes), so a reliable DTU simply re-issues one until
+        it is answered: a duplicate caused by a lost *response* is
+        harmless, and the duplicate response finds nothing to settle.
+        """
+        transaction = next(self._ids)
+        done = self._pending[transaction] = Event(self.sim,
+                                                  self._transaction_name)
         ctx, txn_span = self._stamp_context()
         packet = Packet(self.node, target, kind, size_bytes,
                         (transaction, *payload_tail), ctx.trace_id, txn_span)
         started = self.sim.now
-        self._inject_transaction(packet, transaction, expect_bytes)
+        # No delivery event: nobody awaits the request's own arrival.
+        self.sim.schedule(
+            params.DTU_INJECT_CYCLES, self._injected,
+            (packet, None, transaction if self.reliable else -1, -1,
+             expect_bytes),
+        )
         response = yield done
         # Whole round trip (inject + request + service + response) is
         # transfer time from the core's point of view.
@@ -443,28 +461,6 @@ class DTU:
                 parent=ctx, destination=target, **span_args,
             )
         return response
-
-    def _inject_transaction(self, packet: Packet, transaction: int,
-                            expect_bytes: int = 0) -> None:
-        """Inject a request packet whose response completes a pending
-        transaction; reliable DTUs re-issue it until answered.
-
-        Requests are idempotent at the receiver (reads, overwrites,
-        register writes), so a duplicate caused by a lost *response* is
-        harmless — the duplicate response is dropped at :meth:`handle_packet`.
-        ``expect_bytes`` sizes the response the caller is waiting for, so
-        the retransmit timer also covers the response's wire time.
-        """
-        if not self._reliable:
-            # Nobody awaits the request's own delivery (the response
-            # completes the transaction), so there is no event to
-            # trigger for it: after the injection delay the packet
-            # simply goes out.
-            self.sim.schedule(params.DTU_INJECT_CYCLES, self.network.send,
-                              packet)
-            return
-        self._inject(packet, charge=False, retx_key=("txn", transaction),
-                     expect_bytes=expect_bytes)
 
     # ------------------------------------------------------------------
     # Remote (kernel-side) configuration — NoC-level isolation
@@ -555,11 +551,8 @@ class DTU:
                 ep.invalidate()
             self._ringbufs.clear()
             self._retx.clear()
+            self._pending.clear()
             self.redirect_to = None
-            return "ok"
-        if operation == "set_reliable":
-            (flag,) = args
-            self._reliable = bool(flag)
             return "ok"
         raise RuntimeError(f"unknown configuration operation {operation!r}")
 
@@ -582,140 +575,76 @@ class DTU:
                 self.sim.obs.instant("crc_drop", "dtu", self.node,
                                      kind=kind, source=packet.source)
             return
-        if self.redirect_to is not None and kind in ("message", "reply"):
-            # Live-migration window: software-visible traffic chases the
-            # VPE to its new PE.  The source is preserved so the new
-            # DTU's hardware ack reaches the original sender.  Acks and
-            # memory/config responses are NOT forwarded — they complete
-            # transactions this DTU itself still owns.
-            self.redirected += 1
-            if self.sim.obs is not None:
-                self.sim.obs.count("dtu.redirected")
-            self.network.send(
-                Packet(
-                    source=packet.source,
-                    destination=self.redirect_to,
-                    kind=kind,
-                    size_bytes=packet.size_bytes,
-                    payload=packet.payload,
-                    trace_id=packet.trace_id,
-                    trace_parent=packet.trace_parent,
+        if kind == "message" or kind == "reply":
+            if self.redirect_to is not None:
+                # Live-migration window: software-visible traffic chases
+                # the VPE to its new PE.  The source is preserved so the
+                # new DTU's hardware ack reaches the original sender.
+                # Acks and memory/config responses are NOT forwarded —
+                # they settle transfers this DTU itself still owns.
+                self.redirected += 1
+                if self.sim.obs is not None:
+                    self.sim.obs.count("dtu.redirected")
+                self.network.send(
+                    Packet(packet.source, self.redirect_to, kind,
+                           packet.size_bytes, packet.payload,
+                           packet.trace_id, packet.trace_parent)
                 )
-            )
-            return
-        if kind == "msg_ack":
-            # First: on the reliable path every message and reply is
-            # answered by one, so it is the most frequent kind.
-            (seq,) = packet.payload
-            entry = self._retx.pop(("msg", seq), None)
-            if entry is not None and not entry["done"]._state:
-                entry["done"].succeed()
-        elif kind == "message":
-            ep_index, message = packet.payload
-            self._deliver_message(ep_index, message, credit_ep=None,
-                                  source=packet.source)
-        elif kind == "reply":
+                return
             ep_index, message, credit_ep = packet.payload
-            self._deliver_message(ep_index, message, credit_ep=credit_ep,
-                                  source=packet.source)
+            self._deliver_message(ep_index, message, credit_ep, packet.source)
+        elif kind == "msg_ack" or kind == "mem_resp" or kind == "config_ack":
+            transfer, value = packet.payload
+            self._settle(transfer, value)
         elif kind == "mem_read":
             transaction, address, length = packet.payload
             data = self.local_memory.read(address, length)
-            self._respond_memory(packet.source, transaction, data, len(data),
-                                 request=packet)
+            self._respond_memory(packet, transaction, data)
         elif kind == "mem_write":
             transaction, address, data = packet.payload
             self.local_memory.write(address, bytes(data))
-            self._respond_memory(packet.source, transaction, b"", 0,
-                                 request=packet)
-        elif kind == "mem_resp":
-            transaction, data = packet.payload
-            self._complete_transaction(transaction, data)
+            self._respond_memory(packet, transaction, b"")
         elif kind == "ep_config":
             transaction, privileged, operation, args = packet.payload
             if privileged:
                 result = self._apply_config(operation, args)
             else:
                 result = "denied"
+            # The ack inherits the request's trace, completing the
+            # transaction round trip in the causal graph.
             self.network.send(
-                Packet(
-                    source=self.node,
-                    destination=packet.source,
-                    kind="config_ack",
-                    size_bytes=16,
-                    payload=(transaction, result),
-                    # The ack inherits the request's trace, completing
-                    # the transaction round trip in the causal graph.
-                    trace_id=packet.trace_id,
-                    trace_parent=packet.trace_parent,
-                )
+                Packet(self.node, packet.source, "config_ack", 16,
+                       (transaction, result),
+                       packet.trace_id, packet.trace_parent)
             )
-        elif kind == "config_ack":
-            transaction, result = packet.payload
-            self._complete_transaction(transaction, result)
         else:
             raise RuntimeError(f"DTU at node {self.node} got {packet!r}")
 
-    def _complete_transaction(self, transaction: int, value: object) -> None:
-        """Finish a pending memory/config transaction; duplicate
-        responses (re-issued requests whose first answer survived after
-        all) are dropped silently."""
-        self._retx.pop(("txn", transaction), None)
-        pending = self._pending.pop(transaction, None)
-        if pending is not None and not pending._state:
-            pending.succeed(value)
-
     def _deliver_message(self, ep_index: int, message: Message,
-                         credit_ep: int | None, source: int = -1) -> None:
-        if message.header.seq >= 0:
-            self._deliver_reliable(ep_index, message, credit_ep, source)
-            return
-        if credit_ep is not None and credit_ep >= 0:
-            # A reply refills the original send endpoint's credits.
-            sender_ep = self.eps[credit_ep]
-            if sender_ep.kind is _SEND:
-                sender_ep.credits = min(sender_ep.credits + 1, sender_ep.max_credits)
-        ep = self.eps[ep_index] if 0 <= ep_index < len(self.eps) else None
-        if ep is None or ep.kind is not _RECEIVE:
-            self.messages_dropped += 1
-            return
-        slot = self._ringbufs[ep_index].push(message)
-        if slot is None:
-            self.messages_dropped += 1
-            return
-        self._signals[ep_index].fire()
-
-    def _deliver_reliable(self, ep_index: int, message: Message,
-                          credit_ep: int | None, source: int) -> None:
-        """Sequence-numbered delivery: CRC check, duplicate suppression,
-        hardware ack.  Side effects (ringbuffer push, credit refill)
-        happen at most once per sequence number; a message the receiver
-        cannot accept is simply not acked, so the sender retransmits
-        and eventually reconciles.
+                         credit_ep: int, source: int) -> None:
+        """A message or reply arrived for ``ep_index``; ``credit_ep >= 0``
+        names the send endpoint a reply refills.  Side effects happen at
+        most once per sequence number, and a reliable message the
+        receiver cannot accept is simply not acked: the sender
+        retransmits and eventually gives up.
         """
-        ep = self.eps[ep_index] if 0 <= ep_index < len(self.eps) else None
-        if ep is None or ep.kind is not _RECEIVE:
-            self.messages_dropped += 1
-            return
-        if message.header.crc != message_crc(message):
-            self.crc_drops += 1
-            self.messages_dropped += 1
-            return
-        slot = self._ringbufs[ep_index].push(message, source=source)
+        seq = message.header.seq
+        ring = self._ringbufs.get(ep_index)
+        slot = None if ring is None else ring.push(message, source)
         if slot is DUPLICATE:
-            # Already delivered once: the earlier ack was lost. Re-ack
+            # Already delivered once: the earlier ack was lost.  Re-ack
             # without repeating the delivery side effects.
-            self._send_ack(source, message.header.seq)
+            self._send_ack(source, seq)
             return
+        # The refill: once accepted if reliable (a refused reply comes
+        # again), in any case if best-effort (nothing will resend it).
+        if credit_ep >= 0 and (slot is not None or seq < 0):
+            self.refund_credit(credit_ep)
         if slot is None:
-            self.messages_dropped += 1  # ring full: flow-control drop
+            self.messages_dropped += 1  # no such endpoint, or ring full
             return
-        if credit_ep is not None and credit_ep >= 0:
-            sender_ep = self.eps[credit_ep]
-            if sender_ep.kind is _SEND:
-                sender_ep.credits = min(sender_ep.credits + 1,
-                                        sender_ep.max_credits)
-        self._send_ack(source, message.header.seq)
+        if seq >= 0:
+            self._send_ack(source, seq)
         self._signals[ep_index].fire()
 
     def _send_ack(self, destination: int, seq: int) -> None:
@@ -724,132 +653,132 @@ class DTU:
         self.acks_sent += 1
         if self.sim.obs is not None:
             self.sim.obs.count("dtu.acks_sent")
-        self.network.send(Packet(self.node, destination, "msg_ack", 8, (seq,)))
+        self.network.send(
+            Packet(self.node, destination, "msg_ack", 8, (seq, None))
+        )
 
-    def _respond_memory(self, requester: int, transaction: int, data: bytes,
-                        size: int, request: Packet | None = None) -> None:
+    def _respond_memory(self, request: Packet, transaction: int,
+                        data: bytes) -> None:
         # The response rides the request's trace context, so the RDMA
         # completion's NoC span joins the originating request tree.
-        trace_id = request.trace_id if request is not None else -1
-        trace_parent = request.trace_parent if request is not None else -1
         self.sim.schedule(
             SPM_ACCESS_CYCLES,
             lambda _: self.network.send(
-                Packet(self.node, requester, "mem_resp", size,
-                       (transaction, data), trace_id, trace_parent)
+                Packet(self.node, request.source, "mem_resp", len(data),
+                       (transaction, data),
+                       request.trace_id, request.trace_parent)
             ),
         )
 
     # ------------------------------------------------------------------
+    # The transfer pipeline: inject -> wire -> (ack | response | timeout)
+    # -> settle
+    # ------------------------------------------------------------------
 
-    def _inject(self, packet: Packet, charge: bool = True,
-                retx_key: tuple | None = None, credit_ep: int | None = None,
-                expect_bytes: int = 0) -> "Event":
-        """Queue a packet after the injection delay; return delivery event.
-
-        With ``retx_key`` the transmission is reliable: the returned
-        event triggers only once the transfer is acknowledged (or fails
-        with :class:`TransferTimeout` after the retransmit budget), and
-        the packet is re-sent with exponential backoff until then.
+    def _inject(self, packet: Packet, seq: int, credit_ep: int,
+                ctx, span: int) -> "Event":
+        """Queue a message or reply after the injection delay; return
+        its completion event: delivery if best-effort (``seq < 0``),
+        the hardware ack — or :class:`TransferTimeout` — if reliable.
         ``credit_ep`` names the send endpoint whose credit is refunded
-        if the DTU gives up.
-        """
+        should the DTU give up (-1: none)."""
         done = Event(self.sim, self._delivery_name)
-        if charge:
-            self.sim.ledger.charge(Tag.XFER, params.DTU_INJECT_CYCLES)
+        if seq >= 0:
+            self._pending[seq] = done
+        self.sim.ledger.charge(Tag.XFER, params.DTU_INJECT_CYCLES)
         # A bound method and a tuple, not a closure per packet.
-        self.sim.schedule(
-            params.DTU_INJECT_CYCLES, self._injected,
-            (packet, done, charge, retx_key, credit_ep, expect_bytes),
-        )
+        self.sim.schedule(params.DTU_INJECT_CYCLES, self._injected,
+                          (packet, done, seq, credit_ep, 0))
+        if self.sim.obs is not None:
+            self._observe_message(packet, done, span, ctx)
         return done
 
     def _injected(self, injection: tuple) -> None:
-        """The injection delay has passed: hand the packet to the NoC."""
-        packet, done, charge, retx_key, credit_ep, expect_bytes = injection
-        completion = self.network.send(packet)
-        wire = completion - self.sim.now
-        if charge:
-            self.sim.ledger.charge(Tag.XFER, wire)
-        if retx_key is None:
-            self.sim.schedule(wire, done.succeed)
-            return
-        self._retx[retx_key] = {
-            "packet": packet,
-            "attempts": 1,
-            "done": done,
-            "credit_ep": credit_ep,
-        }
-        # The expected response's own serialisation time counts toward
-        # the round trip the timer must not undercut.
-        response_wire = -(-expect_bytes // self.network.bytes_per_cycle)
-        self._arm_retx(retx_key, completion + response_wire,
-                       params.DTU_RETX_TIMEOUT_CYCLES)
+        """The injection delay has passed: hand the packet to the NoC
+        and, if the transfer is armed (``transfer >= 0``), keep it for
+        resending until :meth:`_settle`.
 
-    def _arm_retx(self, key: tuple, eta: int, grace: int) -> None:
-        """Schedule the retransmit timer for an unacknowledged transfer.
+        ``done`` is the completion event of a message, which occupies
+        the core for its wire time; a transaction passes ``None`` and
+        is charged for its round trip instead.  ``expect_bytes`` is the
+        size of the response: its serialisation time counts toward the
+        round trip the retransmit timer must not undercut.
+        """
+        packet, done, transfer, credit_ep, expect_bytes = injection
+        completion = self.network.send(packet)
+        if done is not None:
+            wire = completion - self.sim.now
+            self.sim.ledger.charge(Tag.XFER, wire)
+            if transfer < 0:
+                # Best-effort: delivered is done.
+                self.sim.schedule(wire, done.succeed)
+        if transfer >= 0:
+            self._retx[transfer] = (packet, credit_ep)
+            response_wire = -(-expect_bytes // self.network.bytes_per_cycle)
+            self._arm_retx(transfer, completion + response_wire,
+                           params.DTU_RETX_TIMEOUT_CYCLES, 1)
+
+    def _arm_retx(self, transfer: int, eta: int, grace: int,
+                  attempt: int) -> None:
+        """Schedule the retransmit timer for an unsettled transfer.
 
         The timer fires ``grace`` cycles after ``eta`` — the cycle the
         network promised delivery at — so a large packet (whose wire
         time alone exceeds any flat timeout) is never retransmitted
         while it is still legitimately in flight.  ``grace`` covers the
         receiver's turnaround plus the ack's way back and grows by
-        :data:`params.DTU_RETX_BACKOFF` per attempt.  An acknowledged
+        :data:`params.DTU_RETX_BACKOFF` per attempt.  A settled
         transfer's timer is deliberately left to fire and find nothing:
         the cycle at which a run's queue drains is simulated output
         (``run_profile`` drains these timers, the benchmark pins the
         result as ``sim_cycles``), so cancelling them would move it.
         """
         self.sim.schedule(max(1, eta - self.sim.now) + grace,
-                          self._retx_fire, (key, grace))
+                          self._retx_fire, (transfer, grace, attempt))
 
     def _retx_fire(self, timer: tuple) -> None:
-        key, grace = timer
-        entry = self._retx.get(key)
+        transfer, grace, attempt = timer
+        entry = self._retx.get(transfer)
         if entry is None:
-            return  # acked (or wiped) in the meantime
-        packet = entry["packet"]
-        if entry["attempts"] > params.DTU_RETX_MAX:
-            del self._retx[key]
-            self._give_up(key, packet, entry["credit_ep"])
-            if not entry["done"]._state:
-                entry["done"].fail(
+            return  # settled (or wiped) in the meantime
+        packet, credit_ep = entry
+        if attempt > params.DTU_RETX_MAX:
+            # Give up: forget the transfer, return the credit it holds
+            # and fail whoever waits for it (nobody, if a wipe came
+            # between a request's issue and its injection).
+            del self._retx[transfer]
+            if credit_ep >= 0:
+                self.refund_credit(credit_ep)
+            pending = self._pending.pop(transfer, None)
+            if pending is not None:
+                pending.fail(
                     TransferTimeout(
                         f"node {self.node}: {packet.kind} to node "
-                        f"{packet.destination} unacknowledged after "
+                        f"{packet.destination} unanswered after "
                         f"{params.DTU_RETX_MAX} retransmits"
                     )
                 )
             return
-        entry["attempts"] += 1
         self.retransmits += 1
         if self.sim.obs is not None:
             self.sim.obs.count("dtu.retransmits")
             self.sim.obs.instant(
                 "retransmit", "dtu", self.node, kind=packet.kind,
-                destination=packet.destination, attempt=entry["attempts"],
+                destination=packet.destination, attempt=attempt + 1,
             )
         completion = self.network.send(packet)
-        self._arm_retx(key, completion, int(grace * params.DTU_RETX_BACKOFF))
+        self._arm_retx(transfer, completion,
+                       int(grace * params.DTU_RETX_BACKOFF), attempt + 1)
 
-    def _give_up(self, key: tuple, packet: Packet,
-                 credit_ep: int | None) -> None:
-        """The retransmit budget of ``key`` is spent: fail the pending
-        transaction it carried, or refund the send credit it holds."""
-        if key[0] == "msg":
-            if credit_ep is not None:
-                self._reconcile_credit(credit_ep)
-            return
-        self.transfer_failures += 1
-        pending = self._pending.pop(key[1], None)
-        if pending is not None and not pending._state:
-            pending.fail(
-                TransferTimeout(
-                    f"node {self.node}: {packet.kind} to node "
-                    f"{packet.destination} got no response after "
-                    f"{params.DTU_RETX_MAX} retransmits"
-                )
-            )
+    def _settle(self, transfer: int, value: object) -> None:
+        """The ack or response for ``transfer`` arrived: stop resending
+        it and complete whoever waits for it.  A duplicate answer (a
+        re-issued request whose first answer survived after all, a
+        re-ack) or one for a wiped transfer finds nothing."""
+        self._retx.pop(transfer, None)
+        pending = self._pending.pop(transfer, None)
+        if pending is not None:
+            pending.succeed(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "privileged" if self.privileged else "unprivileged"

@@ -9,12 +9,11 @@ the length of the message, and information for a potential reply"
 from __future__ import annotations
 
 import typing
-import zlib
 
 #: Wire size of the header the DTU prepends (label, length, reply info).
-#: The reliable-delivery fields (sequence number, CRC) fit the padding
-#: of the 16-byte header, so enabling reliability does not change any
-#: wire size.
+#: The reliable-delivery sequence number fits the padding of the 16-byte
+#: header, so enabling reliability does not change any wire size.  (The
+#: checksum is the NoC's link-level one: ``Packet.corrupted``.)
 HEADER_BYTES = 16
 
 
@@ -36,10 +35,8 @@ class MessageHeader(typing.NamedTuple):
     #: reliable-delivery sequence number, unique per sending DTU;
     #: ``seq < 0`` marks a best-effort message (no ack, no retransmit).
     seq: int = -1
-    #: CRC over (label, length, payload); 0 on best-effort messages.
-    crc: int = 0
     #: causal trace context, stamped by the sending DTU when an
-    #: Observer is installed.  Like seq/CRC these ride the padding of
+    #: Observer is installed.  Like seq these ride the padding of
     #: the 16-byte header, so tracing does not change any wire size.
     #: ``trace_id < 0`` means the message is untraced.
     trace_id: int = -1
@@ -66,17 +63,3 @@ class Message(typing.NamedTuple):
         """Wire size: header plus declared payload length."""
         return HEADER_BYTES + self.header.length
 
-
-def payload_crc(label: int, length: int, payload: object) -> int:
-    """CRC the DTU stamps on (and checks against) a reliable message.
-
-    Computed over the stable repr of the header-identifying fields and
-    the payload; never 0, so ``crc == 0`` always means "unchecked".
-    """
-    return zlib.crc32(repr((label, length, payload)).encode()) or 1
-
-
-def message_crc(message: Message) -> int:
-    """The expected CRC of a delivered message."""
-    return payload_crc(message.header.label, message.header.length,
-                       message.payload)

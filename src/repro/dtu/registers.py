@@ -12,6 +12,13 @@ import dataclasses
 import enum
 
 
+#: The ``credits`` value of a send endpoint the DTU never runs down: for
+#: a sender whose receiver acknowledges without replying (a device's
+#: interrupt line), so that nothing would ever refund a finite count.
+#: Spending one and refilling one both leave it unchanged.
+UNLIMITED_CREDITS = float("inf")
+
+
 class EndpointKind(enum.Enum):
     """What an endpoint is currently configured as."""
 

@@ -19,6 +19,7 @@ Both are fully deterministic: same seed, same cycle counts.
 from __future__ import annotations
 
 from repro import params
+from repro.dtu.registers import EndpointKind
 from repro.eval.common import DEFAULT_SEED, single
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
@@ -63,7 +64,9 @@ def _stats(system: M3System, plan: FaultPlan) -> dict:
         "retransmits": sum(d.retransmits for d in dtus),
         "acks": sum(d.acks_sent for d in dtus),
         "duplicates": sum(
-            rb.duplicates for d in dtus for rb in d._ringbufs.values()
+            d.ringbuffer(index).duplicates
+            for d in dtus for index, ep in enumerate(d.eps)
+            if ep.kind is EndpointKind.RECEIVE
         ),
         "faults_injected": len(plan.events),
     }

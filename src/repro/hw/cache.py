@@ -135,11 +135,6 @@ class Cache:
                     yield from self._write_back(set_index, line)
                     line.dirty = False
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class CachedMemory:
     """Byte-addressable view of a remote region through a cache.

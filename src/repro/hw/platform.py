@@ -107,7 +107,7 @@ class Platform:
 
     def enable_reliable_messaging(self) -> None:
         """Switch every DTU on the chip to reliable delivery
-        (acknowledged, CRC-checked, retransmitted — see
+        (sequence-numbered, acknowledged, retransmitted — see
         :meth:`repro.dtu.dtu.DTU.enable_reliability`)."""
         for pe in self.pes:
             pe.dtu.enable_reliability()

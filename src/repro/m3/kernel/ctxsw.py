@@ -258,9 +258,7 @@ class ContextSwitcher:
                 # reply endpoint re-polls and re-arms on the new one.
                 from repro.m3.kernel.kernel import APP_REPLY_EP
 
-                signal = old_dtu._signals.get(APP_REPLY_EP)
-                if signal is not None:
-                    signal.fire()
+                old_dtu.wake(APP_REPLY_EP)
 
     # ------------------------------------------------------------------
     # the voluntary yield (vpe_wait_yield syscall)

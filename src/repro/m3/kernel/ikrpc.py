@@ -238,7 +238,7 @@ class IkTransport:
                     "ik_retry", "ik", self.pe.node, peer=call.peer,
                     operation=call.operation, attempt=call.attempts,
                 )
-        if not self.dtu._reliable:
+        if not self.dtu.reliable:
             return
         # Capped exponential backoff in pure integer arithmetic, so the
         # schedule is exact and bit-identical across runs.
@@ -296,7 +296,7 @@ class IkTransport:
         over-refund from a late duplicate reply is harmless)."""
         ep_index = self.peers[peer]
         for _ in range(count):
-            self.dtu._reconcile_credit(ep_index)
+            self.dtu.refund_credit(ep_index)
 
     # -- server side ------------------------------------------------------
 

@@ -961,8 +961,11 @@ class Kernel:
         if service is None:
             return 0
         rgate = service.rgate
-        ring = self.platform.pe(rgate.node).dtu._ringbufs.get(rgate.ep_index)
-        depth = ring.occupied if ring is not None else 0
+        dtu = self.platform.pe(rgate.node).dtu
+        try:
+            depth = dtu.ringbuffer(rgate.ep_index).occupied
+        except DtuError:
+            depth = 0  # not configured right now (e.g. switched out)
         for pending in self._pending_sessions.values():
             if service in pending:
                 depth += 1

@@ -136,12 +136,6 @@ class Migration:
                 target_pe.node, "configure", index,
                 dataclasses.replace(registers),
             )
-            if registers.kind == EndpointKind.RECEIVE:
-                # Hardware state handoff: the ringbuffer moves with its
-                # unread messages and its duplicate-suppression window.
-                moved = old_dtu._ringbufs.pop(index, None)
-                if moved is not None:
-                    target_pe.dtu._ringbufs[index] = moved
         # The software process itself just keeps running; only the PE
         # binding moves.  The old PE stays reserved until the redirect
         # window closes, so nobody is placed onto its half-dead state.
@@ -162,10 +156,10 @@ class Migration:
         if env is not None:
             env.pe = target_pe
             env.dtu = target_pe.dtu
-        # Spurious wakeups: anything blocked on an old-DTU signal must
-        # re-check against the new DTU (the reply wait re-reads env.dtu).
-        for signal in old_dtu._signals.values():
-            signal.fire()
+        # Hardware state hand-off: the ringbuffers move, and anything
+        # blocked on an old-DTU signal wakes spuriously to re-check
+        # against the new DTU (the reply wait re-reads env.dtu).
+        old_dtu.hand_off(target_pe.dtu)
         old_dtu.redirect_to = target_pe.node
         if self.sim.obs is not None:
             self.sim.obs.count("kernel.migrations")

@@ -31,12 +31,6 @@ class VFS:
         self.mounts.append((prefix, filesystem))
         self.mounts.sort(key=lambda entry: len(entry[0]), reverse=True)
 
-    def unmount(self, prefix: str) -> None:
-        before = len(self.mounts)
-        self.mounts = [(p, fs) for p, fs in self.mounts if p != prefix]
-        if len(self.mounts) == before:
-            raise FsError(f"{prefix!r} is not mounted")
-
     def _resolve(self, path: str):
         """Generator: (filesystem client, path below the mount point)."""
         normalized = "/" + "/".join(p for p in path.split("/") if p)

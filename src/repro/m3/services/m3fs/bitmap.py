@@ -13,10 +13,6 @@ class Bitmap:
         self._bits = bytearray(count)  # one byte per bit: simple and fast enough
         self.used = 0
 
-    def is_set(self, index: int) -> bool:
-        self._check(index)
-        return bool(self._bits[index])
-
     def alloc(self) -> int:
         """Allocate one unit; returns its index."""
         start, _ = self.alloc_run(1, 1)

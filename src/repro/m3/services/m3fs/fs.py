@@ -225,7 +225,3 @@ class M3FS:
     def locate(self, inode: Inode, offset: int) -> tuple[int, int]:
         """(extent index, offset inside it) for byte ``offset``."""
         return locate(inode.extents, offset, self.sb.block_size)
-
-    @property
-    def free_blocks(self) -> int:
-        return self.block_bitmap.free

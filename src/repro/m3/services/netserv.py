@@ -23,7 +23,11 @@ import types
 import typing
 
 from repro import params
-from repro.dtu.registers import MemoryPerm
+from repro.dtu.registers import (
+    UNLIMITED_CREDITS,
+    EndpointRegisters,
+    MemoryPerm,
+)
 from repro.hw.device import CMD_RECV_EP, DMA_MEM_EP, IRQ_SEND_EP, NetworkDevice, Wire
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.objects import RecvGateObject, SendGateObject
@@ -274,8 +278,6 @@ def start_network(system: "M3System", service_names=("net", "net2"),
     wire.connect(nics[0], nics[1])
 
     def wire_devices():
-        from repro.dtu.registers import EndpointRegisters
-
         kernel = system.kernel
         for nic, server in zip(nics, servers):
             buffer_cap = server.vpe.captable.get(server.buffer.selector)
@@ -304,15 +306,16 @@ def start_network(system: "M3System", service_names=("net", "net2"),
             )
             # interrupt route: NIC -> the service's receive gate.  The
             # service *acks* interrupt messages (no reply), which never
-            # refunds send credits — so the endpoint gets effectively
-            # unlimited credits rather than going silent after a burst.
+            # refunds send credits — so the endpoint is not flow-
+            # controlled by them: any finite count would be a lifetime
+            # after which the NIC goes silent.
             service = kernel.services[server.service_name]
             yield from kernel.dtu.configure_remote(
                 nic.node, "configure", IRQ_SEND_EP,
                 EndpointRegisters.send_config(
                     target_node=service.rgate.node,
                     target_ep=service.rgate.ep_index,
-                    label=IRQ_LABEL, credits=4096,
+                    label=IRQ_LABEL, credits=UNLIMITED_CREDITS,
                     msg_size=service.rgate.slot_size,
                 ),
             )

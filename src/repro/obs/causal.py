@@ -10,7 +10,7 @@ the Dapper model:
   context is active become children of it.
 - The context crosses PEs inside the padding of the 16-byte DTU
   :class:`~repro.dtu.message.MessageHeader` (like the reliable-delivery
-  seq/CRC fields — no wire-size change): the sending DTU stamps the
+  sequence number — no wire-size change): the sending DTU stamps the
   trace id and the id of the message's own span, and the receiver's
   handler *adopts* that pair, so every span recorded while handling the
   message becomes a child of the in-flight message span.  This works

@@ -20,7 +20,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, Interrupt
 from repro.sim.process import Process
 from repro.sim.ledger import TimeLedger, Tag
-from repro.sim.resources import Mailbox, Semaphore, Signal
+from repro.sim.resources import Mailbox, Signal
 
 __all__ = [
     "Simulator",
@@ -30,6 +30,5 @@ __all__ = [
     "TimeLedger",
     "Tag",
     "Mailbox",
-    "Semaphore",
     "Signal",
 ]

@@ -1,4 +1,4 @@
-"""Blocking resources built on events: mailboxes, semaphores, signals.
+"""Blocking resources built on events: mailboxes and signals.
 
 These are convenience synchronisation objects for simulated software.
 They do not model hardware — the DTU has its own ringbuffer/credit
@@ -7,10 +7,10 @@ scheduler queues and producer/consumer hand-off.
 
 Deadlock freedom: every blocking primitive here either offers a
 ``timeout`` (``Signal.wait``) or is only used in request/response pairs
-where the waker is a simulator process that cannot be lost (Mailbox and
-Semaphore waiters are woken in FIFO order by ``put``/``release``; the
-kernel and Linux baselines never block on a mailbox whose producer is
-not itself scheduled).  Fault-prone setups must use the timeout variants
+where the waker is a simulator process that cannot be lost (Mailbox
+waiters are woken in FIFO order by ``put``; the kernel and Linux
+baselines never block on a mailbox whose producer is not itself
+scheduled).  Fault-prone setups must use the timeout variants
 — ``DTU.wait_message(timeout=...)``, ``Signal.wait(timeout=...)`` — so a
 lost message can never stall a process forever.
 """
@@ -67,49 +67,6 @@ class Mailbox:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wake-up order."""
-
-    __slots__ = ("sim", "name", "_tokens", "_waiters")
-
-    def __init__(self, sim: "Simulator", tokens: int = 0, name: str = "sem"):
-        if tokens < 0:
-            raise ValueError("initial token count must be non-negative")
-        self.sim = sim
-        self.name = name
-        self._tokens = tokens
-        self._waiters: collections.deque[Event] = collections.deque()
-
-    @property
-    def tokens(self) -> int:
-        return self._tokens
-
-    def release(self, count: int = 1) -> None:
-        """Add tokens, waking as many waiters as tokens allow.
-
-        Wake-ups go through ``sim.call_soon`` (see :meth:`Mailbox.put`):
-        the releaser's callback completes before any waiter resumes, and
-        waiters resume in FIFO order.
-        """
-        if count < 0:
-            raise ValueError("cannot release a negative count")
-        self._tokens += count
-        call_soon = self.sim.call_soon
-        while self._tokens and self._waiters:
-            self._tokens -= 1
-            call_soon(self._waiters.popleft().succeed, None)
-
-    def acquire(self) -> Event:
-        """An event that triggers once a token has been taken."""
-        event = Event(self.sim, f"{self.name}.acquire")
-        if self._tokens:
-            self._tokens -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
 
 
 class Signal:

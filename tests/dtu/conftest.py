@@ -6,9 +6,22 @@ from repro.dtu.registers import EndpointRegisters, MemoryPerm
 from repro.hw import Platform
 
 
+def build_platform(reliable=False):
+    """Four PEs and the DRAM module, every DTU in the given mode."""
+    platform = Platform.build(pe_count=4, mesh_width=3, mesh_height=2)
+    if reliable:
+        platform.enable_reliable_messaging()
+    return platform
+
+
+#: for a test that builds its own platform, once per mode.
+BOTH_MODES = pytest.mark.parametrize("reliable", [False, True],
+                                     ids=["best-effort", "reliable"])
+
+
 @pytest.fixture
 def platform():
-    return Platform.build(pe_count=4, mesh_width=3, mesh_height=2)
+    return build_platform()
 
 
 def configure_channel(

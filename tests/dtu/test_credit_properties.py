@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dtu import MissingCredits
+from repro.dtu.dtu import TransferTimeout
+from repro.faults import FaultPlan
 from repro.hw import Platform
 from tests.dtu.conftest import configure_channel
 
@@ -15,16 +17,24 @@ from tests.dtu.conftest import configure_channel
                       max_size=60),
     credits=st.integers(min_value=1, max_value=6),
     slots=st.integers(min_value=1, max_value=8),
+    lossy_seed=st.none() | st.integers(min_value=0, max_value=2**16),
 )
-def test_credits_bound_inflight_messages(schedule, credits, slots):
-    """However traffic interleaves:
+def test_credits_bound_inflight_messages(schedule, credits, slots,
+                                         lossy_seed):
+    """However traffic interleaves — best-effort on a clean NoC, or
+    (``lossy_seed``) reliable on one that loses and corrupts packets:
 
     - the sender can never have more unreplied messages than credits,
     - with credits <= slots nothing is ever dropped,
-    - every message eventually served is answered exactly once.
+    - every message eventually served is answered exactly once,
+    - and nothing is left in flight once the queue has drained.
     """
     platform = Platform.build(pe_count=2, mesh_width=3, mesh_height=2)
     sender, receiver = platform.pe(0).dtu, platform.pe(1).dtu
+    if lossy_seed is not None:
+        sender.enable_reliability()
+        receiver.enable_reliability()
+        FaultPlan(lossy_seed).drop(0.04).corrupt(0.02).install(platform)
     configure_channel(sender, receiver, send_ep=0, recv_ep=1,
                       credits=credits, slot_count=slots)
     configure_channel(receiver, sender, send_ep=5, recv_ep=2,
@@ -55,15 +65,30 @@ def test_credits_bound_inflight_messages(schedule, credits, slots):
             assert state["sent"] - state["served"] <= credits
             assert 0 <= sender.ep(0).credits <= credits
 
-    platform.sim.run_process(driver())
+    try:
+        platform.sim.run_process(driver())
+    except TransferTimeout:
+        # One transfer lost all seven copies (once in ~10^7 under this
+        # plan): the DTU gave up on it, and then what the sender has
+        # been told and what the receiver got may differ by design.
+        return
     platform.sim.run()
+    # the lossy NoC loses packets, never the message: that is the point
+    if lossy_seed is None:
+        dropped = receiver.messages_dropped
+    else:
+        dropped = receiver.ringbuffer(1).dropped
     # with credits <= slots nothing may be dropped
     if credits <= slots:
-        assert receiver.messages_dropped == 0
+        assert dropped == 0
     # conservation: all credits return once everything is served and
     # the replies arrived
     if state["sent"] == state["served"]:
         assert sender.ep(0).credits == credits
+    # quiescence: every transfer was settled, every timer has fired
+    for dtu in (sender, receiver):
+        assert dtu._retx == {} and dtu._pending == {}
+    assert platform.sim.pending_events == 0
 
 
 @settings(max_examples=20, deadline=None,

@@ -4,7 +4,12 @@ import pytest
 
 from repro.dtu import MemoryPerm, NoPermission
 from repro.sim import Simulator
-from tests.dtu.conftest import configure_memory_ep
+from tests.dtu.conftest import (
+    BOTH_MODES,
+    build_platform,
+    configure_channel,
+    configure_memory_ep,
+)
 
 
 def test_dram_write_then_read_roundtrip(platform):
@@ -123,32 +128,64 @@ def test_memory_roundtrip_charged_as_xfer(platform):
     assert platform.sim.ledger.total("xfer") >= 1024 / 8
 
 
-def test_best_effort_read_schedules_only_the_packets_it_moves(platform,
-                                                              monkeypatch):
-    """A best-effort RDMA read is two packets, and nothing else is put
-    on the event queue for it: the request's injection and delivery,
-    the DRAM access, the response's delivery.  (The DTU used to build
-    and trigger a delivery event for the request that nobody awaited —
-    one more heap entry per transaction.)"""
-    dtu = platform.pe(0).dtu
-    configure_memory_ep(dtu, 0, platform.dram_node, 0, 1024)
+#: How many events (``Simulator.schedule`` + ``call_soon`` calls) one
+#: transfer puts on the queue, as (best-effort, reliable) — counted on
+#: the DTU that still had a separate code path per mode.  Best-effort: a
+#: message is its injection, its delivery and the sender's completion;
+#: a request is its injection and delivery, the access time at a memory
+#: target, and the response's delivery.  Reliable: a message's
+#: completion is the ack's delivery instead, and every transfer arms
+#: one retransmit timer.  Nothing else — no event nobody awaits — and
+#: the same numbers from whichever code path: the *order* of same-cycle
+#: events, hence every simulated result, hangs on them.
+EVENTS_PER_TRANSFER = {
+    "send": (3, 4),
+    "reply": (3, 4),
+    "read": (4, 5),
+    "write": (4, 5),
+    "config": (3, 4),
+}
+
+
+@BOTH_MODES
+@pytest.mark.parametrize("kind", EVENTS_PER_TRANSFER)
+def test_one_transfer_schedules_only_what_it_moves(kind, reliable,
+                                                   monkeypatch):
+    platform = build_platform(reliable)
+    near, far = platform.pe(0).dtu, platform.pe(1).dtu
+    configure_channel(near, far)
+    configure_channel(far, near, send_ep=5, recv_ep=2)
+    configure_memory_ep(near, 3, platform.dram_node, 0, 1024)
+    if kind == "reply":
+        near.send(0, "request", 8, reply_ep=2)
+        platform.sim.run()
+        slot, _request = far.fetch_message(1)
     scheduled = []
-    schedule = Simulator.schedule
 
-    def recording(sim, delay, callback, argument=None):
-        scheduled.append(callback.__qualname__)
-        return schedule(sim, delay, callback, argument)
+    def recording(original):
+        def wrapper(sim, *args):
+            scheduled.append(args)
+            return original(sim, *args)
+        return wrapper
 
-    monkeypatch.setattr(Simulator, "schedule", recording)
+    def transfer():
+        # Counted from inside the process, so starting it is not.
+        for name in ("schedule", "call_soon"):
+            monkeypatch.setattr(Simulator, name,
+                                recording(getattr(Simulator, name)))
+        if kind == "send":
+            yield near.send(0, "x", 8)
+        elif kind == "reply":
+            yield far.reply(1, slot, "response", 8)
+        elif kind == "read":
+            assert (yield from near.read_memory(3, 0, 64)) == bytes(64)
+        elif kind == "write":
+            yield from near.write_memory(3, 0, b"x" * 64)
+        else:
+            yield from near.configure_remote(far.node, "refill_credits", 5)
 
-    def software():
-        return (yield from dtu.read_memory(0, 0, 64))
-
-    assert platform.sim.run_process(software()) == bytes(64)
-    assert scheduled == [
-        "Network.send",              # the request, once injected
-        "DramModule.handle_packet",  # ...delivered to the DRAM module
-        "DramModule._respond",       # the DRAM access time
-        "DTU.handle_packet",         # the response, delivered back
-    ]
+    platform.sim.run_process(transfer())
+    platform.sim.run()  # a reliable transfer's timer fires into nothing
+    assert len(scheduled) == EVENTS_PER_TRANSFER[kind][reliable]
     assert platform.sim.pending_events == 0
+    assert near._retx == near._pending == far._retx == far._pending == {}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dtu import DtuError, MissingCredits, NoPermission
-from tests.dtu.conftest import configure_channel
+from tests.dtu.conftest import BOTH_MODES, build_platform, configure_channel
 
 
 def test_send_delivers_message_with_label(platform):
@@ -168,3 +168,73 @@ def test_transfer_time_charged_to_xfer_tag(platform):
     platform.sim.run_process(sender_sw())
     assert platform.sim.ledger.total("xfer") > 0
     assert platform.sim.ledger.total("app") == 0
+
+
+# -- the credit refill rule, per mode ---------------------------------------
+#
+# A reply carries the refill for the send endpoint that paid for the
+# request.  Best-effort, it refills on arrival whatever becomes of the
+# reply itself — nothing will send it again.  Reliable, it refills once
+# the reply is *accepted*: a refused one is not acked and comes again,
+# and side effects happen once per sequence number.  Either way the
+# credits never pass the endpoint's ceiling.
+
+def _request_reply_pair(reliable, reply_slots=1):
+    """Client PE0 (send EP0 with 2 credits, reply EP2) and server PE1."""
+    platform = build_platform(reliable)
+    client, server = platform.pe(0).dtu, platform.pe(1).dtu
+    configure_channel(client, server, credits=2)
+    configure_channel(server, client, send_ep=5, recv_ep=2,
+                      slot_count=reply_slots)
+
+    def serve(count):
+        for _ in range(count):
+            slot, message = yield from server.wait_message(1)
+            server.reply(1, slot, message.payload, 8)
+
+    return platform, client, serve
+
+
+@BOTH_MODES
+def test_reply_refused_by_a_full_ring(reliable):
+    platform, client, serve = _request_reply_pair(reliable, reply_slots=1)
+    platform.pe(1).run(serve(2), "server")
+    client.send(0, "first", 8, reply_ep=2)
+    client.send(0, "second", 8, reply_ep=2)
+    assert client.ep(0).credits == 0
+    platform.sim.run(until=400)  # both replies arrived; one found no slot
+    assert client.messages_dropped == 1
+    assert client.ringbuffer(2).occupied == 1
+    assert client.ep(0).credits == (1 if reliable else 2)
+    slot, _reply = client.fetch_message(2)
+    client.ack_message(2, slot)  # room for the reliable retransmit
+    platform.sim.run()
+    assert client.ep(0).credits == 2
+    assert client.ringbuffer(2).occupied == (1 if reliable else 0)
+
+
+@BOTH_MODES
+def test_reply_refused_by_an_invalidated_endpoint(reliable):
+    platform, client, serve = _request_reply_pair(reliable)
+    platform.pe(1).run(serve(1), "server")
+    client.send(0, "request", 8, reply_ep=2)
+    client.configure_local("invalidate", 2)
+    platform.sim.run(until=400)
+    assert client.messages_dropped == 1
+    assert client.ep(0).credits == (1 if reliable else 2)
+    configure_channel(platform.pe(1).dtu, client, send_ep=5, recv_ep=2)
+    platform.sim.run()
+    assert client.ep(0).credits == 2
+    assert (client.fetch_message(2) is not None) == reliable
+
+
+@BOTH_MODES
+def test_refill_never_passes_the_ceiling(reliable):
+    platform, client, serve = _request_reply_pair(reliable)
+    platform.pe(1).run(serve(1), "server")
+    client.send(0, "request", 8, reply_ep=2)
+    client.configure_local("refill_credits", 0)  # the kernel got there first
+    assert client.ep(0).credits == 2
+    platform.sim.run()
+    assert client.fetch_message(2) is not None  # the reply did arrive
+    assert client.ep(0).credits == client.ep(0).max_credits == 2

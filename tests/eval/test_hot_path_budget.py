@@ -42,8 +42,8 @@ def _m3fs_point() -> None:
 #: to write down in CHANGES.md, not a number to bump until the test
 #: passes.
 PYTHON_CALL_BUDGETS = [
-    pytest.param(_serving_point, 210_147, id="serving"),
-    pytest.param(_m3fs_point, 24_487, id="m3fs"),
+    pytest.param(_serving_point, 199_715, id="serving"),
+    pytest.param(_m3fs_point, 24_327, id="m3fs"),
 ]
 
 

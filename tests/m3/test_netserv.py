@@ -302,6 +302,48 @@ def test_tx_command_credits_are_refunded(net_system):
     assert servers[0].nic.frames_sent == count
 
 
+def test_interrupts_outlive_any_credit_count(net_system):
+    """Regression: the service *acks* NIC interrupts and never replies,
+    so nothing refunds the IRQ endpoint's send credits.  With a finite
+    count (it was 4096) a NIC went silent for life once they were
+    spent: ``txdone`` stopped arriving, the TX ring drained and every
+    sender saw "tx ring full" forever.  The endpoint's credits are
+    unlimited now, so the lifetime datagram count is unbounded."""
+    from repro.dtu.registers import UNLIMITED_CREDITS
+    from repro.hw.device import IRQ_SEND_EP
+    from repro.m3.services.netserv import TX_SLOTS
+
+    system, servers = net_system
+    count = 4_200  # past 4096 interrupts on either NIC
+
+    def sender(env):
+        client = yield from NetClient.connect(env, "net")
+        yield from client.request("bind", 30)
+        for _ in range(count):
+            # Bounded retries: a ring that stays full is the failure,
+            # not a reason to spin forever.
+            for _attempt in range(20):
+                try:
+                    # Nobody is bound to port 31: net2 counts the frame
+                    # as dropped, which still takes one "rx" interrupt.
+                    yield from client.request("send_to", 31, b"x")
+                    break
+                except RuntimeError as exc:
+                    assert "tx ring full" in str(exc)
+                    yield 2_000
+            else:
+                raise AssertionError("tx ring stayed full")
+        return ()
+
+    system.run_app(sender, name="tx")
+    system.sim.run(until=system.sim.now + 30_000)  # drain txdone
+    assert servers[0].nic.frames_sent == count
+    assert servers[1].frames_dropped == count  # every "rx" irq arrived
+    assert sorted(servers[0]._tx_free) == list(range(TX_SLOTS))
+    for server in servers:
+        assert server.nic.dtu.ep(IRQ_SEND_EP).credits == UNLIMITED_CREDITS
+
+
 def test_full_inbox_drops_and_counts(net_system):
     """Regression: a socket that never drains its inbox must not grow
     it without bound — frames beyond the configured depth are dropped

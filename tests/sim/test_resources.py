@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Mailbox, Semaphore, Signal, Simulator
+from repro.sim import Mailbox, Signal, Simulator
 from repro.sim.resources import WaitTimeout
 
 
@@ -59,49 +59,6 @@ def test_mailbox_multiple_waiters_fifo():
     sim.process(producer(), "p")
     sim.run()
     assert results == [("a", 1), ("b", 2)]
-
-
-def test_semaphore_initial_tokens():
-    sim = Simulator()
-    sem = Semaphore(sim, tokens=2)
-
-    def taker():
-        yield sem.acquire()
-        yield sem.acquire()
-        return sim.now
-
-    assert sim.run_process(taker()) == 0
-
-
-def test_semaphore_blocks_then_releases_fifo():
-    sim = Simulator()
-    sem = Semaphore(sim)
-    order = []
-
-    def taker(tag):
-        yield sem.acquire()
-        order.append(tag)
-
-    sim.process(taker("first"), "first")
-    sim.process(taker("second"), "second")
-
-    def releaser():
-        yield 10
-        sem.release(2)
-
-    sim.process(releaser(), "r")
-    sim.run()
-    assert order == ["first", "second"]
-    assert sem.tokens == 0
-
-
-def test_semaphore_rejects_negative():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Semaphore(sim, tokens=-1)
-    sem = Semaphore(sim)
-    with pytest.raises(ValueError):
-        sem.release(-2)
 
 
 def test_signal_wakes_all_current_waiters():
@@ -235,27 +192,6 @@ def test_mailbox_put_wakes_waiters_in_scheduling_not_call_order():
         ("consumer", 0, "a", 5),
         ("consumer", 1, "b", 5),
     ]
-
-
-def test_semaphore_release_wakes_waiters_in_scheduling_not_call_order():
-    sim = Simulator()
-    gate = Semaphore(sim, tokens=0)
-    log = []
-
-    def worker(index):
-        yield gate.acquire()
-        log.append(("worker", index, sim.now))
-
-    def releaser():
-        yield 3
-        gate.release(2)
-        log.append(("released", sim.now))
-
-    sim.process(worker(0), "w0")
-    sim.process(worker(1), "w1")
-    sim.process(releaser(), "r")
-    sim.run()
-    assert log == [("released", 3), ("worker", 0, 3), ("worker", 1, 3)]
 
 
 def test_signal_fire_cancels_pending_timeout_timers():
