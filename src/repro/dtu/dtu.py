@@ -43,6 +43,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SEND = EndpointKind.SEND
 _RECEIVE = EndpointKind.RECEIVE
 
+#: Arg names of the per-message span (``Observer.complete``'s ``shared``).
+_MESSAGE_SPAN_ARGS = ("destination", "bytes")
+
 #: Cycles for the DTU to serve a request against the local SPM.
 SPM_ACCESS_CYCLES = 2
 
@@ -323,8 +326,9 @@ class DTU:
             obs.observe("dtu.msg_rtt", self.sim.now - started)
             obs.complete(
                 packet.kind, "dtu", self.node, started,
-                span_id=span_id, parent=parent,
-                destination=packet.destination, bytes=packet.size_bytes,
+                span_id=span_id, parent=parent, shared=(
+                    _MESSAGE_SPAN_ARGS,
+                    (packet.destination, packet.size_bytes)),
             )
 
         done.add_callback(record)

@@ -23,6 +23,13 @@ class Link:
     busy-cycle counter would overcount — and ``next_free`` and
     ``busy_cycles`` are read off the last window instead of being
     written on every reservation.
+
+    The record is the *live tail* of the link's history, not all of
+    it: :meth:`forget_before` folds the windows nobody will ask about
+    again into the first retained one (the idle counts are cumulative,
+    so nothing is lost from any later answer), which keeps a link's
+    memory proportional to what its readers still look at instead of
+    to the packets it ever carried.
     """
 
     __slots__ = ("source", "destination", "bytes_per_cycle", "packets",
@@ -37,7 +44,9 @@ class Link:
         self.packets = 0
         #: merged occupancy windows (sorted, disjoint): where each ends,
         #: and the cumulative idle cycles before it starts.  Both open
-        #: with an empty window at cycle 0, so ``[-1]`` always exists.
+        #: with an empty window at cycle 0, so ``[-1]`` always exists;
+        #: after :meth:`forget_before`, ``[0]`` stands for everything
+        #: up to its end.
         self._window_ends: list[int] = [0]
         self._window_gaps: list[int] = [0]
 
@@ -50,6 +59,30 @@ class Link:
     def busy_cycles(self) -> int:
         """Cycles reserved so far, whenever they lie."""
         return self._window_ends[-1] - self._window_gaps[-1]
+
+    @property
+    def windows_retained(self) -> int:
+        """How many merged windows the record currently holds."""
+        return len(self._window_ends)
+
+    def forget_before(self, floor: int) -> None:
+        """Fold every window that ended at or before ``floor`` into the
+        last of them.
+
+        That one stays as the sentinel later idle gaps are measured
+        from, and both lists are cumulative, so :meth:`busy_within`
+        and :meth:`utilization` stay exact for every ``t >= floor``
+        (``busy_cycles`` and ``next_free`` always); only a query below
+        the sentinel's end can no longer be answered, and raises.
+        """
+        ends = self._window_ends
+        # The newest window may still grow (a packet queueing behind
+        # it), so it never becomes the sentinel: the search stops
+        # short of it and a folded record keeps at least two windows.
+        folded = bisect.bisect_right(ends, floor, 0, len(ends) - 1) - 1
+        if folded > 0:
+            del ends[:folded]
+            del self._window_gaps[:folded]
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to push ``nbytes`` through this link."""
@@ -69,12 +102,23 @@ class Link:
         return end - self.serialization_cycles(nbytes), end
 
     def busy_within(self, elapsed: int) -> int:
-        """Exact occupied cycles inside the window ``[0, elapsed)``."""
+        """Exact occupied cycles inside the window ``[0, elapsed)``.
+
+        Raises :class:`ValueError` when ``elapsed`` lies inside what
+        :meth:`forget_before` folded away.
+        """
         if elapsed <= 0:
             return 0
         ends, gaps = self._window_ends, self._window_gaps
         # Windows whose end is <= elapsed count fully...
         index = bisect.bisect_right(ends, elapsed)
+        if not index and gaps[0]:
+            # Only a folded record's first window has idle cycles
+            # before it; where it began is no longer known.
+            raise ValueError(
+                f"link {self.source}->{self.destination}: occupancy before "
+                f"cycle {ends[0]} was folded away (asked for {elapsed})"
+            )
         busy = ends[index - 1] - gaps[index - 1] if index else 0
         # ...and inside (or before) the next one, whatever of
         # ``elapsed`` was not idle was busy.
@@ -96,6 +140,15 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
+
+
+def forget_before(links, floor: int) -> None:
+    """:meth:`Link.forget_before` on each of ``links`` that has anything
+    to fold: two windows are the least a folded record keeps, so most
+    links of a mesh cost one ``len`` per sweep, not a call."""
+    for link in links:
+        if len(link._window_ends) > 2:
+            link.forget_before(floor)
 
 
 def reserve_path(links, head: int, hop_cycles: int, nbytes: int) -> int:

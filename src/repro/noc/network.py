@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.noc.link import Link, reserve_path
+from repro.noc.link import Link, forget_before, reserve_path
 from repro.noc.packet import Packet
 from repro.noc.routing import XYRouter
 from repro.noc.topology import MeshTopology
@@ -23,6 +23,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Wire overhead per packet: routing/flow-control header flits.
 PACKET_HEADER_BYTES = 16
+
+#: Injections between two sweeps that let the links forget occupancy
+#: nobody will read again (see :meth:`Network.send`).
+FORGET_INTERVAL = 1024
+
+#: Arg names of the per-packet span (``Observer.complete``'s ``shared``).
+_PACKET_SPAN_ARGS = ("destination", "bytes", "verdict")
 
 DeliveryHandler = typing.Callable[[Packet], None]
 
@@ -122,7 +129,13 @@ class Network:
     # -- sending ----------------------------------------------------------------
 
     def send(self, packet: Packet) -> int:
-        """Inject ``packet``; schedule delivery; return the completion cycle."""
+        """Inject ``packet``; schedule delivery; return the completion cycle.
+
+        Every :data:`FORGET_INTERVAL` injections the links drop the
+        occupancy history that has no reader left: reports ask about
+        ``[0, now)`` or later, and an installed observer about nothing
+        before the first epoch it has not sampled yet.
+        """
         try:
             handler = self._handlers[packet.destination]
         except KeyError:
@@ -131,9 +144,16 @@ class Network:
             ) from None
         sim = self.sim
         size = packet.size_bytes
-        completion = self.delivery_time(packet)
+        path = self.paths[packet.source, packet.destination]
+        completion = reserve_path(path, sim.now, self.hop_cycles,
+                                  size + PACKET_HEADER_BYTES)
         self.packets_injected += 1
         self.bytes_injected += size
+        if not self.packets_injected % FORGET_INTERVAL:
+            forget_before(
+                self._links.values(),
+                sim.now if sim.obs is None else sim.obs.links_sampled_to,
+            )
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
@@ -145,7 +165,8 @@ class Network:
                 # the sender still observes the nominal completion time.
                 self.packets_lost += 1
                 if sim.obs is not None:
-                    self._observe_packet(packet, completion, verdict)
+                    self._observe_packet(packet, len(path), completion,
+                                         verdict)
                 return completion
             if verdict == "corrupt":
                 packet.corrupted = True
@@ -156,13 +177,14 @@ class Network:
         self.packets_sent += 1
         self.bytes_sent += size
         if sim.obs is not None:
-            self._observe_packet(packet, completion, verdict)
+            self._observe_packet(packet, len(path), completion, verdict)
         sim.schedule(completion - sim.now, handler, packet)
         return completion
 
-    def _observe_packet(self, packet: Packet, completion: int,
+    def _observe_packet(self, packet: Packet, hops: int, completion: int,
                         verdict: str) -> None:
-        """Span + counters for one injected packet (observer installed).
+        """Span + counters for one injected packet (observer installed)
+        that crosses ``hops`` links.
 
         The packet's span adopts the trace context the sending DTU
         stamped on it, and the *contended* share of the wire time — the
@@ -179,10 +201,11 @@ class Network:
         now = self.sim.now
         span = obs.complete(
             packet.kind, "noc", packet.source, now, completion,
-            parent=ctx, destination=packet.destination,
-            bytes=packet.size_bytes, verdict=verdict,
+            parent=ctx, shared=(
+                _PACKET_SPAN_ARGS,
+                (packet.destination, packet.size_bytes, verdict)),
         )
-        queued = completion - self._uncontended_completion(packet, now)
+        queued = completion - self._uncontended_completion(packet, hops, now)
         if queued > 0:
             obs.complete(
                 "queueing", "noc-queue", packet.source,
@@ -192,10 +215,11 @@ class Network:
             )
         obs.sample_links(self)
 
-    def _uncontended_completion(self, packet: Packet, now: int) -> int:
-        """When the packet would complete on an idle path (no queueing)."""
+    def _uncontended_completion(self, packet: Packet, hops: int,
+                                now: int) -> int:
+        """When the packet would complete on an idle path of ``hops``
+        links (no queueing)."""
         wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        hops = len(self.paths[packet.source, packet.destination])
         serialization = -(-wire_bytes // self.bytes_per_cycle)
         return now + hops * self.hop_cycles + max(serialization, 1)
 

@@ -21,7 +21,10 @@ Collected data:
   use the deterministic log2 buckets of :mod:`repro.obs.metrics`.
 - **link occupancy epochs** — per-link busy fraction sampled on fixed
   epoch boundaries, driven lazily from packet injections so the
-  sampler never keeps the event queue alive.
+  sampler never keeps the event queue alive.  Sampling starts at the
+  cycle the Observer is created and only moves forward;
+  :attr:`Observer.links_sampled_to` tells the network which link
+  history it may forget.
 
 Span/instant storage is optionally bounded (ring semantics with a
 dropped-record counter) so long fault sweeps cannot grow without
@@ -51,6 +54,8 @@ class Span(typing.NamedTuple):
     node: int
     begin: int
     end: int
+    #: read-only: spans with equal args may share one mapping (see
+    #: :meth:`Observer.complete`); copy before changing anything.
     args: dict | None
     #: causal identity; -1 = outside any trace (see repro.obs.causal).
     span_id: int = -1
@@ -87,7 +92,13 @@ class Observer:
         #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
         self.link_series: dict[tuple, list[tuple[int, float]]] = {}
         self.epoch = epoch
-        self._next_epoch = epoch
+        #: the open link-occupancy epoch: an observer created mid-run
+        #: samples from that cycle to the end of the epoch containing
+        #: it, then epoch by epoch; it never looks further back.
+        self._epoch_start = sim.now
+        self._next_epoch = (sim.now // epoch + 1) * epoch
+        #: (names, values) -> the one mapping spans with those args share.
+        self._shared_args: dict[tuple, dict] = {}
         self._open: dict[int, tuple] = {}
         self._span_ids = itertools.count(1)
         #: per-node trace-context stacks (causal request tracing).
@@ -189,7 +200,8 @@ class Observer:
 
     def complete(self, name: str, category: str, node: int, begin: int,
                  end: int | None = None, span_id: int = -1,
-                 parent: TraceContext | None = None, **args) -> Span:
+                 parent: TraceContext | None = None,
+                 shared: tuple[tuple, tuple] | None = None, **args) -> Span:
         """Record a span whose begin (and optionally end) is already known.
 
         Unlike :meth:`begin`, this never starts a new trace: the span
@@ -198,7 +210,16 @@ class Observer:
         background spans should.  Pass ``span_id`` (from
         :meth:`reserve_span_id`) when other spans were parented on this
         one before it completed.
+
+        ``shared=(names, values)`` is for the per-packet and per-message
+        sites, whose args come from a few hundred distinct value tuples
+        a run: the span gets ``dict(zip(names, values))``, but one
+        mapping per distinct pair, shared by every span that has it.
         """
+        if shared is not None:
+            args = self._shared_args.get(shared)
+            if args is None:
+                args = self._shared_args[shared] = dict(zip(*shared))
         if parent is None:
             parent = self.causal.current(node)
         if parent.valid:
@@ -272,13 +293,22 @@ class Observer:
         """
         now = self.sim.now
         while self._next_epoch <= now:
-            self._record_epoch(network, self._next_epoch - self.epoch,
-                               self._next_epoch)
+            self._record_epoch(network, self._epoch_start, self._next_epoch)
+            self._epoch_start = self._next_epoch
             self._next_epoch += self.epoch
-        if force and now > self._next_epoch - self.epoch:
-            self._record_epoch(network, self._next_epoch - self.epoch, now)
+        if force and now > self._epoch_start:
+            self._record_epoch(network, self._epoch_start, now)
         if self.telemetry is not None:
             self.telemetry.advance(now)
+
+    @property
+    def links_sampled_to(self) -> int:
+        """The start of the first epoch not yet in :attr:`link_series`.
+
+        Link occupancy before this cycle has been read for the last
+        time; the network passes it to ``Link.forget_before``.
+        """
+        return self._epoch_start
 
     def label_node(self, node: int, label: str) -> None:
         """Attach a human-readable role label to a NoC node (shown as

@@ -134,9 +134,16 @@ class Telemetry:
         if now is None:
             now = self.sim.now
         target = now // self.epoch
-        while self._open_index < target:
-            self._close_epoch(self._open_index)
-            self._open_index += 1
+        if self._open_index < target:
+            # Move on before anything runs: a sampler or hook that
+            # records re-enters here, and what it records belongs to
+            # the epoch containing ``now``, not to one being closed.
+            first, self._open_index = self._open_index, target
+            self._close_epoch(first, *self._take_open())
+            # Every record ticks first, so the epochs after the one
+            # that was open saw none.
+            for index in range(first + 1, target):
+                self._close_epoch(index, {}, {}, {})
 
     def _tick(self) -> None:
         self.advance(self.sim.now)
@@ -148,21 +155,27 @@ class Telemetry:
         epoch and a later flush combines them.
         """
         self.advance(self.sim.now)
-        self._close_epoch(self._open_index)
+        self._close_epoch(self._open_index, *self._take_open())
 
-    def _close_epoch(self, index: int) -> None:
+    def _take_open(self) -> tuple[dict, dict, dict]:
+        """Hand over the open epoch's accumulators, leaving fresh ones."""
+        taken = self._open_counters, self._open_gauges, self._open_quantiles
+        self._open_counters, self._open_gauges, self._open_quantiles = \
+            {}, {}, {}
+        return taken
+
+    def _close_epoch(self, index: int, counters: dict, gauges: dict,
+                     quantiles: dict) -> None:
+        """Fold what epoch ``index`` recorded, plus the samplers' gauges,
+        into the series; then run the close hooks."""
         for sampler in self.samplers:
-            for name, value in sampler():
-                self._open_gauges[name] = value
-        for name, value in self._open_counters.items():
+            gauges.update(sampler())
+        for name, value in counters.items():
             self._fold(name, COUNTER, index, value)
-        for name, value in self._open_gauges.items():
+        for name, value in gauges.items():
             self._fold(name, GAUGE, index, value)
-        for name, hist in self._open_quantiles.items():
+        for name, hist in quantiles.items():
             self._fold(name, QUANTILE, index, hist)
-        self._open_counters.clear()
-        self._open_gauges.clear()
-        self._open_quantiles.clear()
         end_cycle = (index + 1) * self.epoch
         for hook in self.on_epoch_close:
             hook(index, end_cycle)

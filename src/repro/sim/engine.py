@@ -69,7 +69,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_bucket", "_heap", "_sequence", "_cancelled",
-                 "ledger", "_processes", "obs")
+                 "ledger", "obs")
 
     def __init__(self):
         self.now: int = 0
@@ -78,7 +78,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._cancelled = 0
         self.ledger = TimeLedger()
-        self._processes: list[Process] = []
         #: optional observability hub (see :mod:`repro.obs`); with None
         #: installed, instrumented components pay one branch per event.
         self.obs = None
@@ -177,9 +176,7 @@ class Simulator:
 
     def process(self, generator, name: str = "process") -> Process:
         """Start ``generator`` as a new simulation process."""
-        proc = Process(self, generator, name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name)
 
     # -- execution ----------------------------------------------------------
 

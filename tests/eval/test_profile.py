@@ -43,3 +43,14 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     assert data is not None and data["cycles"] == system.sim.now
     assert data["noc"]["packets_injected"] == data["noc"]["packets"]  # no faults
     assert profile.report(system).startswith("System state at cycle")
+
+    # Per-packet and per-message spans share their args: one mapping
+    # per distinct value tuple, not one per span (the exported trace —
+    # ``results/fig3_micro.trace.json`` — copies, and is unchanged).
+    shared = [span.args for span in obs.spans
+              if span.category == "noc"
+              or (span.category == "dtu"
+                  and span.name in ("message", "reply"))]
+    distinct = {tuple(args.items()) for args in shared}
+    assert len({id(args) for args in shared}) == len(distinct)
+    assert len(distinct) * 10 < len(shared)

@@ -87,6 +87,30 @@ def test_network_iter_links_is_public():
         assert link.source == source
 
 
+def test_spans_with_equal_args_share_one_read_only_mapping():
+    sim = Simulator()
+    obs = Observer.install(sim)
+    network = Network(sim, MeshTopology(2, 1))
+    network.attach(0, lambda packet: None)
+    network.attach(1, lambda packet: None)
+    for size in (64, 64, 8):
+        network.send(Packet(0, 1, "msg", size))
+    first, second, third = (s for s in obs.spans if s.category == "noc")
+    assert first.args == {"destination": 1, "bytes": 64, "verdict": "deliver"}
+    assert list(first.args) == ["destination", "bytes", "verdict"]
+    assert second.args is first.args
+    assert third.args is not first.args and third.args["bytes"] == 8
+    # Same values under other names are another mapping.
+    renamed = (("node", "size", "fate"), (1, 64, "deliver"))
+    other = obs.complete("pkt", "test", 0, 0, 1, shared=renamed).args
+    assert other == {"node": 1, "size": 64, "fate": "deliver"}
+    assert obs.complete("pkt", "test", 0, 1, 2, shared=renamed).args is other
+    # ``end`` merges into a copy, never into the mapping a begin stored.
+    span_id = obs.begin("op", "test", 0, **first.args)
+    assert obs.end(span_id, status="ok").args["status"] == "ok"
+    assert "status" not in first.args
+
+
 def test_link_epoch_sampling_is_lazy_and_flushable():
     sim = Simulator()
     obs = Observer.install(sim, epoch=100)

@@ -87,6 +87,63 @@ def test_samplers_polled_at_epoch_close():
     assert telemetry.points("kv.kv0.depth") == [(0, 9), (1, 9)]
 
 
+def test_a_close_hook_that_records_runs_once_per_epoch():
+    """A hook may count (``slo.alerts_fired`` is the natural one): that
+    re-enters ``advance`` while epochs are closing, which used to close
+    the same epoch again until the stack ran out."""
+    sim, obs, telemetry = _hub()
+    closed = []
+
+    def hook(index, end_cycle):
+        closed.append((index, end_cycle))
+        obs.count("hook.ran")
+
+    telemetry.on_epoch_close.append(hook)
+    sim.schedule(0, lambda _: obs.count("req"))
+    sim.schedule(250, lambda _: obs.count("req", 4))
+    sim.run()
+    # Epochs 0 and 1 closed at cycle 250, each exactly once ...
+    assert closed == [(0, 100), (1, 200)]
+    # ... with what they had recorded, and nothing of the hook's ...
+    assert telemetry.points("req") == [(0, 1)]
+    assert telemetry.points("hook.ran") == []
+    telemetry.flush()
+    assert closed[2:] == [(2, 300)]
+    # ... which landed in the epoch it ran in: the one containing 250.
+    assert telemetry.points("req") == [(0, 1), (2, 4)]
+    assert telemetry.points("hook.ran") == [(2, 2)]
+    assert obs.counters["hook.ran"] == 3
+
+
+def test_a_recording_hook_survives_a_long_idle_gap():
+    """Re-entry is a no-op, not one nested close per ended epoch: the
+    stack stays flat however many epochs a quiet stretch ends at once."""
+    sim, obs, telemetry = _hub()
+    telemetry.on_epoch_close.append(lambda index, end: obs.count("hook.ran"))
+    sim.schedule(0, lambda _: obs.count("req"))
+    sim.schedule(500_000, lambda _: obs.count("req"))
+    sim.run()
+    assert obs.counters["hook.ran"] == 5_000
+    telemetry.flush()
+    assert telemetry.points("hook.ran") == [(5_000, 5_000)]
+
+
+def test_a_sampler_that_records_does_not_reclose_its_epoch():
+    sim, obs, telemetry = _hub()
+
+    def sampler():
+        obs.count("sampler.polls")
+        return (("depth", 1),)
+
+    telemetry.add_sampler(sampler)
+    sim.schedule(10, lambda _: obs.count("req"))
+    sim.schedule(120, lambda _: obs.count("req"))
+    sim.run()
+    assert telemetry.points("depth") == [(0, 1)]
+    assert telemetry.points("req") == [(0, 1)]
+    assert obs.counters["sampler.polls"] == 1
+
+
 def test_watch_threshold_counts_exact_over_events():
     _sim, _obs, telemetry = _hub()
     over = telemetry.watch_threshold("lat", 100)

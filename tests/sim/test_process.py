@@ -1,5 +1,8 @@
 """Unit tests for generator-driven processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Simulator
@@ -149,3 +152,26 @@ def test_interrupt_finished_process_is_noop():
     sim.run()
     proc.interrupt()  # must not raise
     assert not proc.alive
+
+
+def test_finished_unreferenced_process_is_collectable():
+    """The simulator keeps no list of the processes it started: a
+    per-frame DMA process (and the frame its closure holds) goes away
+    with its last event instead of living as long as the simulator."""
+    sim = Simulator()
+    payload = bytearray(4096)
+
+    def body(frame):
+        yield 5
+        return len(frame)
+
+    generator = body(payload)
+    # ``Process`` is slotted and not weak-referenceable; the generator
+    # it owns (whose frame held the payload) is.
+    watch = weakref.ref(generator)
+    process = sim.process(generator, "dma")
+    sim.run()
+    assert process.done.value == 4096
+    del generator, process
+    gc.collect()
+    assert watch() is None
