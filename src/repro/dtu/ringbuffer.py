@@ -108,6 +108,15 @@ class RingBuffer:
             raise ValueError(f"slot {slot} is empty")
         return message
 
+    def retarget_reply(self, slot: int, node: int, ep_index: int) -> None:
+        """Address the reply to the message parked in ``slot`` (if
+        any) to ``(node, ep_index)``: its sender has moved since."""
+        message = self._slots[slot]
+        if message is not None and message.header.reply_node != node:
+            header = message.header._replace(reply_node=node,
+                                             reply_ep=ep_index)
+            self._slots[slot] = message._replace(header=header)
+
     def ack(self, slot: int) -> None:
         """Mark ``slot`` processed, freeing it for new messages."""
         if self._slots[slot] is None:

@@ -187,7 +187,7 @@ def run(seed: int = DEFAULT_SEED) -> dict:
         "killed_at": KILL_AT,
         "detected_at": detected,
         "failover_done_at": completed,
-        "service_cache_purged": fs_name(1) not in k0._remote_services,
+        "service_cache_purged": fs_name(1) not in k0.sessions.owners,
         "dead_domain_quarantined": all(
             system.platform.pe(node).failed for node in sorted(k1.domain)
         ),

@@ -45,8 +45,10 @@ class ProcessingElement:
         #: set while a kernel has claimed the PE for a VPE that has not
         #: started yet (so concurrent creates cannot double-book it).
         self.reserved = False
-        #: simple bump allocator over the data SPM for software buffers.
-        self._alloc_next = 0
+        #: simple bump allocator over the data SPM for software buffers:
+        #: the next free address.  Part of the PE-local state a kernel
+        #: saves and restores when it moves software between PEs.
+        self.alloc_mark = 0
 
     @property
     def busy(self) -> bool:
@@ -97,7 +99,7 @@ class ProcessingElement:
         """Mark the PE free again (after its occupant finished or was reset)."""
         self.occupant = None
         self.reserved = False
-        self._alloc_next = 0
+        self.alloc_mark = 0
 
     def alloc_buffer(self, nbytes: int) -> int:
         """Reserve ``nbytes`` of data SPM; returns the start address.
@@ -107,13 +109,13 @@ class ProcessingElement:
         """
         if nbytes < 0:
             raise ValueError("negative buffer size")
-        address = self._alloc_next
+        address = self.alloc_mark
         if address + nbytes > self.spm_data.size:
             raise MemoryError(
                 f"PE {self.node}: SPM exhausted "
                 f"({address + nbytes} > {self.spm_data.size})"
             )
-        self._alloc_next = address + nbytes
+        self.alloc_mark = address + nbytes
         return address
 
     def compute(self, cycles: int):

@@ -143,10 +143,9 @@ class AutoScaler:
     def _depths(self) -> dict:
         """Queue depth per routed replica, sampled at the owning
         kernel (the authoritative copy of the gossiped telemetry)."""
-        depths = {}
-        for replica, owner in self._route():
-            depths[replica] = self.system.kernels[owner].local_depth(replica)
-        return depths
+        kernels = self.system.kernels
+        return {replica: kernels[owner].sessions.depth(replica)
+                for replica, owner in self._route()}
 
     # -- the epoch loop ------------------------------------------------
 
@@ -311,7 +310,7 @@ class AutoScaler:
         )
         drained = False
         for _ in range(self.drain_patience):
-            if not victim.sessions and kernel.local_depth(victim_name) == 0:
+            if not victim.sessions and kernel.sessions.depth(victim_name) == 0:
                 drained = True
                 break
             yield self.sim.delay(self.epoch)
@@ -343,11 +342,7 @@ class AutoScaler:
             tag=Tag.XFER,
         )
         vpe = victim.vpe
-        occupant = vpe.pe.occupant
-        if occupant is not None and occupant.alive:
-            occupant.interrupt("scaled-down")
-        kernel.vpe_exited(vpe, 0)
-        kernel.services.pop(victim_name, None)
+        kernel.reset_vpe(vpe, "scaled-down", exit_code=0)
         del self.servers[victim_name]
         self.retired[victim_name] = victim
         self.scale_downs += 1

@@ -35,7 +35,7 @@ class Capability:
         "bound_eps", "foreign"
     )
 
-    def __init__(self, kind: CapKind, obj: object):
+    def __init__(self, kind: CapKind, obj: object, foreign: bool = False):
         self.kind = kind
         self.obj = obj
         self.table: "CapTable | None" = None
@@ -49,7 +49,7 @@ class Capability:
         #: the referenced object is owned by a *peer kernel domain*
         #: (delegated over the inter-kernel protocol); revoking it must
         #: not free resources into this kernel's allocators.
-        self.foreign = False
+        self.foreign = foreign
 
     def derive(self, obj: object | None = None,
                kind: "CapKind | None" = None) -> "Capability":
@@ -128,9 +128,6 @@ class CapTable:
 
     def __len__(self) -> int:
         return len(self._caps)
-
-    def __contains__(self, selector: int) -> bool:
-        return selector in self._caps
 
 
 def revoke(cap: Capability, include_self: bool = True) -> list[Capability]:

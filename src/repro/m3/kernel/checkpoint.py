@@ -80,8 +80,6 @@ class MigrationDescriptor:
 
         manifest = []
         for cap in vpe.captable.caps():
-            if cap.table is None:
-                continue
             if cap.kind == CapKind.MEM:
                 obj = cap.obj
                 detail = (obj.node, obj.address, obj.size, obj.perm.value,

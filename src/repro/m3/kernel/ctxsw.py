@@ -34,9 +34,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.dtu.registers import MemoryPerm
-from repro.m3.kernel.objects import MemObject
-from repro.m3.kernel.syscalls import NO_REPLY
+from repro.m3.kernel.syscalls import APP_REPLY_EP, NO_REPLY
 from repro.m3.kernel.vpe import VpeObject, VpeState
 from repro.sim.ledger import Tag
 
@@ -103,9 +101,8 @@ class ContextSwitcher:
             pe = preferred[0]
         else:
             pe = min(candidates, key=lambda p: len(self.queues[p.node]))
-        vpe = VpeObject(name, pe, next(self.kernel._vpe_ids))
+        vpe = self.kernel.new_vpe(name, pe)
         vpe.resident = False
-        self.kernel.vpes[vpe.id] = vpe
         self.queues[pe.node].append(vpe)
         # Loader capability: a DRAM staging area the size of the SPM
         # (Section 4.5.5: "If caches are available, it will be some
@@ -115,21 +112,9 @@ class ContextSwitcher:
 
     def adopt(self, vpe: VpeObject) -> None:
         """Register a normally-created (resident) VPE with the switcher."""
-        if not vpe.pe.core.type.general_purpose:
-            return
-        self.resident[vpe.node] = vpe
-        self.queues.setdefault(vpe.node, [])
-        self.switching.setdefault(vpe.node, False)
-        self.suspended.setdefault(vpe.node, set())
-
-    def staging_object(self, vpe: VpeObject) -> MemObject:
-        """The memory object behind a queued VPE's loader capability."""
-        return MemObject(
-            self.kernel.platform.dram_node,
-            vpe.staging_addr,
-            vpe.pe.spm_data.size,
-            MemoryPerm.RW,
-        )
+        if vpe.pe.core.type.general_purpose:
+            self.adopt_node(vpe.pe)
+            self.resident[vpe.node] = vpe
 
     # ------------------------------------------------------------------
     # starting queued VPEs
@@ -146,8 +131,7 @@ class ContextSwitcher:
             return
         queue = self.queues.get(node, [])
         for index, vpe in enumerate(queue):
-            ready = vpe.pending_entry is not None or vpe.saved
-            if ready:
+            if vpe.pending_entry is not None or vpe.saved:
                 queue.pop(index)
                 self.switching[node] = True
                 self.sim.process(self._switch_in(vpe), f"ctxsw.in.{vpe.name}")
@@ -175,7 +159,7 @@ class ContextSwitcher:
         # Save the SPM image to the staging area (real bytes, real time).
         if vpe.staging_addr is None:
             vpe.staging_addr = self.kernel.memory.allocate(vpe.pe.spm_data.size)
-        vpe.saved_alloc_mark = vpe.pe._alloc_next
+        vpe.saved_alloc_mark = vpe.pe.alloc_mark
         image = vpe.pe.spm_data.read(0, vpe.pe.spm_data.size)
         yield self.sim.delay(self._transfer_cycles(vpe), tag=Tag.XFER)
         self.kernel.platform.dram.memory.write(vpe.staging_addr, image)
@@ -186,12 +170,7 @@ class ContextSwitcher:
             yield from self.kernel.dtu.configure_remote(
                 node, "invalidate", ep_index
             )
-        # Retire the capability->endpoint binding records: nothing of
-        # this VPE is configured in hardware any more.
-        stale = [k for k in self.kernel._ep_bindings if k[0] == vpe.id]
-        for key in stale:
-            cap = self.kernel._ep_bindings.pop(key)
-            cap.bound_eps.discard(key)
+        self.kernel.caps.unbind_vpe(vpe)
         vpe.resident = False
         vpe.saved = True
         self.resident[node] = None
@@ -247,17 +226,15 @@ class ContextSwitcher:
             if env is not None:
                 env.pe = vpe.pe
                 env.dtu = vpe.pe.dtu
-            vpe.pe._alloc_next = vpe.saved_alloc_mark
+            vpe.pe.alloc_mark = vpe.saved_alloc_mark
             vpe.pe.reserved = True
             if vpe.parked_reply is not None:
                 slot_payload = vpe.parked_reply
                 vpe.parked_reply = None
-                self.kernel._reply(vpe, *slot_payload)
+                self.kernel.reply(vpe, *slot_payload)
             if old_dtu is not None and old_dtu is not vpe.pe.dtu:
                 # Spurious wake-up: software blocked on the old DTU's
                 # reply endpoint re-polls and re-arms on the new one.
-                from repro.m3.kernel.kernel import APP_REPLY_EP
-
                 old_dtu.wake(APP_REPLY_EP)
 
     # ------------------------------------------------------------------
@@ -269,15 +246,11 @@ class ContextSwitcher:
         queued for it."""
         if child.state == VpeState.DEAD:
             return child.exit_code  # immediate reply, no switch
-        child.yield_waiters = getattr(child, "yield_waiters", [])
         child.yield_waiters.append((vpe, slot))
         node = vpe.node
         if self.queues.get(node) and not self.switching.get(node):
-            has_ready = any(
-                w.pending_entry is not None or w.saved
-                for w in self.queues[node]
-            )
-            if has_ready:
+            if any(w.pending_entry is not None or w.saved
+                   for w in self.queues[node]):
                 self.switching[node] = True
                 self.sim.process(
                     self._switch_out(vpe), f"ctxsw.out.{vpe.name}"
@@ -287,13 +260,12 @@ class ContextSwitcher:
 
     def child_exited(self, child: VpeObject) -> None:
         """Complete parked wait_yield replies (restoring yielders)."""
-        waiters = getattr(child, "yield_waiters", [])
-        child.yield_waiters = []
+        waiters, child.yield_waiters = child.yield_waiters, []
         for vpe, slot in waiters:
             if vpe.state == VpeState.DEAD:
                 continue
             if vpe.resident:
-                self.kernel._reply(vpe, slot, ("ok", child.exit_code))
+                self.kernel.reply(vpe, slot, ("ok", child.exit_code))
             else:
                 # The kernel "switch[es] back to the old thread before
                 # the interrupted communication can be completed".

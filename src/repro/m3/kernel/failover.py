@@ -4,8 +4,10 @@ heartbeat ring, and kernel-domain failover.
 :class:`Failover` owns the watchdog and heartbeat processes, their
 miss counters and the verdict records, and is the only writer of the
 kernel's ``dead_peers`` view.  Recovery orchestrates kernel state
-(VPEs, capabilities, sessions) through a back-reference, like the
-context switcher; RPC state is only reached via ``IkTransport.fail_peer``.
+through a back-reference, like the context switcher, and only through
+its owners' operations: ``IkTransport.fail_peer`` for RPC state,
+``Sessions.fail_peer`` for the registry, ``CapExchange.revoke_where``
+for capabilities.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.m3.kernel.capability import CapKind, revoke
+from repro.m3.kernel.capability import CapKind
 from repro.m3.kernel.objects import (
-    RemoteClientRef,
     RemoteGateStub,
     RemoteServiceRef,
     RemoteVpeObject,
@@ -162,20 +163,18 @@ class Failover:
         yield from kernel.quarantine_pe(vpe.pe)
         error = ("err", f"VPE {vpe.name!r} failed: {reason}")
         for waiter_vpe, slot in vpe.waiters + vpe.yield_waiters:
-            kernel._reply(waiter_vpe, slot, error)
+            kernel.reply(waiter_vpe, slot, error)
         vpe.waiters.clear()
         vpe.yield_waiters.clear()
         for ik_slot in vpe.remote_waiters:
             kernel.ik.reply(ik_slot, error)
         vpe.remote_waiters.clear()
-        # DEAD before revoking, so _teardown's VPE branch does not try
-        # to "exit" the corpse a second time.
+        # DEAD before revoking, so tearing down its own VPE capability
+        # does not try to "exit" the corpse a second time.
         kernel.vpe_exited(vpe, ("failed", reason))
-        for cap in vpe.captable.caps():
-            if cap.table is None:
-                continue  # removed with an earlier cap's subtree
-            for victim in revoke(cap):
-                yield from kernel._teardown(victim)
+        yield from kernel.caps.revoke_where(
+            lambda holder, _cap: holder is vpe
+        )
 
     # -- the heartbeat ring -----------------------------------------------
 
@@ -206,7 +205,7 @@ class Failover:
         """The next live kernel id after ours, wrapping around — each
         kernel probes exactly one successor, so the ring as a whole
         covers every member with k probes per period."""
-        live = self.kernel.live_peers()
+        live = self.kernel.ik.live_peers()
         if not live:
             return None
         for peer in live:
@@ -319,12 +318,10 @@ class Failover:
             for vpe in kernel.vpes.values():
                 if slot in vpe.remote_waiters:
                     vpe.remote_waiters.remove(slot)
-        # 2. Sessions being negotiated on behalf of the dead peer's
-        # clients: nobody is waiting for these any more.
-        for negotiation in sorted(kernel._pending_sessions):
-            pending = kernel._pending_sessions[negotiation]
-            if pending[0] == "remote" and pending[4] == peer:
-                del kernel._pending_sessions[negotiation]
+        # 2. Sessions negotiated for or held by the dead peer's clients
+        # are void, and cached service ownership pointing at it fails
+        # over: the next open re-probes the survivors.
+        kernel.sessions.fail_peer(peer)
         # 3. Quarantine the dead domain's PEs: fail them so any orphaned
         # software (spilled VPEs we started over there) stops instead of
         # deadlocking the run, and wipe their DTUs where reachable.
@@ -335,58 +332,34 @@ class Failover:
                 pe.fail(cause=f"kernel domain {peer} failed")
             yield from kernel.wipe_node(node)
         # 4. Capabilities that point into the dead domain are now
-        # dangling: revoke them (sessions with its services, send gates
-        # at its gates, foreign memory in its address space) and mark
-        # proxies of its VPEs dead.
-        for vpe_id in sorted(kernel.vpes):
-            vpe = kernel.vpes[vpe_id]
-            if vpe.state == VpeState.DEAD:
-                continue
-            for cap in vpe.captable.caps():
-                if cap.table is None:
-                    continue
-                doomed = False
-                obj = cap.obj
-                if cap.kind == CapKind.VPE and isinstance(obj, RemoteVpeObject):
-                    if obj.kernel_id == peer and obj.state != VpeState.DEAD:
-                        obj.state = VpeState.DEAD
-                        obj.exit_code = (
-                            "failed", f"kernel domain {peer} failed"
-                        )
-                elif cap.kind == CapKind.SESSION and isinstance(
-                        obj.service, RemoteServiceRef):
-                    doomed = obj.service.kernel_id == peer
-                elif cap.kind == CapKind.SEND and isinstance(
-                        obj.target, RemoteGateStub):
-                    doomed = obj.target.node in dead_nodes
-                elif cap.kind == CapKind.MEM and cap.foreign:
-                    doomed = obj.node in dead_nodes
-                if doomed:
-                    for victim in revoke(cap):
-                        yield from kernel._teardown(victim)
-        # Local services may hold sessions opened on behalf of the dead
-        # kernel's clients; those clients are gone.
-        for service in kernel.services.values():
-            stale = [
-                session_id
-                for session_id, client in service.sessions.items()
-                if isinstance(client, RemoteClientRef)
-                and client.kernel_id == peer
-            ]
-            for session_id in stale:
-                del service.sessions[session_id]
-        # 5. Cached service ownership pointing at the dead kernel fails
-        # over: drop the entries so the next open re-probes survivors.
-        stale_services = [
-            name for name, owner in kernel._remote_services.items()
-            if owner == peer
-        ]
-        for name in stale_services:
-            del kernel._remote_services[name]
-        # 6. Tell the other survivors (idempotent: declare_peer_dead
+        # dangling: mark proxies of its VPEs dead and revoke the rest
+        # (sessions with its services, send gates at its gates, foreign
+        # memory in its address space).
+        for _holder, cap in kernel.caps.installed():
+            obj = cap.obj
+            if (cap.kind == CapKind.VPE and isinstance(obj, RemoteVpeObject)
+                    and obj.kernel_id == peer and obj.state != VpeState.DEAD):
+                obj.state = VpeState.DEAD
+                obj.exit_code = ("failed", f"kernel domain {peer} failed")
+
+        def doomed(holder, cap):
+            obj = cap.obj
+            if holder.state == VpeState.DEAD:
+                return False
+            if cap.kind == CapKind.SESSION:
+                return (isinstance(obj.service, RemoteServiceRef)
+                        and obj.service.kernel_id == peer)
+            if cap.kind == CapKind.SEND:
+                return (isinstance(obj.target, RemoteGateStub)
+                        and obj.target.node in dead_nodes)
+            return (cap.kind == CapKind.MEM and cap.foreign
+                    and obj.node in dead_nodes)
+
+        yield from kernel.caps.revoke_where(doomed)
+        # 5. Tell the other survivors (idempotent: declare_peer_dead
         # no-ops on kernels that already know).
         if announce:
-            for other in kernel.live_peers():
+            for other in kernel.ik.live_peers():
                 kernel.ik.request(
                     other, "peer_down", (peer, reason),
                     lambda payload: None,

@@ -99,6 +99,11 @@ class IkTransport:
         answer (or a credit) and no admitted request awaits its reply."""
         return not self._calls and not self._inflight
 
+    def live_peers(self) -> list[int]:
+        """Peer kernel ids not declared dead, in id order."""
+        return [peer for peer in sorted(self.peers)
+                if peer not in self.dead_peers]
+
     # -- client side ------------------------------------------------------
 
     def request(self, peer: int, operation: str, args: tuple,

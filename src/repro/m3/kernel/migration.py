@@ -83,7 +83,7 @@ class Migration:
             name=vpe.name,
             node=pe.node,
             spm_image=bytes(pe.spm_data.read(0, pe.spm_data.size)),
-            alloc_mark=pe._alloc_next,
+            alloc_mark=pe.alloc_mark,
             eps=_live_endpoints(pe.dtu),
             taken_at=self.sim.now,
         )
@@ -117,7 +117,7 @@ class Migration:
         yield self.sim.delay(params.VPE_CHECKPOINT_KERNEL_CYCLES, tag=Tag.OS)
         yield self._image_transfer(target_pe)
         target_pe.spm_data.write(0, checkpoint.spm_image)
-        target_pe._alloc_next = checkpoint.alloc_mark
+        target_pe.alloc_mark = checkpoint.alloc_mark
         if not old_pe.failed:
             # Final sync pass (classic pre-copy migration): the VPE kept
             # running during the bulk copy above, so the authoritative
@@ -127,7 +127,7 @@ class Migration:
             target_pe.spm_data.write(
                 0, bytes(old_pe.spm_data.read(0, old_pe.spm_data.size))
             )
-            target_pe._alloc_next = old_pe._alloc_next
+            target_pe.alloc_mark = old_pe.alloc_mark
             eps = _live_endpoints(old_dtu)
         else:
             eps = checkpoint.eps
@@ -237,7 +237,7 @@ class Migration:
         if target_domain is not None and target_domain != kernel.kernel_id:
             yield from self._migrate_out(
                 target_domain, child,
-                lambda payload: kernel._reply(vpe, slot, payload),
+                lambda payload: kernel.reply(vpe, slot, payload),
             )
             return NO_REPLY
         target = kernel.find_free_pe()
@@ -315,16 +315,14 @@ class Migration:
         # Every local VPE capability naming the child now names the
         # proxy: the relationship swapped direction — the VPE used to
         # be ours, now we hold it remotely.
-        for owner_id in sorted(kernel.vpes):
-            for cap in kernel.vpes[owner_id].captable.caps():
-                if (cap.table is not None and cap.kind == CapKind.VPE
-                        and cap.obj is child):
-                    cap.obj = proxy
+        for _holder, cap in kernel.caps.installed():
+            if cap.kind == CapKind.VPE and cap.obj is child:
+                cap.obj = proxy
         # Parked local waits follow the VPE as cross-domain waits.
         for waiter_vpe, wait_slot in child.waiters:
             kernel.wait_remote(
                 proxy,
-                lambda p, w=waiter_vpe, s=wait_slot: kernel._reply(w, s, p),
+                lambda p, w=waiter_vpe, s=wait_slot: kernel.reply(w, s, p),
             )
         child.waiters = []
         # Waits parked here on behalf of third domains are re-parked at
@@ -358,14 +356,14 @@ class Migration:
             raise SyscallError(payload[1])
         return payload[1]
 
-    def forward(self, vpe_id: int, slot: int, operation: str,
-                args: tuple) -> bool:
-        """Forward a peer request naming a VPE this kernel migrated out
-        to its new owner; the eventual verdict passes straight through
-        to the original asker.  Returns whether it was forwarded."""
+    def forward(self, vpe_id: int, slot: int, operation: str, args: tuple):
+        """A peer request names a VPE that is not (or no longer) in
+        this domain: forward it to the new owner of one this kernel
+        migrated out — the eventual verdict passes straight through to
+        the original asker — or refuse it."""
         forwarded = self.migrated_out.get(vpe_id)
         if forwarded is None:
-            return False
+            raise SyscallError(f"no VPE {vpe_id} in this domain")
         peer, new_id = forwarded
         ik = self.kernel.ik
         ik.request(
@@ -373,7 +371,7 @@ class Migration:
             lambda payload: ik.reply(slot, payload),
             no_timeout=(operation == "vpe_wait"),
         )
-        return True
+        return NO_REPLY
 
     def serve_migrate_in(self, slot, sender, descriptor):
         """Host a VPE live-migrating in from a peer kernel's domain.
@@ -399,33 +397,28 @@ class Migration:
             )
         checkpoint = descriptor.checkpoint
         source_pe = kernel.platform.pe(checkpoint.node)
-        vpe = VpeObject(checkpoint.name, source_pe, next(kernel._vpe_ids))
-        vpe.kernel = kernel
+        vpe = kernel.new_vpe(checkpoint.name, source_pe)
         vpe.state = VpeState.RUNNING
         vpe.migrations = descriptor.migrations
         vpe.last_entry = descriptor.last_entry
-        kernel.vpes[vpe.id] = vpe
         for selector, kind_value, detail in descriptor.caps:
             kind = CapKind(kind_value)
             if kind == CapKind.VPE and detail is None:
                 vpe.captable.insert(Capability(CapKind.VPE, vpe), selector)
             elif kind == CapKind.MEM and detail is not None:
                 node, address, size, perm_value, was_foreign = detail
-                if (node == checkpoint.node and address == 0
-                        and not was_foreign):
-                    # The VPE's own SPM grant follows it to the new PE.
-                    cap = Capability(CapKind.MEM, MemObject(
-                        target.node, 0, size, MemoryPerm(perm_value)
-                    ))
-                else:
-                    # Memory in (or delegated through) another domain:
-                    # still reachable over the NoC, but never owned
-                    # here — teardown must not free it locally.
-                    cap = Capability(CapKind.MEM, MemObject(
-                        node, address, size, MemoryPerm(perm_value)
-                    ))
-                    cap.foreign = True
-                vpe.captable.insert(cap, selector)
+                # The VPE's own SPM grant follows it to the new PE.
+                # Other memory is in (or was delegated through) another
+                # domain: still reachable over the NoC, but never owned
+                # here — teardown must not free it locally.
+                own_spm = (node == checkpoint.node and address == 0
+                           and not was_foreign)
+                vpe.captable.insert(Capability(
+                    CapKind.MEM,
+                    MemObject(target.node if own_spm else node, address,
+                              size, MemoryPerm(perm_value)),
+                    foreign=not own_spm,
+                ), selector)
             # Session/gate capabilities do not survive the crossing:
             # their kernel-side state lives with the source domain
             # (documented limitation — services reconnect after moving).

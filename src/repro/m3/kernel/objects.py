@@ -14,6 +14,7 @@ import typing
 from repro.dtu.registers import MemoryPerm
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.m3.kernel.capability import Capability
     from repro.m3.kernel.vpe import VpeObject, VpeState
 
 
@@ -84,7 +85,13 @@ class ServiceObject:
     name: str
     rgate: RecvGateObject
     owner: "VpeObject"
-    #: session id -> client VPE, for service-initiated delegation.
+    #: the kernel<->service channel, "created at service registration"
+    #: (Section 4.5.3): a send endpoint on the kernel's own DTU.
+    kernel_ep: int
+    #: the owner's SERVICE capability; sessions are obtained from it.
+    cap: "Capability | None" = None
+    #: session id -> client (a local VPE or a :class:`RemoteClientRef`),
+    #: for service-initiated delegation.
     sessions: dict = dataclasses.field(default_factory=dict)
     _session_ids: itertools.count = dataclasses.field(
         default_factory=lambda: itertools.count(1)

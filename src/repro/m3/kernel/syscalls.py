@@ -20,6 +20,13 @@ class _NoReply:
 
 NO_REPLY = _NoReply()
 
+#: application endpoint assignment (mirrored by libm3's Env).
+APP_SYSCALL_EP = 0  # send endpoint to the kernel
+APP_REPLY_EP = 1  # receive endpoint for syscall and service replies
+#: payload bytes of a syscall message (and of the kernel's own
+#: messages to services).
+SYSCALL_MSG_BYTES = 64
+
 # -- VPE lifecycle -----------------------------------------------------------
 
 #: (name, pe_type|None) -> (vpe_sel, spm_mem_sel); allocates a PE.

@@ -11,7 +11,7 @@ import typing
 
 from repro import params
 from repro.m3.kernel import syscalls
-from repro.m3.kernel.kernel import APP_REPLY_EP, APP_SYSCALL_EP, SYSCALL_MSG_BYTES, SyscallError
+from repro.m3.kernel.syscalls import APP_REPLY_EP, APP_SYSCALL_EP, SYSCALL_MSG_BYTES, SyscallError
 from repro.m3.lib.marshalling import wire_size
 from repro.sim.ledger import Tag
 

@@ -194,7 +194,7 @@ def start_kv_tier(system: "M3System", replicas: int | None = None,
         def depth_sampler():
             return tuple(
                 (f"kv.{replica}.depth",
-                 system.kernels[owner].local_depth(replica))
+                 system.kernels[owner].sessions.depth(replica))
                 for replica, owner in
                 system.kernels[0].router.service_routes.get(name, ())
             )

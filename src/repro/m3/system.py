@@ -246,7 +246,7 @@ class M3System:
             kernel.router.register(name, replicas, policy=policy)
             for replica, domain in replicas:
                 if domain != kernel.kernel_id:
-                    kernel._remote_services.setdefault(replica, domain)
+                    kernel.sessions.seed_owner(replica, domain)
 
     # -- software loading (the kernel's loader hook) -----------------------------
 

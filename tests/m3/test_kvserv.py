@@ -106,7 +106,7 @@ def test_router_skips_dead_domains():
     start_kv_tier(system)
     # Simulate a failed-over peer: domain 1 is marked dead.
     system.kernel.dead_peers.add(1)
-    system.kernel._remote_services.pop("kv1", None)
+    system.kernel.sessions.fail_peer(1)
 
     def app(env):
         replicas = []

@@ -226,7 +226,8 @@ def test_single_kernel_layout_is_unchanged():
     # service endpoints still start right after the reply endpoint
     from repro.m3.kernel.kernel import KERNEL_FIRST_SRV_EP
 
-    assert system.kernel._next_service_ep == KERNEL_FIRST_SRV_EP
+    system.start_m3fs()
+    assert system.kernel.services["m3fs"].kernel_ep == KERNEL_FIRST_SRV_EP
 
 
 # -- the system.wait bugfix --------------------------------------------------
