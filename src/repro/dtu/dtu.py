@@ -43,7 +43,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SEND = EndpointKind.SEND
 _RECEIVE = EndpointKind.RECEIVE
 
-#: Arg names of the per-message span (``Observer.complete``'s ``shared``).
+#: Arg names of the per-message span.
 _MESSAGE_SPAN_ARGS = ("destination", "bytes")
 
 #: Cycles for the DTU to serve a request against the local SPM.
@@ -325,10 +325,10 @@ class DTU:
                 return
             obs.observe("dtu.msg_rtt", self.sim.now - started)
             obs.complete(
-                packet.kind, "dtu", self.node, started,
-                span_id=span_id, parent=parent, shared=(
-                    _MESSAGE_SPAN_ARGS,
-                    (packet.destination, packet.size_bytes)),
+                packet.kind, "dtu", self.node, started, None, span_id,
+                parent.trace_id, parent.span_id,
+                obs.shared_args[_MESSAGE_SPAN_ARGS, (
+                    packet.destination, packet.size_bytes)],
             )
 
         done.add_callback(record)
@@ -461,8 +461,9 @@ class DTU:
             # The round trip as one DTU span; the request and response
             # packets' NoC spans hang off it via the stamp.
             self.sim.obs.complete(
-                kind, "dtu", self.node, started, span_id=txn_span,
-                parent=ctx, destination=target, **span_args,
+                kind, "dtu", self.node, started, None, txn_span,
+                ctx.trace_id, ctx.span_id,
+                {"destination": target, **span_args},
             )
         return response
 

@@ -16,7 +16,6 @@ from repro.noc.link import Link, forget_before, reserve_path
 from repro.noc.packet import Packet
 from repro.noc.routing import XYRouter
 from repro.noc.topology import MeshTopology
-from repro.obs.causal import TraceContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Simulator
@@ -24,11 +23,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Wire overhead per packet: routing/flow-control header flits.
 PACKET_HEADER_BYTES = 16
 
-#: Injections between two sweeps that let the links forget occupancy
+#: Deliveries between two sweeps that let the links forget occupancy
 #: nobody will read again (see :meth:`Network.send`).
 FORGET_INTERVAL = 1024
 
-#: Arg names of the per-packet span (``Observer.complete``'s ``shared``).
+#: Arg names of the per-packet span.
 _PACKET_SPAN_ARGS = ("destination", "bytes", "verdict")
 
 DeliveryHandler = typing.Callable[[Packet], None]
@@ -94,6 +93,8 @@ class Network:
         self.packets_lost = 0
         self.packets_corrupted = 0
         self.packets_delayed = 0
+        #: the observer that samples the counters above.
+        self._monitored_by = None
 
     # -- attachment ----------------------------------------------------------
 
@@ -131,10 +132,14 @@ class Network:
     def send(self, packet: Packet) -> int:
         """Inject ``packet``; schedule delivery; return the completion cycle.
 
-        Every :data:`FORGET_INTERVAL` injections the links drop the
+        Every :data:`FORGET_INTERVAL` deliveries the links drop the
         occupancy history that has no reader left: reports ask about
         ``[0, now)`` or later, and an installed observer about nothing
         before the first epoch it has not sampled yet.
+
+        The counters move only after the observer has seen the packet:
+        it samples them (``Observer.monitor``), and epochs that ended
+        before this packet have to close without it.
         """
         try:
             handler = self._handlers[packet.destination]
@@ -147,13 +152,6 @@ class Network:
         path = self.paths[packet.source, packet.destination]
         completion = reserve_path(path, sim.now, self.hop_cycles,
                                   size + PACKET_HEADER_BYTES)
-        self.packets_injected += 1
-        self.bytes_injected += size
-        if not self.packets_injected % FORGET_INTERVAL:
-            forget_before(
-                self._links.values(),
-                sim.now if sim.obs is None else sim.obs.links_sampled_to,
-            )
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
@@ -163,10 +161,12 @@ class Network:
             if verdict == "drop":
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
-                self.packets_lost += 1
                 if sim.obs is not None:
                     self._observe_packet(packet, len(path), completion,
                                          verdict)
+                self.packets_injected += 1
+                self.bytes_injected += size
+                self.packets_lost += 1
                 return completion
             if verdict == "corrupt":
                 packet.corrupted = True
@@ -174,18 +174,28 @@ class Network:
             if extra:
                 self.packets_delayed += 1
                 completion += extra
-        self.packets_sent += 1
-        self.bytes_sent += size
         if sim.obs is not None:
             self._observe_packet(packet, len(path), completion, verdict)
+        self.packets_injected += 1
+        self.bytes_injected += size
+        self.packets_sent += 1
+        self.bytes_sent += size
+        if not self.packets_sent % FORGET_INTERVAL:
+            forget_before(
+                self._links.values(),
+                sim.now if sim.obs is None else sim.obs.links_sampled_to,
+            )
         sim.schedule(completion - sim.now, handler, packet)
         return completion
 
     def _observe_packet(self, packet: Packet, hops: int, completion: int,
                         verdict: str) -> None:
-        """Span + counters for one injected packet (observer installed)
+        """Span for one packet about to be counted (observer installed)
         that crosses ``hops`` links.
 
+        The four ``noc.*`` counters are not pushed from here: the
+        observer monitors this network's own totals, and is asked to
+        close the epochs that ended (``fold_at``) before they move.
         The packet's span adopts the trace context the sending DTU
         stamped on it, and the *contended* share of the wire time — the
         difference between the reserved completion and the uncontended
@@ -194,34 +204,32 @@ class Network:
         NoC contention separately from raw transfer time.
         """
         obs = self.sim.obs
-        obs.count("noc.packets_injected")
-        obs.count(f"noc.packets_{'delivered' if verdict != 'drop' else 'dropped'}")
-        obs.count("noc.payload_bytes", packet.size_bytes)
-        ctx = TraceContext(packet.trace_id, packet.trace_parent)
         now = self.sim.now
+        if obs is not self._monitored_by:
+            self._monitored_by = obs
+            obs.monitor("noc.packets_injected", lambda: self.packets_injected)
+            obs.monitor("noc.packets_delivered", lambda: self.packets_sent)
+            obs.monitor("noc.packets_dropped", lambda: self.packets_lost)
+            obs.monitor("noc.payload_bytes", lambda: self.bytes_injected)
+        if now >= obs.fold_at:
+            obs.sample_links(self)
         span = obs.complete(
-            packet.kind, "noc", packet.source, now, completion,
-            parent=ctx, shared=(
-                _PACKET_SPAN_ARGS,
-                (packet.destination, packet.size_bytes, verdict)),
+            packet.kind, "noc", packet.source, now, completion, -1,
+            packet.trace_id, packet.trace_parent,
+            obs.shared_args[_PACKET_SPAN_ARGS, (
+                packet.destination, packet.size_bytes, verdict)],
         )
-        queued = completion - self._uncontended_completion(packet, hops, now)
+        # What an idle path would have taken: hop latency plus the
+        # serialisation of header and payload.
+        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
+        serialization = max(-(-wire_bytes // self.bytes_per_cycle), 1)
+        queued = completion - (now + hops * self.hop_cycles + serialization)
         if queued > 0:
             obs.complete(
                 "queueing", "noc-queue", packet.source,
-                completion - queued, completion,
-                parent=TraceContext(span.trace_id, span.span_id),
-                destination=packet.destination, cycles=queued,
+                completion - queued, completion, -1, packet.trace_id, span,
+                {"destination": packet.destination, "cycles": queued},
             )
-        obs.sample_links(self)
-
-    def _uncontended_completion(self, packet: Packet, hops: int,
-                                now: int) -> int:
-        """When the packet would complete on an idle path of ``hops``
-        links (no queueing)."""
-        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        serialization = -(-wire_bytes // self.bytes_per_cycle)
-        return now + hops * self.hop_cycles + max(serialization, 1)
 
     def transfer(self, packet: Packet, tag: str | None = None):
         """An event that triggers when ``packet`` has been delivered.

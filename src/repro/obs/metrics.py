@@ -13,12 +13,12 @@ sub-buckets*: each power-of-two range is split into ``2^k`` equal
 linear sub-buckets (values below ``2^(k+1)`` are counted exactly), so
 quantiles carry a relative error below ``2^-k`` while staying fully
 deterministic — sub-bucket edges are pure functions of the value.
-The default (``precision=None``) keeps the original behaviour bit for
-bit.
+The default (``precision=None``) keeps the plain log2 buckets.
 """
 
 from __future__ import annotations
 
+import collections
 from fractions import Fraction
 
 BUCKET_COUNT = 64
@@ -64,6 +64,23 @@ class Histogram:
         if self.fine is not None:
             low, _high = self.fine_bounds(value)
             self.fine[low] = self.fine.get(low, 0) + 1
+
+    def observe_many(self, samples) -> None:
+        """Record every sample: bit for bit what one :meth:`observe`
+        each leaves, at the cost of one step per *distinct* value."""
+        tally = collections.Counter(samples)
+        if min(tally, default=0) < 0:
+            raise ValueError(f"negative histogram sample: {min(tally)}")
+        for value, n in tally.items():
+            self.counts[min(value.bit_length(), BUCKET_COUNT - 1)] += n
+            self.count += n
+            self.total += value * n
+            if self.fine is not None:
+                fine_low, _high = self.fine_bounds(value)
+                self.fine[fine_low] = self.fine.get(fine_low, 0) + n
+        if tally:
+            known = () if self.min is None else (self.min, self.max)
+            self.min, self.max = min((*known, *tally)), max((*known, *tally))
 
     @staticmethod
     def bucket_bounds(index: int) -> tuple[int, int]:
@@ -176,7 +193,3 @@ class Histogram:
                  f"{seen / self.count:.1%}")
             )
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Histogram {self.name!r} n={self.count} "
-                f"min={self.min} max={self.max}>")

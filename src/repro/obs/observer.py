@@ -3,37 +3,29 @@
 One Observer is installed per simulator (``sim.obs``); every
 instrumented component — NoC, DTU, kernel, services — reads that
 attribute and pays one ``is None`` branch when observability is off.
+Recording keeps the least it can — a row, a total, a buffered sample;
+the rest is derived when an epoch closes or somebody reads.  Collected:
 
-Collected data:
-
-- **spans** — typed intervals ``(name, category, node, begin, end,
-  args)``; either opened with :meth:`Observer.begin` / closed with
-  :meth:`Observer.end`, or recorded retroactively with
-  :meth:`Observer.complete` (natural in a discrete-event model where
-  the completion cycle is known at injection time).  Every span also
-  carries causal identity — ``(span_id, parent_id, trace_id)`` — wired
-  through :mod:`repro.obs.causal`: spans opened while another span is
-  active on the same node become its children, and handlers adopt the
-  context propagated in DTU message headers, linking spans across PEs
-  and kernel domains into per-request trees.
+- **spans** — typed intervals, opened with :meth:`Observer.begin` and
+  closed with :meth:`Observer.end`, or recorded retroactively with
+  :meth:`Observer.complete` (the completion cycle is often known at
+  injection time); each carries the causal identity that
+  :mod:`repro.obs.causal` links into per-request trees.
 - **instants** — point events (a retransmit, a watchdog probe).
 - **counters / gauges / histograms** — cheap named metrics; histograms
   use the deterministic log2 buckets of :mod:`repro.obs.metrics`.
-- **link occupancy epochs** — per-link busy fraction sampled on fixed
-  epoch boundaries, driven lazily from packet injections so the
-  sampler never keeps the event queue alive.  Sampling starts at the
-  cycle the Observer is created and only moves forward;
-  :attr:`Observer.links_sampled_to` tells the network which link
-  history it may forget.
+- **link occupancy epochs** — per-link busy fraction per fixed epoch,
+  sampled lazily from packet injections (never a timer), from the
+  cycle the Observer is created on.
 
 Span/instant storage is optionally bounded (ring semantics with a
-dropped-record counter) so long fault sweeps cannot grow without
-bound.
+dropped-record counter) so long fault sweeps cannot grow without bound.
 """
 
 from __future__ import annotations
 
-import collections
+import array
+import collections.abc
 import itertools
 import typing
 
@@ -55,7 +47,7 @@ class Span(typing.NamedTuple):
     begin: int
     end: int
     #: read-only: spans with equal args may share one mapping (see
-    #: :meth:`Observer.complete`); copy before changing anything.
+    #: :attr:`Observer.shared_args`); copy before changing anything.
     args: dict | None
     #: causal identity; -1 = outside any trace (see repro.obs.causal).
     span_id: int = -1
@@ -71,6 +63,43 @@ class Instant(typing.NamedTuple):
     args: dict | None
 
 
+class SharedArgs(dict):
+    """``shared[names, values]`` is ``dict(zip(names, values))``, built
+    once per key: per-packet and per-message spans draw their args
+    from a few hundred value tuples a run."""
+
+    def __missing__(self, key: tuple[tuple, tuple]) -> dict:
+        args = self[key] = dict(zip(*key))
+        return args
+
+
+class SpanLog(collections.abc.Sequence):
+    """The recorded spans by column; reads as a sequence of :class:`Span`.
+
+    Three reference columns plus ``(node, begin, end, span_id, parent_id,
+    trace_id)`` per span in ``ints``: recording makes no object the cycle
+    collector tracks, and tuples are built on index and iteration.
+    :meth:`Observer.complete`, the only writer, overwrites the oldest of
+    ``span_capacity`` spans and counts it ``dropped``.
+    """
+
+    def __init__(self):
+        self.names, self.categories, self.args = [], [], []
+        self.ints = array.array("q")
+        self.dropped = 0
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index: int) -> Span:
+        size = len(self.names)
+        # Record r sits in slot r % capacity; the oldest held is ``dropped``.
+        slot = (self.dropped + range(size)[index]) % size
+        ints = self.ints[6 * slot:6 * slot + 6]
+        return Span(self.names[slot], self.categories[slot], *ints[:3],
+                    self.args[slot], *ints[3:])
+
+
 class Observer:
     """Collects spans, instants, and metrics for one simulation."""
 
@@ -82,33 +111,41 @@ class Observer:
             raise ValueError("epoch must be positive")
         self.sim = sim
         self.span_capacity = span_capacity
-        self._spans: collections.deque = collections.deque(maxlen=span_capacity)
+        #: every span held, oldest first (read-only), and the interned
+        #: args of the per-packet and per-message ones.
+        self.spans = SpanLog()
+        self.shared_args = SharedArgs()
         self._instants: collections.deque = collections.deque(maxlen=span_capacity)
-        self.spans_dropped = 0
         self.instants_dropped = 0
-        self.counters: dict[str, int] = {}
+        #: counter totals; a [name, read, value last added] per sampled
+        #: source (:meth:`monitor`); per histogram, the samples not yet
+        #: folded in.
+        self._counters: dict[str, int] = {}
+        self._monitors: list[list] = []
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
+        self._samples: dict[str, array.array] = {}
         #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
         self.link_series: dict[tuple, list[tuple[int, float]]] = {}
         self.epoch = epoch
-        #: the open link-occupancy epoch: an observer created mid-run
-        #: samples from that cycle to the end of the epoch containing
-        #: it, then epoch by epoch; it never looks further back.
-        self._epoch_start = sim.now
+        #: the open link-occupancy epoch starts here: at first the cycle
+        #: of creation, then epoch by epoch.  Occupancy before it has
+        #: been read for the last time (``Link.forget_before``).
+        self.links_sampled_to = sim.now
         self._next_epoch = (sim.now // epoch + 1) * epoch
-        #: (names, values) -> the one mapping spans with those args share.
-        self._shared_args: dict[tuple, dict] = {}
+        #: the network calls :meth:`sample_links` before it counts a
+        #: packet at or after this cycle: the end of the first open
+        #: epoch, link or telemetry.
+        self.fold_at = self._next_epoch
         self._open: dict[int, tuple] = {}
         self._span_ids = itertools.count(1)
         #: per-node trace-context stacks (causal request tracing).
         self.causal = CausalTracker()
         #: node -> human label ("kernel0", "app:find-3", ...) for exports.
         self.node_labels: dict[int, str] = {}
-        #: optional streaming-telemetry hub (see repro.obs.timeseries);
-        #: None by default so instrumented sites pay one branch.
+        #: optional telemetry hub (repro.obs.timeseries) and flight
+        #: recorder (repro.obs.flight); None costs a site one branch.
         self.telemetry = None
-        #: optional flight recorder (see repro.obs.flight).
         self.flight = None
         #: attached SLO monitors (see repro.obs.slo); consulted by the
         #: kernel to annotate failover verdicts.
@@ -126,16 +163,15 @@ class Observer:
         return observer
 
     def enable_telemetry(self, **kwargs):
-        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub.
-
-        Counters, gauges, and histogram observations recorded through
-        this Observer fan into per-epoch series from here on.
-        """
+        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub: what
+        this Observer records from here on also fans into epoch series."""
         from repro.obs.timeseries import Telemetry
 
         if self.telemetry is not None:
             raise RuntimeError("telemetry is already enabled")
-        self.telemetry = Telemetry(self.sim, **kwargs)
+        self._settle()
+        self.telemetry = Telemetry(self.sim, settle=self._settle, **kwargs)
+        self.fold_at = min(self.fold_at, self.telemetry.closes_at)
         return self.telemetry
 
     def enable_flight_recorder(self, **kwargs):
@@ -150,28 +186,26 @@ class Observer:
     # -- spans -----------------------------------------------------------
 
     @property
-    def spans(self) -> list[Span]:
-        return list(self._spans)
+    def spans_dropped(self) -> int:
+        return self.spans.dropped
 
     @property
     def instants(self) -> list[Instant]:
         return list(self._instants)
 
     def reserve_span_id(self) -> int:
-        """Allocate a span id up front (for spans recorded later with
-        :meth:`complete`, e.g. an in-flight DTU message whose id must be
-        stamped into the header before the span's end is known)."""
+        """Allocate the id of a span :meth:`complete` will record later
+        (a DTU message stamps it into the header while still in flight)."""
         return next(self._span_ids)
 
     def begin(self, name: str, category: str, node: int = -1,
               parent: TraceContext | None = None, **args) -> int:
         """Open a span at the current cycle; returns its id.
 
-        The span joins the causal graph: under ``parent`` when given (a
-        :class:`~repro.obs.causal.TraceContext` adopted from a message
-        header), else under the node's active context, else as the root
-        of a new trace.  It stays the node's active context until
-        :meth:`end`.
+        The span joins the causal graph under ``parent`` (a context
+        adopted from a message header), else under the node's active
+        context, else as the root of a new trace; until :meth:`end` it
+        is the node's active context.
         """
         span_id = next(self._span_ids)
         trace_id, parent_id = self.causal.open(node, span_id, parent)
@@ -179,8 +213,8 @@ class Observer:
                                args or None, trace_id, parent_id)
         return span_id
 
-    def end(self, span_id: int, **args) -> Span:
-        """Close an open span at the current cycle."""
+    def end(self, span_id: int, **args) -> int:
+        """Close an open span at the current cycle; returns its id."""
         try:
             (name, category, node, begin, begin_args,
              trace_id, parent_id) = self._open.pop(span_id)
@@ -190,63 +224,51 @@ class Observer:
                 f"was already ended)"
             ) from None
         self.causal.close(node, span_id)
-        merged = begin_args
-        if args:
-            merged = {**(begin_args or {}), **args}
-        return self._store_span(
-            Span(name, category, node, begin, self.sim.now, merged,
-                 span_id, parent_id, trace_id)
-        )
+        merged = {**(begin_args or {}), **args} if args else begin_args
+        return self.complete(name, category, node, begin, None, span_id,
+                             trace_id, parent_id, merged)
 
     def complete(self, name: str, category: str, node: int, begin: int,
                  end: int | None = None, span_id: int = -1,
-                 parent: TraceContext | None = None,
-                 shared: tuple[tuple, tuple] | None = None, **args) -> Span:
-        """Record a span whose begin (and optionally end) is already known.
+                 trace_id: int | None = None, parent_id: int = -1,
+                 args: dict | None = None) -> int:
+        """Record a span whose begin (and optionally end) is already
+        known; returns its id (the tuple is ``spans[-1]``).
 
         Unlike :meth:`begin`, this never starts a new trace: the span
-        joins the causal graph only when ``parent`` is a valid context
-        (or the node has one active); otherwise it stays unlinked, as
-        background spans should.  Pass ``span_id`` (from
-        :meth:`reserve_span_id`) when other spans were parented on this
-        one before it completed.
-
-        ``shared=(names, values)`` is for the per-packet and per-message
-        sites, whose args come from a few hundred distinct value tuples
-        a run: the span gets ``dict(zip(names, values))``, but one
-        mapping per distinct pair, shared by every span that has it.
+        joins the causal graph only under a valid ``(trace_id,
+        parent_id)`` — a packet's or header's stamp or, by default, the
+        node's active context — and else stays unlinked, as background
+        spans should.  Pass the ``span_id`` reserved for it when other
+        spans were parented on it already.  ``args`` is kept, not copied.
         """
-        if shared is not None:
-            args = self._shared_args.get(shared)
-            if args is None:
-                args = self._shared_args[shared] = dict(zip(*shared))
-        if parent is None:
-            parent = self.causal.current(node)
-        if parent.valid:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-            if span_id < 0:
-                span_id = next(self._span_ids)
-        else:
-            trace_id, parent_id = -1, -1
-        return self._store_span(
-            Span(name, category, node, begin,
-                 self.sim.now if end is None else end, args or None,
-                 span_id, parent_id, trace_id)
-        )
-
-    def _store_span(self, span: Span) -> Span:
-        if (self.span_capacity is not None
-                and len(self._spans) == self.span_capacity):
-            self.spans_dropped += 1
-        self._spans.append(span)
+        if trace_id is None:
+            trace_id, parent_id = self.causal.current(node)
+        if trace_id < 0:
+            trace_id = parent_id = -1
+        elif span_id < 0:
+            span_id = next(self._span_ids)
+        ints = (node, begin, self.sim.now if end is None else end,
+                span_id, parent_id, trace_id)
+        log = self.spans
+        if len(log.names) != self.span_capacity:
+            log.names.append(name)
+            log.categories.append(category)
+            log.args.append(args or None)
+            log.ints.extend(ints)
+        else:  # full: overwrite the oldest
+            slot = log.dropped % self.span_capacity
+            log.dropped += 1
+            log.names[slot], log.categories[slot] = name, category
+            log.args[slot] = args or None
+            log.ints[6 * slot:6 * slot + 6] = array.array("q", ints)
         if self.flight is not None:
-            self.flight.record_span(span)
-        return span
+            self.flight.record_span(log[-1])
+        return span_id
 
     def instant(self, name: str, category: str, node: int = -1, **args) -> None:
         """Record a point event at the current cycle."""
-        if (self.span_capacity is not None
-                and len(self._instants) == self.span_capacity):
+        if len(self._instants) == self.span_capacity:
             self.instants_dropped += 1
         instant = Instant(name, category, node, self.sim.now, args or None)
         self._instants.append(instant)
@@ -257,9 +279,27 @@ class Observer:
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump a named counter."""
-        self.counters[name] = self.counters.get(name, 0) + n
-        if self.telemetry is not None:
-            self.telemetry.counter(name, n)
+        counters = self._counters
+        counters[name] = counters.get(name, 0) + n
+        telemetry = self.telemetry
+        if telemetry is not None:
+            if self.sim.now >= telemetry.closes_at:
+                telemetry.advance()
+            counters = telemetry.open_counters
+            counters[name] = counters.get(name, 0) + n
+
+    def monitor(self, name: str, read: typing.Callable[[], int]) -> None:
+        """Add a total some component keeps anyway to counter ``name``,
+        from its present value on.  It is sampled, not pushed — by
+        :attr:`counters` when asked, by telemetry when an epoch closes —
+        so the component must have the ended epochs closed *before* it
+        moves the total (:attr:`fold_at`)."""
+        self._monitors.append([name, read, read()])
+
+    @property
+    def counters(self) -> dict[str, int]:
+        self._settle()
+        return self._counters
 
     def gauge(self, name: str, value) -> None:
         """Set a named gauge to its latest value."""
@@ -268,13 +308,45 @@ class Observer:
             self.telemetry.gauge(name, value)
 
     def observe(self, name: str, value: int) -> None:
-        """Record a sample into a named histogram."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(name)
-        hist.observe(value)
-        if self.telemetry is not None:
-            self.telemetry.observe(name, value)
+        """Record a sample into a named histogram (:meth:`_settle`)."""
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"histogram samples must be >= 0, got {value}")
+        telemetry = self.telemetry
+        if telemetry is not None and self.sim.now >= telemetry.closes_at:
+            telemetry.advance()
+        samples = self._samples.get(name)
+        if samples is None:
+            self._histograms[name] = Histogram(name)
+            samples = self._samples[name] = array.array("q")
+        samples.append(value)
+
+    def _settle(self) -> None:
+        """Derive what recording put off, before an epoch is taken or
+        somebody reads: buffered samples go into their histograms,
+        monitored movement into the totals, and both into the open
+        telemetry epoch — theirs, as each recorder closes the ended first."""
+        telemetry = self.telemetry
+        for name, samples in self._samples.items():
+            if samples:
+                tally = collections.Counter(samples)
+                del samples[:]
+                self._histograms[name].observe_many(tally)
+                if telemetry is not None:
+                    telemetry.observe_many(name, tally)
+        for monitor in self._monitors:
+            name, moved = monitor[0], monitor[1]() - monitor[2]
+            if moved:
+                monitor[2] += moved
+                self._counters[name] = self._counters.get(name, 0) + moved
+                if telemetry is not None:
+                    telemetry.open_counters[name] = \
+                        telemetry.open_counters.get(name, 0) + moved
+
+    @property
+    def histograms(self) -> dict[str, Histogram]:
+        self._settle()
+        return self._histograms
 
     def histogram(self, name: str) -> Histogram:
         """The named histogram (empty if nothing was observed)."""
@@ -285,34 +357,27 @@ class Observer:
     def sample_links(self, network: "Network", force: bool = False) -> None:
         """Fold completed epochs into the per-link occupancy series.
 
-        Called from :meth:`Network.send` whenever observability is on,
-        so sampling advances with traffic and never schedules anything
-        (a recurring timer would keep the event queue alive forever).
-        With ``force``, the trailing partial epoch is flushed too (for
-        end-of-run reports).
+        Called from :meth:`Network.send` for the first packet at or
+        after :attr:`fold_at`: sampling advances with traffic and never
+        schedules anything (a timer would keep the event queue alive).
+        With ``force``, the trailing partial epoch is flushed too; its
+        point is replaced when the epoch is flushed again or closes.
         """
         now = self.sim.now
         while self._next_epoch <= now:
-            self._record_epoch(network, self._epoch_start, self._next_epoch)
-            self._epoch_start = self._next_epoch
+            self._record_epoch(network, self.links_sampled_to,
+                               self._next_epoch)
+            self.links_sampled_to = self._next_epoch
             self._next_epoch += self.epoch
-        if force and now > self._epoch_start:
-            self._record_epoch(network, self._epoch_start, now)
+        if force and now > self.links_sampled_to:
+            self._record_epoch(network, self.links_sampled_to, now)
+        self.fold_at = self._next_epoch
         if self.telemetry is not None:
             self.telemetry.advance(now)
-
-    @property
-    def links_sampled_to(self) -> int:
-        """The start of the first epoch not yet in :attr:`link_series`.
-
-        Link occupancy before this cycle has been read for the last
-        time; the network passes it to ``Link.forget_before``.
-        """
-        return self._epoch_start
+            self.fold_at = min(self.fold_at, self.telemetry.closes_at)
 
     def label_node(self, node: int, label: str) -> None:
-        """Attach a human-readable role label to a NoC node (shown as
-        the Perfetto process name: kernel domain, app, service, NIC)."""
+        """Name a NoC node's role (the Perfetto process name)."""
         self.node_labels[node] = label
 
     def _record_epoch(self, network: "Network", start: int, end: int) -> None:
@@ -324,18 +389,13 @@ class Observer:
             busy = link.busy_within(end) - link.busy_within(start)
             if busy:
                 fraction = busy / span
-                self.link_series.setdefault(key, []).append(
-                    (end, fraction)
-                )
+                series = self.link_series.setdefault(key, [])
+                if series and series[-1][0] > start:
+                    series.pop()  # this epoch's flushed partial point
+                series.append((end, fraction))
                 busy_links += 1
                 if fraction > busiest:
                     busiest = fraction
         if self.telemetry is not None and busy_links:
             self.telemetry.gauge("noc.links_busy", busy_links)
             self.telemetry.gauge("noc.link_busy_max", round(busiest, 4))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Observer spans={len(self._spans)} "
-                f"instants={len(self._instants)} "
-                f"counters={len(self.counters)} "
-                f"histograms={len(self.histograms)}>")

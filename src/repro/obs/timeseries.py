@@ -14,16 +14,15 @@ cycle:
   :class:`~repro.obs.metrics.Histogram` per epoch (per-epoch p99
   without storing samples).
 
-Epochs advance *lazily*: every record checks the clock, and
-:meth:`Telemetry.advance` is also driven from the Observer's
-``sample_links`` path — the telemetry plane never schedules simulator
-events, so an idle simulation still drains its queue.  When an epoch
-closes, registered *samplers* (callables returning ``(name, value)``
-gauge pairs) are polled — this is how sources that nobody pushes, like
-per-replica kv queue depth, get a series.
-
-Retention is a ring: each series keeps the most recent ``retention``
-epochs and counts what it dropped.
+Epochs advance *lazily*: every record checks the clock
+(:attr:`Telemetry.closes_at`), as does the Observer's ``sample_links``
+path — the telemetry plane never schedules simulator events, so an idle
+simulation still drains its queue.  When an epoch closes the Observer
+first *settles* (adds its buffered samples and what its monitored
+counters moved by), then registered *samplers* (callables returning
+``(name, value)`` gauge pairs) are polled — how sources nobody pushes,
+like per-replica kv queue depth, get a series.  Retention is a ring:
+each series keeps its latest ``retention`` epochs and counts the rest.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class Telemetry:
     def __init__(self, sim: "Simulator",
                  epoch: int = DEFAULT_TELEMETRY_EPOCH,
                  retention: int | None = DEFAULT_RETENTION,
-                 precision: int | None = 7):
+                 precision: int | None = 7, settle=None):
         if epoch < 1:
             raise ValueError("telemetry epoch must be positive")
         if retention is not None and retention < 1:
@@ -68,15 +67,19 @@ class Telemetry:
         self._series: dict[str, collections.deque] = {}
         #: name -> closed epochs evicted by the retention ring.
         self.dropped_epochs: dict[str, int] = {}
-        #: index of the open (accumulating) epoch.
+        #: index of the open (accumulating) epoch, and the cycle it ends
+        #: at: a record at or after it calls :meth:`advance` first.
         self._open_index = 0
-        self._open_counters: dict[str, int] = {}
+        self.closes_at = epoch
+        #: called before the open epoch is taken (close or flush) so the
+        #: owner can add what it has not pushed yet.
+        self._settle = settle
+        self.open_counters: dict[str, int] = {}
         self._open_gauges: dict[str, float] = {}
         self._open_quantiles: dict[str, Histogram] = {}
-        #: quantile series name -> sorted thresholds; each observation
-        #: above a threshold bumps the exact-count counter series
-        #: ``{name}.over_{threshold}`` (how SLO monitors get exact
-        #: bad-event counts instead of reading them off sub-buckets).
+        #: quantile series name -> sorted thresholds; a sample above one
+        #: bumps the counter series ``{name}.over_{threshold}`` (SLO
+        #: monitors get exact bad-event counts, not sub-bucket reads).
         self._watches: dict[str, tuple[int, ...]] = {}
         #: callables polled at each epoch close; each returns an
         #: iterable of (gauge name, value) pairs.
@@ -88,35 +91,37 @@ class Telemetry:
 
     def counter(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the open epoch's delta for ``name``."""
-        self._tick()
-        self._open_counters[name] = self._open_counters.get(name, 0) + n
+        self.advance()
+        self.open_counters[name] = self.open_counters.get(name, 0) + n
 
     def gauge(self, name: str, value) -> None:
         """Set the open epoch's value for ``name`` (last write wins)."""
-        self._tick()
+        self.advance()
         self._open_gauges[name] = value
 
     def observe(self, name: str, value: int) -> None:
         """Record a sample into the open epoch's histogram."""
-        self._tick()
-        hist = self._open_quantiles.get(name)
-        if hist is None:
-            hist = self._open_quantiles[name] = Histogram(
-                name, precision=self.precision
-            )
-        hist.observe(value)
+        self.advance()
+        self.observe_many(name, (value,))
+
+    def observe_many(self, name: str, samples) -> None:
+        """Fold samples taken *while the open epoch was open* into its
+        histogram and over-threshold counts (no look at the clock)."""
+        tally = collections.Counter(samples)
+        if name not in self._open_quantiles:
+            self._open_quantiles[name] = Histogram(name, self.precision)
+        self._open_quantiles[name].observe_many(tally)
         for threshold in self._watches.get(name, ()):
-            if value > threshold:
-                over = f"{name}.over_{threshold}"
-                self._open_counters[over] = \
-                    self._open_counters.get(over, 0) + 1
+            over = sum(n for value, n in tally.items() if value > threshold)
+            if over:
+                series = f"{name}.over_{threshold}"
+                self.open_counters[series] = \
+                    self.open_counters.get(series, 0) + over
 
     def watch_threshold(self, name: str, threshold: int) -> str:
-        """Count samples of quantile series ``name`` above ``threshold``.
-
-        Returns the counter series name carrying the exact over-count
-        (``{name}.over_{threshold}``).
-        """
+        """Count samples of quantile series ``name`` above ``threshold``
+        exactly; returns the counter series that carries the count
+        (``{name}.over_{threshold}``)."""
         current = self._watches.get(name, ())
         if threshold not in current:
             self._watches[name] = tuple(sorted(current + (threshold,)))
@@ -139,14 +144,12 @@ class Telemetry:
             # records re-enters here, and what it records belongs to
             # the epoch containing ``now``, not to one being closed.
             first, self._open_index = self._open_index, target
+            self.closes_at = (target + 1) * self.epoch
             self._close_epoch(first, *self._take_open())
             # Every record ticks first, so the epochs after the one
             # that was open saw none.
             for index in range(first + 1, target):
                 self._close_epoch(index, {}, {}, {})
-
-    def _tick(self) -> None:
-        self.advance(self.sim.now)
 
     def flush(self) -> None:
         """Fold the trailing partial epoch (for end-of-run reports).
@@ -159,8 +162,10 @@ class Telemetry:
 
     def _take_open(self) -> tuple[dict, dict, dict]:
         """Hand over the open epoch's accumulators, leaving fresh ones."""
-        taken = self._open_counters, self._open_gauges, self._open_quantiles
-        self._open_counters, self._open_gauges, self._open_quantiles = \
+        if self._settle is not None:
+            self._settle()
+        taken = self.open_counters, self._open_gauges, self._open_quantiles
+        self.open_counters, self._open_gauges, self._open_quantiles = \
             {}, {}, {}
         return taken
 
@@ -232,8 +237,3 @@ class Telemetry:
             if first <= index <= last_index:
                 total += value
         return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Telemetry epoch={self.epoch} "
-                f"series={len(self._series)} open={self._open_index}>")
-

@@ -65,10 +65,12 @@ def test_begin_records_lineage():
 def test_complete_joins_but_never_starts_traces():
     sim = Simulator()
     obs = Observer.install(sim)
-    idle = obs.complete("background", "noc", 0, 0, 10)
+    assert obs.complete("background", "noc", 0, 0, 10) == -1
+    idle = obs.spans[-1]
     assert idle.trace_id == -1 and idle.span_id == -1
     root = obs.begin("req", "syscall-client", node=0)
-    nested = obs.complete("xfer", "dtu", 0, 0, 5)
+    obs.complete("xfer", "dtu", 0, 0, 5)
+    nested = obs.spans[-1]
     obs.end(root)
     root_span = next(s for s in obs.spans if s.name == "req")
     assert nested.trace_id == root_span.trace_id
@@ -88,11 +90,12 @@ def _observer_with_tree():
     sim.schedule(100, lambda _: obs.end(root_id))
     sim.run()
     root = obs.spans[0]
-    ctx = TraceContext(root.trace_id, root.span_id)
-    message = obs.complete("message", "dtu", 0, 10, 30, parent=ctx)
+    ctx = {"trace_id": root.trace_id, "parent_id": root.span_id}
+    message = obs.complete("message", "dtu", 0, 10, 30, **ctx)
+    assert obs.spans[-1].span_id == message
     obs.complete("queueing", "noc-queue", 0, 20, 30,
-                 parent=TraceContext(message.trace_id, message.span_id))
-    obs.complete("noop", "syscall", 1, 30, 80, parent=ctx)
+                 trace_id=root.trace_id, parent_id=message)
+    obs.complete("noop", "syscall", 1, 30, 80, **ctx)
     return obs
 
 

@@ -8,7 +8,7 @@ from repro.sim import Simulator
 
 def _sample_observer() -> Observer:
     obs = Observer(Simulator())
-    obs.complete("noop", "syscall", 0, 10, 250, vpe=1)
+    obs.complete("noop", "syscall", 0, 10, 250, args={"vpe": 1})
     obs.complete("message", "noc", 2, 15, 40)
     obs.instant("retransmit", "dtu", 2, attempt=1)
     obs.instant("probe", "watchdog")  # no node -> the global pid

@@ -29,7 +29,7 @@ def test_dump_includes_spans_counters_and_telemetry_tail():
     sim, obs, flight = _hub(domain_of={3: 0}, epochs=2)
     telemetry = obs.enable_telemetry(epoch=100)
     obs.count("kernel0.ik_retries", 3)
-    obs.complete("req", "kv", 3, begin=0, end=40, status="ok")
+    obs.complete("req", "kv", 3, begin=0, end=40, args={"status": "ok"})
     sim.schedule(350, lambda _: obs.observe("lat", 120))
     sim.run()
     telemetry.flush()
@@ -52,7 +52,7 @@ def test_render_dump_is_deterministic_and_domain_first():
         _sim, obs, flight = _hub(domain_of={1: 0, 5: 1})
         obs.instant("heartbeat_miss", "ik", 1, peer=1)
         obs.instant("peer_dead", "ik", 5, peer=0, reason="heartbeats")
-        obs.complete("req", "kv", 1, begin=10, end=25, status="ok")
+        obs.complete("req", "kv", 1, begin=10, end=25, args={"status": "ok"})
         return render_dump(flight.dump("test verdict", domain=1))
 
     text = build()

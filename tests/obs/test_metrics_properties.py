@@ -6,6 +6,9 @@ bucket for bucket, sub-bucket for sub-bucket, quantile for quantile —
 from a single histogram fed the union of the samples.
 """
 
+import array
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,3 +79,41 @@ def test_merge_into_live_histogram_equals_monolithic(
     whole = _fill(left + right + later, precision)
     _same(live, whole)
     assert live.percentile(fraction) == whole.percentile(fraction)
+
+
+# -- observe_many: the fold the Observer's buffered samples go through --------
+
+
+def array_or_list(values):
+    """The Observer buffers into ``array('q')``; samples too large for
+    one (the clamped top bucket's) stay a list."""
+    try:
+        return array.array("q", values)
+    except OverflowError:
+        return values
+
+
+@settings(max_examples=120, deadline=None)
+@given(samples, samples, st.sampled_from([None, 7]))
+def test_observe_many_equals_one_observe_per_sample(first, later, precision):
+    # Two folds, as two epoch closes make them: into an empty histogram,
+    # then into one that already holds samples.
+    folded = Histogram("p", precision=precision)
+    folded.observe_many(first)
+    folded.observe_many(array_or_list(later))
+    whole = _fill(first + later, precision)
+    _same(folded, whole)
+    # Sub-buckets appear in first-occurrence order either way.
+    assert folded.fine is None or list(folded.fine) == list(whole.fine)
+    for fraction in (0.5, 0.99, 1.0):
+        assert folded.percentile(fraction) == whole.percentile(fraction)
+
+
+@given(samples, st.integers(max_value=-1), precisions)
+def test_observe_many_rejects_a_negative_sample_untouched(
+    values, negative, precision
+):
+    hist = _fill(values, precision)
+    with pytest.raises(ValueError):
+        hist.observe_many([*values, negative])
+    _same(hist, _fill(values, precision))

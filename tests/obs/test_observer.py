@@ -102,12 +102,15 @@ def test_spans_with_equal_args_share_one_read_only_mapping():
     assert third.args is not first.args and third.args["bytes"] == 8
     # Same values under other names are another mapping.
     renamed = (("node", "size", "fate"), (1, 64, "deliver"))
-    other = obs.complete("pkt", "test", 0, 0, 1, shared=renamed).args
+    obs.complete("pkt", "test", 0, 0, 1, args=obs.shared_args[renamed])
+    other = obs.spans[-1].args
     assert other == {"node": 1, "size": 64, "fate": "deliver"}
-    assert obs.complete("pkt", "test", 0, 1, 2, shared=renamed).args is other
+    obs.complete("pkt", "test", 0, 1, 2, args=obs.shared_args[renamed])
+    assert obs.spans[-1].args is other
     # ``end`` merges into a copy, never into the mapping a begin stored.
     span_id = obs.begin("op", "test", 0, **first.args)
-    assert obs.end(span_id, status="ok").args["status"] == "ok"
+    assert obs.end(span_id, status="ok") == span_id
+    assert obs.spans[-1].args["status"] == "ok"
     assert "status" not in first.args
 
 
@@ -135,3 +138,62 @@ def test_link_epoch_sampling_is_lazy_and_flushable():
     # demand for end-of-run reports.
     assert len(obs.link_series[(0, 1)]) > before
     assert obs.link_series[(0, 1)][-1][0] == sim.now
+
+
+def _two_transfers(then=()):
+    """The scenario above (one transfer at cycle 0, one at ~351), then
+    more transfers after the given extra delays."""
+    sim = Simulator()
+    obs = Observer.install(sim, epoch=100)
+    network = Network(sim, MeshTopology(2, 1), hop_cycles=1, bytes_per_cycle=1)
+    network.attach(0, lambda packet: None)
+    network.attach(1, lambda packet: None)
+
+    def traffic(delays):
+        for delay in delays:
+            yield sim.delay(delay)
+            yield network.transfer(Packet(0, 1, "msg", 34))  # 50 wire bytes
+
+    def run(delays):
+        sim.run_process(traffic(delays), "traffic")
+        sim.run()
+
+    run((0, 300))
+    return sim, obs, network, run
+
+
+def _busy_cycles(series, epoch=100):
+    """Busy cycles a link's occupancy series adds up to: each point is
+    the busy fraction of the stretch since the last epoch boundary."""
+    total = 0.0
+    for end, fraction in series:
+        total += fraction * (end - (end - 1) // epoch * epoch)
+    return round(total, 6)
+
+
+def test_a_forced_link_flush_is_idempotent():
+    sim, obs, network, _run = _two_transfers()
+    assert sim.now == 402
+    obs.sample_links(network, force=True)
+    flushed = list(obs.link_series[(0, 1)])
+    assert flushed == [(100, 0.5), (400, 0.48), (402, 1.0)]
+    obs.sample_links(network, force=True)
+    # A second flush at the same cycle used to append (402, 1.0) again.
+    assert obs.link_series[(0, 1)] == flushed
+
+
+def test_traffic_after_a_forced_flush_is_not_counted_twice():
+    sim, obs, network, run = _two_transfers()
+    link = network.link(0, 1)
+    series = obs.link_series[(0, 1)]
+    obs.sample_links(network, force=True)
+    run((20,))  # cycles 422..473: still the epoch that was flushed
+    obs.sample_links(network, force=True)
+    # The later flush replaces the earlier one's point ...
+    assert series == [(100, 0.5), (400, 0.48), (473, 52 / 73)]
+    run((150,))  # cycles 623..674
+    obs.sample_links(network, force=True)
+    # ... and so does the close of [400, 500): it used to be appended
+    # after the flushed point, which counted cycles 400..402 twice.
+    assert [end for end, _fraction in series] == [100, 400, 500, 674]
+    assert _busy_cycles(series) == link.busy_within(sim.now) == link.busy_cycles

@@ -175,3 +175,49 @@ def test_observer_without_telemetry_keeps_plain_metrics():
     with pytest.raises(RuntimeError):
         obs.enable_telemetry()
         obs.enable_telemetry()
+
+
+# -- buffered samples: folded at epoch close and on read ----------------------
+
+
+def test_over_threshold_counts_from_buffered_samples_are_exact():
+    sim, obs, telemetry = _hub()
+    over = telemetry.watch_threshold("lat", 100)
+    samples = {  # cycle -> values observed at it
+        10: (40, 100, 101), 90: (5000, 101), 150: (7,), 260: (101, 101, 99),
+    }
+    for cycle, values in samples.items():
+        for value in values:
+            sim.schedule(cycle, lambda _, value=value: obs.observe("lat", value))
+    sim.run()
+    telemetry.flush()
+    expected = {}
+    for cycle, values in samples.items():
+        bad = sum(1 for value in values if value > 100)
+        if bad:
+            expected[cycle // 100] = expected.get(cycle // 100, 0) + bad
+    assert dict(telemetry.points(over)) == expected == {0: 3, 2: 2}
+    # The per-epoch histograms got every sample, in its own epoch.
+    assert [(index, hist.count, hist.max)
+            for index, hist in telemetry.points("lat")] == \
+        [(0, 5, 5000), (1, 1, 7), (2, 3, 101)]
+    # So did the run histogram, read at any time.
+    assert obs.histogram("lat").count == 9
+    assert obs.histogram("lat").total == sum(map(sum, samples.values()))
+
+
+def test_a_sample_after_a_flush_lands_in_the_reopened_epoch():
+    sim, obs, telemetry = _hub()
+    over = telemetry.watch_threshold("lat", 100)
+    sim.schedule(10, lambda _: obs.observe("lat", 500))
+    sim.run()
+    telemetry.flush()
+    obs.observe("lat", 700)  # still cycle 10: epoch 0, re-opened
+    assert obs.histograms["lat"].count == 2  # a read folds the buffer ...
+    telemetry.flush()  # ... into the open epoch too, not past it
+    ((index, hist),) = telemetry.points("lat")
+    assert (index, hist.count, hist.min, hist.max) == (0, 2, 500, 700)
+    assert telemetry.points(over) == [(0, 2)]
+    with pytest.raises(ValueError):
+        obs.observe("lat", -1)
+    assert obs.histogram("lat").count == 2
