@@ -177,13 +177,11 @@ class DTU:
             self.ringbuffer(ep_index)  # raises what is wrong
         return self._signals[ep_index]
 
-    def wake(self, ep_index: int) -> None:
-        """Spuriously wake whoever waits on ``ep_index``'s signal (no
-        message arrived; the waiter re-polls).  The kernel does this
-        when the software bound to this DTU now runs on another one."""
-        signal = self._signals.get(ep_index)
-        if signal is not None:
-            signal.fire()
+    @property
+    def idle(self) -> bool:
+        """Nothing sent from here awaits an ack, a response or a
+        retransmit."""
+        return not self._pending and not self._retx
 
     def hand_off(self, successor: "DTU") -> None:
         """Live migration, the hardware half: every ringbuffer whose

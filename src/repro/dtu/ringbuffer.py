@@ -25,8 +25,7 @@ DUPLICATE = object()
 class RingBuffer:
     """Fixed-slot ringbuffer holding delivered messages."""
 
-    def __init__(self, slot_size: int, slot_count: int,
-                 dedup_window: int = params.DTU_DEDUP_WINDOW):
+    def __init__(self, slot_size: int, slot_count: int):
         if slot_size <= 0 or slot_count <= 0:
             raise ValueError("ringbuffer geometry must be positive")
         self.slot_size = slot_size
@@ -40,7 +39,6 @@ class RingBuffer:
         #: reliable delivery: recently accepted (source, seq) pairs, so a
         #: retransmit whose ack was lost is re-acked but not re-delivered.
         self._seen: collections.OrderedDict = collections.OrderedDict()
-        self._dedup_window = dedup_window
         self.duplicates = 0
 
     @property
@@ -84,7 +82,7 @@ class RingBuffer:
             # Record only accepted messages: a retransmit of a message
             # dropped here (ring full) must still be deliverable.
             self._seen[(source, seq)] = True
-            while len(self._seen) > self._dedup_window:
+            while len(self._seen) > params.DTU_DEDUP_WINDOW:
                 self._seen.popitem(last=False)
         return slot
 

@@ -110,21 +110,6 @@ class TmpFs:
         parent.entries[name] = node
         node.links += 1
 
-    def rename(self, old_path: str, new_path: str) -> None:
-        """rename(2): move an entry, replacing an existing target file."""
-        old_parent, old_name = self._walk_parent(old_path)
-        if old_name not in old_parent.entries:
-            raise LxFsError(f"ENOENT: {old_path!r}")
-        new_parent, new_name = self._walk_parent(new_path)
-        moving = old_parent.entries[old_name]
-        existing = new_parent.entries.get(new_name)
-        if existing is not None and existing is not moving:
-            if existing.kind == "dir":
-                raise LxFsError(f"EISDIR: {new_path!r}")
-            existing.links -= 1
-        new_parent.entries[new_name] = moving
-        del old_parent.entries[old_name]
-
     def readdir(self, path: str) -> list[str]:
         node = self._walk(path)
         if node.kind != "dir":

@@ -303,12 +303,6 @@ class LxEnv:
         yield self._kernel(self._namespace_cost(new_path))
         self.machine.fs.link(existing, new_path)
 
-    def rename(self, old_path: str, new_path: str):
-        """Generator: rename(2)."""
-        self.syscall_count += 1
-        yield self._kernel(self._namespace_cost(new_path))
-        self.machine.fs.rename(old_path, new_path)
-
     def readdir(self, path: str):
         """Generator: getdents, one pass."""
         self.syscall_count += 1
@@ -395,21 +389,6 @@ class LxEnv:
             raise child.process.done.value
         return child.process.done.value
 
-    def mmap(self, fd: int):
-        """Generator: mmap(2) a file; returns a :class:`Mapping`.
-
-        Reproduces the configuration the paper measured but excluded
-        from Figure 3: copying through mmap is *slower* than
-        read()/write() because every fresh page costs a fault and the
-        fault handler thrashes the cache against the app's memcpy.
-        """
-        self.syscall_count += 1
-        descriptor = self._get(fd)
-        if descriptor.kind != "file":
-            raise LxFsError("ENODEV: mmap needs a regular file")
-        yield self._kernel(self.costs.syscall_cycles)
-        return Mapping(self, descriptor.node)
-
     def sendfile(self, out_fd: int, in_fd: int, count: int):
         """Generator: in-kernel copy, no per-block user crossings —
         "both benchmarks use sendfile to transfer the data"
@@ -441,54 +420,4 @@ class LxEnv:
         target.node.data[target.position : end] = data
         source.position += len(data)
         target.position = end
-        return len(data)
-
-
-class Mapping:
-    """An mmap'd file: page-fault-driven, cache-thrashing access.
-
-    Every first touch of a 4 KiB page costs a page fault; the copy in
-    or out of the mapping runs at the thrash-limited bandwidth (see
-    :data:`repro.params.LinuxCosts.mmap_thrash_bytes_per_cycle`).
-    """
-
-    def __init__(self, env: LxEnv, node):
-        self.env = env
-        self.node = node
-        self._touched: set[int] = set()
-        self.faults = 0
-
-    def _fault_pages(self, offset: int, count: int):
-        block = self.env.machine.fs.block_bytes
-        first = offset // block
-        last = (offset + max(count, 1) - 1) // block
-        for page in range(first, last + 1):
-            if page not in self._touched:
-                self._touched.add(page)
-                self.faults += 1
-                yield self.env._kernel(self.env.costs.page_fault_cycles)
-
-    def _thrash_copy(self, nbytes: int):
-        import math as _math
-
-        bandwidth = self.env.costs.mmap_thrash_bytes_per_cycle
-        return self.env.sim.delay(
-            max(1, _math.ceil(nbytes / bandwidth)), tag=Tag.XFER
-        )
-
-    def read(self, offset: int, count: int):
-        """Generator: load bytes out of the mapping."""
-        yield from self._fault_pages(offset, count)
-        data = bytes(self.node.data[offset : offset + count])
-        yield self._thrash_copy(len(data))
-        return data
-
-    def write(self, offset: int, data: bytes):
-        """Generator: store bytes into the mapping (extends the file)."""
-        yield from self._fault_pages(offset, len(data))
-        yield self._thrash_copy(len(data))
-        end = offset + len(data)
-        if len(self.node.data) < end:
-            self.node.data.extend(bytes(end - len(self.node.data)))
-        self.node.data[offset : end] = data
         return len(data)

@@ -58,14 +58,6 @@ class AutoScaler:
     ``min_replicas``/``max_replicas`` bound the tier;
     ``cooldown_epochs`` quiets the controller after each action so one
     burst cannot trigger a scale-up stampede.
-
-    ``policy`` selects the scale-up trigger.  The default ``"depth"``
-    keeps the original raw-queue-depth rule.  Opting into
-    ``policy="slo"`` (with ``slo_monitor`` set to a
-    :class:`~repro.obs.slo.SloMonitor`) scales up when the monitor
-    fires a new page alert instead — the controller reacts to the
-    *objective* burning, not to a probe; scale-down stays depth-based
-    either way, so a quiet tier still shrinks.
     """
 
     def __init__(self, system: "M3System", servers, name: str = "kv",
@@ -74,15 +66,7 @@ class AutoScaler:
                  calm_epochs: int = 3, cooldown_epochs: int = 2,
                  min_replicas: int | None = None,
                  max_replicas: int | None = None,
-                 drain_patience: int = 6,
-                 policy: str = "depth", slo_monitor=None):
-        if policy not in ("depth", "slo"):
-            raise ValueError(f"unknown autoscale policy {policy!r}")
-        if policy == "slo" and slo_monitor is None:
-            raise ValueError('policy="slo" needs an slo_monitor')
-        self.policy = policy
-        self.slo_monitor = slo_monitor
-        self._alert_cursor = 0
+                 drain_patience: int = 6):
         self.system = system
         self.sim = system.sim
         self.name = name
@@ -164,19 +148,7 @@ class AutoScaler:
                 continue
             total = sum(depths.values())
             peak = max(depths.values(), default=0)
-            if self.policy == "slo":
-                self._alert_cursor, fires = self.slo_monitor.fired_since(
-                    self._alert_cursor, severity="page"
-                )
-                grow = bool(fires)
-                if grow:
-                    self.events.append((
-                        self.sim.now, "slo_page", self.slo_monitor.spec.name,
-                        -1, f"burn {fires[-1][3]:.1f}/{fires[-1][4]:.1f}",
-                    ))
-            else:
-                grow = peak >= self.up_depth
-            if grow and len(depths) < self.max_replicas:
+            if peak >= self.up_depth and len(depths) < self.max_replicas:
                 grown = yield from self._scale_up(depths)
                 if grown:
                     self._calm = 0

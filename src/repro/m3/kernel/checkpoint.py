@@ -2,10 +2,9 @@
 
 A checkpoint captures everything a VPE keeps on its PE — the data-SPM
 image, the DTU endpoint registers, the SPM allocator mark.  The kernel
-uses checkpoints for two things: live migration (``migrate_vpe`` re-materialises the state on a
-free PE and redirects in-flight messages) and recover-by-migrate (the
-watchdog salvages the SPM image off a node whose *core* died — the DTU
-keeps answering reads in hardware — and restarts the VPE elsewhere).
+uses checkpoints for live migration: ``migrate_vpe`` re-materialises
+the state on a free PE, in this domain or a peer's, and redirects
+in-flight messages.
 
 Checkpoints are in-sim objects, not serialised blobs, but they are
 deterministic: two runs with the same seed produce byte-identical SPM
@@ -29,9 +28,7 @@ class VpeCheckpoint:
     #: full data-SPM image (the code SPM is re-loaded from the entry).
     spm_image: bytes
     #: the PE's bump-allocator position, so live restore keeps buffer
-    #: addresses stable.  Restart-style recovery deliberately ignores
-    #: it: re-running the entry re-allocates the same addresses and
-    #: finds its previous progress in the restored image.
+    #: addresses stable.
     alloc_mark: int
     #: ``(index, EndpointRegisters)`` pairs for every configured
     #: endpoint, cloned via ``dataclasses.replace`` so later mutation
@@ -69,7 +66,6 @@ class MigrationDescriptor:
     #: and ``None`` for everything else.
     caps: tuple
     migrations: int
-    last_entry: object
     env: object
 
     @classmethod
@@ -87,8 +83,7 @@ class MigrationDescriptor:
             else:
                 detail = None
             manifest.append((cap.selector, cap.kind.value, detail))
-        return cls(checkpoint, tuple(manifest), vpe.migrations,
-                   vpe.last_entry, env)
+        return cls(checkpoint, tuple(manifest), vpe.migrations, env)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MigrationDescriptor {self.checkpoint!r}, {len(self.caps)} caps>"

@@ -34,7 +34,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.m3.kernel.syscalls import APP_REPLY_EP, NO_REPLY
+from repro.m3.kernel.syscalls import NO_REPLY
 from repro.m3.kernel.vpe import VpeObject, VpeState
 from repro.sim.ledger import Tag
 
@@ -217,25 +217,14 @@ class ContextSwitcher:
             vpe.pe.release()
             self.kernel.start_software(vpe, entry, args)
         else:
-            # A restored VPE: its software "moves with it" — rebind the
-            # environment to the (possibly different, after migration)
-            # PE, restore the SPM allocator mark, and keep the PE
-            # claimed while the suspended process resumes.
-            env = self.kernel.envs.get(vpe.id)
-            old_dtu = env.dtu if env is not None else None
-            if env is not None:
-                env.pe = vpe.pe
-                env.dtu = vpe.pe.dtu
+            # A restored VPE: restore the SPM allocator mark, and keep
+            # the PE claimed while the suspended process resumes.
             vpe.pe.alloc_mark = vpe.saved_alloc_mark
             vpe.pe.reserved = True
             if vpe.parked_reply is not None:
                 slot_payload = vpe.parked_reply
                 vpe.parked_reply = None
                 self.kernel.reply(vpe, *slot_payload)
-            if old_dtu is not None and old_dtu is not vpe.pe.dtu:
-                # Spurious wake-up: software blocked on the old DTU's
-                # reply endpoint re-polls and re-arms on the new one.
-                old_dtu.wake(APP_REPLY_EP)
 
     # ------------------------------------------------------------------
     # the voluntary yield (vpe_wait_yield syscall)
@@ -287,42 +276,6 @@ class ContextSwitcher:
             # are queued or suspended here.
             vpe.pe.reserved = True
         self._try_dispatch(node)
-        if self.kernel.auto_rebalance:
-            self.rebalance()
-
-    # ------------------------------------------------------------------
-    # migration — "the migration of VPEs ... requires the same
-    # mechanism" as context switching (Section 3.3)
-    # ------------------------------------------------------------------
-
-    def migrate(self, vpe: VpeObject, target_pe) -> None:
-        """Move a non-resident (queued or suspended) VPE to another PE.
-
-        The saved image lives in DRAM, so the restore transfer works
-        toward any PE; the syscall channel is rewired at switch-in.
-        """
-        if vpe.resident and vpe.state == VpeState.RUNNING:
-            raise ValueError(
-                f"VPE {vpe.name!r} is running; only suspended/queued "
-                "VPEs can migrate"
-            )
-        if not target_pe.core.type.general_purpose:
-            raise ValueError("migration target must be a general-purpose PE")
-        old_node = vpe.node
-        queue = self.queues.get(old_node, [])
-        was_queued = vpe in queue
-        if was_queued:
-            queue.remove(vpe)
-        self.suspended.setdefault(old_node, set()).discard(vpe)
-        if not self._pe_has_pending_work(old_node) and \
-                self.resident.get(old_node) is None:
-            vpe.pe.reserved = False
-        vpe.pe = target_pe
-        self.adopt_node(target_pe)
-        if target_pe.busy is False:
-            target_pe.reserved = True
-        self.queues[target_pe.node].append(vpe)
-        self._try_dispatch(target_pe.node)
 
     def adopt_node(self, pe) -> None:
         """Ensure switcher bookkeeping exists for a PE."""
@@ -330,20 +283,3 @@ class ContextSwitcher:
         self.queues.setdefault(pe.node, [])
         self.switching.setdefault(pe.node, False)
         self.suspended.setdefault(pe.node, set())
-
-    def rebalance(self) -> None:
-        """Load balancing (Section 1.3): move a waiting VPE from a
-        crowded PE to a free one."""
-        free = self.kernel.platform.find_free_pe()
-        if free is None or free.node == self.kernel.node:
-            return
-        for node, queue in self.queues.items():
-            for vpe in list(queue):
-                ready = vpe.pending_entry is not None or vpe.saved
-                contended = (
-                    self.resident.get(node) is not None
-                    or self.switching.get(node)
-                )
-                if ready and contended:
-                    self.migrate(vpe, free)
-                    return

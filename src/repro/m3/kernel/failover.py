@@ -42,7 +42,6 @@ class Failover:
         #: watchdog state (see :meth:`start_watchdog`).
         self._watchdog = None
         self._watchdog_stop = False
-        self._watchdog_recovery = "kill"
         self.probes_sent = 0
         self.recoveries = 0
         #: heartbeat ring state (see :meth:`start_heartbeat`).
@@ -62,8 +61,7 @@ class Failover:
 
     def start_watchdog(self, period: int = params.KERNEL_WATCHDOG_PERIOD,
                        probe_timeout: int =
-                       params.KERNEL_PROBE_TIMEOUT_CYCLES,
-                       recovery: str = "kill"):
+                       params.KERNEL_PROBE_TIMEOUT_CYCLES):
         """Start the liveness watchdog on the kernel PE.
 
         Every ``period`` cycles the kernel probes the DTU of each
@@ -71,18 +69,11 @@ class Failover:
         core's halted bit, so a dead core cannot suppress the answer).
         A probe that reports "halted" — or that gets no answer within
         ``probe_timeout`` cycles, i.e. the whole node is unreachable —
-        triggers recovery: ``recovery="kill"`` tears the VPE down
-        (:meth:`recover_vpe`); ``recovery="migrate"`` first tries to
-        salvage the SPM image off the dead node and restart the VPE on
-        a free PE (:meth:`Migration.recover_by_migrate`), falling back
-        to kill.
+        tears the VPE down (:meth:`recover_vpe`).
         """
-        if recovery not in ("kill", "migrate"):
-            raise ValueError(f"unknown recovery mode {recovery!r}")
         if self._watchdog is not None and self._watchdog.alive:
             raise RuntimeError("watchdog already running")
         self._watchdog_stop = False
-        self._watchdog_recovery = recovery
         self._watchdog = self.sim.process(
             self._watchdog_loop(period, probe_timeout), "kernel.watchdog"
         )
@@ -109,11 +100,6 @@ class Failover:
                 yield self.sim.delay(params.KERNEL_PROBE_CYCLES, tag=Tag.OS)
                 alive = yield from self._probe_vpe(vpe, probe_timeout)
                 if not alive:
-                    if self._watchdog_recovery == "migrate":
-                        migrated = yield from \
-                            kernel.migration.recover_by_migrate(vpe)
-                        if migrated:
-                            continue
                     yield from self.recover_vpe(vpe, "watchdog probe failed")
 
     def _probe_vpe(self, vpe: VpeObject, timeout: int):

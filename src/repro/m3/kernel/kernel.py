@@ -87,8 +87,8 @@ class Kernel:
     """Kernel state plus the dispatch loop running on the kernel PE."""
 
     def __init__(self, platform: "Platform", node: int = 0,
-                 dram_reserve: int = 0, kernel_id: int = 0,
-                 domain=None, dram_base: int | None = None,
+                 kernel_id: int = 0, domain=None,
+                 dram_base: int | None = None,
                  dram_bytes: int | None = None):
         self.platform = platform
         self.sim = platform.sim
@@ -103,12 +103,11 @@ class Kernel:
         self.label = "kernel" if domain is None else f"kernel{kernel_id}"
         #: VPE id -> kernel object.
         self.vpes: dict[int, VpeObject] = {}
-        #: DRAM allocator (`dram_reserve` bytes at the bottom stay free
-        #: for platform-level uses); a partitioned kernel manages only
-        #: its own shard ``[dram_base, dram_base + dram_bytes)``.
+        #: DRAM allocator; a partitioned kernel manages only its own
+        #: shard ``[dram_base, dram_base + dram_bytes)``.
         if dram_base is None:
-            dram_base = dram_reserve
-            dram_bytes = platform.dram.memory.size - dram_reserve
+            dram_base = 0
+            dram_bytes = platform.dram.memory.size
         self.memory = MemoryManager(dram_base, dram_bytes)
         #: the membership view the components share: peer kernel id ->
         #: send-EP index on this DTU (filled by :meth:`set_peers`), and
@@ -131,9 +130,6 @@ class Kernel:
         #: PE time-multiplexing (Sections 3.3/7); off by default, like
         #: the paper's prototype.
         self.multiplexing = False
-        #: move waiting VPEs to PEs that free up (Section 1.3's load
-        #: balancing); only meaningful with multiplexing on.
-        self.auto_rebalance = False
         #: vpe id -> libm3 Env, populated by the system layer (used by
         #: the context switcher to flush client-side endpoint bindings).
         self.envs: dict[int, object] = {}
@@ -168,7 +164,6 @@ class Kernel:
             syscalls.VPE_START: self._sys_vpe_start,
             syscalls.VPE_WAIT: self._sys_vpe_wait,
             syscalls.VPE_WAIT_YIELD: self._sys_vpe_wait_yield,
-            syscalls.VPE_MIGRATE: self._sys_vpe_migrate,
             syscalls.MIGRATE_VPE: self.migration.sys_migrate_vpe,
             syscalls.EXIT: self._sys_exit,
             syscalls.NOOP: self._sys_noop,
@@ -382,9 +377,6 @@ class Kernel:
             raise SyscallError(f"VPE {vpe.name!r} is dead")
         if self.start_software is None:
             raise RuntimeError("kernel has no software loader attached")
-        # Recorded so recover-by-migrate can restart the software on a
-        # new PE after salvaging the SPM image off a dead node.
-        vpe.last_entry = (entry, args)
         if not vpe.resident:
             # A queued multiplexed VPE runs when it gets the PE.
             self.ctxsw.start_queued(vpe, entry, args)
@@ -691,24 +683,6 @@ class Kernel:
 
         self.ik.request(proxy.kernel_id, "vpe_wait", (proxy.remote_id,),
                         completion, no_timeout=True)
-
-    def _sys_vpe_migrate(self, vpe, slot, vpe_sel):
-        """Migrate a suspended/queued VPE (the caller must hold its
-        capability) to a free PE; returns the new node."""
-        child = vpe.captable.get(vpe_sel, CapKind.VPE).obj
-        if child.resident and child.state == VpeState.RUNNING:
-            raise SyscallError(
-                f"VPE {child.name!r} is running; only suspended or queued "
-                "VPEs can migrate"
-            )
-        target = self.find_free_pe()
-        if target is None:
-            raise SyscallError("no free PE to migrate to")
-        # A ValueError (the free PE cannot be multiplexed) is an error
-        # reply like any other.
-        self.ctxsw.migrate(child, target)
-        return target.node
-        yield  # pragma: no cover
 
     def _sys_vpe_wait_yield(self, vpe, slot, vpe_sel):
         """Wait for a VPE *and* offer the caller's PE for reuse —

@@ -1,5 +1,5 @@
-"""Moving VPEs: checkpoint/restore, recover-by-migrate, and live
-migration within and across kernel domains.
+"""Moving VPEs: checkpoint/restore and live migration within and
+across kernel domains.
 
 :class:`Migration` owns the migration counters and the forwarding
 table of VPEs this kernel pushed out to a peer domain (the snapshot
@@ -42,7 +42,7 @@ class Migration:
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self.sim = kernel.sim
-        #: local moves: live migrations plus recover-by-migrate.
+        #: live migrations within this domain.
         self.migrations = 0
         #: cross-domain bookkeeping: local VPE id -> (new owner kernel
         #: id, id over there) for VPEs this kernel pushed out.  Stale
@@ -69,9 +69,7 @@ class Migration:
         Captures the data-SPM image (a timed, size-dependent transfer),
         the DTU endpoint registers and the SPM allocator mark into a
         :class:`VpeCheckpoint` (the capabilities themselves stay
-        kernel-owned).  Works against
-        a node whose *core* is dead — the DTU answers reads in hardware
-        — which is what recover-by-migrate relies on.
+        kernel-owned).
         """
         if not vpe.resident:
             raise SyscallError(f"VPE {vpe.name!r} is not resident")
@@ -87,7 +85,6 @@ class Migration:
             eps=_live_endpoints(pe.dtu),
             taken_at=self.sim.now,
         )
-        vpe.last_checkpoint = checkpoint
         if self.sim.obs is not None:
             self.sim.obs.count("kernel.checkpoints")
             self.sim.obs.instant("checkpoint", "migrate", pe.node,
@@ -177,51 +174,6 @@ class Migration:
             close_window(), f"{kernel.label}.migrate-window.v{vpe.id}"
         )
 
-    def recover_by_migrate(self, vpe: VpeObject):
-        """Generator: recover a failed VPE by moving it to a free PE.
-
-        The core died but the node's DTU still serves reads, so the
-        kernel checkpoints the SPM image off the dead node, quarantines
-        the node, and restarts the VPE's recorded entry on a free PE —
-        checkpoint-aware programs find their previous progress in the
-        restored SPM image.  Returns False (the caller falls back to
-        kill-style recovery) when there is no free PE or no recorded
-        entry.
-        """
-        kernel = self.kernel
-        if vpe.last_entry is None:
-            return False
-        target = kernel.find_free_pe()
-        if target is None:
-            return False
-        target.reserve()
-        checkpoint = yield from self.checkpoint_vpe(vpe)
-        old_pe = vpe.pe
-        yield from kernel.quarantine_pe(old_pe)
-        old_pe.release()
-        if kernel.ctxsw.resident.get(old_pe.node) is vpe:
-            kernel.ctxsw.resident[old_pe.node] = None
-        self.migrations += 1
-        vpe.migrations += 1
-        if self.sim.obs is not None:
-            self.sim.obs.count("kernel.migrations")
-            self.sim.obs.instant("migrate", "watchdog", old_pe.node,
-                                 vpe=vpe.id, target=target.node)
-        vpe.pe = target
-        # Restore the image, then restart the entry: the bump allocator
-        # starts from zero again, so the re-run allocates the same
-        # buffer addresses and finds its progress in the restored SPM.
-        yield self._image_transfer(target)
-        target.spm_data.write(0, checkpoint.spm_image)
-        yield from kernel.wire_syscall_channel(vpe)
-        if kernel.ctxsw.resident.get(target.node) is None:
-            kernel.ctxsw.adopt_node(target)
-            kernel.ctxsw.resident[target.node] = vpe
-        entry, args = vpe.last_entry
-        vpe.state = VpeState.RUNNING
-        kernel.start_software(vpe, entry, args)
-        return True
-
     # -- live migration ---------------------------------------------------
 
     def sys_migrate_vpe(self, vpe, slot, vpe_sel, target_domain=None):
@@ -268,8 +220,7 @@ class Migration:
             raise SyscallError("cannot live-migrate a remote VPE")
         if not child.resident or child.state != VpeState.RUNNING:
             raise SyscallError(
-                f"VPE {child.name!r} is not resident and running; use "
-                "vpe_migrate for suspended or queued VPEs"
+                f"VPE {child.name!r} is not resident and running"
             )
 
     def _migrate_out(self, peer: int, child: VpeObject, completion):
@@ -400,7 +351,6 @@ class Migration:
         vpe = kernel.new_vpe(checkpoint.name, source_pe)
         vpe.state = VpeState.RUNNING
         vpe.migrations = descriptor.migrations
-        vpe.last_entry = descriptor.last_entry
         for selector, kind_value, detail in descriptor.caps:
             kind = CapKind(kind_value)
             if kind == CapKind.VPE and detail is None:

@@ -38,9 +38,6 @@ VPE_WAIT = "vpe_wait"
 #: (vpe_sel,) -> exit_code; like VPE_WAIT but offers the caller's PE
 #: for reuse while waiting (context switching, Sections 3.3/7).
 VPE_WAIT_YIELD = "vpe_wait_yield"
-#: (vpe_sel,) -> new node; move a suspended/queued VPE to a free PE
-#: ("we plan to allow the migration of VPEs", Section 4.3).
-VPE_MIGRATE = "vpe_migrate"
 #: (vpe_sel,) -> new node; live-migrate a *running* VPE: checkpoint its
 #: PE-local state, restore it on a free PE, and redirect in-flight
 #: messages for a window while the old DTU drains.
@@ -92,7 +89,6 @@ ALL_OPCODES = frozenset(
         VPE_START,
         VPE_WAIT,
         VPE_WAIT_YIELD,
-        VPE_MIGRATE,
         MIGRATE_VPE,
         EXIT,
         NOOP,

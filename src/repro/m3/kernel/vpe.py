@@ -64,12 +64,6 @@ class VpeObject:
         self.parked_reply: tuple | None = None
         #: SPM bump-allocator mark captured at switch-out.
         self.saved_alloc_mark = 0
-        # -- checkpoint/migration state (see repro.m3.kernel.checkpoint) -
-        #: ``(entry, args)`` recorded at start, so recover-by-migrate can
-        #: restart the software on a new PE after restoring its SPM.
-        self.last_entry: tuple | None = None
-        #: the most recent :class:`VpeCheckpoint` taken of this VPE.
-        self.last_checkpoint = None
         #: how many times this VPE has been migrated between PEs.
         self.migrations = 0
 

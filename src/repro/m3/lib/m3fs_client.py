@@ -50,9 +50,6 @@ class M3fsClient(ClientSession):
     def link(self, existing: str, new_path: str):
         yield from self.request("link", existing, new_path)
 
-    def rename(self, old_path: str, new_path: str):
-        yield from self.request("rename", old_path, new_path)
-
     def readdir(self, path: str):
         """Generator: sorted entry names of a directory."""
         return list((yield from self.request("readdir", path)))

@@ -83,13 +83,6 @@ class VFS:
             raise FsError("cannot hard-link across filesystems")
         yield from filesystem.link(below, new_below)
 
-    def rename(self, old_path: str, new_path: str):
-        filesystem, below = yield from self._resolve(old_path)
-        other, new_below = yield from self._resolve(new_path)
-        if filesystem is not other:
-            raise FsError("cannot rename across filesystems")
-        yield from filesystem.rename(below, new_below)
-
     def readdir(self, path: str):
         """Generator: sorted entry names."""
         filesystem, below = yield from self._resolve(path)

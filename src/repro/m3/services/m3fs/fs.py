@@ -25,8 +25,7 @@ class M3FS:
     ROOT_INO = 0
 
     def __init__(self, superblock: SuperBlock | None = None,
-                 append_blocks: int = params.M3FS_APPEND_BLOCKS,
-                 reserve_meta_blocks: int = 0):
+                 append_blocks: int = params.M3FS_APPEND_BLOCKS):
         self.sb = superblock or SuperBlock()
         self.block_bitmap = Bitmap(self.sb.total_blocks)
         self.inode_bitmap = Bitmap(self.sb.total_inodes)
@@ -34,12 +33,6 @@ class M3FS:
         #: "write operations extend files by a large number of blocks at
         #: once to minimize the fragmentation" (Section 4.5.8).
         self.append_blocks = append_blocks
-        #: blocks at the front of the region reserved for the persisted
-        #: metadata image (see :mod:`repro.m3.services.m3fs.image`).
-        self.reserved_meta_blocks = reserve_meta_blocks
-        if reserve_meta_blocks:
-            start, got = self.block_bitmap.alloc_run(reserve_meta_blocks)
-            assert (start, got) == (0, reserve_meta_blocks)
         root_ino = self.inode_bitmap.alloc()
         self.inodes[root_ino] = Inode(ino=root_ino, kind="dir")
 
@@ -128,28 +121,6 @@ class M3FS:
             raise FsError(f"already exists: {new_path!r}")
         parent.entries[name] = inode.ino
         inode.links += 1
-
-    def rename(self, old_path: str, new_path: str) -> None:
-        """Move/rename an entry; replaces an existing target file
-        (classic rename(2) semantics)."""
-        old_parent, old_name = self.resolve_parent(old_path)
-        if old_name not in old_parent.entries:
-            raise FsError(f"no such file: {old_path!r}")
-        new_parent, new_name = self.resolve_parent(new_path)
-        moving = self.inodes[old_parent.entries[old_name]]
-        if new_name in new_parent.entries:
-            target = self.inodes[new_parent.entries[new_name]]
-            if target is moving:
-                return
-            if target.is_dir:
-                raise FsError(f"target is a directory: {new_path!r}")
-            if moving.is_dir:
-                raise FsError("cannot replace a file with a directory")
-            target.links -= 1
-            if target.links == 0:
-                self._free_inode(target)
-        new_parent.entries[new_name] = moving.ino
-        del old_parent.entries[old_name]
 
     def readdir(self, path: str) -> list[str]:
         inode = self.resolve(path)

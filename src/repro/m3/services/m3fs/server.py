@@ -11,14 +11,12 @@ service-delegation syscall.
 from __future__ import annotations
 
 import dataclasses
-import struct
 
 from repro import params
 from repro.dtu.registers import MemoryPerm
 from repro.m3.kernel import syscalls
 from repro.m3.lib.gate import MemGate
 from repro.m3.lib.service import Server
-from repro.m3.services.m3fs import image
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
 
@@ -71,16 +69,9 @@ class M3fsServer(Server):
 
     def __init__(self, superblock: SuperBlock | None = None,
                  append_blocks: int = params.M3FS_APPEND_BLOCKS,
-                 service_name: str = "m3fs", persist: bool = False):
+                 service_name: str = "m3fs"):
         super().__init__(service_name)
-        #: when persistent, the front of the region holds the metadata
-        #: image and the ``sync`` operation writes it out.
-        self.persist = persist
-        self.fs = M3FS(
-            superblock,
-            append_blocks=append_blocks,
-            reserve_meta_blocks=image.META_BLOCKS if persist else 0,
-        )
+        self.fs = M3FS(superblock, append_blocks=append_blocks)
         self.region: MemGate | None = None
 
     def _setup(self, env):
@@ -194,32 +185,6 @@ class M3fsServer(Server):
         return ()
         yield  # pragma: no cover
 
-    def _op_rename(self, session: _Session, old_path: str, new_path: str):
-        self.fs.rename(old_path, new_path)
-        return ()
-        yield  # pragma: no cover
-
     def _op_readdir(self, session: _Session, path: str):
         return tuple(self.fs.readdir(path))
         yield  # pragma: no cover
-
-    def _op_fsync(self, session: _Session, fd: int):
-        session.get(fd)  # validate; an in-memory fs has nothing to flush
-        return ()
-        yield  # pragma: no cover
-
-    def _op_sync(self, session: _Session):
-        """Write the metadata image into the region's reserved blocks
-        (a real, timed DTU transfer) — the filesystem now survives a
-        service restart from the DRAM contents alone."""
-        if not self.persist:
-            raise FsError("service was not started with persist=True")
-        payload = image.serialize(self.fs)
-        capacity = image.META_BLOCKS * self.fs.sb.block_size
-        if 8 + len(payload) > capacity:
-            raise FsError("metadata image exceeds the reserved blocks")
-        yield self.env.os_work(params.M3FS_ALLOC_CYCLES)
-        yield from self.region.write(
-            0, struct.pack("<Q", len(payload)) + payload
-        )
-        return len(payload)

@@ -54,19 +54,19 @@ RX_BASE = 2048
 
 MAX_PAYLOAD = 200
 
-#: default per-socket inbox depth.  Open-loop load means a slow client
-#: can fall arbitrarily far behind its arrival stream; an unbounded
-#: inbox then grows without limit.  Frames beyond the bound are dropped
-#: and counted in ``frames_dropped``, like a real NIC ring overrun.
+#: per-socket inbox depth.  Open-loop load means a slow client can
+#: fall arbitrarily far behind its arrival stream; an unbounded inbox
+#: then grows without limit.  Datagram semantics: a frame beyond the
+#: bound is dropped and counted, like a real NIC ring overrun — no
+#: back-pressure reaches the sender (docs/protocols.md, "netserv").
 INBOX_DEPTH = 64
 
 
 class _Socket:
-    def __init__(self, session_id: int, inbox_depth: int = INBOX_DEPTH):
+    def __init__(self, session_id: int):
         self.session_id = session_id
         self.port: int | None = None
         self.inbox: list[tuple[int, bytes]] = []
-        self.inbox_depth = inbox_depth
 
 
 class NetServ(Server):
@@ -77,11 +77,10 @@ class NetServ(Server):
     request_cycles = params.M3FS_SERVER_CYCLES
     errors = (ValueError, TypeError)
     irq_label = IRQ_LABEL
+    inbox_depth = INBOX_DEPTH
 
-    def __init__(self, service_name: str = "net",
-                 inbox_depth: int = INBOX_DEPTH):
+    def __init__(self, service_name: str = "net"):
         super().__init__(service_name)
-        self.inbox_depth = inbox_depth
         #: Event, attached before spawn: succeeds once the system layer
         #: has wired the NIC and installed ``self.nic_cmd`` (replaces
         #: the old poll-every-500-cycles startup busy-wait).
@@ -118,7 +117,7 @@ class NetServ(Server):
             yield self.nic_attached
 
     def _open_session(self, session_id: int) -> _Socket:
-        return _Socket(session_id, inbox_depth=self.inbox_depth)
+        return _Socket(session_id)
 
     # -- the driver side ------------------------------------------------------
 
@@ -138,21 +137,31 @@ class NetServ(Server):
         if length < _HEADER.size:
             # A runt frame cannot carry a port header; drop it instead
             # of crashing the service on the unpack.
-            self.frames_dropped += 1
+            self._drop("runt", -1)
             return
         frame = yield from self.buffer.read(offset, length)
         src_port, dst_port = _HEADER.unpack_from(frame)
         socket = self.ports.get(dst_port)
         if socket is None:
-            self.frames_dropped += 1
+            self._drop("unbound", dst_port)
             return
-        if len(socket.inbox) >= socket.inbox_depth:
+        if len(socket.inbox) >= self.inbox_depth:
             # The client is not draining its inbox: drop like a ring
             # overrun instead of growing memory without bound.
-            self.frames_dropped += 1
+            self._drop("overflow", dst_port)
             return
         socket.inbox.append((src_port, bytes(frame[_HEADER.size :])))
         self.frames_routed += 1
+
+    def _drop(self, reason: str, port: int) -> None:
+        """Count a received frame that reaches no inbox, where the
+        telemetry plane, an SLO and the flight recorder see it too."""
+        self.frames_dropped += 1
+        obs = self.env.sim.obs
+        if obs is not None:
+            obs.count(f"net.{self.service_name}.frames_dropped")
+            obs.instant("frame_drop", "net", self.env.pe.node,
+                        service=self.service_name, reason=reason, port=port)
 
     # -- session operations ------------------------------------------------------
 
@@ -245,8 +254,7 @@ class NetClient(ClientSession):
         return (yield from self.request("close"))
 
 
-def start_network(system: "M3System", service_names=("net", "net2"),
-                  wire_latency: int = 200):
+def start_network(system: "M3System", service_names=("net", "net2")):
     """Boot two NICs on a wire and a netserv instance for each.
 
     Device wiring (DMA windows, command channels, interrupt routes) is
@@ -254,7 +262,7 @@ def start_network(system: "M3System", service_names=("net", "net2"),
     services then drive their NICs with ordinary gates.
     Returns the two :class:`NetServ` instances.
     """
-    wire = Wire(system.sim, latency_cycles=wire_latency)
+    wire = Wire(system.sim)
     nics = []
     servers = []
     base_node = len(system.platform.pes)

@@ -29,8 +29,7 @@ class M3System:
 
     def __init__(self, platform: Platform | None = None, pe_count: int = 8,
                  kernel_node: int = 0, kernel_count: int = 1,
-                 multiplexing: bool = False,
-                 auto_rebalance: bool = False, reliable: bool = False,
+                 multiplexing: bool = False, reliable: bool = False,
                  observe: bool = False, **platform_kwargs):
         self.platform = platform or Platform.build(pe_count, **platform_kwargs)
         #: whether DTUs run with reliable delivery; device DTUs created
@@ -92,7 +91,6 @@ class M3System:
         for kernel in self.kernels:
             kernel.start_software = self._start_software
             kernel.multiplexing = multiplexing
-            kernel.auto_rebalance = auto_rebalance
         #: program name -> entry generator function, for ``VPE.exec``.
         self.programs: dict[str, typing.Callable] = {}
         self.fs_server: "M3fsServer | None" = None

@@ -9,9 +9,9 @@ while still producing queueing under load.
 """
 
 from repro.noc.topology import MeshTopology
-from repro.noc.routing import XYRouter, YXRouter
+from repro.noc.routing import XYRouter
 from repro.noc.link import Link
 from repro.noc.packet import Packet
 from repro.noc.network import Network
 
-__all__ = ["MeshTopology", "XYRouter", "YXRouter", "Link", "Packet", "Network"]
+__all__ = ["MeshTopology", "XYRouter", "Link", "Packet", "Network"]

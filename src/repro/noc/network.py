@@ -60,13 +60,12 @@ class Network:
         topology: MeshTopology,
         hop_cycles: int = params.NOC_HOP_CYCLES,
         bytes_per_cycle: int = params.NOC_BYTES_PER_CYCLE,
-        router: XYRouter | None = None,
     ):
         if hop_cycles < 0:
             raise ValueError("hop latency cannot be negative")
         self.sim = sim
         self.topology = topology
-        self.router = router or XYRouter(topology)
+        self.router = XYRouter(topology)
         self.hop_cycles = hop_cycles
         self.bytes_per_cycle = bytes_per_cycle
         self._links: dict[tuple[int, int], Link] = {

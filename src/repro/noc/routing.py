@@ -44,26 +44,3 @@ class XYRouter:
         path = self.route(source, destination)
         return list(zip(path, path[1:]))
 
-
-class YXRouter(XYRouter):
-    """Dimension-ordered routing with the vertical dimension first.
-
-    Equally minimal and deadlock-free; distributing traffic between XY
-    and YX routers is a classic way to decorrelate hot links (used by
-    the routing ablation to show the timing model responds to path
-    choice).
-    """
-
-    def route(self, source: int, destination: int) -> list[int]:
-        topo = self.topology
-        sx, sy = topo.coordinates(source)
-        dx, dy = topo.coordinates(destination)
-        path = [source]
-        x, y = sx, sy
-        while y != dy:
-            y += 1 if dy > y else -1
-            path.append(topo.node_at(x, y))
-        while x != dx:
-            x += 1 if dx > x else -1
-            path.append(topo.node_at(x, y))
-        return path

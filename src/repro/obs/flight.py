@@ -37,15 +37,14 @@ class FlightRecorder:
 
     def __init__(self, observer: "Observer",
                  capacity: int = DEFAULT_CAPACITY,
-                 epochs: int = DEFAULT_EPOCHS,
-                 domain_of: dict[int, int] | None = None):
+                 epochs: int = DEFAULT_EPOCHS):
         if capacity < 1:
             raise ValueError("flight capacity must be positive")
         self.observer = observer
         self.capacity = capacity
         self.epochs = epochs
         #: NoC node -> kernel domain; everything else -> domain -1.
-        self.domain_of: dict[int, int] = dict(domain_of or {})
+        self.domain_of: dict[int, int] = {}
         self._spans: dict[int, collections.deque] = {}
         self._instants: dict[int, collections.deque] = {}
         self.dumps: list[dict] = []

@@ -18,9 +18,8 @@ factor: the alert **fires** when both windows burn at or above the
 factor — the long window proves the problem is real, the short window
 proves it is still happening — and resolves when either drops below.
 Fired alerts are recorded as Observer instants and on the monitor's
-``alerts`` list, where the control plane consumes them: the autoscaler
-(``policy="slo"``) scales up on new page alerts, and kernel failover
-verdicts are annotated with the alert that preceded them.
+``alerts`` list, where the control plane consumes them: kernel
+failover verdicts are annotated with the alert that preceded them.
 
 Everything is a pure function of closed telemetry epochs, so two runs
 of the same simulation alert on the same cycle.
@@ -185,20 +184,6 @@ class SloMonitor:
     def breached(self) -> bool:
         """Whether any alert ever fired."""
         return any(state == "fire" for _, _, state, _, _ in self.alerts)
-
-    def fired_since(self, cursor: int,
-                    severity: str | None = None) -> tuple[int, list]:
-        """New fire alerts past ``cursor``; returns (new cursor, fires).
-
-        How the control plane polls: keep the returned cursor, pass it
-        back next epoch.
-        """
-        fires = [
-            alert for alert in self.alerts[cursor:]
-            if alert[2] == "fire"
-            and (severity is None or alert[1] == severity)
-        ]
-        return len(self.alerts), fires
 
     def verdict(self) -> dict:
         """End-of-run summary for reports."""

@@ -89,20 +89,10 @@ class Telemetry:
 
     # -- recording -------------------------------------------------------
 
-    def counter(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to the open epoch's delta for ``name``."""
-        self.advance()
-        self.open_counters[name] = self.open_counters.get(name, 0) + n
-
     def gauge(self, name: str, value) -> None:
         """Set the open epoch's value for ``name`` (last write wins)."""
         self.advance()
         self._open_gauges[name] = value
-
-    def observe(self, name: str, value: int) -> None:
-        """Record a sample into the open epoch's histogram."""
-        self.advance()
-        self.observe_many(name, (value,))
 
     def observe_many(self, name: str, samples) -> None:
         """Fold samples taken *while the open epoch was open* into its

@@ -233,9 +233,6 @@ class LinuxCosts:
     fork_cycles: int = 12000
     exec_cycles: int = 18000
 
-    #: Page-fault handling (used by mmap-style paths and cold caches).
-    page_fault_cycles: int = 900
-
     #: stat() total software cost: "stat is well optimized on Linux, so
     #: that M3 is actually a bit slower" (Section 5.6) — slightly under
     #: M3's message-based stat.
@@ -262,14 +259,6 @@ class LinuxCosts:
     #: conventional magnitudes consistent with the find benchmark.
     dir_op_cycles: int = 600
     path_component_cycles: int = 250
-
-    #: Effective copy bandwidth while mmap page faults interleave with
-    #: the application's memcpy: "Linux's bad performance due to cache
-    #: thrashing between the page fault handling of the kernel and the
-    #: memcpy of the application" (Section 5.4) — the kernel's fault
-    #: path evicts the app's working lines and vice versa, halving the
-    #: already miss-limited bandwidth.
-    mmap_thrash_bytes_per_cycle: float = 1.0
 
 
 #: Xtensa cost table (the platform of the main evaluation).

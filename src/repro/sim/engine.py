@@ -180,44 +180,6 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _advance(self) -> bool:
-        """Move the clock to the next populated cycle, draining every heap
-        entry due then into the bucket; False if the heap is empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            if entry[2] is None:
-                self._cancelled -= 1
-                continue
-            when = entry[0]
-            self.now = when
-            bucket = self._bucket
-            # Entries move as-is so outstanding cancel handles stay
-            # live; callbacks sit at [-2] in both entry shapes.
-            bucket.append(entry)
-            while heap and heap[0][0] == when:
-                bucket.append(heappop(heap))
-            return True
-        return False
-
-    def step(self) -> bool:
-        """Execute the next queued callback; return False if queue empty."""
-        bucket = self._bucket
-        while True:
-            if not bucket and not self._advance():
-                return False
-            entry = bucket.popleft()
-            callback = entry[-2]
-            if callback is None:
-                self._cancelled -= 1
-                continue
-            # Blank the entry before running it: the handle is consumed,
-            # so a cancel issued later (or from inside the callback
-            # itself) is the promised no-op.
-            entry[-2] = None
-            callback(entry[-1])
-            return True
-
     def run(self, until: int | None = None, until_event: Event | None = None) -> None:
         """Run until the queue drains, ``until`` cycles pass, or an event fires.
 

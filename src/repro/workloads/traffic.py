@@ -422,6 +422,14 @@ def run_profile(profile: TrafficProfile,
     registers its queue-depth samplers only if telemetry is already
     on when it boots).
     """
+    if kernel_count < 2:
+        raise ValueError(
+            f"kernel_count={kernel_count}: the serving stack needs a domain "
+            "for the gateways besides domain 0 (kernel_count >= 2)"
+        )
+    if gateways < 1:
+        raise ValueError(f"gateways={gateways}: the serving stack needs "
+                         "at least one gateway")
     system = M3System(pe_count=pe_count, kernel_count=kernel_count,
                       reliable=True, observe=observe, **system_kwargs)
     if fault_plan is not None:

@@ -87,7 +87,7 @@ def test_credits_bound_inflight_messages(schedule, credits, slots,
         assert sender.ep(0).credits == credits
     # quiescence: every transfer was settled, every timer has fired
     for dtu in (sender, receiver):
-        assert dtu._retx == {} and dtu._pending == {}
+        assert dtu.idle
     assert platform.sim.pending_events == 0
 
 

@@ -124,7 +124,7 @@ def test_memory_permission_and_bounds_are_side_effect_free(wired):
     with pytest.raises(NoPermission):
         next(sender.read_memory(0, 0, 8))  # send EP, not memory
     _assert_unchanged(sender, before, platform)
-    assert sender._pending == {}  # no transaction was opened
+    assert sender.idle  # no transaction was opened
 
 
 def test_invalid_ep_index_is_side_effect_free(wired):

@@ -188,4 +188,4 @@ def test_one_transfer_schedules_only_what_it_moves(kind, reliable,
     platform.sim.run()  # a reliable transfer's timer fires into nothing
     assert len(scheduled) == EVENTS_PER_TRANSFER[kind][reliable]
     assert platform.sim.pending_events == 0
-    assert near._retx == near._pending == far._retx == far._pending == {}
+    assert near.idle and far.idle

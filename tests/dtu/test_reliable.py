@@ -67,7 +67,7 @@ def test_reliable_send_is_acked_not_retransmitted(platform):
     assert receiver.acks_sent == 1
     assert sender.retransmits == 0
     # The ack settled the transfer: nothing left to resend or await.
-    assert sender._retx == {} and sender._pending == {}
+    assert sender.idle
 
 
 def test_lost_message_is_retransmitted_and_delivered(platform):
@@ -194,7 +194,7 @@ def test_retx_timer_after_sender_wiped_is_harmless(platform):
     )
     platform.sim.run()
     assert sender.retransmits == 0
-    assert sender._retx == {}
+    assert sender.idle
     assert receiver.fetch_message(1) is None
 
 
@@ -215,7 +215,7 @@ def test_ack_arriving_after_quarantine_is_ignored(platform):
     platform.sim.schedule(1_000, lambda _: sender._apply_config("wipe", ()))
     platform.sim.run()
     assert platform.sim.now >= 2_000  # the delayed ack did arrive
-    assert sender._retx == {}
+    assert sender.idle
     assert all(ep.kind.name == "INVALID" for ep in sender.eps)
     # Delivery itself happened exactly once, before the quarantine.
     assert receiver.fetch_message(1) is not None
@@ -300,9 +300,9 @@ def test_wipe_clears_endpoints_and_retx_state(platform):
     sender, receiver = _channel(platform)
     sender.send(0, payload=("in flight",), length=8)
     platform.sim.run(until=params.DTU_RETX_TIMEOUT_CYCLES // 2)
-    assert sender._retx and sender._pending  # awaiting its ack
+    assert not sender.idle  # awaiting its ack
     assert sender._apply_config("wipe", ()) == "ok"
-    assert sender._retx == {} and sender._pending == {}
+    assert sender.idle
     assert receiver.eps[1].kind.name == "RECEIVE"
     assert receiver._apply_config("wipe", ()) == "ok"
     assert all(ep.kind.name == "INVALID" for ep in receiver.eps)
@@ -321,7 +321,7 @@ def test_wipe_between_issue_and_injection_is_harmless(platform):
                           lambda _: requester._apply_config("wipe", ()))
     platform.sim.run()
     assert requester.retransmits == params.DTU_RETX_MAX
-    assert requester._retx == {} and requester._pending == {}
+    assert requester.idle
     assert platform.sim.pending_events == 0
 
 
@@ -338,4 +338,4 @@ def test_unreliable_default_has_no_seq_no_acks():
     slot_msg = receiver.fetch_message(1)
     assert slot_msg[1].header.seq == -1
     assert receiver.acks_sent == 0
-    assert sender._retx == {} and sender._pending == {}
+    assert sender.idle

@@ -3,19 +3,17 @@
 import pytest
 
 from repro.m3.system import M3System
-from tests.m3.invariants import check_kernel_tables
-
-#: tests that leave their system broken on purpose: name -> why the
-#: table invariants cannot hold at their teardown.
-LEFT_BROKEN: dict[str, str] = {}
-
+from tests.m3.invariants import check_dtus_quiescent, check_kernel_tables
 
 def _checked(request, system):
     """Yield ``system`` to the test, then assert the kernel's table
-    invariants on whatever state the test left behind."""
+    invariants and DTU quiescence on whatever state the test left.  A
+    test that kills the answering side of a transfer on purpose says so
+    itself: ``@pytest.mark.leaves_unanswered("why")``."""
     yield system
-    if request.node.name not in LEFT_BROKEN:
-        check_kernel_tables(system)
+    check_kernel_tables(system)
+    if request.node.get_closest_marker("leaves_unanswered") is None:
+        check_dtus_quiescent(system)
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
-"""Table invariants of a kernel, checked at quiescence.
+"""Table invariants of a kernel and quiescence of the DTUs.
 
 Written only against the read-only views the state-owning components
 expose (``Sessions.services`` / ``parked`` / ``owners``,
-``CapExchange.bindings`` / ``installed()``, ``IkTransport.idle``), so
-they hold for any system however it was driven.  The system fixtures
-in ``conftest.py`` run :func:`check_kernel_tables` as their teardown.
+``CapExchange.bindings`` / ``installed()``, ``IkTransport.idle``,
+``DTU.idle`` and the endpoint registers), so they hold for any system
+however it was driven.  The system fixtures in ``conftest.py`` run
+:func:`check_kernel_tables` and :func:`check_dtus_quiescent` as their
+teardown.
 """
 
-from repro.dtu.registers import EndpointKind
+from repro.dtu.registers import UNLIMITED_CREDITS, EndpointKind
 from repro.m3.kernel.objects import RemoteClientRef
 from repro.m3.kernel.vpe import VpeState
 
@@ -25,6 +27,35 @@ def check_kernel_tables(system) -> None:
                     f"{dict(kernel.sessions.parked)}"
                 )
                 assert kernel.ik.idle, f"{kernel.label}: RPCs owed when idle"
+
+
+def check_dtus_quiescent(system) -> None:
+    """Once the event queue has drained, no DTU of a live PE awaits an
+    ack, a response or a retransmit, and every message credit spent is
+    back: each send endpoint of a kernel or of a live VPE holds its
+    configured total.  (A VPE's last message is EXIT, which the kernel
+    never answers: the registers it leaves behind are short by that
+    credit until ``wire_syscall_channel`` rewrites them for the PE's
+    next VPE, so a PE nobody runs on is not read.)"""
+    if system.sim.pending_events:
+        return
+    in_use = {kernel.node for kernel in system.kernels}
+    for kernel in system.kernels:
+        in_use.update(vpe.node for vpe in kernel.vpes.values()
+                      if vpe.resident and vpe.state != VpeState.DEAD)
+    for pe in system.platform.pes:
+        if pe.failed:
+            continue
+        assert pe.dtu.idle, f"PE{pe.node}: DTU owes a transfer when idle"
+        if pe.node not in in_use:
+            continue
+        for index, ep in enumerate(pe.dtu.eps):
+            if ep.kind is EndpointKind.SEND \
+                    and ep.max_credits != UNLIMITED_CREDITS:
+                assert ep.credits == ep.max_credits, (
+                    f"PE{pe.node} ep{index}: {ep.credits} of "
+                    f"{ep.max_credits} credits on an idle system"
+                )
 
 
 def _check_bindings(kernel) -> None:

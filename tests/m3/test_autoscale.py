@@ -9,7 +9,6 @@ from repro.m3.kernel.kernel import SyscallError
 from repro.m3.kernel.vpe import VpeState
 from repro.m3.services.kvserv import KvClient, start_kv_tier
 from repro.m3.system import M3System
-from repro.obs import SloMonitor, SloSpec
 
 
 # -- regression: a route whose every replica domain is dead -------------------
@@ -219,95 +218,6 @@ def test_scale_down_drains_and_merges_store_into_survivor():
         assert kernel.router.service_routes["kv"] == (("kv0", 0),)
     assert scaler.events[-1][1] == "scale_down"
     assert "64B merged into kv0" in scaler.events[-1][4]
-
-
-def test_slo_policy_validates_its_arguments():
-    system = M3System(pe_count=4, reliable=True)
-    system.boot(with_fs=False)
-    servers = start_kv_tier(system, domains=[0], policy="depth")
-    with pytest.raises(ValueError, match="unknown autoscale policy"):
-        AutoScaler(system, servers, policy="burn")
-    with pytest.raises(ValueError, match="needs an slo_monitor"):
-        AutoScaler(system, servers, policy="slo")
-    # The default stays depth-based: no monitor required.
-    assert AutoScaler(system, servers).policy == "depth"
-
-
-def test_slo_policy_scales_up_on_page_alert():
-    """``policy="slo"`` grows on a fired page alert, not on raw queue
-    depth: the tier is idle (depth 0 everywhere) yet still scales up
-    because the objective is burning."""
-    system = M3System(pe_count=8, kernel_count=2, reliable=True,
-                      observe=True)
-    system.boot(with_fs=False)
-    telemetry = system.enable_telemetry(epoch=1_000)
-    monitor = SloMonitor(
-        system.sim.obs,
-        SloSpec("kv-avail", target=0.9,
-                bad_series="kv.err", total_series="kv.req"),
-        windows=(("page", 1, 2, 2.0),),
-    )
-    servers = start_kv_tier(system, domains=[0], policy="depth")
-    scaler = AutoScaler(system, servers, name="kv", epoch=2_000,
-                        policy="slo", slo_monitor=monitor,
-                        min_replicas=1)
-    scaler.start()
-
-    def driver(env):
-        # Burn the error budget hard: 5 bad of 10 against a 10% budget
-        # is a 5x burn, over the page factor on both windows.
-        telemetry.counter("kv.req", 10)
-        telemetry.counter("kv.err", 5)
-        yield env.compute(1_500)
-        telemetry.advance()  # close the epoch -> the page fires
-        # Long enough for the poll + checkpoint + cross-domain warm
-        # boot (~28k cycles), short enough that the idle tier has not
-        # yet drained back down.
-        yield env.compute(34_000)
-        return "driven"
-
-    assert system.run_app(driver, name="driver") == "driven"
-    scaler.stop()
-    assert scaler.scale_ups == 1
-    assert "kv1" in scaler.servers  # grew into the empty domain
-    actions = [event[1] for event in scaler.events]
-    assert "slo_page" in actions
-    assert actions.index("slo_page") < actions.index("scale_up")
-    page = next(e for e in scaler.events if e[1] == "slo_page")
-    assert page[2] == "kv-avail" and page[4].startswith("burn ")
-
-
-def test_slo_policy_stays_put_without_new_alerts():
-    """No fresh page alert, no growth — even across several epochs; the
-    cursor means one old alert cannot re-trigger every poll."""
-    system = M3System(pe_count=8, kernel_count=2, reliable=True,
-                      observe=True)
-    system.boot(with_fs=False)
-    telemetry = system.enable_telemetry(epoch=1_000)
-    monitor = SloMonitor(
-        system.sim.obs,
-        SloSpec("kv-avail", target=0.9,
-                bad_series="kv.err", total_series="kv.req"),
-        windows=(("page", 1, 2, 2.0),),
-    )
-    servers = start_kv_tier(system, domains=[0], policy="depth")
-    scaler = AutoScaler(system, servers, name="kv", epoch=2_000,
-                        policy="slo", slo_monitor=monitor,
-                        min_replicas=1)
-    scaler.start()
-
-    def driver(env):
-        # Healthy traffic: well inside the budget every epoch.
-        for _ in range(8):
-            telemetry.counter("kv.req", 100)
-            yield env.compute(1_000)
-            telemetry.advance()
-        return "driven"
-
-    assert system.run_app(driver, name="driver") == "driven"
-    scaler.stop()
-    assert scaler.scale_ups == 0
-    assert not [e for e in scaler.events if e[1] == "slo_page"]
 
 
 def test_scale_down_aborts_while_sessions_are_open():

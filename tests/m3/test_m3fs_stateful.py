@@ -133,8 +133,7 @@ class M3fsMachine(RuleBasedStateMachine):
             for inode in self.fs.inodes.values()
             for extent in inode.extents
         )
-        assert claimed + self.fs.reserved_meta_blocks == \
-            self.fs.block_bitmap.used
+        assert claimed == self.fs.block_bitmap.used
 
     @invariant()
     def extents_are_disjoint(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.m3.system import M3System
 from repro.m3.services.netserv import NetClient, start_network
+from repro.obs import SloMonitor, SloSpec
 
 
 @pytest.fixture
@@ -379,6 +380,52 @@ def test_full_inbox_drops_and_counts(net_system):
     assert got == [b"flood-%d" % index for index in range(4)]
     assert receiver_server.frames_dropped == 2
     assert receiver_server.frames_routed == 4
+
+
+def test_an_overflowing_burst_is_visible_to_the_observer():
+    """Datagram semantics (docs/protocols.md): the fifth frame into a
+    depth-4 inbox is dropped without back-pressure — and the telemetry
+    plane, an availability SLO and the instant log all see it."""
+    system = M3System(pe_count=6, observe=True).boot(with_fs=False)
+    obs = system.sim.obs
+    telemetry = system.enable_telemetry(epoch=50_000)
+    monitor = SloMonitor(obs, SloSpec(
+        "net2-delivery", target=0.999,
+        bad_series="net.net2.frames_dropped",
+        total_series="noc.packets_injected"))
+    receiver_server = start_network(system)[1]
+    receiver_server.inbox_depth = 4
+
+    def receiver(env):
+        client = yield from NetClient.connect(env, "net2")
+        yield from client.request("bind", 55)
+        yield 200_000  # never drain
+        return ()
+
+    def sender(env):
+        client = yield from NetClient.connect(env, "net")
+        yield from client.request("bind", 56)
+        for index in range(5):
+            yield from client.request("send_to", 55, b"burst-%d" % index)
+        return ()
+
+    receiver_vpe = system.spawn(receiver, name="rx")
+    system.sim.run(until=system.sim.now + 30_000)
+    system.run_app(sender, name="tx")
+    system.wait(receiver_vpe)
+    telemetry.flush()
+
+    assert receiver_server.frames_dropped == 1
+    assert obs.counters["net.net2.frames_dropped"] == 1
+    drops = [i for i in obs.instants if i.name == "frame_drop"]
+    assert [(i.category, i.node, i.args) for i in drops] == [
+        ("net", receiver_server.vpe.node,
+         dict(service="net2", reason="overflow", port=55)),
+    ]
+    assert sum(point for _epoch, point
+               in telemetry.points("net.net2.frames_dropped")) == 1
+    assert sum(bad for _i, _end, bad, _total, _burn, _active
+               in monitor.timeline) == 1
 
 
 def test_close_reclaims_session_and_port(net_system):

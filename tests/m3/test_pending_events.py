@@ -65,8 +65,8 @@ def test_dtu_wipe_leaves_pending_events_exact():
     # Let the transfer get in flight, then wipe the DTU while its
     # retransmit timer is pending.
     system.sim.run(until=system.sim.now + 2 * params.DTU_RETX_TIMEOUT_CYCLES)
-    assert dtu._retx  # a retransmit timer is live
+    assert not dtu.idle  # a retransmit timer is live
     dtu._apply_config("wipe", ())
-    assert not dtu._retx
+    assert dtu.idle
     system.sim.run()
     assert system.sim.pending_events == 0

@@ -211,10 +211,11 @@ def _plain(server_type):
     ]
 
 
-#: start(system, two names), server type, an operation without
-#: arguments, client type, the error type its client raises.
+#: start(system, two names), server type, an operation (the handler-bug
+#: test swaps in one that takes no arguments), client type, the error
+#: type its client raises.
 SERVICES = {
-    "m3fs": (_plain(M3fsServer), M3fsServer, "fsync", M3fsClient, FsError),
+    "m3fs": (_plain(M3fsServer), M3fsServer, "readdir", M3fsClient, FsError),
     "kv": (_plain(KvServ), KvServ, "close", KvClient, KvError),
     "net": (start_network, NetServ, "recv", NetClient, RuntimeError),
 }
@@ -248,6 +249,9 @@ def test_an_unknown_operation_is_a_dispatch_miss(system, service):
         _request(system, service, "x")
 
 
+@pytest.mark.leaves_unanswered(
+    "the service dies inside the handler; its client's request is "
+    "never answered")
 def test_a_bug_inside_a_handler_crashes_the_service(system, service, monkeypatch):
     """It surfaces through ``raise_crashes`` instead of being mailed to
     the client as an error string by a service that carries on."""

@@ -167,6 +167,9 @@ def test_exec_loads_program_from_filesystem(fs_system):
     assert fs_system.run_app(parent) == ("ran", 3)
 
 
+@pytest.mark.leaves_unanswered(
+    "the loader's RuntimeError kills the kernel loop inside vpe_start; "
+    "the parent's syscall is never answered")
 def test_exec_unregistered_program_fails(fs_system):
     def parent(env):
         f = yield from env.vfs.open("/mystery", OpenFlags.W | OpenFlags.CREATE)

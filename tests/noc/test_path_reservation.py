@@ -11,7 +11,7 @@ agree on every completion cycle and on everything a link reports.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import Link, MeshTopology, Network, Packet, XYRouter, YXRouter
+from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
 from repro.noc.network import PACKET_HEADER_BYTES
 from repro.sim import Simulator
 
@@ -52,14 +52,13 @@ sends = st.lists(
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.sampled_from([XYRouter, YXRouter]), sends,
+@given(sends,
        st.lists(st.integers(min_value=-5, max_value=6000), max_size=8))
-def test_path_reservation_equals_hop_by_hop_oracle(router_class, sends, probes):
+def test_path_reservation_equals_hop_by_hop_oracle(sends, probes):
     sim = Simulator()
     topology = MeshTopology(WIDTH, HEIGHT)
-    net = Network(sim, topology, hop_cycles=HOP, bytes_per_cycle=BANDWIDTH,
-                  router=router_class(topology))
-    oracle = Oracle(router_class(topology))
+    net = Network(sim, topology, hop_cycles=HOP, bytes_per_cycle=BANDWIDTH)
+    oracle = Oracle(XYRouter(topology))
     for advance, source, destination, size in sends:
         sim.run(until=sim.now + advance)
         packet = Packet(source, destination, "message", size)

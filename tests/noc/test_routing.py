@@ -77,39 +77,3 @@ def test_xy_routing_never_turns_from_y_to_x(width, height, data):
         elif moved_vertically:
             raise AssertionError(f"path {path} turned from Y back to X")
 
-
-def test_yx_routes_vertical_first():
-    from repro.noc import YXRouter
-
-    router = YXRouter(MeshTopology(4, 4))
-    # 0 is (0,0); 10 is (2,2): expect 0 -> 4 -> 8 -> 9 -> 10
-    assert router.route(0, 10) == [0, 4, 8, 9, 10]
-
-
-@given(
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-    st.data(),
-)
-def test_yx_routes_are_minimal_too(width, height, data):
-    from repro.noc import YXRouter
-
-    topo = MeshTopology(width, height)
-    router = YXRouter(topo)
-    src = data.draw(st.integers(min_value=0, max_value=topo.node_count - 1))
-    dst = data.draw(st.integers(min_value=0, max_value=topo.node_count - 1))
-    path = router.route(src, dst)
-    assert path[0] == src and path[-1] == dst
-    assert len(path) - 1 == topo.distance(src, dst)
-    for a, b in zip(path, path[1:]):
-        assert b in topo.neighbors(a)
-
-
-def test_xy_and_yx_take_disjoint_middle_paths():
-    """The classic decorrelation: opposite corners, different links."""
-    from repro.noc import XYRouter, YXRouter
-
-    topo = MeshTopology(4, 4)
-    xy = set(XYRouter(topo).links_on_path(0, 15))
-    yx = set(YXRouter(topo).links_on_path(0, 15))
-    assert not (xy & yx)  # fully link-disjoint for corner-to-corner

@@ -6,10 +6,11 @@ from repro.obs import Observer, render_dump
 from repro.sim import Simulator
 
 
-def _hub(**kwargs):
+def _hub(domain_of=None, **kwargs):
     sim = Simulator()
     obs = Observer.install(sim)
     flight = obs.enable_flight_recorder(**kwargs)
+    flight.map_nodes(domain_of or {})
     return sim, obs, flight
 
 

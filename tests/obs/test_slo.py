@@ -39,7 +39,7 @@ def test_latency_slo_burns_fires_and_resolves():
     # Epoch 0: 10 samples, 5 over threshold -> bad fraction 0.5, budget
     # 0.1 -> burn 5.0 on both windows -> page fires.
     for value in (10, 10, 10, 10, 10, 200, 200, 200, 200, 200):
-        telemetry.observe("lat", value)
+        obs.observe("lat", value)
     telemetry.advance(100)
     (alert,) = monitor.alerts
     assert alert[:3] == (100, "page", "fire")
@@ -49,7 +49,7 @@ def test_latency_slo_burns_fires_and_resolves():
     # Epoch 1: all good.  Short-window burn drops to 0; the long
     # window still carries epoch 0, but the rule needs both.
     for _ in range(10):
-        telemetry.observe("lat", 10)
+        obs.observe("lat", 10)
     telemetry.advance(200)
     assert monitor.alerts[-1][:3] == (200, "page", "resolve")
     assert monitor.verdict()["bad"] == 5
@@ -66,8 +66,8 @@ def test_availability_slo_and_empty_windows_do_not_burn():
     monitor = SloMonitor(obs, spec, windows=FAST)
     telemetry.advance(100)  # empty epoch: no traffic, no burn
     assert monitor.timeline[0][4]["page"] == (0.0, 0.0)
-    telemetry.counter("net.sent", 100)
-    telemetry.counter("net.drops", 4)
+    obs.count("net.sent", 100)
+    obs.count("net.drops", 4)
     telemetry.advance(200)
     # bad fraction 0.04 / budget 0.01 = burn 4.0 >= 2.0 on both.
     assert monitor.alerts[0][:3] == (200, "page", "fire")
@@ -81,14 +81,14 @@ def test_slow_burn_needs_the_long_window_too():
     # A bad epoch after enough good history: the short window spikes
     # but the 3-epoch window stays below the factor, so no page.
     for _ in range(20):
-        telemetry.observe("lat", 10)
+        obs.observe("lat", 10)
     telemetry.advance(100)
     for _ in range(20):
-        telemetry.observe("lat", 10)
+        obs.observe("lat", 10)
     telemetry.advance(200)
     for _ in range(10):
-        telemetry.observe("lat", 200)
-    telemetry.observe("lat", 10)
+        obs.observe("lat", 200)
+    obs.observe("lat", 10)
     telemetry.advance(300)
     # long window over epochs 0..2: 10 bad / 51 total = 0.196 -> burn
     # 1.96 < 2.0, even though the short-window burn is 9.1.
@@ -97,19 +97,13 @@ def test_slow_burn_needs_the_long_window_too():
     assert monitor.timeline[-1][4]["page"][0] > 2.0
 
 
-def test_fired_since_cursor_and_last_alert_before():
+def test_last_alert_before():
     _sim, obs, telemetry = _hub()
     spec = SloSpec("lat", target=0.9, series="lat", threshold=100)
     monitor = SloMonitor(obs, spec, windows=FAST)
-    cursor, fires = monitor.fired_since(0)
-    assert fires == []
     for _ in range(10):
-        telemetry.observe("lat", 500)
+        obs.observe("lat", 500)
     telemetry.advance(100)
-    cursor, fires = monitor.fired_since(cursor, severity="page")
-    assert len(fires) == 1 and fires[0][2] == "fire"
-    _cursor, fires = monitor.fired_since(cursor, severity="page")
-    assert fires == []  # consumed
     assert last_alert_before(obs, 100) == (100, "lat", "page")
     assert last_alert_before(obs, 99) is None
     assert monitor.last_fired == (100, "lat", "page")

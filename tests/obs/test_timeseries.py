@@ -44,8 +44,8 @@ def test_gauges_last_write_wins_and_quantiles_per_epoch():
 
 
 def test_series_kind_conflict_raises():
-    _sim, _obs, telemetry = _hub()
-    telemetry.counter("x")
+    _sim, obs, telemetry = _hub()
+    obs.count("x")
     telemetry.flush()
     telemetry.gauge("x", 1)
     with pytest.raises(ValueError, match="is a counter"):
@@ -145,11 +145,11 @@ def test_a_sampler_that_records_does_not_reclose_its_epoch():
 
 
 def test_watch_threshold_counts_exact_over_events():
-    _sim, _obs, telemetry = _hub()
+    _sim, obs, telemetry = _hub()
     over = telemetry.watch_threshold("lat", 100)
     assert over == "lat.over_100"
     for value in (40, 100, 101, 5000):
-        telemetry.observe("lat", value)
+        obs.observe("lat", value)
     telemetry.flush()
     assert telemetry.points(over) == [(0, 2)]  # 101 and 5000; 100 is ok
 

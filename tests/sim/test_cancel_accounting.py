@@ -65,14 +65,6 @@ def test_cancel_own_handle_from_inside_callback():
     assert sim.pending_events == 0
 
 
-def test_cancel_after_step():
-    sim = Simulator()
-    handle = sim.schedule(1, lambda _: None)
-    assert sim.step()
-    sim.cancel(handle)
-    assert sim.pending_events == 0
-
-
 def test_double_cancel_counts_once():
     sim = Simulator()
     handle = sim.schedule(5, lambda _: None)

@@ -68,11 +68,6 @@ def test_call_soon_runs_after_current_callbacks():
     assert seen == ["first", "second", "soon"]
 
 
-def test_step_returns_false_on_empty_queue():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_delay_charges_ledger_tag():
     sim = Simulator()
     sim.delay(25, tag="os")

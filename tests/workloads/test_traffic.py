@@ -49,6 +49,22 @@ def test_profile_validation():
         TrafficProfile(size_floor=0)
 
 
+@pytest.mark.parametrize("shape, constraint", [
+    (dict(kernel_count=1), "domain for the gateways besides domain 0"),
+    (dict(gateways=0), "at least one gateway"),
+])
+def test_a_shape_the_serving_stack_cannot_take_is_refused_before_boot(
+        shape, constraint, monkeypatch):
+    """``kernel_count=1`` used to boot the whole stack and then die
+    placing gateway 0 in domain ``1 + 0 % 0``."""
+    built = []
+    monkeypatch.setattr(traffic, "M3System",
+                        lambda *args, **kwargs: built.append(kwargs))
+    with pytest.raises(ValueError, match=constraint):
+        run_profile(TrafficProfile(requests=4), **shape)
+    assert not built
+
+
 def test_load_point_completes_and_measures(small_point):
     result = small_point
     assert result.sent == result.completed == SMALL.requests
