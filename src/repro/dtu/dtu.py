@@ -403,11 +403,16 @@ class DTU:
         """
         if from_addr is not None:
             data = self.local_memory.read(from_addr, len(data))
+        elif type(data) is not bytes and not (
+                type(data) is memoryview and type(data.obj) is bytes):
+            # snapshot now, by the memory model's rule: immutable
+            # payloads travel by reference, a mutable one is copied
+            data = bytes(data)
         ep = self._memory_ep(ep_index, offset, len(data), MemoryPerm.WRITE)
         size = MEM_REQUEST_BYTES + len(data)
         yield from self._transaction(
             "mem_write", ep.mem_node, size,
-            (ep.mem_addr + offset, bytes(data)), 0, bytes=size,
+            (ep.mem_addr + offset, data), 0, bytes=size,
         )
         return len(data)
 
@@ -605,7 +610,7 @@ class DTU:
             self._respond_memory(packet, transaction, data)
         elif kind == "mem_write":
             transaction, address, data = packet.payload
-            self.local_memory.write(address, bytes(data))
+            self.local_memory.write(address, data)
             self._respond_memory(packet, transaction, b"")
         elif kind == "ep_config":
             transaction, privileged, operation, args = packet.payload

@@ -10,7 +10,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.hw.spm import SparseMemory
+from repro.hw.spm import Scratchpad
 from repro.noc.packet import Packet
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -18,21 +18,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Simulator
 
 
-class Dram(SparseMemory):
-    """Byte-accurate DRAM array.
-
-    Backed sparsely (:class:`~repro.hw.spm.SparseMemory`): the Figure 6
-    configurations give a 40-PE system hundreds of MiB of DRAM of which
-    only the filesystem image is ever touched, and zero-filling a dense
-    array at every system boot dominated benchmark wall time.
-    """
-
-    def __init__(self, size: int):
-        super().__init__(size, name="dram")
-
-
 class DramModule:
-    """NoC endpoint serving memory request packets against a :class:`Dram`.
+    """NoC endpoint serving memory request packets against its DRAM array.
+
+    The array is the same sparse model as a scratchpad
+    (:class:`~repro.hw.spm.Scratchpad`): the Figure 6 configurations
+    give a 40-PE system hundreds of MiB of DRAM of which only the
+    filesystem image is ever touched.
 
     - ``mem_read``:  payload ``(requester_ep_transfer_id, address, length)``;
       responds with a ``mem_resp`` packet carrying the data bytes.
@@ -45,7 +37,7 @@ class DramModule:
         self.sim = sim
         self.network = network
         self.node = node
-        self.memory = Dram(size)
+        self.memory = Scratchpad(size, name="dram")
         self.access_cycles = access_cycles
         self.reads = 0
         self.writes = 0
@@ -67,7 +59,7 @@ class DramModule:
         elif packet.kind == "mem_write":
             transfer_id, address, data = packet.payload
             self.writes += 1
-            self.memory.write(address, bytes(data))
+            self.memory.write(address, data)
             self.sim.schedule(
                 self.access_cycles, self._respond, (packet.source, transfer_id, b"")
             )

@@ -1,145 +1,133 @@
-"""Scratchpad memory: the only directly addressable memory of a PE.
+"""Byte-accurate memory: PE scratchpads, device buffers and DRAM.
 
 The prototype platform's PEs have no caches and no MMU; each core sees
 a 64 KiB instruction SPM and a 64 KiB data SPM addressed physically
-(paper Sections 4.1-4.2).  The model is byte-accurate so that data
-flowing through pipes and files round-trips exactly.
+(paper Sections 4.1-4.2), and the DTUs move bytes between those and
+the one DRAM module.  The model is byte-accurate so that data flowing
+through pipes and files round-trips exactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 
 class Scratchpad:
-    """A byte-accurate physically addressed memory bank."""
+    """A byte-accurate physically addressed memory, stored sparsely.
+
+    The memory is a sorted record of written extents; unwritten bytes
+    read as zero, so a DRAM of hundreds of MiB costs nothing until
+    written.  An immutable payload — ``bytes``, or a ``memoryview`` of
+    ``bytes`` — is kept by reference; anything mutable is copied once
+    at :meth:`write`.  An overwrite trims its neighbours into zero-copy
+    views.  :meth:`read` returns ``bytes``: the stored object itself
+    for an exact read of a whole ``bytes`` extent, one copy otherwise.
+    """
 
     def __init__(self, size: int, name: str = "spm"):
         if size < 1:
             raise ValueError(f"memory size must be positive: {size}")
         self.size = size
         self.name = name
-        self._bytes = bytearray(size)
-
-    def _check(self, address: int, length: int) -> None:
-        if length < 0:
-            raise ValueError(f"negative access length: {length}")
-        if address < 0 or address + length > self.size:
-            raise ValueError(
-                f"{self.name}: access [{address}, {address + length}) outside "
-                f"[0, {self.size})"
-            )
+        #: start address of each extent, ascending; extents never overlap
+        self._extent_starts: list[int] = []
+        #: the extents' contents, immutable, index-aligned with the starts
+        self._extent_bytes: list[bytes | memoryview] = []
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
-        self._check(address, length)
-        return bytes(self._bytes[address : address + length])
-
-    def write(self, address: int, data: bytes) -> None:
-        """Write ``data`` starting at ``address``."""
-        self._check(address, len(data))
-        self._bytes[address : address + len(data)] = data
-
-    def zero(self, address: int, length: int) -> None:
-        """Clear a region to zero bytes."""
-        self._check(address, length)
-        self._bytes[address : address + length] = bytes(length)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Scratchpad {self.name!r} {self.size}B>"
-
-
-class SparseMemory(Scratchpad):
-    """A byte-accurate memory that materialises storage on first write.
-
-    Large memories (the DRAM module is hundreds of MiB in the Figure 6
-    configurations) are mostly never touched; a dense ``bytearray``
-    spends more wall time zero-filling at boot than the benchmark spends
-    simulating.  This variant keeps 64 KiB chunks in a dict — reads of
-    unwritten regions return zero bytes, exactly like the dense model,
-    and single-chunk accesses (the common case: filesystem blocks and
-    DTU transfers are far smaller than a chunk) take one dict lookup.
-    """
-
-    CHUNK_BYTES = 64 * 1024
-
-    def __init__(self, size: int, name: str = "mem"):
-        if size < 1:
-            raise ValueError(f"memory size must be positive: {size}")
-        self.size = size
-        self.name = name
-        self._chunks: dict[int, bytearray] = {}
-
-    def read(self, address: int, length: int) -> bytes:
-        self._check(address, length)
-        if length == 0:
-            return b""
-        chunk_bytes = self.CHUNK_BYTES
-        chunks = self._chunks
-        index = address // chunk_bytes
-        offset = address - index * chunk_bytes
-        if offset + length <= chunk_bytes:
-            chunk = chunks.get(index)
-            if chunk is None:
-                return bytes(length)
-            return bytes(chunk[offset : offset + length])
-        parts = []
-        remaining = length
-        while remaining > 0:
-            take = min(chunk_bytes - offset, remaining)
-            chunk = chunks.get(index)
-            parts.append(
-                bytes(take) if chunk is None
-                else bytes(chunk[offset : offset + take])
+        end = address + length
+        if length < 0 or address < 0 or end > self.size:
+            raise ValueError(
+                f"{self.name}: cannot read [{address}, {end}) of "
+                f"[0, {self.size})"
             )
-            remaining -= take
-            offset = 0
+        starts = self._extent_starts
+        extents = self._extent_bytes
+        index = bisect_right(starts, address) - 1
+        if index >= 0:
+            start = starts[index]
+            extent = extents[index]
+            extent_end = start + len(extent)
+            if extent_end >= end:
+                # one extent holds it all: slicing bytes copies once and
+                # bytes() passes the copy through, slicing a view is free
+                # and bytes() copies once — and the exact whole of a bytes
+                # extent is that object
+                return bytes(extent[address - start : end - start])
+            if extent_end <= address:
+                index += 1
+        else:
+            index = 0
+        parts = []
+        position = address
+        count = len(starts)
+        while index < count and starts[index] < end:
+            start = starts[index]
+            extent = extents[index]
+            if start > position:
+                parts.append(bytes(start - position))
+                position = start
+            stop = min(start + len(extent), end)
+            parts.append(memoryview(extent)[position - start : stop - start])
+            position = stop
             index += 1
+        if position < end:
+            parts.append(bytes(end - position))
         return b"".join(parts)
 
     def write(self, address: int, data: bytes) -> None:
+        """Write ``data`` starting at ``address``."""
         length = len(data)
-        self._check(address, length)
-        if length == 0:
+        end = address + length
+        if address < 0 or end > self.size:
+            raise ValueError(
+                f"{self.name}: cannot write [{address}, {end}) of "
+                f"[0, {self.size})"
+            )
+        if not length:
             return
-        chunk_bytes = self.CHUNK_BYTES
-        chunks = self._chunks
-        index = address // chunk_bytes
-        offset = address - index * chunk_bytes
-        if offset + length <= chunk_bytes:
-            chunk = chunks.get(index)
-            if chunk is None:
-                chunk = chunks[index] = bytearray(chunk_bytes)
-            chunk[offset : offset + length] = data
-            return
-        position = 0
-        while position < length:
-            take = min(chunk_bytes - offset, length - position)
-            chunk = chunks.get(index)
-            if chunk is None:
-                chunk = chunks[index] = bytearray(chunk_bytes)
-            chunk[offset : offset + take] = data[position : position + take]
-            position += take
-            offset = 0
-            index += 1
+        if type(data) is not bytes and not (
+                type(data) is memoryview and type(data.obj) is bytes):
+            data = bytes(data)  # the one copy of a mutable payload
+        starts = self._extent_starts
+        extents = self._extent_bytes
+        first = bisect_right(starts, address)
+        if first and starts[first - 1] + len(extents[first - 1]) > address:
+            first -= 1
+        last = bisect_left(starts, end, first)
+        # extents [first, last) overlap [address, end): keep what sticks
+        # out on either side as views, drop the rest
+        placed_starts = [address]
+        placed = [data]
+        if first < last:
+            start = starts[first]
+            if start < address:
+                placed_starts = [start, address]
+                placed = [memoryview(extents[first])[: address - start], data]
+            start = starts[last - 1]
+            extent = extents[last - 1]
+            if start + len(extent) > end:
+                placed_starts.append(end)
+                placed.append(memoryview(extent)[end - start :])
+        starts[first:last] = placed_starts
+        extents[first:last] = placed
 
     def zero(self, address: int, length: int) -> None:
-        self._check(address, length)
-        chunk_bytes = self.CHUNK_BYTES
-        chunks = self._chunks
-        index = address // chunk_bytes
-        offset = address - index * chunk_bytes
-        remaining = length
-        while remaining > 0:
-            take = min(chunk_bytes - offset, remaining)
-            chunk = chunks.get(index)
-            if chunk is not None:
-                # unmaterialised chunks already read back as zeros
-                chunk[offset : offset + take] = bytes(take)
-            remaining -= take
-            offset = 0
-            index += 1
+        """Clear a region to zero bytes (it becomes unwritten again)."""
+        if length > 0:
+            # bytes(n) is calloc'd: the placeholder touches no pages
+            self.write(address, bytes(length))
+            index = bisect_left(self._extent_starts, address)
+            del self._extent_starts[index], self._extent_bytes[index]
+        elif length < 0 or address < 0 or address > self.size:
+            raise ValueError(
+                f"{self.name}: cannot zero [{address}, {address + length}) "
+                f"of [0, {self.size})"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SparseMemory {self.name!r} {self.size}B "
-            f"({len(self._chunks)} chunks live)>"
+            f"<Scratchpad {self.name!r} {self.size}B "
+            f"({len(self._extent_starts)} extents)>"
         )

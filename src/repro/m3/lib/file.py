@@ -50,7 +50,9 @@ class File:
         self.client = client
         self.fd = fd
         self.size = size
-        self.flags = flags
+        # Decided once: an IntFlag test costs two enum calls per access.
+        self._readable = bool(flags & OpenFlags.R)
+        self._writable = bool(flags & OpenFlags.W)
         self.path = path
         self.position = 0
         self._extents: list[_CachedExtent] = []
@@ -117,7 +119,7 @@ class File:
         """Generator: up to ``count`` bytes from the current position
         (empty bytes at EOF)."""
         self._check_open()
-        if not (self.flags & OpenFlags.R):
+        if not self._readable:
             raise FsError(f"{self.path!r} not open for reading")
         yield self.env.sim.delay(params.M3_FILE_DISPATCH_CYCLES, tag=Tag.OS)
         remaining = min(count, self.size - self.position)
@@ -141,7 +143,7 @@ class File:
         """Generator: write ``data`` at the current position; returns the
         number of bytes written."""
         self._check_open()
-        if not (self.flags & OpenFlags.W):
+        if not self._writable:
             raise FsError(f"{self.path!r} not open for writing")
         yield self.env.sim.delay(params.M3_FILE_DISPATCH_CYCLES, tag=Tag.OS)
         view = memoryview(bytes(data))
@@ -153,7 +155,7 @@ class File:
             chunk = min(len(view) - written,
                         extent.length - offset_in_extent)
             yield from extent.gate.write(
-                offset_in_extent, bytes(view[written : written + chunk])
+                offset_in_extent, view[written : written + chunk]
             )
             self.position += chunk
             written += chunk

@@ -365,6 +365,8 @@ class M3System:
         base = region_cap.obj.address
         dram = self.platform.dram.memory
         for path, content in files.items():
+            # views of immutable content: DRAM shares the caller's bytes
+            view = memoryview(content)
             directory = ""
             for part in fs.split(path)[:-1]:
                 directory = f"{directory}/{part}"
@@ -377,7 +379,7 @@ class M3System:
                 want = extent_blocks or fs.append_blocks
                 extent = fs.append_extent(inode, want)
                 offset, length = fs.extent_region(extent)
-                chunk = content[written : written + length]
+                chunk = view[written : written + length]
                 dram.write(base + offset, chunk)
                 written += len(chunk)
                 remaining -= len(chunk)

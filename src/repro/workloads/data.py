@@ -55,9 +55,11 @@ def _padded(size: int) -> int:
     return -(-size // TAR_RECORD_BYTES) * TAR_RECORD_BYTES
 
 
+@functools.cache
 def tar_archive_bytes() -> bytes:
     """The archive untar unpacks: header + padded content per member,
-    plus the two terminating zero records."""
+    plus the two terminating zero records.  Memoised like
+    :func:`deterministic_bytes`: every untar instance preloads it."""
     out = bytearray()
     for path, content in tar_source_files().items():
         header = deterministic_bytes(f"hdr:{path}", TAR_RECORD_BYTES)

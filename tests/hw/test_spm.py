@@ -1,7 +1,10 @@
-"""Unit and property tests for scratchpad memory."""
+"""Unit and property tests for the memory model (SPMs, device buffers,
+DRAM): one sparse record of written extents."""
+
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import Scratchpad
@@ -70,3 +73,112 @@ def test_memory_matches_reference_model(writes):
         spm.write(offset, data)
         reference[offset : offset + len(data)] = data
     assert spm.read(0, 256) == bytes(reference)
+
+
+MIB = 1024 * 1024
+
+#: (memory size, base of the 256-byte window the operations land in): a
+#: small SPM, and a DRAM-sized memory with unwritten bytes on both sides
+#: of the window.
+MEMORIES = [(256, 0), (192 * MIB, 3 * 64 * 1024 - 100)]
+
+
+def _payload(raw: bytes, kind: str, skip: int):
+    """``raw`` as the kind of object a caller may hand to ``write``."""
+    padded = b"\xaa" * skip + raw
+    if kind == "bytes":
+        return raw
+    if kind == "bytearray":
+        return bytearray(raw)
+    if kind == "bytes view":
+        return memoryview(padded)[skip:]
+    return memoryview(bytearray(padded))[skip:]
+
+
+#: a few offsets recur, so writes land on each other's edges
+_offsets = st.one_of(st.sampled_from([0, 1, 32, 64, 100]),
+                     st.integers(min_value=0, max_value=255))
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _offsets, st.binary(max_size=60),
+                  st.sampled_from(["bytes", "bytearray", "bytes view",
+                                   "bytearray view"]),
+                  st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("zero"), _offsets, st.integers(0, 60)),
+        st.tuples(st.just("read"), _offsets, st.integers(0, 80)),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("size, base", MEMORIES, ids=["256B", "192MiB"])
+@settings(deadline=None, max_examples=200)
+@given(operations=_operations)
+def test_memory_matches_bytearray_over_writes_zeroes_and_reads(
+        size, base, operations):
+    """Any mix of payload kinds, overwrites, zeroing and reads across
+    extents and gaps reads back exactly like a plain bytearray — and a
+    mutable payload changed after its write changes nothing."""
+    memory = Scratchpad(size)
+    reference = bytearray(256)
+    for operation in operations:
+        kind, offset = operation[:2]
+        if kind == "write":
+            data = _payload(*operation[2:])[: 256 - offset]
+            memory.write(base + offset, data)
+            reference[offset : offset + len(data)] = data
+            if operation[3].startswith("bytearray"):
+                data[:] = b"\xee" * len(data)
+        elif kind == "zero":
+            length = min(operation[2], 256 - offset)
+            memory.zero(base + offset, length)
+            reference[offset : offset + length] = bytes(length)
+        else:
+            length = min(operation[2], 256 - offset)
+            got = memory.read(base + offset, length)
+            assert type(got) is bytes
+            assert got == reference[offset : offset + length]
+    assert memory.read(base, 256) == reference
+    if size > 256:
+        assert memory.read(base - 64, 64) == bytes(64)
+        assert memory.read(base + 256, 64) == bytes(64)
+
+
+def test_mutating_a_written_buffer_leaves_memory_unchanged():
+    spm = Scratchpad(64)
+    buffer = bytearray(b"abcd")
+    spm.write(0, buffer)
+    spm.write(8, memoryview(buffer)[1:3])
+    buffer[:] = b"WXYZ"
+    assert spm.read(0, 10) == b"abcd" + bytes(4) + b"bc"
+
+
+def test_exact_read_of_an_immutable_extent_is_that_object():
+    spm = Scratchpad(1024)
+    payload = bytes(range(100))
+    spm.write(8, payload)
+    assert spm.read(8, 100) is payload
+    spm.write(200, memoryview(payload)[10:20])
+    assert spm.read(200, 10) == payload[10:20]
+
+
+@pytest.mark.parametrize("base", [0, 5])
+def test_a_read_inside_one_extent_is_just_that_slice(base):
+    spm = Scratchpad(64)
+    spm.write(base, b"abcdef")
+    assert spm.read(base, 3) == b"abc"
+    assert spm.read(base + 2, 2) == b"cd"
+    assert spm.read(base + 3, 3) == b"def"
+
+
+def test_a_small_write_into_a_large_memory_stays_small():
+    """DRAM-sized memories cost what is written, not their size."""
+    tracemalloc.start()
+    try:
+        memory = Scratchpad(192 * MIB, name="dram")
+        memory.write(100 * MIB + 3, bytes(4096))
+        assert memory.read(100 * MIB, 4100) == bytes(4100)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -39,6 +39,11 @@ def test_tar_archive_layout():
     assert archive[TAR_RECORD_BYTES : TAR_RECORD_BYTES + 64] == first[:64]
 
 
+def test_tar_archive_is_built_once():
+    """Every untar instance preloads the same immutable archive."""
+    assert tar_archive_bytes() is tar_archive_bytes()
+
+
 def test_find_tree_has_40_items():
     """"a directory tree of 40 items"."""
     directories, files = find_tree_layout()
