@@ -62,7 +62,7 @@ def revocation_demo(env):
 
 def borrower(env, mem_sel):
     gate = MemGate(env, mem_sel, 4096)
-    before = yield from gate.read(0, 9)
+    before = bytes((yield from gate.read(0, 9)))
     yield 6000  # revocation strikes here
     try:
         yield from gate.read(0, 9)

@@ -42,7 +42,7 @@ def main_app(env):
     g = yield from env.vfs.open("/hello.txt", OpenFlags.R)
     content = yield from g.read(100)
     yield from g.close()
-    print(f"[t={env.sim.now:>8}] file read back: {content.decode()!r}")
+    print(f"[t={env.sim.now:>8}] file read back: {bytes(content).decode()!r}")
 
     # --- a second VPE -----------------------------------------------
     child = yield from VPE.create(env, "echo")
@@ -64,7 +64,7 @@ def main_app(env):
     # The child's capability must be delegated to us by the kernel; in
     # a real program the child's selector arrives via a session — here
     # we ask the kernel to copy it across (delegation demo).
-    child_sel = int(data.decode())
+    child_sel = int(bytes(data).decode())
     kernel = env.system.kernel
     child_vpe = kernel.vpes[child.vpe_id]
     cap = child_vpe.captable.get(child_sel)

@@ -381,9 +381,11 @@ class DTU:
                     into_addr: int | None = None):
         """Generator: RDMA-read ``length`` bytes at ``offset`` of a memory EP.
 
-        Returns the data; optionally also deposits it at ``into_addr`` in
-        local memory (the common case — "the data register denotes the
-        location the read data should be transferred to").
+        Returns the data as the target memory hands it out — read-only,
+        ``bytes | memoryview`` (see :meth:`repro.hw.spm.Scratchpad.read`);
+        optionally also deposits it at ``into_addr`` in local memory
+        (the common case — "the data register denotes the location the
+        read data should be transferred to").
         """
         ep = self._memory_ep(ep_index, offset, length, MemoryPerm.READ)
         data = yield from self._transaction(

@@ -20,8 +20,12 @@ class Scratchpad:
     written.  An immutable payload — ``bytes``, or a ``memoryview`` of
     ``bytes`` — is kept by reference; anything mutable is copied once
     at :meth:`write`.  An overwrite trims its neighbours into zero-copy
-    views.  :meth:`read` returns ``bytes``: the stored object itself
-    for an exact read of a whole ``bytes`` extent, one copy otherwise.
+    views.  :meth:`read` returns a read-only bytes-like object: the
+    stored object itself for an exact read of a whole ``bytes`` extent,
+    a ``memoryview`` of the extent for any other range inside one
+    extent, and one joined ``bytes`` copy for a range that spans
+    extents or gaps.  Extents are never mutated, so a returned view is
+    a snapshot; it keeps at most the one extent it came from alive.
     """
 
     def __init__(self, size: int, name: str = "spm"):
@@ -34,8 +38,8 @@ class Scratchpad:
         #: the extents' contents, immutable, index-aligned with the starts
         self._extent_bytes: list[bytes | memoryview] = []
 
-    def read(self, address: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``address``."""
+    def read(self, address: int, length: int) -> bytes | memoryview:
+        """Read ``length`` bytes starting at ``address`` (read-only)."""
         end = address + length
         if length < 0 or address < 0 or end > self.size:
             raise ValueError(
@@ -50,11 +54,14 @@ class Scratchpad:
             extent = extents[index]
             extent_end = start + len(extent)
             if extent_end >= end:
-                # one extent holds it all: slicing bytes copies once and
-                # bytes() passes the copy through, slicing a view is free
-                # and bytes() copies once — and the exact whole of a bytes
-                # extent is that object
-                return bytes(extent[address - start : end - start])
+                # one extent holds it all: hand out the extent itself
+                # when the read is exactly a whole bytes extent, a
+                # read-only view of it otherwise — free, and a snapshot,
+                # because an extent is never mutated, only replaced
+                if (start == address and extent_end == end
+                        and type(extent) is bytes):
+                    return extent
+                return memoryview(extent)[address - start : end - start]
             if extent_end <= address:
                 index += 1
         else:

@@ -381,8 +381,8 @@ class Kernel:
             # A queued multiplexed VPE runs when it gets the PE.
             self.ctxsw.start_queued(vpe, entry, args)
             return
+        self.start_software(vpe, entry, args)  # may refuse the entry
         vpe.state = VpeState.RUNNING
-        self.start_software(vpe, entry, args)
 
     def vpe_exited(self, vpe: VpeObject, exit_code: object) -> None:
         """Mark a VPE dead, free its PE, take its services out of the

@@ -38,13 +38,15 @@ class EpMux:
         total = len(env.pe.dtu.eps)
         #: ep index -> gate currently occupying it (None = free).
         self.slots: dict[int, object] = {ep: None for ep in range(first, total)}
-        self._use_clock = 0
-        self._last_use: dict[int, int] = {ep: 0 for ep in self.slots}
+        #: LRU clock; bound gates bump it inline on each use
+        #: (``use_clock += 1; last_use[ep] = use_clock``).
+        self.use_clock = 0
+        self.last_use: dict[int, int] = {ep: 0 for ep in self.slots}
         self.activations = 0
 
     def touch(self, ep_index: int) -> None:
-        self._use_clock += 1
-        self._last_use[ep_index] = self._use_clock
+        self.use_clock += 1
+        self.last_use[ep_index] = self.use_clock
 
     def invalidate_all(self) -> None:
         """Forget every binding (after the kernel context-switched this
@@ -72,7 +74,7 @@ class EpMux:
             ]
             if not candidates:
                 raise RuntimeError("all endpoints are pinned; cannot multiplex")
-            victim_ep = min(candidates, key=lambda ep: self._last_use[ep])
+            victim_ep = min(candidates, key=lambda ep: self.last_use[ep])
             self.slots[victim_ep].ep = None
         yield from self.env.syscall(syscalls.ACTIVATE, victim_ep, gate.selector)
         self.slots[victim_ep] = gate

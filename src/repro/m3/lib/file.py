@@ -117,7 +117,9 @@ class File:
 
     def read(self, count: int):
         """Generator: up to ``count`` bytes from the current position
-        (empty bytes at EOF)."""
+        (empty bytes at EOF), as a read-only bytes-like object: a piece
+        that one extent holds is passed through as the memory handed it
+        out (``bytes`` or a ``memoryview`` of ``bytes``)."""
         self._check_open()
         if not self._readable:
             raise FsError(f"{self.path!r} not open for reading")
@@ -127,9 +129,13 @@ class File:
             return b""
         pieces = []
         while remaining > 0:
-            extent = yield from self._ensure(self.position, for_write=False)
-            if extent is None:
-                break
+            if self.position < self._capacity:
+                extent = self._extent_at(self.position)
+            else:
+                extent = yield from self._ensure(self.position,
+                                                 for_write=False)
+                if extent is None:
+                    break
             yield self.env.sim.delay(params.M3_FILE_LOCATE_CYCLES, tag=Tag.OS)
             offset_in_extent = self.position - extent.start
             chunk = min(remaining, extent.length - offset_in_extent)
@@ -137,7 +143,7 @@ class File:
             pieces.append(data)
             self.position += chunk
             remaining -= chunk
-        return b"".join(pieces)
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def write(self, data: bytes):
         """Generator: write ``data`` at the current position; returns the
@@ -146,10 +152,17 @@ class File:
         if not self._writable:
             raise FsError(f"{self.path!r} not open for writing")
         yield self.env.sim.delay(params.M3_FILE_DISPATCH_CYCLES, tag=Tag.OS)
-        view = memoryview(bytes(data))
+        if type(data) is not bytes and not (
+                type(data) is memoryview and type(data.obj) is bytes):
+            data = bytes(data)  # snapshot a mutable payload once
+        view = memoryview(data)
         written = 0
         while written < len(view):
-            extent = yield from self._ensure(self.position, for_write=True)
+            if self.position < self._capacity:
+                extent = self._extent_at(self.position)
+            else:
+                extent = yield from self._ensure(self.position,
+                                                 for_write=True)
             yield self.env.sim.delay(params.M3_FILE_LOCATE_CYCLES, tag=Tag.OS)
             offset_in_extent = self.position - extent.start
             chunk = min(len(view) - written,

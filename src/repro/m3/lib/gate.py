@@ -43,10 +43,19 @@ class SendGate(Gate):
     def send(self, payload: object, length: int | None = None,
              reply_gate: "RecvGate | None" = None, reply_label: int = 0):
         """Generator: transmit ``payload``; returns once injected."""
-        ep = yield from self.activate()
+        ep = self.ep
+        if ep is None:
+            ep = yield from self.activate()
+        else:  # bound: the multiplexer's LRU touch, without its frames
+            epmux = self.env.epmux
+            epmux.use_clock += 1
+            epmux.last_use[ep] = epmux.use_clock
         reply_ep = None
         if reply_gate is not None:
-            reply_ep = yield from reply_gate.activate()
+            # receive gates are pinned: the LRU never weighs them
+            reply_ep = reply_gate.ep
+            if reply_ep is None:
+                reply_ep = yield from reply_gate.activate()
         size = length if length is not None else wire_size(payload)
         return self.env.dtu.send(
             ep, payload, size, reply_ep=reply_ep, reply_label=reply_label
@@ -123,10 +132,6 @@ class BoundRecvGate(RecvGate):
                          slot_count=registers.slot_count)
         self.ep = ep_index
 
-    def activate(self):
-        return self.ep
-        yield  # pragma: no cover - makes this a generator
-
 
 class MemGate(Gate):
     """Access to a region of remote memory via a memory endpoint."""
@@ -153,7 +158,9 @@ class MemGate(Gate):
         return MemGate(self.env, selector, size)
 
     def read(self, offset: int, length: int, into_addr: int | None = None):
-        """Generator: RDMA-read bytes from the region.
+        """Generator: RDMA-read bytes from the region; returns a
+        read-only bytes-like object (``bytes | memoryview``, see
+        :meth:`repro.hw.spm.Scratchpad.read`).
 
         When the environment runs in ``spin_io`` mode (the Figure 6
         methodology: "we replaced the reading/writing from/to the DRAM
@@ -163,7 +170,13 @@ class MemGate(Gate):
         if getattr(self.env, "spin_io", False):
             yield self.env.sim.delay(_spin_cycles(length), tag="xfer")
             return bytes(length)
-        ep = yield from self.activate()
+        ep = self.ep
+        if ep is None:
+            ep = yield from self.activate()
+        else:  # bound: the multiplexer's LRU touch, without its frames
+            epmux = self.env.epmux
+            epmux.use_clock += 1
+            epmux.last_use[ep] = epmux.use_clock
         return (
             yield from self.env.dtu.read_memory(ep, offset, length, into_addr)
         )
@@ -174,7 +187,13 @@ class MemGate(Gate):
         if getattr(self.env, "spin_io", False):
             yield self.env.sim.delay(_spin_cycles(len(data)), tag="xfer")
             return len(data)
-        ep = yield from self.activate()
+        ep = self.ep
+        if ep is None:
+            ep = yield from self.activate()
+        else:  # bound: the multiplexer's LRU touch, without its frames
+            epmux = self.env.epmux
+            epmux.use_clock += 1
+            epmux.last_use[ep] = epmux.use_clock
         return (
             yield from self.env.dtu.write_memory(ep, offset, data, from_addr)
         )

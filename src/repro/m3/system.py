@@ -16,6 +16,7 @@ import typing
 
 from repro.hw.platform import Platform
 from repro.m3.kernel.kernel import Kernel
+from repro.m3.kernel.syscalls import SyscallError
 from repro.m3.kernel.vpe import VpeObject
 from repro.m3.lib.env import Env
 from repro.m3.lib.service import start_service
@@ -254,7 +255,9 @@ class M3System:
             try:
                 entry = self.programs[name]
             except KeyError:
-                raise RuntimeError(f"no program {name!r} registered") from None
+                # the requester named it: its syscall fails, the kernel
+                # carries on
+                raise SyscallError(f"no program {name!r} registered") from None
         env = Env(self, vpe.id, vpe.pe)
         # Register the env with the *owning* kernel (spilled VPEs run in
         # a peer domain whose kernel drives their context switches).

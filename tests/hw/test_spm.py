@@ -136,7 +136,8 @@ def test_memory_matches_bytearray_over_writes_zeroes_and_reads(
         else:
             length = min(operation[2], 256 - offset)
             got = memory.read(base + offset, length)
-            assert type(got) is bytes
+            assert type(got) in (bytes, memoryview)
+            assert memoryview(got).readonly
             assert got == reference[offset : offset + length]
     assert memory.read(base, 256) == reference
     if size > 256:
@@ -160,6 +161,51 @@ def test_exact_read_of_an_immutable_extent_is_that_object():
     assert spm.read(8, 100) is payload
     spm.write(200, memoryview(payload)[10:20])
     assert spm.read(200, 10) == payload[10:20]
+
+
+def test_a_view_read_before_an_overwrite_keeps_the_old_bytes():
+    spm = Scratchpad(64)
+    spm.write(0, b"abcdef")
+    view = spm.read(1, 3)
+    spm.write(0, b"XYZXYZ")
+    spm.write(2, bytearray(b"??"))
+    spm.zero(0, 64)
+    assert view == b"bcd"
+
+
+def test_a_read_view_is_read_only():
+    spm = Scratchpad(64)
+    spm.write(0, b"abcdef")
+    view = spm.read(2, 3)
+    assert type(view) is memoryview and view.readonly
+    with pytest.raises(TypeError):
+        view[0] = 0
+    assert spm.read(0, 6) == b"abcdef"
+
+
+def test_a_small_view_keeps_at_most_its_extent_alive():
+    """A 16 B view of a 1 MiB extent pins that extent — and nothing
+    more — once the memory has overwritten it and the writer let go."""
+    memory = Scratchpad(4 * MIB)
+    tracemalloc.start()
+    try:
+        baseline, _peak = tracemalloc.get_traced_memory()
+        payload = bytes(range(256)) * (MIB // 256)
+        memory.write(MIB, payload)
+        view = memory.read(MIB + 1000, 16)
+        memory.write(MIB, b"\x01" * 64)
+        memory.zero(MIB + 64, MIB - 64)
+        del payload
+        pinned, _peak = tracemalloc.get_traced_memory()
+        assert view == bytes(range(232, 248))
+        del view
+        released, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert MIB <= pinned - baseline < MIB + 64 * 1024
+    # the memory itself no longer holds the old extent
+    assert released - baseline < 64 * 1024
+    assert memory.read(MIB, MIB) == b"\x01" * 64 + bytes(MIB - 64)
 
 
 @pytest.mark.parametrize("base", [0, 5])

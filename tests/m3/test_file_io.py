@@ -1,5 +1,7 @@
 """Integration tests: file I/O through VFS, m3fs, capabilities, and DTUs."""
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,30 @@ def test_write_read_roundtrip(fs_system):
 
 def test_empty_file(fs_system):
     assert _roundtrip(fs_system, b"") == b""
+
+
+def test_a_read_result_crosses_processes_through_bytes(fs_system):
+    """A read inside one extent hands out a read-only view of what is
+    stored.  A view does not pickle, so a caller returning read data
+    across a process pool (as ``runall``'s evals do) converts it."""
+    payload = bytes(range(256)) * 16
+
+    def app(env):
+        f = yield from env.vfs.open("/v", OpenFlags.W | OpenFlags.CREATE)
+        yield from f.write(payload)
+        yield from f.close()
+        g = yield from env.vfs.open("/v", OpenFlags.R)
+        yield from g.seek(100)
+        data = yield from g.read(300)
+        yield from g.close()
+        return data
+
+    data = fs_system.run_app(app)
+    assert type(data) is memoryview and data.readonly
+    assert data == payload[100:400]
+    with pytest.raises(TypeError):
+        pickle.dumps(data)
+    assert pickle.loads(pickle.dumps(bytes(data))) == payload[100:400]
 
 
 def test_small_file_and_stat(fs_system):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dtu.registers import MemoryPerm
+from repro.m3.kernel import syscalls
 from repro.m3.kernel.kernel import SyscallError
 from repro.m3.kernel.vpe import VpeState
 from repro.m3.lib.file import OpenFlags
@@ -167,20 +168,18 @@ def test_exec_loads_program_from_filesystem(fs_system):
     assert fs_system.run_app(parent) == ("ran", 3)
 
 
-@pytest.mark.leaves_unanswered(
-    "the loader's RuntimeError kills the kernel loop inside vpe_start; "
-    "the parent's syscall is never answered")
 def test_exec_unregistered_program_fails(fs_system):
     def parent(env):
         f = yield from env.vfs.open("/mystery", OpenFlags.W | OpenFlags.CREATE)
         yield from f.write(b"???")
         yield from f.close()
         vpe = yield from VPE.create(env, "m")
-        yield from vpe.exec("/mystery")
-        return ()
+        with pytest.raises(SyscallError, match="no program 'mystery'"):
+            yield from vpe.exec("/mystery")
+        # the kernel survived the refusal and still answers
+        return (yield from env.syscall(syscalls.NOOP))
 
-    with pytest.raises(RuntimeError, match="no program"):
-        fs_system.run_app(parent)
+    assert fs_system.run_app(parent) == ()
 
 
 def test_delegated_memory_is_usable_by_child(system):
