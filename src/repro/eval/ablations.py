@@ -202,7 +202,7 @@ def multiplexed_pe_time() -> tuple[int, int, int]:
         return env.sim.now - start
 
     wall = system.run_app(parent, name="shared")
-    return wall, 2, system.kernel.ctxsw.switch_count
+    return wall, 2, system.stats()["kernel.0.ctxsw.switches"]
 
 
 def multiplexing_tradeoff() -> dict:

@@ -37,7 +37,7 @@ from repro.faults import FaultPlan
 from repro.m3.autoscale import AutoScaler
 from repro.m3.lib.service import start_service
 from repro.m3.services.kvserv import KvClient, KvServ, start_kv_tier
-from repro.m3.system import M3System
+from repro.m3.system import M3System, stat_sum
 from repro.workloads import traffic
 
 #: a 24-PE mesh split into 4 kernel domains, with 6 gateways spread
@@ -245,7 +245,7 @@ def run_point(point: str) -> dict:
     if point == "static":
         return _summarize(result)
     scaler = result.scaler
-    kernels = result.system.kernels
+    stats = result.system.stats()
     return {
         "elastic": _summarize(result),
         "timeline": list(scaler.events),
@@ -256,8 +256,8 @@ def run_point(point: str) -> dict:
             "replicas": sorted(scaler.servers),
         },
         "migrations": {
-            "out": sum(kernel.migrations_out for kernel in kernels),
-            "in": sum(kernel.migrations_in for kernel in kernels),
+            "out": stat_sum(stats, "kernel", "migrations_out"),
+            "in": stat_sum(stats, "kernel", "migrations_in"),
         },
     }
 

@@ -30,7 +30,7 @@ from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
 from repro.m3.kernel.kernel import SyscallError
 from repro.m3.lib.vpe import VPE
-from repro.m3.system import M3System
+from repro.m3.system import M3System, stat_sum
 from repro.workloads.trace import M3Replayer
 from repro.workloads.tracegen import TRACE_BENCHMARKS
 
@@ -169,9 +169,9 @@ def run(seed: int = DEFAULT_SEED) -> dict:
 
     k0, k1 = system.kernels
     detected = completed = None
-    if k0.failover_log:
-        _peer, detected, completed, _reason = k0.failover_log[0]
-    dtus = [pe.dtu for pe in system.platform.pes]
+    if k0.failover.failover_log:
+        _peer, detected, completed, _reason = k0.failover.failover_log[0]
+    stats = system.stats()
     # Parked-wait audit: every cross-domain wait must have been
     # answered (normally or by failover).  Only live kernels count —
     # the murdered kernel's own ledgers die with it.
@@ -193,17 +193,17 @@ def run(seed: int = DEFAULT_SEED) -> dict:
         ),
         "unanswered_waits": unanswered,
         "rpc": {
-            "sent": k0.ik_requests_sent,
-            "retries": k0.ik_retries,
-            "timeouts": k0.ik_timeouts,
-            "duplicates_absorbed": k0.ik_duplicates + k1.ik_duplicates,
-            "heartbeats": k0.heartbeats_sent,
+            "sent": stats["kernel.0.ik.requests_sent"],
+            "retries": stats["kernel.0.ik.retries"],
+            "timeouts": stats["kernel.0.ik.timeouts"],
+            "duplicates_absorbed": stat_sum(stats, "kernel", "ik.duplicates"),
+            "heartbeats": stats["kernel.0.failover.heartbeats_sent"],
         },
         "noc": {
-            "lost": system.platform.network.packets_lost,
-            "retransmits": sum(d.retransmits for d in dtus),
+            "lost": stat_sum(stats, "noc", "packets_lost"),
+            "retransmits": stat_sum(stats, "dtu", "retransmits"),
         },
-        "migrations": k0.migrations,
+        "migrations": stats["kernel.0.migration.migrations"],
         "fault_events": len(plan.events),
     }
 

@@ -19,7 +19,6 @@ Both are fully deterministic: same seed, same cycle counts.
 from __future__ import annotations
 
 from repro import params
-from repro.dtu.registers import EndpointKind
 from repro.eval.common import DEFAULT_SEED, single
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
@@ -28,7 +27,7 @@ from repro.m3.kernel.kernel import SyscallError
 from repro.m3.lib.file import OpenFlags
 from repro.m3.lib.pipe import Pipe, PipeWriter
 from repro.m3.lib.vpe import VPE
-from repro.m3.system import M3System
+from repro.m3.system import M3System, stat_sum
 from repro.workloads.data import deterministic_bytes
 
 #: per-packet drop probabilities swept by the loss experiment.
@@ -45,30 +44,24 @@ WATCHDOG_PERIOD = 5_000
 PROBE_TIMEOUT = 2_000
 
 
-def _faulty_system(loss_rate: float, seed: int) -> tuple[M3System, FaultPlan]:
+def _faulty_system(loss_rate: float, seed: int) -> M3System:
     """An M3 system with reliable messaging and a seeded drop plan.
 
     The plan is installed before boot, so even the kernel's boot-time
     configuration traffic rides the reliable protocol under loss.
     """
     system = M3System(pe_count=4, reliable=True)
-    plan = FaultPlan(seed).drop(loss_rate)
-    plan.install(system.platform)
-    return system, plan
+    FaultPlan(seed).drop(loss_rate).install(system.platform)
+    return system
 
 
-def _stats(system: M3System, plan: FaultPlan) -> dict:
-    dtus = [pe.dtu for pe in system.platform.pes]
+def _losses(system: M3System) -> dict:
+    """What the losses cost, from the system's stats()."""
+    stats = system.stats()
     return {
-        "lost": system.platform.network.packets_lost,
-        "retransmits": sum(d.retransmits for d in dtus),
-        "acks": sum(d.acks_sent for d in dtus),
-        "duplicates": sum(
-            d.ringbuffer(index).duplicates
-            for d in dtus for index, ep in enumerate(d.eps)
-            if ep.kind is EndpointKind.RECEIVE
-        ),
-        "faults_injected": len(plan.events),
+        "lost": stat_sum(stats, "noc", "packets_lost"),
+        "retransmits": stat_sum(stats, "dtu", "retransmits"),
+        "duplicates": stat_sum(stats, "dtu", "duplicates"),
     }
 
 
@@ -77,7 +70,7 @@ def _stats(system: M3System, plan: FaultPlan) -> dict:
 
 def syscall_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
     """Null-syscall latency under packet loss."""
-    system, plan = _faulty_system(loss_rate, seed)
+    system = _faulty_system(loss_rate, seed)
     system.boot(with_fs=False)
 
     def app(env):
@@ -88,12 +81,12 @@ def syscall_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
 
     wall = system.run_app(app, name="syscall-bench")
     return {"cycles": wall // SYSCALL_ITERATIONS, "ok": True,
-            **_stats(system, plan)}
+            **_losses(system)}
 
 
 def read_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
     """File read under packet loss, with end-to-end data verification."""
-    system, plan = _faulty_system(loss_rate, seed)
+    system = _faulty_system(loss_rate, seed)
     system.boot()
     content = deterministic_bytes("fault-read", FILE_BYTES)
     system.fs_preload({"/bench.dat": content})
@@ -111,12 +104,12 @@ def read_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
         return env.sim.now - start, bytes(got) == content
 
     wall, ok = system.run_app(app, name="read-bench")
-    return {"cycles": wall, "ok": ok, **_stats(system, plan)}
+    return {"cycles": wall, "ok": ok, **_losses(system)}
 
 
 def pipe_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
     """Pipe transfer between two VPEs under packet loss."""
-    system, plan = _faulty_system(loss_rate, seed)
+    system = _faulty_system(loss_rate, seed)
     system.boot(with_fs=False)
     payload = deterministic_bytes("fault-pipe", BUFFER)
 
@@ -147,7 +140,7 @@ def pipe_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
         return env.sim.now - start, correct and received == FILE_BYTES
 
     wall, ok = system.run_app(parent, name="pipe-bench")
-    return {"cycles": wall, "ok": ok, **_stats(system, plan)}
+    return {"cycles": wall, "ok": ok, **_losses(system)}
 
 
 BENCHES = {
@@ -197,12 +190,13 @@ def pe_kill_scenario(seed: int = DEFAULT_SEED) -> dict:
     outcome, finished_at = system.run_app(parent, name="parent")
     system.kernel.failover.stop_watchdog()
     victim_pe = system.platform.pe(2)
+    stats = system.stats()
     return {
         "outcome": outcome,
-        "recovered": system.kernel.recoveries == 1,
+        "recovered": stats["kernel.0.failover.recoveries"] == 1,
         "killed_at": KILL_AT,
         "detected_by": finished_at,
-        "probes": system.kernel.probes_sent,
+        "probes": stats["kernel.0.failover.probes_sent"],
         "pe_quarantined": victim_pe.failed,
         "fault_events": [
             (record.cycle, record.action) for record in plan.events

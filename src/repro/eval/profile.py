@@ -2,9 +2,8 @@
 
 This module turns an installed :class:`repro.obs.Observer` into the
 plain-text reports the repo's other figures use: latency histograms
-(log2 buckets), named counters, and exact per-link NoC occupancy.  It
-also owns the raw counter collection (:func:`collect`) and its compact
-single-page summary (:func:`report`), which need no observer.
+(log2 buckets), named counters, and exact per-link NoC occupancy.  The
+totals a run leaves without an observer are ``M3System.stats()``.
 
 The ``profile`` eval runs a Figure-3-style microbenchmark (null
 syscalls plus a buffered file read) with observability enabled and
@@ -32,52 +31,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PROFILE_SYSCALLS = 16
 PROFILE_FILE_BYTES = 256 * 1024
 PROFILE_BUFFER_BYTES = params.MICRO_BUFFER_BYTES
-
-
-# -- raw counter collection ---------------------------------------------------
-
-
-def collect(system: "M3System") -> dict:
-    """All layer counters as one nested dict."""
-    network = system.platform.network
-    dtus = []
-    for pe in system.platform.pes:
-        dtu = pe.dtu
-        if dtu.messages_sent or dtu.messages_dropped:
-            dtus.append(
-                {
-                    "node": pe.node,
-                    "sent": dtu.messages_sent,
-                    "dropped": dtu.messages_dropped,
-                    "privileged": dtu.privileged,
-                }
-            )
-    return {
-        "cycles": system.sim.now,
-        "noc": {
-            "packets": network.packets_sent,
-            "payload_bytes": network.bytes_sent,
-            "packets_injected": network.packets_injected,
-        },
-        "dtus": dtus,
-        "kernel": {
-            "syscalls": system.kernel.syscall_count,
-            "vpes_created": len(system.kernel.vpes),
-            "services": sorted(system.kernel.services),
-            "context_switches": system.kernel.ctxsw.switch_count,
-            "dram_free_bytes": system.kernel.memory.free_bytes,
-        },
-        "filesystems": {
-            name: {
-                "requests": server.requests_served,
-                "blocks_used": server.fs.block_bitmap.used,
-                "inodes": len(server.fs.inodes),
-            }
-            for name, server in system.fs_servers.items()
-        },
-        "ledger": system.sim.ledger.snapshot(),
-        "serial_lines": len(system.serial_log),
-    }
 
 
 # -- table rendering -----------------------------------------------------------
@@ -112,15 +65,13 @@ def histogram_summary_table(observer: "Observer") -> str:
     )
 
 
-def counter_table(observer: "Observer", top: int | None = None) -> str:
+def counter_table(observer: "Observer") -> str:
     """Named counters, largest first."""
     items = sorted(observer.counters.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top is not None:
-        items = items[:top]
     return render_table("Counters", ["counter", "value"], items)
 
 
-def utilization_table(network: "Network", top: int | None = None) -> str:
+def utilization_table(network: "Network") -> str:
     """Exact (unclamped) per-link utilisation over the whole run."""
     elapsed = network.sim.now
     rows = []
@@ -132,8 +83,6 @@ def utilization_table(network: "Network", top: int | None = None) -> str:
             (f"{a}->{b}", link.packets, link.busy_within(elapsed),
              f"{fraction:.2%}")
         )
-    if top is not None:
-        rows = rows[:top]
     return render_table(
         f"NoC link utilisation over {elapsed:,} cycles (exact)",
         ["link", "packets", "busy cycles", "utilisation"],
@@ -156,53 +105,6 @@ def link_series_table(observer: "Observer", top: int = 3) -> str:
         ["link", "epoch end", "busy"],
         rows,
     )
-
-
-def report(system: "M3System") -> str:
-    """Human-readable multi-table dump of :func:`collect` — the
-    summary that needs no observer ("was the NoC the bottleneck?")."""
-    data = collect(system)
-    pieces = [
-        render_table(
-            f"System state at cycle {data['cycles']:,}",
-            ["counter", "value"],
-            [
-                ("NoC packets", data["noc"]["packets"]),
-                ("NoC payload bytes", data["noc"]["payload_bytes"]),
-                ("kernel syscalls", data["kernel"]["syscalls"]),
-                ("VPEs created", data["kernel"]["vpes_created"]),
-                ("context switches", data["kernel"]["context_switches"]),
-                ("DRAM free bytes", data["kernel"]["dram_free_bytes"]),
-                ("serial lines", data["serial_lines"]),
-            ],
-        )
-    ]
-    if data["dtus"]:
-        pieces.append(
-            render_table(
-                "DTU traffic",
-                ["node", "sent", "dropped", "privileged"],
-                [
-                    (d["node"], d["sent"], d["dropped"],
-                     "yes" if d["privileged"] else "no")
-                    for d in data["dtus"]
-                ],
-            )
-        )
-    if data["filesystems"]:
-        pieces.append(
-            render_table(
-                "Filesystem services",
-                ["service", "requests", "blocks used", "inodes"],
-                [
-                    (name, entry["requests"], entry["blocks_used"],
-                     entry["inodes"])
-                    for name, entry in data["filesystems"].items()
-                ],
-            )
-        )
-    pieces.append(utilization_table(system.platform.network, top=5))
-    return "\n\n".join(pieces)
 
 
 def render(system: "M3System") -> str:

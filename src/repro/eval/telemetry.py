@@ -26,6 +26,7 @@ byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+from repro.dtu.dtu import RETRANSMITS_SERIES
 from repro.eval.common import DEFAULT_SEED, single, swept
 from repro.eval.report import render_table
 from repro.eval.traffic import (
@@ -137,7 +138,7 @@ def serving_results() -> dict:
             "kv0_depth": telemetry.value_at("kv.kv0.depth", index),
             "kv1_depth": telemetry.value_at("kv.kv1.depth", index),
             "noc_lost": telemetry.value_at("noc.packets_dropped", index),
-            "retransmits": telemetry.value_at("dtu.retransmits", index),
+            "retransmits": telemetry.value_at(RETRANSMITS_SERIES, index),
         })
     return {
         "completed": result.completed,
@@ -189,10 +190,10 @@ def failover_results(seed: int = DEFAULT_SEED,
     system.stop_heartbeats()
     telemetry.flush()
 
-    kernel = system.kernels[0]
+    failover = system.kernels[0].failover
     peer = detected = completed = reason = None
-    if kernel.failover_log:
-        peer, detected, completed, reason = kernel.failover_log[0]
+    if failover.failover_log:
+        peer, detected, completed, reason = failover.failover_log[0]
     dump = next((d for d in flight.dumps if "declared dead" in d["reason"]),
                 None)
     prom = render_prometheus(obs).splitlines()
@@ -210,7 +211,7 @@ def failover_results(seed: int = DEFAULT_SEED,
         "detected_at": detected,
         "completed_at": completed,
         "reason": reason,
-        "annotation": kernel.failover_alerts.get(peer),
+        "annotation": failover.failover_alerts.get(peer),
         "verdict": monitor.verdict(),
         "alerts": _alert_rows({FAIL_SLO.name: monitor.alerts}),
         "dump_text": (render_dump(dump, span_limit=4, instant_limit=8,

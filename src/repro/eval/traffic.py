@@ -31,6 +31,7 @@ from __future__ import annotations
 from repro.eval.common import DEFAULT_SEED, single, swept
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
+from repro.m3.system import stat_sum
 from repro.obs import causal
 from repro.workloads import traffic
 
@@ -56,7 +57,10 @@ def _curve_profile(gap: int, **overrides) -> traffic.TrafficProfile:
 
 
 def _summarize(result: traffic.TrafficResult) -> dict:
-    """A pickleable summary of one load point (no simulator inside)."""
+    """A pickleable summary of one load point (no simulator inside).
+    Its DTU retransmits are the PEs' (a NIC's DTU counts apart, under
+    ``net.<service>.nic``)."""
+    stats = result.system.stats()
     histogram = result.histogram
     quantiles = {
         label: histogram.percentile(fraction) if histogram.count else 0
@@ -74,14 +78,13 @@ def _summarize(result: traffic.TrafficResult) -> dict:
         "goodput": result.goodput_per_mcycle,
         **quantiles,
         "tx_retries": result.tx_retries + result.gw_tx_retries,
-        "frames_dropped": result.frames_dropped,
+        "frames_dropped": stat_sum(stats, "net", "frames_dropped"),
         "kv_errors": result.kv_errors,
         "served_by": list(result.served_by),
-        "route_counts": dict(result.route_counts),
-        "replica_requests": dict(result.replica_requests),
-        "noc_lost": result.noc_packets_lost,
-        "retransmits": result.dtu_retransmits,
-        "fault_events": result.fault_events,
+        "route_counts": result.route_counts,
+        "replica_requests": result.replica_requests,
+        "noc_lost": stat_sum(stats, "noc", "packets_lost"),
+        "retransmits": stat_sum(stats, "dtu", "retransmits"),
     }
 
 
@@ -232,7 +235,7 @@ def render(results: dict) -> str:
         f"{tail['latency'] - total:,} cycles",
         f"fault window: drop rate {FAULT_DROP_RATE} in cycles "
         f"[{FAULT_WINDOW[0]:,}, {FAULT_WINDOW[1]:,}) — "
-        f"{faulted['fault_events']:,} packets dropped, "
+        f"{faulted['noc_lost']:,} packets dropped, "
         f"{faulted['retransmits']:,} DTU retransmits, "
         f"{faulted['completed']}/{faulted['sent']} requests still "
         f"completed",

@@ -155,6 +155,7 @@ class Kernel:
             self.sim, self.dtu, self.ik, self.vpes, self.memory,
             platform.dram_node, self.reply, self.reset_vpe,
         )
+        self.sessions.caps = self.caps
         self.failover = Failover(self)
         self.migration = Migration(self)
         #: opcode -> handler generator: ``(vpe, slot, *args)`` for
@@ -180,6 +181,7 @@ class Kernel:
         }
         self.peer_ops = {
             "srv_open": self.sessions.serve_srv_open,
+            "srv_gone": self.sessions.serve_srv_gone,
             "delegate_mem": self.caps.serve_delegate_mem,
             "create_vpe": self._serve_create_vpe,
             "vpe_start": self._serve_vpe_start,
@@ -190,24 +192,35 @@ class Kernel:
             "peer_down": self.failover.serve_peer_down,
         }
 
-    # The public read API: state owned by the components, readable as
-    # ``kernel.<name>`` by evals, tests and the benchmark.
+    # Component counters ``benchmarks/hostperf`` reads as
+    # ``kernel.<name>``; everything else reads the owning component or
+    # :meth:`stats`.
     ik_requests_sent = property(operator.attrgetter("ik.requests_sent"))
-    ik_requests_served = property(operator.attrgetter("ik.requests_served"))
     ik_retries = property(operator.attrgetter("ik.retries"))
-    ik_timeouts = property(operator.attrgetter("ik.timeouts"))
-    ik_duplicates = property(operator.attrgetter("ik.duplicates"))
-    ik_retry_log = property(operator.attrgetter("ik.retry_log"))
-    route_counts = property(operator.attrgetter("router.route_counts"))
-    replica_depths = property(operator.attrgetter("router.replica_depths"))
-    probes_sent = property(operator.attrgetter("failover.probes_sent"))
-    recoveries = property(operator.attrgetter("failover.recoveries"))
     heartbeats_sent = property(operator.attrgetter("failover.heartbeats_sent"))
-    failover_log = property(operator.attrgetter("failover.failover_log"))
-    failover_alerts = property(operator.attrgetter("failover.failover_alerts"))
     migrations = property(operator.attrgetter("migration.migrations"))
     migrations_out = property(operator.attrgetter("migration.migrations_out"))
-    migrations_in = property(operator.attrgetter("migration.migrations_in"))
+
+    def stats(self) -> dict:
+        """This kernel's totals, named by the component that keeps
+        them (``ik.timeouts``, ``router.<replica>``, ...)."""
+        ik, failover, migration = self.ik, self.failover, self.migration
+        stats = {
+            "ik.requests_sent": ik.requests_sent,
+            "ik.retries": ik.retries,
+            "ik.timeouts": ik.timeouts,
+            "ik.duplicates": ik.duplicates,
+            "failover.probes_sent": failover.probes_sent,
+            "failover.recoveries": failover.recoveries,
+            "failover.heartbeats_sent": failover.heartbeats_sent,
+            "migration.migrations": migration.migrations,
+            "migration.migrations_out": migration.migrations_out,
+            "migration.migrations_in": migration.migrations_in,
+            "ctxsw.switches": self.ctxsw.switch_count,
+        }
+        for replica, count in self.router.route_counts.items():
+            stats[f"router.{replica}"] = count
+        return stats
 
     # ------------------------------------------------------------------
     # Boot

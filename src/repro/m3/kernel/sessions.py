@@ -75,12 +75,15 @@ class Sessions:
         #: ``reply(vpe, slot, payload)``: the late answer to a syscall
         #: parked here.
         self.reply = reply
-        #: the session router (resolves routed names) and the RPC
-        #: transport (who the peers are, and the way to their services).
-        #: Both are built over this registry, so their builder sets
-        #: them afterwards.
+        #: the session router (resolves routed names), the RPC
+        #: transport (who the peers are, and the way to their services)
+        #: and the capability exchange (revokes sessions on a peer's
+        #: dead service).  The first two are built over this registry
+        #: and the third over the transport, so their builder sets them
+        #: afterwards.
         self.router = None
         self.ik = None
+        self.caps = None
         #: the tables, each with its read-only view (``services``,
         #: ``owners``, ``parked``): registered services by name;
         #: service name -> owning peer kernel id (remote-lookup cache);
@@ -129,7 +132,9 @@ class Sessions:
         """``vpe`` is gone (exited, reset, recovered, scaled down):
         drop the sessions it held as a client and the services it
         registered — entry, kernel endpoint, sessions — answering the
-        negotiations still parked on them."""
+        negotiations still parked on them.  A peer whose VPEs hold
+        sessions on such a service roots their capabilities itself, so
+        it is told once (``srv_gone``) to revoke them."""
         for service in list(self.services.values()):
             sessions = service.sessions
             if service.owner is not vpe:
@@ -139,12 +144,30 @@ class Sessions:
                 continue
             del self._services[service.name]
             self.dtu.configure_local("invalidate", service.kernel_ep)
+            for peer in sorted({client.kernel_id for client in sessions.values()
+                                if isinstance(client, RemoteClientRef)}):
+                self.ik.request(peer, "srv_gone", (service.name,),
+                                lambda _payload: None)
             sessions.clear()
             for negotiation, parked in list(self._parked.items()):
                 if parked.service is service:
                     del self._parked[negotiation]
                     parked.done(parked.session_id,
                                 f"service {service.name!r} is gone")
+
+    def serve_srv_gone(self, slot, sender, name):
+        """Peer ``sender``'s service ``name`` is gone: revoke the
+        sessions this domain's VPEs hold on it — and the send gates
+        obtained with them, whose endpoints are cut — and forget the
+        peer as the name's owner."""
+        gone = RemoteServiceRef(name=name, kernel_id=sender)
+        yield from self.caps.revoke_where(
+            lambda _holder, cap: cap.kind == CapKind.SESSION
+            and cap.obj.service == gone
+        )
+        if self._owners.get(name) == sender:
+            del self._owners[name]
+        return ()
 
     def depth(self, replica: str) -> int:
         """Queue depth of a locally-owned replica: unserved messages in

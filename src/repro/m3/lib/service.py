@@ -79,6 +79,10 @@ class Server:
         return
         yield  # pragma: no cover
 
+    def stats(self) -> dict:
+        """This service's totals under their system-wide names."""
+        return {f"{self.service_name}.requests": self.requests_served}
+
     # -- service software -----------------------------------------------------
 
     def main(self, env):
@@ -91,6 +95,9 @@ class Server:
         self.service_sel = yield from env.syscall(
             syscalls.CREATE_SRV, self.service_name, rgate.selector
         )
+        # Every server passes here, however it was started; it stays in
+        # the table after it retires, since what it served still counts.
+        env.system.servers[self.service_name] = self
         if self.ready is not None:
             self.ready.succeed(self)
         yield from self._started()

@@ -119,6 +119,16 @@ class NetServ(Server):
     def _open_session(self, session_id: int) -> _Socket:
         return _Socket(session_id)
 
+    def stats(self) -> dict:
+        """Requests, frames dropped, and the NIC's DTU — a device DTU,
+        so under ``net.<service>.nic.*`` and not among the PEs'."""
+        prefix = f"net.{self.service_name}"
+        stats = super().stats()
+        stats[f"{prefix}.frames_dropped"] = self.frames_dropped
+        for name, value in self.nic.dtu.stats().items():
+            stats[f"{prefix}.nic.{name}"] = value
+        return stats
+
     # -- the driver side ------------------------------------------------------
 
     def _handle_irq(self, payload):

@@ -22,7 +22,16 @@ from repro.m3.lib.env import Env
 from repro.m3.lib.service import start_service
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.m3.lib.service import Server
     from repro.m3.services.m3fs.server import M3fsServer
+
+
+def stat_sum(stats: dict, scope: str, name: str) -> int:
+    """The sum of the ``scope.….name`` entries of an :meth:`M3System.stats`
+    dict: one per node, domain or service, or ``scope.name`` itself."""
+    head, tail = scope + ".", "." + name
+    return sum(value for key, value in stats.items()
+               if key.startswith(head) and key.endswith(tail))
 
 
 class M3System:
@@ -97,6 +106,9 @@ class M3System:
         self.fs_server: "M3fsServer | None" = None
         #: all filesystem service instances by service name.
         self.fs_servers: dict[str, "M3fsServer"] = {}
+        #: every service that ever registered, by name — filled by
+        #: ``Server.main``, retired ones kept (read by :meth:`stats`).
+        self.servers: dict[str, "Server"] = {}
         self._kernel_process = None
         self._kernel_processes: list = []
         #: (vpe, process) pairs for crash reporting.
@@ -145,6 +157,23 @@ class M3System:
                 for pe in self.platform.pes:
                     mapping[pe.node] = kernel.kernel_id
         return mapping
+
+    def stats(self) -> dict:
+        """Every component's totals as one flat dict, sorted, with
+        dotted names: ``noc.*``, ``dtu.<node>.*`` (the PEs' DTUs),
+        ``kernel.<domain>.*``, then each service's own
+        (docs/observability.md, "Counters").  Read after a run."""
+        stats = {f"noc.{name}": value
+                 for name, value in self.platform.network.stats().items()}
+        for pe in self.platform.pes:
+            for name, value in pe.dtu.stats().items():
+                stats[f"dtu.{pe.node}.{name}"] = value
+        for kernel in self.kernels:
+            for name, value in kernel.stats().items():
+                stats[f"kernel.{kernel.kernel_id}.{name}"] = value
+        for server in self.servers.values():
+            stats.update(server.stats())
+        return dict(sorted(stats.items()))
 
     def enable_flight_recorder(self, **kwargs):
         """Attach a flight recorder wired to this system's domain map

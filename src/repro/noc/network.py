@@ -241,6 +241,10 @@ class Network:
 
     # -- statistics ----------------------------------------------------------------
 
+    def stats(self) -> dict:
+        """The totals :meth:`M3System.stats` reports under ``noc.``."""
+        return {"packets_lost": self.packets_lost}
+
     def utilization_report(self) -> dict[tuple[int, int], float]:
         """Exact per-link utilisation over the elapsed simulation time.
 

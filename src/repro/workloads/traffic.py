@@ -32,9 +32,9 @@ import random
 import struct
 import typing
 
-from repro.m3.services.kvserv import KvError, KvClient, MAX_VALUE_BYTES, start_kv_tier
+from repro.m3.services.kvserv import KvClient, KvError, KvServ, MAX_VALUE_BYTES, start_kv_tier
 from repro.m3.services.netserv import MAX_PAYLOAD, NetClient, start_network
-from repro.m3.system import M3System
+from repro.m3.system import M3System, stat_sum
 from repro.obs.metrics import Histogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -359,26 +359,40 @@ class TrafficResult:
     makespan: int
     offered_per_mcycle: float
     goodput_per_mcycle: float
-    frames_dropped: int
     tx_retries: int
     gw_tx_retries: int
     kv_errors: int
     served_by: list
-    #: replica name -> sessions routed to it (the session router's view).
-    route_counts: dict
-    #: replica name -> kv requests served (includes pre-warm puts).
-    replica_requests: dict
-    noc_packets_lost: int
-    dtu_retransmits: int
-    fault_events: int
     system: M3System
     #: the AutoScaler instance when elastic scaling was on (its
     #: ``events`` list is the scale timeline), else None.
     scaler: object = None
 
+    # The counters, read from the drained system's stats().
+
     @property
-    def drops(self) -> int:
-        return self.sent - self.completed
+    def frames_dropped(self) -> int:
+        """Received frames both netserv instances dropped."""
+        return stat_sum(self.system.stats(), "net", "frames_dropped")
+
+    @property
+    def route_counts(self) -> dict:
+        """replica name -> sessions the kernels routed to it."""
+        counts: dict = {}
+        for key, value in self.system.stats().items():
+            _kernel, routed, replica = key.partition(".router.")
+            if routed:
+                counts[replica] = counts.get(replica, 0) + value
+        return counts
+
+    @property
+    def replica_requests(self) -> dict:
+        """kv replica name -> requests it served (pre-warm puts
+        included), retired replicas too."""
+        stats = self.system.stats()
+        return {name: stats[f"{name}.requests"]
+                for name, server in self.system.servers.items()
+                if isinstance(server, KvServ)}
 
 
 def run_profile(profile: TrafficProfile,
@@ -437,7 +451,7 @@ def run_profile(profile: TrafficProfile,
     system.boot(with_fs=False)
     if instrument is not None:
         instrument(system)
-    netservs = start_network(system)
+    start_network(system)
     kv_servers = start_kv_tier(system, replicas=kv_replicas,
                                domains=kv_domains, policy=policy,
                                op_cycles=kv_op_cycles)
@@ -482,23 +496,6 @@ def run_profile(profile: TrafficProfile,
     first_at = (run.started_at or 0) + run.schedule[0].at
     makespan = max(1, last_completion - first_at)
     arrival_span = max(1, run.schedule[-1].at - run.schedule[0].at)
-    # The gateways' kernels did the routing; merge their counts (the
-    # default shape keeps every gateway in domain 1, so this is exactly
-    # the old single-kernel read).
-    route_counts: dict = {}
-    for kernel in system.kernels[1:]:
-        for replica, count in kernel.route_counts.items():
-            route_counts[replica] = route_counts.get(replica, 0) + count
-    replica_requests = {
-        server.service_name: server.requests_served
-        for server in kv_servers
-    }
-    if scaler is not None:
-        # Replicas the autoscaler added (live or since retired).
-        for name in sorted(set(scaler.servers) | set(scaler.retired)):
-            server = scaler.servers.get(name) or scaler.retired[name]
-            replica_requests.setdefault(name, server.requests_served)
-    dtus = [pe.dtu for pe in system.platform.pes]
     return TrafficResult(
         profile=profile,
         sent=sent,
@@ -508,16 +505,10 @@ def run_profile(profile: TrafficProfile,
         makespan=makespan,
         offered_per_mcycle=1e6 * (sent - 1) / arrival_span,
         goodput_per_mcycle=1e6 * completed / makespan,
-        frames_dropped=sum(s.frames_dropped for s in netservs),
         tx_retries=run.tx_retries,
         gw_tx_retries=run.gw_tx_retries,
         kv_errors=run.kv_errors,
         served_by=list(run.served_by),
-        route_counts=route_counts,
-        replica_requests=replica_requests,
-        noc_packets_lost=system.platform.network.packets_lost,
-        dtu_retransmits=sum(dtu.retransmits for dtu in dtus),
-        fault_events=len(fault_plan.events) if fault_plan else 0,
         system=system,
         scaler=scaler,
     )

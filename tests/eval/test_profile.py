@@ -39,11 +39,6 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     assert "NoC link utilisation" in text
     assert "epoch" in text  # occupancy series made it in
 
-    data = profile.collect(system)
-    assert data is not None and data["cycles"] == system.sim.now
-    assert data["noc"]["packets_injected"] == data["noc"]["packets"]  # no faults
-    assert profile.report(system).startswith("System state at cycle")
-
     # Per-packet and per-message spans share their args: one mapping
     # per distinct value tuple, not one per span (the exported trace —
     # ``results/fig3_micro.trace.json`` — copies, and is unchanged).

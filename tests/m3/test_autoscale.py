@@ -27,11 +27,11 @@ def test_route_with_all_replica_domains_dead_fails_fast():
     )
     k0.dead_peers.add(1)
     cursor_before = dict(k0.router.cursors)
-    counts_before = dict(k0.route_counts)
+    counts_before = dict(k0.router.route_counts)
     with pytest.raises(SyscallError, match="no live replica for route 'kv'"):
         k0.router.resolve("kv")
     assert k0.router.cursors == cursor_before
-    assert k0.route_counts == counts_before
+    assert k0.router.route_counts == counts_before
 
     # End to end: a client opening a session sees the same error (not a
     # stale replica name handed to the remote-session probe).
@@ -106,7 +106,7 @@ def test_depth_policy_prefers_least_loaded_replica():
     first = k0.router.resolve("kv")
     second = k0.router.resolve("kv")
     assert {first, second} == {"kva", "kvb"}
-    assert k0.route_counts["kvb"] >= 1 and k0.route_counts["kva"] >= 1
+    assert k0.router.route_counts["kvb"] >= 1 and k0.router.route_counts["kva"] >= 1
 
 
 def test_unknown_replica_depth_counts_as_idle():
@@ -148,10 +148,10 @@ def test_gossip_rider_merges_newest_stamp_wins():
     k1.router.absorb(rider)
     # kv0 was news; kv1's relayed stamp 50 must not roll back the
     # fresher direct sample at stamp 80.
-    assert k1.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
+    assert k1.router.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
     # Re-absorbing the same (now stale) rider changes nothing.
     k1.router.absorb(rider)
-    assert k1.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
+    assert k1.router.replica_depths == {"kv0": (100, 3), "kv1": (80, 2)}
 
 
 # -- the autoscaler -----------------------------------------------------------
@@ -186,7 +186,7 @@ def test_scale_up_warm_boots_clone_via_cross_domain_migration():
     cycle, action, replica, domain, detail = scaler.events[-1]
     assert (action, replica, domain) == ("scale_up", "kv1", 1)
     assert detail == "warm from kv0"  # staged + migrated, not direct
-    assert k1.migrations_in == 1 and k0.migrations_out == 1
+    assert k1.migration.migrations_in == 1 and k0.migrations_out == 1
     clone = scaler.servers["kv1"]
     assert clone.store == servers[0].store  # warm: the donor's image
     assert clone.vpe.node in k1.domain

@@ -55,7 +55,7 @@ def test_cross_domain_migration_round_trips_vpe_and_wait():
     assert verdict == 777
     assert node in k1.domain and node != k1.node
     assert k0.migrations_out == 1
-    assert k1.migrations_in == 1
+    assert k1.migration.migrations_in == 1
     # The target kernel owns the VPE now (under its own minted id);
     # the source kernel only remembers the forwarding entry.
     moved = k1.vpes[remote_id]
@@ -109,8 +109,8 @@ def test_duplicate_migrate_in_delivery_restores_exactly_once():
 
     assert verdict == 42
     assert k0.ik_retries > 0  # the delayed replies forced retransmits
-    assert k1.ik_duplicates > 0  # ...which the dedup absorbed
-    assert k1.migrations_in == 1
+    assert k1.ik.duplicates > 0  # ...which the dedup absorbed
+    assert k1.migration.migrations_in == 1
     assert sum(1 for v in k1.vpes.values() if v.name == "mover") == 1
     assert k1.vpes[remote_id].exit_code == 42
 
@@ -213,7 +213,7 @@ def test_parked_cross_domain_wait_follows_migration():
 
     assert verdict == 13
     assert k1.migrations_out == 1
-    assert k2.migrations_in == 1
+    assert k2.migration.migrations_in == 1
     moved = next(v for v in k2.vpes.values() if v.name == "walker")
     assert moved.state == VpeState.DEAD and moved.exit_code == 13
     assert not moved.remote_waiters

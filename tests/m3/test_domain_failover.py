@@ -50,8 +50,8 @@ def test_delayed_replies_force_retries_but_execute_once():
     vpe = system.spawn(parent, name="parent", domain=0)
     assert system.wait(vpe) == 42
     assert k0.ik_retries >= 1  # every reply arrived after the timeout
-    assert k1.ik_duplicates >= 1  # ... so the peer saw duplicate copies
-    assert k0.ik_timeouts == 0  # but no RPC was given up on
+    assert k1.ik.duplicates >= 1  # ... so the peer saw duplicate copies
+    assert k0.ik.timeouts == 0  # but no RPC was given up on
     assert len(k1.vpes) == 1  # create_vpe executed once, not per copy
     system.sim.run()  # drain the remaining retry timers
     assert k0.ik.idle
@@ -77,9 +77,9 @@ def test_unanswered_rpc_times_out_with_capped_backoff():
     verdict_at, (status, detail) = verdicts[0]
     assert status == "timeout"
     assert f"no reply after {params.IK_RPC_MAX_ATTEMPTS} attempts" in detail
-    assert k0.ik_timeouts == 1
+    assert k0.ik.timeouts == 1
     # Retry schedule: base * 2^n, exactly — bit-identical across runs.
-    times = [now for now, _neg, _attempt in k0.ik_retry_log]
+    times = [now for now, _neg, _attempt in k0.ik.retry_log]
     assert len(times) == params.IK_RPC_MAX_ATTEMPTS - 1
     deltas = [later - earlier for earlier, later in zip(times, times[1:])]
     base = params.IK_RPC_TIMEOUT_CYCLES
@@ -122,8 +122,8 @@ def test_heartbeats_detect_dead_kernel_and_fail_over():
 
     assert "kernel domain 1 failed" in outcome
     assert k0.dead_peers == {1}
-    assert len(k0.failover_log) == 1
-    peer, detected, completed, reason = k0.failover_log[0]
+    assert len(k0.failover.failover_log) == 1
+    peer, detected, completed, reason = k0.failover.failover_log[0]
     assert peer == 1
     assert detected > kill_at
     assert completed >= detected
@@ -163,8 +163,8 @@ def test_failover_is_deterministic():
         system.stop_heartbeats()
         system.sim.run()
         k0 = system.kernels[0]
-        return (outcome, k0.failover_log, list(k0.ik_retry_log),
-                k0.ik_retries, k0.ik_timeouts, system.sim.now)
+        return (outcome, k0.failover.failover_log, list(k0.ik.retry_log),
+                k0.ik_retries, k0.ik.timeouts, system.sim.now)
 
     assert run_once() == run_once()
 
@@ -203,7 +203,7 @@ def test_remote_watchdog_recovers_spilled_vpe_and_unparks_wait():
     system.sim.run()  # drain the foreign-cap revocation sweep
 
     assert "err-replied" in outcome and "failed" in outcome
-    assert k1.recoveries == 1
+    assert k1.failover.recoveries == 1
     spilled = next(iter(k1.vpes.values()))
     assert spilled.node == child_node
     assert spilled.state == VpeState.DEAD

@@ -230,7 +230,7 @@ def test_seventeenth_concurrent_rpc_to_one_peer_is_not_lost(reliable):
 
     assert answers == [("ok", ("alive", 1))] * (IK_SEND_CREDITS + 1)
     assert k0.ik_requests_sent == IK_SEND_CREDITS + 1
-    assert k1.ik_requests_served == IK_SEND_CREDITS + 1
+    assert k1.ik.requests_served == IK_SEND_CREDITS + 1
     assert k0.ik.idle and k1.ik.idle
     assert k0.dtu.ep(k0.peers[1]).credits == IK_SEND_CREDITS
     assert system.sim.pending_events == 0

@@ -96,7 +96,7 @@ def test_tier_replicates_across_domains_round_robin():
     assert other is None  # replicas are independent shards
     assert servers[0].sessions_opened == 2
     assert servers[1].sessions_opened == 2
-    assert system.kernel.route_counts == {"kv0": 2, "kv1": 2}
+    assert system.kernel.router.route_counts == {"kv0": 2, "kv1": 2}
     # every session was reclaimed, on both sides of the ik path
     assert servers[0].sessions == {} and servers[1].sessions == {}
 
@@ -118,7 +118,7 @@ def test_router_skips_dead_domains():
 
     system.run_app(app)
     # All three sessions landed on the surviving replica.
-    assert system.kernel.route_counts == {"kv0": 3}
+    assert system.kernel.router.route_counts == {"kv0": 3}
 
 
 def test_route_registration_validation():

@@ -101,9 +101,9 @@ def test_remote_session_reads_a_file_across_domains():
     assert system.wait(vpe) == b"hello across domains"
     k0, k1 = system.kernels
     assert k1.ik_requests_sent >= 1  # srv_open to domain 0
-    assert k0.ik_requests_served >= 1
+    assert k0.ik.requests_served >= 1
     assert k0.ik_requests_sent >= 1  # delegate_mem back to domain 1
-    assert k1.ik_requests_served >= 1
+    assert k1.ik.requests_served >= 1
 
 
 def test_unknown_service_fails_across_all_domains():

@@ -2,12 +2,13 @@
 peers: bare DTUs, a scripted "service" answering label-0
 ``open_session`` and a scripted peer kernel behind a real
 :class:`IkTransport` — no ``Kernel``, no booted system (only the last
-two tests, the regressions as they were reported, boot one)."""
+three tests, the regressions as they were reported, boot one)."""
 
 import itertools
 
 import pytest
 
+from repro.dtu.dtu import DtuError
 from repro.dtu.registers import EndpointKind, EndpointRegisters
 from repro.hw import Platform
 from repro.m3.kernel.capability import Capability, CapKind
@@ -27,6 +28,7 @@ from repro.m3.kernel.vpe import VpeObject, VpeState
 from repro.m3.lib.service import start_service
 from repro.m3.services.kvserv import KvClient, KvServ
 from repro.m3.system import M3System
+from tests.m3.invariants import check_kernel_tables
 
 KERNEL, SERVICE, CLIENT, PEER = 0, 1, 2, 3  # nodes; PEER is kernel id 3 too
 SYSCALL_EP, REPLY_EP = 0, 1  # KERNEL_IK_EP is 2
@@ -366,7 +368,7 @@ def test_dead_service_is_unregistered_and_does_not_crash_the_kernel():
     system.sim.run()
 
     system.raise_crashes()  # the kernel loop is alive
-    assert kernel.recoveries == 1 and system.platform.pe(node).failed
+    assert kernel.failover.recoveries == 1 and system.platform.pe(node).failed
     assert "kv" not in kernel.services
     assert not kernel.sessions.parked
     reason, answered_at = second.exit_code
@@ -388,3 +390,42 @@ def test_retired_services_return_their_kernel_endpoint():
         kernel.vpe_exited(server.vpe, 0)
         assert not kernel.services
     assert kernel.dtu.eps[2].kind is EndpointKind.INVALID
+
+
+def test_dead_service_revokes_sessions_held_in_another_domain():
+    """Regression: a client in another domain kept its session and send
+    endpoint after the service's VPE died — its kernel roots them and
+    was never told.  Its next request went to the wiped node, the DTU
+    gave up on it with nobody waiting for that verdict, and the client
+    stayed parked on its reply gate for good.  The owner's kernel now
+    sends that kernel ``srv_gone``, which revokes them: the request
+    fails in the client's own DTU."""
+    system = M3System(pe_count=8, kernel_count=2,
+                      reliable=True).boot(with_fs=False)
+    k0, k1 = system.kernels
+    node = start_service(system, KvServ("kv"), domain=0).vpe.node
+    served = system.sim.event("served")
+
+    def client(env):
+        kv = yield from KvClient.connect(env, "kv")
+        yield from kv.put("k", b"v")
+        served.succeed()
+        yield env.sim.delay(60_000)  # the watchdog recovers the service
+        try:
+            yield from kv.put("k", b"w")
+        except DtuError as exc:
+            return type(exc).__name__
+        return "served"
+
+    vpe = system.spawn(client, name="client", domain=1)
+    system.sim.run(until_event=served)
+    system.platform.pe(node).fail()
+    k0.failover.start_watchdog(period=5_000)
+    system.sim.run(until=system.sim.now + 200_000)
+    k0.failover.stop_watchdog()
+    system.sim.run()
+
+    assert k0.failover.recoveries == 1 and "kv" not in k0.services
+    assert vpe.exit_code == "NoPermission"
+    assert "kv" not in k1.sessions.owners
+    check_kernel_tables(system)

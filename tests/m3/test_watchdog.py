@@ -43,8 +43,8 @@ def test_watchdog_detects_kill_and_fails_the_wait():
     unblocked_at = system.run_app(parent, name="parent")
     system.kernel.failover.stop_watchdog()
     assert unblocked_at > KILL_AT
-    assert system.kernel.recoveries == 1
-    assert system.kernel.probes_sent >= 1
+    assert system.kernel.failover.recoveries == 1
+    assert system.kernel.failover.probes_sent >= 1
 
 
 def test_recovery_quarantines_pe_and_revokes_caps():
@@ -100,7 +100,7 @@ def test_healthy_sibling_is_untouched_by_recovery():
 
     assert system.run_app(parent, name="parent") == "survived"
     system.kernel.failover.stop_watchdog()
-    assert system.kernel.recoveries == 1
+    assert system.kernel.failover.recoveries == 1
     assert not system.platform.pe(3).failed
 
 
@@ -152,8 +152,8 @@ def test_watchdog_leaves_healthy_system_alone():
 
     assert system.run_app(parent, name="parent") == 13
     system.kernel.failover.stop_watchdog()
-    assert system.kernel.recoveries == 0
-    assert system.kernel.probes_sent >= 1  # it did probe, found life
+    assert system.kernel.failover.recoveries == 0
+    assert system.kernel.failover.probes_sent >= 1  # it did probe, found life
 
 
 def test_stop_watchdog_stops_probing():
@@ -173,7 +173,7 @@ def test_stop_watchdog_stops_probing():
 
     system.run_app(parent, name="parent")
     system.kernel.failover.stop_watchdog()
-    after_stop = system.kernel.probes_sent
+    after_stop = system.kernel.failover.probes_sent
     watchdog = system.kernel.failover._watchdog
 
     def idle(env):
@@ -181,7 +181,7 @@ def test_stop_watchdog_stops_probing():
         return ()
 
     system.run_app(idle, name="idle")
-    assert system.kernel.probes_sent == after_stop
+    assert system.kernel.failover.probes_sent == after_stop
     assert not watchdog.alive  # the loop actually exited
 
 

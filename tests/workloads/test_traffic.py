@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.m3.kernel.ikrpc import IK_SEND_CREDITS
+from repro.m3.system import stat_sum
 from repro.obs import causal
 from repro.workloads import traffic
 from repro.workloads.traffic import TrafficProfile, build_schedule, run_profile
@@ -68,7 +69,7 @@ def test_a_shape_the_serving_stack_cannot_take_is_refused_before_boot(
 def test_load_point_completes_and_measures(small_point):
     result = small_point
     assert result.sent == result.completed == SMALL.requests
-    assert result.drops == 0 and result.kv_errors == 0
+    assert result.kv_errors == 0
     assert result.histogram.count == SMALL.requests
     assert all(latency > 0 for latency in result.latencies.values())
     # both gateways served, both replicas were routed to and served
@@ -110,9 +111,10 @@ def test_mid_load_fault_plan_is_survived():
     plan = FaultPlan(SMALL.seed).drop(0.02, window=(100_000, 200_000))
     result = run_profile(SMALL, fault_plan=plan)
     assert result.completed == SMALL.requests, "loss must be retransmitted"
-    assert result.fault_events > 0
-    assert result.noc_packets_lost == result.fault_events
-    assert result.dtu_retransmits > 0
+    stats = result.system.stats()
+    assert len(plan.events) > 0
+    assert stats["noc.packets_lost"] == len(plan.events)
+    assert stat_sum(stats, "dtu", "retransmits") > 0
 
 
 def _fingerprint(result: traffic.TrafficResult) -> tuple:
@@ -124,7 +126,7 @@ def _fingerprint(result: traffic.TrafficResult) -> tuple:
         tuple(result.served_by),
         tuple(sorted(result.route_counts.items())),
         tuple(sorted(result.replica_requests.items())),
-        result.noc_packets_lost, result.dtu_retransmits,
+        tuple(result.system.stats().items()),
     )
 
 
@@ -177,6 +179,6 @@ def test_lossy_elastic_run_quiesces_with_credits_conserved():
     assert result.completed == result.sent == profile.requests
     kernels = result.system.kernels
     assert sum(kernel.ik_retries for kernel in kernels) > 0
-    assert sum(kernel.ik_duplicates for kernel in kernels) > 0
+    assert sum(kernel.ik.duplicates for kernel in kernels) > 0
     assert sum(kernel.migrations_out for kernel in kernels) > 0
     _assert_quiescent(result.system)
