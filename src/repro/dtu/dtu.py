@@ -29,7 +29,7 @@ from repro.dtu.registers import EndpointKind, EndpointRegisters, MemoryPerm
 from repro.dtu.ringbuffer import DUPLICATE, RingBuffer
 from repro.noc.packet import Packet
 from repro.obs.causal import NO_CONTEXT
-from repro.sim.events import Event
+from repro.sim.events import SUCCEEDED, Event
 from repro.sim.ledger import Tag
 from repro.sim.resources import Signal, WaitTimeout
 
@@ -43,8 +43,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SEND = EndpointKind.SEND
 _RECEIVE = EndpointKind.RECEIVE
 
-#: Arg names of the per-message span.
-_MESSAGE_SPAN_ARGS = ("destination", "bytes")
+#: Arg names of the message, memory-transfer and endpoint-config spans.
+_BYTES_SPAN_ARGS = ("destination", "bytes")
+_CONFIG_SPAN_ARGS = ("destination", "operation")
 
 #: Cycles for the DTU to serve a request against the local SPM.
 SPM_ACCESS_CYCLES = 2
@@ -331,14 +332,14 @@ class DTU:
         started = self.sim.now
 
         def record(event, started=started, packet=packet):
-            if not event.ok:
+            if event._state != SUCCEEDED:  # no ``ok`` property call a message
                 return
             obs.observe("dtu.msg_rtt", self.sim.now - started)
-            obs.complete(
-                packet.kind, "dtu", self.node, started, None, span_id,
-                parent.trace_id, parent.span_id,
-                obs.shared_args[_MESSAGE_SPAN_ARGS, (
+            obs.record(
+                obs.kinds[packet.kind, "dtu", _BYTES_SPAN_ARGS, (
                     packet.destination, packet.size_bytes)],
+                self.node, started, self.sim.now, span_id,
+                parent.trace_id, parent.span_id,
             )
 
         done.add_callback(record)
@@ -402,7 +403,8 @@ class DTU:
         ep = self._memory_ep(ep_index, offset, length, MemoryPerm.READ)
         data = yield from self._transaction(
             "mem_read", ep.mem_node, MEM_REQUEST_BYTES,
-            (ep.mem_addr + offset, length), length, bytes=MEM_REQUEST_BYTES,
+            (ep.mem_addr + offset, length), length,
+            _BYTES_SPAN_ARGS, MEM_REQUEST_BYTES,
         )
         if into_addr is not None:
             self.local_memory.write(into_addr, data)
@@ -426,7 +428,7 @@ class DTU:
         size = MEM_REQUEST_BYTES + len(data)
         yield from self._transaction(
             "mem_write", ep.mem_node, size,
-            (ep.mem_addr + offset, data), 0, bytes=size,
+            (ep.mem_addr + offset, data), 0, _BYTES_SPAN_ARGS, size,
         )
         return len(data)
 
@@ -447,10 +449,12 @@ class DTU:
         return ep
 
     def _transaction(self, kind: str, target: int, size_bytes: int,
-                     payload_tail: tuple, expect_bytes: int, **span_args):
+                     payload_tail: tuple, expect_bytes: int,
+                     arg_names: tuple[str, str], arg: object):
         """Generator: issue the request packet ``(transaction,
         *payload_tail)`` and wait for the response that completes it;
-        ``expect_bytes`` is that response's size.
+        ``expect_bytes`` is that response's size.  The round trip's span
+        has ``arg_names`` for args, valued ``(target, arg)``.
 
         Requests are idempotent at the receiver (reads, overwrites,
         register writes), so a reliable DTU simply re-issues one until
@@ -474,13 +478,14 @@ class DTU:
         # Whole round trip (inject + request + service + response) is
         # transfer time from the core's point of view.
         self.sim.ledger.charge(Tag.XFER, self.sim.now - started)
-        if self.sim.obs is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # The round trip as one DTU span; the request and response
             # packets' NoC spans hang off it via the stamp.
-            self.sim.obs.complete(
-                kind, "dtu", self.node, started, None, txn_span,
+            obs.record(
+                obs.kinds[kind, "dtu", arg_names, (target, arg)],
+                self.node, started, self.sim.now, txn_span,
                 ctx.trace_id, ctx.span_id,
-                {"destination": target, **span_args},
             )
         return response
 
@@ -499,7 +504,8 @@ class DTU:
         """
         result = yield from self._transaction(
             "ep_config", target_node, 64,
-            (self.privileged, operation, args), 0, operation=operation,
+            (self.privileged, operation, args), 0,
+            _CONFIG_SPAN_ARGS, operation,
         )
         if result == "denied":
             raise NoPermission(

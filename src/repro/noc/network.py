@@ -27,8 +27,9 @@ PACKET_HEADER_BYTES = 16
 #: nobody will read again (see :meth:`Network.send`).
 FORGET_INTERVAL = 1024
 
-#: Arg names of the per-packet span.
+#: Arg names of the per-packet span and of its queueing span.
 _PACKET_SPAN_ARGS = ("destination", "bytes", "verdict")
+_QUEUE_SPAN_ARGS = ("destination", "cycles")
 
 DeliveryHandler = typing.Callable[[Packet], None]
 
@@ -212,11 +213,11 @@ class Network:
             obs.monitor("noc.payload_bytes", lambda: self.bytes_injected)
         if now >= obs.fold_at:
             obs.sample_links(self)
-        span = obs.complete(
-            packet.kind, "noc", packet.source, now, completion, -1,
-            packet.trace_id, packet.trace_parent,
-            obs.shared_args[_PACKET_SPAN_ARGS, (
+        span = obs.record(
+            obs.kinds[packet.kind, "noc", _PACKET_SPAN_ARGS, (
                 packet.destination, packet.size_bytes, verdict)],
+            packet.source, now, completion, -1,
+            packet.trace_id, packet.trace_parent,
         )
         # What an idle path would have taken: hop latency plus the
         # serialisation of header and payload.
@@ -224,10 +225,11 @@ class Network:
         serialization = max(-(-wire_bytes // self.bytes_per_cycle), 1)
         queued = completion - (now + hops * self.hop_cycles + serialization)
         if queued > 0:
-            obs.complete(
-                "queueing", "noc-queue", packet.source,
-                completion - queued, completion, -1, packet.trace_id, span,
-                {"destination": packet.destination, "cycles": queued},
+            obs.record(
+                obs.kinds["queueing", "noc-queue", _QUEUE_SPAN_ARGS,
+                          (packet.destination, queued)],
+                packet.source, completion - queued, completion, -1,
+                packet.trace_id, span,
             )
 
     def transfer(self, packet: Packet, tag: str | None = None):

@@ -6,20 +6,17 @@ attribute and pays one ``is None`` branch when observability is off.
 Recording keeps the least it can — a row, a total, a buffered sample;
 the rest is derived when an epoch closes or somebody reads.  Collected:
 
-- **spans** — typed intervals, opened with :meth:`Observer.begin` and
-  closed with :meth:`Observer.end`, or recorded retroactively with
-  :meth:`Observer.complete` (the completion cycle is often known at
-  injection time); each carries the causal identity that
-  :mod:`repro.obs.causal` links into per-request trees.
-- **instants** — point events (a retransmit, a watchdog probe).
-- **counters / gauges / histograms** — cheap named metrics; histograms
-  use the deterministic log2 buckets of :mod:`repro.obs.metrics`.
+- **spans** — typed intervals (:meth:`Observer.begin` / ``end``, or
+  :meth:`Observer.complete` once the end is known), each with the causal
+  identity :mod:`repro.obs.causal` links into per-request trees;
+- **instants** — point events (a retransmit, a watchdog probe);
+- **counters / gauges / histograms** — named metrics, histograms in the
+  deterministic log2 buckets of :mod:`repro.obs.metrics`;
 - **link occupancy epochs** — per-link busy fraction per fixed epoch,
-  sampled lazily from packet injections (never a timer), from the
-  cycle the Observer is created on.
+  sampled from packet injections (never a timer).
 
-Span/instant storage is optionally bounded (ring semantics with a
-dropped-record counter) so long fault sweeps cannot grow without bound.
+Span/instant storage is optionally bounded (a ring with a dropped-record
+counter) so long fault sweeps cannot grow without bound.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ class Span(typing.NamedTuple):
     node: int
     begin: int
     end: int
-    #: read-only: spans with equal args may share one mapping (see
-    #: :attr:`Observer.shared_args`); copy before changing anything.
+    #: read-only, shared by spans with equal args (:class:`Kinds`).
     args: dict | None
     #: causal identity; -1 = outside any trace (see repro.obs.causal).
     span_id: int = -1
@@ -63,41 +59,53 @@ class Instant(typing.NamedTuple):
     args: dict | None
 
 
-class SharedArgs(dict):
-    """``shared[names, values]`` is ``dict(zip(names, values))``, built
-    once per key: per-packet and per-message spans draw their args
-    from a few hundred value tuples a run."""
+class Kinds(dict):
+    """``kinds[name, category, names, values]`` is the index in ``log``
+    of the kind ``(name, category, dict(zip(names, values)) or None)``,
+    appended once per key; kinds with equal args share the mapping."""
 
-    def __missing__(self, key: tuple[tuple, tuple]) -> dict:
-        args = self[key] = dict(zip(*key))
-        return args
+    def __init__(self, log: list):
+        super().__init__()
+        self.log, self._args = log, {}
+
+    def __missing__(self, key: tuple) -> int:
+        name, category, names, values = key
+        args = self._args.get((names, values))
+        if args is None:
+            args = self._args[names, values] = dict(zip(names, values)) or None
+        kind = self[key] = len(self.log)
+        self.log.append((name, category, args))
+        return kind
 
 
 class SpanLog(collections.abc.Sequence):
-    """The recorded spans by column; reads as a sequence of :class:`Span`.
+    """The recorded spans; reads as a sequence of :class:`Span`.
 
-    Three reference columns plus ``(node, begin, end, span_id, parent_id,
-    trace_id)`` per span in ``ints``: recording makes no object the cycle
-    collector tracks, and tuples are built on index and iteration.
-    :meth:`Observer.complete`, the only writer, overwrites the oldest of
-    ``span_capacity`` spans and counts it ``dropped``.
-    """
+    ``kinds`` holds each distinct ``(name, category, args)`` once and
+    ``columns`` one typed array per field of ``(kind, node, begin, end,
+    span_id, parent_id, trace_id)``: 36 bytes a span, no object the
+    cycle collector tracks, ``OverflowError`` for a value out of range.
+    :meth:`Observer.record`, the only writer, overwrites the oldest of
+    ``span_capacity`` spans and counts it ``dropped``."""
 
     def __init__(self):
-        self.names, self.categories, self.args = [], [], []
-        self.ints = array.array("q")
+        self.kinds: list[tuple[str, str, dict | None]] = []
+        self.columns = tuple(array.array(code) for code in "iiqqiii")
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.columns[0])
 
-    def __getitem__(self, index: int) -> Span:
-        size = len(self.names)
+    def __getitem__(self, index):
+        size = len(self.columns[0])
+        if isinstance(index, slice):
+            return list(map(self.__getitem__, range(size)[index]))
         # Record r sits in slot r % capacity; the oldest held is ``dropped``.
         slot = (self.dropped + range(size)[index]) % size
-        ints = self.ints[6 * slot:6 * slot + 6]
-        return Span(self.names[slot], self.categories[slot], *ints[:3],
-                    self.args[slot], *ints[3:])
+        kind, node, begin, end, span_id, parent_id, trace_id = self.columns
+        name, category, args = self.kinds[kind[slot]]
+        return Span(name, category, node[slot], begin[slot], end[slot], args,
+                    span_id[slot], parent_id[slot], trace_id[slot])
 
 
 class Observer:
@@ -111,15 +119,13 @@ class Observer:
             raise ValueError("epoch must be positive")
         self.sim = sim
         self.span_capacity = span_capacity
-        #: every span held, oldest first (read-only), and the interned
-        #: args of the per-packet and per-message ones.
+        #: every span held, oldest first (read-only); the kinds table.
         self.spans = SpanLog()
-        self.shared_args = SharedArgs()
+        self.kinds = Kinds(self.spans.kinds)
         self._instants: collections.deque = collections.deque(maxlen=span_capacity)
         self.instants_dropped = 0
         #: counter totals; a [name, read, value last added] per sampled
-        #: source (:meth:`monitor`); per histogram, the samples not yet
-        #: folded in.
+        #: source (:meth:`monitor`); per histogram, samples not folded in.
         self._counters: dict[str, int] = {}
         self._monitors: list[list] = []
         self.gauges: dict[str, float] = {}
@@ -128,14 +134,13 @@ class Observer:
         #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
         self.link_series: dict[tuple, list[tuple[int, float]]] = {}
         self.epoch = epoch
-        #: the open link-occupancy epoch starts here: at first the cycle
-        #: of creation, then epoch by epoch.  Occupancy before it has
-        #: been read for the last time (``Link.forget_before``).
+        #: the open link-occupancy epoch starts here (at first the cycle of
+        #: creation); occupancy before it is read no more (``forget_before``).
         self.links_sampled_to = sim.now
         self._next_epoch = (sim.now // epoch + 1) * epoch
-        #: the network calls :meth:`sample_links` before it counts a
-        #: packet at or after this cycle: the end of the first open
-        #: epoch, link or telemetry.
+        #: the network calls :meth:`sample_links` before it counts a packet
+        #: at or after this cycle: the end of the first open epoch, link or
+        #: telemetry.
         self.fold_at = self._next_epoch
         self._open: dict[int, tuple] = {}
         self._span_ids = itertools.count(1)
@@ -143,12 +148,9 @@ class Observer:
         self.causal = CausalTracker()
         #: node -> human label ("kernel0", "app:find-3", ...) for exports.
         self.node_labels: dict[int, str] = {}
-        #: optional telemetry hub (repro.obs.timeseries) and flight
-        #: recorder (repro.obs.flight); None costs a site one branch.
-        self.telemetry = None
-        self.flight = None
-        #: attached SLO monitors (see repro.obs.slo); consulted by the
-        #: kernel to annotate failover verdicts.
+        #: optional telemetry hub and flight recorder (None costs a site
+        #: one branch); SLO monitors the kernel cites in failover verdicts.
+        self.telemetry = self.flight = None
         self.slo_monitors: list = []
 
     # -- installation ----------------------------------------------------
@@ -158,13 +160,12 @@ class Observer:
         """Create an Observer and hook it onto ``sim.obs``."""
         if sim.obs is not None:
             raise RuntimeError("simulator already has an observer installed")
-        observer = cls(sim, **kwargs)
-        sim.obs = observer
+        sim.obs = observer = cls(sim, **kwargs)
         return observer
 
     def enable_telemetry(self, **kwargs):
-        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub: what
-        this Observer records from here on also fans into epoch series."""
+        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub: what is
+        recorded from here on also fans into epoch series."""
         from repro.obs.timeseries import Telemetry
 
         if self.telemetry is not None:
@@ -194,19 +195,15 @@ class Observer:
         return list(self._instants)
 
     def reserve_span_id(self) -> int:
-        """Allocate the id of a span :meth:`complete` will record later
-        (a DTU message stamps it into the header while still in flight)."""
+        """The id of a span to record later (a DTU message's, in flight)."""
         return next(self._span_ids)
 
     def begin(self, name: str, category: str, node: int = -1,
               parent: TraceContext | None = None, **args) -> int:
-        """Open a span at the current cycle; returns its id.
-
-        The span joins the causal graph under ``parent`` (a context
-        adopted from a message header), else under the node's active
-        context, else as the root of a new trace; until :meth:`end` it
-        is the node's active context.
-        """
+        """Open a span at the current cycle; returns its id.  It joins the
+        causal graph under ``parent`` (a context adopted from a message
+        header), else under the node's active context, else as the root
+        of a new trace; until :meth:`end` it is the node's active context."""
         span_id = next(self._span_ids)
         trace_id, parent_id = self.causal.open(node, span_id, parent)
         self._open[span_id] = (name, category, node, self.sim.now,
@@ -219,10 +216,8 @@ class Observer:
             (name, category, node, begin, begin_args,
              trace_id, parent_id) = self._open.pop(span_id)
         except KeyError:
-            raise ValueError(
-                f"span id {span_id} is not open (unknown id, or the span "
-                f"was already ended)"
-            ) from None
+            raise ValueError(f"span id {span_id} is not open (unknown id, "
+                             f"or the span was already ended)") from None
         self.causal.close(node, span_id)
         merged = {**(begin_args or {}), **args} if args else begin_args
         return self.complete(name, category, node, begin, None, span_id,
@@ -232,38 +227,50 @@ class Observer:
                  end: int | None = None, span_id: int = -1,
                  trace_id: int | None = None, parent_id: int = -1,
                  args: dict | None = None) -> int:
-        """Record a span whose begin (and optionally end) is already
-        known; returns its id (the tuple is ``spans[-1]``).
-
-        Unlike :meth:`begin`, this never starts a new trace: the span
-        joins the causal graph only under a valid ``(trace_id,
-        parent_id)`` — a packet's or header's stamp or, by default, the
-        node's active context — and else stays unlinked, as background
-        spans should.  Pass the ``span_id`` reserved for it when other
-        spans were parented on it already.  ``args`` is kept, not copied.
-        """
+        """Record a span whose begin (and optionally end) is known;
+        returns its id (the tuple is ``spans[-1]``).  It never starts a
+        trace: it joins one only under a valid ``(trace_id, parent_id)``
+        — a packet's or header's stamp or, by default, the node's active
+        context — and else stays unlinked, as background spans should.
+        Pass the ``span_id`` reserved for it if spans were parented on it
+        already.  ``args`` is interned by content (:attr:`kinds`); one
+        with an unhashable value is kept as it is, a kind of its own."""
         if trace_id is None:
             trace_id, parent_id = self.causal.current(node)
+        try:
+            kind = self.kinds[name, category, tuple(args or ()),
+                              tuple(args.values()) if args else ()]
+        except TypeError:
+            kind = len(self.spans.kinds)
+            self.spans.kinds.append((name, category, args))
+        end = self.sim.now if end is None else end
+        return self.record(kind, node, begin, end, span_id, trace_id, parent_id)
+
+    def record(self, kind: int, node: int, begin: int, end: int,
+               span_id: int, trace_id: int, parent_id: int) -> int:
+        """:meth:`complete` for a resolved ``kind`` (:attr:`kinds`) and
+        causal stamp, building no object; the hot sites call it directly."""
         if trace_id < 0:
             trace_id = parent_id = -1
         elif span_id < 0:
             span_id = next(self._span_ids)
-        ints = (node, begin, self.sim.now if end is None else end,
-                span_id, parent_id, trace_id)
-        log = self.spans
-        if len(log.names) != self.span_capacity:
-            log.names.append(name)
-            log.categories.append(category)
-            log.args.append(args or None)
-            log.ints.extend(ints)
-        else:  # full: overwrite the oldest
-            slot = log.dropped % self.span_capacity
-            log.dropped += 1
-            log.names[slot], log.categories[slot] = name, category
-            log.args[slot] = args or None
-            log.ints[6 * slot:6 * slot + 6] = array.array("q", ints)
+        kinds, nodes, begins, ends, ids, parents, traces = self.spans.columns
+        full = len(kinds) == self.span_capacity
+        # span_id first: it is the largest id, so if it fits the row does.
+        ids.append(span_id)
+        parents.append(parent_id)
+        traces.append(trace_id)
+        kinds.append(kind)
+        nodes.append(node)
+        begins.append(begin)
+        ends.append(end)
+        if full:  # the new row takes the oldest one's slot
+            slot = self.spans.dropped % self.span_capacity
+            for column in self.spans.columns:
+                column[slot] = column.pop()
+            self.spans.dropped += 1
         if self.flight is not None:
-            self.flight.record_span(log[-1])
+            self.flight.record_span(self.spans[-1])
         return span_id
 
     def instant(self, name: str, category: str, node: int = -1, **args) -> None:
@@ -290,10 +297,9 @@ class Observer:
 
     def monitor(self, name: str, read: typing.Callable[[], int]) -> None:
         """Add a total some component keeps anyway to counter ``name``,
-        from its present value on.  It is sampled, not pushed — by
-        :attr:`counters` when asked, by telemetry when an epoch closes —
-        so the component must have the ended epochs closed *before* it
-        moves the total (:attr:`fold_at`)."""
+        from its present value on.  It is sampled, not pushed — when
+        :attr:`counters` is read or an epoch closes — so the component
+        closes the ended epochs *before* it moves it (:attr:`fold_at`)."""
         self._monitors.append([name, read, read()])
 
     @property
@@ -323,9 +329,8 @@ class Observer:
 
     def _settle(self) -> None:
         """Derive what recording put off, before an epoch is taken or
-        somebody reads: buffered samples go into their histograms,
-        monitored movement into the totals, and both into the open
-        telemetry epoch — theirs, as each recorder closes the ended first."""
+        somebody reads: buffered samples into their histograms, monitored
+        movement into the totals, both into the open telemetry epoch."""
         telemetry = self.telemetry
         for name, samples in self._samples.items():
             if samples:
@@ -355,14 +360,11 @@ class Observer:
     # -- link occupancy epochs ----------------------------------------------
 
     def sample_links(self, network: "Network", force: bool = False) -> None:
-        """Fold completed epochs into the per-link occupancy series.
-
-        Called from :meth:`Network.send` for the first packet at or
-        after :attr:`fold_at`: sampling advances with traffic and never
-        schedules anything (a timer would keep the event queue alive).
-        With ``force``, the trailing partial epoch is flushed too; its
-        point is replaced when the epoch is flushed again or closes.
-        """
+        """Fold completed epochs into the per-link occupancy series;
+        called by :meth:`Network.send` for the first packet at or after
+        :attr:`fold_at`, so sampling never schedules anything (a timer
+        would keep the event queue alive).  ``force`` flushes the partial
+        epoch too; its point is replaced when it is flushed again or closes."""
         now = self.sim.now
         while self._next_epoch <= now:
             self._record_epoch(network, self.links_sampled_to,
@@ -381,14 +383,12 @@ class Observer:
         self.node_labels[node] = label
 
     def _record_epoch(self, network: "Network", start: int, end: int) -> None:
-        span = end - start
         busy_links, busiest = 0, 0.0
         for key, link in network.iter_links():
-            if not link.packets:
-                continue
-            busy = link.busy_within(end) - link.busy_within(start)
+            busy = link.packets and (link.busy_within(end)
+                                     - link.busy_within(start))
             if busy:
-                fraction = busy / span
+                fraction = busy / (end - start)
                 series = self.link_series.setdefault(key, [])
                 if series and series[-1][0] > start:
                     series.pop()  # this epoch's flushed partial point

@@ -11,8 +11,9 @@ service request moves them by hundreds or thousands.
 Host memory gets the same treatment (``docs/performance.md``,
 "Memory"): not resident pages, which depend on the allocator, but the
 number of link-occupancy windows the NoC still holds when a point ends,
-and the ``tracemalloc`` peak of the m3fs point — bytes requested, which
-repeat exactly across processes.
+the ``tracemalloc`` peak of the m3fs point and the bytes the observed
+serving point's span log holds — bytes requested, which repeat exactly
+across processes.
 """
 
 import cProfile
@@ -62,13 +63,13 @@ def _m3fs_point() -> None:
 #: builtins and the standard library are not counted.  A point's first
 #: number is measured on the parent of the change that adds it (m3fs:
 #: 24,494; serving-observed: 374,650, i.e. observing cost 180,406 calls
-#: on top of the serving point's 194,244 and costs 45,477 now), so
+#: on top of the serving point's 194,244 and costs 43,866 now), so
 #: changes only meet or lower it; raising one is a decision to write
 #: down in CHANGES.md, not a number to bump until the test passes.
 PYTHON_CALL_BUDGETS = [
     pytest.param(_serving_point, 188_955, id="serving"),
     pytest.param(_m3fs_point, 22_930, id="m3fs"),
-    pytest.param(_observed_serving_point, 234_432, id="serving-observed"),
+    pytest.param(_observed_serving_point, 232_821, id="serving-observed"),
 ]
 
 #: Occupancy windows all 288 links together still hold after the
@@ -85,6 +86,14 @@ RETAINED_WINDOW_BUDGET = 3_160
 #: repeats byte-exactly across fresh processes and moves ±0.2 % within
 #: one, so the budget leaves under 1 % and only goes down.
 M3FS_PEAK_BYTES_BUDGET = 589_000
+
+#: ``tracemalloc`` bytes the observed serving point's span log holds when
+#: the point ends — its rows and its kinds, with the table that interns
+#: them — per span held (9,249).  Measured 81.2 (751,042 B, 832 kinds;
+#: a row is 36 B); 111.1 (1,027,210 B) while a span was three references
+#: plus six ``int64``s and its args a mapping of its own or drawn from
+#: ``shared_args``.  Repeats exactly and only goes down.
+OBSERVED_SPAN_BYTES_BUDGET = 81.3
 
 
 def _calls_into_repro(point) -> int:
@@ -145,4 +154,27 @@ def test_m3fs_point_stays_within_its_heap_budget():
         f"the m3fs point peaked at {peak:,} traced bytes, over the budget "
         f"of {M3FS_PEAK_BYTES_BUDGET:,}: a payload is being copied or "
         "kept where it used to be shared"
+    )
+
+
+def test_observed_serving_point_span_log_stays_within_its_heap_budget():
+    _observed_serving_point()  # warm, as for the call budgets
+    gc.collect()
+    tracemalloc.start()
+    try:
+        obs = _observed_serving_point().system.sim.obs
+        spans = len(obs.spans)
+        gc.collect()
+        before, _peak = tracemalloc.get_traced_memory()
+        obs.spans = obs.kinds = None  # what the span log alone holds
+        gc.collect()
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spans == 9_249
+    assert held / spans <= OBSERVED_SPAN_BYTES_BUDGET, (
+        f"the span log holds {held:,} traced bytes for {spans:,} spans, "
+        f"{held / spans:.1f} a span, over the budget of "
+        f"{OBSERVED_SPAN_BYTES_BUDGET}: a span keeps an object again, or "
+        "its kind is no longer interned"
     )

@@ -100,13 +100,20 @@ def test_spans_with_equal_args_share_one_read_only_mapping():
     assert list(first.args) == ["destination", "bytes", "verdict"]
     assert second.args is first.args
     assert third.args is not first.args and third.args["bytes"] == 8
-    # Same values under other names are another mapping.
-    renamed = (("node", "size", "fate"), (1, 64, "deliver"))
-    obs.complete("pkt", "test", 0, 0, 1, args=obs.shared_args[renamed])
+    # ``complete`` interns by content: an equal dict is the same mapping,
+    # under another span name too; same values under other names are not.
+    obs.complete("pkt", "test", 0, 0, 1, args=dict(first.args))
+    assert obs.spans[-1].args is first.args
+    renamed = {"node": 1, "size": 64, "fate": "deliver"}
+    obs.complete("pkt", "test", 0, 0, 1, args=renamed)
     other = obs.spans[-1].args
-    assert other == {"node": 1, "size": 64, "fate": "deliver"}
-    obs.complete("pkt", "test", 0, 1, 2, args=obs.shared_args[renamed])
+    assert other == renamed and other is not first.args
+    obs.complete("pkt", "test", 0, 1, 2, args=dict(renamed))
     assert obs.spans[-1].args is other
+    # An unhashable value: kept as it is, a kind of its own.
+    listed = {"path": [0, 1]}
+    obs.complete("pkt", "test", 0, 2, 3, args=listed)
+    assert obs.spans[-1].args is listed
     # ``end`` merges into a copy, never into the mapping a begin stored.
     span_id = obs.begin("op", "test", 0, **first.args)
     assert obs.end(span_id, status="ok") == span_id
