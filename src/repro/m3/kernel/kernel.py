@@ -124,9 +124,11 @@ class Kernel:
         #: what else the hosting Python process simulated before.
         self._vpe_ids = itertools.count(1)
         self._booted = False
-        #: callback used by the M3 system layer to start software on a
-        #: PE (models the kernel writing the boot registers via the DTU).
+        #: callbacks used by the M3 system layer to start software on a
+        #: PE (models the kernel writing the boot registers via the DTU)
+        #: and to look up the program an exec names.
         self.start_software = None
+        self.load_program = None
         #: PE time-multiplexing (Sections 3.3/7); off by default, like
         #: the paper's prototype.
         self.multiplexing = False
@@ -385,16 +387,19 @@ class Kernel:
 
     def start_vpe(self, vpe: VpeObject, entry, args: tuple) -> None:
         """Start software on the VPE's PE (the M3 system layer provides
-        the actual loader hook)."""
+        the actual loader hooks).  An exec's program is looked up first,
+        so a refused one leaves a queued VPE as it was."""
         if vpe.state == VpeState.DEAD:
             raise SyscallError(f"VPE {vpe.name!r} is dead")
         if self.start_software is None:
             raise RuntimeError("kernel has no software loader attached")
+        if isinstance(entry, tuple):  # ("program", name), from VPE.exec
+            entry = self.load_program(entry[1])  # may refuse the name
         if not vpe.resident:
             # A queued multiplexed VPE runs when it gets the PE.
             self.ctxsw.start_queued(vpe, entry, args)
             return
-        self.start_software(vpe, entry, args)  # may refuse the entry
+        self.start_software(vpe, entry, args)
         vpe.state = VpeState.RUNNING
 
     def vpe_exited(self, vpe: VpeObject, exit_code: object) -> None:

@@ -100,6 +100,7 @@ class M3System:
             self.kernel = self.kernels[0]
         for kernel in self.kernels:
             kernel.start_software = self._start_software
+            kernel.load_program = self._load_program
             kernel.multiplexing = multiplexing
         #: program name -> entry generator function, for ``VPE.exec``.
         self.programs: dict[str, typing.Callable] = {}
@@ -276,17 +277,17 @@ class M3System:
                 if domain != kernel.kernel_id:
                     kernel.sessions.seed_owner(replica, domain)
 
-    # -- software loading (the kernel's loader hook) -----------------------------
+    # -- software loading (the kernel's loader hooks) ----------------------------
+
+    def _load_program(self, name: str):
+        try:
+            return self.programs[name]
+        except KeyError:
+            # the requester named it: its syscall fails, the kernel
+            # carries on
+            raise SyscallError(f"no program {name!r} registered") from None
 
     def _start_software(self, vpe: VpeObject, entry, args: tuple) -> None:
-        if isinstance(entry, tuple) and entry and entry[0] == "program":
-            name = entry[1]
-            try:
-                entry = self.programs[name]
-            except KeyError:
-                # the requester named it: its syscall fails, the kernel
-                # carries on
-                raise SyscallError(f"no program {name!r} registered") from None
         env = Env(self, vpe.id, vpe.pe)
         # Register the env with the *owning* kernel (spilled VPEs run in
         # a peer domain whose kernel drives their context switches).

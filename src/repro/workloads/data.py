@@ -3,7 +3,17 @@
 from __future__ import annotations
 
 import functools
-import hashlib
+
+# CPython's builtin SHA-256 first: ``hashlib`` loads OpenSSL's libcrypto
+# into every process that imports the simulator, for this one hash
+# (docs/performance.md, "What every process maps").
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 / 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the builtins
 
 from repro import params
 
@@ -24,7 +34,6 @@ def deterministic_bytes(tag: str, length: int) -> bytes:
     if length <= 0:
         return b""
     out = bytearray()
-    sha256 = hashlib.sha256
     prefix = f"{tag}:".encode()
     counter = 0
     while len(out) < length:

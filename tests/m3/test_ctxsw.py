@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.m3.kernel import syscalls
 from repro.m3.kernel.kernel import SyscallError
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
@@ -175,6 +176,40 @@ def test_exec_into_multiplexed_vpe():
         yield from f.write(b"binary" * 100)
         yield from f.close()
         vpe = yield from VPE.create(env, "exec-child")
+        yield from vpe.exec("/prog", 7)
+        return (yield from vpe.wait_yield())
+
+    assert system.run_app(parent) == ("program", 7)
+
+
+def test_exec_unregistered_program_into_multiplexed_vpe_fails():
+    """The loader refuses the entry before the VPE is queued: the exec
+    fails as it does on a resident VPE, and the queue is left as it
+    was, so the time-shared PE still runs the next exec."""
+    system = M3System(pe_count=3, multiplexing=True).boot(with_fs=True)
+
+    def program(env, x):
+        yield env.compute(10)
+        return ("program", x)
+
+    system.register_program("prog", program)
+
+    from repro.m3.lib.file import OpenFlags
+
+    def parent(env):
+        for path in ("/mystery", "/prog"):
+            f = yield from env.vfs.open(path, OpenFlags.W | OpenFlags.CREATE)
+            yield from f.write(b"binary" * 100)
+            yield from f.close()
+        vpe = yield from VPE.create(env, "m")
+        child = system.kernel.vpes[vpe.vpe_id]
+        assert child.node == env.pe.node and not child.resident
+        with pytest.raises(SyscallError, match="no program 'mystery' registered"):
+            yield from vpe.exec("/mystery")
+        assert child.pending_entry is None
+        assert child in system.kernel.ctxsw.queues[child.node]
+        # the kernel still answers
+        assert (yield from env.syscall(syscalls.NOOP)) == ()
         yield from vpe.exec("/prog", 7)
         return (yield from vpe.wait_yield())
 
