@@ -53,8 +53,19 @@ SPM_ACCESS_CYCLES = 2
 #: Wire size of a memory read request / write ack descriptor.
 MEM_REQUEST_BYTES = 16
 
-#: The observer counter each retransmission bumps (a telemetry series).
+#: The observer counter retransmissions are sampled into (a telemetry series).
 RETRANSMITS_SERIES = "dtu.retransmits"
+
+#: Observer counter -> the DTU total it samples, summed over the DTUs
+#: registered (``Observer.monitor``).  Each total moves only after a
+#: ``network.send`` or an observer instant in the same cycle
+#: (docs/observability.md, "Sampled counters").
+OBSERVED_TOTALS = {
+    "dtu.acks_sent": "acks_sent",
+    RETRANSMITS_SERIES: "retransmits",
+    "dtu.redirected": "redirected",
+    "dtu.crc_drops": "crc_drops",
+}
 
 
 class DtuError(Exception):
@@ -595,13 +606,12 @@ class DTU:
             # The link-level CRC catches in-flight bit errors; the
             # packet is discarded here, which a reliable sender observes
             # as a missing ack and retransmits.
+            if self.sim.obs is not None:
+                self.sim.obs.instant("crc_drop", "dtu", self.node,
+                                     kind=kind, source=packet.source)
             self.crc_drops += 1
             if kind in ("message", "reply"):
                 self.messages_dropped += 1
-            if self.sim.obs is not None:
-                self.sim.obs.count("dtu.crc_drops")
-                self.sim.obs.instant("crc_drop", "dtu", self.node,
-                                     kind=kind, source=packet.source)
             return
         if kind == "message" or kind == "reply":
             if self.redirect_to is not None:
@@ -610,14 +620,12 @@ class DTU:
                 # new DTU's hardware ack reaches the original sender.
                 # Acks and memory/config responses are NOT forwarded —
                 # they settle transfers this DTU itself still owns.
-                self.redirected += 1
-                if self.sim.obs is not None:
-                    self.sim.obs.count("dtu.redirected")
                 self.network.send(
                     Packet(packet.source, self.redirect_to, kind,
                            packet.size_bytes, packet.payload,
                            packet.trace_id, packet.trace_parent)
                 )
+                self.redirected += 1
                 return
             ep_index, message, credit_ep = packet.payload
             self._deliver_message(ep_index, message, credit_ep, packet.source)
@@ -678,12 +686,10 @@ class DTU:
     def _send_ack(self, destination: int, seq: int) -> None:
         """Hardware-generated delivery acknowledgement (no core
         involvement, no ledger charge)."""
-        self.acks_sent += 1
-        if self.sim.obs is not None:
-            self.sim.obs.count("dtu.acks_sent")
         self.network.send(
             Packet(self.node, destination, "msg_ack", 8, (seq, None))
         )
+        self.acks_sent += 1
 
     def _respond_memory(self, request: Packet, transaction: int,
                         data: bytes) -> None:
@@ -787,14 +793,13 @@ class DTU:
                     )
                 )
             return
-        self.retransmits += 1
         if self.sim.obs is not None:
-            self.sim.obs.count(RETRANSMITS_SERIES)
             self.sim.obs.instant(
                 "retransmit", "dtu", self.node, kind=packet.kind,
                 destination=packet.destination, attempt=attempt + 1,
             )
         completion = self.network.send(packet)
+        self.retransmits += 1
         self._arm_retx(transfer, completion,
                        int(grace * params.DTU_RETX_BACKOFF), attempt + 1)
 

@@ -261,6 +261,9 @@ class AutoScaler:
             self.sim.obs.instant("scale_up", "autoscale", vpe.node,
                                  replica=clone.service_name,
                                  domain=target_domain)
+            # A clone is not started through start_service: its totals
+            # are sampled from here, before the route brings it work.
+            self.sim.obs.monitor(clone.observed_totals(), clone)
         return True
 
     # -- scale down ----------------------------------------------------

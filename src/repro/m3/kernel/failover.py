@@ -109,10 +109,9 @@ class Failover:
         (partitioned NoC, wedged DTU) is detected too, not only a
         cleanly-reported halted core.
         """
-        self.probes_sent += 1
         if self.sim.obs is not None:
-            self.sim.obs.count("kernel.probes_sent")
             self.sim.obs.instant("probe", "watchdog", vpe.node, vpe=vpe.id)
+        self.probes_sent += 1
         probe = self.sim.process(
             self.kernel.dtu.configure_remote(vpe.node, "probe"),
             f"kernel.probe.vpe{vpe.id}",
@@ -230,9 +229,7 @@ class Failover:
         misses = self._heartbeat_misses.get(target, 0) + 1
         self._heartbeat_misses[target] = misses
         if self.sim.obs is not None:
-            self.sim.obs.count(
-                f"kernel{self.kernel.kernel_id}.heartbeat_misses"
-            )
+            self.sim.obs.count(f"kernel{self.kernel.kernel_id}.heartbeat_misses")
         if misses >= miss_limit:
             self.declare_peer_dead(
                 target, f"{misses} consecutive heartbeat timeouts"

@@ -233,12 +233,13 @@ class IkTransport:
         )
         call.attempts += 1
         if call.attempts > 1:
+            # After the send: the DTU has closed the telemetry epochs
+            # that ended, so the sampled total lands in the right one.
             self.retries += 1
             self.retry_log.append(
                 (self.sim.now, call.negotiation, call.attempts)
             )
             if self.sim.obs is not None:
-                self.sim.obs.count(f"kernel{self.kernel_id}.ik_retries")
                 self.sim.obs.instant(
                     "ik_retry", "ik", self.pe.node, peer=call.peer,
                     operation=call.operation, attempt=call.attempts,

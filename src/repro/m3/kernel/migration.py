@@ -144,7 +144,6 @@ class Migration:
             target_pe.reserved = False
         vpe.pe = target_pe
         vpe.migrations += 1
-        self.migrations += 1
         if kernel.ctxsw.resident.get(old_node) is vpe:
             kernel.ctxsw.resident[old_node] = None
             kernel.ctxsw.adopt_node(target_pe)
@@ -159,9 +158,9 @@ class Migration:
         old_dtu.hand_off(target_pe.dtu)
         old_dtu.redirect_to = target_pe.node
         if self.sim.obs is not None:
-            self.sim.obs.count("kernel.migrations")
             self.sim.obs.instant("migrate", "migrate", old_node,
                                  vpe=vpe.id, target=target_pe.node)
+        self.migrations += 1
 
         def close_window():
             yield self.sim.delay(params.DTU_REDIRECT_WINDOW_CYCLES)
@@ -259,7 +258,6 @@ class Migration:
         if kernel.ctxsw.resident.get(child.node) is child:
             kernel.ctxsw.resident[child.node] = None
         self.migrated_out[old_id] = (peer, new_id)
-        self.migrations_out += 1
         proxy = RemoteVpeObject(remote_id=new_id, kernel_id=peer,
                                 name=child.name, node=new_node)
         proxy.state = VpeState.RUNNING
@@ -286,9 +284,9 @@ class Migration:
             )
         child.remote_waiters = []
         if self.sim.obs is not None:
-            self.sim.obs.count("kernel.migrations_out")
             self.sim.obs.instant("migrate_out", "migrate", child.node,
                                  vpe=old_id, peer=peer, target=new_node)
+        self.migrations_out += 1
         return ("ok", (new_id, new_node))
 
     def migrate_vpe_cross(self, child: VpeObject, peer: int):
@@ -383,10 +381,9 @@ class Migration:
         # index (client-side bindings stay valid), new target node, and
         # the id minted here — unforgeable, exactly like at boot.
         yield from kernel.wire_syscall_ep(vpe)
-        self.migrations_in += 1
         if self.sim.obs is not None:
-            self.sim.obs.count("kernel.migrations_in")
             self.sim.obs.instant("migrate_in", "migrate", target.node,
                                  vpe=vpe.id, peer=sender,
                                  source=checkpoint.node)
+        self.migrations_in += 1
         return (vpe.id, target.node)

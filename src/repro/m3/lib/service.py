@@ -83,6 +83,14 @@ class Server:
         """This service's totals under their system-wide names."""
         return {f"{self.service_name}.requests": self.requests_served}
 
+    def observed_totals(self) -> dict[str, str]:
+        """Observer counter -> the total of this server's it samples
+        (``Observer.monitor``), registered once it has started."""
+        if self.category is None:
+            return {}
+        return {f"{self.category}.{self.service_name}.requests":
+                "requests_served"}
+
     # -- service software -----------------------------------------------------
 
     def main(self, env):
@@ -125,7 +133,6 @@ class Server:
                 if obs is not None:
                     obs.end(span, status="irq")
                 continue
-            self.requests_served += 1
             operation, args = message.payload
             if label == 0:
                 # The kernel<->service channel: session management.
@@ -149,9 +156,11 @@ class Server:
                     response = ("err", str(exc))
             yield from rgate.reply(slot, response)
             if obs is not None:
-                obs.count(f"{category}.{self.service_name}.requests")
                 obs.observe(f"{category}.request_cycles", sim.now - started)
                 obs.end(span, status=response[0])
+            # Counted once answered, after ``observe`` has closed the
+            # telemetry epochs that ended (a sampled total).
+            self.requests_served += 1
 
 
 class ClientSession:
@@ -222,6 +231,8 @@ def start_service(system, server: Server, domain: int | None = None):
     if not server.ready.triggered:
         raise RuntimeError(f"{name} failed to start")
     server.vpe = vpe
-    if system.sim.obs is not None:
-        system.sim.obs.label_node(vpe.node, f"service:{name}")
+    obs = system.sim.obs
+    if obs is not None:
+        obs.label_node(vpe.node, f"service:{name}")
+        obs.monitor(server.observed_totals(), server)
     return server

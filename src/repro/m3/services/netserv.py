@@ -23,6 +23,7 @@ import types
 import typing
 
 from repro import params
+from repro.dtu.dtu import OBSERVED_TOTALS as DTU_TOTALS
 from repro.dtu.registers import (
     UNLIMITED_CREDITS,
     EndpointRegisters,
@@ -166,12 +167,11 @@ class NetServ(Server):
     def _drop(self, reason: str, port: int) -> None:
         """Count a received frame that reaches no inbox, where the
         telemetry plane, an SLO and the flight recorder see it too."""
-        self.frames_dropped += 1
         obs = self.env.sim.obs
         if obs is not None:
-            obs.count(f"net.{self.service_name}.frames_dropped")
             obs.instant("frame_drop", "net", self.env.pe.node,
                         service=self.service_name, reason=reason, port=port)
+        self.frames_dropped += 1
 
     # -- session operations ------------------------------------------------------
 
@@ -293,6 +293,9 @@ def start_network(system: "M3System", service_names=("net", "net2")):
         servers.append(start_service(system, server))
         if system.sim.obs is not None:
             system.sim.obs.label_node(nic.node, f"nic:{nic.name}")
+            system.sim.obs.monitor(DTU_TOTALS, nic.dtu)
+            system.sim.obs.monitor(
+                {f"net.{name}.frames_dropped": "frames_dropped"}, server)
     wire.connect(nics[0], nics[1])
 
     def wire_devices():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.dtu.dtu import OBSERVED_TOTALS as DTU_TOTALS
 from repro.hw.platform import Platform
 from repro.m3.kernel.kernel import Kernel
 from repro.m3.kernel.syscalls import SyscallError
@@ -24,6 +25,16 @@ from repro.m3.lib.service import start_service
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.lib.service import Server
     from repro.m3.services.m3fs.server import M3fsServer
+
+
+#: Observer counter -> the kernel total it samples, added up over the
+#: kernels (docs/observability.md, "Sampled counters").
+KERNEL_TOTALS = {
+    "kernel.probes_sent": "failover.probes_sent",
+    "kernel.migrations": "migration.migrations",
+    "kernel.migrations_out": "migration.migrations_out",
+    "kernel.migrations_in": "migration.migrations_in",
+}
 
 
 def stat_sum(stats: dict, scope: str, name: str) -> int:
@@ -191,12 +202,18 @@ class M3System:
 
     def boot(self, with_fs: bool = True, fs_kwargs: dict | None = None) -> "M3System":
         """Run the kernel boot sequence(s) and start services; returns self."""
-        if self.sim.obs is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # Perfetto process labels: kernel domains and the DRAM node
-            # (apps/services label their nodes as they start).
+            # (apps/services label their nodes as they start); the
+            # counters the DTUs and kernels keep, sampled from here on.
             for kernel in self.kernels:
-                self.sim.obs.label_node(kernel.node, kernel.label)
-            self.sim.obs.label_node(self.platform.dram_node, "DRAM")
+                obs.label_node(kernel.node, kernel.label)
+                obs.monitor({f"kernel{kernel.kernel_id}.ik_retries":
+                             "ik.retries"}, kernel)
+            obs.label_node(self.platform.dram_node, "DRAM")
+            obs.monitor(KERNEL_TOTALS, *self.kernels)
+            obs.monitor(DTU_TOTALS, *(pe.dtu for pe in self.platform.pes))
         for kernel in self.kernels:
             self.sim.run_process(kernel.boot(), f"{kernel.label}.boot")
             self._kernel_processes.append(

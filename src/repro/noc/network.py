@@ -168,8 +168,10 @@ class Network:
                 self.bytes_injected += size
                 self.packets_lost += 1
                 return completion
-            if verdict == "corrupt":
-                packet.corrupted = True
+            # Set per transmission: a retransmitted copy is the same
+            # object and crosses the links again, intact or not.
+            packet.corrupted = verdict == "corrupt"
+            if packet.corrupted:
                 self.packets_corrupted += 1
             if extra:
                 self.packets_delayed += 1
@@ -207,10 +209,10 @@ class Network:
         now = self.sim.now
         if obs is not self._monitored_by:
             self._monitored_by = obs
-            obs.monitor("noc.packets_injected", lambda: self.packets_injected)
-            obs.monitor("noc.packets_delivered", lambda: self.packets_sent)
-            obs.monitor("noc.packets_dropped", lambda: self.packets_lost)
-            obs.monitor("noc.payload_bytes", lambda: self.bytes_injected)
+            obs.monitor({"noc.packets_injected": "packets_injected",
+                         "noc.packets_delivered": "packets_sent",
+                         "noc.packets_dropped": "packets_lost",
+                         "noc.payload_bytes": "bytes_injected"}, self)
         if now >= obs.fold_at:
             obs.sample_links(self)
         span = obs.record(

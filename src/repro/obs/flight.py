@@ -3,13 +3,12 @@
 When a failure verdict lands — a kernel domain declared dead, a
 watchdog killing a wedged VPE, a route with no live replica — the
 post-mortem question is "what did this domain look like just before?".
-The full span/instant stores answer it only if they are unbounded; the
-flight recorder answers it with O(1) memory: per kernel domain, a ring
-of the most recent ``capacity`` spans and instants (fed by the
-Observer at record time, one branch when disabled), plus the last few
-telemetry epochs.
+A dump *reads* the Observer's log: per kernel domain, the most recent
+``capacity`` spans and instants recorded since the recorder was
+attached (as far back as a ``span_capacity`` log still holds), plus
+the last few telemetry epochs; recording pays nothing for it.
 
-``dump(reason)`` freezes the rings into a deterministic snapshot —
+``dump(reason)`` freezes that view into a deterministic snapshot —
 called by the kernel at each failure verdict and available on demand.
 Dumps are plain dicts; :func:`render_dump` formats one as stable text
 for reports and CI artifacts.  Node-to-domain attribution comes from
@@ -19,13 +18,12 @@ the control plane's ``-1``) land in domain ``-1``.
 
 from __future__ import annotations
 
-import collections
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Instant, Observer, Span
+    from repro.obs.observer import Observer
 
-#: spans/instants retained per domain ring.
+#: spans/instants per domain in a dump.
 DEFAULT_CAPACITY = 64
 
 #: telemetry epochs included in a dump.
@@ -33,84 +31,78 @@ DEFAULT_EPOCHS = 8
 
 
 class FlightRecorder:
-    """Bounded recent-history rings, dumped on failure verdicts."""
+    """Recent history per domain, read from the log on failure verdicts."""
 
     def __init__(self, observer: "Observer",
                  capacity: int = DEFAULT_CAPACITY,
                  epochs: int = DEFAULT_EPOCHS):
         if capacity < 1:
             raise ValueError("flight capacity must be positive")
+        if epochs < 1:
+            raise ValueError("flight epochs must be positive")
         self.observer = observer
         self.capacity = capacity
         self.epochs = epochs
         #: NoC node -> kernel domain; everything else -> domain -1.
         self.domain_of: dict[int, int] = {}
-        self._spans: dict[int, collections.deque] = {}
-        self._instants: dict[int, collections.deque] = {}
+        #: spans / instants logged before it was attached stay out.
+        self._since = (len(observer.spans) + observer.spans_dropped,
+                       len(observer.instants) + observer.instants_dropped)
         self.dumps: list[dict] = []
 
     def map_nodes(self, mapping: dict[int, int]) -> None:
-        """Attribute NoC nodes to kernel domains for the rings."""
+        """Attribute NoC nodes to kernel domains."""
         self.domain_of.update(mapping)
 
-    # -- feeding (called by the Observer, one branch when off) ---------
-
-    def _ring(self, store: dict, node: int) -> collections.deque:
-        domain = self.domain_of.get(node, -1)
-        ring = store.get(domain)
-        if ring is None:
-            ring = store[domain] = collections.deque(maxlen=self.capacity)
-        return ring
-
-    def record_span(self, span: "Span") -> None:
-        self._ring(self._spans, span.node).append(span)
-
-    def record_instant(self, instant: "Instant") -> None:
-        self._ring(self._instants, instant.node).append(instant)
-
-    # -- dumping -------------------------------------------------------
+    def _recent(self, log, dropped: int, since: int) -> dict:
+        """Per domain, oldest first, the last ``capacity`` records logged
+        at or after record ``since`` (``log`` dropped its first ``dropped``)."""
+        recent: dict[int, list] = {}
+        for index in range(len(log) - 1, max(since - dropped, 0) - 1, -1):
+            record = log[index]
+            kept = recent.setdefault(self.domain_of.get(record.node, -1), [])
+            if len(kept) < self.capacity:
+                kept.append(record)
+        return {domain: kept[::-1] for domain, kept in sorted(recent.items())}
 
     def dump(self, reason: str, domain: int | None = None) -> dict:
-        """Freeze the rings into a snapshot; returns and retains it.
+        """Freeze the recent history into a snapshot; returns and
+        retains it.
 
         ``domain`` names the domain the verdict is about (shown first
-        when rendering); every domain's ring is included either way.
+        when rendering); every domain's history is included either way.
         """
-        telemetry = self.observer.telemetry
+        observer = self.observer
+        spans_since, instants_since = self._since
+        telemetry = observer.telemetry
         series_tail: dict[str, list] = {}
         epoch = None
         if telemetry is not None:
             epoch = telemetry.epoch
             for name in telemetry.names():
                 points = telemetry.points(name)[-self.epochs:]
-                kind = telemetry.kinds[name]
-                if kind == "quantile":
+                if telemetry.kinds[name] == "quantile":
                     points = [
                         (index,
                          f"n={hist.count} p99<{hist.percentile(0.99):,}")
                         for index, hist in points
                     ]
-                series_tail[name] = [
-                    (index, value) for index, value in points
-                ]
+                series_tail[name] = points
         snapshot = {
             "reason": reason,
-            "cycle": self.observer.sim.now,
+            "cycle": observer.sim.now,
             "domain": domain,
             "epoch": epoch,
-            "spans": {
-                ring_domain: list(ring)
-                for ring_domain, ring in sorted(self._spans.items())
-            },
-            "instants": {
-                ring_domain: list(ring)
-                for ring_domain, ring in sorted(self._instants.items())
-            },
+            "spans": self._recent(observer.spans, observer.spans_dropped,
+                                  spans_since),
+            "instants": self._recent(observer.instants,
+                                     observer.instants_dropped,
+                                     instants_since),
             "telemetry": series_tail,
-            "counters": dict(sorted(self.observer.counters.items())),
+            "counters": dict(sorted(observer.counters.items())),
         }
         self.dumps.append(snapshot)
-        self.observer.instant(
+        observer.instant(
             "flight_dump", "flight", -1, reason=reason,
             domain=domain if domain is not None else -1,
         )
@@ -129,8 +121,8 @@ def render_dump(dump: dict, span_limit: int = 10,
                 instant_limit: int = 12, series_limit: int = 12) -> str:
     """Format one flight dump as deterministic text.
 
-    The verdict's domain renders first; rings are tail-truncated to
-    the given limits so reports stay bounded.
+    The verdict's domain renders first; each domain's history is
+    tail-truncated to the given limits so reports stay bounded.
     """
     lines = [
         f"flight dump: {dump['reason']}",

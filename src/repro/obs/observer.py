@@ -10,7 +10,7 @@ the rest is derived when an epoch closes or somebody reads.  Collected:
   :meth:`Observer.complete` once the end is known), each with the causal
   identity :mod:`repro.obs.causal` links into per-request trees;
 - **instants** — point events (a retransmit, a watchdog probe);
-- **counters / gauges / histograms** — named metrics, histograms in the
+- **counters / histograms** — named metrics, histograms in the
   deterministic log2 buckets of :mod:`repro.obs.metrics`;
 - **link occupancy epochs** — per-link busy fraction per fixed epoch,
   sampled from packet injections (never a timer).
@@ -24,10 +24,13 @@ from __future__ import annotations
 import array
 import collections.abc
 import itertools
+import operator
 import typing
 
 from repro.obs.causal import CausalTracker, TraceContext
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram
+from repro.obs.timeseries import Telemetry
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -124,11 +127,10 @@ class Observer:
         self.kinds = Kinds(self.spans.kinds)
         self._instants: collections.deque = collections.deque(maxlen=span_capacity)
         self.instants_dropped = 0
-        #: counter totals; a [name, read, value last added] per sampled
-        #: source (:meth:`monitor`); per histogram, samples not folded in.
+        #: counter totals; [name, read, sources, value last added] per
+        #: :meth:`monitor`ed total; per histogram, samples not folded in.
         self._counters: dict[str, int] = {}
         self._monitors: list[list] = []
-        self.gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._samples: dict[str, array.array] = {}
         #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
@@ -166,8 +168,6 @@ class Observer:
     def enable_telemetry(self, **kwargs):
         """Attach a :class:`~repro.obs.timeseries.Telemetry` hub: what is
         recorded from here on also fans into epoch series."""
-        from repro.obs.timeseries import Telemetry
-
         if self.telemetry is not None:
             raise RuntimeError("telemetry is already enabled")
         self._settle()
@@ -177,8 +177,6 @@ class Observer:
 
     def enable_flight_recorder(self, **kwargs):
         """Attach a :class:`~repro.obs.flight.FlightRecorder`."""
-        from repro.obs.flight import FlightRecorder
-
         if self.flight is not None:
             raise RuntimeError("flight recorder is already enabled")
         self.flight = FlightRecorder(self, **kwargs)
@@ -269,18 +267,18 @@ class Observer:
             for column in self.spans.columns:
                 column[slot] = column.pop()
             self.spans.dropped += 1
-        if self.flight is not None:
-            self.flight.record_span(self.spans[-1])
         return span_id
 
     def instant(self, name: str, category: str, node: int = -1, **args) -> None:
-        """Record a point event at the current cycle."""
+        """Record a point event at the current cycle.  Like :meth:`count`,
+        it closes the telemetry epochs that ended."""
+        telemetry = self.telemetry
+        if telemetry is not None and self.sim.now >= telemetry.closes_at:
+            telemetry.advance()
         if len(self._instants) == self.span_capacity:
             self.instants_dropped += 1
-        instant = Instant(name, category, node, self.sim.now, args or None)
-        self._instants.append(instant)
-        if self.flight is not None:
-            self.flight.record_instant(instant)
+        self._instants.append(
+            Instant(name, category, node, self.sim.now, args or None))
 
     # -- metrics -----------------------------------------------------------
 
@@ -295,23 +293,22 @@ class Observer:
             counters = telemetry.open_counters
             counters[name] = counters.get(name, 0) + n
 
-    def monitor(self, name: str, read: typing.Callable[[], int]) -> None:
-        """Add a total some component keeps anyway to counter ``name``,
-        from its present value on.  It is sampled, not pushed — when
-        :attr:`counters` is read or an epoch closes — so the component
-        closes the ended epochs *before* it moves it (:attr:`fold_at`)."""
-        self._monitors.append([name, read, read()])
+    def monitor(self, totals: dict[str, str], *sources) -> None:
+        """Counter ``name`` follows attribute ``totals[name]`` summed over
+        ``sources``, from its present value on, sampled when
+        :attr:`counters` is read or an epoch closes: a source moves it
+        only after a call that closes ended epochs in the same cycle
+        (:meth:`count`, :meth:`observe`, :meth:`instant`, or
+        ``Network.send``: :attr:`fold_at`)."""
+        for name, attribute in totals.items():
+            read = operator.attrgetter(attribute)
+            self._monitors.append(
+                [name, read, sources, sum(map(read, sources))])
 
     @property
     def counters(self) -> dict[str, int]:
         self._settle()
         return self._counters
-
-    def gauge(self, name: str, value) -> None:
-        """Set a named gauge to its latest value."""
-        self.gauges[name] = value
-        if self.telemetry is not None:
-            self.telemetry.gauge(name, value)
 
     def observe(self, name: str, value: int) -> None:
         """Record a sample into a named histogram (:meth:`_settle`)."""
@@ -340,9 +337,10 @@ class Observer:
                 if telemetry is not None:
                     telemetry.observe_many(name, tally)
         for monitor in self._monitors:
-            name, moved = monitor[0], monitor[1]() - monitor[2]
+            name, read, sources, last = monitor
+            moved = sum(map(read, sources)) - last
             if moved:
-                monitor[2] += moved
+                monitor[3] += moved
                 self._counters[name] = self._counters.get(name, 0) + moved
                 if telemetry is not None:
                     telemetry.open_counters[name] = \

@@ -1,6 +1,6 @@
 """Prometheus-style text exposition of the Observer's metrics.
 
-Renders the counters, gauges, and histograms one Observer collected in
+Renders the counters and histograms one Observer collected in
 the standard ``text/plain; version=0.0.4`` shape — ``# TYPE`` comments,
 cumulative ``_bucket{le="..."}`` rows, ``_sum``/``_count`` — so the
 simulated metrics can be diffed against, or loaded like, a real
@@ -33,14 +33,6 @@ def metric_name(name: str) -> str:
     return "".join(out) or "_"
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):  # bool is an int; be explicit
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_prometheus(observer: "Observer") -> str:
     """The full exposition for one Observer, ending in a newline."""
     lines: list[str] = []
@@ -48,10 +40,6 @@ def render_prometheus(observer: "Observer") -> str:
         safe = metric_name(name)
         lines.append(f"# TYPE {safe} counter")
         lines.append(f"{safe} {observer.counters[name]}")
-    for name in sorted(observer.gauges):
-        safe = metric_name(name)
-        lines.append(f"# TYPE {safe} gauge")
-        lines.append(f"{safe} {_format_value(observer.gauges[name])}")
     for name in sorted(observer.histograms):
         hist = observer.histograms[name]
         safe = metric_name(name)

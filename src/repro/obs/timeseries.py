@@ -1,7 +1,7 @@
 """Epoch-bucketed time-series telemetry.
 
-The Observer's counters, gauges, and histograms answer "what happened
-over the whole run"; the telemetry plane adds the time axis.  Simulated
+The Observer's counters and histograms answer "what happened over the
+whole run"; the telemetry plane adds the time axis.  Simulated
 time is cut into fixed *epochs* (``epoch`` cycles each, numbered from
 0), and every instrument folds into the epoch containing the current
 cycle:

@@ -87,6 +87,25 @@ def test_lost_message_is_retransmitted_and_delivered(platform):
     assert fetched is not None and fetched[1].payload == ("persist",)
 
 
+def test_corrupted_message_is_retransmitted_intact(platform):
+    """A retransmission resends the same ``Packet``: the corruption of
+    its first crossing must not stick to it (every copy used to be
+    CRC-dropped, and the transfer gave up)."""
+    FaultPlan(seed=1).corrupt(1.0, kinds=("message",),
+                              window=(0, 30)).install(platform)
+    sender, receiver = _channel(platform)
+
+    def tx():
+        yield sender.send(0, payload=("intact",), length=8)
+
+    platform.pe(0).run(tx(), "tx")
+    platform.sim.run()
+    assert receiver.crc_drops == 1
+    assert platform.network.packets_corrupted == 1
+    fetched = receiver.fetch_message(1)
+    assert fetched is not None and fetched[1].payload == ("intact",)
+
+
 def test_lost_ack_triggers_dup_suppression(platform):
     # The message gets through; its ack is dropped once, so the sender
     # retransmits and the receiver must re-ack without re-delivering.

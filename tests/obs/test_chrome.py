@@ -85,7 +85,7 @@ def test_telemetry_epochs_become_counter_events():
     obs = Observer.install(sim)
     telemetry = obs.enable_telemetry(epoch=100)
     sim.schedule(10, lambda _: obs.count("req", 3))
-    sim.schedule(150, lambda _: obs.gauge("depth", 7))
+    sim.schedule(150, lambda _: telemetry.gauge("depth", 7))
     sim.schedule(160, lambda _: obs.observe("lat", 120))
     sim.run()
     telemetry.flush()

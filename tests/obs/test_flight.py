@@ -1,4 +1,4 @@
-"""The flight recorder: bounded rings, deterministic dumps."""
+"""The flight recorder: recent history read from the log, deterministic dumps."""
 
 import pytest
 
@@ -76,11 +76,45 @@ def test_render_dump_truncates_ring_tails():
     assert "evt29" in text and "evt26" not in text
 
 
+def test_dumps_read_the_log_from_where_the_recorder_attached():
+    """Nothing is fed to the recorder: a dump reads the observer's span
+    and instant log, leaving out what was logged before it attached."""
+    sim = Simulator()
+    obs = Observer.install(sim)
+    obs.complete("boot", "kernel", 1, begin=0, end=5)
+    obs.instant("boot_done", "kernel", 1)
+    flight = obs.enable_flight_recorder(capacity=2)
+    flight.map_nodes({1: 0})
+    for index in range(3):
+        obs.complete(f"req{index}", "kv", 1, begin=index, end=index + 1)
+    obs.instant("retry", "ik", 1)
+    dump = flight.dump("on demand")
+    assert [s.name for s in dump["spans"][0]] == ["req1", "req2"]
+    assert [i.name for i in dump["instants"][0]] == ["retry"]
+
+
+def test_a_bounded_log_dumps_what_it_still_holds():
+    sim = Simulator()
+    obs = Observer.install(sim, span_capacity=3)
+    flight = obs.enable_flight_recorder(capacity=8)
+    for index in range(5):
+        obs.complete(f"s{index}", "kv", 1, begin=index, end=index + 1)
+        obs.instant(f"i{index}", "kv", 1)
+    dump = flight.dump("on demand")
+    assert [s.name for s in dump["spans"][-1]] == ["s2", "s3", "s4"]
+    assert [i.name for i in dump["instants"][-1]] == ["i2", "i3", "i4"]
+
+
 def test_capacity_validation_and_double_enable():
     sim = Simulator()
     obs = Observer.install(sim)
     with pytest.raises(ValueError):
         obs.enable_flight_recorder(capacity=0)
+    # epochs=0 used to dump every retained epoch ([-0:] is the whole
+    # list), and a negative count silently dropped the oldest ones.
+    for epochs in (0, -2):
+        with pytest.raises(ValueError, match="epochs must be positive"):
+            obs.enable_flight_recorder(epochs=epochs)
     obs.enable_flight_recorder()
     with pytest.raises(RuntimeError):
         obs.enable_flight_recorder()

@@ -50,15 +50,13 @@ def test_complete_records_retroactively():
     assert (span.begin, span.end) == (10, 40)
 
 
-def test_counters_gauges_histograms():
+def test_counters_and_histograms():
     obs = Observer(Simulator())
     obs.count("a")
     obs.count("a", 4)
-    obs.gauge("depth", 3)
     obs.observe("lat", 100)
     obs.observe("lat", 200)
     assert obs.counters == {"a": 5}
-    assert obs.gauges == {"depth": 3}
     assert obs.histogram("lat").count == 2
     assert obs.histogram("missing").count == 0  # empty, not KeyError
 

@@ -17,7 +17,6 @@ def test_exposition_shape_and_determinism():
         obs = Observer.install(Simulator())
         obs.count("kv.kv0.requests", 7)
         obs.count("autoscale.scale_ups")
-        obs.gauge("depth", 3)
         obs.observe("kv.request_cycles", 100)
         obs.observe("kv.request_cycles", 5000)
         return render_prometheus(obs)
@@ -30,8 +29,7 @@ def test_exposition_shape_and_determinism():
     assert lines[0] == "# TYPE autoscale_scale_ups counter"
     assert lines[1] == "autoscale_scale_ups 1"
     assert "kv_kv0_requests 7" in lines
-    assert "# TYPE depth gauge" in lines
-    assert "depth 3" in lines
+    assert not any("gauge" in line for line in lines)
     # Histogram: cumulative buckets, +Inf, sum, count.
     assert 'kv_request_cycles_bucket{le="128"} 1' in lines
     assert 'kv_request_cycles_bucket{le="8192"} 2' in lines

@@ -11,6 +11,7 @@ observer installed mid-run, and telemetry enabled later still.
 """
 
 import random
+import types
 
 import pytest
 
@@ -142,3 +143,27 @@ def test_a_second_network_adds_to_the_same_counters():
     assert obs.counters == {"noc.packets_injected": 3,
                             "noc.packets_delivered": 3,
                             "noc.payload_bytes": 25}
+
+
+def test_a_monitored_total_sums_its_sources_by_attribute_path():
+    """``monitor`` reads a dotted attribute of every source, from the
+    values they hold at registration on; an instant closes the epochs
+    that ended, so a total moved right after one lands in its epoch."""
+    sim = Simulator()
+    obs = Observer.install(sim)
+    telemetry = obs.enable_telemetry(epoch=EPOCH)
+    sources = [types.SimpleNamespace(ik=types.SimpleNamespace(retries=n))
+               for n in (4, 1)]
+    obs.monitor({"retries": "ik.retries"}, *sources)
+
+    def retry(source):
+        obs.instant("ik_retry", "ik")
+        source.ik.retries += 1
+
+    sim.schedule(50, lambda _: retry(sources[0]))
+    sim.schedule(EPOCH, lambda _: retry(sources[1]))  # on the boundary
+    sim.schedule(EPOCH, lambda _: retry(sources[0]))
+    sim.run()
+    telemetry.flush()
+    assert obs.counters == {"retries": 3}
+    assert telemetry.points("retries") == [(0, 1), (1, 2)]

@@ -29,8 +29,8 @@ def test_counters_sum_within_their_epoch():
 
 def test_gauges_last_write_wins_and_quantiles_per_epoch():
     sim, obs, telemetry = _hub()
-    sim.schedule(10, lambda _: obs.gauge("depth", 4))
-    sim.schedule(90, lambda _: obs.gauge("depth", 7))
+    sim.schedule(10, lambda _: telemetry.gauge("depth", 4))
+    sim.schedule(90, lambda _: telemetry.gauge("depth", 7))
     sim.schedule(110, lambda _: obs.observe("lat", 30))
     sim.schedule(120, lambda _: obs.observe("lat", 50))
     sim.schedule(210, lambda _: obs.observe("lat", 9000))
@@ -169,7 +169,6 @@ def test_observer_without_telemetry_keeps_plain_metrics():
     obs = Observer.install(sim)
     assert obs.telemetry is None
     obs.count("a")
-    obs.gauge("g", 1)
     obs.observe("h", 10)
     assert obs.counters == {"a": 1}
     with pytest.raises(RuntimeError):
