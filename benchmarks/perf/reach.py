@@ -14,8 +14,9 @@ Usage (from the repo root, about five minutes on two cores)::
 
 ``--check`` exits 1 when a never-entered function is not listed in
 ``reach_allow.txt`` (one ``module:qualname  # reason`` per line): a new
-feature only tests reach needs a caller, a reason, or a deletion.  A
-listed function that production now enters is reported too.
+feature only tests reach needs a caller, a reason, or a deletion.  It
+also exits 1 when a listed function is entered by production or no
+longer exists, so no reason outlives what it explains.
 
 The tracer keeps, per code object, the set of lines not yet seen and
 stops tracing a code object once that set is empty — the hot paths go
@@ -143,11 +144,21 @@ def read_allowed() -> set:
     return {name for name in names if name}
 
 
+def check(never: set, allowed: set) -> list:
+    """What ``--check`` fails on, one line each: a never-entered function
+    the allow-list does not name, and a listed one that production
+    enters or that is gone.  Empty when the list is exact."""
+    return ([f"never entered and not in {ALLOW_PATH.name}: {name}"
+             for name in sorted(never - allowed)]
+            + [f"in {ALLOW_PATH.name} but entered, or gone: {name}"
+               for name in sorted(allowed - never)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.perf.reach")
     parser.add_argument("--check", action="store_true",
-                        help="fail on a never-entered function that "
-                             f"{ALLOW_PATH.name} does not list")
+                        help="fail unless the never-entered functions are "
+                             f"exactly those {ALLOW_PATH.name} lists")
     options = parser.parse_args(argv)
     table = function_bodies()
     install(table)
@@ -158,14 +169,10 @@ def main(argv=None) -> int:
     never = set(report(table))
     if not options.check:
         return 0
-    allowed = read_allowed()
-    for name in sorted(allowed - never):
-        print(f"stale in {ALLOW_PATH.name} (entered, or gone): {name}")
-    unlisted = sorted(never - allowed)
-    for name in unlisted:
-        print(f"never entered and not in {ALLOW_PATH.name}: {name}",
-              file=sys.stderr)
-    return 1 if unlisted else 0
+    problems = check(never, read_allowed())
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -258,7 +258,7 @@ def cache_vs_bulk() -> dict:
     Section 7 wants caches for the rest.
     """
     from repro.dtu.registers import MemoryPerm
-    from repro.hw.cache import CachedMemory
+    from repro.hw.cache import Cache
     from repro.m3.lib.gate import MemGate
 
     results = {}
@@ -283,10 +283,10 @@ def cache_vs_bulk() -> dict:
 
     def stream_cached(env):
         gate = yield from setup(env)
-        cached = CachedMemory(env, gate)
+        cache = Cache(env.sim, gate.read)
         start = env.sim.now
         for offset in range(0, CACHE_REGION_BYTES, 4096):
-            yield from cached.load(offset, 4096)
+            yield from cache.read(offset, 4096)
         return env.sim.now - start
 
     def hot_bulk(env):
@@ -298,10 +298,10 @@ def cache_vs_bulk() -> dict:
 
     def hot_cached(env):
         gate = yield from setup(env)
-        cached = CachedMemory(env, gate)
+        cache = Cache(env.sim, gate.read)
         start = env.sim.now
         for _ in range(CACHE_HOT_ROUNDS):
-            yield from cached.load(0, CACHE_HOT_BYTES)
+            yield from cache.read(0, CACHE_HOT_BYTES)
         return env.sim.now - start
 
     results["stream_bulk"] = run(stream_bulk)

@@ -1,4 +1,4 @@
-"""Devices whose interrupts are DTU messages.
+"""A network device whose interrupts are DTU messages.
 
 The paper proposes (Section 4.4.2): "device interrupts should be sent
 as messages as well to integrate them with the existing concepts.  This
@@ -7,24 +7,19 @@ sent them to any PE, independent of the core" — but leaves it
 unimplemented for lack of devices on the prototype.  This module
 implements the idea for the simulation platform.
 
-A :class:`Device` occupies a NoC node and holds a small DTU (endpoints
-configured by the kernel like any other).  When the device raises an
-interrupt, its DTU sends a regular message through a send endpoint —
+A :class:`NetworkDevice` (a NIC) occupies a NoC node and holds a small
+DTU (endpoints configured by the kernel like any other).  When it raises
+an interrupt, its DTU sends a regular message through a send endpoint —
 so delivery, ringbuffers, credits, labels, and interposition all come
-for free.  Two concrete devices are provided:
-
-- :class:`TimerDevice` — fires after a programmed delay (one-shot) or
-  periodically,
-- :class:`BlockDevice` — a DMA-style storage device: commands arrive as
-  messages, data moves via its memory endpoint, completion is an
-  interrupt message.
+for free.  Commands arrive as messages and frame data moves through its
+memory endpoint.  Two NICs are joined by a :class:`Wire`.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.dtu.dtu import DTU
+from repro.dtu.dtu import DTU, DtuError
 from repro.hw.spm import Scratchpad
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,70 +28,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: endpoint the device uses to send its interrupt messages.
 IRQ_SEND_EP = 0
-#: endpoint on which command messages arrive (devices that take them).
+#: endpoint on which command messages arrive.
 CMD_RECV_EP = 1
-#: endpoint for DMA memory access (devices that move data).
+#: endpoint for DMA memory access.
 DMA_MEM_EP = 2
 
 #: interrupt message payload size.
 IRQ_BYTES = 16
-
-
-class Device:
-    """Base: a DTU-fronted device at a NoC node (no core behind it)."""
-
-    def __init__(self, sim: "Simulator", network: "Network", node: int,
-                 name: str = "device", buffer_bytes: int = 4096):
-        self.sim = sim
-        self.name = name
-        self.node = node
-        #: small device-local buffer memory (for DMA staging).
-        self.buffer = Scratchpad(buffer_bytes, name=f"{name}.buf")
-        self.dtu = DTU(sim, network, node, self.buffer)
-        self.interrupts_sent = 0
-
-    def raise_interrupt(self, payload: object = ()) -> None:
-        """Send an interrupt as a plain DTU message.
-
-        Requires the kernel to have configured :data:`IRQ_SEND_EP` to
-        point at some receive gate; an unconfigured or credit-less
-        endpoint silently drops the interrupt (like a masked IRQ line).
-        """
-        from repro.dtu.dtu import DtuError
-
-        try:
-            self.dtu.send(IRQ_SEND_EP, ("irq", self.name, payload), IRQ_BYTES)
-            self.interrupts_sent += 1
-        except DtuError:
-            pass  # masked: no target or out of credits
-
-
-class TimerDevice(Device):
-    """A timer whose expiry is a message."""
-
-    def __init__(self, sim, network, node, name: str = "timer"):
-        super().__init__(sim, network, node, name)
-        self._generation = 0
-
-    def program(self, delay_cycles: int, periodic: bool = False) -> None:
-        """Arm the timer (re-programming cancels the previous arm)."""
-        if delay_cycles < 1:
-            raise ValueError("timer delay must be at least one cycle")
-        self._generation += 1
-        self._arm(delay_cycles, periodic, self._generation)
-
-    def cancel(self) -> None:
-        self._generation += 1
-
-    def _arm(self, delay: int, periodic: bool, generation: int) -> None:
-        def fire(_):
-            if generation != self._generation:
-                return  # cancelled or re-programmed
-            self.raise_interrupt((self.sim.now,))
-            if periodic:
-                self._arm(delay, periodic, generation)
-
-        self.sim.schedule(delay, fire)
+#: device-local buffer memory (DMA staging).
+BUFFER_BYTES = 4096
 
 
 class Wire:
@@ -126,7 +66,7 @@ class Wire:
         self.sim.schedule(duration, lambda _: peer.receive_frame(frame))
 
 
-class NetworkDevice(Device):
+class NetworkDevice:
     """A NIC: frames out via DMA + wire, frames in via DMA + interrupt.
 
     - TX: a ``("tx", mem_offset, length)`` command message makes the NIC
@@ -136,10 +76,15 @@ class NetworkDevice(Device):
       ``("rx", offset, length)`` interrupt message.
     """
 
-    def __init__(self, sim, network, node, name: str = "nic",
-                 rx_base: int = 2048, rx_slots: int = 8,
+    def __init__(self, sim: "Simulator", network: "Network", node: int,
+                 name: str = "nic", rx_base: int = 2048, rx_slots: int = 8,
                  rx_slot_bytes: int = 256):
-        super().__init__(sim, network, node, name)
+        self.sim = sim
+        self.name = name
+        self.node = node
+        self.buffer = Scratchpad(BUFFER_BYTES, name=f"{name}.buf")
+        self.dtu = DTU(sim, network, node, self.buffer)
+        self.interrupts_sent = 0
         self.wire: Wire | None = None
         self.rx_base = rx_base
         self.rx_slots = rx_slots
@@ -148,6 +93,19 @@ class NetworkDevice(Device):
         self.frames_sent = 0
         self.frames_received = 0
         self._pump = None
+
+    def raise_interrupt(self, payload: object = ()) -> None:
+        """Send an interrupt as a plain DTU message.
+
+        Requires the kernel to have configured :data:`IRQ_SEND_EP` to
+        point at some receive gate; an unconfigured or credit-less
+        endpoint silently drops the interrupt (like a masked IRQ line).
+        """
+        try:
+            self.dtu.send(IRQ_SEND_EP, ("irq", self.name, payload), IRQ_BYTES)
+            self.interrupts_sent += 1
+        except DtuError:
+            pass  # masked: no target or out of credits
 
     def start(self) -> None:
         """Serve TX commands (after the kernel wired the endpoints)."""
@@ -194,54 +152,3 @@ class NetworkDevice(Device):
 
         self.sim.process(dma(), f"{self.name}.rx")
 
-
-class BlockDevice(Device):
-    """DMA storage: commands in, data via memory endpoint, IRQ out.
-
-    Command messages (on :data:`CMD_RECV_EP`):
-
-    - ``("read", sector, count, mem_offset)`` — copy sectors into the
-      memory region behind :data:`DMA_MEM_EP` at ``mem_offset``,
-    - ``("write", sector, count, mem_offset)`` — the reverse.
-
-    Completion raises an interrupt carrying the command tag.
-    """
-
-    SECTOR_BYTES = 512
-
-    def __init__(self, sim, network, node, sectors: int = 2048,
-                 name: str = "disk", sector_cycles: int = 64):
-        super().__init__(sim, network, node, name)
-        self.media = Scratchpad(sectors * self.SECTOR_BYTES,
-                                name=f"{name}.media")
-        self.sector_cycles = sector_cycles
-        self.commands_served = 0
-        self._pump = None
-
-    def start(self) -> None:
-        """Begin serving commands (call once the kernel configured the
-        command receive endpoint)."""
-        if self._pump is None:
-            self._pump = self.sim.process(self._serve(), f"{self.name}.serve")
-
-    def _serve(self):
-        while True:
-            slot, message = yield from self.dtu.wait_message(CMD_RECV_EP)
-            self.dtu.ack_message(CMD_RECV_EP, slot)
-            op, sector, count, mem_offset = message.payload
-            nbytes = count * self.SECTOR_BYTES
-            # media access time
-            yield self.sim.delay(self.sector_cycles * count)
-            if op == "read":
-                data = self.media.read(sector * self.SECTOR_BYTES, nbytes)
-                yield from self.dtu.write_memory(DMA_MEM_EP, mem_offset, data)
-            elif op == "write":
-                data = yield from self.dtu.read_memory(
-                    DMA_MEM_EP, mem_offset, nbytes
-                )
-                self.media.write(sector * self.SECTOR_BYTES, data)
-            else:
-                self.raise_interrupt(("error", op))
-                continue
-            self.commands_served += 1
-            self.raise_interrupt(("done", op, sector, count))

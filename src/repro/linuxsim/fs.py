@@ -100,16 +100,6 @@ class TmpFs:
         del parent.entries[name]
         node.links -= 1
 
-    def link(self, existing: str, new_path: str) -> None:
-        node = self._walk(existing)
-        if node.kind == "dir":
-            raise LxFsError("EPERM: hard link to directory")
-        parent, name = self._walk_parent(new_path)
-        if name in parent.entries:
-            raise LxFsError(f"EEXIST: {new_path!r}")
-        parent.entries[name] = node
-        node.links += 1
-
     def readdir(self, path: str) -> list[str]:
         node = self._walk(path)
         if node.kind != "dir":

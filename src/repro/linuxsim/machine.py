@@ -298,11 +298,6 @@ class LxEnv:
         yield self._kernel(self._namespace_cost(path))
         self.machine.fs.unlink(path)
 
-    def link(self, existing: str, new_path: str):
-        self.syscall_count += 1
-        yield self._kernel(self._namespace_cost(new_path))
-        self.machine.fs.link(existing, new_path)
-
     def readdir(self, path: str):
         """Generator: getdents, one pass."""
         self.syscall_count += 1

@@ -6,7 +6,7 @@ kernel or OS services, accessing files, using the DTU etc."
 abstractions rather than a POSIX-compliant environment.
 """
 
-from repro.m3.lib.marshalling import wire_size, Istream, Ostream
+from repro.m3.lib.marshalling import wire_size
 from repro.m3.lib.env import Env
 from repro.m3.lib.gate import Gate, MemGate, RecvGate, SendGate
 from repro.m3.lib.vpe import VPE
@@ -18,10 +18,8 @@ __all__ = [
     "Env",
     "File",
     "Gate",
-    "Istream",
     "MemGate",
     "OpenFlags",
-    "Ostream",
     "Pipe",
     "PipeReader",
     "PipeWriter",

@@ -47,9 +47,6 @@ class M3fsClient(ClientSession):
     def unlink(self, path: str):
         yield from self.request("unlink", path)
 
-    def link(self, existing: str, new_path: str):
-        yield from self.request("link", existing, new_path)
-
     def readdir(self, path: str):
         """Generator: sorted entry names of a directory."""
         return list((yield from self.request("readdir", path)))

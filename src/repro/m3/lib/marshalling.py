@@ -1,10 +1,10 @@
-"""Message (un)marshalling.
+"""Message marshalling: the wire size of a payload.
 
 "Inspired by previous L4 marshalling frameworks, it overloads the C++
 shift operators to marshal an object into the message or unmarshal it
-again" (Section 4.5.6).  The Python equivalent overloads ``<<`` and
-``>>`` on small stream objects; the simulation mostly cares about the
-*wire size* a value set occupies, which drives transfer timing.
+again" (Section 4.5.6).  Payloads travel as Python values here; what
+the simulation needs is the *wire size* a value set occupies, which
+drives transfer timing.
 """
 
 from __future__ import annotations
@@ -39,47 +39,3 @@ def wire_size(value: object) -> int:
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
-
-class Ostream:
-    """Marshalling stream: ``os << a << b`` collects values."""
-
-    def __init__(self):
-        self.values: list = []
-
-    def __lshift__(self, value: object) -> "Ostream":
-        wire_size(value)  # reject unmarshallable values eagerly
-        self.values.append(value)
-        return self
-
-    @property
-    def size(self) -> int:
-        """Wire size of everything marshalled so far."""
-        return sum(wire_size(v) for v in self.values)
-
-    def payload(self) -> tuple:
-        """The message payload (what travels in the simulated packet)."""
-        return tuple(self.values)
-
-
-class Istream:
-    """Unmarshalling stream: ``is_ >> ref`` pops values in order."""
-
-    def __init__(self, payload):
-        self._values = list(payload)
-        self._index = 0
-
-    def pop(self) -> object:
-        """The next value (explicit-call style)."""
-        if self._index >= len(self._values):
-            raise ValueError("unmarshalling past the end of the message")
-        value = self._values[self._index]
-        self._index += 1
-        return value
-
-    def __iter__(self):
-        while self._index < len(self._values):
-            yield self.pop()
-
-    @property
-    def remaining(self) -> int:
-        return len(self._values) - self._index

@@ -71,10 +71,6 @@ class Pipe:
         )
         return cls(env, mem_gate, rgate_sel, sgate_sel, ring_bytes, slots)
 
-    @property
-    def chunk_bytes(self) -> int:
-        return self.ring_bytes // self.slots
-
     # -- local endpoints (for the creating VPE) ------------------------------
 
     def reader(self) -> "PipeReader":
@@ -232,14 +228,9 @@ class PipeWriter:
         )
         self._outstanding += 1
 
-    def close(self, drain: bool = True):
-        """Generator: signal EOF; by default also wait until the reader
-        consumed everything.
-
-        ``drain=False`` skips the wait — needed when the same VPE holds
-        both pipe ends (e.g. through the pipe filesystem) and will only
-        start reading after the writer is done.
-        """
+    def close(self):
+        """Generator: signal EOF, then wait until the reader consumed
+        everything."""
         if self._closed:
             return
         while self._outstanding >= self.slots:
@@ -247,6 +238,6 @@ class PipeWriter:
         yield from self.sgate.send((0, 0), NOTIFY_BYTES,
                                    reply_gate=self._ack_gate)
         self._outstanding += 1
-        while drain and self._outstanding > 0:
+        while self._outstanding > 0:
             yield from self._drain_one()
         self._closed = True

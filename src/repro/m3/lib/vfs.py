@@ -1,8 +1,7 @@
 """The virtual filesystem: mount points over filesystem clients.
 
 "libm3 offers a virtual filesystem (VFS) that allows to mount
-filesystems at specific paths.  Besides m3fs, it provides a pipe
-filesystem to integrate pipes into the VFS" (Section 4.5.8).
+filesystems at specific paths" (Section 4.5.8).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class VFS:
     # -- operations ----------------------------------------------------------
 
     def open(self, path: str, flags):
-        """Generator: open a file (File or pipe channel, transparently)."""
+        """Generator: open a file."""
         filesystem, below = yield from self._resolve(path)
         return (yield from filesystem.open(below, flags))
 
@@ -75,13 +74,6 @@ class VFS:
     def unlink(self, path: str):
         filesystem, below = yield from self._resolve(path)
         yield from filesystem.unlink(below)
-
-    def link(self, existing: str, new_path: str):
-        filesystem, below = yield from self._resolve(existing)
-        other, new_below = yield from self._resolve(new_path)
-        if filesystem is not other:
-            raise FsError("cannot hard-link across filesystems")
-        yield from filesystem.link(below, new_below)
 
     def readdir(self, path: str):
         """Generator: sorted entry names."""

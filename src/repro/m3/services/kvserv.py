@@ -69,7 +69,6 @@ class KvServ(Server):
         self.store: dict[str, bytes] = {}
         self.gets = 0
         self.puts = 0
-        self.deletes = 0
         self.misses = 0
         self.bytes_stored = 0
         self.sessions_opened = 0
@@ -121,16 +120,6 @@ class KvServ(Server):
         self.puts += 1
         return len(value)
 
-    def _op_delete(self, session: int, key: str):
-        self.deletes += 1
-        previous = self.store.pop(key, None)
-        if previous is None:
-            self.misses += 1
-            return False
-        self.bytes_stored -= len(previous)
-        return True
-        yield  # pragma: no cover
-
     def _op_close(self, session: int):
         """Reclaim the session (same contract as netserv's close)."""
         self.sessions.pop(session, None)
@@ -151,9 +140,6 @@ class KvClient(ClientSession):
 
     def put(self, key: str, value: bytes):
         return (yield from self.request("put", key, value))
-
-    def delete(self, key: str):
-        return (yield from self.request("delete", key))
 
     def close(self):
         return (yield from self.request("close"))

@@ -112,16 +112,6 @@ class M3FS:
         if inode.links == 0:
             self._free_inode(inode)
 
-    def link(self, existing: str, new_path: str) -> None:
-        inode = self.resolve(existing)
-        if inode.is_dir:
-            raise FsError("cannot hard-link directories")
-        parent, name = self.resolve_parent(new_path)
-        if name in parent.entries:
-            raise FsError(f"already exists: {new_path!r}")
-        parent.entries[name] = inode.ino
-        inode.links += 1
-
     def readdir(self, path: str) -> list[str]:
         inode = self.resolve(path)
         if not inode.is_dir:

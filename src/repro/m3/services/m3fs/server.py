@@ -180,11 +180,6 @@ class M3fsServer(Server):
         return ()
         yield  # pragma: no cover
 
-    def _op_link(self, session: _Session, existing: str, new_path: str):
-        self.fs.link(existing, new_path)
-        return ()
-        yield  # pragma: no cover
-
     def _op_readdir(self, session: _Session, path: str):
         return tuple(self.fs.readdir(path))
         yield  # pragma: no cover

@@ -22,7 +22,7 @@ from repro.workloads.data import deterministic_bytes
 class TraceOp(typing.NamedTuple):
     """One recorded syscall (or wait)."""
 
-    op: str  # open|read|write|close|seek|stat|mkdir|unlink|link|readdir|sendfile|wait
+    op: str  # open|read|write|close|seek|stat|mkdir|unlink|readdir|sendfile|wait
     args: tuple
 
     @classmethod
@@ -75,9 +75,6 @@ class LinuxReplayer:
             elif op == "unlink":
                 (path,) = args
                 yield from lx.unlink(path)
-            elif op == "link":
-                old, new = args
-                yield from lx.link(old, new)
             elif op == "readdir":
                 (path,) = args
                 yield from lx.readdir(path)
@@ -136,9 +133,6 @@ class M3Replayer:
             elif op == "unlink":
                 (path,) = args
                 yield from env.vfs.unlink(path)
-            elif op == "link":
-                old, new = args
-                yield from env.vfs.link(old, new)
             elif op == "readdir":
                 (path,) = args
                 yield from env.vfs.readdir(path)

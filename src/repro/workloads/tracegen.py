@@ -28,7 +28,7 @@ _op = TraceOp.make
 
 #: trace ops whose leading arguments are filesystem paths.
 _PATH_ARGS = {
-    "open": 1, "stat": 1, "mkdir": 1, "unlink": 1, "readdir": 1, "link": 2,
+    "open": 1, "stat": 1, "mkdir": 1, "unlink": 1, "readdir": 1,
 }
 
 

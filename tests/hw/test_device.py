@@ -1,29 +1,19 @@
 """Devices with interrupts-as-messages (the Section 4.4.2 idea)."""
 
-import pytest
-
-from repro.dtu.registers import EndpointRegisters, MemoryPerm
-from repro.hw.device import (
-    CMD_RECV_EP,
-    DMA_MEM_EP,
-    IRQ_SEND_EP,
-    BlockDevice,
-    TimerDevice,
-)
+from repro.dtu.registers import EndpointRegisters
+from repro.hw.device import IRQ_SEND_EP, NetworkDevice
 from repro.m3.lib.gate import RecvGate
 from repro.m3.system import M3System
 
 
-def _system_with_device(device_cls, **device_kwargs):
+def _system_with_nic():
     system = M3System(pe_count=4).boot(with_fs=False)
-    device_node = len(system.platform.pes)  # first unused mesh node
-    device = device_cls(
-        system.sim, system.platform.network, device_node, **device_kwargs
-    )
-    return system, device
+    nic_node = len(system.platform.pes)  # first unused mesh node
+    nic = NetworkDevice(system.sim, system.platform.network, nic_node)
+    return system, nic
 
 
-def _wire_irq(system, device, rgate):
+def _wire_irq(system, device, node, ep):
     """Kernel wires the device's interrupt endpoint to an app rgate —
     "sent them to any PE, independent of the core"."""
 
@@ -33,8 +23,8 @@ def _wire_irq(system, device, rgate):
             "configure",
             IRQ_SEND_EP,
             EndpointRegisters.send_config(
-                target_node=rgate.owner_node,
-                target_ep=rgate.ep,
+                target_node=node,
+                target_ep=ep,
                 label=0xD1,
                 credits=4,
                 msg_size=64,
@@ -44,128 +34,22 @@ def _wire_irq(system, device, rgate):
     system.sim.run_process(configure(), "wire-irq")
 
 
-class _RGateInfo:
-    def __init__(self, owner_node, ep):
-        self.owner_node = owner_node
-        self.ep = ep
-
-
-def test_timer_interrupt_arrives_as_message():
-    system, timer = _system_with_device(TimerDevice)
-    result = {}
+def test_interrupt_arrives_as_message():
+    system, nic = _system_with_nic()
 
     def app(env):
         rgate = yield from RecvGate.create(env, slot_size=64, slot_count=4)
-        _wire_irq(system, timer, _RGateInfo(env.pe.node, rgate.ep))
-        timer.program(5_000)
-        armed_at = env.sim.now
+        _wire_irq(system, nic, env.pe.node, rgate.ep)
+        nic.raise_interrupt(("rx", 0, 0))
         slot, message = yield from rgate.receive()
         rgate.ack(slot)
-        result["latency"] = env.sim.now - armed_at
         return message.payload
 
-    payload = system.run_app(app, name="timer-app")
-    kind, name, extra = payload
-    assert (kind, name) == ("irq", "timer")
-    assert result["latency"] >= 5_000
-    assert result["latency"] < 5_200  # delay + message flight only
-
-
-def test_periodic_timer_and_cancel():
-    system, timer = _system_with_device(TimerDevice)
-
-    def app(env):
-        rgate = yield from RecvGate.create(env, slot_size=64, slot_count=8)
-        _wire_irq(system, timer, _RGateInfo(env.pe.node, rgate.ep))
-        timer.program(1_000, periodic=True)
-        stamps = []
-        for _ in range(3):
-            slot, message = yield from rgate.receive()
-            rgate.ack(slot)
-            stamps.append(message.payload[2][0])
-        timer.cancel()
-        yield 5_000
-        return stamps, timer.interrupts_sent
-
-    stamps, sent = system.run_app(app)
-    assert len(stamps) == 3
-    assert stamps[1] - stamps[0] == 1_000
-    assert sent == 3  # nothing after cancel
+    assert system.run_app(app, name="irq-app") == ("irq", "nic", ("rx", 0, 0))
+    assert nic.interrupts_sent == 1
 
 
 def test_unwired_interrupt_is_masked():
-    system, timer = _system_with_device(TimerDevice)
-    timer.raise_interrupt()
-    assert timer.interrupts_sent == 0  # dropped, no crash
-
-
-def test_block_device_dma_roundtrip():
-    """Commands as messages, data via the device's memory endpoint,
-    completion as an interrupt."""
-    from repro.dtu.registers import EndpointRegisters
-    from repro.m3.lib.gate import MemGate, SendGate
-
-    system, disk = _system_with_device(BlockDevice)
-    disk.media.write(3 * 512, b"sector three says hi")
-
-    def app(env):
-        # a DRAM buffer shared with the device
-        dma = yield from MemGate.create(env, 4096, MemoryPerm.RW.value)
-        irq_gate = yield from RecvGate.create(env, slot_size=64, slot_count=4)
-
-        # kernel-side wiring: the device's IRQ endpoint, its command
-        # receive endpoint, and its DMA window onto our buffer
-        kernel_vpe = system.kernel.vpes[env.vpe_id]
-        dma_region = kernel_vpe.captable.get(dma.selector).obj
-
-        def configure():
-            yield from system.kernel.dtu.configure_remote(
-                disk.node, "configure", IRQ_SEND_EP,
-                EndpointRegisters.send_config(
-                    target_node=env.pe.node, target_ep=irq_gate.ep,
-                    label=7, credits=4, msg_size=64,
-                ),
-            )
-            yield from system.kernel.dtu.configure_remote(
-                disk.node, "configure", CMD_RECV_EP,
-                EndpointRegisters.receive_config(0, slot_size=64,
-                                                 slot_count=4),
-            )
-            yield from system.kernel.dtu.configure_remote(
-                disk.node, "configure", DMA_MEM_EP,
-                EndpointRegisters.memory_config(
-                    dma_region.node, dma_region.address, dma_region.size,
-                    MemoryPerm.RW,
-                ),
-            )
-            # and a send gate from *us* to the device's command endpoint
-            yield from system.kernel.dtu.configure_remote(
-                env.pe.node, "configure", 5,
-                EndpointRegisters.send_config(
-                    target_node=disk.node, target_ep=CMD_RECV_EP,
-                    label=1, credits=4, msg_size=64,
-                ),
-            )
-
-        yield from configure()
-        disk.start()
-
-        # read sector 3 into our buffer at offset 128
-        env.dtu.send(5, ("read", 3, 1, 128), 32)
-        slot, irq = yield from irq_gate.receive()
-        irq_gate.ack(slot)
-        data = yield from dma.read(128, 20)
-
-        # write it back to sector 7
-        yield from dma.write(512, data)
-        env.dtu.send(5, ("write", 7, 1, 512), 32)
-        slot, irq2 = yield from irq_gate.receive()
-        irq_gate.ack(slot)
-        return irq.payload, irq2.payload, data
-
-    irq1, irq2, data = system.run_app(app, name="disk-app")
-    assert data == b"sector three says hi"
-    assert irq1[2][:2] == ("done", "read")
-    assert irq2[2][:2] == ("done", "write")
-    assert disk.media.read(7 * 512, 20) == b"sector three says hi"
-    assert disk.commands_served == 2
+    system, nic = _system_with_nic()
+    nic.raise_interrupt()
+    assert nic.interrupts_sent == 0  # dropped, no crash

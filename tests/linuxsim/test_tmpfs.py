@@ -37,16 +37,6 @@ def test_unlink_and_nonempty_dir():
     assert not fs.exists("/d")
 
 
-def test_hard_links():
-    fs = TmpFs()
-    node = fs.create("/one")
-    fs.link("/one", "/two")
-    assert fs.lookup("/two") is node
-    assert node.links == 2
-    with pytest.raises(LxFsError):
-        fs.mkdir("/dirlink") or fs.link("/dirlink", "/nope")
-
-
 def test_path_depth():
     fs = TmpFs()
     assert fs.path_depth("/") == 1

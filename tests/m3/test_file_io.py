@@ -208,6 +208,37 @@ def test_two_apps_share_the_filesystem(fs_system):
     assert fs_system.run_app(consumer, name="consumer") == b"from producer"
 
 
+def test_multiple_m3fs_instances():
+    """Section 7 future work: several service instances, distinct
+    namespaces, mounted side by side."""
+    from repro.m3.lib.m3fs_client import M3fsClient
+
+    system = M3System(pe_count=6).boot()  # default instance "m3fs"
+    system.start_m3fs(name="m3fs2")
+    assert set(system.fs_servers) == {"m3fs", "m3fs2"}
+
+    def app(env):
+        second = yield from M3fsClient.connect(env, service="m3fs2")
+        env.vfs.mount("/two", second)
+        f = yield from env.vfs.open("/one.txt", OpenFlags.W | OpenFlags.CREATE)
+        yield from f.write(b"first instance")
+        yield from f.close()
+        g = yield from env.vfs.open("/two/two.txt",
+                                    OpenFlags.W | OpenFlags.CREATE)
+        yield from g.write(b"second instance")
+        yield from g.close()
+        return ()
+
+    system.run_app(app)
+    assert system.fs_servers["m3fs"].fs.exists("/one.txt")
+    assert not system.fs_servers["m3fs"].fs.exists("/two.txt")
+    assert system.fs_servers["m3fs2"].fs.exists("/two.txt")
+    assert not system.fs_servers["m3fs2"].fs.exists("/one.txt")
+    assert system.fs_read_back(
+        "/two.txt", server=system.fs_servers["m3fs2"]
+    ) == b"second instance"
+
+
 def test_file_data_lives_in_simulated_dram(fs_system):
     """White-box: the bytes written must be present in the DRAM model at
     the extent's delegated location."""

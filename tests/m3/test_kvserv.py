@@ -14,7 +14,7 @@ def kv_system():
     return system, servers
 
 
-def test_put_get_delete_roundtrip(kv_system):
+def test_put_get_roundtrip(kv_system):
     system, servers = kv_system
 
     def app(env):
@@ -22,15 +22,14 @@ def test_put_get_delete_roundtrip(kv_system):
         stored = yield from client.put("user:7", b"alice")
         hit = yield from client.get("user:7")
         miss = yield from client.get("user:8")
-        deleted = yield from client.delete("user:7")
-        re_deleted = yield from client.delete("user:7")
-        return stored, bytes(hit), miss, deleted, re_deleted
+        replaced = yield from client.put("user:7", b"bob")
+        return stored, bytes(hit), miss, replaced
 
-    assert system.run_app(app) == (5, b"alice", None, True, False)
+    assert system.run_app(app) == (5, b"alice", None, 3)
     server = servers[0]
-    assert server.gets == 2 and server.puts == 1 and server.deletes == 2
-    assert server.misses == 2  # one get miss, one double delete
-    assert server.bytes_stored == 0
+    assert server.gets == 2 and server.puts == 2
+    assert server.misses == 1  # the get of an absent key
+    assert server.bytes_stored == 3  # the overwrite replaced alice
 
 
 def test_oversized_value_and_empty_key_rejected(kv_system):

@@ -67,18 +67,6 @@ def test_unlink_nonempty_dir_refused():
     assert not fs.exists("/d")
 
 
-def test_hard_links_share_inode():
-    fs = _fs()
-    inode = fs.create("/one")
-    fs.link("/one", "/two")
-    assert fs.stat("/two")[2] == 2  # link count
-    fs.unlink("/one")
-    assert fs.exists("/two")
-    assert fs.resolve("/two") is inode
-    fs.unlink("/two")
-    assert inode.ino not in fs.inodes
-
-
 def test_append_extent_and_locate():
     fs = _fs(append=4)
     inode = fs.create("/f")

@@ -14,7 +14,7 @@ _names = st.sampled_from([f"n{i}" for i in range(8)])
 class M3fsMachine(RuleBasedStateMachine):
     """Random namespace/allocation operations with a dict reference.
 
-    The reference tracks the *namespace* (path -> kind, link target
+    The reference tracks the *namespace* (path -> kind, inode
     identity); m3fs-specific state (bitmaps, extents) is checked by
     invariants instead.
     """
@@ -95,24 +95,7 @@ class M3fsMachine(RuleBasedStateMachine):
             assert missing or nonempty_dir
             return
         assert entry is not None
-        for other in list(self.model):
-            if other == path:
-                del self.model[other]
-
-    @rule(src_name=_names, dst_name=_names)
-    def hard_link(self, src_name, dst_name):
-        source_path, target_path = f"/{src_name}", f"/{dst_name}"
-        entry = self.model.get(source_path)
-        try:
-            self.fs.link(source_path, target_path)
-        except FsError:
-            assert (
-                not isinstance(entry, tuple)
-                or target_path in self.model
-            )
-            return
-        assert isinstance(entry, tuple)
-        self.model[target_path] = entry  # same inode identity
+        del self.model[path]
 
     # -- invariants -----------------------------------------------------------
 

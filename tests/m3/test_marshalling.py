@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.m3.lib.marshalling import Istream, Ostream, wire_size
+from repro.m3.lib.marshalling import wire_size
 
 
 def test_wire_sizes_are_8_byte_granular():
@@ -31,27 +31,6 @@ def test_unmarshallable_rejected():
         wire_size(object())
 
 
-def test_ostream_shift_collects_and_sizes():
-    stream = Ostream() << 1 << "hi" << b"abc"
-    assert stream.payload() == (1, "hi", b"abc")
-    assert stream.size == 8 + 16 + 16
-
-
-def test_ostream_rejects_bad_values_eagerly():
-    with pytest.raises(TypeError):
-        Ostream() << object()
-
-
-def test_istream_pops_in_order():
-    stream = Istream((1, "two", 3.0))
-    assert stream.pop() == 1
-    assert stream.pop() == "two"
-    assert stream.remaining == 1
-    assert list(stream) == [3.0]
-    with pytest.raises(ValueError):
-        stream.pop()
-
-
 _values = st.recursive(
     st.one_of(
         st.integers(min_value=-(2**62), max_value=2**62),
@@ -63,15 +42,6 @@ _values = st.recursive(
     lambda children: st.lists(children, max_size=4).map(tuple),
     max_leaves=12,
 )
-
-
-@given(st.lists(_values, max_size=8))
-def test_marshal_unmarshal_roundtrip(values):
-    stream = Ostream()
-    for value in values:
-        stream << value
-    out = list(Istream(stream.payload()))
-    assert out == values
 
 
 @given(_values)

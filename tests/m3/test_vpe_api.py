@@ -156,11 +156,9 @@ def test_exec_loads_program_from_filesystem(fs_system):
     fs_system.register_program("fft.bin", fft_program)
 
     def parent(env):
-        f = yield from env.vfs.open("/bin-fft", OpenFlags.W | OpenFlags.CREATE)
+        f = yield from env.vfs.open("/fft.bin", OpenFlags.W | OpenFlags.CREATE)
         yield from f.write(b"\x7fELF" + b"\x00" * 2000)  # the "binary"
         yield from f.close()
-        # Install under the canonical name, then exec it.
-        yield from env.vfs.link("/bin-fft", "/fft.bin")
         vpe = yield from VPE.create(env, "fft")
         yield from vpe.exec("/fft.bin", 3)
         return (yield from vpe.wait())
