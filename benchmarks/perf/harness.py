@@ -1,14 +1,17 @@
-"""Measure simulator wall-clock performance; write/check BENCH_perf.json.
+"""Time every eval on the host; write/check BENCH_perf.json.
 
-Two measurements:
+Two numbers, each from one producer:
 
-- **Engine throughput**: a synthetic workload of communicating
-  processes (mailbox ping-pong rings plus timer churn) run on a bare
-  :class:`repro.sim.Simulator`; reported as simulated cycles per
-  wall-clock second and executed callbacks per second.
-- **Per-figure wall time**: every entry of ``runall.EVALS`` timed
+- **Engine ring**: hostperf's ``micro.sim_events`` — the mailbox ring
+  below on a bare :class:`repro.sim.Simulator`, in ring hops per host
+  second — best of :data:`ENGINE_REPEATS` calls.
+- **Per-eval wall time**: every entry of ``runall.EVALS`` timed
   individually (all its points, serially, in this process), plus the
-  suite total.
+  suite total.  ``BENCH_perf.json`` is the only home of these
+  seconds.
+
+Simulated cycles live in ``results/``; layer and end-to-end host
+numbers in ``benchmarks/hostperf/``.
 
 Usage (from the repo root)::
 
@@ -16,12 +19,12 @@ Usage (from the repo root)::
     PYTHONPATH=src python -m benchmarks.perf.harness --check
 
 ``--write`` refreshes the committed ``BENCH_perf.json`` baseline;
-``--check`` exits 1 if the engine throughput drops, or the total wall
+``--check`` exits 1 if the engine ring rate drops, or the total wall
 time grows, by more than ``--tolerance`` (default 30%) against the
 baseline, and 2 — before measuring anything — if there is no baseline
-or it was written by a different schema version.  Per-figure times
+or it was written by a different schema version.  Per-eval times
 are reported in the check output but only the aggregate numbers gate,
-because individual small figures are too noisy on shared CI runners.
+because individual small evals are too noisy on shared CI runners.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import pathlib
 import sys
 import time
 
-from repro.eval import autoscale, runall
+from benchmarks.hostperf import micro
+from repro.eval import runall
 from repro.sim import Mailbox, Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -40,14 +44,19 @@ BASELINE_PATH = REPO_ROOT / "BENCH_perf.json"
 
 #: engine workload geometry: RINGS independent mailbox rings of WIDTH
 #: processes each, passing a token HOPS times with a 3-cycle delay per
-#: hop, plus one timer process per ring churning Signal timeouts.
+#: hop.  ``micro.sim_events`` runs it; it stays here because that
+#: module imports it from here.
 ENGINE_RINGS = 8
 ENGINE_WIDTH = 4
 ENGINE_HOPS = 4_000
-SCHEMA_VERSION = 3
+#: ``micro.sim_events`` calls per measurement, keeping the fastest: the
+#: best-of filters scheduler noise on shared runners (observed swings
+#: are ±20% on one sample), which a 30% gate cannot absorb.
+ENGINE_REPEATS = 3
+SCHEMA_VERSION = 4
 
 
-# -- engine throughput ---------------------------------------------------------
+# -- engine ring ---------------------------------------------------------------
 
 
 def _ring(sim: Simulator, ring: int, counters: list) -> None:
@@ -81,29 +90,7 @@ def engine_workload(sim: Simulator | None = None) -> tuple[int, int]:
     return sim.now, counters[0]
 
 
-#: repeat the engine microbenchmark and keep the fastest run: the
-#: best-of filters scheduler noise on shared runners (observed swings
-#: are ±20% on one sample), which a 30% gate cannot absorb.
-ENGINE_REPEATS = 3
-
-
-def measure_engine() -> dict:
-    best_elapsed, cycles, tokens = None, 0, 0
-    for _ in range(ENGINE_REPEATS):
-        start = time.perf_counter()
-        cycles, tokens = engine_workload()
-        elapsed = time.perf_counter() - start
-        if best_elapsed is None or elapsed < best_elapsed:
-            best_elapsed = elapsed
-    return {
-        "simulated_cycles": cycles,
-        "wall_seconds": round(best_elapsed, 4),
-        "sim_cycles_per_second": round(cycles / best_elapsed, 1),
-        "token_hops": tokens,
-    }
-
-
-# -- per-figure wall time ------------------------------------------------------
+# -- per-eval wall time --------------------------------------------------------
 
 
 def measure_figures() -> dict:
@@ -116,32 +103,13 @@ def measure_figures() -> dict:
     return timings
 
 
-def measure_autoscale_boot() -> dict:
-    """The warm-vs-cold replica boot comparison, in *simulated* cycles.
-
-    Deterministic (sampled from the autoscaler's warm-boot study, not
-    wall clock): cycles for a checkpoint-seeded clone to serve fully
-    stocked, versus a cold boot plus the client-side refill of the
-    same keys.  Tracked in the baseline so a regression in the
-    checkpoint/migration path shows up as a shrinking delta.
-    """
-    boot = autoscale.run_point("boot")
-    return {
-        "keys": boot["keys"],
-        "warm_cycles": boot["warm_cycles"],
-        "cold_stocked_cycles": boot["cold_stocked_cycles"],
-        "warm_vs_cold_delta_cycles": boot["delta_cycles"],
-    }
-
-
 def measure() -> dict:
-    engine = measure_engine()
+    rate = max(micro.sim_events() for _ in range(ENGINE_REPEATS))
     figures = measure_figures()
     return {
         "schema": SCHEMA_VERSION,
-        "engine": engine,
+        "engine": {"ring_hops_per_s": round(rate, 1)},
         "figures": figures,
-        "autoscale_boot": measure_autoscale_boot(),
         "total_seconds": round(sum(figures.values()), 3),
     }
 
@@ -152,18 +120,18 @@ def measure() -> dict:
 def check(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Regressions beyond ``tolerance``; empty means the gate passes."""
     failures = []
-    old_rate = baseline["engine"]["sim_cycles_per_second"]
-    new_rate = current["engine"]["sim_cycles_per_second"]
+    old_rate = baseline["engine"]["ring_hops_per_s"]
+    new_rate = current["engine"]["ring_hops_per_s"]
     if new_rate < old_rate * (1.0 - tolerance):
         failures.append(
-            f"engine throughput regressed: {new_rate:,.0f} vs baseline "
-            f"{old_rate:,.0f} sim cycles/s (tolerance {tolerance:.0%})"
+            f"engine ring regressed: {new_rate:,.0f} vs baseline "
+            f"{old_rate:,.0f} hops/s (tolerance {tolerance:.0%})"
         )
     old_total = baseline["total_seconds"]
     new_total = current["total_seconds"]
     if new_total > old_total * (1.0 + tolerance):
         failures.append(
-            f"figure suite regressed: {new_total:.2f}s vs baseline "
+            f"eval suite regressed: {new_total:.2f}s vs baseline "
             f"{old_total:.2f}s (tolerance {tolerance:.0%})"
         )
     return failures
@@ -171,31 +139,22 @@ def check(current: dict, baseline: dict, tolerance: float) -> list[str]:
 
 def report(current: dict, baseline: dict | None) -> str:
     lines = [
-        f"engine: {current['engine']['sim_cycles_per_second']:,.0f} "
-        f"sim cycles/s over {current['engine']['simulated_cycles']:,} "
-        f"cycles",
+        f"engine ring: {current['engine']['ring_hops_per_s']:,.0f} hops/s "
+        f"(best of {ENGINE_REPEATS})",
     ]
-    boot = current.get("autoscale_boot")
-    if boot is not None:
-        lines.append(
-            f"autoscale boot ({boot['keys']} keys): warm "
-            f"{boot['warm_cycles']:,} vs cold+refill "
-            f"{boot['cold_stocked_cycles']:,} sim cycles "
-            f"(warm saves {boot['warm_vs_cold_delta_cycles']:,})"
-        )
     for name, seconds in sorted(current["figures"].items()):
         line = f"  {name:<20s} {seconds:7.3f}s"
         if baseline is not None and name in baseline.get("figures", {}):
             line += f"  (baseline {baseline['figures'][name]:.3f}s)"
         lines.append(line)
-    lines.append(f"total figure wall time: {current['total_seconds']:.3f}s")
+    lines.append(f"total eval wall time: {current['total_seconds']:.3f}s")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.perf.harness",
-        description="Measure simulator wall-clock performance.",
+        description="Time every eval and the engine ring on the host.",
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(

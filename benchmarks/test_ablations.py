@@ -7,11 +7,10 @@ from repro.eval import ablations
 from benchmarks.conftest import assert_committed
 
 
-def test_buffer_size_sweep(benchmark):
+def test_buffer_size_sweep():
     """"M3 benefits from larger buffer sizes until all available space
     in the SPM is used" (Section 5.4)."""
-    rows = benchmark.pedantic(ablations.buffer_size_sweep, rounds=1,
-                              iterations=1)
+    rows = ablations.buffer_size_sweep()
     times = [cycles for _size, cycles in rows]
     assert all(a > b for a, b in zip(times, times[1:]))  # strictly better
     # ...but with diminishing returns: the last doubling gains far less
@@ -22,20 +21,18 @@ def test_buffer_size_sweep(benchmark):
     assert_committed("abl_buffer_size", ablations.buffer_size_table(rows))
 
 
-def test_pipe_slot_sweep(benchmark):
+def test_pipe_slot_sweep():
     """One ring slot serialises the pipe ends; more slots pipeline them."""
-    rows = benchmark.pedantic(ablations.pipe_slot_sweep, rounds=1,
-                              iterations=1)
+    rows = ablations.pipe_slot_sweep()
     by_slots = dict(rows)
     assert by_slots[1] > by_slots[4] > by_slots[8] * 0.99
     assert by_slots[1] / by_slots[16] > 1.5  # pipelining pays
     assert_committed("abl_pipe_slots", ablations.pipe_slot_table(rows))
 
 
-def test_hop_latency_sweep(benchmark):
+def test_hop_latency_sweep():
     """Syscall cost grows (mildly) with NoC hop latency."""
-    rows = benchmark.pedantic(ablations.hop_latency_sweep, rounds=1,
-                              iterations=1)
+    rows = ablations.hop_latency_sweep()
     times = [cycles for _hop, cycles in rows]
     assert all(a <= b for a, b in zip(times, times[1:]))
     assert times[-1] > times[0]
@@ -45,21 +42,19 @@ def test_hop_latency_sweep(benchmark):
     assert_committed("abl_hop_latency", ablations.hop_latency_table(rows))
 
 
-def test_placement_sweep(benchmark):
+def test_placement_sweep():
     """Placing an app farther from the kernel costs hop cycles."""
-    rows = benchmark.pedantic(ablations.placement_sweep, rounds=1,
-                              iterations=1)
+    rows = ablations.placement_sweep()
     times = [cycles for _node, cycles in rows]
     assert times[-1] > times[0]
     assert all(a <= b for a, b in zip(times, times[1:]))
     assert_committed("abl_placement", ablations.placement_table(rows))
 
 
-def test_multiplexing_tradeoff(benchmark):
+def test_multiplexing_tradeoff():
     """Section 3.4's trade: dedicated PEs are faster; a shared PE costs
     wall time (context switches) but far fewer cores."""
-    trade = benchmark.pedantic(ablations.multiplexing_tradeoff, rounds=1,
-                               iterations=1)
+    trade = ablations.multiplexing_tradeoff()
     dedicated = trade["dedicated"]
     shared = trade["shared"]
     assert dedicated["wall"] < shared["wall"]
@@ -71,21 +66,19 @@ def test_multiplexing_tradeoff(benchmark):
     assert_committed("abl_multiplexing", ablations.multiplexing_table(trade))
 
 
-def test_cache_vs_bulk(benchmark):
+def test_cache_vs_bulk():
     """Section 7's cache extension vs the prototype's SPM+bulk model:
     bulk DTU transfers win for streaming, caches win for hot sets."""
-    results = benchmark.pedantic(ablations.cache_vs_bulk, rounds=1,
-                                 iterations=1)
+    results = ablations.cache_vs_bulk()
     assert results["stream_bulk"] < results["stream_cached"] / 5
     assert results["hot_cached"] < results["hot_bulk"]
     assert_committed("abl_cache", ablations.cache_table(results))
 
 
-def test_multi_fs_instances(benchmark):
+def test_multi_fs_instances():
     """Section 7 future work: additional m3fs instances recover the
     scalability the single instance loses in Figure 6's find run."""
-    rows = benchmark.pedantic(ablations.multi_fs_sweep, rounds=1,
-                              iterations=1)
+    rows = ablations.multi_fs_sweep()
     by_servers = dict(rows)
     assert by_servers[2] < 0.7 * by_servers[1]
     assert by_servers[4] < by_servers[2]

@@ -14,8 +14,8 @@ from repro.obs import causal
 from benchmarks.conftest import assert_committed
 
 
-def test_critical_path(benchmark):
-    results = benchmark.pedantic(critical_path.run, rounds=1, iterations=1)
+def test_critical_path():
+    results = critical_path.run()
 
     syscall = results["syscall"]
     segments = causal.critical_path(syscall)

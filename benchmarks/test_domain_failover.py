@@ -18,8 +18,8 @@ from benchmarks.conftest import assert_committed
 from repro.eval import domain_failover
 
 
-def test_domain_failover(benchmark):
-    results = benchmark.pedantic(domain_failover.run, rounds=1, iterations=1)
+def test_domain_failover():
+    results = domain_failover.run()
 
     find_verdict, find_wall = results["find"]
     assert find_verdict == "find-ok"

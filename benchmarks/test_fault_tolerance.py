@@ -15,8 +15,8 @@ from repro.eval import fault_tolerance
 from repro.eval.fault_tolerance import LOSS_RATES, syscall_bench
 
 
-def test_fault_tolerance(benchmark):
-    results = benchmark.pedantic(fault_tolerance.run, rounds=1, iterations=1)
+def test_fault_tolerance():
+    results = fault_tolerance.run()
 
     sweep = results["loss"]
     assert set(sweep) == set(LOSS_RATES)

@@ -10,8 +10,8 @@ from repro.eval import fig3_micro
 from benchmarks.conftest import assert_committed
 
 
-def test_fig3_micro(benchmark):
-    results = benchmark.pedantic(fig3_micro.run, rounds=1, iterations=1)
+def test_fig3_micro():
+    results = fig3_micro.run()
 
     syscall = results["syscall"]
     assert 150 <= syscall["M3"]["total"] <= 260  # "about 200 cycles"

@@ -10,8 +10,8 @@ from repro.eval import fig4_extents
 from benchmarks.conftest import assert_committed
 
 
-def test_fig4_extents(benchmark):
-    rows = benchmark.pedantic(fig4_extents.run, rounds=1, iterations=1)
+def test_fig4_extents():
+    rows = fig4_extents.run()
     by_blocks = {blocks: (read, write) for blocks, read, write in rows}
 
     reads = [read for _b, read, _w in rows]

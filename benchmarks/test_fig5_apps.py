@@ -12,8 +12,8 @@ from repro.eval import fig5_apps
 from benchmarks.conftest import assert_committed
 
 
-def test_fig5_apps(benchmark):
-    results = benchmark.pedantic(fig5_apps.run, rounds=1, iterations=1)
+def test_fig5_apps():
+    results = fig5_apps.run()
 
     def ratio(name):
         return results[name]["M3"]["total"] / results[name]["Lx"]["total"]

@@ -10,12 +10,8 @@ from repro.eval import fig6_multikernel
 from benchmarks.conftest import assert_committed
 
 
-def test_fig6_multikernel(benchmark):
-    results = benchmark.pedantic(
-        fig6_multikernel.run,
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_multikernel():
+    results = fig6_multikernel.run()
 
     averages = {
         bench: {count: avg for count, avg, _norm in series}

@@ -9,8 +9,8 @@ from repro.eval import fig6_scale
 from benchmarks.conftest import assert_committed
 
 
-def test_fig6_scale(benchmark):
-    results = benchmark.pedantic(fig6_scale.run, rounds=1, iterations=1)
+def test_fig6_scale():
+    results = fig6_scale.run()
 
     normalised = {
         bench: {count: norm for count, _avg, norm in series}

@@ -12,8 +12,8 @@ from repro.eval import fig7_accel
 from benchmarks.conftest import assert_committed
 
 
-def test_fig7_accel(benchmark):
-    results = benchmark.pedantic(fig7_accel.run, rounds=1, iterations=1)
+def test_fig7_accel():
+    results = fig7_accel.run()
     linux = results["Linux"]
     m3_soft = results["M3"]
     m3_accel = results["M3+accelerator"]

@@ -13,8 +13,8 @@ import json
 from repro.eval import profile, runall
 
 
-def test_profile(benchmark):
-    system = benchmark.pedantic(profile.run, rounds=1, iterations=1)
+def test_profile():
+    system = profile.run()
     obs = system.sim.obs
 
     # Key histograms exist and saw the expected traffic.

@@ -8,8 +8,8 @@ from repro.eval import tab_arm
 from benchmarks.conftest import assert_committed
 
 
-def test_tab_arm(benchmark):
-    rows = benchmark.pedantic(tab_arm.run, rounds=1, iterations=1)
+def test_tab_arm():
+    rows = tab_arm.run()
     metrics = {name: (xtensa, arm) for name, xtensa, arm in rows}
 
     syscall = metrics["null syscall (cycles)"]

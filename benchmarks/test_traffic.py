@@ -20,8 +20,8 @@ from benchmarks.conftest import assert_committed
 from repro.eval import traffic
 
 
-def test_traffic(benchmark):
-    results = benchmark.pedantic(traffic.run, rounds=1, iterations=1)
+def test_traffic():
+    results = traffic.run()
 
     points = results["curve"] + [results["bursty"], results["faulted"]]
     for point in points:

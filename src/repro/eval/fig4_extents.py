@@ -47,9 +47,8 @@ def read_time(blocks_per_extent: int) -> int:
 
 def write_time(blocks_per_extent: int) -> int:
     """Cycles to write 2 MiB allocating ``blocks_per_extent`` at once."""
-    system = M3System(
-        pe_count=4, kernel_node=0
-    ).boot(fs_kwargs={"append_blocks": blocks_per_extent})
+    system = M3System(pe_count=4).boot(
+        fs_kwargs={"append_blocks": blocks_per_extent})
     payload = deterministic_bytes("frag-w", BUFFER)
 
     def app(env):

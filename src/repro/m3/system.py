@@ -49,9 +49,12 @@ class M3System:
     """The booted OS: kernel + services on a :class:`Platform`."""
 
     def __init__(self, platform: Platform | None = None, pe_count: int = 8,
-                 kernel_node: int = 0, kernel_count: int = 1,
+                 kernel_count: int = 1,
                  multiplexing: bool = False, reliable: bool = False,
                  observe: bool = False, **platform_kwargs):
+        if kernel_count < 1:
+            raise ValueError(f"kernel_count={kernel_count}: a system needs "
+                             "at least one kernel")
         self.platform = platform or Platform.build(pe_count, **platform_kwargs)
         #: whether DTUs run with reliable delivery; device DTUs created
         #: after boot (e.g. NICs) consult this to match the chip.
@@ -70,8 +73,8 @@ class M3System:
         #: table, service registry, and DRAM shard, cooperating over the
         #: inter-kernel protocol (see docs/protocols.md).
         self.kernels: list[Kernel] = []
-        if kernel_count <= 1:
-            self.kernel = Kernel(self.platform, node=kernel_node)
+        if kernel_count == 1:
+            self.kernel = Kernel(self.platform)
             self.kernels = [self.kernel]
         else:
             pe_nodes = [pe.node for pe in self.platform.pes]

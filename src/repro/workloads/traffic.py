@@ -107,6 +107,12 @@ class TrafficProfile:
     def __post_init__(self):
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
+        # build_schedule draws a client per request and divides by the
+        # gap and the burst; run_profile reads schedule[0].
+        for field in ("requests", "clients", "mean_gap", "burst"):
+            value = getattr(self, field)
+            if value < 1:
+                raise ValueError(f"bad {field} {value}: must be >= 1")
         if self.keys > 256:
             raise ValueError("key_id travels in one byte; keys must be <= 256")
         if self.size_floor < 1 or self.size_floor > MAX_VALUE_BYTES:

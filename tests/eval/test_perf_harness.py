@@ -1,10 +1,12 @@
-"""The wall-clock perf harness: workload determinism and the gate."""
+"""The wall-clock perf harness: workload determinism, what it measures,
+and the gate."""
 
 import copy
 import json
 
 import pytest
 
+from benchmarks.hostperf import micro
 from benchmarks.perf import harness
 from repro.eval import runall
 
@@ -25,7 +27,7 @@ def test_engine_workload_is_deterministic():
 def _sample():
     return {
         "schema": harness.SCHEMA_VERSION,
-        "engine": {"sim_cycles_per_second": 100_000.0},
+        "engine": {"ring_hops_per_s": 100_000.0},
         "figures": {"fig3_micro": 1.0, "tab_arm": 0.5},
         "total_seconds": 1.5,
     }
@@ -34,7 +36,7 @@ def _sample():
 def test_check_passes_within_tolerance():
     baseline = _sample()
     current = copy.deepcopy(baseline)
-    current["engine"]["sim_cycles_per_second"] = 80_000.0  # -20%
+    current["engine"]["ring_hops_per_s"] = 80_000.0  # -20%
     current["total_seconds"] = 1.8  # +20%
     assert harness.check(current, baseline, tolerance=0.30) == []
 
@@ -42,10 +44,10 @@ def test_check_passes_within_tolerance():
 def test_check_fails_on_throughput_regression():
     baseline = _sample()
     current = copy.deepcopy(baseline)
-    current["engine"]["sim_cycles_per_second"] = 60_000.0  # -40%
+    current["engine"]["ring_hops_per_s"] = 60_000.0  # -40%
     failures = harness.check(current, baseline, tolerance=0.30)
     assert len(failures) == 1
-    assert "engine throughput" in failures[0]
+    assert "engine ring" in failures[0]
 
 
 def test_check_fails_on_wall_time_regression():
@@ -54,16 +56,28 @@ def test_check_fails_on_wall_time_regression():
     current["total_seconds"] = 2.5  # +67%
     failures = harness.check(current, baseline, tolerance=0.30)
     assert len(failures) == 1
-    assert "figure suite" in failures[0]
+    assert "eval suite" in failures[0]
 
 
 def test_committed_baseline_is_valid():
     assert harness.BASELINE_PATH.exists()
     baseline = json.loads(harness.BASELINE_PATH.read_text())
+    assert set(baseline) == {"schema", "engine", "figures", "total_seconds"}
     assert baseline["schema"] == harness.SCHEMA_VERSION
-    assert baseline["engine"]["sim_cycles_per_second"] > 0
+    assert baseline["engine"]["ring_hops_per_s"] > 0
     assert set(baseline["figures"]) == set(runall.BY_NAME)
     assert baseline["total_seconds"] > 0
+
+
+def test_engine_entry_is_the_best_of_hostperf_ring_calls(monkeypatch):
+    """The engine number is ``micro.sim_events``'s, not a second timer."""
+    rates = [120_000.0, 150_000.0] + [90_000.0] * (harness.ENGINE_REPEATS - 2)
+    calls = iter(rates)
+    monkeypatch.setattr(micro, "sim_events", lambda: next(calls))
+    monkeypatch.setattr(runall, "EVALS", ())
+    measured = harness.measure()
+    assert measured["engine"] == {"ring_hops_per_s": 150_000.0}
+    assert next(calls, None) is None  # exactly ENGINE_REPEATS calls
 
 
 def test_check_refuses_a_baseline_of_another_schema(tmp_path, monkeypatch,

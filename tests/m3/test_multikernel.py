@@ -63,6 +63,13 @@ def test_too_small_mesh_is_rejected():
         M3System(pe_count=5, kernel_count=4)
 
 
+@pytest.mark.parametrize("kernel_count", [0, -1])
+def test_a_system_without_a_kernel_is_rejected(kernel_count):
+    # Counts below one used to boot the single-kernel layout silently.
+    with pytest.raises(ValueError, match=f"kernel_count={kernel_count}"):
+        M3System(pe_count=4, kernel_count=kernel_count)
+
+
 def test_unknown_platform_keyword_is_rejected():
     # ``shards`` was an engine option once; it is gone, not ignored.
     with pytest.raises(TypeError, match="shards"):

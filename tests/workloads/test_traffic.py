@@ -48,6 +48,14 @@ def test_profile_validation():
         TrafficProfile(keys=1000)
     with pytest.raises(ValueError):
         TrafficProfile(size_floor=0)
+    # Shapes build_schedule cannot schedule are refused up front, not
+    # as an IndexError after a whole boot (requests=0), an empty
+    # randrange (clients=0) or a ZeroDivisionError (the gaps).
+    for shape in (dict(requests=0), dict(requests=-1), dict(clients=0),
+                  dict(mean_gap=0), dict(arrival="bursty", burst=0)):
+        field = next(name for name in shape if name != "arrival")
+        with pytest.raises(ValueError, match=field):
+            TrafficProfile(**shape)
 
 
 @pytest.mark.parametrize("shape, constraint", [
