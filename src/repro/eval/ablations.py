@@ -24,12 +24,10 @@ from repro.eval.common import single
 from repro.eval.fig6_scale import average_instance_time
 from repro.eval.report import render_table
 from repro.hw.platform import Platform, PlatformConfig
-from repro.m3.kernel import syscalls
-from repro.m3.lib.file import OpenFlags
-from repro.m3.lib.pipe import Pipe, PipeWriter
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
 from repro.workloads.data import deterministic_bytes
+from repro.workloads.micro import m3_drain, m3_pipe, m3_read, m3_syscalls
 
 # ---------------------------------------------------------------------------
 # buffer sizes
@@ -50,12 +48,7 @@ def read_time_with_buffer(buffer_bytes: int) -> int:
     def app(env):
         yield from env.vfs.stat("/")
         start = env.sim.now
-        file = yield from env.vfs.open("/sweep.dat", OpenFlags.R)
-        while True:
-            chunk = yield from file.read(buffer_bytes)
-            if not chunk:
-                break
-        yield from file.close()
+        yield from m3_read(env, "/sweep.dat", buffer_bytes)
         return env.sim.now - start
 
     return system.run_app(app, name="buffer-sweep")
@@ -78,27 +71,10 @@ def pipe_time_with_slots(slots: int) -> int:
     system = M3System(pe_count=4).boot(with_fs=False)
     chunk = deterministic_bytes("pipe-sweep", 4096)
 
-    def child(env, mem_sel, sgate_sel, ring, slot_count, rounds):
-        writer = yield from PipeWriter.attach(
-            env, mem_sel, sgate_sel, ring, slot_count
-        )
-        for _ in range(rounds):
-            yield from writer.write(chunk)
-        yield from writer.close()
-        return ()
-
     def parent(env):
-        pipe = yield from Pipe.create(env, ring_bytes=4096 * slots,
-                                      slots=slots)
-        vpe = yield from VPE.create(env, "writer")
-        args = yield from pipe.delegate_writer(vpe)
-        yield from vpe.run(child, *args, PIPE_SWEEP_BYTES // 4096)
-        reader = yield from pipe.reader().open()
+        reader, vpe = yield from m3_pipe(env, chunk, PIPE_SWEEP_BYTES, slots)
         start = env.sim.now
-        while True:
-            data = yield from reader.read(4096)
-            if not data:
-                break
+        yield from m3_drain(reader, 4096)
         yield from vpe.wait()
         return env.sim.now - start
 
@@ -127,10 +103,9 @@ def syscall_time(hop_cycles: int | None = None,
     iterations = 16
 
     def app(env):
-        yield from env.syscall(syscalls.NOOP)  # warmup
+        yield from m3_syscalls(env, 1)  # warmup
         start = env.sim.now
-        for _ in range(iterations):
-            yield from env.syscall(syscalls.NOOP)
+        yield from m3_syscalls(env, iterations)
         return (env.sim.now - start) // iterations
 
     if app_node is not None:

@@ -31,6 +31,7 @@ from repro.m3.kernel import syscalls
 from repro.m3.lib.m3fs_client import M3fsClient
 from repro.m3.system import M3System
 from repro.obs import causal
+from repro.workloads.micro import m3_syscalls
 
 #: warm-up iterations before the profiled null syscall (the last one
 #: is the measured request, matching Figure 3's warm measurement).
@@ -46,8 +47,7 @@ def profile_noop_syscall() -> causal.Request:
     system = M3System(pe_count=4, observe=True).boot(with_fs=False)
 
     def app(env):
-        for _ in range(SYSCALL_ITERATIONS):
-            yield from env.syscall(syscalls.NOOP)
+        yield from m3_syscalls(env, SYSCALL_ITERATIONS)
 
     system.run_app(app, name="syscall-bench")
     # find_request returns the *last* matching root: the warm iteration.

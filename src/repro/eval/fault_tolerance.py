@@ -22,13 +22,11 @@ from repro import params
 from repro.eval.common import DEFAULT_SEED, single
 from repro.eval.report import render_table
 from repro.faults import FaultPlan
-from repro.m3.kernel import syscalls
 from repro.m3.kernel.kernel import SyscallError
-from repro.m3.lib.file import OpenFlags
-from repro.m3.lib.pipe import Pipe, PipeWriter
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System, stat_sum
 from repro.workloads.data import deterministic_bytes
+from repro.workloads.micro import m3_drain, m3_pipe, m3_read, m3_syscalls
 
 #: per-packet drop probabilities swept by the loss experiment.
 LOSS_RATES = (0.0, 1e-4, 1e-3, 1e-2)
@@ -75,8 +73,7 @@ def syscall_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
 
     def app(env):
         start = env.sim.now
-        for _ in range(SYSCALL_ITERATIONS):
-            yield from env.syscall(syscalls.NOOP)
+        yield from m3_syscalls(env, SYSCALL_ITERATIONS)
         return env.sim.now - start
 
     wall = system.run_app(app, name="syscall-bench")
@@ -93,15 +90,8 @@ def read_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
 
     def app(env):
         start = env.sim.now
-        file = yield from env.vfs.open("/bench.dat", OpenFlags.R)
-        got = bytearray()
-        while True:
-            chunk = yield from file.read(BUFFER)
-            if not chunk:
-                break
-            got.extend(chunk)
-        yield from file.close()
-        return env.sim.now - start, bytes(got) == content
+        data = yield from m3_read(env, "/bench.dat", BUFFER)
+        return env.sim.now - start, data == content
 
     wall, ok = system.run_app(app, name="read-bench")
     return {"cycles": wall, "ok": ok, **_losses(system)}
@@ -113,31 +103,12 @@ def pipe_bench(loss_rate: float, seed: int = DEFAULT_SEED) -> dict:
     system.boot(with_fs=False)
     payload = deterministic_bytes("fault-pipe", BUFFER)
 
-    def child(env, mem_sel, sgate_sel, ring, slots, rounds):
-        writer = yield from PipeWriter.attach(env, mem_sel, sgate_sel, ring,
-                                              slots)
-        for _ in range(rounds):
-            yield from writer.write(payload)
-        yield from writer.close()
-        return ()
-
     def parent(env):
         start = env.sim.now
-        pipe = yield from Pipe.create(env, ring_bytes=BUFFER, slots=1)
-        vpe = yield from VPE.create(env, "writer")
-        args = yield from pipe.delegate_writer(vpe)
-        yield from vpe.run(child, *args, FILE_BYTES // BUFFER)
-        reader = yield from pipe.reader().open()
-        received = 0
-        correct = True
-        while True:
-            chunk = yield from reader.read(BUFFER)
-            if not chunk:
-                break
-            received += len(chunk)
-            correct = correct and bytes(chunk) == payload
+        reader, vpe = yield from m3_pipe(env, payload, FILE_BYTES)
+        data = yield from m3_drain(reader, BUFFER)
         yield from vpe.wait()
-        return env.sim.now - start, correct and received == FILE_BYTES
+        return env.sim.now - start, data == payload * (FILE_BYTES // BUFFER)
 
     wall, ok = system.run_app(parent, name="pipe-bench")
     return {"cycles": wall, "ok": ok, **_losses(system)}

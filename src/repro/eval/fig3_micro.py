@@ -12,19 +12,20 @@ from __future__ import annotations
 from repro import params
 from repro.eval.common import single
 from repro.eval.report import render_table
-from repro.linuxsim.machine import (
-    LinuxMachine,
-    O_CREAT,
-    O_RDONLY,
-    O_TRUNC,
-    O_WRONLY,
-)
-from repro.m3.kernel import syscalls
-from repro.m3.lib.file import OpenFlags
-from repro.m3.lib.pipe import Pipe, PipeWriter
-from repro.m3.lib.vpe import VPE
+from repro.linuxsim.machine import LinuxMachine
 from repro.m3.system import M3System
 from repro.workloads.data import deterministic_bytes
+from repro.workloads.micro import (
+    lx_pipe,
+    lx_read,
+    lx_syscalls,
+    lx_write,
+    m3_drain,
+    m3_pipe,
+    m3_read,
+    m3_syscalls,
+    m3_write,
+)
 
 FILE_BYTES = params.MICRO_FILE_BYTES
 BUFFER = params.MICRO_BUFFER_BYTES
@@ -34,14 +35,23 @@ SYSCALL_ITERATIONS = 16
 UNFRAGMENTED_BLOCKS = FILE_BYTES // params.M3FS_BLOCK_BYTES
 
 
-def _measure(env_or_lx, body):
-    """Generator: run ``body`` once for warmup, then measured."""
-    yield from body()
-    start = env_or_lx.sim.now
-    snapshot = env_or_lx.sim.ledger.snapshot()
-    yield from body()
-    delta = env_or_lx.sim.ledger.since(snapshot)
-    return env_or_lx.sim.now - start, delta
+def _measured(body):
+    """The app (or Linux program) that runs ``body(env)`` once for
+    warmup, then measured; it returns (cycles, ledger delta)."""
+
+    def program(env):
+        yield from body(env)
+        start = env.sim.now
+        snapshot = env.sim.ledger.snapshot()
+        yield from body(env)
+        return env.sim.now - start, env.sim.ledger.since(snapshot)
+
+    return program
+
+
+def _per_syscall(wall: int, delta: dict) -> tuple[int, dict]:
+    scaled = {tag: cycles // SYSCALL_ITERATIONS for tag, cycles in delta.items()}
+    return wall // SYSCALL_ITERATIONS, scaled
 
 
 # -- M3 side ------------------------------------------------------------------
@@ -50,18 +60,9 @@ def _measure(env_or_lx, body):
 def m3_syscall_cycles() -> tuple[int, dict]:
     """Average cycles of a null syscall on M3 (warm)."""
     system = M3System(pe_count=4).boot(with_fs=False)
-
-    def app(env):
-        def body():
-            for _ in range(SYSCALL_ITERATIONS):
-                yield from env.syscall(syscalls.NOOP)
-
-        wall, delta = yield from _measure(env, body)
-        return wall, delta
-
-    wall, delta = system.run_app(app, name="syscall-bench")
-    scaled = {tag: cycles // SYSCALL_ITERATIONS for tag, cycles in delta.items()}
-    return wall // SYSCALL_ITERATIONS, scaled
+    return _per_syscall(*system.run_app(
+        _measured(lambda env: m3_syscalls(env, SYSCALL_ITERATIONS)),
+        name="syscall-bench"))
 
 
 def m3_read_cycles() -> tuple[int, dict]:
@@ -70,43 +71,18 @@ def m3_read_cycles() -> tuple[int, dict]:
         {"/bench.dat": deterministic_bytes("bench", FILE_BYTES)},
         extent_blocks=UNFRAGMENTED_BLOCKS,
     )
-
-    def app(env):
-        def body():
-            file = yield from env.vfs.open("/bench.dat", OpenFlags.R)
-            while True:
-                chunk = yield from file.read(BUFFER)
-                if not chunk:
-                    break
-            yield from file.close()
-
-        return (yield from _measure(env, body))
-
-    return system.run_app(app, name="read-bench")
+    return system.run_app(
+        _measured(lambda env: m3_read(env, "/bench.dat", BUFFER)),
+        name="read-bench")
 
 
 def m3_write_cycles() -> tuple[int, dict]:
     system = M3System(pe_count=4).boot()
     payload = deterministic_bytes("write", BUFFER)
-
-    def app(env):
-        iteration = [0]
-
-        def body():
-            path = f"/out{iteration[0]}.dat"
-            iteration[0] += 1
-            file = yield from env.vfs.open(
-                path, OpenFlags.W | OpenFlags.CREATE
-            )
-            written = 0
-            while written < FILE_BYTES:
-                yield from file.write(payload)
-                written += BUFFER
-            yield from file.close()
-
-        return (yield from _measure(env, body))
-
-    return system.run_app(app, name="write-bench")
+    paths = iter(("/out0.dat", "/out1.dat"))  # warmup, measured
+    return system.run_app(
+        _measured(lambda env: m3_write(env, next(paths), payload, FILE_BYTES)),
+        name="write-bench")
 
 
 def m3_pipe_cycles() -> tuple[int, dict]:
@@ -116,30 +92,12 @@ def m3_pipe_cycles() -> tuple[int, dict]:
     system = M3System(pe_count=4).boot(with_fs=False)
     payload = deterministic_bytes("pipe", BUFFER)
 
-    def child(env, mem_sel, sgate_sel, ring, slots, rounds):
-        writer = yield from PipeWriter.attach(env, mem_sel, sgate_sel, ring,
-                                              slots)
-        for _ in range(rounds):
-            yield from writer.write(payload)
-        yield from writer.close()
-        return ()
+    def body(env):
+        reader, vpe = yield from m3_pipe(env, payload, FILE_BYTES)
+        yield from m3_drain(reader, BUFFER)
+        yield from vpe.wait()
 
-    def parent(env):
-        def body():
-            pipe = yield from Pipe.create(env, ring_bytes=BUFFER, slots=1)
-            vpe = yield from VPE.create(env, "writer")
-            args = yield from pipe.delegate_writer(vpe)
-            yield from vpe.run(child, *args, FILE_BYTES // BUFFER)
-            reader = yield from pipe.reader().open()
-            while True:
-                chunk = yield from reader.read(BUFFER)
-                if not chunk:
-                    break
-            yield from vpe.wait()
-
-        return (yield from _measure(env, body))
-
-    return system.run_app(parent, name="pipe-bench")
+    return system.run_app(_measured(body), name="pipe-bench")
 
 
 # -- Linux side -----------------------------------------------------------------
@@ -148,88 +106,31 @@ def m3_pipe_cycles() -> tuple[int, dict]:
 def lx_syscall_cycles(warm_cache: bool = False,
                       costs=params.LINUX_XTENSA) -> tuple[int, dict]:
     machine = LinuxMachine(costs=costs, warm_cache=warm_cache)
-
-    def program(lx):
-        def body():
-            for _ in range(SYSCALL_ITERATIONS):
-                yield from lx.null_syscall()
-
-        wall, delta = yield from _measure(lx, body)
-        return wall, delta
-
-    wall, delta = machine.run_program(program)
-    scaled = {tag: cycles // SYSCALL_ITERATIONS for tag, cycles in delta.items()}
-    return wall // SYSCALL_ITERATIONS, scaled
+    return _per_syscall(*machine.run_program(
+        _measured(lambda lx: lx_syscalls(lx, SYSCALL_ITERATIONS))))
 
 
 def lx_read_cycles(warm_cache: bool) -> tuple[int, dict]:
     machine = LinuxMachine(warm_cache=warm_cache)
     node = machine.fs.create("/bench.dat")
     node.data.extend(deterministic_bytes("bench", FILE_BYTES))
-
-    def program(lx):
-        def body():
-            fd = yield from lx.open("/bench.dat", O_RDONLY)
-            while True:
-                chunk = yield from lx.read(fd, BUFFER)
-                if not chunk:
-                    break
-            yield from lx.close(fd)
-
-        return (yield from _measure(lx, body))
-
-    return machine.run_program(program)
+    return machine.run_program(
+        _measured(lambda lx: lx_read(lx, "/bench.dat", BUFFER)))
 
 
 def lx_write_cycles(warm_cache: bool) -> tuple[int, dict]:
     machine = LinuxMachine(warm_cache=warm_cache)
     payload = deterministic_bytes("write", BUFFER)
-
-    def program(lx):
-        iteration = [0]
-
-        def body():
-            path = f"/out{iteration[0]}.dat"
-            iteration[0] += 1
-            fd = yield from lx.open(path, O_WRONLY | O_CREAT | O_TRUNC)
-            written = 0
-            while written < FILE_BYTES:
-                yield from lx.write(fd, payload)
-                written += BUFFER
-            yield from lx.close(fd)
-
-        return (yield from _measure(lx, body))
-
-    return machine.run_program(program)
+    paths = iter(("/out0.dat", "/out1.dat"))  # warmup, measured
+    return machine.run_program(
+        _measured(lambda lx: lx_write(lx, next(paths), payload, FILE_BYTES)))
 
 
 def lx_pipe_cycles(warm_cache: bool) -> tuple[int, dict]:
     machine = LinuxMachine(warm_cache=warm_cache)
     payload = deterministic_bytes("pipe", BUFFER)
-
-    def child(lx, write_fd, rounds):
-        for _ in range(rounds):
-            yield from lx.write(write_fd, payload)
-        yield from lx.close(write_fd)
-        return ()
-
-    def program(lx):
-        def body():
-            read_fd, write_fd = yield from lx.pipe()
-            child_env = yield from lx.fork(
-                child, write_fd, FILE_BYTES // BUFFER
-            )
-            yield from lx.close(write_fd)
-            while True:
-                chunk = yield from lx.read(read_fd, BUFFER)
-                if not chunk:
-                    break
-            yield from lx.close(read_fd)
-            yield from lx.waitpid(child_env)
-
-        return (yield from _measure(lx, body))
-
-    return machine.run_program(program)
+    return machine.run_program(
+        _measured(lambda lx: lx_pipe(lx, payload, FILE_BYTES)))
 
 
 # -- assembly -------------------------------------------------------------------
@@ -237,33 +138,23 @@ def lx_pipe_cycles(warm_cache: bool) -> tuple[int, dict]:
 
 def run() -> dict:
     """All Figure 3 numbers: op -> system -> (total, xfers, other)."""
-    results: dict = {}
 
     def pack(wall: int, ledger: dict) -> dict:
         xfers = ledger.get("xfer", 0)
         return {"total": wall, "xfers": xfers, "other": wall - xfers}
 
-    results["syscall"] = {
-        "M3": pack(*m3_syscall_cycles()),
-        "Lx-$": pack(*lx_syscall_cycles(warm_cache=True)),
-        "Lx": pack(*lx_syscall_cycles(warm_cache=False)),
+    # op -> (M3 measurement, Linux measurement given ``warm_cache``)
+    ops = {
+        "syscall": (m3_syscall_cycles, lx_syscall_cycles),
+        "read": (m3_read_cycles, lx_read_cycles),
+        "write": (m3_write_cycles, lx_write_cycles),
+        "pipe": (m3_pipe_cycles, lx_pipe_cycles),
     }
-    results["read"] = {
-        "M3": pack(*m3_read_cycles()),
-        "Lx-$": pack(*lx_read_cycles(True)),
-        "Lx": pack(*lx_read_cycles(False)),
+    return {
+        op: {"M3": pack(*m3()), "Lx-$": pack(*lx(True)),
+             "Lx": pack(*lx(False))}
+        for op, (m3, lx) in ops.items()
     }
-    results["write"] = {
-        "M3": pack(*m3_write_cycles()),
-        "Lx-$": pack(*lx_write_cycles(True)),
-        "Lx": pack(*lx_write_cycles(False)),
-    }
-    results["pipe"] = {
-        "M3": pack(*m3_pipe_cycles()),
-        "Lx-$": pack(*lx_pipe_cycles(True)),
-        "Lx": pack(*lx_pipe_cycles(False)),
-    }
-    return results
 
 
 def render(results: dict) -> str:

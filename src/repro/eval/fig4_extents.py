@@ -14,6 +14,7 @@ from repro.eval.report import render_table
 from repro.m3.lib.file import OpenFlags
 from repro.m3.system import M3System
 from repro.workloads.data import deterministic_bytes
+from repro.workloads.micro import m3_read, m3_write
 
 FILE_BYTES = params.MICRO_FILE_BYTES
 BUFFER = params.MICRO_BUFFER_BYTES
@@ -34,12 +35,7 @@ def read_time(blocks_per_extent: int) -> int:
         yield from probe.read(BUFFER)
         yield from probe.close()
         start = env.sim.now
-        file = yield from env.vfs.open("/frag.dat", OpenFlags.R)
-        while True:
-            chunk = yield from file.read(BUFFER)
-            if not chunk:
-                break
-        yield from file.close()
+        yield from m3_read(env, "/frag.dat", BUFFER)
         return env.sim.now - start
 
     return system.run_app(app, name="frag-read")
@@ -55,13 +51,7 @@ def write_time(blocks_per_extent: int) -> int:
         # warmup: session establishment
         yield from env.vfs.stat("/")
         start = env.sim.now
-        file = yield from env.vfs.open("/new.dat",
-                                       OpenFlags.W | OpenFlags.CREATE)
-        written = 0
-        while written < FILE_BYTES:
-            yield from file.write(payload)
-            written += BUFFER
-        yield from file.close()
+        yield from m3_write(env, "/new.dat", payload, FILE_BYTES)
         return env.sim.now - start
 
     return system.run_app(app, name="frag-write")

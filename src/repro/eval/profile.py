@@ -136,10 +136,9 @@ def run() -> "M3System":
     syscall-latency, message-RTT, and m3fs-request histograms plus NoC
     link traffic; returns the finished system for inspection.
     """
-    from repro.m3.kernel import syscalls
-    from repro.m3.lib.file import OpenFlags
     from repro.m3.system import M3System
     from repro.workloads.data import deterministic_bytes
+    from repro.workloads.micro import m3_read, m3_syscalls
 
     system = M3System(pe_count=4, observe=True).boot()
     system.fs_preload(
@@ -147,14 +146,8 @@ def run() -> "M3System":
     )
 
     def app(env):
-        for _ in range(PROFILE_SYSCALLS):
-            yield from env.syscall(syscalls.NOOP)
-        file = yield from env.vfs.open("/profile.dat", OpenFlags.R)
-        while True:
-            chunk = yield from file.read(PROFILE_BUFFER_BYTES)
-            if not chunk:
-                break
-        yield from file.close()
+        yield from m3_syscalls(env, PROFILE_SYSCALLS)
+        yield from m3_read(env, "/profile.dat", PROFILE_BUFFER_BYTES)
         return ()
 
     system.run_app(app, name="profile")

@@ -14,14 +14,9 @@ from __future__ import annotations
 from repro import params
 from repro.eval.common import single
 from repro.eval.report import render_table
-from repro.linuxsim.machine import (
-    LinuxMachine,
-    O_CREAT,
-    O_RDONLY,
-    O_TRUNC,
-    O_WRONLY,
-)
+from repro.linuxsim.machine import LinuxMachine, O_CREAT, O_RDONLY, O_WRONLY
 from repro.workloads.data import deterministic_bytes
+from repro.workloads.micro import lx_syscalls, lx_write
 
 FILE_BYTES = params.MICRO_FILE_BYTES
 BUFFER = params.MICRO_BUFFER_BYTES
@@ -36,7 +31,7 @@ def syscall_cycles(costs: params.LinuxCosts) -> int:
 
     def program(lx):
         start = lx.sim.now
-        yield from lx.null_syscall()
+        yield from lx_syscalls(lx, 1)
         return lx.sim.now - start
 
     return machine.run_program(program)
@@ -49,12 +44,7 @@ def create_overhead(costs: params.LinuxCosts) -> int:
 
     def program(lx):
         start = lx.sim.now
-        fd = yield from lx.open("/f", O_WRONLY | O_CREAT | O_TRUNC)
-        written = 0
-        while written < FILE_BYTES:
-            yield from lx.write(fd, payload)
-            written += BUFFER
-        yield from lx.close(fd)
+        yield from lx_write(lx, "/f", payload, FILE_BYTES)
         return lx.sim.now - start
 
     total = machine.run_program(program)

@@ -86,28 +86,23 @@ KERNEL_REPLY_RING_SLOTS = 64
 class Kernel:
     """Kernel state plus the dispatch loop running on the kernel PE."""
 
-    def __init__(self, platform: "Platform", node: int = 0,
-                 kernel_id: int = 0, domain=None,
-                 dram_base: int | None = None,
-                 dram_bytes: int | None = None):
+    def __init__(self, platform: "Platform", node: int, kernel_id: int,
+                 domain, dram_base: int, dram_bytes: int):
         self.platform = platform
         self.sim = platform.sim
         self.node = node
         self.pe = platform.pe(node)
         self.dtu = self.pe.dtu
-        #: this kernel's id and the set of PE nodes it owns (``None``
-        #: means the whole mesh — the classic single-kernel layout).
+        #: this kernel's id and the set of PE nodes it owns (a lone
+        #: kernel owns the whole mesh).
         self.kernel_id = kernel_id
-        self.domain = set(domain) if domain is not None else None
-        #: process-name stem: ``kernel<d>`` for partitioned kernels.
-        self.label = "kernel" if domain is None else f"kernel{kernel_id}"
+        self.domain = set(domain)
+        #: process-name stem; :meth:`set_peers` makes it ``kernel<d>``.
+        self.label = "kernel"
         #: VPE id -> kernel object.
         self.vpes: dict[int, VpeObject] = {}
-        #: DRAM allocator; a partitioned kernel manages only its own
-        #: shard ``[dram_base, dram_base + dram_bytes)``.
-        if dram_base is None:
-            dram_base = 0
-            dram_bytes = platform.dram.memory.size
+        #: DRAM allocator for this kernel's shard
+        #: ``[dram_base, dram_base + dram_bytes)``.
         self.memory = MemoryManager(dram_base, dram_bytes)
         #: the membership view the components share: peer kernel id ->
         #: send-EP index on this DTU (filled by :meth:`set_peers`), and
@@ -236,8 +231,10 @@ class Kernel:
         receive endpoint) and moves the first service endpoint behind
         them.  Never called for a single-kernel system, whose endpoint
         layout is unchanged.  ``peer_domains`` (id -> node set) tells
-        failover which PEs to quarantine when a peer dies.
+        failover which PEs to quarantine when a peer dies.  A kernel
+        with peers is labelled by its domain, ``kernel<d>``.
         """
+        self.label = f"kernel{self.kernel_id}"
         self._peer_nodes = dict(peer_nodes)
         self.failover.peer_domains = {
             peer: set(nodes) for peer, nodes in (peer_domains or {}).items()
@@ -292,7 +289,7 @@ class Kernel:
         for pe in self.platform.pes:
             if pe.node == self.node:
                 continue
-            if self.domain is not None and pe.node not in self.domain:
+            if pe.node not in self.domain:
                 continue  # a peer kernel downgrades its own domain
             yield from self.dtu.configure_remote(pe.node, "downgrade")
         self._booted = True

@@ -157,7 +157,7 @@ class MemGate(Gate):
         )
         return MemGate(self.env, selector, size)
 
-    def read(self, offset: int, length: int, into_addr: int | None = None):
+    def read(self, offset: int, length: int):
         """Generator: RDMA-read bytes from the region; returns a
         read-only bytes-like object (``bytes | memoryview``, see
         :meth:`repro.hw.spm.Scratchpad.read`).
@@ -178,10 +178,10 @@ class MemGate(Gate):
             epmux.use_clock += 1
             epmux.last_use[ep] = epmux.use_clock
         return (
-            yield from self.env.dtu.read_memory(ep, offset, length, into_addr)
+            yield from self.env.dtu.read_memory(ep, offset, length)
         )
 
-    def write(self, offset: int, data: bytes, from_addr: int | None = None):
+    def write(self, offset: int, data: bytes):
         """Generator: RDMA-write bytes into the region (see :meth:`read`
         for ``spin_io`` mode)."""
         if getattr(self.env, "spin_io", False):
@@ -195,7 +195,7 @@ class MemGate(Gate):
             epmux.use_clock += 1
             epmux.last_use[ep] = epmux.use_clock
         return (
-            yield from self.env.dtu.write_memory(ep, offset, data, from_addr)
+            yield from self.env.dtu.write_memory(ep, offset, data)
         )
 
 

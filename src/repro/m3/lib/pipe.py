@@ -102,16 +102,11 @@ class Pipe:
 class PipeReader:
     """The consuming end."""
 
-    def __init__(self, env: "Env", mem, rgate_sel_or_gate, ring_bytes: int,
+    def __init__(self, env: "Env", mem, rgate_sel: int, ring_bytes: int,
                  slots: int):
         self.env = env
         self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem, ring_bytes)
-        if isinstance(rgate_sel_or_gate, RecvGate):
-            self.rgate = rgate_sel_or_gate
-        else:
-            self.rgate = RecvGate(
-                env, rgate_sel_or_gate, NOTIFY_BYTES + 16, slots
-            )
+        self.rgate = RecvGate(env, rgate_sel, NOTIFY_BYTES + 16, slots)
         self.ring_bytes = ring_bytes
         self.slots = slots
         self._leftover = b""
@@ -160,14 +155,11 @@ class PipeReader:
 class PipeWriter:
     """The producing end."""
 
-    def __init__(self, env: "Env", mem, sgate_sel_or_gate, ring_bytes: int,
+    def __init__(self, env: "Env", mem, sgate_sel: int, ring_bytes: int,
                  slots: int):
         self.env = env
         self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem, ring_bytes)
-        if isinstance(sgate_sel_or_gate, SendGate):
-            self.sgate = sgate_sel_or_gate
-        else:
-            self.sgate = SendGate(env, sgate_sel_or_gate)
+        self.sgate = SendGate(env, sgate_sel)
         self.ring_bytes = ring_bytes
         self.slots = slots
         self.chunk_bytes = ring_bytes // slots

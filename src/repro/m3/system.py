@@ -66,40 +66,30 @@ class M3System:
         self.sim = self.platform.sim
         if observe:
             self.enable_observability()
-        #: the booted kernels, one per domain.  ``kernel_count=1`` is the
-        #: classic layout (one kernel owning the whole mesh) and stays
-        #: cycle-identical to it; ``kernel_count>1`` partitions the PE
-        #: mesh into contiguous domains, each with its own kernel, VPE
-        #: table, service registry, and DRAM shard, cooperating over the
-        #: inter-kernel protocol (see docs/protocols.md).
+        #: the booted kernels, one per domain: the PE mesh is split into
+        #: ``kernel_count`` contiguous domains, each with its own kernel,
+        #: VPE table, service registry, and DRAM shard.  A lone kernel
+        #: owns the whole mesh and all of DRAM; several cooperate over
+        #: the inter-kernel protocol (see docs/protocols.md).
+        pe_count = len(self.platform.pes)  # PEs fill nodes 0..n-1
+        if pe_count < 2 * kernel_count:
+            raise ValueError(
+                f"{pe_count} PEs cannot host {kernel_count} kernel "
+                "domains (each needs a kernel PE plus at least one "
+                "application PE)"
+            )
+        share, extra = divmod(pe_count, kernel_count)
+        dram_share = self.platform.dram.memory.size // kernel_count
         self.kernels: list[Kernel] = []
-        if kernel_count == 1:
-            self.kernel = Kernel(self.platform)
-            self.kernels = [self.kernel]
-        else:
-            pe_nodes = [pe.node for pe in self.platform.pes]
-            if len(pe_nodes) < 2 * kernel_count:
-                raise ValueError(
-                    f"{len(pe_nodes)} PEs cannot host {kernel_count} kernel "
-                    "domains (each needs a kernel PE plus at least one "
-                    "application PE)"
-                )
-            share, extra = divmod(len(pe_nodes), kernel_count)
-            dram_share = self.platform.dram.memory.size // kernel_count
-            start = 0
-            for domain_id in range(kernel_count):
-                size = share + (1 if domain_id < extra else 0)
-                chunk = pe_nodes[start:start + size]
-                start += size
-                kernel = Kernel(
-                    self.platform,
-                    node=chunk[0],
-                    kernel_id=domain_id,
-                    domain=set(chunk),
-                    dram_base=domain_id * dram_share,
-                    dram_bytes=dram_share,
-                )
-                self.kernels.append(kernel)
+        start = 0
+        for domain_id in range(kernel_count):
+            size = share + (1 if domain_id < extra else 0)
+            self.kernels.append(Kernel(
+                self.platform, start, domain_id, range(start, start + size),
+                domain_id * dram_share, dram_share,
+            ))
+            start += size
+        if kernel_count > 1:
             for kernel in self.kernels:
                 kernel.set_peers(
                     {
@@ -111,7 +101,7 @@ class M3System:
                         for other in self.kernels if other is not kernel
                     },
                 )
-            self.kernel = self.kernels[0]
+        self.kernel = self.kernels[0]
         for kernel in self.kernels:
             kernel.start_software = self._start_software
             kernel.load_program = self._load_program
@@ -124,7 +114,6 @@ class M3System:
         #: every service that ever registered, by name — filled by
         #: ``Server.main``, retired ones kept (read by :meth:`stats`).
         self.servers: dict[str, "Server"] = {}
-        self._kernel_process = None
         self._kernel_processes: list = []
         #: (vpe, process) pairs for crash reporting.
         self._app_processes: list = []
@@ -165,12 +154,8 @@ class M3System:
         """NoC node -> kernel-domain id, for failure attribution."""
         mapping: dict[int, int] = {}
         for kernel in self.kernels:
-            if kernel.domain:
-                for node in kernel.domain:
-                    mapping[node] = kernel.kernel_id
-            else:  # single-kernel layout: it owns the whole mesh
-                for pe in self.platform.pes:
-                    mapping[pe.node] = kernel.kernel_id
+            for node in kernel.domain:
+                mapping[node] = kernel.kernel_id
         return mapping
 
     def stats(self) -> dict:
@@ -222,7 +207,6 @@ class M3System:
             self._kernel_processes.append(
                 kernel.pe.run(self._run_kernel(kernel), kernel.label)
             )
-        self._kernel_process = self._kernel_processes[0]
         if with_fs:
             self.start_m3fs(**(fs_kwargs or {}))
         return self

@@ -107,14 +107,22 @@ class TrafficProfile:
     def __post_init__(self):
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
-        # build_schedule draws a client per request and divides by the
-        # gap and the burst; run_profile reads schedule[0].
-        for field in ("requests", "clients", "mean_gap", "burst"):
+        # build_schedule draws a client and a key per request and
+        # divides by the gap and the burst; run_profile reads schedule[0].
+        for field in ("requests", "clients", "mean_gap", "burst", "keys"):
             value = getattr(self, field)
             if value < 1:
                 raise ValueError(f"bad {field} {value}: must be >= 1")
         if self.keys > 256:
             raise ValueError("key_id travels in one byte; keys must be <= 256")
+        if not 0 <= self.get_fraction <= 1:
+            raise ValueError(f"bad get_fraction {self.get_fraction}: "
+                             "must be within [0, 1]")
+        if self.size_alpha <= 0:  # the Pareto draw divides by it
+            raise ValueError(f"bad size_alpha {self.size_alpha}: must be > 0")
+        if self.burst_spacing < 0:  # arrivals would go back in time
+            raise ValueError(f"bad burst_spacing {self.burst_spacing}: "
+                             "must be >= 0")
         if self.size_floor < 1 or self.size_floor > MAX_VALUE_BYTES:
             raise ValueError(f"bad size_floor {self.size_floor}")
         if self.session_refresh < 0:

@@ -39,3 +39,61 @@ def test_fig4_read_faster_with_fewer_extents():
     fragmented = fig4_extents.read_time(16)
     contiguous = fig4_extents.read_time(2048)
     assert fragmented > contiguous
+
+
+# -- the shared programs (repro.workloads.micro) -----------------------------
+
+
+@pytest.mark.parametrize("buffer", [1000, 4096, 64 * 1024])
+def test_m3_read_returns_exactly_the_preloaded_bytes(buffer):
+    from repro.m3.system import M3System
+    from repro.workloads.data import deterministic_bytes
+    from repro.workloads.micro import m3_read
+
+    content = deterministic_bytes("micro-read", 40_000)
+    system = M3System(pe_count=4).boot()
+    system.fs_preload({"/in.dat": content})
+
+    def app(env):
+        return (yield from m3_read(env, "/in.dat", buffer))
+
+    assert system.run_app(app) == content
+
+
+@pytest.mark.parametrize("slots", [1, 4])
+def test_m3_pipe_and_drain_deliver_every_round(slots):
+    from repro.m3.system import M3System
+    from repro.workloads.data import deterministic_bytes
+    from repro.workloads.micro import m3_drain, m3_pipe
+    from tests.m3.invariants import check_dtus_quiescent, check_kernel_tables
+
+    payload, rounds = deterministic_bytes("micro-pipe", 1024), 6
+    system = M3System(pe_count=4).boot(with_fs=False)
+
+    def app(env):
+        reader, vpe = yield from m3_pipe(env, payload, rounds * len(payload),
+                                         slots)
+        assert vpe.name == "writer"
+        data = yield from m3_drain(reader, len(payload))
+        yield from vpe.wait()
+        return data
+
+    assert system.run_app(app) == payload * rounds
+    check_kernel_tables(system)
+    check_dtus_quiescent(system)
+
+
+@pytest.mark.parametrize("warm_cache", [False, True])
+def test_lx_write_then_lx_read_round_trips(warm_cache):
+    from repro.linuxsim.machine import LinuxMachine
+    from repro.workloads.data import deterministic_bytes
+    from repro.workloads.micro import lx_read, lx_write
+
+    payload = deterministic_bytes("micro-lx", 4096)
+    machine = LinuxMachine(warm_cache=warm_cache)
+
+    def program(lx):
+        yield from lx_write(lx, "/f", payload, 5 * len(payload))
+        return (yield from lx_read(lx, "/f", 3000))
+
+    assert machine.run_program(program) == payload * 5

@@ -228,7 +228,7 @@ def test_single_kernel_layout_is_unchanged():
     system = M3System(pe_count=6).boot(with_fs=False)
     assert system.kernels == [system.kernel]
     assert system.kernel.peers == {}
-    assert system.kernel.domain is None
+    assert system.kernel.domain == set(range(6))
     assert system.kernel.label == "kernel"
     # service endpoints still start right after the reply endpoint
     from repro.m3.kernel.kernel import KERNEL_FIRST_SRV_EP

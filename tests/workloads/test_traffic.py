@@ -50,9 +50,14 @@ def test_profile_validation():
         TrafficProfile(size_floor=0)
     # Shapes build_schedule cannot schedule are refused up front, not
     # as an IndexError after a whole boot (requests=0), an empty
-    # randrange (clients=0) or a ZeroDivisionError (the gaps).
+    # randrange (clients=0, keys=0), a ZeroDivisionError (the gaps,
+    # size_alpha=0), a probability outside [0, 1] or arrivals out of
+    # order (a negative burst_spacing).
     for shape in (dict(requests=0), dict(requests=-1), dict(clients=0),
-                  dict(mean_gap=0), dict(arrival="bursty", burst=0)):
+                  dict(mean_gap=0), dict(arrival="bursty", burst=0),
+                  dict(keys=0), dict(size_alpha=0), dict(get_fraction=1.5),
+                  dict(get_fraction=-0.1),
+                  dict(arrival="bursty", burst_spacing=-1)):
         field = next(name for name in shape if name != "arrival")
         with pytest.raises(ValueError, match=field):
             TrafficProfile(**shape)
