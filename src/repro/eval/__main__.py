@@ -9,14 +9,14 @@ from repro.eval import runall
 
 def main(names: list[str]) -> int:
     try:
-        evals = runall.select_evals(names)
+        runall.select_evals(names)
     except ValueError as error:
         print(f"python -m repro.eval: {error}", file=sys.stderr)
         return 2
-    for entry in evals:
-        for filename, contents in entry.run().items():
-            if filename.endswith(".txt"):  # not profile's trace JSON
-                sys.stdout.write(contents)
+    files = runall.render(runall.evaluate(jobs=1, select=names))
+    for filename, contents in files.items():
+        if filename.endswith(".txt"):  # not profile's trace JSON
+            sys.stdout.write(contents)
     return 0
 
 

@@ -272,10 +272,6 @@ def fold(outcomes: dict) -> dict:
     }
 
 
-def run() -> dict:
-    return fold({point: run_point(point) for point in POINTS})
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -297,7 +293,7 @@ _POINT_HEADERS = ["tier", "offered/Mcyc", "goodput/Mcyc", "done",
 
 
 def render(results: dict) -> str:
-    """The ``results/autoscale.txt`` report for :func:`run`."""
+    """The ``results/autoscale.txt`` report for :func:`fold`'s results."""
     static, elastic = results["static"], results["elastic"]
     comparison = render_table(
         f"Elastic scaling: bursty load at equal offered rate "
@@ -395,7 +391,6 @@ def render_fault(points: dict) -> str:
     )
 
 
-EVAL = swept("autoscale", POINTS, run_point,
-             lambda outcomes: render(fold(outcomes)))
-FAULT_EVAL = swept("autoscale_fault", tuple(TIERS), run_fault_point,
+EVAL = swept("autoscale", POINTS, run_point, fold, render)
+FAULT_EVAL = swept("autoscale_fault", tuple(TIERS), run_fault_point, dict,
                    render_fault)

@@ -14,39 +14,37 @@ class Eval(typing.NamedTuple):
 
     ``points`` are picklable keys, one per independent simulation.
     ``run_point(point)`` runs in a worker process and returns a
-    picklable outcome; ``render({point: outcome})`` runs in the parent
-    and returns ``{filename: contents}`` for exactly the ``files`` the
-    eval declares.  Only names and points cross the process boundary,
-    so the two callables may be closures.
+    picklable outcome; ``fold({point: outcome})`` runs in the parent
+    and returns the structured results the claims in
+    ``benchmarks/claims.py`` read; ``render(results)`` returns
+    ``{filename: contents}`` for exactly the ``files`` the eval
+    declares.  Only names and points cross the process boundary, so
+    the callables may be closures.  ``runall.evaluate`` is the one
+    way to run an eval.
     """
 
     name: str
     points: tuple
     run_point: typing.Callable
+    fold: typing.Callable
     render: typing.Callable
     files: tuple
 
-    def run(self) -> dict:
-        """Every point, serially in this process, rendered."""
-        return self.render(
-            {point: self.run_point(point) for point in self.points}
-        )
 
-
-def swept(name: str, points: tuple, run_point, table) -> Eval:
+def swept(name: str, points: tuple, run_point, fold, render) -> Eval:
     """An eval over several points: ``<name>.txt`` holds
-    ``table({point: outcome})``."""
+    ``render(fold({point: outcome}))``."""
     filename = f"{name}.txt"
-    return Eval(name, points, run_point,
-                lambda outcomes: {filename: table(outcomes) + "\n"},
+    return Eval(name, points, run_point, fold,
+                lambda results: {filename: render(results) + "\n"},
                 (filename,))
 
 
 def single(name: str, run, render) -> Eval:
-    """An eval that is one simulation: ``<name>.txt`` holds
-    ``render(run())``."""
+    """An eval that is one simulation: its results are ``run()``'s and
+    ``<name>.txt`` holds ``render(results)``."""
     return swept(name, (None,), lambda _point: run(),
-                 lambda outcomes: render(outcomes[None]))
+                 lambda outcomes: outcomes[None], render)
 
 
 def normalised(averages: dict, benchmarks, counts) -> dict:

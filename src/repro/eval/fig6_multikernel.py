@@ -59,10 +59,6 @@ def fold(averages: dict) -> dict:
     return normalised(averages, BENCHMARKS, KERNEL_COUNTS)
 
 
-def run() -> dict:
-    return fold({point: run_point(point) for point in POINTS})
-
-
 def render(results: dict) -> str:
     """The ``results/fig6_multikernel.txt`` table."""
     return render_table(
@@ -73,5 +69,4 @@ def render(results: dict) -> str:
     )
 
 
-EVAL = swept("fig6_multikernel", POINTS, run_point,
-             lambda averages: render(fold(averages)))
+EVAL = swept("fig6_multikernel", POINTS, run_point, fold, render)

@@ -103,12 +103,8 @@ def fold(averages: dict) -> dict:
     return normalised(averages, BENCHMARKS, INSTANCE_COUNTS)
 
 
-def run() -> dict:
-    return fold({point: run_point(point) for point in POINTS})
-
-
 def render(results: dict) -> str:
-    """The ``results/fig6_scale.txt`` table for :func:`run`'s results."""
+    """The ``results/fig6_scale.txt`` table for :func:`fold`'s results."""
     return render_table(
         "Figure 6: avg time per instance, normalised (flatter is better)",
         ["benchmark", "instances", "avg cycles", "normalised"],
@@ -116,5 +112,4 @@ def render(results: dict) -> str:
     )
 
 
-EVAL = swept("fig6_scale", POINTS, run_point,
-             lambda averages: render(fold(averages)))
+EVAL = swept("fig6_scale", POINTS, run_point, fold, render)

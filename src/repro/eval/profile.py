@@ -14,6 +14,7 @@ yields both ``results/profile.txt`` and a Chrome trace-event JSON
 from __future__ import annotations
 
 import json
+import math
 import typing
 
 from repro import params
@@ -94,7 +95,7 @@ def link_series_table(observer: "Observer", top: int = 3) -> str:
     """Occupancy time series (epoch boundaries) for the busiest links."""
     busiest = sorted(
         observer.link_series.items(),
-        key=lambda kv: (-sum(f for _t, f in kv[1]), kv[0]),
+        key=lambda kv: (-math.fsum(f for _t, f in kv[1]), kv[0]),
     )[:top]
     rows = []
     for (a, b), series in busiest:
@@ -171,5 +172,5 @@ def files(system: "M3System") -> dict:
 
 
 #: the system does not pickle, so the worker renders both files itself.
-EVAL = Eval("profile", (None,), lambda _point: files(run()),
-            lambda outcomes: outcomes[None], (REPORT_FILE, TRACE_FILE))
+EVAL = Eval("profile", (None,), lambda _point: files(run()), dict,
+            lambda results: results[None], (REPORT_FILE, TRACE_FILE))

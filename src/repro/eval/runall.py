@@ -1,4 +1,5 @@
-"""The eval registry, and the one writer of ``results/``.
+"""The eval registry, the one way to run an eval (:func:`evaluate`),
+and the one writer of ``results/``.
 
 Every committed result is an :class:`~repro.eval.common.Eval` listed
 once in :data:`EVALS`.  Its points are independent simulations: no
@@ -11,9 +12,9 @@ outcomes deterministically:
 - ``pool.map`` returns outcomes in *input* order regardless of which
   worker finished first, so the rendered output is identical for any
   worker count — including the serial in-process fallback.
-- Workers return picklable outcomes; rendering and writing happen in
-  the parent.  A crashed worker therefore cannot leave a half-written
-  results file behind.
+- Workers return picklable outcomes; folding, rendering and writing
+  happen in the parent.  A crashed worker therefore cannot leave a
+  half-written results file behind.
 
 Usage::
 
@@ -102,26 +103,22 @@ def _execute(job: tuple):
 
 
 def _collect(jobs: list[tuple], outcomes: list) -> dict:
-    """Fold per-job outcomes (in job order) into {filename: content}."""
+    """Fold per-job outcomes (in job order) into {eval name: results}."""
     by_eval: dict[str, dict] = {}
     for (name, point), outcome in zip(jobs, outcomes):
         by_eval.setdefault(name, {})[point] = outcome
-    files: dict[str, str] = {}
-    for name, points in by_eval.items():
-        files.update(BY_NAME[name].render(points))
-    return files
+    return {name: BY_NAME[name].fold(points)
+            for name, points in by_eval.items()}
 
 
-def run_all(jobs: int | None = None, select: list[str] | None = None,
-            results_dir=None) -> dict:
-    """Run the evaluation suite; write results files; return contents.
+def evaluate(jobs: int | None = None,
+             select: list[str] | None = None) -> dict:
+    """Run the selected evals; return {eval name: structured results}.
 
     ``jobs`` is the pool size (``None`` = one per CPU, 1 = serial
-    in-process).  Output is identical for every value.
+    in-process).  The results are identical for every value.
     """
     specs = build_jobs(select)
-    directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
-    directory.mkdir(parents=True, exist_ok=True)
     if jobs is None:
         jobs = multiprocessing.cpu_count()
     workers = max(1, min(jobs, len(specs)))
@@ -133,7 +130,23 @@ def run_all(jobs: int | None = None, select: list[str] | None = None,
         context = multiprocessing.get_context("fork")
         with context.Pool(processes=workers) as pool:
             outcomes = pool.map(_execute, specs, chunksize=1)
-    files = _collect(specs, outcomes)
+    return _collect(specs, outcomes)
+
+
+def render(results: dict) -> dict:
+    """{filename: contents} for every eval in ``evaluate``'s results."""
+    files: dict[str, str] = {}
+    for name, folded in results.items():
+        files.update(BY_NAME[name].render(folded))
+    return files
+
+
+def run_all(jobs: int | None = None, select: list[str] | None = None,
+            results_dir=None) -> dict:
+    """Evaluate, render, and write the results files; return contents."""
+    directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    files = render(evaluate(jobs, select))
     for filename in sorted(files):
         (directory / filename).write_text(files[filename])
     return files

@@ -229,10 +229,6 @@ def run_point(act: str) -> dict:
     return serving_results() if act == "serving" else failover_results()
 
 
-def run() -> dict:
-    return {act: run_point(act) for act in POINTS}
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -304,7 +300,7 @@ def _alert_lines(alerts: list) -> list[str]:
 
 
 def render(results: dict) -> str:
-    """The ``results/telemetry.txt`` report for :func:`run`."""
+    """The ``results/telemetry.txt`` report: one result per act."""
     serving = results["serving"]
     failover = results["failover"]
     annotation = failover["annotation"]
@@ -367,5 +363,5 @@ def flight_variant() -> str:
     return "\n".join(lines)
 
 
-EVAL = swept("telemetry", POINTS, run_point, render)
+EVAL = swept("telemetry", POINTS, run_point, dict, render)
 FLIGHT_EVAL = single("telemetry_flight", flight_variant, str)

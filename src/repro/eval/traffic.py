@@ -150,10 +150,6 @@ def fold(outcomes: dict) -> dict:
     }
 
 
-def run() -> dict:
-    return fold({point: run_point(point) for point in POINTS})
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -172,7 +168,7 @@ def _point_row(point: dict) -> tuple:
 
 
 def render(results: dict) -> str:
-    """The ``results/traffic.txt`` report for :func:`run`."""
+    """The ``results/traffic.txt`` report for :func:`fold`'s results."""
     headers = ["point", "offered/Mcyc", "goodput/Mcyc", "done",
                "p50", "p99", "p999", "tx retries", "dropped"]
     curve = render_table(
@@ -270,6 +266,5 @@ def fault_variant() -> str:
     )
 
 
-EVAL = swept("traffic", POINTS, run_point,
-             lambda outcomes: render(fold(outcomes)))
+EVAL = swept("traffic", POINTS, run_point, fold, render)
 FAULT_EVAL = single("traffic_fault", fault_variant, str)

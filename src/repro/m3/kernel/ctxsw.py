@@ -26,7 +26,7 @@ This module implements exactly that, voluntary-yield flavour:
 Timing: each direction moves the SPM image at DTU speed plus a fixed
 kernel orchestration cost — the direct cost of a context switch that
 dedicated-PE execution avoids (Section 3.4's trade-off, quantified by
-``benchmarks/test_ablations.py``).
+the ``abl_multiplexing`` eval).
 """
 
 from __future__ import annotations

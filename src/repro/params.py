@@ -219,8 +219,8 @@ class LinuxCosts:
     #: bandwidth" (Section 5.4).  The DTU reaches 8 B/cycle; calibrated
     #: to 2.0 B/cycle so that copying a 2 MiB file costs ~3.2 M cycles
     #: *more* than the DTU-speed transfer (Section 5.2's "3.2 million
-    #: cycles overhead on both architectures"), which also lands the
-    #: tar/untar ratios of Figure 5 near the paper's 20 %/16 %.
+    #: cycles overhead on both architectures").  Figure 5's tar/untar
+    #: ratios land at 0.30/0.31, not the paper's 0.20/0.16.
     memcpy_bytes_per_cycle: float = 2.0
 
     #: Context switch (direct cost): save/restore state, switch address

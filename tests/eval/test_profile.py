@@ -1,5 +1,7 @@
 """The profiling report module."""
 
+import types
+
 from repro.eval import profile
 from repro.obs import Observer
 from repro.sim import Simulator
@@ -32,7 +34,13 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     system = profile.run()
     obs = system.sim.obs
     assert obs.histogram("kernel.syscall_cycles").count >= profile.PROFILE_SYSCALLS
+    assert obs.histogram("m3.syscall_rtt").count >= profile.PROFILE_SYSCALLS
     assert obs.histogram("dtu.msg_rtt").count > 0
+    assert obs.histogram("m3fs.request_cycles").count > 0
+
+    # Exact utilisation: never above 1.0, and some link was busy.
+    report = system.platform.network.utilization_report()
+    assert report and all(0.0 <= u <= 1.0 for u in report.values())
 
     text = profile.render(system)
     assert "m3.syscall_rtt" in text
@@ -49,3 +57,15 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     distinct = {tuple(args.items()) for args in shared}
     assert len({id(args) for args in shared}) == len(distinct)
     assert len(distinct) * 10 < len(shared)
+
+
+def test_busiest_links_tie_exactly_and_rank_by_link_key():
+    """Naive float ``sum`` (3.10, 3.11) gives 0.1 + 0.2 + 0.3 one ulp
+    more than 0.3 + 0.2 + 0.1, so a rounding error used to pick the
+    busiest links on those Pythons; the exact sum ties them."""
+    observer = types.SimpleNamespace(epoch=100, link_series={
+        (1, 2): [(100, 0.1), (200, 0.2), (300, 0.3)],
+        (0, 1): [(100, 0.3), (200, 0.2), (300, 0.1)],
+    })
+    text = profile.link_series_table(observer, top=1)
+    assert "0->1" in text and "1->2" not in text

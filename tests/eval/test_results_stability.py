@@ -17,23 +17,15 @@ trigger).
 
 import pytest
 
-from repro.eval import autoscale, runall, telemetry, traffic
+from repro.eval import runall
 
 
 @pytest.mark.parametrize("name", ["traffic", "autoscale", "domain_failover"])
 def test_eval_regenerates_committed_bytes(name):
-    for filename, content in runall.BY_NAME[name].run().items():
+    results = runall.evaluate(jobs=1, select=[name])
+    for filename, content in runall.render(results).items():
         committed = (runall.RESULTS_DIR / filename).read_text()
         assert content == committed, (
             f"{filename} drifted from the committed bytes — the "
             f"telemetry plane leaked into an un-instrumented run"
         )
-
-
-@pytest.mark.parametrize("module", [traffic, autoscale, telemetry],
-                         ids=["traffic", "autoscale", "telemetry"])
-def test_run_takes_no_seed_it_would_ignore(module):
-    """Tombstone: these three accepted ``seed=`` and discarded it, so
-    ``run(seed=7)`` silently returned default-seed numbers."""
-    with pytest.raises(TypeError):
-        module.run(seed=7)

@@ -99,9 +99,9 @@ def test_fold_normalises_against_smallest_count():
 def test_merge_order_independent_of_point_completion_order():
     jobs = runall.build_jobs(select=["fig6_scale", "fig6_multikernel"])
     outcomes = [float(index * 37 % 11 + 1) for index in range(len(jobs))]
-    files = runall._collect(jobs, outcomes)
+    files = runall.render(runall._collect(jobs, outcomes))
     assert set(files) == {"fig6_scale.txt", "fig6_multikernel.txt"}
-    assert runall._collect(jobs[::-1], outcomes[::-1]) == files
+    assert runall.render(runall._collect(jobs[::-1], outcomes[::-1])) == files
 
 
 # -- running -------------------------------------------------------------------
@@ -128,8 +128,11 @@ def test_results_dir_is_created_with_parents_before_running(tmp_path):
 )
 def test_pool_run_matches_serial_run(tmp_path):
     """One multi-point eval and one single-simulation eval: the pool,
-    the serial path and the committed bytes all agree."""
+    the serial path and the committed bytes all agree, and so do the
+    structured results they render."""
     select = ["fig6_multikernel", "tab_arm"]
+    assert (runall.evaluate(jobs=1, select=select)
+            == runall.evaluate(jobs=2, select=select))
     serial = runall.run_all(jobs=1, select=select,
                             results_dir=tmp_path / "serial")
     pooled = runall.run_all(jobs=2, select=select,
