@@ -23,7 +23,6 @@ from repro import params
 from repro.eval.common import single
 from repro.eval.fig6_scale import average_instance_time
 from repro.eval.report import render_table
-from repro.hw.platform import Platform, PlatformConfig
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
 from repro.workloads.data import deterministic_bytes
@@ -92,14 +91,11 @@ def pipe_slot_sweep() -> list[tuple[int, int]]:
 HOP_CYCLES = [1, 3, 6, 10]
 
 
-def syscall_time(hop_cycles: int | None = None,
+def syscall_time(hop_cycles: int = params.NOC_HOP_CYCLES,
                  app_node: int | None = None) -> int:
     """Average null-syscall cycles under custom NoC/placement settings."""
-    kwargs = {}
-    if hop_cycles is not None:
-        kwargs["noc_hop_cycles"] = hop_cycles
-    platform = Platform(PlatformConfig.homogeneous(30, **kwargs))
-    system = M3System(platform=platform).boot(with_fs=False)
+    system = M3System(pe_count=30, noc_hop_cycles=hop_cycles)
+    system.boot(with_fs=False)
     iterations = 16
 
     def app(env):

@@ -23,8 +23,6 @@ from repro.workloads.fft import (
     m3_fft_setup,
 )
 
-CONFIGURATIONS = ["Linux", "M3", "M3+accelerator"]
-
 
 def _pack(wall: int, ledger: dict) -> dict:
     fft = ledger.get("fft", 0)

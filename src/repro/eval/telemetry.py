@@ -214,9 +214,8 @@ def failover_results(seed: int = DEFAULT_SEED,
         "annotation": failover.failover_alerts.get(peer),
         "verdict": monitor.verdict(),
         "alerts": _alert_rows({FAIL_SLO.name: monitor.alerts}),
-        "dump_text": (render_dump(dump, span_limit=4, instant_limit=8,
-                                  series_limit=6)
-                      if dump is not None else "(no flight dump)"),
+        "dump_text": (render_dump(dump) if dump is not None
+                      else "(no flight dump)"),
         "prom_excerpt": prom_excerpt,
     }
 

@@ -14,6 +14,13 @@ from __future__ import annotations
 
 from repro import params
 
+#: the geometry: 8 KiB in 4-way sets of 32-byte lines; a hit costs a cycle.
+CACHE_BYTES = 8 * 1024
+WAYS = 4
+LINE_BYTES = params.CACHE_LINE_BYTES
+SET_COUNT = CACHE_BYTES // (LINE_BYTES * WAYS)
+HIT_CYCLES = 1
+
 
 class CacheLine:
     __slots__ = ("tag", "data", "last_use")
@@ -32,30 +39,20 @@ class Cache:
     simulated DTU/NoC time.
     """
 
-    def __init__(self, sim, backend_read, size_bytes: int = 8 * 1024,
-                 line_bytes: int = params.CACHE_LINE_BYTES,
-                 ways: int = 4, hit_cycles: int = 1):
-        if line_bytes & (line_bytes - 1) or line_bytes < 8:
-            raise ValueError("line size must be a power of two >= 8")
-        if size_bytes % (line_bytes * ways):
-            raise ValueError("cache size must divide into sets evenly")
+    def __init__(self, sim, backend_read):
         self.sim = sim
         self.backend_read = backend_read
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.set_count = size_bytes // (line_bytes * ways)
-        self.hit_cycles = hit_cycles
-        self._sets: list[list[CacheLine]] = [[] for _ in range(self.set_count)]
+        self._sets: list[list[CacheLine]] = [[] for _ in range(SET_COUNT)]
         self._clock = 0
         self.hits = 0
         self.misses = 0
 
     def _locate(self, address: int) -> tuple[int, int, int]:
-        line_number = address // self.line_bytes
+        line_number = address // LINE_BYTES
         return (
-            line_number % self.set_count,  # set index
-            line_number // self.set_count,  # tag
-            line_number * self.line_bytes,  # line base address
+            line_number % SET_COUNT,  # set index
+            line_number // SET_COUNT,  # tag
+            line_number * LINE_BYTES,  # line base address
         )
 
     def _line(self, address: int):
@@ -68,14 +65,14 @@ class Cache:
             if line.tag == tag:
                 self.hits += 1
                 line.last_use = self._clock
-                yield self.sim.delay(self.hit_cycles)
+                yield self.sim.delay(HIT_CYCLES)
                 return line
         # miss: fetch through the DTU
         self.misses += 1
-        data = yield from self.backend_read(base, self.line_bytes)
+        data = yield from self.backend_read(base, LINE_BYTES)
         line = CacheLine(tag, bytes(data))
         line.last_use = self._clock
-        if len(bucket) >= self.ways:
+        if len(bucket) >= WAYS:
             bucket.remove(min(bucket, key=lambda l: l.last_use))
         bucket.append(line)
         return line
@@ -88,8 +85,8 @@ class Cache:
         position = address
         while position < address + size:
             line = yield from self._line(position)
-            offset = position % self.line_bytes
-            take = min(self.line_bytes - offset, address + size - position)
+            offset = position % LINE_BYTES
+            take = min(LINE_BYTES - offset, address + size - position)
             out.extend(line.data[offset : offset + take])
             position += take
         return bytes(out)

@@ -38,15 +38,19 @@ IRQ_BYTES = 16
 #: device-local buffer memory (DMA staging).
 BUFFER_BYTES = 4096
 
+#: the wire's fixed latency; a frame then takes a cycle a byte.
+WIRE_LATENCY_CYCLES = 200
+
+#: the RX ring: one frame a slot, from ``rx_base`` on.
+RX_SLOTS = 8
+RX_SLOT_BYTES = 256
+
 
 class Wire:
     """A point-to-point link between two :class:`NetworkDevice` NICs."""
 
-    def __init__(self, sim: "Simulator", latency_cycles: int = 200,
-                 bytes_per_cycle: int = 1):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.latency_cycles = latency_cycles
-        self.bytes_per_cycle = bytes_per_cycle
         self._ends: list["NetworkDevice"] = []
         self.frames_carried = 0
 
@@ -59,9 +63,7 @@ class Wire:
         if len(self._ends) != 2:
             raise RuntimeError("wire is not connected at both ends")
         peer = self._ends[1] if self._ends[0] is sender else self._ends[0]
-        duration = self.latency_cycles + max(
-            1, len(frame) // self.bytes_per_cycle
-        )
+        duration = WIRE_LATENCY_CYCLES + max(1, len(frame))
         self.frames_carried += 1
         self.sim.schedule(duration, lambda _: peer.receive_frame(frame))
 
@@ -77,8 +79,7 @@ class NetworkDevice:
     """
 
     def __init__(self, sim: "Simulator", network: "Network", node: int,
-                 name: str = "nic", rx_base: int = 2048, rx_slots: int = 8,
-                 rx_slot_bytes: int = 256):
+                 name: str = "nic", rx_base: int = 2048):
         self.sim = sim
         self.name = name
         self.node = node
@@ -87,8 +88,6 @@ class NetworkDevice:
         self.interrupts_sent = 0
         self.wire: Wire | None = None
         self.rx_base = rx_base
-        self.rx_slots = rx_slots
-        self.rx_slot_bytes = rx_slot_bytes
         self._rx_next = 0
         self.frames_sent = 0
         self.frames_received = 0
@@ -138,12 +137,12 @@ class NetworkDevice:
 
     def receive_frame(self, frame: bytes) -> None:
         """Wire-side delivery entry point."""
-        if len(frame) > self.rx_slot_bytes:
+        if len(frame) > RX_SLOT_BYTES:
             self.raise_interrupt(("overrun", len(frame)))
             return
         slot = self._rx_next
-        self._rx_next = (slot + 1) % self.rx_slots
-        offset = self.rx_base + slot * self.rx_slot_bytes
+        self._rx_next = (slot + 1) % RX_SLOTS
+        offset = self.rx_base + slot * RX_SLOT_BYTES
 
         def dma():
             yield from self.dtu.write_memory(DMA_MEM_EP, offset, frame)

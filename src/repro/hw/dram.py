@@ -32,13 +32,12 @@ class DramModule:
       write after :data:`params.DRAM_ACCESS_CYCLES` and acks.
     """
 
-    def __init__(self, sim: "Simulator", network: "Network", node: int, size: int,
-                 access_cycles: int = params.DRAM_ACCESS_CYCLES):
+    def __init__(self, sim: "Simulator", network: "Network", node: int, size: int):
         self.sim = sim
         self.network = network
         self.node = node
         self.memory = Scratchpad(size, name="dram")
-        self.access_cycles = access_cycles
+        self.access_cycles = params.DRAM_ACCESS_CYCLES
         self.reads = 0
         self.writes = 0
         network.attach(node, self.handle_packet)

@@ -24,15 +24,13 @@ class ProcessingElement:
         network: "Network",
         node: int,
         core_type: CoreType,
-        spm_code_bytes: int = params.SPM_CODE_BYTES,
-        spm_data_bytes: int = params.SPM_DATA_BYTES,
         ep_count: int = params.DTU_ENDPOINTS,
     ):
         self.sim = sim
         self.node = node
         self.core = Core(core_type)
-        self.spm_code = Scratchpad(spm_code_bytes, name=f"pe{node}.code")
-        self.spm_data = Scratchpad(spm_data_bytes, name=f"pe{node}.data")
+        self.spm_code = Scratchpad(params.SPM_CODE_BYTES, name=f"pe{node}.code")
+        self.spm_data = Scratchpad(params.SPM_DATA_BYTES, name=f"pe{node}.data")
         self.dtu = DTU(sim, network, node, self.spm_data, ep_count=ep_count)
         # The DTU can report the core's halted bit (the kernel watchdog's
         # "probe" configuration operation) — the DTU is separate hardware

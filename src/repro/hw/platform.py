@@ -30,7 +30,6 @@ class PlatformConfig:
     dram_bytes: int = 64 * 1024 * 1024
     noc_hop_cycles: int = params.NOC_HOP_CYCLES
     noc_bytes_per_cycle: int = params.NOC_BYTES_PER_CYCLE
-    spm_data_bytes: int = params.SPM_DATA_BYTES
     ep_count: int = params.DTU_ENDPOINTS
 
     def __post_init__(self):
@@ -43,11 +42,6 @@ class PlatformConfig:
         unknown = [t for t in self.pe_types if t not in CORE_TYPES]
         if unknown:
             raise ValueError(f"unknown core types: {unknown}")
-
-    @classmethod
-    def homogeneous(cls, pe_count: int, core_type: str = "xtensa", **kwargs):
-        """A platform of ``pe_count`` identical PEs."""
-        return cls(pe_types=[core_type] * pe_count, **kwargs)
 
 
 class Platform:
@@ -73,7 +67,6 @@ class Platform:
                 self.network,
                 node,
                 CORE_TYPES[type_name],
-                spm_data_bytes=config.spm_data_bytes,
                 ep_count=config.ep_count,
             )
             for node, type_name in enumerate(config.pe_types)

@@ -25,8 +25,8 @@ class _Node:
 class TmpFs:
     """A tree of directories and byte-array files."""
 
-    def __init__(self, block_bytes: int = params.LINUX_BLOCK_BYTES):
-        self.block_bytes = block_bytes
+    def __init__(self):
+        self.block_bytes = params.LINUX_BLOCK_BYTES
         self.root = _Node("dir")
 
     # -- path handling ------------------------------------------------------

@@ -31,12 +31,16 @@ from __future__ import annotations
 import typing
 
 from repro import params
+from repro.m3.services.kvserv import TIER, KvServ
 from repro.sim.events import first_of
 from repro.sim.ledger import Tag
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.m3.services.kvserv import KvServ
     from repro.m3.system import M3System
+
+#: epochs a draining replica gets to lose its sessions before the
+#: scale-down is aborted.
+DRAIN_PATIENCE = 6
 
 
 class AutoScaler:
@@ -60,16 +64,14 @@ class AutoScaler:
     burst cannot trigger a scale-up stampede.
     """
 
-    def __init__(self, system: "M3System", servers, name: str = "kv",
+    def __init__(self, system: "M3System", servers,
                  epoch: int = params.AUTOSCALE_EPOCH_CYCLES,
                  up_depth: int = 8, down_total: int = 1,
                  calm_epochs: int = 3, cooldown_epochs: int = 2,
                  min_replicas: int | None = None,
-                 max_replicas: int | None = None,
-                 drain_patience: int = 6):
+                 max_replicas: int | None = None):
         self.system = system
         self.sim = system.sim
-        self.name = name
         #: live replicas by concrete service name.
         self.servers: dict[str, "KvServ"] = {
             server.service_name: server for server in servers
@@ -86,8 +88,7 @@ class AutoScaler:
             max_replicas if max_replicas is not None
             else len(system.kernels)
         )
-        self.drain_patience = drain_patience
-        #: next clone index; initial replicas are ``{name}0..{name}k``.
+        #: next clone index; initial replicas are ``kv0..kvk``.
         self._next_index = len(servers)
         #: ``(cycle, action, replica, domain, detail)`` per action.
         self.events: list[tuple] = []
@@ -98,7 +99,7 @@ class AutoScaler:
         self.scale_downs = 0
         self._calm = 0
         self._cooldown = 0
-        self._stop_event = self.sim.event(f"autoscale.{name}.stop")
+        self._stop_event = self.sim.event(f"autoscale.{TIER}.stop")
         self.process = None
 
     # -- lifecycle -----------------------------------------------------
@@ -108,7 +109,7 @@ class AutoScaler:
         if self.process is not None and self.process.alive:
             raise RuntimeError("autoscaler already running")
         self.process = self.sim.process(
-            self._loop(), f"autoscale.{self.name}"
+            self._loop(), f"autoscale.{TIER}"
         )
         return self.process
 
@@ -122,7 +123,7 @@ class AutoScaler:
 
     def _route(self) -> tuple:
         """The current replica route ``((service_name, domain), ...)``."""
-        return self.system.kernels[0].router.service_routes.get(self.name, ())
+        return self.system.kernels[0].router.service_routes.get(TIER, ())
 
     def _depths(self) -> dict:
         """Queue depth per routed replica, sampled at the owning
@@ -181,7 +182,6 @@ class AutoScaler:
         """Generator: warm-boot a clone of the busiest replica into an
         underloaded domain.  Returns whether the tier grew."""
         from repro.m3.kernel.kernel import SyscallError
-        from repro.m3.services.kvserv import KvServ
 
         target_domain = self._pick_target_domain()
         if target_domain is None:
@@ -197,7 +197,7 @@ class AutoScaler:
         # checkpoint transfer *is* the snapshot cost — and seed the
         # clone from its image instead of starting cold.
         yield from source_kernel.migration.checkpoint_vpe(source.vpe)
-        clone = KvServ(service_name=f"{self.name}{self._next_index}",
+        clone = KvServ(service_name=f"{TIER}{self._next_index}",
                        op_cycles=source.request_cycles)
         self._next_index += 1
         clone.store = dict(source.store)
@@ -247,7 +247,7 @@ class AutoScaler:
         yield clone.ready
         self.servers[clone.service_name] = clone
         self.system.register_service_route(
-            self.name,
+            TIER,
             route + ((clone.service_name, target_domain),),
             policy="depth",
         )
@@ -281,10 +281,10 @@ class AutoScaler:
         # Out of the route first: no kernel dispatches new sessions to
         # the victim while it drains.
         self.system.register_service_route(
-            self.name, survivors, policy="depth"
+            TIER, survivors, policy="depth"
         )
         drained = False
-        for _ in range(self.drain_patience):
+        for _ in range(DRAIN_PATIENCE):
             if not victim.sessions and kernel.sessions.depth(victim_name) == 0:
                 drained = True
                 break
@@ -294,7 +294,7 @@ class AutoScaler:
             # retiring now would strand them.  Put the replica back and
             # let a later calm stretch retry the drain.
             self.system.register_service_route(
-                self.name, route, policy="depth"
+                TIER, route, policy="depth"
             )
             self.events.append((
                 self.sim.now, "scale_down_aborted", victim_name,

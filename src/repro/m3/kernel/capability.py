@@ -130,25 +130,17 @@ class CapTable:
         return len(self._caps)
 
 
-def revoke(cap: Capability, include_self: bool = True) -> list[Capability]:
+def revoke(cap: Capability) -> list[Capability]:
     """Recursively revoke ``cap``: remove the derivation subtree from all
     tables.  Returns the removed capabilities so the kernel can tear
     down endpoint configurations behind them.
     """
-    removed = []
-    victims = cap.subtree() if include_self else [
-        c for child in cap.children for c in child.subtree()
-    ]
-    for victim in victims:
+    removed = cap.subtree()
+    for victim in removed:
         if victim.table is not None:
             victim.table.remove(victim)
-        removed.append(victim)
     # Detach from the tree so parents no longer reference revoked caps.
-    if include_self and cap.parent is not None:
+    if cap.parent is not None:
         cap.parent.children.remove(cap)
         cap.parent = None
-    if not include_self:
-        for child in cap.children:
-            child.parent = None
-        cap.children.clear()
     return removed

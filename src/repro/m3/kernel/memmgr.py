@@ -9,6 +9,10 @@ prototype's single DRAM module.
 from __future__ import annotations
 
 
+#: every region starts on this boundary.
+ALIGN = 64
+
+
 class OutOfMemory(Exception):
     """No free region large enough."""
 
@@ -24,14 +28,12 @@ class MemoryManager:
         #: sorted list of free (start, length) holes.
         self._free: list[tuple[int, int]] = [(base, size)]
 
-    def allocate(self, size: int, align: int = 64) -> int:
-        """Reserve ``size`` bytes; returns the start address."""
+    def allocate(self, size: int) -> int:
+        """Reserve ``size`` bytes; returns the ``ALIGN``-aligned start."""
         if size <= 0:
             raise ValueError(f"invalid allocation size: {size}")
-        if align < 1:
-            raise ValueError("alignment must be positive")
         for index, (start, length) in enumerate(self._free):
-            aligned = -(-start // align) * align
+            aligned = -(-start // ALIGN) * ALIGN
             waste = aligned - start
             if length >= waste + size:
                 remainder_start = aligned + size

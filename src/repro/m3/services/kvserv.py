@@ -34,6 +34,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: largest value that fits a request message next to key + framing.
 MAX_VALUE_BYTES = 384
 
+#: the logical name clients open and the tier's route is installed under.
+TIER = "kv"
+
 
 class KvError(Exception):
     """A kv request the service refused (bad key/value, closed session)."""
@@ -131,7 +134,7 @@ class KvServ(Server):
 class KvClient(ClientSession):
     """One application's session with a kv replica (or logical tier)."""
 
-    service = "kv"
+    service = TIER
     error = KvError
     rpc_cycles = params.KV_CLIENT_RPC_CYCLES
 
@@ -145,31 +148,29 @@ class KvClient(ClientSession):
         return (yield from self.request("close"))
 
 
-def start_kv_tier(system: "M3System", replicas: int | None = None,
-                  name: str = "kv", domains: list | None = None,
+def start_kv_tier(system: "M3System", domains: list | None = None,
                   policy: str = "rr", op_cycles: int | None = None):
     """Boot a replicated kv tier and install its session route.
 
-    One replica per kernel domain by default (``replicas``/``domains``
-    override the count and placement).  Replica ``i`` registers as
-    ``{name}{i}`` in its domain; the logical ``name`` is then routed
-    across the live replicas by every kernel — round-robin by default,
-    least-loaded with ``policy="depth"``.  Returns the :class:`KvServ`
-    instances in replica order.
+    One replica per kernel domain unless ``domains`` places them.
+    Replica ``i`` registers as ``kv{i}`` in its domain; the logical
+    ``kv`` name is then routed across the live replicas by every
+    kernel — round-robin by default, least-loaded with
+    ``policy="depth"``.  Returns the :class:`KvServ` instances in
+    replica order.
     """
     if domains is None:
-        count = replicas if replicas is not None else len(system.kernels)
-        domains = [index % len(system.kernels) for index in range(count)]
+        domains = range(len(system.kernels))
     servers = []
     route = []
     for index, domain in enumerate(domains):
         server = start_service(
-            system, KvServ(service_name=f"{name}{index}", op_cycles=op_cycles),
+            system, KvServ(service_name=f"{TIER}{index}", op_cycles=op_cycles),
             domain,
         )
         servers.append(server)
         route.append((server.service_name, domain))
-    system.register_service_route(name, route, policy=policy)
+    system.register_service_route(TIER, route, policy=policy)
     obs = system.sim.obs
     if obs is not None and obs.telemetry is not None:
         # Per-replica queue depth as a telemetry series, sampled at
@@ -182,7 +183,7 @@ def start_kv_tier(system: "M3System", replicas: int | None = None,
                 (f"kv.{replica}.depth",
                  system.kernels[owner].sessions.depth(replica))
                 for replica, owner in
-                system.kernels[0].router.service_routes.get(name, ())
+                system.kernels[0].router.service_routes.get(TIER, ())
             )
 
         obs.telemetry.add_sampler(depth_sampler)

@@ -62,6 +62,12 @@ MAX_PAYLOAD = 200
 #: back-pressure reaches the sender (docs/protocols.md, "netserv").
 INBOX_DEPTH = 64
 
+#: the two instances :func:`start_network` boots, one per NIC.
+SERVICE_NAMES = ("net", "net2")
+
+#: cycles :meth:`NetClient.recv_blocking` waits between empty polls.
+RECV_POLL_CYCLES = 2_000
+
 
 class _Socket:
     def __init__(self, session_id: int):
@@ -252,19 +258,19 @@ class NetClient(ClientSession):
         """Generator: poll once; (src_port, payload) or None."""
         return (yield from self.request("recv"))
 
-    def recv_blocking(self, poll_cycles: int = 2_000):
+    def recv_blocking(self):
         """Generator: poll until a datagram arrives."""
         while True:
             datagram = yield from self.request("recv")
             if datagram is not None:
                 return datagram
-            yield poll_cycles
+            yield RECV_POLL_CYCLES
 
     def close(self):
         return (yield from self.request("close"))
 
 
-def start_network(system: "M3System", service_names=("net", "net2")):
+def start_network(system: "M3System"):
     """Boot two NICs on a wire and a netserv instance for each.
 
     Device wiring (DMA windows, command channels, interrupt routes) is
@@ -276,12 +282,12 @@ def start_network(system: "M3System", service_names=("net", "net2")):
     nics = []
     servers = []
     base_node = len(system.platform.pes)
-    for index, name in enumerate(service_names):
+    for index, name in enumerate(SERVICE_NAMES):
         nic = NetworkDevice(
             system.sim, system.platform.network, base_node + index,
             name=f"nic{index}", rx_base=RX_BASE,
         )
-        if getattr(system, "reliable", False):
+        if system.reliable:
             # Match the chip: an unreliable NIC DTU on a reliable
             # platform deadlocks under packet loss — a dropped command
             # reply or DMA response is never retransmitted, wedging the

@@ -48,14 +48,13 @@ def stat_sum(stats: dict, scope: str, name: str) -> int:
 class M3System:
     """The booted OS: kernel + services on a :class:`Platform`."""
 
-    def __init__(self, platform: Platform | None = None, pe_count: int = 8,
-                 kernel_count: int = 1,
+    def __init__(self, pe_count: int = 8, kernel_count: int = 1,
                  multiplexing: bool = False, reliable: bool = False,
                  observe: bool = False, **platform_kwargs):
         if kernel_count < 1:
             raise ValueError(f"kernel_count={kernel_count}: a system needs "
                              "at least one kernel")
-        self.platform = platform or Platform.build(pe_count, **platform_kwargs)
+        self.platform = Platform.build(pe_count, **platform_kwargs)
         #: whether DTUs run with reliable delivery; device DTUs created
         #: after boot (e.g. NICs) consult this to match the chip.
         self.reliable = reliable
@@ -175,14 +174,14 @@ class M3System:
             stats.update(server.stats())
         return dict(sorted(stats.items()))
 
-    def enable_flight_recorder(self, **kwargs):
+    def enable_flight_recorder(self):
         """Attach a flight recorder wired to this system's domain map
         (requires an observer).  Returns the recorder."""
         if self.sim.obs is None:
             raise RuntimeError(
                 "enable observability before the flight recorder"
             )
-        recorder = self.sim.obs.enable_flight_recorder(**kwargs)
+        recorder = self.sim.obs.enable_flight_recorder()
         recorder.map_nodes(self.domain_map())
         return recorder
 

@@ -118,15 +118,6 @@ class Network:
         links ``(n, n)`` included)."""
         return iter(self._links.items())
 
-    # -- timing model ----------------------------------------------------------
-
-    def delivery_time(self, packet: Packet) -> int:
-        """Reserve the path now; return the absolute completion cycle."""
-        return reserve_path(
-            self.paths[packet.source, packet.destination], self.sim.now,
-            self.hop_cycles, packet.size_bytes + PACKET_HEADER_BYTES,
-        )
-
     # -- sending ----------------------------------------------------------------
 
     def send(self, packet: Packet) -> int:
@@ -233,15 +224,6 @@ class Network:
                 packet.source, completion - queued, completion, -1,
                 packet.trace_id, span,
             )
-
-    def transfer(self, packet: Packet, tag: str | None = None):
-        """An event that triggers when ``packet`` has been delivered.
-
-        ``tag`` charges the transfer latency to the time ledger (the
-        paper's "Xfers" category).
-        """
-        completion = self.send(packet)
-        return self.sim.delay(completion - self.sim.now, tag=tag)
 
     # -- statistics ----------------------------------------------------------------
 

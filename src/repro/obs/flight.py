@@ -4,7 +4,7 @@ When a failure verdict lands — a kernel domain declared dead, a
 watchdog killing a wedged VPE, a route with no live replica — the
 post-mortem question is "what did this domain look like just before?".
 A dump *reads* the Observer's log: per kernel domain, the most recent
-``capacity`` spans and instants recorded since the recorder was
+``CAPACITY`` spans and instants recorded since the recorder was
 attached (as far back as a ``span_capacity`` log still holds), plus
 the last few telemetry epochs; recording pays nothing for it.
 
@@ -24,25 +24,21 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
 
 #: spans/instants per domain in a dump.
-DEFAULT_CAPACITY = 64
+CAPACITY = 64
 
 #: telemetry epochs included in a dump.
-DEFAULT_EPOCHS = 8
+EPOCHS = 8
+
+#: what :func:`render_dump` prints: the last spans and instants per
+#: domain, and the first series (by name).
+SPAN_LIMIT, INSTANT_LIMIT, SERIES_LIMIT = 4, 8, 6
 
 
 class FlightRecorder:
     """Recent history per domain, read from the log on failure verdicts."""
 
-    def __init__(self, observer: "Observer",
-                 capacity: int = DEFAULT_CAPACITY,
-                 epochs: int = DEFAULT_EPOCHS):
-        if capacity < 1:
-            raise ValueError("flight capacity must be positive")
-        if epochs < 1:
-            raise ValueError("flight epochs must be positive")
+    def __init__(self, observer: "Observer"):
         self.observer = observer
-        self.capacity = capacity
-        self.epochs = epochs
         #: NoC node -> kernel domain; everything else -> domain -1.
         self.domain_of: dict[int, int] = {}
         #: spans / instants logged before it was attached stay out.
@@ -55,13 +51,13 @@ class FlightRecorder:
         self.domain_of.update(mapping)
 
     def _recent(self, log, dropped: int, since: int) -> dict:
-        """Per domain, oldest first, the last ``capacity`` records logged
+        """Per domain, oldest first, the last ``CAPACITY`` records logged
         at or after record ``since`` (``log`` dropped its first ``dropped``)."""
         recent: dict[int, list] = {}
         for index in range(len(log) - 1, max(since - dropped, 0) - 1, -1):
             record = log[index]
             kept = recent.setdefault(self.domain_of.get(record.node, -1), [])
-            if len(kept) < self.capacity:
+            if len(kept) < CAPACITY:
                 kept.append(record)
         return {domain: kept[::-1] for domain, kept in sorted(recent.items())}
 
@@ -80,7 +76,7 @@ class FlightRecorder:
         if telemetry is not None:
             epoch = telemetry.epoch
             for name in telemetry.names():
-                points = telemetry.points(name)[-self.epochs:]
+                points = telemetry.points(name)[-EPOCHS:]
                 if telemetry.kinds[name] == "quantile":
                     points = [
                         (index,
@@ -117,12 +113,11 @@ def _args_text(args: dict | None) -> str:
     )
 
 
-def render_dump(dump: dict, span_limit: int = 10,
-                instant_limit: int = 12, series_limit: int = 12) -> str:
+def render_dump(dump: dict) -> str:
     """Format one flight dump as deterministic text.
 
     The verdict's domain renders first; each domain's history is
-    tail-truncated to the given limits so reports stay bounded.
+    tail-truncated to the limits above so reports stay bounded.
     """
     lines = [
         f"flight dump: {dump['reason']}",
@@ -137,14 +132,14 @@ def render_dump(dump: dict, span_limit: int = 10,
     )
     for ring_domain in domains:
         lines.append(f"  domain {ring_domain}:")
-        instants = dump["instants"].get(ring_domain, [])[-instant_limit:]
+        instants = dump["instants"].get(ring_domain, [])[-INSTANT_LIMIT:]
         for instant in instants:
             lines.append(
                 f"    @{instant.time:>10,} ! {instant.name}"
                 f"/{instant.category} node={instant.node}"
                 + _args_text(instant.args)
             )
-        spans = dump["spans"].get(ring_domain, [])[-span_limit:]
+        spans = dump["spans"].get(ring_domain, [])[-SPAN_LIMIT:]
         for span in spans:
             lines.append(
                 f"    [{span.begin:>9,}..{span.end:>9,}] {span.name}"
@@ -153,7 +148,7 @@ def render_dump(dump: dict, span_limit: int = 10,
             )
     if dump["telemetry"]:
         lines.append(f"  telemetry (epoch={dump['epoch']:,} cycles):")
-        for name in sorted(dump["telemetry"])[:series_limit]:
+        for name in sorted(dump["telemetry"])[:SERIES_LIMIT]:
             points = ", ".join(
                 f"{index}:{value}"
                 for index, value in dump["telemetry"][name]

@@ -175,11 +175,11 @@ class Observer:
         self.fold_at = min(self.fold_at, self.telemetry.closes_at)
         return self.telemetry
 
-    def enable_flight_recorder(self, **kwargs):
+    def enable_flight_recorder(self):
         """Attach a :class:`~repro.obs.flight.FlightRecorder`."""
         if self.flight is not None:
             raise RuntimeError("flight recorder is already enabled")
-        self.flight = FlightRecorder(self, **kwargs)
+        self.flight = FlightRecorder(self)
         return self.flight
 
     # -- spans -----------------------------------------------------------

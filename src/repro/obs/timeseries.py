@@ -22,7 +22,7 @@ first *settles* (adds its buffered samples and what its monitored
 counters moved by), then registered *samplers* (callables returning
 ``(name, value)`` gauge pairs) are polled — how sources nobody pushes,
 like per-replica kv queue depth, get a series.  Retention is a ring:
-each series keeps its latest ``retention`` epochs and counts the rest.
+each series keeps its latest ``RETENTION`` epochs and counts the rest.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: epochs; one row per epoch in the eval reports.
 DEFAULT_TELEMETRY_EPOCH = 50_000
 
-#: default per-series ring size, in epochs.
-DEFAULT_RETENTION = 1024
+#: per-series ring size, in epochs.
+RETENTION = 1024
+
+#: sub-bucket bits of each epoch's quantile histogram.
+PRECISION = 7
 
 COUNTER, GAUGE, QUANTILE = "counter", "gauge", "quantile"
 
@@ -48,18 +51,12 @@ COUNTER, GAUGE, QUANTILE = "counter", "gauge", "quantile"
 class Telemetry:
     """Per-epoch series for one simulation (``observer.telemetry``)."""
 
-    def __init__(self, sim: "Simulator",
-                 epoch: int = DEFAULT_TELEMETRY_EPOCH,
-                 retention: int | None = DEFAULT_RETENTION,
-                 precision: int | None = 7, settle=None):
+    def __init__(self, sim: "Simulator", settle,
+                 epoch: int = DEFAULT_TELEMETRY_EPOCH):
         if epoch < 1:
             raise ValueError("telemetry epoch must be positive")
-        if retention is not None and retention < 1:
-            raise ValueError("retention must be positive")
         self.sim = sim
         self.epoch = epoch
-        self.retention = retention
-        self.precision = precision
         #: name -> series kind (fixed at first record).
         self.kinds: dict[str, str] = {}
         #: name -> deque of (epoch_index, value); value is an int/float
@@ -99,7 +96,7 @@ class Telemetry:
         histogram and over-threshold counts (no look at the clock)."""
         tally = collections.Counter(samples)
         if name not in self._open_quantiles:
-            self._open_quantiles[name] = Histogram(name, self.precision)
+            self._open_quantiles[name] = Histogram(name, PRECISION)
         self._open_quantiles[name].observe_many(tally)
         for threshold in self._watches.get(name, ()):
             over = sum(n for value, n in tally.items() if value > threshold)
@@ -152,8 +149,7 @@ class Telemetry:
 
     def _take_open(self) -> tuple[dict, dict, dict]:
         """Hand over the open epoch's accumulators, leaving fresh ones."""
-        if self._settle is not None:
-            self._settle()
+        self._settle()
         taken = self.open_counters, self._open_gauges, self._open_quantiles
         self.open_counters, self._open_gauges, self._open_quantiles = \
             {}, {}, {}
@@ -179,7 +175,7 @@ class Telemetry:
         known = self.kinds.get(name)
         if known is None:
             self.kinds[name] = kind
-            self._series[name] = collections.deque(maxlen=self.retention)
+            self._series[name] = collections.deque(maxlen=RETENTION)
         elif known != kind:
             raise ValueError(
                 f"series {name!r} is a {known}, not a {kind}"
@@ -194,7 +190,7 @@ class Telemetry:
                 value = last_value
             ring[-1] = (last_index, value)
             return
-        if self.retention is not None and len(ring) == self.retention:
+        if len(ring) == RETENTION:
             self.dropped_epochs[name] = self.dropped_epochs.get(name, 0) + 1
         ring.append((index, value))
 

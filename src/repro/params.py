@@ -384,7 +384,3 @@ AUTOSCALE_SAMPLE_CYCLES = 200
 #: scalability run (Figure 6) plus kernel, services, and DRAM interface.
 DEFAULT_MESH_WIDTH = 8
 DEFAULT_MESH_HEIGHT = 8
-
-#: Default ringbuffer geometry for syscall/service channels.
-DEFAULT_MSG_SLOT_BYTES = 256
-DEFAULT_RINGBUF_SLOTS = 16

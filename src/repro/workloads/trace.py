@@ -98,9 +98,8 @@ class M3Replayer:
     with a large SPM buffer (the libm3-idiomatic way to copy data).
     """
 
-    def __init__(self, env, buffer_bytes: int = params.REPLAY_BUFFER_BYTES):
+    def __init__(self, env):
         self.env = env
-        self.buffer_bytes = buffer_bytes
         self.files: list = []
 
     def replay(self, trace: list[TraceOp]):
@@ -151,7 +150,8 @@ class M3Replayer:
     def _copy_loop(self, out_file, in_file, count: int):
         remaining = count
         while remaining > 0:
-            chunk = yield from in_file.read(min(self.buffer_bytes, remaining))
+            chunk = yield from in_file.read(
+                min(params.REPLAY_BUFFER_BYTES, remaining))
             if not chunk:
                 break
             yield from out_file.write(chunk)

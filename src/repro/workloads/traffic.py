@@ -72,6 +72,16 @@ COLLECTOR_POLL_CYCLES = 1_000
 TX_RETRY_CYCLES = 300
 TX_RETRY_ATTEMPTS = 400
 
+#: bursty arrivals: spacing in cycles within a burst.
+BURST_SPACING = 40
+#: bounded-Pareto value-size tail: SIZE_FLOOR..MAX_VALUE_BYTES bytes.
+SIZE_FLOOR = 16
+SIZE_ALPHA = 1.1
+#: distinct keys; ``key_id`` travels in one byte of the request.
+KEYS = 64
+#: how long the collector keeps polling after the last send.
+DRAIN_CYCLES = 600_000
+
 _PAD = b"\x5a"
 
 
@@ -89,15 +99,7 @@ class TrafficProfile:
     mean_gap: int = 3_000
     #: bursty only: arrivals per burst (gaps stretch to keep the rate).
     burst: int = 8
-    #: in-burst spacing in cycles.
-    burst_spacing: int = 40
     get_fraction: float = 0.70
-    #: bounded-Pareto value-size tail.
-    size_floor: int = 16
-    size_alpha: float = 1.1
-    keys: int = 64
-    #: how long the collector keeps polling after the last send.
-    drain_cycles: int = 600_000
     #: gateways close and re-open their kv session every N served
     #: requests (0 = never).  Session churn is what lets a draining
     #: replica actually empty out and what spreads an elastic tier's
@@ -107,24 +109,15 @@ class TrafficProfile:
     def __post_init__(self):
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
-        # build_schedule draws a client and a key per request and
-        # divides by the gap and the burst; run_profile reads schedule[0].
-        for field in ("requests", "clients", "mean_gap", "burst", "keys"):
+        # build_schedule draws a client per request and divides by the
+        # gap and the burst; run_profile reads schedule[0].
+        for field in ("requests", "clients", "mean_gap", "burst"):
             value = getattr(self, field)
             if value < 1:
                 raise ValueError(f"bad {field} {value}: must be >= 1")
-        if self.keys > 256:
-            raise ValueError("key_id travels in one byte; keys must be <= 256")
         if not 0 <= self.get_fraction <= 1:
             raise ValueError(f"bad get_fraction {self.get_fraction}: "
                              "must be within [0, 1]")
-        if self.size_alpha <= 0:  # the Pareto draw divides by it
-            raise ValueError(f"bad size_alpha {self.size_alpha}: must be > 0")
-        if self.burst_spacing < 0:  # arrivals would go back in time
-            raise ValueError(f"bad burst_spacing {self.burst_spacing}: "
-                             "must be >= 0")
-        if self.size_floor < 1 or self.size_floor > MAX_VALUE_BYTES:
-            raise ValueError(f"bad size_floor {self.size_floor}")
         if self.session_refresh < 0:
             raise ValueError(f"bad session_refresh {self.session_refresh}")
 
@@ -172,16 +165,14 @@ def build_schedule(profile: TrafficProfile) -> tuple:
             op = OP_GET if rng.random() < profile.get_fraction else OP_PUT
             value_len = 0
             if op == OP_PUT:
-                value_len = _bounded_pareto(
-                    rng, profile.size_floor, MAX_VALUE_BYTES,
-                    profile.size_alpha,
-                )
+                value_len = _bounded_pareto(rng, SIZE_FLOOR,
+                                            MAX_VALUE_BYTES, SIZE_ALPHA)
             arrivals.append(Arrival(
                 req_id=len(arrivals) + 1,
-                at=now + index * profile.burst_spacing,
+                at=now + index * BURST_SPACING,
                 client=rng.randrange(profile.clients),
                 op=op,
-                key_id=rng.randrange(profile.keys),
+                key_id=rng.randrange(KEYS),
                 value_len=value_len,
             ))
     return tuple(arrivals)
@@ -244,7 +235,7 @@ def gateway_app(env, run: TrafficRun, index: int, ready):
     net = yield from NetClient.connect(env, "net2")
     yield from net.bind(GATEWAY_BASE_PORT + index)
     kv = yield from KvClient.connect(env, "kv")
-    for key_id in range(run.profile.keys):
+    for key_id in range(KEYS):
         yield from kv.put(_key(key_id), _PAD * _warm_len(key_id))
     ready.succeed(index)
     refresh = run.profile.session_refresh
@@ -335,8 +326,7 @@ def collector_app(env, run: TrafficRun):
         datagram = yield from net.recv()
         if datagram is None:
             if (run.sent_all_at is not None
-                    and env.sim.now > run.sent_all_at
-                    + run.profile.drain_cycles):
+                    and env.sim.now > run.sent_all_at + DRAIN_CYCLES):
                 break  # give up on dropped responses
             yield COLLECTOR_POLL_CYCLES
             continue
@@ -416,7 +406,6 @@ def run_profile(profile: TrafficProfile,
                 kernel_count: int = KERNEL_COUNT,
                 gateways: int = GATEWAYS,
                 policy: str = "rr",
-                kv_replicas: int | None = None,
                 kv_domains: list | None = None,
                 kv_op_cycles: int | None = None,
                 heartbeats: bool = False,
@@ -435,7 +424,7 @@ def run_profile(profile: TrafficProfile,
     Elastic-scaling knobs (all off by default — the defaults are
     byte-identical to the pre-elastic stack): ``policy`` selects the
     session-router balancing policy (``"rr"``/``"depth"``);
-    ``kv_replicas``/``kv_domains`` shape the initial kv tier;
+    ``kv_domains`` places the initial kv tier (one replica a domain);
     ``kv_op_cycles`` makes the replicas compute-heavy (per-op service
     cycles, modelling a scoring/rendering tier);
     ``heartbeats`` starts the kernel heartbeat ring (the carrier for
@@ -466,8 +455,7 @@ def run_profile(profile: TrafficProfile,
     if instrument is not None:
         instrument(system)
     start_network(system)
-    kv_servers = start_kv_tier(system, replicas=kv_replicas,
-                               domains=kv_domains, policy=policy,
+    kv_servers = start_kv_tier(system, domains=kv_domains, policy=policy,
                                op_cycles=kv_op_cycles)
     scaler = None
     if heartbeats:

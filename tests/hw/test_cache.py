@@ -1,11 +1,10 @@
 """The Section 7 cache extension: correctness and behaviour."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dtu.registers import MemoryPerm
-from repro.hw.cache import Cache
+from repro.hw.cache import CACHE_BYTES, LINE_BYTES, SET_COUNT, WAYS, Cache
 from repro.m3.lib.gate import MemGate
 from repro.m3.system import M3System
 from repro.sim import Simulator
@@ -14,7 +13,7 @@ from repro.sim import Simulator
 class _FakeBackend:
     """In-memory backend that records traffic (no DTU involved)."""
 
-    def __init__(self, size=4096):
+    def __init__(self, size=4 * CACHE_BYTES):
         self.memory = bytearray(size)
         self.reads = 0
 
@@ -24,10 +23,14 @@ class _FakeBackend:
         yield  # pragma: no cover
 
 
-def _cache(**kwargs):
+#: bytes between two lines that map to the same set.
+SET_STRIDE = SET_COUNT * LINE_BYTES
+
+
+def _cache():
     sim = Simulator()
     backend = _FakeBackend()
-    cache = Cache(sim, backend.read, **kwargs)
+    cache = Cache(sim, backend.read)
     return sim, backend, cache
 
 
@@ -46,17 +49,18 @@ def test_read_hits_after_first_miss():
 
 
 def test_lru_within_a_set():
-    # one set, two ways, 32B lines: 0, 64, 128 all map to set 0... with
-    # set_count=1 every line shares the set.
-    sim, backend, cache = _cache(size_bytes=64, ways=2)
-    _run(sim, cache.read(0, 1))    # line A
-    _run(sim, cache.read(32, 1))   # line B (set 1!) — use same set: 64
-    _run(sim, cache.read(64, 1))   # maps with A
-    _run(sim, cache.read(0, 1))    # touch A
-    _run(sim, cache.read(128, 1))  # evicts 64 (LRU), not A
+    # Lines SET_STRIDE apart share set 0: fill its ways, touch the
+    # first line, and the next line evicts the second (LRU), not it.
+    sim, backend, cache = _cache()
+    for way in range(WAYS):
+        _run(sim, cache.read(way * SET_STRIDE, 1))
+    _run(sim, cache.read(0, 1))                   # touch the first
+    _run(sim, cache.read(WAYS * SET_STRIDE, 1))   # evicts SET_STRIDE
     misses = cache.misses
-    _run(sim, cache.read(0, 1))    # still resident
+    _run(sim, cache.read(0, 1))                   # still resident
     assert cache.misses == misses
+    _run(sim, cache.read(SET_STRIDE, 1))          # evicted
+    assert cache.misses == misses + 1
 
 
 def test_misses_cost_more_than_hits():
@@ -79,38 +83,30 @@ def test_misses_cost_more_than_hits():
     assert miss_time > 10 * hit_time
 
 
-def test_invalid_geometry():
-    sim = Simulator()
-    backend = _FakeBackend()
-    with pytest.raises(ValueError):
-        Cache(sim, backend.read, line_bytes=48)
-    with pytest.raises(ValueError):
-        Cache(sim, backend.read, size_bytes=100, ways=3)
-
-
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     loads=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=1000),
+            st.integers(min_value=0, max_value=2 * WAYS),
+            st.integers(min_value=0, max_value=100),
             st.integers(min_value=1, max_value=100),
         ),
         min_size=1,
         max_size=40,
     ),
-    ways=st.sampled_from([1, 2, 4]),
 )
-def test_cached_memory_equals_reference(loads, ways):
-    """Any load sequence through a cache far smaller than the region
-    (so lines are evicted and fetched again) returns exactly the
-    backend's bytes."""
+def test_cached_memory_equals_reference(loads):
+    """Any load sequence returns exactly the backend's bytes, also when
+    it crowds twice as many lines into a few sets as they have ways (so
+    lines are evicted and fetched again)."""
     sim = Simulator()
-    backend = _FakeBackend(size=2048)
-    backend.memory[:] = bytes(i * 7 % 256 for i in range(2048))
-    cache = Cache(sim, backend.read, size_bytes=256, ways=ways)
-    for address, size in loads:
-        address = min(address, 2048 - size)
+    region = (2 * WAYS + 1) * SET_STRIDE
+    backend = _FakeBackend(size=region)
+    backend.memory[:] = bytes(i * 7 % 256 for i in range(region))
+    cache = Cache(sim, backend.read)
+    for slot, offset, size in loads:
+        address = slot * SET_STRIDE + offset
         got = _run(sim, cache.read(address, size))
         assert got == bytes(backend.memory[address : address + size])
     assert cache.misses == backend.reads

@@ -19,7 +19,7 @@ def test_heterogeneous_build():
 
 def test_too_many_pes_rejected():
     with pytest.raises(ValueError):
-        PlatformConfig.homogeneous(16, mesh_width=4, mesh_height=4)
+        Platform.build(pe_count=16, mesh_width=4, mesh_height=4)
 
 
 def test_unknown_core_type_rejected():

@@ -175,8 +175,8 @@ def test_scale_up_warm_boots_clone_via_cross_domain_migration():
     servers = start_kv_tier(system, domains=[0], policy="depth")
     assert system.run_app(_stock, 4, name="stock") == "stocked"
 
-    scaler = AutoScaler(system, servers, name="kv", epoch=2_000,
-                        up_depth=1, min_replicas=1)
+    scaler = AutoScaler(system, servers, epoch=2_000, up_depth=1,
+                        min_replicas=1)
     grown = system.sim.run_process(
         scaler._scale_up(scaler._depths()), "scale-up"
     )
@@ -205,8 +205,7 @@ def test_scale_down_drains_and_merges_store_into_survivor():
     kv1.store["only-here"] = b"x" * 64
     kv1.bytes_stored = 64
 
-    scaler = AutoScaler(system, servers, name="kv", epoch=1_000,
-                        min_replicas=1, drain_patience=2)
+    scaler = AutoScaler(system, servers, epoch=1_000, min_replicas=1)
     system.sim.run_process(scaler._scale_down(), "scale-down")
 
     assert scaler.scale_downs == 1
@@ -238,8 +237,7 @@ def test_scale_down_aborts_while_sessions_are_open():
     assert system.run_app(clinger, name="clinger") == "holding"
     assert kv1.sessions
 
-    scaler = AutoScaler(system, servers, name="kv", epoch=1_000,
-                        min_replicas=1, drain_patience=1)
+    scaler = AutoScaler(system, servers, epoch=1_000, min_replicas=1)
     system.sim.run_process(scaler._scale_down(), "scale-down")
 
     assert scaler.scale_downs == 0

@@ -89,17 +89,6 @@ def test_revoke_midtree_keeps_ancestors():
     assert root.children == []  # detached from the tree
 
 
-def test_revoke_children_only():
-    alice, bob = CapTable(), CapTable()
-    root = _cap()
-    alice.insert(root)
-    bob.insert(root.derive())
-    removed = revoke(root, include_self=False)
-    assert len(removed) == 1
-    assert len(alice) == 1
-    assert len(bob) == 0
-
-
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=60))
 def test_revoke_exactly_removes_descendants(parent_choices):
     """Build a random derivation forest; revoking any node removes

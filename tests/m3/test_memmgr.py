@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.m3.kernel.memmgr import MemoryManager, OutOfMemory
+from repro.m3.kernel.memmgr import ALIGN, MemoryManager, OutOfMemory
 
 
 def test_simple_allocation_progression():
@@ -17,29 +17,31 @@ def test_simple_allocation_progression():
 
 def test_alignment_respected():
     mm = MemoryManager(0, 1024)
-    mm.allocate(10, align=1)
-    aligned = mm.allocate(16, align=256)
-    assert aligned % 256 == 0
+    mm.allocate(10)
+    aligned = mm.allocate(16)
+    assert aligned == ALIGN
+    # The gap the alignment skipped stays free for later.
+    assert mm.free_bytes == 1024 - 10 - 16
 
 
 def test_exhaustion_raises():
     mm = MemoryManager(0, 256)
-    mm.allocate(256, align=1)
+    mm.allocate(256)
     with pytest.raises(OutOfMemory):
         mm.allocate(1)
 
 
 def test_free_allows_reuse():
     mm = MemoryManager(0, 256)
-    address = mm.allocate(256, align=1)
+    address = mm.allocate(256)
     mm.free(address, 256)
-    assert mm.allocate(256, align=1) == address
+    assert mm.allocate(256) == address
 
 
 def test_coalescing_restores_large_hole():
     mm = MemoryManager(0, 1024)
-    a = mm.allocate(512, align=1)
-    b = mm.allocate(512, align=1)
+    a = mm.allocate(512)
+    b = mm.allocate(512)
     mm.free(a, 512)
     mm.free(b, 512)
     assert mm.largest_hole == 1024
@@ -47,7 +49,7 @@ def test_coalescing_restores_large_hole():
 
 def test_double_free_detected():
     mm = MemoryManager(0, 1024)
-    a = mm.allocate(64, align=1)
+    a = mm.allocate(64)
     mm.free(a, 64)
     with pytest.raises(ValueError):
         mm.free(a, 64)
@@ -65,8 +67,6 @@ def test_invalid_sizes_rejected():
     mm = MemoryManager(0, 64)
     with pytest.raises(ValueError):
         mm.allocate(0)
-    with pytest.raises(ValueError):
-        mm.allocate(8, align=0)
 
 
 @given(st.data())
@@ -81,11 +81,10 @@ def test_allocations_are_disjoint_and_in_bounds(data):
             continue
         size = data.draw(st.integers(min_value=1, max_value=512))
         try:
-            address = mm.allocate(size, align=data.draw(
-                st.sampled_from([1, 8, 64])))
+            address = mm.allocate(size)
         except OutOfMemory:
             continue
-        assert 0 <= address and address + size <= 4096
+        assert 0 <= address and address % ALIGN == 0 and address + size <= 4096
         for other_addr, other_size in live:
             assert address + size <= other_addr or other_addr + other_size <= address
         live.append((address, size))

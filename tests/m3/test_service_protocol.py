@@ -12,6 +12,7 @@ from repro.m3.lib.service import ClientSession, Server, start_service
 from repro.m3.services.kvserv import KvClient, KvError, KvServ
 from repro.m3.services.m3fs.fs import FsError
 from repro.m3.services.m3fs.server import M3fsServer
+from repro.m3.services import netserv
 from repro.m3.services.netserv import NetClient, NetServ, start_network
 from repro.m3.system import M3System
 
@@ -211,13 +212,20 @@ def _plain(server_type):
     ]
 
 
+def _network(system, names):
+    """``start_network`` under the two given names instead of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netserv, "SERVICE_NAMES", names)
+        return start_network(system)
+
+
 #: start(system, two names), server type, an operation (the handler-bug
 #: test swaps in one that takes no arguments), client type, the error
 #: type its client raises.
 SERVICES = {
     "m3fs": (_plain(M3fsServer), M3fsServer, "readdir", M3fsClient, FsError),
     "kv": (_plain(KvServ), KvServ, "close", KvClient, KvError),
-    "net": (start_network, NetServ, "recv", NetClient, RuntimeError),
+    "net": (_network, NetServ, "recv", NetClient, RuntimeError),
 }
 
 

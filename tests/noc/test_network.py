@@ -34,11 +34,11 @@ def test_delivery_latency_single_hop():
 
 def test_delivery_latency_grows_with_hops():
     sim, net = _network(hop=3, bw=8)
-    net.attach(3, lambda p: None)
-    one_hop = net.delivery_time(Packet(0, 1, "message", 0))
+    net.attach(1, lambda p: None)
+    one_hop = net.send(Packet(0, 1, "message", 0))
     sim2, net2 = _network(hop=3, bw=8)
     net2.attach(3, lambda p: None)
-    three_hops = net2.delivery_time(Packet(0, 3, "message", 0))
+    three_hops = net2.send(Packet(0, 3, "message", 0))
     assert three_hops - one_hop == 2 * 3
 
 
@@ -58,8 +58,8 @@ def test_disjoint_paths_do_not_interfere():
     sim, net = _network(hop=1, bw=8)
     net.attach(1, lambda p: None)
     net.attach(14, lambda p: None)
-    t1 = net.delivery_time(Packet(0, 1, "message", 800))
-    t2 = net.delivery_time(Packet(15, 14, "message", 800))
+    t1 = net.send(Packet(0, 1, "message", 800))
+    t2 = net.send(Packet(15, 14, "message", 800))
     assert t1 == t2  # same geometry, no shared links
 
 
@@ -92,7 +92,8 @@ def test_transfer_event_and_ledger_tag():
     net.attach(2, lambda p: None)
 
     def sender():
-        yield net.transfer(Packet(0, 2, "mem_write", 240), tag="xfer")
+        completion = net.send(Packet(0, 2, "mem_write", 240))
+        yield sim.delay(completion - sim.now, tag="xfer")
         return sim.now
 
     finish = sim.run_process(sender())

@@ -1,6 +1,6 @@
 """The per-packet path reservation against a hop-by-hop oracle.
 
-``Network.delivery_time`` reserves a packet's whole path in one loop
+``Network.send`` reserves a packet's whole path in one loop
 over cached ``Link`` objects.  The oracle below is the model as it is
 documented — walk the router's ``links_on_path``, reserve each link
 through the one-link ``Link.reserve``, let downstream hops stall behind
@@ -58,11 +58,13 @@ def test_path_reservation_equals_hop_by_hop_oracle(sends, probes):
     sim = Simulator()
     topology = MeshTopology(WIDTH, HEIGHT)
     net = Network(sim, topology, hop_cycles=HOP, bytes_per_cycle=BANDWIDTH)
+    for node in range(NODES):
+        net.attach(node, lambda packet: None)
     oracle = Oracle(XYRouter(topology))
     for advance, source, destination, size in sends:
         sim.run(until=sim.now + advance)
         packet = Packet(source, destination, "message", size)
-        assert (net.delivery_time(packet)
+        assert (net.send(packet)
                 == oracle.delivery_time(sim.now, source, destination, size))
     used = {key: link for key, link in net.iter_links() if link.packets}
     assert used.keys() == oracle.links.keys()

@@ -127,9 +127,10 @@ def test_link_epoch_sampling_is_lazy_and_flushable():
     network.attach(1, lambda packet: None)
 
     def traffic():
-        yield network.transfer(Packet(0, 1, "msg", 34))  # 50 wire bytes
-        yield sim.delay(300)
-        yield network.transfer(Packet(0, 1, "msg", 34))
+        for pause in (0, 300):
+            yield sim.delay(pause)
+            completion = network.send(Packet(0, 1, "msg", 34))  # 50 wire B
+            yield sim.delay(completion - sim.now)
 
     sim.run_process(traffic(), "traffic")
     sim.run()
@@ -157,7 +158,8 @@ def _two_transfers(then=()):
     def traffic(delays):
         for delay in delays:
             yield sim.delay(delay)
-            yield network.transfer(Packet(0, 1, "msg", 34))  # 50 wire bytes
+            completion = network.send(Packet(0, 1, "msg", 34))  # 50 wire B
+            yield sim.delay(completion - sim.now)
 
     def run(delays):
         sim.run_process(traffic(delays), "traffic")

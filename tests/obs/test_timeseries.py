@@ -3,14 +3,14 @@
 import pytest
 
 from repro.obs import Observer
-from repro.obs.timeseries import Telemetry
+from repro.obs.timeseries import RETENTION, Telemetry
 from repro.sim import Simulator
 
 
-def _hub(epoch=100, **kwargs):
+def _hub(epoch=100):
     sim = Simulator()
     obs = Observer.install(sim)
-    return sim, obs, obs.enable_telemetry(epoch=epoch, **kwargs)
+    return sim, obs, obs.enable_telemetry(epoch=epoch)
 
 
 def test_counters_sum_within_their_epoch():
@@ -40,7 +40,7 @@ def test_gauges_last_write_wins_and_quantiles_per_epoch():
     (first, second) = telemetry.points("lat")
     assert first[0] == 1 and first[1].count == 2 and first[1].max == 50
     assert second[0] == 2 and second[1].count == 1
-    assert second[1].percentile(0.99) == 9024  # precision=7 default
+    assert second[1].percentile(0.99) == 9024  # PRECISION = 7
 
 
 def test_series_kind_conflict_raises():
@@ -65,12 +65,13 @@ def test_flush_is_idempotent_and_refolds_partial_epochs():
 
 
 def test_retention_ring_drops_oldest_epochs():
-    sim, obs, telemetry = _hub(retention=2)
-    for cycle in (10, 110, 210, 310):
-        sim.schedule(cycle, lambda _: obs.count("req"))
+    sim, obs, telemetry = _hub()
+    for index in range(RETENTION + 2):
+        sim.schedule(index * 100 + 10, lambda _: obs.count("req"))
     sim.run()
     telemetry.flush()
-    assert telemetry.points("req") == [(2, 1), (3, 1)]
+    assert telemetry.points("req") == [
+        (index, 1) for index in range(2, RETENTION + 2)]
     assert telemetry.dropped_epochs == {"req": 2}
 
 

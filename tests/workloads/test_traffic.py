@@ -35,29 +35,22 @@ def test_schedule_shapes_and_bounds():
 
     bursty = build_schedule(TrafficProfile(
         requests=64, arrival="bursty", burst=8))
-    # bursts: runs of arrivals spaced exactly burst_spacing apart
+    # bursts: runs of arrivals spaced exactly BURST_SPACING apart
     gaps = [later.at - earlier.at
             for earlier, later in zip(bursty, bursty[1:])]
-    assert gaps.count(TrafficProfile().burst_spacing) >= 32
+    assert gaps.count(traffic.BURST_SPACING) >= 32
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
         TrafficProfile(arrival="lumpy")
-    with pytest.raises(ValueError):
-        TrafficProfile(keys=1000)
-    with pytest.raises(ValueError):
-        TrafficProfile(size_floor=0)
     # Shapes build_schedule cannot schedule are refused up front, not
     # as an IndexError after a whole boot (requests=0), an empty
-    # randrange (clients=0, keys=0), a ZeroDivisionError (the gaps,
-    # size_alpha=0), a probability outside [0, 1] or arrivals out of
-    # order (a negative burst_spacing).
+    # randrange (clients=0), a ZeroDivisionError (the gaps) or a
+    # probability outside [0, 1].
     for shape in (dict(requests=0), dict(requests=-1), dict(clients=0),
                   dict(mean_gap=0), dict(arrival="bursty", burst=0),
-                  dict(keys=0), dict(size_alpha=0), dict(get_fraction=1.5),
-                  dict(get_fraction=-0.1),
-                  dict(arrival="bursty", burst_spacing=-1)):
+                  dict(get_fraction=1.5), dict(get_fraction=-0.1)):
         field = next(name for name in shape if name != "arrival")
         with pytest.raises(ValueError, match=field):
             TrafficProfile(**shape)
@@ -151,7 +144,6 @@ def _fingerprint(result: traffic.TrafficResult) -> tuple:
 def test_double_run_is_deterministic_and_quiesces(shape):
     mini = TrafficProfile(
         name="mini", seed=77, clients=24, requests=36, mean_gap=2_500,
-        drain_cycles=200_000,
     )
     first, second = run_profile(mini, **shape), run_profile(mini, **shape)
     assert _fingerprint(first) == _fingerprint(second)
@@ -179,7 +171,7 @@ def test_lossy_elastic_run_quiesces_with_credits_conserved():
     duplicate acks all happen, and the books still balance."""
     profile = TrafficProfile(
         name="lossy", seed=11, clients=96, requests=150, arrival="bursty",
-        mean_gap=1_000, burst=12, session_refresh=4, drain_cycles=400_000,
+        mean_gap=1_000, burst=12, session_refresh=4,
     )
     result = run_profile(
         profile, fault_plan=FaultPlan(profile.seed).drop(0.02),
