@@ -401,36 +401,22 @@ class DTU:
 
     # -- remote memory access ----------------------------------------------
 
-    def read_memory(self, ep_index: int, offset: int, length: int,
-                    into_addr: int | None = None):
+    def read_memory(self, ep_index: int, offset: int, length: int):
         """Generator: RDMA-read ``length`` bytes at ``offset`` of a memory EP.
 
         Returns the data as the target memory hands it out — read-only,
-        ``bytes | memoryview`` (see :meth:`repro.hw.spm.Scratchpad.read`);
-        optionally also deposits it at ``into_addr`` in local memory
-        (the common case — "the data register denotes the location the
-        read data should be transferred to").
+        ``bytes | memoryview`` (see :meth:`repro.hw.spm.Scratchpad.read`).
         """
         ep = self._memory_ep(ep_index, offset, length, MemoryPerm.READ)
-        data = yield from self._transaction(
+        return (yield from self._transaction(
             "mem_read", ep.mem_node, MEM_REQUEST_BYTES,
             (ep.mem_addr + offset, length), length,
             _BYTES_SPAN_ARGS, MEM_REQUEST_BYTES,
-        )
-        if into_addr is not None:
-            self.local_memory.write(into_addr, data)
-        return data
+        ))
 
-    def write_memory(self, ep_index: int, offset: int, data: bytes,
-                     from_addr: int | None = None):
-        """Generator: RDMA-write ``data`` to ``offset`` of a memory EP.
-
-        When ``from_addr`` is given the bytes are taken from local memory
-        instead (``data`` then only conveys the length).
-        """
-        if from_addr is not None:
-            data = self.local_memory.read(from_addr, len(data))
-        elif type(data) is not bytes and not (
+    def write_memory(self, ep_index: int, offset: int, data: bytes):
+        """Generator: RDMA-write ``data`` to ``offset`` of a memory EP."""
+        if type(data) is not bytes and not (
                 type(data) is memoryview and type(data.obj) is bytes):
             # snapshot now, by the memory model's rule: immutable
             # payloads travel by reference, a mutable one is copied

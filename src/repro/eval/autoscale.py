@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from repro.eval.common import DEFAULT_SEED, swept
 from repro.eval.report import render_table
-from repro.eval.traffic import _summarize
-from repro.faults import FaultPlan
+from repro.eval.traffic import (FAULT_DROP_RATE, FAULT_WINDOW,
+                                LATENCY_HEADERS, _summarize, latency_cells,
+                                loss_window_plan)
 from repro.m3.autoscale import AutoScaler
 from repro.m3.lib.service import start_service
 from repro.m3.services.kvserv import KvClient, KvServ, start_kv_tier
@@ -76,14 +77,6 @@ AUTOSCALE = dict(
     down_total=-1,
     cooldown_epochs=2,
 )
-
-#: mid-load packet-loss window for the ``autoscale_fault`` eval.
-FAULT_DROP_RATE = 0.01
-FAULT_WINDOW = (150_000, 900_000)
-
-#: the warm/cold boot comparison stocks this keyset (the traffic
-#: pre-warm set: 64 keys, 32..159 bytes each).
-BOOT_KEYS = 64
 
 
 def _profile(name: str) -> traffic.TrafficProfile:
@@ -182,10 +175,10 @@ def boot_comparison() -> dict:
     system.boot(with_fs=False)
     servers = start_kv_tier(system, domains=[0], policy="depth",
                             op_cycles=KV_OP_CYCLES)
+    # Stocked with the traffic gateways' pre-warm keyset.
     donor = servers[0]
-    for key_id in range(BOOT_KEYS):
-        value = b"\x5a" * (32 + (key_id * 7) % 128)
-        donor.store[f"k{key_id}"] = value
+    for key, value in traffic.WARM_KEYSET:
+        donor.store[key] = value
         donor.bytes_stored += len(value)
 
     scaler = AutoScaler(system, servers, min_replicas=1, max_replicas=2)
@@ -220,7 +213,7 @@ def boot_comparison() -> dict:
     system.sim.run(until_event=filled)
     marks["cold"] = system.sim.now - cold_start
     return {
-        "keys": BOOT_KEYS,
+        "keys": len(traffic.WARM_KEYSET),
         "warm_cycles": marks["warm"],
         "cold_ready_cycles": marks["cold_ready"],
         "cold_stocked_cycles": marks["cold"],
@@ -276,20 +269,18 @@ def fold(outcomes: dict) -> dict:
 
 
 def _point_row(point: dict) -> tuple:
-    return (
-        point["name"],
-        f"{point['offered']:,.0f}",
-        f"{point['goodput']:,.0f}",
-        f"{point['completed']}/{point['sent']}",
-        point["p50"],
-        point["p99"],
-        point["p999"],
-        point["kv_errors"],
+    return latency_cells(point) + (point["kv_errors"],)
+
+
+_POINT_HEADERS = ["tier", *LATENCY_HEADERS, "kv errors"]
+
+
+def _timeline_table(title: str, events: list) -> str:
+    """A controller's ``(cycle, action, replica, domain, detail)`` events."""
+    return render_table(
+        title, ["cycle", "action", "replica", "domain", "detail"],
+        [(f"{cycle:,}", *event) for cycle, *event in events],
     )
-
-
-_POINT_HEADERS = ["tier", "offered/Mcyc", "goodput/Mcyc", "done",
-                  "p50", "p99", "p999", "kv errors"]
 
 
 def render(results: dict) -> str:
@@ -301,13 +292,8 @@ def render(results: dict) -> str:
         _POINT_HEADERS,
         [_point_row(static), _point_row(elastic)],
     )
-    timeline = render_table(
-        "Scale timeline (elastic run)",
-        ["cycle", "action", "replica", "domain", "detail"],
-        [(f"{cycle:,}", action, replica, domain, detail)
-         for cycle, action, replica, domain, detail
-         in results["timeline"]],
-    )
+    timeline = _timeline_table("Scale timeline (elastic run)",
+                               results["timeline"])
     replicas = sorted(set(static["replica_requests"])
                       | set(elastic["replica_requests"]))
     routes = render_table(
@@ -322,14 +308,9 @@ def render(results: dict) -> str:
          for replica in replicas],
     )
     shrink = results["shrink"]
-    shrink_rows = [
-        (f"{cycle:,}", action, replica, domain, detail)
-        for cycle, action, replica, domain, detail in shrink["timeline"]
-    ]
-    shrink_table = render_table(
+    shrink_table = _timeline_table(
         "Shrink: a calm 3-replica tier retires its newest replica",
-        ["cycle", "action", "replica", "domain", "detail"],
-        shrink_rows,
+        shrink["timeline"],
     )
     boot = results["boot"]
     scaler = results["scaler"]
@@ -376,8 +357,8 @@ def run_fault_point(tier: str) -> dict:
     with the fault plan's retransmit pattern layered on top.
     """
     name, elastic = TIERS[tier]
-    plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE, window=FAULT_WINDOW)
-    return _summarize(_serve(f"{name}/faulted", elastic, fault_plan=plan))
+    return _summarize(_serve(f"{name}/faulted", elastic,
+                             fault_plan=loss_window_plan()))
 
 
 def render_fault(points: dict) -> str:

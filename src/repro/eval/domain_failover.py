@@ -41,6 +41,7 @@ KERNEL_COUNT = 2
 LOSS_RATE = 0.002
 #: when the fault plan halts kernel domain 1's kernel core (node 6) —
 #: chosen mid-``find`` so the surviving workload rides out the failover.
+#: The telemetry eval's domain kill runs on this geometry too.
 KILL_AT = 24_000
 #: rounds of compute+syscall the migrating VPE performs.  The parent
 #: triggers the live migration at the half-way mark, which lands after

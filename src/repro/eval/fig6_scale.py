@@ -12,6 +12,7 @@ throughout.
 from __future__ import annotations
 
 from repro.eval.common import normalised, series_rows, swept
+from repro.eval.fig5_apps import BENCHMARKS
 from repro.eval.report import render_table
 from repro.m3.lib.m3fs_client import M3fsClient
 from repro.m3.services.m3fs.superblock import SuperBlock
@@ -20,7 +21,6 @@ from repro.workloads.cat_tr import INPUT_PATH, input_bytes, m3_cat_tr
 from repro.workloads.trace import M3Replayer
 from repro.workloads.tracegen import TRACE_BENCHMARKS
 
-BENCHMARKS = ["cat+tr", "tar", "untar", "find", "sqlite"]
 INSTANCE_COUNTS = (1, 4, 16)
 #: one simulation per point; the 16-instance points dominate the wall
 #: clock, so they come first and no worker runs one alone at the end.

@@ -31,6 +31,17 @@ def render_table(title: str, headers: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines)
 
 
+def breakdown_rows(breakdown: dict, total: int) -> list[tuple]:
+    """(component, cycles, share of ``total``) rows of a critical-path
+    component breakdown, largest first."""
+    return [
+        (component, cycles, f"{100.0 * cycles / total:.1f}%")
+        for component, cycles in sorted(
+            breakdown.items(), key=lambda item: (-item[1], item[0])
+        )
+    ]
+
+
 def stacks(ledger: dict) -> tuple[int, int, int]:
     """(app, xfers, os) cycles from a ledger delta — the figures' stacks.
 

@@ -27,14 +27,11 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 from repro.dtu.dtu import RETRANSMITS_SERIES
+from repro.eval import domain_failover
 from repro.eval.common import DEFAULT_SEED, single, swept
 from repro.eval.report import render_table
-from repro.eval.traffic import (
-    FAULT_DROP_RATE,
-    FAULT_WINDOW,
-    REFERENCE_GAP,
-    _curve_profile,
-)
+from repro.eval.traffic import (REFERENCE_GAP, _curve_profile,
+                                loss_window_plan)
 from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
 from repro.m3.system import M3System
@@ -57,13 +54,10 @@ DELIVERY_SLO = SloSpec("noc-delivery", target=0.999,
                        total_series="noc.packets_injected")
 DELIVERY_WINDOWS = (("page", 1, 4, 6.0), ("ticket", 2, 8, 2.0))
 
-#: the domain-kill act: 12 PEs in two domains, packet loss from cycle
-#: zero, domain 1's kernel core halted mid-run (same geometry as the
-#: domain-failover eval, scaled down to a syscall-loop workload).
-FAIL_PE_COUNT = 12
-FAIL_KERNEL_COUNT = 2
+#: the domain-kill act: the domain-failover eval's mesh, domains and
+#: kill cycle (domain 1's kernel core halted mid-run), with packet loss
+#: from cycle zero and a syscall-loop workload.
 FAIL_LOSS_RATE = 0.01
-FAIL_KILL_AT = 24_000
 FAIL_EPOCH = 6_000
 #: the loss rate is 10x this objective's budget, so the page fires on
 #: the very first epoch — well before the heartbeat death verdict.
@@ -112,11 +106,10 @@ def serving_results() -> dict:
         state["delivery"] = SloMonitor(obs, DELIVERY_SLO,
                                        windows=DELIVERY_WINDOWS)
 
-    plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE,
-                                        window=FAULT_WINDOW)
     result = traffic.run_profile(
         _curve_profile(REFERENCE_GAP, name="telemetered"),
-        fault_plan=plan, observe=True, instrument=instrument,
+        fault_plan=loss_window_plan(), observe=True,
+        instrument=instrument,
     )
     telemetry = state["telemetry"]
     telemetry.flush()
@@ -168,11 +161,11 @@ def _syscall_worker(env, rounds: int, compute: int):
 def failover_results(seed: int = DEFAULT_SEED,
                      loss_rate: float = FAIL_LOSS_RATE) -> dict:
     """Kill a domain mid-run with the full observability stack on."""
-    system = M3System(pe_count=FAIL_PE_COUNT,
-                      kernel_count=FAIL_KERNEL_COUNT, reliable=True,
-                      observe=True)
+    system = M3System(pe_count=domain_failover.PE_COUNT,
+                      kernel_count=domain_failover.KERNEL_COUNT,
+                      reliable=True, observe=True)
     plan = FaultPlan(seed).drop(loss_rate)
-    plan.kill_pe(node=system.kernels[1].node, at=FAIL_KILL_AT)
+    plan.kill_pe(node=system.kernels[1].node, at=domain_failover.KILL_AT)
     plan.install(system.platform)
     system.boot(with_fs=False)
     obs = system.sim.obs
@@ -205,7 +198,7 @@ def failover_results(seed: int = DEFAULT_SEED,
     ]
     return {
         "workers_finished": finished,
-        "killed_at": FAIL_KILL_AT,
+        "killed_at": domain_failover.KILL_AT,
         "loss_rate": loss_rate,
         "peer": peer,
         "detected_at": detected,
@@ -350,7 +343,7 @@ def flight_variant() -> str:
     lines = [
         _verdict_table(
             f"Flight variant: loss {2 * FAIL_LOSS_RATE}, domain 1 "
-            f"killed at cycle {FAIL_KILL_AT:,}",
+            f"killed at cycle {domain_failover.KILL_AT:,}",
             [results["verdict"]],
         ),
         *_alert_lines(results["alerts"]),

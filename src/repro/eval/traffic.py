@@ -29,7 +29,8 @@ for any ``--jobs`` value.
 from __future__ import annotations
 
 from repro.eval.common import DEFAULT_SEED, single, swept
-from repro.eval.report import render_table
+from repro.eval.critical_path import attribute
+from repro.eval.report import breakdown_rows, render_table
 from repro.faults import FaultPlan
 from repro.m3.system import stat_sum
 from repro.obs import causal
@@ -43,7 +44,8 @@ REFERENCE_GAP = 3_000
 REQUESTS = 600
 CLIENTS = 480
 
-#: mid-load packet-loss window for the faulted point.
+#: mid-load packet-loss window for the faulted point (and the
+#: autoscale and telemetry evals' faulted runs).
 FAULT_DROP_RATE = 0.01
 FAULT_WINDOW = (150_000, 900_000)
 
@@ -54,6 +56,11 @@ def _curve_profile(gap: int, **overrides) -> traffic.TrafficProfile:
         seed=DEFAULT_SEED, clients=CLIENTS, requests=REQUESTS,
         mean_gap=gap, **overrides,
     )
+
+
+def loss_window_plan() -> FaultPlan:
+    """A fresh plan of the faulted point's seeded loss window."""
+    return FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE, window=FAULT_WINDOW)
 
 
 def _summarize(result: traffic.TrafficResult) -> dict:
@@ -102,14 +109,7 @@ def _attribute_tail(result: traffic.TrafficResult) -> dict:
     request = causal.find_request(
         result.system.sim.obs, f"req{req_id}", category="traffic"
     )
-    segments = causal.critical_path(request)
-    breakdown = causal.component_breakdown(segments)
-    return {
-        "req_id": req_id,
-        "latency": latency,
-        "traced_cycles": request.total_cycles,
-        "breakdown": breakdown,
-    }
+    return {"req_id": req_id, "latency": latency, **attribute(request)}
 
 
 #: one simulation per point: the curve's gaps, then the two
@@ -130,10 +130,9 @@ def run_point(point) -> tuple:
             REFERENCE_GAP, name="bursty", arrival="bursty",
         ))
     elif point == "faulted":
-        plan = FaultPlan(DEFAULT_SEED).drop(FAULT_DROP_RATE,
-                                            window=FAULT_WINDOW)
         result = traffic.run_profile(
-            _curve_profile(REFERENCE_GAP, name="faulted"), fault_plan=plan,
+            _curve_profile(REFERENCE_GAP, name="faulted"),
+            fault_plan=loss_window_plan(),
         )
     else:
         result = traffic.run_profile(_curve_profile(point), observe=observed)
@@ -153,7 +152,15 @@ def fold(outcomes: dict) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
-def _point_row(point: dict) -> tuple:
+#: the headers of :func:`latency_cells` after the point's name.
+LATENCY_HEADERS = ["offered/Mcyc", "goodput/Mcyc", "done",
+                   "p50", "p99", "p999"]
+_HEADERS = ["point", *LATENCY_HEADERS, "tx retries", "dropped"]
+
+
+def latency_cells(point: dict) -> tuple:
+    """A :func:`_summarize` load point's name, rates, completions and
+    latency quantiles: the first seven cells of its report row."""
     return (
         point["name"],
         f"{point['offered']:,.0f}",
@@ -162,25 +169,26 @@ def _point_row(point: dict) -> tuple:
         point["p50"],
         point["p99"],
         point["p999"],
-        point["tx_retries"],
-        point["frames_dropped"],
     )
+
+
+def _point_row(point: dict) -> tuple:
+    return latency_cells(point) + (point["tx_retries"],
+                                   point["frames_dropped"])
 
 
 def render(results: dict) -> str:
     """The ``results/traffic.txt`` report for :func:`fold`'s results."""
-    headers = ["point", "offered/Mcyc", "goodput/Mcyc", "done",
-               "p50", "p99", "p999", "tx retries", "dropped"]
     curve = render_table(
         f"Throughput–latency: open-loop Poisson sweep "
         f"({CLIENTS} clients, {REQUESTS} requests per point)",
-        headers, [_point_row(point) for point in results["curve"]],
+        _HEADERS, [_point_row(point) for point in results["curve"]],
     )
     reference = next(point for point in results["curve"]
                      if point["mean_gap"] == REFERENCE_GAP)
     shapes = render_table(
         "Arrival shape and faults at the reference rate",
-        headers + ["NoC lost", "retransmits"],
+        _HEADERS + ["NoC lost", "retransmits"],
         [_point_row(point) + (point["noc_lost"], point["retransmits"])
          for point in (reference, results["bursty"], results["faulted"])],
     )
@@ -196,19 +204,13 @@ def render(results: dict) -> str:
         replica_rows,
     )
     tail = results["tail"]
-    total = tail["traced_cycles"]
-    tail_rows = [
-        (component, cycles, f"{100.0 * cycles / total:.1f}%")
-        for component, cycles in sorted(
-            tail["breakdown"].items(), key=lambda item: (-item[1], item[0])
-        )
-    ]
+    total = tail["total_cycles"]
     attribution = render_table(
         f"Tail request attribution: req {tail['req_id']} — "
         f"{tail['latency']:,} cycles end-to-end, "
         f"{total:,} gateway-side (critical path)",
         ["component", "cycles", "share of gateway side"],
-        tail_rows,
+        breakdown_rows(tail["breakdown"], total),
     )
     faulted = results["faulted"]
     gateway_loads = ", ".join(
@@ -259,9 +261,7 @@ def fault_variant() -> str:
     return render_table(
         f"Traffic fault variant: drop rate {2 * FAULT_DROP_RATE} in "
         f"[{FAULT_WINDOW[0]:,}, {FAULT_WINDOW[1]:,})",
-        ["point", "offered/Mcyc", "goodput/Mcyc", "done",
-         "p50", "p99", "p999", "tx retries", "dropped",
-         "NoC lost", "retransmits"],
+        _HEADERS + ["NoC lost", "retransmits"],
         [_point_row(point) + (point["noc_lost"], point["retransmits"])],
     )
 

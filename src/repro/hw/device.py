@@ -35,13 +35,21 @@ DMA_MEM_EP = 2
 
 #: interrupt message payload size.
 IRQ_BYTES = 16
-#: device-local buffer memory (DMA staging).
+#: the NIC's own buffer memory (DMA staging).
 BUFFER_BYTES = 4096
 
 #: the wire's fixed latency; a frame then takes a cycle a byte.
 WIRE_LATENCY_CYCLES = 200
 
-#: the RX ring: one frame a slot, from ``rx_base`` on.
+#: the DMA window in the driver's DRAM that :data:`DMA_MEM_EP` reaches:
+#: the TX ring, then the RX ring, one frame a slot.  The NIC reads TX
+#: frames by DMA *after* the command message, so every in-flight frame
+#: needs its own slot; slots return to the driver's free list when the
+#: NIC's "txdone" interrupt arrives.
+DMA_WINDOW_BYTES = 4096
+TX_SLOTS = 8
+TX_SLOT_BYTES = 256
+RX_BASE = TX_SLOTS * TX_SLOT_BYTES
 RX_SLOTS = 8
 RX_SLOT_BYTES = 256
 
@@ -79,7 +87,7 @@ class NetworkDevice:
     """
 
     def __init__(self, sim: "Simulator", network: "Network", node: int,
-                 name: str = "nic", rx_base: int = 2048):
+                 name: str = "nic"):
         self.sim = sim
         self.name = name
         self.node = node
@@ -87,7 +95,6 @@ class NetworkDevice:
         self.dtu = DTU(sim, network, node, self.buffer)
         self.interrupts_sent = 0
         self.wire: Wire | None = None
-        self.rx_base = rx_base
         self._rx_next = 0
         self.frames_sent = 0
         self.frames_received = 0
@@ -142,7 +149,7 @@ class NetworkDevice:
             return
         slot = self._rx_next
         self._rx_next = (slot + 1) % RX_SLOTS
-        offset = self.rx_base + slot * RX_SLOT_BYTES
+        offset = RX_BASE + slot * RX_SLOT_BYTES
 
         def dma():
             yield from self.dtu.write_memory(DMA_MEM_EP, offset, frame)

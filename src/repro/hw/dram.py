@@ -18,6 +18,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Simulator
 
 
+def bulk_copy_cycles(nbytes: int) -> int:
+    """Cycles to move ``nbytes`` in bulk between DRAM and an SPM: one
+    DTU-speed pass plus one DRAM access."""
+    return (max(1, nbytes // params.DTU_BYTES_PER_CYCLE)
+            + params.DRAM_ACCESS_CYCLES)
+
+
 class DramModule:
     """NoC endpoint serving memory request packets against its DRAM array.
 

@@ -100,11 +100,10 @@ class LinuxMachine:
         env.process = self.sim.process(body(), name)
         return env
 
-    def run_program(self, func, *args, name: str = "main", limit=None):
+    def run_program(self, func, *args, name: str = "main"):
         """Spawn + simulate to completion; returns the program's result."""
         env = self.spawn(func, *args, name=name)
-        return self.sim.run_process(_join(env), name=f"{name}.join",
-                                    limit=limit)
+        return self.sim.run_process(_join(env), name=f"{name}.join")
 
 
 def _join(env: "LxEnv"):

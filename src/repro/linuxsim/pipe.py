@@ -14,9 +14,8 @@ PIPE_BUFFER_BYTES = 64 * 1024
 class LxPipe:
     """Kernel pipe object: byte FIFO with capacity and waiter queues."""
 
-    def __init__(self, sim: "Simulator", capacity: int = PIPE_BUFFER_BYTES):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.capacity = capacity
         self.buffer = bytearray()
         self.write_closed = False
         #: open write descriptors (EOF when it reaches zero).
@@ -26,7 +25,7 @@ class LxPipe:
 
     @property
     def free_space(self) -> int:
-        return self.capacity - len(self.buffer)
+        return PIPE_BUFFER_BYTES - len(self.buffer)
 
     def push(self, data: bytes) -> int:
         """Store up to the free space; returns bytes accepted."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
+from repro.hw.dram import bulk_copy_cycles
 from repro.m3.services.kvserv import TIER, KvServ
 from repro.sim.events import first_of
 from repro.sim.ledger import Tag
@@ -311,11 +312,8 @@ class AutoScaler:
                 survivor.store[key] = value
                 survivor.bytes_stored += len(value)
                 moved += len(value)
-        yield self.sim.delay(
-            max(1, victim.bytes_stored // params.DTU_BYTES_PER_CYCLE)
-            + params.DRAM_ACCESS_CYCLES,
-            tag=Tag.XFER,
-        )
+        yield self.sim.delay(bulk_copy_cycles(victim.bytes_stored),
+                             tag=Tag.XFER)
         vpe = victim.vpe
         kernel.reset_vpe(vpe, "scaled-down", exit_code=0)
         del self.servers[victim_name]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import typing
 
-from repro import params
+from repro.hw.dram import bulk_copy_cycles
 from repro.m3.kernel.syscalls import NO_REPLY
 from repro.m3.kernel.vpe import VpeObject, VpeState
 from repro.sim.ledger import Tag
@@ -142,10 +142,6 @@ class ContextSwitcher:
     # DTUs move the data; the kernel only orchestrates)
     # ------------------------------------------------------------------
 
-    def _transfer_cycles(self, vpe: VpeObject) -> int:
-        image = vpe.pe.spm_data.size
-        return image // params.DTU_BYTES_PER_CYCLE + params.DRAM_ACCESS_CYCLES
-
     def _switch_out(self, vpe: VpeObject):
         """Generator: save a yielded VPE's state and free its PE."""
         node = vpe.node
@@ -161,7 +157,8 @@ class ContextSwitcher:
             vpe.staging_addr = self.kernel.memory.allocate(vpe.pe.spm_data.size)
         vpe.saved_alloc_mark = vpe.pe.alloc_mark
         image = vpe.pe.spm_data.read(0, vpe.pe.spm_data.size)
-        yield self.sim.delay(self._transfer_cycles(vpe), tag=Tag.XFER)
+        yield self.sim.delay(bulk_copy_cycles(vpe.pe.spm_data.size),
+                             tag=Tag.XFER)
         self.kernel.platform.dram.memory.write(vpe.staging_addr, image)
         # Tear down the endpoints; messages in flight to this VPE drop,
         # exactly the hazard the paper's "switch back before the
@@ -199,7 +196,8 @@ class ContextSwitcher:
             image = self.kernel.platform.dram.memory.read(
                 vpe.staging_addr, vpe.pe.spm_data.size
             )
-            yield self.sim.delay(self._transfer_cycles(vpe), tag=Tag.XFER)
+            yield self.sim.delay(bulk_copy_cycles(vpe.pe.spm_data.size),
+                                 tag=Tag.XFER)
             vpe.pe.spm_data.write(0, image)
         # Re-wire the standard syscall channel.
         yield from self.kernel.wire_syscall_channel(vpe)

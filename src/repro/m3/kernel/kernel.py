@@ -82,6 +82,17 @@ REPLY_RING_SLOTS = 8
 #: negotiations (up to one per parked open_session).
 KERNEL_REPLY_RING_SLOTS = 64
 
+#: Observer counter -> the kernel total it samples, added up over the
+#: kernels (docs/observability.md, "Sampled counters"); each kernel's
+#: own ``kernel<id>.ik_retries`` samples :data:`OBSERVED_RETRIES`.
+OBSERVED_TOTALS = {
+    "kernel.probes_sent": "failover.probes_sent",
+    "kernel.migrations": "migration.migrations",
+    "kernel.migrations_out": "migration.migrations_out",
+    "kernel.migrations_in": "migration.migrations_in",
+}
+OBSERVED_RETRIES = "ik.retries"
+
 
 class Kernel:
     """Kernel state plus the dispatch loop running on the kernel PE."""

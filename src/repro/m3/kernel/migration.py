@@ -15,6 +15,7 @@ import typing
 
 from repro import params
 from repro.dtu.registers import EndpointKind, MemoryPerm
+from repro.hw.dram import bulk_copy_cycles
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.checkpoint import MigrationDescriptor, VpeCheckpoint
 from repro.m3.kernel.objects import MemObject, RemoteVpeObject
@@ -54,15 +55,6 @@ class Migration:
 
     # -- checkpoint / restore ---------------------------------------------
 
-    def _image_transfer(self, pe):
-        """The timed, size-dependent copy of ``pe``'s data-SPM image
-        (one DTU-speed pass plus the DRAM access)."""
-        return self.sim.delay(
-            pe.spm_data.size // params.DTU_BYTES_PER_CYCLE
-            + params.DRAM_ACCESS_CYCLES,
-            tag=Tag.XFER,
-        )
-
     def checkpoint_vpe(self, vpe: VpeObject):
         """Generator: snapshot a resident VPE's PE-local state.
 
@@ -75,7 +67,7 @@ class Migration:
             raise SyscallError(f"VPE {vpe.name!r} is not resident")
         pe = vpe.pe
         yield self.sim.delay(params.VPE_CHECKPOINT_KERNEL_CYCLES, tag=Tag.OS)
-        yield self._image_transfer(pe)
+        yield self.sim.delay(bulk_copy_cycles(pe.spm_data.size), tag=Tag.XFER)
         checkpoint = VpeCheckpoint(
             vpe_id=vpe.id,
             name=vpe.name,
@@ -112,7 +104,8 @@ class Migration:
         if not target_pe.busy:
             target_pe.reserve()
         yield self.sim.delay(params.VPE_CHECKPOINT_KERNEL_CYCLES, tag=Tag.OS)
-        yield self._image_transfer(target_pe)
+        yield self.sim.delay(bulk_copy_cycles(target_pe.spm_data.size),
+                             tag=Tag.XFER)
         target_pe.spm_data.write(0, checkpoint.spm_image)
         target_pe.alloc_mark = checkpoint.alloc_mark
         if not old_pe.failed:

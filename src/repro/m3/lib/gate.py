@@ -167,7 +167,7 @@ class MemGate(Gate):
         with a spinning loop of the same time"), the transfer is
         replaced by an equal-duration spin and zero bytes are returned.
         """
-        if getattr(self.env, "spin_io", False):
+        if self.env.spin_io:
             yield self.env.sim.delay(_spin_cycles(length), tag="xfer")
             return bytes(length)
         ep = self.ep
@@ -184,7 +184,7 @@ class MemGate(Gate):
     def write(self, offset: int, data: bytes):
         """Generator: RDMA-write bytes into the region (see :meth:`read`
         for ``spin_io`` mode)."""
-        if getattr(self.env, "spin_io", False):
+        if self.env.spin_io:
             yield self.env.sim.delay(_spin_cycles(len(data)), tag="xfer")
             return len(data)
         ep = self.ep

@@ -29,7 +29,9 @@ from repro.dtu.registers import (
     EndpointRegisters,
     MemoryPerm,
 )
-from repro.hw.device import CMD_RECV_EP, DMA_MEM_EP, IRQ_SEND_EP, NetworkDevice, Wire
+from repro.hw.device import (CMD_RECV_EP, DMA_MEM_EP, DMA_WINDOW_BYTES,
+                             IRQ_SEND_EP, TX_SLOT_BYTES, TX_SLOTS,
+                             NetworkDevice, Wire)
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.objects import RecvGateObject, SendGateObject
 from repro.m3.lib.gate import BoundRecvGate, MemGate, SendGate
@@ -44,15 +46,8 @@ _HEADER = struct.Struct("<HH")
 #: (0 is the kernel; session ids start at 1 and stay well below this).
 IRQ_LABEL = 0xFFFF
 
-#: the NIC's DMA window: the TX ring then the RX ring.  The NIC reads
-#: TX frames by DMA *after* the command message, so every in-flight
-#: frame needs its own slot; slots return to the free list when the
-#: NIC's "txdone" interrupt arrives.
-BUFFER_BYTES = 4096
-TX_SLOTS = 8
-TX_SLOT_BYTES = 256
-RX_BASE = 2048
-
+#: the largest datagram; with its port header it fits one TX or RX
+#: slot of the NIC's DMA window (:mod:`repro.hw.device`).
 MAX_PAYLOAD = 200
 
 #: per-socket inbox depth.  Open-loop load means a slow client can
@@ -84,7 +79,6 @@ class NetServ(Server):
     request_cycles = params.M3FS_SERVER_CYCLES
     errors = (ValueError, TypeError)
     irq_label = IRQ_LABEL
-    inbox_depth = INBOX_DEPTH
 
     def __init__(self, service_name: str = "net"):
         super().__init__(service_name)
@@ -104,7 +98,7 @@ class NetServ(Server):
 
     def _setup(self, env):
         self.buffer = yield from MemGate.create(
-            env, BUFFER_BYTES, MemoryPerm.RW.value
+            env, DMA_WINDOW_BYTES, MemoryPerm.RW.value
         )
         # NIC commands go out as *calls*: the NIC's reply refunds the
         # command gate's send credits.  Driving the NIC fire-and-forget
@@ -162,7 +156,7 @@ class NetServ(Server):
         if socket is None:
             self._drop("unbound", dst_port)
             return
-        if len(socket.inbox) >= self.inbox_depth:
+        if len(socket.inbox) >= INBOX_DEPTH:
             # The client is not draining its inbox: drop like a ring
             # overrun instead of growing memory without bound.
             self._drop("overflow", dst_port)
@@ -283,10 +277,8 @@ def start_network(system: "M3System"):
     servers = []
     base_node = len(system.platform.pes)
     for index, name in enumerate(SERVICE_NAMES):
-        nic = NetworkDevice(
-            system.sim, system.platform.network, base_node + index,
-            name=f"nic{index}", rx_base=RX_BASE,
-        )
+        nic = NetworkDevice(system.sim, system.platform.network,
+                            base_node + index, name=f"nic{index}")
         if system.reliable:
             # Match the chip: an unreliable NIC DTU on a reliable
             # platform deadlocks under packet loss — a dropped command

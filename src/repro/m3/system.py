@@ -16,7 +16,7 @@ import typing
 
 from repro.dtu.dtu import OBSERVED_TOTALS as DTU_TOTALS
 from repro.hw.platform import Platform
-from repro.m3.kernel.kernel import Kernel
+from repro.m3.kernel.kernel import OBSERVED_RETRIES, OBSERVED_TOTALS, Kernel
 from repro.m3.kernel.syscalls import SyscallError
 from repro.m3.kernel.vpe import VpeObject
 from repro.m3.lib.env import Env
@@ -25,16 +25,6 @@ from repro.m3.lib.service import start_service
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.lib.service import Server
     from repro.m3.services.m3fs.server import M3fsServer
-
-
-#: Observer counter -> the kernel total it samples, added up over the
-#: kernels (docs/observability.md, "Sampled counters").
-KERNEL_TOTALS = {
-    "kernel.probes_sent": "failover.probes_sent",
-    "kernel.migrations": "migration.migrations",
-    "kernel.migrations_out": "migration.migrations_out",
-    "kernel.migrations_in": "migration.migrations_in",
-}
 
 
 def stat_sum(stats: dict, scope: str, name: str) -> int:
@@ -197,9 +187,9 @@ class M3System:
             for kernel in self.kernels:
                 obs.label_node(kernel.node, kernel.label)
                 obs.monitor({f"kernel{kernel.kernel_id}.ik_retries":
-                             "ik.retries"}, kernel)
+                             OBSERVED_RETRIES}, kernel)
             obs.label_node(self.platform.dram_node, "DRAM")
-            obs.monitor(KERNEL_TOTALS, *self.kernels)
+            obs.monitor(OBSERVED_TOTALS, *self.kernels)
             obs.monitor(DTU_TOTALS, *(pe.dtu for pe in self.platform.pes))
         for kernel in self.kernels:
             self.sim.run_process(kernel.boot(), f"{kernel.label}.boot")
@@ -294,7 +284,7 @@ class M3System:
         env = Env(self, vpe.id, vpe.pe)
         # Register the env with the *owning* kernel (spilled VPEs run in
         # a peer domain whose kernel drives their context switches).
-        kernel = getattr(vpe, "kernel", None) or self.kernel
+        kernel = vpe.kernel
         kernel.envs[vpe.id] = env
         if self.sim.obs is not None:
             # Role label for exports; services refine it when they
@@ -325,7 +315,6 @@ class M3System:
     # -- running applications ---------------------------------------------------------
 
     def spawn(self, entry, *args, name: str = "app",
-              pe_type: str | None = None,
               domain: int | None = None) -> VpeObject:
         """Create a root VPE and start ``entry(env, *args)`` on it.
 
@@ -337,7 +326,7 @@ class M3System:
         kernel = self.kernel if domain is None else self.kernels[domain]
 
         def create():
-            vpe = yield from kernel.create_vpe(name, pe_type)
+            vpe = yield from kernel.create_vpe(name)
             kernel.start_vpe(vpe, entry, args)
             return vpe
 
@@ -377,10 +366,9 @@ class M3System:
             if done.triggered and not done.ok:
                 raise done.value
 
-    def run_app(self, entry, *args, name: str = "app",
-                pe_type: str | None = None):
+    def run_app(self, entry, *args, name: str = "app"):
         """Spawn + wait in one call; returns the application's result."""
-        return self.wait(self.spawn(entry, *args, name=name, pe_type=pe_type))
+        return self.wait(self.spawn(entry, *args, name=name))
 
     # -- benchmark support ---------------------------------------------------
 

@@ -182,9 +182,10 @@ def _key(key_id: int) -> str:
     return f"k{key_id}"
 
 
-def _warm_len(key_id: int) -> int:
-    """Deterministic pre-warm value size for a key (so gets hit)."""
-    return 32 + (key_id * 7) % 128
+#: what each gateway puts into its routed kv shard before serving, so
+#: gets hit: every key, with a deterministic 32..159-byte value.
+WARM_KEYSET = tuple((_key(key_id), _PAD * (32 + (key_id * 7) % 128))
+                    for key_id in range(KEYS))
 
 
 class TrafficRun:
@@ -235,8 +236,8 @@ def gateway_app(env, run: TrafficRun, index: int, ready):
     net = yield from NetClient.connect(env, "net2")
     yield from net.bind(GATEWAY_BASE_PORT + index)
     kv = yield from KvClient.connect(env, "kv")
-    for key_id in range(KEYS):
-        yield from kv.put(_key(key_id), _PAD * _warm_len(key_id))
+    for key, value in WARM_KEYSET:
+        yield from kv.put(key, value)
     ready.succeed(index)
     refresh = run.profile.session_refresh
     served_since_refresh = 0

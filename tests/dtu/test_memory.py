@@ -25,30 +25,6 @@ def test_dram_write_then_read_roundtrip(platform):
     assert platform.dram.memory.read(0x1000 + 128, 18) == b"persistent payload"
 
 
-def test_read_into_local_spm(platform):
-    pe = platform.pe(0)
-    configure_memory_ep(pe.dtu, 0, platform.dram_node, 0, 1024)
-    platform.dram.memory.write(64, b"from dram")
-
-    def software():
-        yield from pe.dtu.read_memory(0, 64, 9, into_addr=200)
-
-    platform.sim.run_process(software())
-    assert pe.spm_data.read(200, 9) == b"from dram"
-
-
-def test_write_from_local_spm(platform):
-    pe = platform.pe(0)
-    configure_memory_ep(pe.dtu, 0, platform.dram_node, 0, 1024)
-    pe.spm_data.write(300, b"spm bytes")
-
-    def software():
-        yield from pe.dtu.write_memory(0, 500, b"\x00" * 9, from_addr=300)
-
-    platform.sim.run_process(software())
-    assert platform.dram.memory.read(500, 9) == b"spm bytes"
-
-
 def test_remote_spm_access_is_rdma(platform):
     """Reading another PE's SPM involves no software on the passive side."""
     reader, target = platform.pe(0), platform.pe(1)

@@ -25,10 +25,8 @@ from tests.dtu.test_memory import (  # noqa: F401
     test_memory_op_on_wrong_ep_kind,
     test_memory_roundtrip_charged_as_xfer,
     test_permissions_enforced,
-    test_read_into_local_spm,
     test_remote_spm_access_is_rdma,
     test_transfer_bandwidth_dominates_large_reads,
-    test_write_from_local_spm,
 )
 from tests.dtu.test_messaging import (  # noqa: F401
     test_oversized_send_rejected,

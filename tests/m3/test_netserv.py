@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.hw import device
+from repro.m3.services import netserv
 from repro.m3.system import M3System
 from repro.m3.services.netserv import NetClient, start_network
 from repro.obs import SloMonitor, SloSpec
@@ -124,9 +126,7 @@ def test_frames_move_real_bytes_through_dma(net_system):
     server = servers[1]
     region = server.vpe.captable.get(server.buffer.selector).obj
     dram = system.platform.dram.memory
-    from repro.m3.services.netserv import RX_BASE
-
-    raw = dram.read(region.address + RX_BASE, 64)
+    raw = dram.read(region.address + device.RX_BASE, 64)
     assert b"dma-visible" in raw
 
 
@@ -234,7 +234,7 @@ def test_tx_slot_survives_send_failure(net_system):
     or NIC command send raising) must return the slot to the free list.
     Pre-fix, each error leaked one slot and the ring drained to empty,
     wedging the service with "tx ring full" forever."""
-    from repro.m3.services.netserv import TX_SLOTS
+    from repro.hw.device import TX_SLOTS
 
     system, servers = net_system
     server = servers[0]
@@ -312,7 +312,7 @@ def test_interrupts_outlive_any_credit_count(net_system):
     unlimited now, so the lifetime datagram count is unbounded."""
     from repro.dtu.registers import UNLIMITED_CREDITS
     from repro.hw.device import IRQ_SEND_EP
-    from repro.m3.services.netserv import TX_SLOTS
+    from repro.hw.device import TX_SLOTS
 
     system, servers = net_system
     count = 4_200  # past 4096 interrupts on either NIC
@@ -345,13 +345,13 @@ def test_interrupts_outlive_any_credit_count(net_system):
         assert server.nic.dtu.ep(IRQ_SEND_EP).credits == UNLIMITED_CREDITS
 
 
-def test_full_inbox_drops_and_counts(net_system):
+def test_full_inbox_drops_and_counts(net_system, monkeypatch):
     """Regression: a socket that never drains its inbox must not grow
-    it without bound — frames beyond the configured depth are dropped
-    and counted in frames_dropped."""
+    it without bound — frames beyond INBOX_DEPTH are dropped and
+    counted in frames_dropped."""
     system, servers = net_system
     receiver_server = servers[1]
-    receiver_server.inbox_depth = 4
+    monkeypatch.setattr(netserv, "INBOX_DEPTH", 4)
 
     def receiver(env):
         client = yield from NetClient.connect(env, "net2")
@@ -376,13 +376,13 @@ def test_full_inbox_drops_and_counts(net_system):
     system.sim.run(until=system.sim.now + 30_000)
     system.run_app(sender, name="tx")
     got = system.wait(receiver_vpe)
-    # Exactly the first inbox_depth frames survive, in order.
+    # Exactly the first INBOX_DEPTH frames survive, in order.
     assert got == [b"flood-%d" % index for index in range(4)]
     assert receiver_server.frames_dropped == 2
     assert receiver_server.frames_routed == 4
 
 
-def test_an_overflowing_burst_is_visible_to_the_observer():
+def test_an_overflowing_burst_is_visible_to_the_observer(monkeypatch):
     """Datagram semantics (docs/protocols.md): the fifth frame into a
     depth-4 inbox is dropped without back-pressure — and the telemetry
     plane, an availability SLO and the instant log all see it."""
@@ -394,7 +394,7 @@ def test_an_overflowing_burst_is_visible_to_the_observer():
         bad_series="net.net2.frames_dropped",
         total_series="noc.packets_injected"))
     receiver_server = start_network(system)[1]
-    receiver_server.inbox_depth = 4
+    monkeypatch.setattr(netserv, "INBOX_DEPTH", 4)
 
     def receiver(env):
         client = yield from NetClient.connect(env, "net2")
@@ -493,3 +493,16 @@ def test_unbound_socket_sends_with_source_port_zero(net_system):
     system.run_app(sender, name="tx")
     src, payload = system.wait(receiver_vpe)
     assert (src, bytes(payload)) == (0, b"anon")
+
+
+def test_the_rings_tile_the_dma_window_and_hold_the_largest_frame():
+    """The NIC's DMA window (hw/device.py) and netserv's datagram bound
+    must agree: the TX ring then the RX ring fill the window exactly,
+    and the largest datagram with its port header fits either slot."""
+    tx_end = device.TX_SLOTS * device.TX_SLOT_BYTES
+    rx_end = device.RX_BASE + device.RX_SLOTS * device.RX_SLOT_BYTES
+    assert device.RX_BASE == tx_end
+    assert rx_end == device.DMA_WINDOW_BYTES
+    largest = netserv.MAX_PAYLOAD + netserv._HEADER.size
+    assert largest <= device.TX_SLOT_BYTES
+    assert largest <= device.RX_SLOT_BYTES
