@@ -31,7 +31,7 @@ from repro.noc.packet import Packet
 from repro.obs.causal import NO_CONTEXT
 from repro.sim.events import SUCCEEDED, Event
 from repro.sim.ledger import Tag
-from repro.sim.resources import Signal, WaitTimeout
+from repro.sim.resources import Signal
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.spm import Scratchpad
@@ -82,8 +82,7 @@ class NoPermission(DtuError):
 
 class TransferTimeout(DtuError):
     """A reliable transfer stayed unacknowledged through the whole
-    retransmit budget (dead receiver, partitioned NoC), or a
-    ``wait_message`` timeout expired."""
+    retransmit budget (dead receiver, partitioned NoC)."""
 
 
 class DTU:
@@ -360,39 +359,22 @@ class DTU:
         ring = self._ringbufs.get(ep_index) or self.ringbuffer(ep_index)
         return ring.fetch()
 
-    def wait_message(self, ep_index: int, timeout: int | None = None):
+    def wait_message(self, ep_index: int):
         """Generator: block until a message is available, then return it.
 
         Models the paper's polling loop ("the software polls a DTU
         register to wait for received messages", Section 4.3) without
-        busy-spinning the simulator.
-
-        ``timeout`` bounds the wait in cycles; expiry raises
-        :class:`TransferTimeout`, so callers in fault-prone setups can
-        never block forever on a message that will not come.
+        busy-spinning the simulator.  The wait itself is unbounded: a
+        message that will not come is the sender's to give up on
+        (:class:`TransferTimeout`, ik-RPC's per-call timers).
         """
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        deadline = None if timeout is None else self.sim.now + timeout
         while True:
             fetched = self.fetch_message(ep_index)
             if fetched is not None:
                 return fetched
             # fetch_message has just checked the endpoint, so its signal
             # is read without going through signal() again.
-            signal = self._signals[ep_index]
-            if deadline is None:
-                yield signal.wait()
-            elif deadline > self.sim.now:
-                try:
-                    yield signal.wait(deadline - self.sim.now)
-                except WaitTimeout:
-                    pass  # one last poll, then the branch below
-            else:
-                raise TransferTimeout(
-                    f"no message on EP{ep_index} of node {self.node} "
-                    f"within {timeout} cycles"
-                )
+            yield self._signals[ep_index].wait()
 
     def ack_message(self, ep_index: int, slot: int) -> None:
         """Free a ringbuffer slot after processing (no reply sent)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from array import array
 
 
 class Link:
@@ -16,24 +17,28 @@ class Link:
 
     Occupancy windows are granted in non-decreasing order and never
     overlap, so the link keeps a compact merged-interval record
-    (contiguous windows collapse into one): each window's end and the
-    idle cycles that precede it.  From those two :meth:`busy_within`
-    computes the exact occupancy inside any ``[0, t)`` prefix —
-    including windows that straddle or lie beyond ``t``, which a bare
-    busy-cycle counter would overcount — and ``next_free`` and
-    ``busy_cycles`` are read off the last window instead of being
-    written on every reservation.
+    (contiguous windows collapse into one): each window's start, its
+    end and the cumulative idle cycles before it.  From those three
+    :meth:`busy_within` computes the exact occupancy inside any
+    ``[0, t)`` prefix — including windows that straddle or lie beyond
+    ``t``, which a bare busy-cycle counter would overcount — and
+    ``next_free`` and ``busy_cycles`` are read off the newest window
+    instead of being written on every reservation.
 
     The record is the *live tail* of the link's history, not all of
-    it: :meth:`forget_before` folds the windows nobody will ask about
-    again into the first retained one (the idle counts are cumulative,
-    so nothing is lost from any later answer), which keeps a link's
-    memory proportional to what its readers still look at instead of
-    to the packets it ever carried.
+    it: the newest window lives in three slots, and when the next one
+    opens :func:`reserve_path` keeps the one it succeeds only if it
+    ends after the reader floor it is given — no reader asks about
+    ``[0, floor)`` again.  The idle counts are cumulative, so a
+    forgotten window stays folded into every later answer, and a link's
+    memory stays proportional to what its readers still look at instead
+    of to the packets it ever carried.
     """
 
     __slots__ = ("source", "destination", "bytes_per_cycle", "packets",
-                 "_window_ends", "_window_gaps")
+                 "_window_start", "_window_end", "_window_idle",
+                 "_older_ends", "_older_starts", "_older_idles",
+                 "_forgotten_to")
 
     def __init__(self, source: int, destination: int, bytes_per_cycle: int):
         if bytes_per_cycle < 1:
@@ -42,47 +47,33 @@ class Link:
         self.destination = destination
         self.bytes_per_cycle = bytes_per_cycle
         self.packets = 0
-        #: merged occupancy windows (sorted, disjoint): where each ends,
-        #: and the cumulative idle cycles before it starts.  Both open
-        #: with an empty window at cycle 0, so ``[-1]`` always exists;
-        #: after :meth:`forget_before`, ``[0]`` stands for everything
-        #: up to its end.
-        self._window_ends: list[int] = [0]
-        self._window_gaps: list[int] = [0]
+        #: the newest window: where it starts and ends, and the idle
+        #: cycles before it.  An empty window at cycle 0 opens the record.
+        self._window_start = self._window_end = self._window_idle = 0
+        #: older windows that still end after a reader floor, oldest
+        #: first: where each ends and starts, and the idle cycles before
+        #: it (machine words, so a window held costs no int objects and
+        #: no object the cycle collector tracks).
+        self._older_ends = array("q")
+        self._older_starts = array("q")
+        self._older_idles = array("q")
+        #: the end of the newest window forgotten (0 while none is).
+        self._forgotten_to = 0
 
     @property
     def next_free(self) -> int:
         """The cycle from which the link is unreserved."""
-        return self._window_ends[-1]
+        return self._window_end
 
     @property
     def busy_cycles(self) -> int:
         """Cycles reserved so far, whenever they lie."""
-        return self._window_ends[-1] - self._window_gaps[-1]
+        return self._window_end - self._window_idle
 
     @property
     def windows_retained(self) -> int:
         """How many merged windows the record currently holds."""
-        return len(self._window_ends)
-
-    def forget_before(self, floor: int) -> None:
-        """Fold every window that ended at or before ``floor`` into the
-        last of them.
-
-        That one stays as the sentinel later idle gaps are measured
-        from, and both lists are cumulative, so :meth:`busy_within`
-        and :meth:`utilization` stay exact for every ``t >= floor``
-        (``busy_cycles`` and ``next_free`` always); only a query below
-        the sentinel's end can no longer be answered, and raises.
-        """
-        ends = self._window_ends
-        # The newest window may still grow (a packet queueing behind
-        # it), so it never becomes the sentinel: the search stops
-        # short of it and a folded record keeps at least two windows.
-        folded = bisect.bisect_right(ends, floor, 0, len(ends) - 1) - 1
-        if folded > 0:
-            del ends[:folded]
-            del self._window_gaps[:folded]
+        return len(self._older_ends) + 1
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to push ``nbytes`` through this link."""
@@ -96,35 +87,36 @@ class Link:
         """Reserve the link for ``nbytes`` no earlier than ``earliest``.
 
         Returns ``(start, end)`` of the granted occupancy window: the
-        one-link case of :func:`reserve_path`.
+        one-link case of :func:`reserve_path`, with a floor below every
+        cycle, so nothing is forgotten.
         """
-        end = reserve_path((self,), earliest, 0, nbytes)
-        return end - self.serialization_cycles(nbytes), end
+        duration = self.serialization_cycles(nbytes)
+        end = reserve_path((self,), earliest, 0, duration, -1)
+        return end - duration, end
 
     def busy_within(self, elapsed: int) -> int:
         """Exact occupied cycles inside the window ``[0, elapsed)``.
 
-        Raises :class:`ValueError` when ``elapsed`` lies inside what
-        :meth:`forget_before` folded away.
+        Raises :class:`ValueError` when ``elapsed`` lies before the end
+        of a forgotten window.
         """
         if elapsed <= 0:
             return 0
-        ends, gaps = self._window_ends, self._window_gaps
-        # Windows whose end is <= elapsed count fully...
-        index = bisect.bisect_right(ends, elapsed)
-        if not index and gaps[0]:
-            # Only a folded record's first window has idle cycles
-            # before it; where it began is no longer known.
+        if elapsed < self._forgotten_to:
             raise ValueError(
                 f"link {self.source}->{self.destination}: occupancy before "
-                f"cycle {ends[0]} was folded away (asked for {elapsed})"
+                f"cycle {self._forgotten_to} was forgotten (asked for {elapsed})"
             )
-        busy = ends[index - 1] - gaps[index - 1] if index else 0
-        # ...and inside (or before) the next one, whatever of
-        # ``elapsed`` was not idle was busy.
-        if index < len(ends):
-            busy = max(busy, elapsed - gaps[index])
-        return busy
+        # The first window that ends after ``elapsed``: whatever of
+        # ``elapsed`` was not idle before it was busy.
+        if elapsed >= self._window_start:
+            return min(elapsed, self._window_end) - self._window_idle
+        ends = self._older_ends
+        index = bisect.bisect_right(ends, elapsed)
+        if index == len(ends):
+            return self._window_start - self._window_idle
+        return (max(elapsed, self._older_starts[index])
+                - self._older_idles[index])
 
     def utilization(self, elapsed: int) -> float:
         """Exact fraction of ``[0, elapsed)`` this link was occupied.
@@ -142,45 +134,41 @@ class Link:
         return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
 
 
-def forget_before(links, floor: int) -> None:
-    """:meth:`Link.forget_before` on each of ``links`` that has anything
-    to fold: two windows are the least a folded record keeps, so most
-    links of a mesh cost one ``len`` per sweep, not a call."""
-    for link in links:
-        if len(link._window_ends) > 2:
-            link.forget_before(floor)
-
-
-def reserve_path(links, head: int, hop_cycles: int, nbytes: int) -> int:
-    """Reserve ``links`` in order for one ``nbytes`` packet whose head
-    flit is at ``head``; return the cycle its tail clears the last link.
+def reserve_path(links, head: int, hop_cycles: int, duration: int,
+                 floor: int) -> int:
+    """Reserve ``links`` in order for one packet that occupies each for
+    ``duration`` cycles and whose head flit is at ``head``; return the
+    cycle its tail clears the last link.
 
     The head advances one router per ``hop_cycles`` and stalls behind
     whatever each link already carries; the body streams behind it.
     This is the NoC's hottest loop — every packet reserves every link
     on its path — and the only place window arithmetic lives: one
-    comparison against the link's last window end, then either that
+    comparison against the link's newest window end, then either that
     window grows (the packet queues back-to-back) or a new one opens
-    after the idle gap.  The serialisation time is worked out once per
-    link bandwidth, not once per hop.
+    after the idle gap.  A window a new one succeeds is kept only while
+    it ends after ``floor``: readers ask about ``[0, floor)`` no more.
     """
-    if nbytes < 0:
-        raise ValueError(f"negative transfer size: {nbytes}")
-    bandwidth = end = 0
+    end = 0
     for link in links:
-        if link.bytes_per_cycle != bandwidth:
-            bandwidth = link.bytes_per_cycle
-            duration = -(-nbytes // bandwidth) or 1
         earliest = head + hop_cycles
-        ends = link._window_ends
-        head = ends[-1]
+        head = link._window_end
         if earliest > head:
-            gaps = link._window_gaps
-            gaps.append(gaps[-1] + earliest - head)
-            head = earliest
-            end = head + duration
-            ends.append(end)
-        else:
-            ends[-1] = end = head + duration
+            ends = link._older_ends
+            if ends and ends[0] <= floor:
+                forgotten = bisect.bisect_right(ends, floor)
+                link._forgotten_to = ends[forgotten - 1]
+                del ends[:forgotten]
+                del link._older_starts[:forgotten]
+                del link._older_idles[:forgotten]
+            if head > floor:
+                ends.append(head)
+                link._older_starts.append(link._window_start)
+                link._older_idles.append(link._window_idle)
+            else:
+                link._forgotten_to = head
+            link._window_idle += earliest - head
+            link._window_start = head = earliest
+        link._window_end = end = head + duration
         link.packets += 1
     return end

@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.noc.link import Link, forget_before, reserve_path
+from repro.noc.link import Link, reserve_path
 from repro.noc.packet import Packet
 from repro.noc.routing import XYRouter
 from repro.noc.topology import MeshTopology
@@ -22,10 +22,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Wire overhead per packet: routing/flow-control header flits.
 PACKET_HEADER_BYTES = 16
-
-#: Deliveries between two sweeps that let the links forget occupancy
-#: nobody will read again (see :meth:`Network.send`).
-FORGET_INTERVAL = 1024
 
 #: Arg names of the per-packet span and of its queueing span.
 _PACKET_SPAN_ARGS = ("destination", "bytes", "verdict")
@@ -123,10 +119,10 @@ class Network:
     def send(self, packet: Packet) -> int:
         """Inject ``packet``; schedule delivery; return the completion cycle.
 
-        Every :data:`FORGET_INTERVAL` deliveries the links drop the
-        occupancy history that has no reader left: reports ask about
-        ``[0, now)`` or later, and an installed observer about nothing
-        before the first epoch it has not sampled yet.
+        The links on the path forget the occupancy history that has no
+        reader left: reports ask about ``[0, now)`` or later, and an
+        installed observer about nothing before the first epoch it has
+        not sampled yet.
 
         The counters move only after the observer has seen the packet:
         it samples them (``Observer.monitor``), and epochs that ended
@@ -141,8 +137,13 @@ class Network:
         sim = self.sim
         size = packet.size_bytes
         path = self.paths[packet.source, packet.destination]
-        completion = reserve_path(path, sim.now, self.hop_cycles,
-                                  size + PACKET_HEADER_BYTES)
+        # A network's links share its bandwidth: one wire time a packet.
+        wire_cycles = -(-(size + PACKET_HEADER_BYTES)
+                        // self.bytes_per_cycle) or 1
+        completion = reserve_path(
+            path, sim.now, self.hop_cycles, wire_cycles,
+            sim.now if sim.obs is None else sim.obs.links_sampled_to,
+        )
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
@@ -153,8 +154,8 @@ class Network:
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
                 if sim.obs is not None:
-                    self._observe_packet(packet, len(path), completion,
-                                         verdict)
+                    self._observe_packet(packet, len(path), wire_cycles,
+                                         completion, verdict)
                 self.packets_injected += 1
                 self.bytes_injected += size
                 self.packets_lost += 1
@@ -168,23 +169,19 @@ class Network:
                 self.packets_delayed += 1
                 completion += extra
         if sim.obs is not None:
-            self._observe_packet(packet, len(path), completion, verdict)
+            self._observe_packet(packet, len(path), wire_cycles, completion,
+                                 verdict)
         self.packets_injected += 1
         self.bytes_injected += size
         self.packets_sent += 1
         self.bytes_sent += size
-        if not self.packets_sent % FORGET_INTERVAL:
-            forget_before(
-                self._links.values(),
-                sim.now if sim.obs is None else sim.obs.links_sampled_to,
-            )
         sim.schedule(completion - sim.now, handler, packet)
         return completion
 
-    def _observe_packet(self, packet: Packet, hops: int, completion: int,
-                        verdict: str) -> None:
+    def _observe_packet(self, packet: Packet, hops: int, wire_cycles: int,
+                        completion: int, verdict: str) -> None:
         """Span for one packet about to be counted (observer installed)
-        that crosses ``hops`` links.
+        that crosses ``hops`` links, each for ``wire_cycles``.
 
         The four ``noc.*`` counters are not pushed from here: the
         observer monitors this network's own totals, and is asked to
@@ -214,9 +211,7 @@ class Network:
         )
         # What an idle path would have taken: hop latency plus the
         # serialisation of header and payload.
-        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        serialization = max(-(-wire_bytes // self.bytes_per_cycle), 1)
-        queued = completion - (now + hops * self.hop_cycles + serialization)
+        queued = completion - (now + hops * self.hop_cycles + wire_cycles)
         if queued > 0:
             obs.record(
                 obs.kinds["queueing", "noc-queue", _QUEUE_SPAN_ARGS,

@@ -137,7 +137,7 @@ class Observer:
         self.link_series: dict[tuple, list[tuple[int, float]]] = {}
         self.epoch = epoch
         #: the open link-occupancy epoch starts here (at first the cycle of
-        #: creation); occupancy before it is read no more (``forget_before``).
+        #: creation); occupancy before it is read no more (``reserve_path``'s floor).
         self.links_sampled_to = sim.now
         self._next_epoch = (sim.now // epoch + 1) * epoch
         #: the network calls :meth:`sample_links` before it counts a packet

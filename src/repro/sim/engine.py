@@ -132,7 +132,7 @@ class Simulator:
         """Cancel a callback scheduled with :meth:`schedule`/:meth:`call_soon`.
 
         O(1): the queue entry is blanked in place and dropped when it
-        reaches the front, so cancelled timers (``Signal.wait``
+        reaches the front, so cancelled timers (ik-RPC's per-call
         timeouts and the like) leave no dead callbacks behind.
         Cancelling an already-executed or already-cancelled handle is a
         no-op: execution blanks the entry too, so a late cancel (a

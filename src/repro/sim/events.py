@@ -113,7 +113,9 @@ def first_of(sim: "Simulator", *events: Event) -> Event:
 
     The combined event carries the winning event as its value.  Used by
     event-driven servers (the kernel) that wait on several message
-    sources at once.
+    sources at once.  The win withdraws the race from the losing events,
+    so an event that keeps being raced (a signal's armed event, a stop
+    event) collects no callback per lost round.
     """
     if not events:
         raise ValueError("first_of needs at least one event")
@@ -122,6 +124,9 @@ def first_of(sim: "Simulator", *events: Event) -> Event:
     def wake(event: Event) -> None:
         if not combined.triggered:
             combined.succeed(event)
+            for loser in events:
+                if loser is not event:
+                    loser.discard_callback(wake)
 
     for event in events:
         event.add_callback(wake)

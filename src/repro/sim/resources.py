@@ -5,14 +5,14 @@ They do not model hardware — the DTU has its own ringbuffer/credit
 machinery — but OS services and the Linux baseline use them for
 scheduler queues and producer/consumer hand-off.
 
-Deadlock freedom: every blocking primitive here either offers a
-``timeout`` (``Signal.wait``) or is only used in request/response pairs
-where the waker is a simulator process that cannot be lost (Mailbox
-waiters are woken in FIFO order by ``put``; the kernel and Linux
-baselines never block on a mailbox whose producer is not itself
-scheduled).  Fault-prone setups must use the timeout variants
-— ``DTU.wait_message(timeout=...)``, ``Signal.wait(timeout=...)`` — so a
-lost message can never stall a process forever.
+Deadlock freedom: nothing here bounds a wait.  Mailbox waiters are
+woken in FIFO order by ``put``, and the kernel and Linux baselines never
+block on a mailbox whose producer is not itself scheduled.  In
+fault-prone setups the waits are bounded where the loss happens: a
+reliable DTU fails a transfer nobody acknowledges with
+``TransferTimeout``, ik-RPC gives every call its own timer, and the
+kernels' heartbeats declare a silent peer dead — so a lost message
+never stalls a process forever.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-
-
-class WaitTimeout(Exception):
-    """A bounded ``Signal.wait`` expired before the signal fired."""
 
 
 class Mailbox:
@@ -75,55 +71,37 @@ class Signal:
     Unlike an :class:`Event`, a signal can fire many times; each fire
     wakes everyone currently waiting.  Used to model "poll the DTU until
     a message arrives" without busy-looping the simulator.
+
+    A signal holds at most one armed event: every :meth:`wait` until the
+    next fire returns it, so its waiters wake in the order they
+    registered and a waiter that stops waiting (``first_of``'s losers)
+    leaves nothing behind for the fire to clear.
     """
 
-    __slots__ = ("sim", "name", "_wait_name", "_waiters")
+    __slots__ = ("sim", "name", "_wait_name", "_armed")
 
     def __init__(self, sim: "Simulator", name: str = "signal"):
         self.sim = sim
         self.name = name
         self._wait_name = f"{name}.wait"  # built once, not per wait
-        #: pending (event, timer-handle) pairs; the handle is None for
-        #: unbounded waits.
-        self._waiters: list[tuple[Event, list | None]] = []
+        self._armed: Event | None = None
 
-    def wait(self, timeout: int | None = None) -> Event:
-        """An event for the next firing.
-
-        With ``timeout``, the event instead *fails* with
-        :class:`WaitTimeout` after that many cycles if the signal has
-        not fired — the waiter is deregistered, so abandoned waits do
-        not accumulate.  When the signal fires first, the expiry timer
-        is cancelled (:meth:`Simulator.cancel`), so satisfied waits
-        leave no dead callbacks in the event queue.
-        """
-        event = Event(self.sim, self._wait_name)
-        if timeout is None:
-            self._waiters.append((event, None))
-            return event
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-
-        def expire(_):
-            if not event.triggered:
-                self._waiters.remove((event, timer))
-                event.fail(WaitTimeout(
-                    f"{self.name} did not fire within {timeout} cycles"
-                ))
-
-        timer = self.sim.schedule(timeout, expire)
-        self._waiters.append((event, timer))
-        return event
+    def wait(self) -> Event:
+        """The event of the next firing."""
+        armed = self._armed
+        if armed is None:
+            armed = self._armed = Event(self.sim, self._wait_name)
+        return armed
 
     def fire(self, value: object = None) -> None:
         """Wake all current waiters with ``value``."""
-        waiters, self._waiters = self._waiters, []
-        cancel = self.sim.cancel
-        for event, timer in waiters:
-            if timer is not None:
-                cancel(timer)
-            event.succeed(value)
+        armed = self._armed
+        if armed is not None:
+            self._armed = None
+            armed.succeed(value)
 
     @property
     def waiting(self) -> int:
-        return len(self._waiters)
+        """Registrations on the armed event (blocked processes, and
+        ``first_of`` races it takes part in)."""
+        return 0 if self._armed is None else len(self._armed._callbacks)

@@ -10,17 +10,21 @@ teardown.
 """
 
 from repro.dtu.registers import UNLIMITED_CREDITS, EndpointKind
+from repro.m3.kernel.ikrpc import KERNEL_IK_EP
+from repro.m3.kernel.kernel import KERNEL_REPLY_EP, KERNEL_SYSCALL_EP
 from repro.m3.kernel.objects import RemoteClientRef
 from repro.m3.kernel.vpe import VpeState
 
 
 def check_kernel_tables(system) -> None:
     """Assert every live kernel's capability and session tables are
-    consistent (a kernel whose PE was killed stopped mid-flight)."""
+    consistent and its inbox signals hold no stale registration (a
+    kernel whose PE was killed stopped mid-flight)."""
     for kernel in system.kernels:
         if not kernel.pe.failed:
             _check_bindings(kernel)
             _check_services(kernel)
+            _check_inboxes(kernel)
             if system.sim.pending_events == 0:
                 assert not kernel.sessions.parked, (
                     f"{kernel.label}: negotiations parked on an idle system: "
@@ -56,6 +60,21 @@ def check_dtus_quiescent(system) -> None:
                     f"PE{pe.node} ep{index}: {ep.credits} of "
                     f"{ep.max_credits} credits on an idle system"
                 )
+
+
+def _check_inboxes(kernel) -> None:
+    """The dispatch loop races its inbox signals at each idle turn and
+    the win withdraws the race from the others, so no inbox's signal
+    holds more than the one registration of the turn in progress."""
+    inboxes = [KERNEL_SYSCALL_EP, KERNEL_REPLY_EP]
+    if kernel.peers:
+        inboxes.append(KERNEL_IK_EP)
+    for ep_index in inboxes:
+        waiting = kernel.dtu.signal(ep_index).waiting
+        assert waiting <= 1, (
+            f"{kernel.label}: EP{ep_index}'s signal holds {waiting} "
+            "registrations"
+        )
 
 
 def _check_bindings(kernel) -> None:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.dtu.registers import MemoryPerm
 from repro.m3.kernel import syscalls
-from repro.m3.kernel.kernel import SyscallError
+from repro.m3.kernel.kernel import KERNEL_REPLY_EP, SyscallError
 from repro.m3.lib.gate import MemGate
+from repro.m3.system import M3System
 
 
 def test_noop_syscall_roundtrip(system):
@@ -15,6 +16,22 @@ def test_noop_syscall_roundtrip(system):
 
     assert system.run_app(app) == ()
     assert system.kernel.syscall_count >= 1
+
+
+def test_idle_turns_leave_the_reply_inbox_at_most_one_registration():
+    """The kernel races its inbox signals at every idle turn; a syscall
+    wins each race, and the win withdraws it from the reply inbox's
+    signal, so 200 syscalls leave that signal one registration, not one
+    per turn."""
+    system = M3System(pe_count=4).boot()
+
+    def app(env):
+        for _ in range(200):
+            yield from env.syscall(syscalls.NOOP)
+
+    system.run_app(app)
+    assert system.kernel.syscall_count >= 200
+    assert system.kernel.dtu.signal(KERNEL_REPLY_EP).waiting <= 1
 
 
 def test_noop_syscall_cost_near_paper_value(system):

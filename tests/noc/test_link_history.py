@@ -1,11 +1,12 @@
 """Links keep the live tail of their occupancy history, not all of it.
 
-``Link.forget_before`` folds windows nobody will ask about again into
-one sentinel, and ``Network.send`` sweeps its links with it every
-``FORGET_INTERVAL`` injections.  Two things must hold: whatever a link
-still answers is exactly what an un-folded link answers, and what the
-links retain is bounded by the sweep cadence instead of growing with
-the packets simulated.
+``reserve_path`` keeps the window a new one succeeds only while it ends
+after the reader floor it is given (``Network.send`` passes ``sim.now``,
+or an installed observer's ``links_sampled_to``); ``Link.reserve`` gives
+a floor below every cycle and forgets nothing.  Two things must hold:
+whatever a link answers at or after the floor is exactly what a
+never-forgetting twin answers, and what the links retain follows the
+floor instead of growing with the packets simulated.
 """
 
 import random
@@ -15,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
-from repro.noc.network import FORGET_INTERVAL
+from repro.noc.link import reserve_path
 from repro.obs import Observer
 from repro.sim import Simulator
 from tests.noc.test_path_reservation import BANDWIDTH, HOP, Oracle
 
 # -- one link ------------------------------------------------------------------
 
-#: ("reserve", earliest, bytes) | ("forget", floor) | ("probe", t)
+#: ("reserve", earliest, bytes) | ("floor", raise it by) | ("probe", t)
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("reserve"), st.integers(min_value=0, max_value=400),
                   st.integers(min_value=0, max_value=300)),
-        st.tuples(st.just("forget"), st.integers(min_value=0, max_value=500)),
+        st.tuples(st.just("floor"), st.integers(min_value=0, max_value=100)),
         st.tuples(st.just("probe"), st.integers(min_value=-3, max_value=700)),
     ),
     min_size=1, max_size=60,
@@ -41,17 +42,19 @@ def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
     floor = 0
     for step in steps:
         if step[0] == "reserve":
-            assert folded.reserve(*step[1:]) == twin.reserve(*step[1:])
-        elif step[0] == "forget":
-            folded.forget_before(step[1])
-            floor = max(floor, step[1])
+            earliest, nbytes = step[1:]
+            duration = folded.serialization_cycles(nbytes)
+            end = reserve_path((folded,), earliest, 0, duration, floor)
+            assert (end - duration, end) == twin.reserve(earliest, nbytes)
+        elif step[0] == "floor":
+            floor += step[1]
         else:
             t = step[1]
             if t >= floor:
                 assert folded.busy_within(t) == twin.busy_within(t)
                 assert folded.utilization(t) == twin.utilization(t)
                 continue
-            try:  # below a floor: loud or right, never wrong
+            try:  # below the floor: loud or right, never wrong
                 answer = folded.busy_within(t)
             except ValueError:
                 assert folded.windows_retained < twin.windows_retained
@@ -63,30 +66,34 @@ def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
         assert folded.windows_retained <= twin.windows_retained
 
 
-def test_forget_before_keeps_the_sentinel_and_raises_below_it():
+def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
     link = Link(0, 1, bytes_per_cycle=8)
     for start in (10, 30, 50, 70):
-        link.reserve(start, 40)  # 5 cycles each, four separate windows
-    assert link.windows_retained == 5  # the empty window at 0 + four
-    link.forget_before(56)  # [10,15) [30,35) [50,55) ended; the last stays
-    assert link.windows_retained == 2
+        # 5 cycles each, four separate windows, the floor at each start
+        # (as a send at ``sim.now`` gives): each ends before the next.
+        reserve_path((link,), start, 0, 5, start)
+    assert link.windows_retained == 1  # [70, 75) only
     assert link.busy_cycles == 20 and link.next_free == 75
     assert link.busy_within(55) == 15
     assert link.busy_within(72) == 17
     assert link.utilization(100) == pytest.approx(0.2)
-    for folded_away in (1, 12, 40, 54):
-        with pytest.raises(ValueError, match="folded away"):
-            link.busy_within(folded_away)
+    for forgotten in (1, 12, 40, 54):
+        with pytest.raises(ValueError, match="forgotten"):
+            link.busy_within(forgotten)
     assert link.busy_within(0) == 0  # nothing to know about no time at all
+    reserve_path((link,), 90, 0, 5, 72)  # [70, 75) ends after the floor
+    assert link.windows_retained == 2
+    assert link.busy_within(73) == 18
+    assert link.busy_within(80) == 20
 
 
-def test_the_newest_window_is_never_folded_into_the_sentinel():
+def test_the_newest_window_is_never_forgotten():
     """It may still grow: a packet queueing behind it extends it in
     place, and ``[floor, its new end)`` must stay answerable."""
     link = Link(0, 1, bytes_per_cycle=8)
-    link.reserve(10, 80)  # [10, 20)
-    link.forget_before(20)
-    link.reserve(20, 80)  # back to back: the window is now [10, 30)
+    reserve_path((link,), 10, 0, 10, 0)  # [10, 20)
+    reserve_path((link,), 20, 0, 10, 20)  # back to back: now [10, 30)
+    assert link.windows_retained == 1
     assert link.busy_within(25) == 15
     assert link.busy_within(20) == 10
 
@@ -96,7 +103,6 @@ def test_the_newest_window_is_never_folded_into_the_sentinel():
 WIDTH = HEIGHT = 4
 NODES = WIDTH * HEIGHT
 LINKS = 2 * (WIDTH * (HEIGHT - 1) + HEIGHT * (WIDTH - 1)) + NODES
-LONGEST_PATH = WIDTH + HEIGHT - 2
 EPOCH = 1_000
 
 
@@ -125,7 +131,7 @@ def _retained(net) -> int:
 
 def _expected_series(oracle, boundaries):
     """What ``Observer._record_epoch`` should have appended, read off
-    the oracle's never-folded links: per link, ``(end, busy fraction)``
+    the oracle's never-forgetting links: per link, ``(end, busy fraction)``
     for every epoch it was busy in."""
     series = {}
     for start, end in zip(boundaries, boundaries[1:]):
@@ -137,7 +143,7 @@ def _expected_series(oracle, boundaries):
 
 
 @pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
-def test_retained_windows_follow_the_sweep_cadence_not_the_packet_count(observed):
+def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
     retained = {}
     for packets in (5_000, 10_000):
         sim, net, oracle = _bare_network()
@@ -146,12 +152,12 @@ def test_retained_windows_follow_the_sweep_cadence_not_the_packet_count(observed
         _drive(sim, net, oracle, packets, random.Random(packets))
         retained[packets] = _retained(net)
         unfolded = sum(l.windows_retained for l in oracle.links.values())
-        # Between two sweeps at most FORGET_INTERVAL packets open a
-        # window per hop; a sweep leaves a link its sentinel, its newest
-        # window and what is not over yet (an observed one also the
-        # epoch still open, a few dozen packets here).
-        assert retained[packets] <= FORGET_INTERVAL * LONGEST_PATH + 3 * LINKS
-        assert retained[packets] < unfolded / 3
+        # A link keeps its newest window and those that had not ended
+        # at the floor when the next one opened: the packets still in
+        # flight then (for an observed one, also the epoch still open,
+        # a few dozen packets here).
+        assert retained[packets] <= 2 * LINKS
+        assert retained[packets] < unfolded / 50
         for key, link in net.iter_links():
             if link.packets:
                 twin = oracle.links[key]
@@ -163,20 +169,21 @@ def test_retained_windows_follow_the_sweep_cadence_not_the_packet_count(observed
             assert obs.link_series == _expected_series(
                 oracle, range(0, sampled_to + 1, EPOCH))
     # Twice the packets, the same order of history: what is retained
-    # depends on where in the sweep cycle a run stops, not on its length.
+    # depends on the traffic in flight when a run stops, not on its
+    # length.
     assert retained[10_000] < 1.5 * retained[5_000]
 
 
 def test_an_observer_installed_mid_run_samples_from_there_on():
     sim, net, oracle = _bare_network()
     rng = random.Random(11)
-    _drive(sim, net, oracle, 2_000, rng)  # swept once, floor = then's now
+    _drive(sim, net, oracle, 2_000, rng)  # floor = each send's now
     sim.run(until=sim.now + 137)
     installed_at = sim.now
     assert installed_at % EPOCH  # mid-epoch, or the case is not the hard one
     obs = Observer.install(sim, epoch=EPOCH)
     assert obs.links_sampled_to == installed_at
-    _drive(sim, net, oracle, 2_000, rng)  # must not ask below the fold
+    _drive(sim, net, oracle, 2_000, rng)  # must not ask below the floor
     obs.sample_links(net, force=True)
     first_boundary = (installed_at // EPOCH + 1) * EPOCH
     boundaries = [installed_at,

@@ -4,10 +4,13 @@
 over cached ``Link`` objects.  The oracle below is the model as it is
 documented — walk the router's ``links_on_path``, reserve each link
 through the one-link ``Link.reserve``, let downstream hops stall behind
-the granted start — on a second, independent set of links.  Both must
-agree on every completion cycle and on everything a link reports.
+the granted start — on a second, independent set of links that forgets
+nothing.  Both must agree on every completion cycle and on everything a
+link reports at or after the floor the network gave its links (with no
+observer, the cycle of the last send).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,13 +71,31 @@ def test_path_reservation_equals_hop_by_hop_oracle(sends, probes):
                 == oracle.delivery_time(sim.now, source, destination, size))
     used = {key: link for key, link in net.iter_links() if link.packets}
     assert used.keys() == oracle.links.keys()
+    floor = sim.now
     for key, link in used.items():
         expected = oracle.links[key]
         assert link.packets == expected.packets
         assert link.busy_cycles == expected.busy_cycles
         assert link.next_free == expected.next_free
         for t in (*probes, link.next_free - 1, link.next_free, sim.now):
-            assert link.busy_within(t) == expected.busy_within(t)
+            if t >= floor:
+                assert link.busy_within(t) == expected.busy_within(t)
+
+
+def test_a_probe_below_the_floor_raises():
+    """The network forgets a window once a later one opens after it has
+    ended: a probe inside it raises instead of answering wrong."""
+    sim = Simulator()
+    net = Network(sim, MeshTopology(WIDTH, HEIGHT), hop_cycles=HOP,
+                  bytes_per_cycle=BANDWIDTH)
+    net.attach(1, lambda packet: None)
+    net.send(Packet(0, 1, "message", 64))  # [3, 13) on 0->1
+    sim.run(until=100)
+    net.send(Packet(0, 1, "message", 64))  # [103, 113); [3, 13) forgotten
+    link = net.link(0, 1)
+    assert link.busy_within(100) == 10
+    with pytest.raises(ValueError, match="forgotten"):
+        link.busy_within(5)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=300),

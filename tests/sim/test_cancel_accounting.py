@@ -10,7 +10,8 @@ one short per stale cancel.  These tests fail on the pre-fix engine.
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.resources import Signal, WaitTimeout
+from repro.sim.events import first_of
+from repro.sim.resources import Signal
 
 
 # -- the engine bug itself ----------------------------------------------------
@@ -125,59 +126,27 @@ def test_schedule_at_same_cycle_keeps_fifo():
     assert seen == ["first", "second"]
 
 
-# -- the audited stale-handle users -------------------------------------------
-
-
-def test_signal_fire_cancels_timeout_exactly():
-    """``Signal.wait`` timeouts cancelled after the fire: the cancel
-    hits a *pending* timer, and the accounting drains to exactly
-    zero."""
-    sim = Simulator()
-    signal = Signal(sim, "sig")
-    waited = signal.wait(timeout=100)
-    assert sim.pending_events == 1  # the expiry timer
-    sim.schedule(10, lambda _: signal.fire("value"))
-    sim.run()
-    assert waited.ok and waited.value == "value"
-    assert signal.waiting == 0
-    assert sim.pending_events == 0
-    assert sim.now == 10  # the cancelled timer never dragged the clock
-
-
-def test_signal_timeout_fires_exactly():
-    sim = Simulator()
-    signal = Signal(sim, "sig")
-    waited = signal.wait(timeout=40)
-    sim.run()
-    assert waited.triggered and isinstance(waited.value, WaitTimeout)
-    assert signal.waiting == 0
-    assert sim.pending_events == 0
-
-
-def test_signal_fire_after_timeout_leaves_count_exact():
-    """Fire *after* the timeout already failed the wait: by then the
-    waiter is deregistered, so the fire cancels nothing and the books
-    stay balanced."""
-    sim = Simulator()
-    signal = Signal(sim, "sig")
-    waited = signal.wait(timeout=40)
-    sim.schedule(60, lambda _: signal.fire())
-    sim.run()
-    assert isinstance(waited.value, WaitTimeout)
-    assert sim.pending_events == 0
+# -- a signal's fire ----------------------------------------------------------
 
 
 def test_mixed_waiters_on_one_fire():
-    """Several waiters, some bounded, one already expired: one fire
-    cancels exactly the live timers."""
+    """Several waiters — blocked processes and a ``first_of`` race —
+    on one fire: each wakes with the value at the fire's cycle, and
+    nothing stays registered or queued."""
     sim = Simulator()
     signal = Signal(sim, "sig")
-    expired = signal.wait(timeout=5)
-    unbounded = signal.wait()
-    bounded = signal.wait(timeout=500)
+    woken = []
+
+    def waiter():
+        woken.append((yield signal.wait()))
+
+    sim.process(waiter(), "a")
+    sim.process(waiter(), "b")
+    race = first_of(sim, signal.wait(), sim.event("never"))
     sim.schedule(50, lambda _: signal.fire("go"))
     sim.run()
-    assert isinstance(expired.value, WaitTimeout)
-    assert unbounded.value == "go" and bounded.value == "go"
+    assert woken == ["go", "go"]
+    assert race.value.value == "go"
+    assert signal.waiting == 0
     assert sim.pending_events == 0
     assert sim.now == 50

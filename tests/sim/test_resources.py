@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Mailbox, Signal, Simulator
-from repro.sim.resources import WaitTimeout
+from repro.sim.events import first_of
 
 
 def test_mailbox_get_before_put_blocks():
@@ -104,64 +104,6 @@ def test_signal_is_rearmable():
     assert hits == [10, 20, 30]
 
 
-def test_signal_fire_wins_same_cycle_race():
-    """fire() and a wait's timeout expiring on the same cycle, fire
-    scheduled first: the waiter wakes normally and the late expiry
-    callback must not corrupt the waiter list."""
-    sim = Simulator()
-    sig = Signal(sim)
-    outcome = []
-
-    sim.schedule(50, lambda _: sig.fire("go"))  # queued before expire
-
-    def waiter():
-        try:
-            value = yield sig.wait(timeout=50)
-            outcome.append(("woken", value, sim.now))
-        except WaitTimeout:
-            outcome.append(("timeout", sim.now))
-
-    sim.process(waiter(), "w")
-    sim.run()  # drains the queue, running the no-op expiry too
-    assert outcome == [("woken", "go", 50)]
-    assert sig.waiting == 0
-
-
-def test_signal_timeout_wins_same_cycle_race():
-    """The mirror ordering: the expiry callback runs first, the fire on
-    the same cycle second.  The waiter times out, the fire wakes nobody,
-    and the signal stays usable afterwards."""
-    sim = Simulator()
-    sig = Signal(sim)
-    outcome = []
-
-    def waiter():
-        try:
-            value = yield sig.wait(timeout=50)
-            outcome.append(("woken", value, sim.now))
-        except WaitTimeout:
-            outcome.append(("timeout", sim.now))
-
-    sim.process(waiter(), "w")  # starts at t=0, queues expire for t=50
-    # Queue the fire for t=50 *after* the expire (nested schedule runs
-    # at t=0 once the waiter process has started).
-    sim.schedule(0, lambda _: sim.schedule(50, lambda _: sig.fire("late")))
-    sim.run()
-    assert outcome == [("timeout", 50)]
-    assert sig.waiting == 0  # the waiter list was not corrupted
-
-    # A fresh wait on the same signal still works.
-    woken = []
-
-    def late_waiter():
-        woken.append((yield sig.wait()))
-
-    sim.process(late_waiter(), "late")
-    sim.schedule(10, lambda _: sig.fire("again"))
-    sim.run()
-    assert woken == ["again"]
-
-
 def test_mailbox_put_wakes_waiters_in_scheduling_not_call_order():
     """Same-cycle producer/consumer ordering: ``put`` must not run the
     waiter's continuation inside the producer's stack frame.  The
@@ -194,39 +136,46 @@ def test_mailbox_put_wakes_waiters_in_scheduling_not_call_order():
     ]
 
 
-def test_signal_fire_cancels_pending_timeout_timers():
-    """A fired wait(timeout=...) leaves no dead timer behind: the run
-    ends at the fire cycle, and nothing stays pending afterwards."""
+def test_signal_arms_one_event_and_wakes_waiters_in_order():
+    """Every wait before a fire shares the signal's one armed event;
+    its waiters wake in the order they registered, and the next wait
+    arms a fresh one."""
     sim = Simulator()
-    signal = Signal(sim)
+    sig = Signal(sim)
     woken = []
 
-    def waiter():
-        yield signal.wait(timeout=1000)
-        woken.append(sim.now)
+    def waiter(tag):
+        woken.append((tag, (yield sig.wait())))
 
-    def firer():
-        yield 10
-        signal.fire()
-
-    sim.process(waiter(), "w")
-    sim.process(firer(), "f")
+    for tag in "abc":
+        sim.process(waiter(tag), tag)
     sim.run()
-    assert woken == [10]
-    assert sim.now == 10  # the cancelled timer never dragged the clock
-    assert sim.pending_events == 0
+    armed = sig.wait()
+    assert armed is sig.wait()
+    assert sig.waiting == 3
+    sig.fire("go")
+    sim.run()
+    assert woken == [("a", "go"), ("b", "go"), ("c", "go")]
+    assert sig.waiting == 0
+    assert sig.wait() is not armed
 
 
-def test_signal_timeout_still_fires_when_not_signalled():
+def test_first_of_withdraws_from_its_losers():
+    """The win takes the race's callback off every losing event, so an
+    event raced again and again (a kernel inbox's signal) holds one
+    registration, not one per lost round."""
     sim = Simulator()
-    signal = Signal(sim)
+    a, b = sim.event("a"), sim.event("b")
+    race = first_of(sim, a, b)
+    a.succeed("win")
+    sim.run()
+    assert race.value is a
+    assert not b._callbacks
 
-    def waiter():
-        try:
-            yield signal.wait(timeout=25)
-        except WaitTimeout:
-            return sim.now
-        return None
-
-    assert sim.run_process(waiter(), "w") == 25
-    assert sim.pending_events == 0
+    busy, quiet = Signal(sim, "busy"), Signal(sim, "quiet")
+    for _ in range(5):
+        race = first_of(sim, busy.wait(), quiet.wait())
+        busy.fire()
+        sim.run()
+        assert race.triggered
+    assert quiet.waiting == 0
