@@ -173,11 +173,11 @@ def run(seed: int = DEFAULT_SEED) -> dict:
     if k0.failover.failover_log:
         _peer, detected, completed, _reason = k0.failover.failover_log[0]
     stats = system.stats()
-    # Parked-wait audit: every cross-domain wait must have been
-    # answered (normally or by failover).  Only live kernels count —
-    # the murdered kernel's own ledgers die with it.
+    # Parked-wait audit: every wait parked on a VPE's exit must have
+    # been answered (at its exit, or by failover).  Only live kernels
+    # count — the murdered kernel's own ledgers die with it.
     unanswered = sum(
-        len(vpe.remote_waiters)
+        len(vpe.exit_waiters)
         for kernel in system.kernels if not kernel.pe.failed
         for vpe in kernel.vpes.values()
     ) + int(not k0.ik.idle)

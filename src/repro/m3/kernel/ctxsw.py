@@ -19,9 +19,10 @@ This module implements exactly that, voluntary-yield flavour:
   ``vpe_wait_yield`` syscall; the kernel parks the reply, saves the
   VPE's SPM to its staging area over the DTU (a real, timed transfer),
   invalidates its endpoints, and switches the next queued VPE in.
-- When the awaited event occurs, the yielder is re-scheduled once its
-  PE frees up: staging is copied back, the syscall channel endpoints
-  are reconfigured, and only then does the parked reply arrive.
+- When ``Kernel.vpe_exited`` answers the wait (the child exited or
+  failed), the yielder is re-scheduled once its PE frees up: staging
+  is copied back, the syscall channel endpoints are reconfigured, and
+  only then does the parked reply arrive.
 
 Timing: each direction moves the SPM image at DTU speed plus a fixed
 kernel orchestration cost — the direct cost of a context switch that
@@ -31,6 +32,7 @@ the ``abl_multiplexing`` eval).
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.hw.dram import bulk_copy_cycles
@@ -233,7 +235,9 @@ class ContextSwitcher:
         queued for it."""
         if child.state == VpeState.DEAD:
             return child.exit_code  # immediate reply, no switch
-        child.yield_waiters.append((vpe, slot))
+        child.exit_waiters.append(
+            functools.partial(self._answer_yielder, vpe, slot)
+        )
         node = vpe.node
         if self.queues.get(node) and not self.switching.get(node):
             if any(w.pending_entry is not None or w.saved
@@ -245,20 +249,19 @@ class ContextSwitcher:
         return NO_REPLY
         yield  # pragma: no cover
 
-    def child_exited(self, child: VpeObject) -> None:
-        """Complete parked wait_yield replies (restoring yielders)."""
-        waiters, child.yield_waiters = child.yield_waiters, []
-        for vpe, slot in waiters:
-            if vpe.state == VpeState.DEAD:
-                continue
-            if vpe.resident:
-                self.kernel.reply(vpe, slot, ("ok", child.exit_code))
-            else:
-                # The kernel "switch[es] back to the old thread before
-                # the interrupted communication can be completed".
-                vpe.parked_reply = (slot, ("ok", child.exit_code))
-                self.queues[vpe.node].append(vpe)
-                self._try_dispatch(vpe.node)
+    def _answer_yielder(self, vpe: VpeObject, slot: int, verdict) -> None:
+        """Answer a parked wait_yield, switching the yielder back in
+        first if it is out."""
+        if vpe.state == VpeState.DEAD:
+            return
+        if vpe.resident:
+            self.kernel.reply(vpe, slot, verdict)
+        else:
+            # The kernel "switch[es] back to the old thread before
+            # the interrupted communication can be completed".
+            vpe.parked_reply = (slot, verdict)
+            self.queues[vpe.node].append(vpe)
+            self._try_dispatch(vpe.node)
 
     def vpe_gone(self, vpe: VpeObject) -> None:
         """A resident VPE exited: free the PE for queued VPEs."""

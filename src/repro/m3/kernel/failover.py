@@ -127,10 +127,11 @@ class Failover:
         configuration packets, so the kernel (1) wipes the dead node's
         endpoints — NoC-level fencing that stops half-dead software
         state from being reachable, (2) quarantines the PE from
-        allocation, (3) fails all VPE_WAIT callers with an error reply
-        instead of leaving them blocked forever, and (4) revokes every
-        capability the VPE held, which invalidates the endpoints other
-        VPEs had configured from its grants.
+        allocation, (3) retires the VPE as failed, so ``vpe_exited``
+        answers every wait on it with an error instead of leaving it
+        blocked forever, and (4) revokes every capability the VPE held,
+        which invalidates the endpoints other VPEs had configured from
+        its grants.
         """
         kernel = self.kernel
         self.recoveries += 1
@@ -146,14 +147,6 @@ class Failover:
                 )
         vpe.failed = True
         yield from kernel.quarantine_pe(vpe.pe)
-        error = ("err", f"VPE {vpe.name!r} failed: {reason}")
-        for waiter_vpe, slot in vpe.waiters + vpe.yield_waiters:
-            kernel.reply(waiter_vpe, slot, error)
-        vpe.waiters.clear()
-        vpe.yield_waiters.clear()
-        for ik_slot in vpe.remote_waiters:
-            kernel.ik.reply(ik_slot, error)
-        vpe.remote_waiters.clear()
         # DEAD before revoking, so tearing down its own VPE capability
         # does not try to "exit" the corpse a second time.
         kernel.vpe_exited(vpe, ("failed", reason))
@@ -295,12 +288,9 @@ class Failover:
         and re-points cached service ownership at survivors."""
         kernel = self.kernel
         # 1. RPCs to and from the dead peer: the transport errs the
-        # former and drops the latter; the slots it abandoned may still
-        # be parked as cross-domain waits on local VPEs.
-        for slot in kernel.ik.fail_peer(peer, reason):
-            for vpe in kernel.vpes.values():
-                if slot in vpe.remote_waiters:
-                    vpe.remote_waiters.remove(slot)
+        # former and drops the latter (a wait it parked here for the
+        # dead peer then answers nobody).
+        kernel.ik.fail_peer(peer, reason)
         # 2. Sessions negotiated for or held by the dead peer's clients
         # are void, and cached service ownership pointing at it fails
         # over: the next open re-probes the survivors.

@@ -179,11 +179,11 @@ class IkTransport:
         self._drain(call.peer)
         return call.continuation
 
-    def fail_peer(self, peer: int, reason: str) -> list[int]:
+    def fail_peer(self, peer: int, reason: str) -> None:
         """``peer`` is dead.  Errs the continuation of every call still
         awaiting its answer (which un-parks cross-domain waits on the
         dead domain) and drops the requests of its still being served
-        or parked, returning their abandoned ring slots."""
+        or parked, acknowledging their ring slots."""
         self._backlog.pop(peer, None)
         for negotiation in sorted(self._calls):
             call = self._calls[negotiation]
@@ -196,12 +196,8 @@ class IkTransport:
             call.continuation(
                 ("err", f"kernel domain {peer} failed: {reason}")
             )
-        abandoned = []
         for key in sorted(k for k in self._inflight if k[0] == peer):
-            slot = self._inflight.pop(key)
-            self.dtu.ack_message(KERNEL_IK_EP, slot)
-            abandoned.append(slot)
-        return abandoned
+            self.dtu.ack_message(KERNEL_IK_EP, self._inflight.pop(key))
 
     def _transmit(self, call: _Call) -> None:
         """Put one more copy of ``call`` on the wire — first send and
@@ -340,6 +336,19 @@ class IkTransport:
         if self.sim.obs is not None:
             self.sim.obs.count(f"kernel{self.kernel_id}.ik_served")
         return operation, args
+
+    def parked_answer(self, slot: int):
+        """The answer to a request a handler parks (a cross-domain
+        wait): it replies only while the request is in flight, not once
+        :meth:`fail_peer` dropped it and its slot serves another."""
+        message = self.dtu.ringbuffer(KERNEL_IK_EP).peek(slot)
+        key = (message.label, message.header.reply_label)
+
+        def answer(payload):
+            if self._inflight.get(key) == slot:
+                self.reply(slot, payload)
+
+        return answer
 
     def reply(self, slot: int, payload) -> None:
         """Reply to (and thereby acknowledge) a peer kernel's request."""

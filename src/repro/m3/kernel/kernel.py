@@ -16,6 +16,7 @@ negotiation), ``capexchange`` (activation, delegation, revocation),
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import typing
@@ -412,23 +413,20 @@ class Kernel:
 
     def vpe_exited(self, vpe: VpeObject, exit_code: object) -> None:
         """Mark a VPE dead, free its PE, take its services out of the
-        registry, and wake all waiters — the one funnel for exit,
-        revoke-reset, watchdog recovery and scale-down."""
+        registry, and answer every wait on its exit — the one funnel for
+        exit, revoke-reset, watchdog recovery and scale-down, and the
+        only place such a wait is answered: with the exit code, or with
+        an error for a VPE the watchdog failed."""
         vpe.state = VpeState.DEAD
         vpe.exit_code = exit_code
         vpe.pe.release()
         self.sessions.unregister(vpe)
-        for waiter_vpe, slot in vpe.waiters:
-            self.reply(waiter_vpe, slot, ("ok", exit_code))
-        vpe.waiters.clear()
-        for ik_slot in vpe.remote_waiters:
-            self.ik.reply(ik_slot, ("ok", exit_code))
-        vpe.remote_waiters.clear()
-        for event in vpe.exit_events:
-            event.succeed(exit_code)
-        vpe.exit_events.clear()
+        verdict = (("err", f"VPE {vpe.name!r} failed: {exit_code[1]}")
+                   if vpe.failed else ("ok", exit_code))
+        answers, vpe.exit_waiters = vpe.exit_waiters, []
         self.ctxsw.vpe_gone(vpe)
-        self.ctxsw.child_exited(vpe)
+        for answer in answers:
+            answer(verdict)
 
     def wipe_node(self, node: int):
         """Generator: wipe a node's DTU endpoints — NoC-level fencing
@@ -670,12 +668,11 @@ class Kernel:
         child = vpe.captable.get(vpe_sel, CapKind.VPE).obj
         if child.state == VpeState.DEAD:
             return child.exit_code
+        answer = functools.partial(self.reply, vpe, slot)
         if isinstance(child, RemoteVpeObject):
-            self.wait_remote(
-                child, lambda payload: self.reply(vpe, slot, payload)
-            )
+            self.wait_remote(child, answer)
         else:
-            child.waiters.append((vpe, slot))
+            child.exit_waiters.append(answer)
         return NO_REPLY
         yield  # pragma: no cover
 
@@ -785,14 +782,14 @@ class Kernel:
 
     def _serve_vpe_wait(self, slot, sender, vpe_id):
         """Cross-domain VPE_WAIT: reply now if the VPE is dead, else
-        park the ring slot until :meth:`vpe_exited` fires the exit
-        notification."""
+        park the request's answer until :meth:`vpe_exited` gives it the
+        verdict."""
         vpe = self.vpes.get(vpe_id)
         if vpe is None:
             return self.migration.forward(vpe_id, slot, "vpe_wait", ())
         if vpe.state == VpeState.DEAD:
             return vpe.exit_code
-        vpe.remote_waiters.append(slot)
+        vpe.exit_waiters.append(self.ik.parked_answer(slot))
         return NO_REPLY
         yield  # pragma: no cover
 

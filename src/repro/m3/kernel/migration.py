@@ -260,22 +260,12 @@ class Migration:
         for _holder, cap in kernel.caps.installed():
             if cap.kind == CapKind.VPE and cap.obj is child:
                 cap.obj = proxy
-        # Parked local waits follow the VPE as cross-domain waits.
-        for waiter_vpe, wait_slot in child.waiters:
-            kernel.wait_remote(
-                proxy,
-                lambda p, w=waiter_vpe, s=wait_slot: kernel.reply(w, s, p),
-            )
-        child.waiters = []
-        # Waits parked here on behalf of third domains are re-parked at
-        # the new owner; the eventual verdict passes straight through.
-        for ik_slot in child.remote_waiters:
-            kernel.ik.request(
-                peer, "vpe_wait", (new_id,),
-                lambda p, s=ik_slot: kernel.ik.reply(s, p),
-                no_timeout=True,
-            )
-        child.remote_waiters = []
+        # Every wait parked here (local, yielding, a third domain's, a
+        # boot-level join) follows the VPE as a cross-domain wait at the
+        # new owner; the verdict passes straight through to its answer.
+        for answer in child.exit_waiters:
+            kernel.wait_remote(proxy, answer)
+        child.exit_waiters = []
         if self.sim.obs is not None:
             self.sim.obs.instant("migrate_out", "migrate", child.node,
                                  vpe=old_id, peer=peer, target=new_node)

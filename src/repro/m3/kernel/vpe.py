@@ -14,7 +14,6 @@ from repro.m3.kernel.capability import CapTable
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.pe import ProcessingElement
-    from repro.sim.events import Event
 
 
 class VpeState(enum.Enum):
@@ -38,19 +37,14 @@ class VpeObject:
         self.exit_code: object = None
         #: set when the kernel's watchdog declared this VPE's PE dead.
         self.failed = False
-        #: pending VPE_WAIT replies: (waiting VPE, ringbuffer slot) pairs.
-        self.waiters: list[tuple] = []
-        #: pending vpe_wait_yield replies (context-switching waiters).
-        self.yield_waiters: list[tuple] = []
-        #: parked inter-kernel ``vpe_wait`` requests (ringbuffer slots on
-        #: the owning kernel's kernel<->kernel endpoint) — the exit
-        #: notification that makes VPE_WAIT work across kernel domains.
-        self.remote_waiters: list[int] = []
+        #: the answers of every wait on this VPE's exit (VPE_WAIT,
+        #: vpe_wait_yield, a peer's ``vpe_wait``, a boot-level join):
+        #: ``Kernel.vpe_exited`` calls each once with the verdict, and a
+        #: cross-domain migration re-parks each at the new owner.
+        self.exit_waiters: list[typing.Callable] = []
         #: the kernel that owns this VPE (set at creation; ``None`` only
         #: for hand-built VPEs in unit tests).
         self.kernel = None
-        #: events the kernel fires on exit (for boot-level joins).
-        self.exit_events: list["Event"] = []
         # -- context-switching state (see repro.m3.kernel.ctxsw) --------
         #: whether the VPE currently occupies its PE.
         self.resident = True

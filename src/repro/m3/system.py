@@ -333,7 +333,8 @@ class M3System:
         return self.sim.run_process(create(), f"spawn.{name}")
 
     def wait(self, vpe: VpeObject):
-        """Run the simulation until ``vpe`` exits; returns its exit code.
+        """Run the simulation until ``vpe`` exits, in whichever domain;
+        returns its exit code (``("failed", why)`` if it failed).
 
         Raises if the simulation goes idle without the VPE exiting
         (a deadlock in the simulated software).
@@ -346,15 +347,16 @@ class M3System:
             self.raise_crashes()
             return vpe.exit_code
         exit_event = self.sim.event(f"{vpe.name}.exit")
-        vpe.exit_events.append(exit_event)
+        vpe.exit_waiters.append(exit_event.succeed)
         self.sim.run(until_event=exit_event)
-        if vpe.state != VpeState.DEAD:
+        if not exit_event._state:
             self.raise_crashes()
             raise RuntimeError(
                 f"simulation went idle but VPE {vpe.name!r} never exited "
                 "(deadlock in simulated software)"
             )
-        return vpe.exit_code
+        status, detail = exit_event._value
+        return detail if status == "ok" else ("failed", detail)
 
     def raise_crashes(self) -> None:
         """Re-raise the first uncaught exception of the kernel or any

@@ -18,13 +18,15 @@ from repro.m3.kernel.vpe import VpeState
 
 def check_kernel_tables(system) -> None:
     """Assert every live kernel's capability and session tables are
-    consistent and its inbox signals hold no stale registration (a
-    kernel whose PE was killed stopped mid-flight)."""
+    consistent, its inbox signals hold no stale registration and no
+    dead VPE of it holds a wait on its exit (a kernel whose PE was
+    killed stopped mid-flight)."""
     for kernel in system.kernels:
         if not kernel.pe.failed:
             _check_bindings(kernel)
             _check_services(kernel)
             _check_inboxes(kernel)
+            _check_exit_waiters(kernel)
             if system.sim.pending_events == 0:
                 assert not kernel.sessions.parked, (
                     f"{kernel.label}: negotiations parked on an idle system: "
@@ -74,6 +76,17 @@ def _check_inboxes(kernel) -> None:
         assert waiting <= 1, (
             f"{kernel.label}: EP{ep_index}'s signal holds {waiting} "
             "registrations"
+        )
+
+
+def _check_exit_waiters(kernel) -> None:
+    """``vpe_exited`` answers every wait parked on a VPE's exit and
+    leaves none behind: an exited VPE that still held one would leave
+    its waiter blocked for good."""
+    for vpe in kernel.vpes.values():
+        assert vpe.state != VpeState.DEAD or not vpe.exit_waiters, (
+            f"{kernel.label}: dead {vpe} holds {len(vpe.exit_waiters)} "
+            "exit waiters"
         )
 
 

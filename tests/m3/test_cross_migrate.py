@@ -146,7 +146,7 @@ def test_target_domain_dies_inside_redirect_window():
         yield system.sim.delay(6_000)
         child = next(v for v in k0.vpes.values() if v.name == "castaway")
         old_node = child.node
-        assert child.waiters  # the parent's wait is parked locally
+        assert child.exit_waiters  # the parent's wait is parked locally
         _new_id, new_node = yield from k0.migration.migrate_vpe_cross(child, 1)
         # Still inside the window: the old DTU forwards to the peer
         # domain this very cycle.
@@ -202,7 +202,7 @@ def test_parked_cross_domain_wait_follows_migration():
     def mover():
         yield system.sim.delay(12_000)
         child = next(v for v in k1.vpes.values() if v.name == "walker")
-        assert child.remote_waiters  # domain 0's wait is parked here
+        assert child.exit_waiters  # domain 0's wait is parked here
         yield from k1.migration.migrate_vpe_cross(child, 2)
 
     # Fill domain 0 so the child spills into domain 1.
@@ -216,7 +216,7 @@ def test_parked_cross_domain_wait_follows_migration():
     assert k2.migration.migrations_in == 1
     moved = next(v for v in k2.vpes.values() if v.name == "walker")
     assert moved.state == VpeState.DEAD and moved.exit_code == 13
-    assert not moved.remote_waiters
+    assert not moved.exit_waiters
     # Domain 0's proxy never learned about the second hop — the wait
     # verdict passed through the middle domain's forwarding entry.
     proxies = [
@@ -226,6 +226,53 @@ def test_parked_cross_domain_wait_follows_migration():
     assert proxies and proxies[0].kernel_id == 1
     assert proxies[0].exit_code == 13
     assert k1.migration.migrated_out  # the pass-through forwarding entry
+
+
+# -- every kind of exit wait follows a cross-domain migration -----------------
+
+
+def test_yielding_wait_follows_cross_domain_migration():
+    """A parent in ``wait_yield`` on a child that migrates into a peer
+    domain gets the exit code, as a plain ``wait`` does."""
+    system = M3System(pe_count=6, kernel_count=2, multiplexing=True,
+                      reliable=True)
+    k0, k1 = system.kernels
+    system.boot(with_fs=False)
+
+    def parent(env):
+        vpe = yield from VPE.create(env, name="mover")
+        yield from vpe.run(_worker, 40, 777)
+        return (yield from vpe.wait_yield())
+
+    def mover():
+        yield system.sim.delay(6_000)
+        # The parent's wait_yield is parked by now.
+        child = next(v for v in k0.vpes.values() if v.name == "mover")
+        yield from k0.migration.migrate_vpe_cross(child, 1)
+
+    system.sim.process(mover(), "mover")
+    assert system.wait(system.spawn(parent, name="parent", domain=0)) == 777
+    assert k0.migrations_out == 1
+    moved = next(v for v in k1.vpes.values() if v.name == "mover")
+    assert moved.state == VpeState.DEAD and not moved.exit_waiters
+
+
+def test_system_wait_follows_cross_domain_migration():
+    """``system.wait`` on a root VPE that migrates into a peer domain
+    returns the exit code it reaches there, not a false deadlock."""
+    system = M3System(pe_count=6, kernel_count=2, reliable=True)
+    k0, k1 = system.kernels
+    system.boot(with_fs=False)
+    root = system.spawn(_worker, 40, 777, name="root", domain=0)
+
+    def mover():
+        yield system.sim.delay(6_000)
+        yield from k0.migration.migrate_vpe_cross(root, 1)
+
+    system.sim.process(mover(), "mover")
+    assert system.wait(root) == 777
+    moved = next(v for v in k1.vpes.values() if v.name == "root")
+    assert moved.state == VpeState.DEAD and moved.exit_code == 777
 
 
 # -- regression: a failed migration must release the reserved target PE ------

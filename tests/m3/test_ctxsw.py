@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
 from repro.m3.kernel.kernel import SyscallError
+from repro.m3.kernel.vpe import VpeState
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
 
@@ -214,3 +216,57 @@ def test_exec_unregistered_program_into_multiplexed_vpe_fails():
         return (yield from vpe.wait_yield())
 
     assert system.run_app(parent) == ("program", 7)
+
+
+def test_yielder_gets_a_failed_childs_verdict_only_once_switched_back_in():
+    """The watchdog kills the child a switched-out parent waits on: the
+    error verdict, like an exit code, waits until the kernel has
+    switched the parent back in ("the kernel needs to switch back to
+    the old thread before the interrupted communication can be
+    completed", Section 3.3), and the parent then exits normally."""
+    system = M3System(pe_count=4, multiplexing=True, reliable=True)
+    # Kernel on PE 0, hog on 1, parent on 2, child on 3.
+    FaultPlan(seed=1).kill_pe(node=3, at=60_000).install(system.platform)
+    system.boot(with_fs=False)
+    kernel = system.kernel
+    kernel.failover.start_watchdog()
+
+    def hog(env):
+        yield env.compute(400_000)
+
+    def spin(env):
+        while True:
+            yield env.compute(1_000)
+
+    def lodger(env):
+        yield env.compute(150_000)
+        return "lodged"
+
+    def parent(env):
+        child = yield from VPE.create(env, "child")
+        yield from child.run(spin)
+        lodger_vpe = yield from VPE.create(env, "lodger")
+        yield from lodger_vpe.run(lodger)
+        assert not kernel.vpes[lodger_vpe.vpe_id].resident  # queued here
+        try:
+            yield from child.wait_yield()
+        except SyscallError as exc:
+            return (str(exc), env.sim.now,
+                    kernel.vpes[env.vpe_id].resident,
+                    kernel.vpes[lodger_vpe.vpe_id].state)
+        return "wait returned (unexpected)"
+
+    def stop_watchdog():  # the run ends (or goes idle) after this
+        yield system.sim.delay(300_000)
+        kernel.failover.stop_watchdog()
+
+    system.sim.process(stop_watchdog(), "stop-watchdog")
+    system.spawn(hog, name="hog")
+    parent_vpe = system.spawn(parent, name="parent")
+    error, answered_at, resident, lodger_state = system.wait(parent_vpe)
+
+    assert "'child' failed" in error and answered_at > 60_000
+    assert kernel.failover.recoveries == 1
+    # Answered only after the lodger finished and the parent came back.
+    assert resident and lodger_state == VpeState.DEAD
+    assert parent_vpe.state == VpeState.DEAD and parent_vpe.resident

@@ -136,7 +136,7 @@ def test_heartbeats_detect_dead_kernel_and_fail_over():
         if cap.table is not None and isinstance(cap.obj, RemoteVpeObject)
     ]
     assert proxies and all(p.state == VpeState.DEAD for p in proxies)
-    assert all(not v.remote_waiters for v in k0.vpes.values())
+    assert all(not v.exit_waiters for v in k0.vpes.values())
     assert k0.ik.idle
 
 
@@ -208,7 +208,7 @@ def test_remote_watchdog_recovers_spilled_vpe_and_unparks_wait():
     assert spilled.node == child_node
     assert spilled.state == VpeState.DEAD
     assert spilled.exit_code[0] == "failed"
-    assert not spilled.remote_waiters
+    assert not spilled.exit_waiters
     # Parent side: the remote proxy is DEAD and the SPM stub (a foreign
     # MEM capability pointing at the dead node) was revoked.
     proxies = [

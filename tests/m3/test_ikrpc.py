@@ -195,7 +195,7 @@ def test_fail_peer_errs_every_continuation_and_cancels_every_timer():
     assert answers == [] and len(server.parked) == IK_SEND_CREDITS
 
     client.dead_peers.add(1)
-    assert client.ik.fail_peer(1, "test") == []
+    client.ik.fail_peer(1, "test")
     assert answers == [("err", "kernel domain 1 failed: test")] * \
         (IK_SEND_CREDITS + 2)
     assert client.ik.idle and client.credits == IK_SEND_CREDITS
@@ -205,11 +205,54 @@ def test_fail_peer_errs_every_continuation_and_cancels_every_timer():
     assert answers[-1] == ("err", "kernel domain 1 failed")
     assert sim.pending_events == 0
 
-    # The other side drops what it had parked for the dead kernel.
-    abandoned = server.ik.fail_peer(0, "test")
-    assert sorted(abandoned) == sorted(server.parked)
+    # The other side drops what it had parked for the dead kernel: it
+    # acknowledges every parked slot, and owes nothing any more.
+    ring = server.dtu.ringbuffer(KERNEL_IK_EP)
+    assert ring.occupied == len(server.parked)
+    server.ik.fail_peer(0, "test")
     assert server.ik.idle
-    assert server.dtu.ringbuffer(KERNEL_IK_EP).occupied == 0
+    assert ring.occupied == 0
+    for slot in server.parked:
+        with pytest.raises(ValueError, match="empty"):
+            ring.peek(slot)
+
+
+def test_a_wait_parked_for_a_dropped_peer_never_answers():
+    """A ``vpe_wait`` parked for a peer that ``fail_peer`` then drops
+    keeps no claim on its ring slot: its answer stays silent, even
+    once that slot serves a later request."""
+    sim, client, server = _pair(
+        script=lambda operation, args:
+        None if operation == "vpe_wait" else ("ok", args)
+    )
+    dropped = []
+    client.ik.request(1, "vpe_wait", (7,), dropped.append, max_attempts=1)
+    sim.run()  # parked, then the client gives up on it: a timeout
+    (slot,) = server.parked
+    answer = server.ik.parked_answer(slot)
+    assert [status for status, _ in dropped] == ["timeout"]
+
+    server.dead_peers.add(0)
+    server.ik.fail_peer(0, "test")
+    server.dead_peers.clear()  # the peer comes back and asks again
+    # The ring is round-robin: the last of a full turn lands in ``slot``.
+    for index in range(IK_RING_SLOTS - 1):
+        client.ik.request(1, "noop", (index,), lambda _payload: None)
+    sim.run()
+    later = []
+    client.ik.request(1, "vpe_wait", (8,), later.append, no_timeout=True)
+    sim.run(until=sim.now + params.IK_RPC_TIMEOUT_CYCLES // 2)
+    assert server.parked == [slot, slot]
+
+    answer(("ok", 7))
+    sim.run(until=sim.now + params.IK_RPC_TIMEOUT_CYCLES // 2)
+    assert later == [] and client.stray_replies == 0
+    assert server.dtu.ringbuffer(KERNEL_IK_EP).occupied == 1
+    # The later request's own answer still gets through.
+    server.ik.parked_answer(slot)(("ok", 8))
+    sim.run()
+    assert later == [("ok", 8)] and dropped[1:] == []
+    assert _quiesced(sim, client, server)
 
 
 @pytest.mark.parametrize("reliable", [False, True])

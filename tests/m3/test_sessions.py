@@ -299,8 +299,13 @@ def test_peer_dying_mid_srv_open_voids_the_negotiation():
     assert parked.client == RemoteClientRef(PEER, 9)
     rig.sessions.services["kv"].sessions[8] = RemoteClientRef(PEER, 3)
 
+    # The peer's srv_open is still in flight: dropping the peer acks
+    # its one ring slot.
+    ring = rig.dtu.ringbuffer(KERNEL_IK_EP)
+    assert ring.occupied == 1 and not rig.ik.idle
     rig.dead_peers.add(PEER)
-    assert len(rig.ik.fail_peer(PEER, "test")) == 1
+    rig.ik.fail_peer(PEER, "test")
+    assert ring.occupied == 0 and rig.ik.idle
     rig.sessions.fail_peer(PEER)
     assert not rig.sessions.parked
     assert rig.sessions.services["kv"].sessions == {}
