@@ -374,13 +374,13 @@ class LxEnv:
         yield self._copy(len(node.data))
 
     def waitpid(self, child: "LxEnv"):
-        """Generator: block until the child exits; returns its result."""
+        """Generator: block until the child exits; returns its result
+        (a child's crash is thrown into a parent blocked here, and one
+        nobody waits on leaves the run where it is raised)."""
         self.syscall_count += 1
         yield self._kernel(self.costs.syscall_cycles)
         if not child.process.done.triggered:
             yield from self._block_until(lambda: child.process.done)
-        if not child.process.done.ok:
-            raise child.process.done.value
         return child.process.done.value
 
     def sendfile(self, out_fd: int, in_fd: int, count: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
+from repro.dtu.dtu import DtuError
 from repro.m3.kernel.capability import CapKind
 from repro.m3.kernel.objects import (
     RemoteGateStub,
@@ -113,12 +114,22 @@ class Failover:
             self.sim.obs.instant("probe", "watchdog", vpe.node, vpe=vpe.id)
         self.probes_sent += 1
         probe = self.sim.process(
-            self.kernel.dtu.configure_remote(vpe.node, "probe"),
-            f"kernel.probe.vpe{vpe.id}",
+            self._probe_node(vpe.node), f"kernel.probe.vpe{vpe.id}"
         )
         yield first_of(self.sim, probe.done, self.sim.delay(timeout))
-        return probe.done.triggered and probe.done.ok \
-            and probe.done.value == "alive"
+        return probe.done.value == "alive"
+
+    def _probe_node(self, node: int):
+        """Generator: the probe itself; its verdict, or ``"unreachable"``.
+
+        The transfer may fail after the timeout has won, when nobody
+        waits on it any more: that is the verdict "not alive" the
+        timeout already gave, not a crash of the run.
+        """
+        try:
+            return (yield from self.kernel.dtu.configure_remote(node, "probe"))
+        except DtuError:
+            return "unreachable"
 
     def recover_vpe(self, vpe: VpeObject, reason: str):
         """Generator: tear a failed VPE out of the system.

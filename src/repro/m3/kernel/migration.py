@@ -93,8 +93,9 @@ class Migration:
         unread messages, and the old DTU forwards in-flight messages
         and replies to the new node for a redirect window before the
         kernel wipes it.  Safe for VPEs that are computing or parked in
-        a syscall-reply wait; software blocked in a hand-rolled receive
-        loop on the old DTU object is not migratable (see
+        any libm3 receive (``RecvGate.receive`` re-reads ``env.dtu``);
+        only code calling the old DTU's ``wait_message`` directly — a
+        device, never VPE software — is not migratable (see
         docs/protocols.md).
         """
         kernel = self.kernel
@@ -147,7 +148,7 @@ class Migration:
             env.dtu = target_pe.dtu
         # Hardware state hand-off: the ringbuffers move, and anything
         # blocked on an old-DTU signal wakes spuriously to re-check
-        # against the new DTU (the reply wait re-reads env.dtu).
+        # against the new DTU (libm3's receive loop re-reads env.dtu).
         old_dtu.hand_off(target_pe.dtu)
         old_dtu.redirect_to = target_pe.node
         if self.sim.obs is not None:

@@ -12,6 +12,7 @@ import typing
 from repro import params
 from repro.m3.kernel import syscalls
 from repro.m3.kernel.syscalls import APP_REPLY_EP, APP_SYSCALL_EP, SYSCALL_MSG_BYTES, SyscallError
+from repro.m3.lib.gate import BoundRecvGate
 from repro.m3.lib.marshalling import wire_size
 from repro.sim.ledger import Tag
 
@@ -100,6 +101,9 @@ class Env:
         self.sim = system.sim
         self.dtu = pe.dtu
         self.epmux = EpMux(self)
+        #: the standard reply endpoint, shared by syscalls, service
+        #: sessions and a driver's device commands.
+        self.reply_gate = BoundRecvGate(self, Env.EP_REPLY)
         self.syscall_count = 0
         #: Figure 6 methodology: replace DRAM data transfers with
         #: equal-time spinning (messages still go over the NoC).
@@ -138,7 +142,7 @@ class Env:
                 min(wire_size(payload), SYSCALL_MSG_BYTES),
                 reply_ep=self.EP_REPLY,
             )
-            slot, reply = yield from self._await_reply()
+            slot, reply = yield from self.reply_gate.receive()
         except BaseException:
             if obs is not None:
                 obs.end(span, outcome="interrupted")
@@ -153,20 +157,6 @@ class Env:
         if status != "ok":
             raise SyscallError(result)
         return result
-
-    def _await_reply(self):
-        """Generator: wait for a reply, re-reading :attr:`dtu` on every
-        wake-up.
-
-        A context switch can *migrate* this VPE while it is parked in a
-        syscall; the restore fires a spurious wake-up on the old DTU and
-        this loop then continues on the new one.
-        """
-        while True:
-            fetched = self.dtu.fetch_message(self.EP_REPLY)
-            if fetched is not None:
-                return fetched
-            yield self.dtu.signal(self.EP_REPLY).wait()
 
     def exit(self, code: object = 0):
         """Generator: tell the kernel this VPE is done (no reply)."""

@@ -101,10 +101,23 @@ class RecvGate(Gate):
         return gate
 
     def receive(self):
-        """Generator: block until a message arrives; returns (slot, msg)."""
-        if self.ep is None:
-            yield from self.activate()
-        return (yield from self.env.dtu.wait_message(self.ep))
+        """Generator: block until a message arrives; returns (slot, msg).
+
+        libm3's one receive loop.  It re-reads ``env.dtu`` on every
+        wake-up: the kernel may migrate the VPE while it waits, and the
+        hand-off wakes it on the old DTU to poll the new one (endpoint
+        indices stay as they were).
+        """
+        ep = self.ep
+        if ep is None:
+            ep = yield from self.activate()
+        env = self.env
+        while True:
+            dtu = env.dtu
+            fetched = dtu.fetch_message(ep)
+            if fetched is not None:
+                return fetched
+            yield dtu.signal(ep).wait()
 
     def fetch(self):
         """Non-blocking poll; (slot, message) or None."""

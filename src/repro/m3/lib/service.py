@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.m3.kernel import syscalls
 from repro.m3.lib.env import Env
-from repro.m3.lib.gate import BoundRecvGate, RecvGate, SendGate
+from repro.m3.lib.gate import RecvGate, SendGate
 from repro.obs.causal import header_context
 from repro.sim.ledger import Tag
 
@@ -179,7 +179,6 @@ class ClientSession:
     def __init__(self, env: Env, sgate: SendGate):
         self.env = env
         self.sgate = sgate
-        self.reply_gate = BoundRecvGate(env, Env.EP_REPLY)
 
     @classmethod
     def connect(cls, env: Env, service: str | None = None):
@@ -204,7 +203,7 @@ class ClientSession:
             if self.rpc_cycles:
                 yield env.sim.delay(self.rpc_cycles, tag=Tag.OS)
             message = yield from self.sgate.call(
-                (operation, args), self.reply_gate
+                (operation, args), env.reply_gate
             )
         except BaseException:
             if obs is not None:
@@ -221,8 +220,9 @@ class ClientSession:
 def start_service(system, server: Server, domain: int | None = None):
     """Spawn ``server`` as a VPE and run until it has registered.
 
-    Returns the server; raises if it died before ``create_srv``
-    answered (a duplicate name, no free PE).
+    Returns the server.  A server that dies before ``create_srv``
+    answers (a duplicate name, no free PE) raises its own error out of
+    the run, so out of this call.
     """
     name = server.service_name
     server.ready = system.sim.event(f"{name}.ready")

@@ -34,7 +34,7 @@ from repro.hw.device import (CMD_RECV_EP, DMA_MEM_EP, DMA_WINDOW_BYTES,
                              NetworkDevice, Wire)
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.objects import RecvGateObject, SendGateObject
-from repro.m3.lib.gate import BoundRecvGate, MemGate, SendGate
+from repro.m3.lib.gate import MemGate, SendGate
 from repro.m3.lib.service import ClientSession, Server, start_service
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,11 +100,6 @@ class NetServ(Server):
         self.buffer = yield from MemGate.create(
             env, DMA_WINDOW_BYTES, MemoryPerm.RW.value
         )
-        # NIC commands go out as *calls*: the NIC's reply refunds the
-        # command gate's send credits.  Driving the NIC fire-and-forget
-        # exhausts the gate after max_credits lifetime commands — the
-        # NIC acks but never replies, so credits never come back.
-        self._nic_reply = BoundRecvGate(env, env.EP_REPLY)
 
     def _started(self):
         # the system layer wires the NIC and installs self.nic_cmd,
@@ -202,8 +197,13 @@ class NetServ(Server):
             offset = slot * TX_SLOT_BYTES
             frame = _HEADER.pack(socket.port or 0, dst_port) + payload
             yield from self.buffer.write(offset, frame)
+            # NIC commands go out as *calls*: the NIC's reply refunds
+            # the command gate's send credits.  Driving the NIC
+            # fire-and-forget exhausts the gate after max_credits
+            # lifetime commands — the NIC acks but never replies, so
+            # credits never come back.
             yield from self.nic_cmd.call(("tx", offset, len(frame)),
-                                         self._nic_reply, 32)
+                                         self.env.reply_gate, 32)
             committed = True
         finally:
             if not committed:

@@ -103,9 +103,6 @@ class M3System:
         #: every service that ever registered, by name — filled by
         #: ``Server.main``, retired ones kept (read by :meth:`stats`).
         self.servers: dict[str, "Server"] = {}
-        self._kernel_processes: list = []
-        #: (vpe, process) pairs for crash reporting.
-        self._app_processes: list = []
         #: serial console: (cycle, vpe_id, line) records.
         self.serial_log: list = []
 
@@ -193,24 +190,12 @@ class M3System:
             obs.monitor(DTU_TOTALS, *(pe.dtu for pe in self.platform.pes))
         for kernel in self.kernels:
             self.sim.run_process(kernel.boot(), f"{kernel.label}.boot")
-            self._kernel_processes.append(
-                kernel.pe.run(self._run_kernel(kernel), kernel.label)
-            )
+            # A killed kernel PE interrupts the loop, which ends it
+            # quietly: its peers detect the death via heartbeats.
+            kernel.pe.run(kernel.run(), kernel.label)
         if with_fs:
             self.start_m3fs(**(fs_kwargs or {}))
         return self
-
-    def _run_kernel(self, kernel: Kernel):
-        """Generator: the kernel main loop, tolerant of its own PE being
-        killed by a fault plan — a murdered kernel stops quietly (its
-        peers detect the death via heartbeats) instead of surfacing an
-        Interrupt through :meth:`raise_crashes`."""
-        from repro.sim.events import Interrupt
-
-        try:
-            yield from kernel.run()
-        except Interrupt:
-            return None
 
     def start_heartbeats(self, **kwargs) -> None:
         """Start the peer heartbeat ring on every kernel that has peers
@@ -290,23 +275,15 @@ class M3System:
             # Role label for exports; services refine it when they
             # finish registering (start_m3fs, start_network).
             self.sim.obs.label_node(vpe.pe.node, f"app:{vpe.name}")
-        process = vpe.pe.run(self._wrap(env, entry, args), name=vpe.name)
-        self._app_processes.append((vpe, process))
+        vpe.pe.run(self._wrap(env, entry, args), name=vpe.name)
 
     def _wrap(self, env: Env, entry, args: tuple):
-        from repro.sim.events import Interrupt
-
-        def body():
-            try:
-                result = yield from entry(env, *args)
-            except Interrupt:
-                # The kernel reset this PE (VPE capability revoked) —
-                # not a software crash.
-                return None
-            yield from env.exit(result)
-            return result
-
-        return body()
+        """Generator: the VPE's software, then its ``exit`` syscall.  A
+        reset of the PE (VPE capability revoked) interrupts it, which
+        ends it quietly — not a software crash."""
+        result = yield from entry(env, *args)
+        yield from env.exit(result)
+        return result
 
     def register_program(self, name: str, entry) -> None:
         """Make ``entry`` loadable via ``VPE.exec`` under ``name``."""
@@ -336,37 +313,25 @@ class M3System:
         """Run the simulation until ``vpe`` exits, in whichever domain;
         returns its exit code (``("failed", why)`` if it failed).
 
-        Raises if the simulation goes idle without the VPE exiting
-        (a deadlock in the simulated software).
+        An uncaught exception of any simulated process leaves the run
+        where it is raised, so it leaves this call too.  Raises if the
+        simulation goes idle without the VPE exiting (a deadlock in the
+        simulated software).
         """
         from repro.m3.kernel.vpe import VpeState
 
         if vpe.state == VpeState.DEAD:
-            # An already-dead VPE may have died *crashing*; surface that
-            # instead of silently handing back a None exit code.
-            self.raise_crashes()
             return vpe.exit_code
         exit_event = self.sim.event(f"{vpe.name}.exit")
         vpe.exit_waiters.append(exit_event.succeed)
         self.sim.run(until_event=exit_event)
         if not exit_event._state:
-            self.raise_crashes()
             raise RuntimeError(
                 f"simulation went idle but VPE {vpe.name!r} never exited "
                 "(deadlock in simulated software)"
             )
         status, detail = exit_event._value
         return detail if status == "ok" else ("failed", detail)
-
-    def raise_crashes(self) -> None:
-        """Re-raise the first uncaught exception of the kernel or any
-        application VPE."""
-        processes = [p for _v, p in self._app_processes]
-        processes.extend(self._kernel_processes)
-        for process in processes:
-            done = process.done
-            if done.triggered and not done.ok:
-                raise done.value
 
     def run_app(self, entry, *args, name: str = "app"):
         """Spawn + wait in one call; returns the application's result."""

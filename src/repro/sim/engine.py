@@ -232,7 +232,8 @@ class Simulator:
 
     def run_process(self, generator, name: str = "main", limit: int | None = None):
         """Start a process, run the simulation to its completion, and
-        return its result (re-raising its failure, if any)."""
+        return its result.  Nobody else waits on the process, so its
+        failure leaves :meth:`run` where it is raised."""
         proc = self.process(generator, name)
         self.run(until=limit, until_event=proc.done)
         if not proc.done.triggered:
@@ -241,8 +242,6 @@ class Simulator:
                 f"(t={self.now}, queue="
                 f"{'empty' if not self.pending_events else 'pending'})"
             )
-        if not proc.done.ok:
-            raise proc.done.value
         return proc.done.value
 
     @property

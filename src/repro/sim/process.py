@@ -9,7 +9,12 @@ A process wraps a generator.  The generator yields:
 - an ``int`` — shorthand for ``sim.delay(n)`` with no ledger tag.
 
 When the generator returns, the process's :attr:`done` event succeeds
-with the return value; an uncaught exception fails :attr:`done`.
+with the return value; an uncaught exception fails :attr:`done`.  A
+failure nobody waits on — no process yields :attr:`done`, no
+``first_of`` races it — is re-raised where it happened, so it leaves
+:meth:`Simulator.run` like an exception of any other callback does.
+An uncaught :class:`~repro.sim.events.Interrupt` only ends its
+process: a halted core or a reset VPE is not a crash.
 """
 
 from __future__ import annotations
@@ -58,35 +63,34 @@ class Process:
         with ``value`` and block on whatever it yields next."""
         try:
             target = resume(value)
+            if type(target) is not Event:
+                target = self._as_event(target)
         except StopIteration as stop:
             self.done.succeed(stop.value)
             return
         except BaseException as exc:
-            self.done.fail(exc)
+            done = self.done
+            unwatched = not done._callbacks and not isinstance(exc, Interrupt)
+            done.fail(exc)
+            if unwatched:
+                raise
             return
-        if type(target) is not Event:
-            target = self._as_event(target)
-            if target is None:
-                return
         self._waiting_on = target
         target.add_callback(self._wake)
 
-    def _as_event(self, target) -> Event | None:
+    def _as_event(self, target) -> Event:
         """The event a yielded :class:`Process` or ``int`` stands for;
-        anything else fails the process (and yields ``None``)."""
+        anything else is a :class:`TypeError` of the process."""
         if isinstance(target, Process):
             return target.done
         if isinstance(target, int):
             return self.sim.delay(target)
         if isinstance(target, Event):
             return target
-        self.done.fail(
-            TypeError(
-                f"process {self.name!r} yielded {target!r}; expected "
-                "an Event, a Process, or an int delay"
-            )
+        raise TypeError(
+            f"process {self.name!r} yielded {target!r}; expected "
+            "an Event, a Process, or an int delay"
         )
-        return None
 
     # -- external control -----------------------------------------------------
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.m3.kernel.kernel import SyscallError
+from repro.m3.lib.vpe import VPE
 from repro.m3.services.kvserv import KvClient, KvError, start_kv_tier
 from repro.m3.system import M3System
 
@@ -30,6 +31,33 @@ def test_put_get_roundtrip(kv_system):
     assert server.gets == 2 and server.puts == 2
     assert server.misses == 1  # the get of an absent key
     assert server.bytes_stored == 3  # the overwrite replaced alice
+
+
+def test_a_client_parked_on_a_reply_survives_a_live_migration(kv_system):
+    """Regression: the parent migrates its child while the child waits
+    for a ``get`` reply.  The hand-off moved the reply ring to the new
+    DTU, and the child woke on the old one to ask it for a ring it no
+    longer had (``NoPermission: EP1 is not a receive endpoint``).
+    libm3's receive loop now follows its VPE to the new DTU."""
+    system, _servers = kv_system
+
+    def child(env):
+        client = yield from KvClient.connect(env, "kv")
+        yield from client.put("k", b"v" * 64)
+        total = 0
+        for _ in range(200):
+            total += len((yield from client.get("k")))
+        return total, env.pe.node
+
+    def parent(env):
+        vpe = yield from VPE.create(env, name="child")
+        yield from vpe.run(child)
+        yield env.compute(20_265)  # the move lands inside a get
+        new_node = yield from vpe.migrate()
+        return (yield from vpe.wait()), new_node
+
+    (total, ran_on), new_node = system.run_app(parent)
+    assert total == 200 * 64 and ran_on == new_node
 
 
 def test_oversized_value_and_empty_key_rejected(kv_system):

@@ -4,6 +4,7 @@ service registries, and the inter-kernel protocol that spans them."""
 import pytest
 
 from repro.dtu.registers import MemoryPerm
+from repro.m3.kernel import syscalls
 from repro.m3.kernel.vpe import VpeState
 from repro.m3.lib.file import OpenFlags
 from repro.m3.lib.gate import MemGate
@@ -242,7 +243,9 @@ def test_single_kernel_layout_is_unchanged():
 
 def test_wait_on_already_dead_vpe_raises_late_crashes():
     """Regression: a VPE that exits and *then* crashes left the crash
-    swallowed when wait() was called after the fact."""
+    swallowed when wait() was called after the fact.  The crash now
+    leaves the run where it is raised; the exit it sent first still
+    counts."""
     system = M3System(pe_count=4).boot(with_fs=False)
 
     def app(env):
@@ -250,7 +253,57 @@ def test_wait_on_already_dead_vpe_raises_late_crashes():
         raise RuntimeError("crashed after exit")
 
     vpe = system.spawn(app, name="zombie")
+    with pytest.raises(RuntimeError, match="crashed after exit"):
+        system.sim.run()
     system.sim.run()
     assert vpe.state == VpeState.DEAD
-    with pytest.raises(RuntimeError, match="crashed after exit"):
+    assert system.wait(vpe) == 0
+
+
+def test_a_kernel_bug_leaves_a_run_that_heartbeats_keep_busy(monkeypatch):
+    """Regression: a kernel handler's bug ended the kernel loop without
+    a word, and the heartbeats kept the queue from ever going idle —
+    the one moment crashes were looked for — so ``system.wait`` spun
+    on.  The bug now leaves the run where it is raised."""
+    system = boot_partitioned(pe_count=6, reliable=True)
+    system.start_heartbeats()
+
+    def broken(vpe, slot, vpe_sel):
+        raise NameError("a bug in VPE_WAIT")
+        yield
+
+    monkeypatch.setitem(system.kernel.syscall_table, syscalls.VPE_WAIT,
+                        broken)
+
+    def child(env):
+        yield env.compute(1_000)
+
+    def parent(env):
+        vpe = yield from VPE.create(env, name="child")
+        yield from vpe.run(child)
+        return (yield from vpe.wait())
+
+    system.spawn(parent, name="parent")
+    with pytest.raises(NameError, match="a bug in VPE_WAIT"):
+        system.sim.run(until=200_000)
+
+
+def test_a_background_process_crash_leaves_the_wait():
+    """Regression: only application and kernel-loop processes were
+    looked at, so a bare background process (failover, a migration
+    window, the autoscaler...) died unseen and ``system.wait`` returned
+    the application's exit code as if nothing had happened."""
+    system = M3System(pe_count=4).boot(with_fs=False)
+
+    def background():
+        yield system.sim.delay(2_000)
+        raise ValueError("background bug")
+
+    def app(env):
+        yield env.compute(10_000)
+        return 7
+
+    vpe = system.spawn(app, name="app")
+    system.sim.process(background(), "background")
+    with pytest.raises(ValueError, match="background bug"):
         system.wait(vpe)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.m3.kernel.capability import Capability, CapKind
 from repro.m3.kernel.objects import SendGateObject
+from repro.m3.kernel.syscalls import SyscallError
 from repro.m3.lib.gate import SendGate
 from repro.m3.lib.m3fs_client import M3fsClient
 from repro.m3.lib.service import ClientSession, Server, start_service
@@ -235,9 +236,10 @@ def service(request):
 
 
 def test_a_service_that_dies_before_registering_fails_its_start(system, service):
-    """A duplicate name is the cheapest way to die in ``create_srv``."""
+    """A duplicate name is the cheapest way to die in ``create_srv``:
+    the second server's own refusal leaves the start."""
     start = service[0]
-    with pytest.raises(RuntimeError, match="^svc failed to start$"):
+    with pytest.raises(SyscallError, match="already registered"):
         start(system, ("svc", "svc"))
 
 
@@ -261,7 +263,7 @@ def test_an_unknown_operation_is_a_dispatch_miss(system, service):
     "the service dies inside the handler; its client's request is "
     "never answered")
 def test_a_bug_inside_a_handler_crashes_the_service(system, service, monkeypatch):
-    """It surfaces through ``raise_crashes`` instead of being mailed to
+    """It leaves the run where it is raised instead of being mailed to
     the client as an error string by a service that carries on."""
     _start, server_type, operation, _client, _error = service
 

@@ -191,3 +191,29 @@ def test_double_start_rejected():
     with pytest.raises(RuntimeError):
         system.kernel.failover.start_watchdog()
     system.kernel.failover.stop_watchdog()
+
+
+def test_a_probe_lost_past_its_timeout_is_a_verdict_not_a_crash():
+    """Every packet to the victim's node is dropped: the probe times
+    out, the VPE is recovered, and the probe transfer the DTU gives up
+    on later — when nobody waits on it any more — answers
+    "unreachable" instead of failing out of the run."""
+    system = M3System(pe_count=4, reliable=True)
+    plan = FaultPlan(seed=42)
+    plan.drop(1.0, destination=2, window=(KILL_AT, 10**9))
+    plan.install(system.platform)
+    system.boot(with_fs=False)
+    system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
+
+    def parent(env):
+        vpe = yield from VPE.create(env, "victim")
+        yield from vpe.run(_immortal_child)
+        with pytest.raises(SyscallError, match="victim.*failed"):
+            yield from vpe.wait()
+        return "recovered"
+
+    assert system.run_app(parent, name="parent") == "recovered"
+    system.kernel.failover.stop_watchdog()
+    system.sim.run()
+    assert system.kernel.failover.recoveries == 1
+    assert system.sim.pending_events == 0

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import Interrupt
+from repro.sim.events import Interrupt, first_of
 
 
 def test_process_advances_time_with_int_yields():
@@ -140,6 +140,54 @@ def test_interrupt_blocked_process():
     sim.process(interrupter(), "interrupter")
     sim.run()
     assert proc.done.value == ("interrupted", 50, "wakeup")
+
+
+def test_a_failure_nobody_waits_on_leaves_the_run():
+    sim = Simulator()
+
+    def body():
+        yield 10
+        raise ValueError("unwatched")
+
+    proc = sim.process(body(), "body")
+    sim.schedule(100, lambda _: None)  # the queue is not idle
+    with pytest.raises(ValueError, match="unwatched"):
+        sim.run()
+    assert sim.now == 10 and not proc.done.ok
+    sim.run()  # what was queued behind it still runs
+    assert sim.now == 100
+
+
+def test_a_failure_is_thrown_into_its_joiners_and_races():
+    sim = Simulator()
+
+    def child():
+        yield 10
+        raise ValueError("watched")
+
+    def parent():
+        try:
+            yield sim.process(child(), "child")
+        except ValueError as exc:
+            return f"caught {exc}"
+
+    raced = sim.process(child(), "raced")
+    race = first_of(sim, raced.done, sim.delay(50))
+    assert sim.run_process(parent(), "parent") == "caught watched"
+    sim.run()
+    assert race.value is raced.done and not raced.done.ok
+
+
+def test_an_uncaught_interrupt_only_ends_its_process():
+    sim = Simulator()
+
+    def sleeper():
+        yield 1000
+
+    proc = sim.process(sleeper(), "sleeper")
+    sim.schedule(50, lambda _: proc.interrupt("halt"))
+    sim.run()
+    assert not proc.alive and isinstance(proc.done.value, Interrupt)
 
 
 def test_interrupt_finished_process_is_noop():
