@@ -34,6 +34,9 @@ class RingBuffer:
         self._write_pos = 0
         self._read_pos = 0
         self._occupied = 0
+        #: messages pushed and not fetched yet: the read position may
+        #: wrap onto a slot that is read but still held (not acked).
+        self._unread = 0
         self.delivered = 0
         self.dropped = 0
         #: reliable delivery: recently accepted (source, seq) pairs, so a
@@ -77,6 +80,7 @@ class RingBuffer:
         self._slots[slot] = message
         self._write_pos = (slot + 1) % self.slot_count
         self._occupied += 1
+        self._unread += 1
         self.delivered += 1
         if seq >= 0:
             # Record only accepted messages: a retransmit of a message
@@ -92,12 +96,12 @@ class RingBuffer:
         The message stays occupied until :meth:`ack` — software processes
         it in place and acknowledges when done.
         """
-        if self._slots[self._read_pos] is None:
+        if not self._unread:
             return None
+        self._unread -= 1
         slot = self._read_pos
-        message = self._slots[slot]
         self._read_pos = (slot + 1) % self.slot_count
-        return slot, message
+        return slot, self._slots[slot]
 
     def peek(self, slot: int) -> Message:
         """The message occupying ``slot`` (for reply processing)."""

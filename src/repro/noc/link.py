@@ -25,14 +25,15 @@ class Link:
     ``next_free`` and ``busy_cycles`` are read off the newest window
     instead of being written on every reservation.
 
-    The record is the *live tail* of the link's history, not all of
-    it: the newest window lives in three slots, and when the next one
-    opens :func:`reserve_path` keeps the one it succeeds only if it
-    ends after the reader floor it is given — no reader asks about
-    ``[0, floor)`` again.  The idle counts are cumulative, so a
+    The record holds only what is still in flight, not the link's whole
+    history: the newest window lives in three slots, and when the next
+    one opens :func:`reserve_path` keeps the one it succeeds only while
+    it ends after that packet's own head cycle — a link forgets what
+    ended before it was last reserved, since no reader asks about an
+    earlier prefix again.  The idle counts are cumulative, so a
     forgotten window stays folded into every later answer, and a link's
-    memory stays proportional to what its readers still look at instead
-    of to the packets it ever carried.
+    memory stays proportional to the traffic in flight instead of to
+    the packets it ever carried.
     """
 
     __slots__ = ("source", "destination", "bytes_per_cycle", "packets",
@@ -50,7 +51,7 @@ class Link:
         #: the newest window: where it starts and ends, and the idle
         #: cycles before it.  An empty window at cycle 0 opens the record.
         self._window_start = self._window_end = self._window_idle = 0
-        #: older windows that still end after a reader floor, oldest
+        #: older windows that still end after the last packet's head, oldest
         #: first: where each ends and starts, and the idle cycles before
         #: it (machine words, so a window held costs no int objects and
         #: no object the cycle collector tracks).
@@ -82,17 +83,6 @@ class Link:
         # Pure-integer ceiling division: float division plus math.ceil
         # would round differently for very large byte counts.
         return -(-nbytes // self.bytes_per_cycle) or 1
-
-    def reserve(self, earliest: int, nbytes: int) -> tuple[int, int]:
-        """Reserve the link for ``nbytes`` no earlier than ``earliest``.
-
-        Returns ``(start, end)`` of the granted occupancy window: the
-        one-link case of :func:`reserve_path`, with a floor below every
-        cycle, so nothing is forgotten.
-        """
-        duration = self.serialization_cycles(nbytes)
-        end = reserve_path((self,), earliest, 0, duration, -1)
-        return end - duration, end
 
     def busy_within(self, elapsed: int) -> int:
         """Exact occupied cycles inside the window ``[0, elapsed)``.
@@ -134,8 +124,7 @@ class Link:
         return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
 
 
-def reserve_path(links, head: int, hop_cycles: int, duration: int,
-                 floor: int) -> int:
+def reserve_path(links, head: int, hop_cycles: int, duration: int) -> int:
     """Reserve ``links`` in order for one packet that occupies each for
     ``duration`` cycles and whose head flit is at ``head``; return the
     cycle its tail clears the last link.
@@ -147,8 +136,12 @@ def reserve_path(links, head: int, hop_cycles: int, duration: int,
     comparison against the link's newest window end, then either that
     window grows (the packet queues back-to-back) or a new one opens
     after the idle gap.  A window a new one succeeds is kept only while
-    it ends after ``floor``: readers ask about ``[0, floor)`` no more.
+    it ends after the packet's own ``head``: every reader asks at or
+    after the cycle of every reservation already made (reports about
+    ``[0, now)``; an observer folds its ended epochs before a packet
+    reserves), so what ended before it is read no more.
     """
+    floor = head
     end = 0
     for link in links:
         earliest = head + hop_cycles

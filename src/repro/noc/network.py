@@ -119,14 +119,13 @@ class Network:
     def send(self, packet: Packet) -> int:
         """Inject ``packet``; schedule delivery; return the completion cycle.
 
-        The links on the path forget the occupancy history that has no
-        reader left: reports ask about ``[0, now)`` or later, and an
-        installed observer about nothing before the first epoch it has
-        not sampled yet.
-
-        The counters move only after the observer has seen the packet:
-        it samples them (``Observer.monitor``), and epochs that ended
-        before this packet have to close without it.
+        An installed observer meets the packet first, before anything
+        is reserved or counted: it registers this network's totals
+        (``Observer.monitor``) once and folds every epoch that ended
+        (``fold_at``), so the epochs close without this packet and every
+        reader of the links asks at or after the cycle of every
+        reservation already made.  The links on the path then forget
+        what ended before the packet's head (``reserve_path``).
         """
         try:
             handler = self._handlers[packet.destination]
@@ -135,15 +134,22 @@ class Network:
                 f"packet to node {packet.destination} but nothing is attached there"
             ) from None
         sim = self.sim
+        obs = sim.obs
+        if obs is not None:
+            if obs is not self._monitored_by:
+                self._monitored_by = obs
+                obs.monitor({"noc.packets_injected": "packets_injected",
+                             "noc.packets_delivered": "packets_sent",
+                             "noc.packets_dropped": "packets_lost",
+                             "noc.payload_bytes": "bytes_injected"}, self)
+            if sim.now >= obs.fold_at:
+                obs.sample_links(self)
         size = packet.size_bytes
         path = self.paths[packet.source, packet.destination]
         # A network's links share its bandwidth: one wire time a packet.
         wire_cycles = -(-(size + PACKET_HEADER_BYTES)
                         // self.bytes_per_cycle) or 1
-        completion = reserve_path(
-            path, sim.now, self.hop_cycles, wire_cycles,
-            sim.now if sim.obs is None else sim.obs.links_sampled_to,
-        )
+        completion = reserve_path(path, sim.now, self.hop_cycles, wire_cycles)
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
@@ -153,7 +159,7 @@ class Network:
             if verdict == "drop":
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
-                if sim.obs is not None:
+                if obs is not None:
                     self._observe_packet(packet, len(path), wire_cycles,
                                          completion, verdict)
                 self.packets_injected += 1
@@ -168,7 +174,7 @@ class Network:
             if extra:
                 self.packets_delayed += 1
                 completion += extra
-        if sim.obs is not None:
+        if obs is not None:
             self._observe_packet(packet, len(path), wire_cycles, completion,
                                  verdict)
         self.packets_injected += 1
@@ -183,9 +189,6 @@ class Network:
         """Span for one packet about to be counted (observer installed)
         that crosses ``hops`` links, each for ``wire_cycles``.
 
-        The four ``noc.*`` counters are not pushed from here: the
-        observer monitors this network's own totals, and is asked to
-        close the epochs that ended (``fold_at``) before they move.
         The packet's span adopts the trace context the sending DTU
         stamped on it, and the *contended* share of the wire time — the
         difference between the reserved completion and the uncontended
@@ -195,14 +198,6 @@ class Network:
         """
         obs = self.sim.obs
         now = self.sim.now
-        if obs is not self._monitored_by:
-            self._monitored_by = obs
-            obs.monitor({"noc.packets_injected": "packets_injected",
-                         "noc.packets_delivered": "packets_sent",
-                         "noc.packets_dropped": "packets_lost",
-                         "noc.payload_bytes": "bytes_injected"}, self)
-        if now >= obs.fold_at:
-            obs.sample_links(self)
         span = obs.record(
             obs.kinds[packet.kind, "noc", _PACKET_SPAN_ARGS, (
                 packet.destination, packet.size_bytes, verdict)],

@@ -136,14 +136,15 @@ class Observer:
         #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
         self.link_series: dict[tuple, list[tuple[int, float]]] = {}
         self.epoch = epoch
-        #: the open link-occupancy epoch starts here (at first the cycle of
-        #: creation); occupancy before it is read no more (``reserve_path``'s floor).
+        #: the open link-occupancy epoch starts here (at first, creation).
         self.links_sampled_to = sim.now
         self._next_epoch = (sim.now // epoch + 1) * epoch
-        #: the network calls :meth:`sample_links` before it counts a packet
-        #: at or after this cycle: the end of the first open epoch, link or
-        #: telemetry.
-        self.fold_at = self._next_epoch
+        #: per link, its busy cycles by :attr:`links_sampled_to`.
+        self._link_busy: dict[tuple, int] | None = None
+        #: the network calls :meth:`sample_links` before it reserves for a
+        #: packet at or after this cycle: creation (the first contact), then
+        #: the end of the first open epoch, link or telemetry.
+        self.fold_at = sim.now
         self._open: dict[int, tuple] = {}
         self._span_ids = itertools.count(1)
         #: per-node trace-context stacks (causal request tracing).
@@ -359,18 +360,23 @@ class Observer:
 
     def sample_links(self, network: "Network", force: bool = False) -> None:
         """Fold completed epochs into the per-link occupancy series;
-        called by :meth:`Network.send` for the first packet at or after
-        :attr:`fold_at`, so sampling never schedules anything (a timer
-        would keep the event queue alive).  ``force`` flushes the partial
-        epoch too; its point is replaced when it is flushed again or closes."""
+        called by :meth:`Network.send` before it reserves for a packet at
+        or after :attr:`fold_at`, so sampling never schedules anything.
+        The first call takes each link's busy total at
+        :attr:`links_sampled_to`; a closed epoch moves it on.  ``force``
+        flushes the partial epoch too, moving no total; its point is
+        replaced when it is flushed again or closes."""
         now = self.sim.now
+        if self._link_busy is None:  # first contact
+            self._link_busy = {key: link.busy_within(self.links_sampled_to)
+                               for key, link in network.iter_links()}
         while self._next_epoch <= now:
             self._record_epoch(network, self.links_sampled_to,
-                               self._next_epoch)
+                               self._next_epoch, True)
             self.links_sampled_to = self._next_epoch
             self._next_epoch += self.epoch
         if force and now > self.links_sampled_to:
-            self._record_epoch(network, self.links_sampled_to, now)
+            self._record_epoch(network, self.links_sampled_to, now, False)
         self.fold_at = self._next_epoch
         if self.telemetry is not None:
             self.telemetry.advance(now)
@@ -380,11 +386,14 @@ class Observer:
         """Name a NoC node's role (the Perfetto process name)."""
         self.node_labels[node] = label
 
-    def _record_epoch(self, network: "Network", start: int, end: int) -> None:
+    def _record_epoch(self, network: "Network", start: int, end: int,
+                      closes: bool) -> None:
         busy_links, busiest = 0, 0.0
         for key, link in network.iter_links():
-            busy = link.packets and (link.busy_within(end)
-                                     - link.busy_within(start))
+            total = link.packets and link.busy_within(end)
+            busy = total - self._link_busy[key]
+            if closes:
+                self._link_busy[key] = total
             if busy:
                 fraction = busy / (end - start)
                 series = self.link_series.setdefault(key, [])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.dtu import Message, MessageHeader, RingBuffer
 from repro.dtu.message import HEADER_BYTES
+from tests.dtu.conftest import configure_channel
 
 
 def _msg(payload="x", label=0, length=8):
@@ -52,6 +53,46 @@ def test_unacked_slot_blocks_writer_even_after_fetch():
     ring.push(_msg("b"))
     ring.fetch()  # read "a" but do not ack
     assert ring.push(_msg("c")) is None
+
+
+def test_a_ring_of_read_unacked_messages_has_nothing_unread():
+    """Once every slot holds a message that was read but not acked, the
+    read position has wrapped onto slot 0 again: it is held, not unread."""
+    ring = RingBuffer(slot_size=64, slot_count=4)
+    for i in range(4):
+        ring.push(_msg(payload=i))
+    assert [ring.fetch()[1].payload for _ in range(4)] == [0, 1, 2, 3]
+    assert ring.fetch() is None
+    assert ring.occupied == 4
+
+
+def test_a_message_pushed_into_an_acked_slot_is_the_next_read():
+    ring = RingBuffer(slot_size=64, slot_count=4)
+    for i in range(4):
+        ring.push(_msg(payload=i))
+    for _ in range(4):
+        ring.fetch()
+    ring.ack(0)
+    assert ring.push(_msg(payload="new")) == 0
+    slot, message = ring.fetch()
+    assert (slot, message.payload) == (0, "new")
+    assert ring.fetch() is None
+
+
+def test_fetch_message_hands_a_read_message_out_once(platform):
+    sender, receiver = platform.pe(0).dtu, platform.pe(1).dtu
+    configure_channel(sender, receiver, credits=5, slot_count=4)
+    for i in range(4):
+        sender.send(0, i, 8)
+    platform.sim.run()
+    assert [receiver.fetch_message(1)[1].payload for _ in range(4)] == [0, 1, 2, 3]
+    assert receiver.fetch_message(1) is None
+    receiver.ack_message(1, 0)
+    sender.send(0, "new", 8)
+    platform.sim.run()
+    slot, message = receiver.fetch_message(1)
+    assert (slot, message.payload) == (0, "new")
+    assert receiver.fetch_message(1) is None
 
 
 def test_oversized_message_rejected():

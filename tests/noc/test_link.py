@@ -5,6 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.noc import Link
+from repro.noc.link import reserve_path
+
+
+def _reserve(link, earliest, nbytes):
+    """One packet's ``(start, end)`` on one link, reserved as
+    ``Network.send`` reserves a path (the head is at ``earliest``)."""
+    duration = link.serialization_cycles(nbytes)
+    end = reserve_path((link,), earliest, 0, duration)
+    return end - duration, end
 
 
 def test_serialization_time():
@@ -16,15 +25,15 @@ def test_serialization_time():
 
 def test_reservations_queue_fifo():
     link = Link(0, 1, bytes_per_cycle=8)
-    first = link.reserve(0, 80)  # 10 cycles
-    second = link.reserve(0, 80)
+    first = _reserve(link, 0, 80)  # 10 cycles
+    second = _reserve(link, 0, 80)
     assert first == (0, 10)
     assert second == (10, 20)
 
 
 def test_reservation_respects_earliest():
     link = Link(0, 1, bytes_per_cycle=8)
-    start, end = link.reserve(100, 8)
+    start, end = _reserve(link, 100, 8)
     assert start == 100 and end == 101
 
 
@@ -32,14 +41,14 @@ def test_idle_gap_not_reclaimed():
     # FIFO model: a late request cannot be scheduled before next_free even
     # if the link was idle earlier.
     link = Link(0, 1, bytes_per_cycle=8)
-    link.reserve(50, 8)
-    start, _ = link.reserve(0, 8)
+    _reserve(link, 50, 8)
+    start, _ = _reserve(link, 0, 8)
     assert start == 51
 
 
 def test_utilization():
     link = Link(0, 1, bytes_per_cycle=8)
-    link.reserve(0, 80)  # busy 10 cycles
+    _reserve(link, 0, 80)  # busy 10 cycles
     assert link.utilization(20) == pytest.approx(0.5)
     assert link.utilization(0) == 0.0
 
@@ -64,7 +73,7 @@ def test_invalid_bandwidth_and_size():
 )
 def test_reservations_never_overlap(requests):
     link = Link(0, 1, bytes_per_cycle=8)
-    windows = [link.reserve(earliest, nbytes) for earliest, nbytes in requests]
+    windows = [_reserve(link, earliest, nbytes) for earliest, nbytes in requests]
     for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
         assert e1 <= s2, "link occupied by two packets at once"
         assert s1 < e1 and s2 < e2
@@ -74,7 +83,7 @@ def test_reservations_never_overlap(requests):
 
 def test_utilization_is_exact_within_elapsed_window():
     link = Link(0, 1, bytes_per_cycle=8)
-    link.reserve(100, 80)  # busy [100, 110)
+    _reserve(link, 100, 80)  # busy [100, 110)
     # The whole reservation lies in the future of cycle 50: no busy time
     # may be counted (the old implementation counted it all, then clamped).
     assert link.utilization(50) == 0.0
@@ -90,7 +99,7 @@ def test_utilization_is_exact_within_elapsed_window():
 def test_utilization_never_exceeds_one():
     link = Link(0, 1, bytes_per_cycle=8)
     for _ in range(10):
-        link.reserve(0, 80)  # back-to-back [0, 100)
+        _reserve(link, 0, 80)  # back-to-back [0, 100)
     for elapsed in (1, 5, 50, 99, 100, 1000):
         assert 0.0 < link.utilization(elapsed) <= 1.0
     assert link.utilization(50) == pytest.approx(1.0)
@@ -98,9 +107,9 @@ def test_utilization_never_exceeds_one():
 
 def test_busy_within_merges_contiguous_windows():
     link = Link(0, 1, bytes_per_cycle=8)
-    link.reserve(0, 40)    # [0, 5)
-    link.reserve(0, 40)    # [5, 10) - contiguous, merged internally
-    link.reserve(20, 40)   # [20, 25) - a gap before it
+    _reserve(link, 0, 40)    # [0, 5)
+    _reserve(link, 0, 40)    # [5, 10) - contiguous, merged internally
+    _reserve(link, 20, 40)   # [20, 25) - a gap before it
     assert link.busy_within(10) == 10
     assert link.busy_within(15) == 10
     assert link.busy_within(22) == 12

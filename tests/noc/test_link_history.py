@@ -1,12 +1,13 @@
-"""Links keep the live tail of their occupancy history, not all of it.
+"""Links keep only what is still in flight, not their whole history.
 
 ``reserve_path`` keeps the window a new one succeeds only while it ends
-after the reader floor it is given (``Network.send`` passes ``sim.now``,
-or an installed observer's ``links_sampled_to``); ``Link.reserve`` gives
-a floor below every cycle and forgets nothing.  Two things must hold:
-whatever a link answers at or after the floor is exactly what a
-never-forgetting twin answers, and what the links retain follows the
-floor instead of growing with the packets simulated.
+after the packet's own head cycle, with or without an observer: every
+reader asks at or after the cycle of every reservation already made
+(an observer folds its ended epochs before a packet reserves).  Two
+things must hold: whatever a link answers at or after the last head is
+exactly what a never-forgetting twin (``FullLink``) answers, and what
+the links retain follows the traffic in flight instead of growing with
+the packets simulated.
 """
 
 import random
@@ -19,16 +20,17 @@ from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
 from repro.noc.link import reserve_path
 from repro.obs import Observer
 from repro.sim import Simulator
-from tests.noc.test_path_reservation import BANDWIDTH, HOP, Oracle
+from tests.noc.test_path_reservation import BANDWIDTH, HOP, FullLink, Oracle
 
 # -- one link ------------------------------------------------------------------
 
-#: ("reserve", earliest, bytes) | ("floor", raise it by) | ("probe", t)
+#: ("advance", cycles the head moves on) | ("reserve", cycles the packet
+#: stalled upstream, bytes) | ("probe", t)
 steps = st.lists(
     st.one_of(
-        st.tuples(st.just("reserve"), st.integers(min_value=0, max_value=400),
+        st.tuples(st.just("advance"), st.integers(min_value=0, max_value=100)),
+        st.tuples(st.just("reserve"), st.integers(min_value=0, max_value=200),
                   st.integers(min_value=0, max_value=300)),
-        st.tuples(st.just("floor"), st.integers(min_value=0, max_value=100)),
         st.tuples(st.just("probe"), st.integers(min_value=-3, max_value=700)),
     ),
     min_size=1, max_size=60,
@@ -38,23 +40,23 @@ steps = st.lists(
 @settings(deadline=None, max_examples=300)
 @given(steps)
 def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
-    folded, twin = Link(0, 1, BANDWIDTH), Link(0, 1, BANDWIDTH)
-    floor = 0
+    folded, twin = Link(0, 1, BANDWIDTH), FullLink()
+    head = 0
     for step in steps:
         if step[0] == "reserve":
-            earliest, nbytes = step[1:]
+            stall, nbytes = step[1:]
             duration = folded.serialization_cycles(nbytes)
-            end = reserve_path((folded,), earliest, 0, duration, floor)
-            assert (end - duration, end) == twin.reserve(earliest, nbytes)
-        elif step[0] == "floor":
-            floor += step[1]
+            end = reserve_path((folded,), head, stall, duration)
+            assert (end - duration, end) == twin.reserve(head + stall, nbytes)
+        elif step[0] == "advance":
+            head += step[1]
         else:
             t = step[1]
-            if t >= floor:
+            if t >= head:
                 assert folded.busy_within(t) == twin.busy_within(t)
                 assert folded.utilization(t) == twin.utilization(t)
                 continue
-            try:  # below the floor: loud or right, never wrong
+            try:  # below the last head: loud or right, never wrong
                 answer = folded.busy_within(t)
             except ValueError:
                 assert folded.windows_retained < twin.windows_retained
@@ -67,11 +69,12 @@ def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
 
 
 def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
+    """The floor is each packet's head: what ended by then goes."""
     link = Link(0, 1, bytes_per_cycle=8)
     for start in (10, 30, 50, 70):
-        # 5 cycles each, four separate windows, the floor at each start
-        # (as a send at ``sim.now`` gives): each ends before the next.
-        reserve_path((link,), start, 0, 5, start)
+        # 5 cycles each, four separate windows, each packet's head at
+        # its start: each window ends before the next head.
+        reserve_path((link,), start, 0, 5)
     assert link.windows_retained == 1  # [70, 75) only
     assert link.busy_cycles == 20 and link.next_free == 75
     assert link.busy_within(55) == 15
@@ -81,7 +84,8 @@ def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
         with pytest.raises(ValueError, match="forgotten"):
             link.busy_within(forgotten)
     assert link.busy_within(0) == 0  # nothing to know about no time at all
-    reserve_path((link,), 90, 0, 5, 72)  # [70, 75) ends after the floor
+    # A head at 72 that stalled 18 cycles upstream: [70, 75) ends after it.
+    reserve_path((link,), 72, 18, 5)
     assert link.windows_retained == 2
     assert link.busy_within(73) == 18
     assert link.busy_within(80) == 20
@@ -89,10 +93,10 @@ def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
 
 def test_the_newest_window_is_never_forgotten():
     """It may still grow: a packet queueing behind it extends it in
-    place, and ``[floor, its new end)`` must stay answerable."""
+    place, and ``[head, its new end)`` must stay answerable."""
     link = Link(0, 1, bytes_per_cycle=8)
-    reserve_path((link,), 10, 0, 10, 0)  # [10, 20)
-    reserve_path((link,), 20, 0, 10, 20)  # back to back: now [10, 30)
+    reserve_path((link,), 0, 10, 10)  # head at 0, reaches the link at 10: [10, 20)
+    reserve_path((link,), 20, 0, 10)  # back to back: now [10, 30)
     assert link.windows_retained == 1
     assert link.busy_within(25) == 15
     assert link.busy_within(20) == 10
@@ -153,9 +157,8 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
         retained[packets] = _retained(net)
         unfolded = sum(l.windows_retained for l in oracle.links.values())
         # A link keeps its newest window and those that had not ended
-        # at the floor when the next one opened: the packets still in
-        # flight then (for an observed one, also the epoch still open,
-        # a few dozen packets here).
+        # when the next packet's head reached the network: the packets
+        # still in flight then.
         assert retained[packets] <= 2 * LINKS
         assert retained[packets] < unfolded / 50
         for key, link in net.iter_links():
@@ -168,21 +171,34 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
             assert sampled_to == sim.now // EPOCH * EPOCH
             assert obs.link_series == _expected_series(
                 oracle, range(0, sampled_to + 1, EPOCH))
+            # Observing keeps no history of its own on the links.
+            bare_sim, bare, bare_oracle = _bare_network()
+            _drive(bare_sim, bare, bare_oracle, packets,
+                   random.Random(packets))
+            assert _retained(bare) == retained[packets]
     # Twice the packets, the same order of history: what is retained
     # depends on the traffic in flight when a run stops, not on its
     # length.
     assert retained[10_000] < 1.5 * retained[5_000]
 
 
-def test_an_observer_installed_mid_run_samples_from_there_on():
+def _install_mid_epoch(seed):
+    """A network after 2,000 random sends and an observer installed
+    137 cycles later, mid-epoch."""
     sim, net, oracle = _bare_network()
-    rng = random.Random(11)
-    _drive(sim, net, oracle, 2_000, rng)  # floor = each send's now
+    rng = random.Random(seed)
+    _drive(sim, net, oracle, 2_000, rng)  # each send forgets behind its head
     sim.run(until=sim.now + 137)
     installed_at = sim.now
     assert installed_at % EPOCH  # mid-epoch, or the case is not the hard one
     obs = Observer.install(sim, epoch=EPOCH)
     assert obs.links_sampled_to == installed_at
+    return sim, net, oracle, rng, obs
+
+
+def test_an_observer_installed_mid_run_samples_from_there_on():
+    sim, net, oracle, rng, obs = _install_mid_epoch(11)
+    installed_at = sim.now
     _drive(sim, net, oracle, 2_000, rng)  # must not ask below the floor
     obs.sample_links(net, force=True)
     first_boundary = (installed_at // EPOCH + 1) * EPOCH
@@ -194,3 +210,22 @@ def test_an_observer_installed_mid_run_samples_from_there_on():
     assert obs.link_series == _expected_series(oracle, boundaries)
     assert min(end for series in obs.link_series.values()
                for end, _fraction in series) == first_boundary
+
+
+def test_a_flush_before_any_packet_is_the_observers_first_contact():
+    """The busy totals are taken at the first flush, not at the first
+    packet: the links still answer for the cycle the observer arrived,
+    and a flushed partial epoch never moves the totals."""
+    sim, net, oracle, rng, obs = _install_mid_epoch(12)
+    installed_at = sim.now
+    sim.run(until=installed_at + 50)  # windows still in flight run on
+    obs.sample_links(net, force=True)
+    flushed = _expected_series(oracle, [installed_at, sim.now])
+    assert flushed and obs.link_series == flushed
+    _drive(sim, net, oracle, 2_000, rng)
+    obs.sample_links(net, force=True)
+    first_boundary = (installed_at // EPOCH + 1) * EPOCH
+    boundaries = [installed_at,
+                  *range(first_boundary, obs.links_sampled_to + 1, EPOCH),
+                  sim.now]
+    assert obs.link_series == _expected_series(oracle, boundaries)

@@ -2,12 +2,12 @@
 
 ``Network.send`` reserves a packet's whole path in one loop
 over cached ``Link`` objects.  The oracle below is the model as it is
-documented — walk the router's ``links_on_path``, reserve each link
-through the one-link ``Link.reserve``, let downstream hops stall behind
-the granted start — on a second, independent set of links that forgets
-nothing.  Both must agree on every completion cycle and on everything a
-link reports at or after the floor the network gave its links (with no
-observer, the cycle of the last send).
+documented — walk the router's ``links_on_path``, reserve each hop on a
+:class:`FullLink`, let downstream hops stall behind the granted start —
+on a second, independent set of links that forgets nothing.  Both must
+agree on every completion cycle and on everything a link reports at or
+after the cycle of the last send, behind which the network's links
+forget.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
+from repro.noc.link import reserve_path
 from repro.noc.network import PACKET_HEADER_BYTES
 from repro.sim import Simulator
 
@@ -22,16 +23,59 @@ WIDTH, HEIGHT, HOP, BANDWIDTH = 3, 3, 3, 8
 NODES = WIDTH * HEIGHT
 
 
+class FullLink:
+    """One link as documented, with its whole history: reservations
+    granted in request order, contiguous windows merged, nothing
+    forgotten — the reference a ``Link`` is compared against."""
+
+    def __init__(self, bytes_per_cycle=BANDWIDTH):
+        self.bytes_per_cycle = bytes_per_cycle
+        #: merged ``[start, end)`` windows, oldest first; an empty one
+        #: at cycle 0 opens the record, as it opens a ``Link``'s.
+        self.windows = [[0, 0]]
+        self.packets = 0
+
+    @property
+    def next_free(self):
+        return self.windows[-1][1]
+
+    @property
+    def busy_cycles(self):
+        return sum(end - start for start, end in self.windows)
+
+    @property
+    def windows_retained(self):
+        return len(self.windows)
+
+    def reserve(self, earliest, nbytes):
+        """``(start, end)`` of ``nbytes`` granted no earlier than ``earliest``."""
+        start = max(earliest, self.next_free)
+        end = start + (-(-nbytes // self.bytes_per_cycle) or 1)
+        if start == self.next_free:
+            self.windows[-1][1] = end
+        else:
+            self.windows.append([start, end])
+        self.packets += 1
+        return start, end
+
+    def busy_within(self, elapsed):
+        return sum(max(0, min(end, elapsed) - start)
+                   for start, end in self.windows)
+
+    def utilization(self, elapsed):
+        return self.busy_within(elapsed) / elapsed if elapsed > 0 else 0.0
+
+
 class Oracle:
     """Hop-by-hop reservation on private links, one ``reserve`` a hop."""
 
     def __init__(self, router):
         self.router = router
-        self.links: dict[tuple[int, int], Link] = {}
+        self.links: dict[tuple[int, int], FullLink] = {}
 
     def link(self, hop):
         if hop not in self.links:
-            self.links[hop] = Link(*hop, BANDWIDTH)
+            self.links[hop] = FullLink()
         return self.links[hop]
 
     def delivery_time(self, now, source, destination, size):
@@ -99,24 +143,36 @@ def test_a_probe_below_the_floor_raises():
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=300),
+                          st.integers(min_value=0, max_value=40),
                           st.integers(min_value=0, max_value=900)),
                 min_size=1, max_size=40),
        st.lists(st.integers(min_value=-3, max_value=2000), max_size=12))
 def test_window_record_matches_a_cycle_by_cycle_count(requests, probes):
     """``busy_within``/``busy_cycles``/``next_free`` read off the merged
-    (end, idle-before) record equal a brute-force set of busy cycles."""
+    (end, idle-before) record equal a brute-force set of busy cycles at
+    or after the latest head; below it a probe is loud or right."""
     link = Link(0, 1, BANDWIDTH)
     busy = set()
-    for earliest, nbytes in requests:
-        start, end = link.reserve(earliest, nbytes)
-        assert start >= earliest and end - start == link.serialization_cycles(nbytes)
+    for head, stall, nbytes in requests:
+        duration = link.serialization_cycles(nbytes)
+        end = reserve_path((link,), head, stall, duration)
+        start = end - duration
+        assert start >= head + stall
         assert not busy & set(range(start, end))
         busy.update(range(start, end))
+    floor = max(head for head, _stall, _nbytes in requests)
     assert link.packets == len(requests)
     assert link.busy_cycles == len(busy)
     assert link.next_free == max(busy) + 1
-    for t in (*probes, link.next_free):
-        assert link.busy_within(t) == sum(1 for cycle in busy if cycle < t)
+    for t in (*probes, floor, link.next_free):
+        expected = sum(1 for cycle in busy if cycle < t)
+        if t >= floor:
+            assert link.busy_within(t) == expected
+            continue
+        try:
+            assert link.busy_within(t) == expected
+        except ValueError as error:
+            assert "forgotten" in str(error)
 
 
 def test_paths_are_cached_tuples_of_the_networks_own_links():
