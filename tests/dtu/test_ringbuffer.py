@@ -149,7 +149,7 @@ def test_ringbuffer_behaves_like_bounded_fifo(operations, slots):
     assert ring.occupied == len(reference)
 
 
-def _reliable(seq, payload="x"):
+def _reliable_message(seq, payload="x"):
     return Message(MessageHeader(label=0, length=8, seq=seq), payload)
 
 
@@ -160,18 +160,18 @@ def test_retransmit_after_full_ring_drop_is_delivered():
     from repro.dtu.ringbuffer import DUPLICATE
 
     ring = RingBuffer(slot_size=64, slot_count=2)
-    assert ring.push(_reliable(0), source=7) is not None
-    assert ring.push(_reliable(1), source=7) is not None
-    assert ring.push(_reliable(2), source=7) is None  # full: dropped
+    assert ring.push(_reliable_message(0), source=7) is not None
+    assert ring.push(_reliable_message(1), source=7) is not None
+    assert ring.push(_reliable_message(2), source=7) is None  # full: dropped
     assert ring.dropped == 1
 
     slot, _ = ring.fetch()
     ring.ack(slot)
     # The sender retransmits seq 2 after the ack was never seen.
-    assert ring.push(_reliable(2), source=7) not in (None, DUPLICATE)
+    assert ring.push(_reliable_message(2), source=7) not in (None, DUPLICATE)
     assert ring.duplicates == 0
     # A retransmit of the now-accepted message IS suppressed.
-    assert ring.push(_reliable(2), source=7) is DUPLICATE
+    assert ring.push(_reliable_message(2), source=7) is DUPLICATE
     assert ring.duplicates == 1
 
 
@@ -184,15 +184,15 @@ def test_occupied_counter_matches_slot_scan():
         return sum(slot is not None for slot in ring._slots)
 
     for seq in range(4):
-        ring.push(_reliable(seq), source=1)
+        ring.push(_reliable_message(seq), source=1)
         assert ring.occupied == scan()
-    ring.push(_reliable(4), source=1)  # dropped: full
+    ring.push(_reliable_message(4), source=1)  # dropped: full
     assert ring.occupied == scan() == 4
     for _ in range(2):
         slot, _ = ring.fetch()
         ring.ack(slot)
         assert ring.occupied == scan()
-    ring.push(_reliable(1), source=1)  # duplicate: suppressed
+    ring.push(_reliable_message(1), source=1)  # duplicate: suppressed
     assert ring.occupied == scan() == 2
-    ring.push(_reliable(5), source=1)  # wraps into a freed slot
+    ring.push(_reliable_message(5), source=1)  # wraps into a freed slot
     assert ring.occupied == scan() == 3

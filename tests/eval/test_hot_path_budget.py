@@ -93,7 +93,7 @@ M3FS_PEAK_BYTES_BUDGET = 589_000
 #: them — per span held (9,249).  Measured 81.2 (751,042 B, 832 kinds;
 #: a row is 36 B); 111.1 (1,027,210 B) while a span was three references
 #: plus six ``int64``s and its args a mapping of its own or drawn from
-#: ``shared_args``.  Repeats exactly and only goes down.
+#: one table of shared args.  Repeats exactly and only goes down.
 OBSERVED_SPAN_BYTES_BUDGET = 81.3
 
 
