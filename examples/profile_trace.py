@@ -6,14 +6,15 @@ Passing ``observe=True`` to :class:`M3System` installs an Observer on
 the simulator; every layer (NoC, DTU, kernel, m3fs) then records spans,
 counters, and log2-bucket latency histograms as it works.  This example
 runs the profile microbenchmark (null syscalls + a buffered file read),
-prints the report, and shows how to export the span timeline as a
-Chrome trace-event file that loads in Perfetto or chrome://tracing.
+prints the report, and exports the span timeline as a Chrome
+trace-event file that loads in Perfetto or chrome://tracing.
 """
 
-import json
+import os
+import tempfile
 
 from repro.eval import profile
-from repro.obs import to_chrome_trace
+from repro.obs import export_chrome_trace
 
 
 def main():
@@ -21,14 +22,14 @@ def main():
     print(profile.render(system))
     print()
 
-    trace = to_chrome_trace(system.sim.obs)
-    events = trace["traceEvents"]
-    spans = sum(1 for e in events if e["ph"] == "X")
-    instants = sum(1 for e in events if e["ph"] == "i")
-    print(f"Chrome trace: {spans} spans, {instants} instants, "
-          f"{len(json.dumps(trace)):,} bytes of JSON")
-    print("write it with: "
-          "repro.obs.export_chrome_trace(system.sim.obs, 'run.trace.json')")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.trace.json")
+        trace = export_chrome_trace(system.sim.obs, path)
+        events = trace["traceEvents"]
+        spans = sum(1 for e in events if e["ph"] == "X")
+        instants = sum(1 for e in events if e["ph"] == "i")
+        print(f"Chrome trace: {spans} spans, {instants} instants, "
+              f"{os.path.getsize(path):,} bytes written to run.trace.json")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class RingBuffer:
         #: messages pushed and not fetched yet: the read position may
         #: wrap onto a slot that is read but still held (not acked).
         self._unread = 0
-        self.delivered = 0
         self.dropped = 0
         #: reliable delivery: recently accepted (source, seq) pairs, so a
         #: retransmit whose ack was lost is re-acked but not re-delivered.
@@ -81,7 +80,6 @@ class RingBuffer:
         self._write_pos = (slot + 1) % self.slot_count
         self._occupied += 1
         self._unread += 1
-        self.delivered += 1
         if seq >= 0:
             # Record only accepted messages: a retransmit of a message
             # dropped here (ring full) must still be deliverable.

@@ -8,14 +8,13 @@ Tomahawk configuration of Section 4.1.
 
 from repro.hw.spm import Scratchpad
 from repro.hw.dram import DramModule
-from repro.hw.core import Core, CoreType, CORE_TYPES
+from repro.hw.core import CoreType, CORE_TYPES
 from repro.hw.pe import ProcessingElement
 from repro.hw.platform import Platform, PlatformConfig
 
 __all__ = [
     "Scratchpad",
     "DramModule",
-    "Core",
     "CoreType",
     "CORE_TYPES",
     "ProcessingElement",

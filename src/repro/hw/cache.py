@@ -44,8 +44,6 @@ class Cache:
         self.backend_read = backend_read
         self._sets: list[list[CacheLine]] = [[] for _ in range(SET_COUNT)]
         self._clock = 0
-        self.hits = 0
-        self.misses = 0
 
     def _locate(self, address: int) -> tuple[int, int, int]:
         line_number = address // LINE_BYTES
@@ -63,12 +61,10 @@ class Cache:
         self._clock += 1
         for line in bucket:
             if line.tag == tag:
-                self.hits += 1
                 line.last_use = self._clock
                 yield self.sim.delay(HIT_CYCLES)
                 return line
         # miss: fetch through the DTU
-        self.misses += 1
         data = yield from self.backend_read(base, LINE_BYTES)
         line = CacheLine(tag, bytes(data))
         line.last_use = self._clock

@@ -27,10 +27,6 @@ class CoreType:
     op_cycles_per_byte: dict = dataclasses.field(default_factory=dict)
     general_purpose: bool = True
 
-    def supports(self, operation: str) -> bool:
-        """Whether this core can execute ``operation`` at all."""
-        return self.general_purpose or operation in self.op_cycles_per_byte
-
     def cycles_for(self, operation: str, nbytes: int) -> int:
         """Cycle cost of running ``operation`` over ``nbytes`` here."""
         if operation in self.op_cycles_per_byte:
@@ -78,19 +74,3 @@ CORE_TYPES: dict[str, CoreType] = {
     core.name: core for core in (XTENSA, FFT_ACCEL, FFT_ASIC)
 }
 
-
-class Core:
-    """An instance of a :class:`CoreType` inside one PE."""
-
-    def __init__(self, core_type: CoreType):
-        self.type = core_type
-        self.busy_cycles = 0
-
-    def cycles_for(self, operation: str, nbytes: int) -> int:
-        """Cost of ``operation`` on this core; also accumulates busy time."""
-        cycles = self.type.cycles_for(operation, nbytes)
-        self.busy_cycles += cycles
-        return cycles
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Core {self.type.name}>"

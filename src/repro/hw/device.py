@@ -60,7 +60,6 @@ class Wire:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._ends: list["NetworkDevice"] = []
-        self.frames_carried = 0
 
     def connect(self, a: "NetworkDevice", b: "NetworkDevice") -> None:
         self._ends = [a, b]
@@ -72,7 +71,6 @@ class Wire:
             raise RuntimeError("wire is not connected at both ends")
         peer = self._ends[1] if self._ends[0] is sender else self._ends[0]
         duration = WIRE_LATENCY_CYCLES + max(1, len(frame))
-        self.frames_carried += 1
         self.sim.schedule(duration, lambda _: peer.receive_frame(frame))
 
 
@@ -93,11 +91,8 @@ class NetworkDevice:
         self.node = node
         self.buffer = Scratchpad(BUFFER_BYTES, name=f"{name}.buf")
         self.dtu = DTU(sim, network, node, self.buffer)
-        self.interrupts_sent = 0
         self.wire: Wire | None = None
         self._rx_next = 0
-        self.frames_sent = 0
-        self.frames_received = 0
         self._pump = None
 
     def raise_interrupt(self, payload: object = ()) -> None:
@@ -109,7 +104,6 @@ class NetworkDevice:
         """
         try:
             self.dtu.send(IRQ_SEND_EP, ("irq", self.name, payload), IRQ_BYTES)
-            self.interrupts_sent += 1
         except DtuError:
             pass  # masked: no target or out of credits
 
@@ -137,7 +131,6 @@ class NetworkDevice:
                 self.raise_interrupt(("error", op))
                 continue
             frame = yield from self.dtu.read_memory(DMA_MEM_EP, offset, length)
-            self.frames_sent += 1
             self.wire.transmit(self, bytes(frame))
             # The frame left the buffer: the driver may reuse the slot.
             self.raise_interrupt(("txdone", offset))
@@ -153,7 +146,6 @@ class NetworkDevice:
 
         def dma():
             yield from self.dtu.write_memory(DMA_MEM_EP, offset, frame)
-            self.frames_received += 1
             self.raise_interrupt(("rx", offset, len(frame)))
 
         self.sim.process(dma(), f"{self.name}.rx")

@@ -45,8 +45,6 @@ class DramModule:
         self.node = node
         self.memory = Scratchpad(size, name="dram")
         self.access_cycles = params.DRAM_ACCESS_CYCLES
-        self.reads = 0
-        self.writes = 0
         network.attach(node, self.handle_packet)
 
     def handle_packet(self, packet: Packet) -> None:
@@ -57,14 +55,12 @@ class DramModule:
             return
         if packet.kind == "mem_read":
             transfer_id, address, length = packet.payload
-            self.reads += 1
             data = self.memory.read(address, length)
             self.sim.schedule(
                 self.access_cycles, self._respond, (packet.source, transfer_id, data)
             )
         elif packet.kind == "mem_write":
             transfer_id, address, data = packet.payload
-            self.writes += 1
             self.memory.write(address, data)
             self.sim.schedule(
                 self.access_cycles, self._respond, (packet.source, transfer_id, b"")

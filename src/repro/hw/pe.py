@@ -6,7 +6,7 @@ import typing
 
 from repro import params
 from repro.dtu.dtu import DTU
-from repro.hw.core import Core, CoreType
+from repro.hw.core import CoreType
 from repro.hw.spm import Scratchpad
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,8 +28,7 @@ class ProcessingElement:
     ):
         self.sim = sim
         self.node = node
-        self.core = Core(core_type)
-        self.spm_code = Scratchpad(params.SPM_CODE_BYTES, name=f"pe{node}.code")
+        self.core = core_type
         self.spm_data = Scratchpad(params.SPM_DATA_BYTES, name=f"pe{node}.data")
         self.dtu = DTU(sim, network, node, self.spm_data, ep_count=ep_count)
         # The DTU can report the core's halted bit (the kernel watchdog's
@@ -120,9 +119,5 @@ class ProcessingElement:
         """An event representing ``cycles`` of application computation."""
         return self.sim.delay(cycles, tag="app")
 
-    def compute_op(self, operation: str, nbytes: int):
-        """Application computation priced by this PE's core type."""
-        return self.compute(self.core.cycles_for(operation, nbytes))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PE node={self.node} core={self.core.type.name}>"
+        return f"<PE node={self.node} core={self.core.name}>"

@@ -93,7 +93,7 @@ class Platform:
                 continue
             if nodes is not None and pe.node not in nodes:
                 continue
-            if core_type is not None and pe.core.type.name != core_type:
+            if core_type is not None and pe.core.name != core_type:
                 continue
             return pe
         return None

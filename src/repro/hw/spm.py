@@ -120,19 +120,6 @@ class Scratchpad:
         starts[first:last] = placed_starts
         extents[first:last] = placed
 
-    def zero(self, address: int, length: int) -> None:
-        """Clear a region to zero bytes (it becomes unwritten again)."""
-        if length > 0:
-            # bytes(n) is calloc'd: the placeholder touches no pages
-            self.write(address, bytes(length))
-            index = bisect_left(self._extent_starts, address)
-            del self._extent_starts[index], self._extent_bytes[index]
-        elif length < 0 or address < 0 or address > self.size:
-            raise ValueError(
-                f"{self.name}: cannot zero [{address}, {address + length}) "
-                f"of [0, {self.size})"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Scratchpad {self.name!r} {self.size}B "

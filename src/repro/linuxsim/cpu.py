@@ -29,7 +29,6 @@ class Cpu:
         self._owner: object = None
         self._last_owner: object = None
         self._waiters: collections.deque = collections.deque()
-        self.context_switches = 0
 
     def acquire(self, who: object):
         """Generator: take the CPU (queueing behind the current owner)."""
@@ -45,7 +44,6 @@ class Cpu:
 
     def _switch_to(self, who: object):
         if self._last_owner is not None and self._last_owner is not who:
-            self.context_switches += 1
             yield self.sim.delay(self.switch_cycles, tag=Tag.OS)
         self._owner = who
         self._last_owner = who
@@ -63,7 +61,3 @@ class Cpu:
                 ticket.succeed()
 
             self.sim.process(handoff(), "cpu.handoff")
-
-    @property
-    def owner(self) -> object:
-        return self._owner

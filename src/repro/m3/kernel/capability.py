@@ -126,9 +126,6 @@ class CapTable:
         """A snapshot of the installed capabilities (revoke-safe copy)."""
         return list(self._caps.values())
 
-    def __len__(self) -> int:
-        return len(self._caps)
-
 
 def revoke(cap: Capability) -> list[Capability]:
     """Recursively revoke ``cap``: remove the derivation subtree from all

@@ -25,7 +25,7 @@ class VpeCheckpoint:
     name: str
     #: the node the VPE ran on when the snapshot was taken.
     node: int
-    #: full data-SPM image (the code SPM is re-loaded from the entry).
+    #: full data-SPM image.
     spm_image: bytes
     #: the PE's bump-allocator position, so live restore keeps buffer
     #: addresses stable.
@@ -36,14 +36,10 @@ class VpeCheckpoint:
     eps: tuple
     taken_at: int
 
-    @property
-    def spm_bytes(self) -> int:
-        return len(self.spm_image)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VpeCheckpoint vpe={self.vpe_id} node={self.node} "
-            f"{self.spm_bytes}B spm, {len(self.eps)} eps @ {self.taken_at}>"
+            f"{len(self.spm_image)}B spm, {len(self.eps)} eps @ {self.taken_at}>"
         )
 
 

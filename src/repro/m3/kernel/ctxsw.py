@@ -93,7 +93,7 @@ class ContextSwitcher:
             for pe in self.kernel.platform.pes
             if pe.node != self.kernel.node
             and pe.node not in service_nodes
-            and pe.core.type.general_purpose
+            and pe.core.general_purpose
             and pe.node in self.resident
         ]
         if not candidates:
@@ -114,7 +114,7 @@ class ContextSwitcher:
 
     def adopt(self, vpe: VpeObject) -> None:
         """Register a normally-created (resident) VPE with the switcher."""
-        if vpe.pe.core.type.general_purpose:
+        if vpe.pe.core.general_purpose:
             self.adopt_node(vpe.pe)
             self.resident[vpe.node] = vpe
 

@@ -65,11 +65,3 @@ class MemoryManager:
             else:
                 merged.append((start, length))
         self._free = merged
-
-    @property
-    def free_bytes(self) -> int:
-        return sum(length for _, length in self._free)
-
-    @property
-    def largest_hole(self) -> int:
-        return max((length for _, length in self._free), default=0)

@@ -80,7 +80,7 @@ class Migration:
         if self.sim.obs is not None:
             self.sim.obs.count("kernel.checkpoints")
             self.sim.obs.instant("checkpoint", "migrate", pe.node,
-                                 vpe=vpe.id, bytes=checkpoint.spm_bytes)
+                                 vpe=vpe.id, bytes=pe.spm_data.size)
         return checkpoint
 
     def restore_vpe(self, checkpoint, target_pe, vpe: VpeObject):

@@ -43,7 +43,6 @@ class EpMux:
         #: (``use_clock += 1; last_use[ep] = use_clock``).
         self.use_clock = 0
         self.last_use: dict[int, int] = {ep: 0 for ep in self.slots}
-        self.activations = 0
 
     def touch(self, ep_index: int) -> None:
         self.use_clock += 1
@@ -81,7 +80,6 @@ class EpMux:
         self.slots[victim_ep] = gate
         gate.ep = victim_ep
         self.touch(victim_ep)
-        self.activations += 1
         return victim_ep
 
 
@@ -172,10 +170,6 @@ class Env:
     def compute(self, cycles: int):
         """Application computation (the figures' "App" stack)."""
         return self.sim.delay(cycles, tag=Tag.APP)
-
-    def compute_op(self, operation: str, nbytes: int):
-        """Computation priced by this PE's core type (e.g. ``fft``)."""
-        return self.pe.compute_op(operation, nbytes)
 
     def os_work(self, cycles: int):
         """libm3/OS-path cycles (the figures' "OS" stack)."""

@@ -62,7 +62,6 @@ class File:
         #: re-extend the cache directly, keeping indexes aligned.
         self._maybe_more = True
         self._closed = False
-        self._dirty = False
 
     # -- extent management ------------------------------------------------------
 
@@ -173,7 +172,6 @@ class File:
             self.position += chunk
             written += chunk
             self.size = max(self.size, self.position)
-        self._dirty = True
         return written
 
     def seek(self, offset: int, whence: int = 0):

@@ -70,12 +70,8 @@ class KvServ(Server):
         #: the object store.  A plain dict: iteration order is
         #: insertion order, so reports stay deterministic.
         self.store: dict[str, bytes] = {}
-        self.gets = 0
-        self.puts = 0
         self.misses = 0
         self.bytes_stored = 0
-        self.sessions_opened = 0
-        self.sessions_closed = 0
 
     def _setup(self, env):
         if self.staged is not None:
@@ -84,10 +80,6 @@ class KvServ(Server):
             # live migration (env.pe/env.dtu are repointed under us).
             self.staged.succeed(self)
             yield self.hold
-
-    def _open_session(self, session_id: int) -> int:
-        self.sessions_opened += 1
-        return session_id
 
     def _value_copy(self, nbytes: int):
         """Generator: the server-side copy of a value payload."""
@@ -100,7 +92,6 @@ class KvServ(Server):
 
     def _op_get(self, session: int, key: str):
         """The value bytes, or None when the key is absent."""
-        self.gets += 1
         value = self.store.get(key)
         if value is None:
             self.misses += 1
@@ -120,13 +111,11 @@ class KvServ(Server):
             self.bytes_stored -= len(previous)
         self.store[key] = value
         self.bytes_stored += len(value)
-        self.puts += 1
         return len(value)
 
     def _op_close(self, session: int):
         """Reclaim the session (same contract as netserv's close)."""
         self.sessions.pop(session, None)
-        self.sessions_closed += 1
         return ()
         yield  # pragma: no cover
 

@@ -66,10 +66,6 @@ class Bitmap:
         self._bits[start : start + count] = bytes(count)
         self.used -= count
 
-    @property
-    def free(self) -> int:
-        return self.count - self.used
-
     def _check(self, index: int) -> None:
         if not (0 <= index < self.count):
             raise ValueError(f"index {index} outside bitmap of {self.count}")

@@ -33,23 +33,6 @@ class Extent:
         return Extent(self.start_block, block_count)
 
 
-def locate(extents: list[Extent], offset: int, block_size: int):
-    """Find the extent covering byte ``offset``.
-
-    Returns ``(index, offset_within_extent)``; raises IndexError when
-    the offset lies beyond the allocated extents.
-    """
-    if offset < 0:
-        raise ValueError(f"negative offset: {offset}")
-    position = 0
-    for index, extent in enumerate(extents):
-        size = extent.size_bytes(block_size)
-        if offset < position + size:
-            return index, offset - position
-        position += size
-    raise IndexError(f"offset {offset} beyond allocated {position} bytes")
-
-
 def total_bytes(extents: list[Extent], block_size: int) -> int:
     """Allocated capacity across all extents."""
     return sum(extent.size_bytes(block_size) for extent in extents)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro import params
 from repro.m3.services.m3fs.bitmap import Bitmap
-from repro.m3.services.m3fs.extents import Extent, locate, total_bytes
+from repro.m3.services.m3fs.extents import Extent, total_bytes
 from repro.m3.services.m3fs.inode import Inode
 from repro.m3.services.m3fs.superblock import SuperBlock
 
@@ -182,7 +182,3 @@ class M3FS:
             self.sb.block_offset(extent.start_block),
             extent.size_bytes(self.sb.block_size),
         )
-
-    def locate(self, inode: Inode, offset: int) -> tuple[int, int]:
-        """(extent index, offset inside it) for byte ``offset``."""
-        return locate(inode.extents, offset, self.sb.block_size)

@@ -117,11 +117,6 @@ class M3System:
 
         return Observer.install(self.sim, **kwargs)
 
-    @property
-    def obs(self):
-        """The installed observer, or None when observability is off."""
-        return self.sim.obs
-
     def enable_telemetry(self, **kwargs):
         """Attach the streaming telemetry plane (requires an observer).
 

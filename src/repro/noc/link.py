@@ -9,8 +9,9 @@ from array import array
 class Link:
     """One directed channel between adjacent routers.
 
-    A packet occupies the link for its serialisation time
-    (``ceil(bytes / bytes_per_cycle)``).  Reservations are granted in
+    A packet occupies the link for its serialisation time, which the
+    :class:`~repro.noc.network.Network` computes once for the whole
+    path (its links share one bandwidth).  Reservations are granted in
     request order: a link keeps the cycle at which it next becomes free
     and pushes later packets behind it, which models FIFO queueing
     contention without simulating individual flits.
@@ -22,8 +23,8 @@ class Link:
     :meth:`busy_within` computes the exact occupancy inside any
     ``[0, t)`` prefix — including windows that straddle or lie beyond
     ``t``, which a bare busy-cycle counter would overcount — and
-    ``next_free`` and ``busy_cycles`` are read off the newest window
-    instead of being written on every reservation.
+    ``busy_cycles`` is read off the newest window instead of being
+    written on every reservation.
 
     The record holds only what is still in flight, not the link's whole
     history: the newest window lives in three slots, and when the next
@@ -36,17 +37,14 @@ class Link:
     the packets it ever carried.
     """
 
-    __slots__ = ("source", "destination", "bytes_per_cycle", "packets",
+    __slots__ = ("source", "destination", "packets",
                  "_window_start", "_window_end", "_window_idle",
                  "_older_ends", "_older_starts", "_older_idles",
                  "_forgotten_to")
 
-    def __init__(self, source: int, destination: int, bytes_per_cycle: int):
-        if bytes_per_cycle < 1:
-            raise ValueError("link bandwidth must be at least 1 byte/cycle")
+    def __init__(self, source: int, destination: int):
         self.source = source
         self.destination = destination
-        self.bytes_per_cycle = bytes_per_cycle
         self.packets = 0
         #: the newest window: where it starts and ends, and the idle
         #: cycles before it.  An empty window at cycle 0 opens the record.
@@ -62,27 +60,9 @@ class Link:
         self._forgotten_to = 0
 
     @property
-    def next_free(self) -> int:
-        """The cycle from which the link is unreserved."""
-        return self._window_end
-
-    @property
     def busy_cycles(self) -> int:
         """Cycles reserved so far, whenever they lie."""
         return self._window_end - self._window_idle
-
-    @property
-    def windows_retained(self) -> int:
-        """How many merged windows the record currently holds."""
-        return len(self._older_ends) + 1
-
-    def serialization_cycles(self, nbytes: int) -> int:
-        """Cycles to push ``nbytes`` through this link."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        # Pure-integer ceiling division: float division plus math.ceil
-        # would round differently for very large byte counts.
-        return -(-nbytes // self.bytes_per_cycle) or 1
 
     def busy_within(self, elapsed: int) -> int:
         """Exact occupied cycles inside the window ``[0, elapsed)``.
@@ -121,7 +101,7 @@ class Link:
         return self.busy_within(elapsed) / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
+        return f"<Link {self.source}->{self.destination} free@{self._window_end}>"
 
 
 def reserve_path(links, head: int, hop_cycles: int, duration: int) -> int:

@@ -60,18 +60,20 @@ class Network:
     ):
         if hop_cycles < 0:
             raise ValueError("hop latency cannot be negative")
+        if bytes_per_cycle < 1:
+            raise ValueError("link bandwidth must be at least 1 byte/cycle")
         self.sim = sim
         self.topology = topology
         self.router = XYRouter(topology)
         self.hop_cycles = hop_cycles
         self.bytes_per_cycle = bytes_per_cycle
         self._links: dict[tuple[int, int], Link] = {
-            (a, b): Link(a, b, bytes_per_cycle) for a, b in topology.links()
+            (a, b): Link(a, b) for a, b in topology.links()
         }
         # Every node also gets a real loopback link, so same-node
         # transfers queue, count, and report like any other traffic.
         for node in range(topology.node_count):
-            self._links[(node, node)] = Link(node, node, bytes_per_cycle)
+            self._links[(node, node)] = Link(node, node)
         #: ``paths[source, destination]``: the links a packet occupies,
         #: in order (a same-node transfer crosses the loopback link).
         self.paths = _PathTable(self.router, self._links)

@@ -32,10 +32,6 @@ class XYRouter:
             path.append(topo.node_at(x, y))
         return path
 
-    def hops(self, source: int, destination: int) -> int:
-        """Number of links traversed (0 for self-sends)."""
-        return self.topology.distance(source, destination)
-
     def links_on_path(self, source: int, destination: int) -> list[tuple[int, int]]:
         """The directed links a packet occupies, in order (none for a
         self-send).  A pure function of the immutable topology; the

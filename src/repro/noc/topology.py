@@ -54,12 +54,6 @@ class MeshTopology:
             for neighbor in self.neighbors(node)
         ]
 
-    def distance(self, a: int, b: int) -> int:
-        """Manhattan distance (the minimal hop count) between two nodes."""
-        ax, ay = self.coordinates(a)
-        bx, by = self.coordinates(b)
-        return abs(ax - bx) + abs(ay - by)
-
     def _check(self, node: int) -> None:
         if not (0 <= node < self.node_count):
             raise ValueError(

@@ -130,14 +130,6 @@ class Request(typing.NamedTuple):
     def total_cycles(self) -> int:
         return self.root.end - self.root.begin
 
-    def children(self) -> dict[int, list]:
-        """span_id -> direct children (begin order)."""
-        index: dict[int, list] = {}
-        for span in self.spans:
-            if span.parent_id >= 0:
-                index.setdefault(span.parent_id, []).append(span)
-        return index
-
 
 def assemble_requests(observer: "Observer") -> list[Request]:
     """Group the observer's spans by trace and pick each trace's root.

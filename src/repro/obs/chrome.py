@@ -20,13 +20,6 @@ parent span (e.g. the DTU message span at the sender) to each child
 recorded on another node (the receiver's handler span), making the
 request's path across the chip visible in the UI.
 
-With telemetry enabled (``observer.enable_telemetry()``), every closed
-epoch of every series additionally becomes a **counter event**
-(``ph: "C"``) so the time-series render as counter tracks in Perfetto
-alongside the spans — quantile series chart their per-epoch p99.
-Without telemetry the export is unchanged byte for byte (flush the
-telemetry before exporting so the trailing partial epoch charts too).
-
 The export is plain ``json.dump``-able data — no wall-clock, fully
 deterministic, round-trips through ``json.loads``.
 """
@@ -74,32 +67,6 @@ def _flow_events(observer: "Observer") -> list[dict]:
     return flows
 
 
-def _counter_events(observer: "Observer") -> list[dict]:
-    """``ph: "C"`` counter samples from the telemetry plane's epochs.
-
-    One event per closed epoch per series, stamped at the epoch's end
-    cycle; Perfetto renders each series as a counter track.  Quantile
-    series chart their per-epoch p99 bound.
-    """
-    telemetry = observer.telemetry
-    events: list[dict] = []
-    for name in telemetry.names():
-        kind = telemetry.kinds[name]
-        for index, value in telemetry.points(name):
-            if kind == "quantile":
-                value = value.percentile(0.99)
-            events.append({
-                "name": name,
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": telemetry.end_cycle(index),
-                "pid": GLOBAL_PID,
-                "tid": "telemetry",
-                "args": {"value": value},
-            })
-    return events
-
-
 def trace_events(observer: "Observer") -> list[dict]:
     """The Observer's spans/instants as trace-event dicts."""
     events: list[dict] = []
@@ -143,12 +110,6 @@ def trace_events(observer: "Observer") -> list[dict]:
     for flow in _flow_events(observer):
         events.append(flow)
         seen_pids.setdefault(flow["pid"], set()).add(flow["tid"])
-    if observer.telemetry is not None:
-        for counter in _counter_events(observer):
-            events.append(counter)
-            seen_pids.setdefault(counter["pid"], set()).add(
-                counter["tid"]
-            )
     events.sort(key=lambda e: (e["ts"], e["pid"], str(e["tid"]),
                                e["ph"], e["name"], e.get("id", -1)))
     metadata = []

@@ -352,10 +352,6 @@ class Observer:
         self._settle()
         return self._histograms
 
-    def histogram(self, name: str) -> Histogram:
-        """The named histogram (empty if nothing was observed)."""
-        return self.histograms.get(name) or Histogram(name)
-
     # -- link occupancy epochs ----------------------------------------------
 
     def sample_links(self, network: "Network", force: bool = False) -> None:

@@ -26,8 +26,8 @@ CACHE_LINE_BYTES = 32
 DTU_ENDPOINTS = 8
 
 #: SPM capacity per PE on the simulator platform: "each having a SPM of
-#: 64 KiB for code and 64 KiB for data" (Section 4.1).
-SPM_CODE_BYTES = 64 * 1024
+#: 64 KiB for code and 64 KiB for data" (Section 4.1).  Only the data SPM
+#: is modelled: nothing the simulation runs is loaded into code memory.
 SPM_DATA_BYTES = 64 * 1024
 
 #: Per-hop router traversal latency in the NoC model.  Not published in

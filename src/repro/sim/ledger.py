@@ -38,10 +38,6 @@ class TimeLedger:
             return
         self._totals[tag] = self._totals.get(tag, 0) + cycles
 
-    def total(self, tag: str) -> int:
-        """Cycles charged to ``tag`` so far."""
-        return self._totals.get(tag, 0)
-
     def snapshot(self) -> dict[str, int]:
         """A copy of all per-tag totals."""
         return dict(self._totals)
@@ -54,10 +50,6 @@ class TimeLedger:
             if delta:
                 diff[tag] = delta
         return diff
-
-    def reset(self) -> None:
-        """Clear all totals."""
-        self._totals.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{t}={c}" for t, c in sorted(self._totals.items()))

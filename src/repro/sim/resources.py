@@ -61,9 +61,6 @@ class Mailbox:
             self._waiters.append(event)
         return event
 
-    def __len__(self) -> int:
-        return len(self._items)
-
 
 class Signal:
     """A re-armable condition: waiters block until the next :meth:`fire`.

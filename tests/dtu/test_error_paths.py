@@ -23,7 +23,6 @@ def _snapshot(dtu):
             ring._write_pos,
             ring._read_pos,
             tuple(ring._slots),
-            ring.delivered,
             ring.dropped,
             ring.duplicates,
         )

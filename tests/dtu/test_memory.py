@@ -101,7 +101,7 @@ def test_memory_roundtrip_charged_as_xfer(platform):
         yield from dtu.read_memory(0, 0, 1024)
 
     platform.sim.run_process(software())
-    assert platform.sim.ledger.total("xfer") >= 1024 / 8
+    assert platform.sim.ledger.snapshot().get("xfer", 0) >= 1024 / 8
 
 
 #: How many events (``Simulator.schedule`` + ``call_soon`` calls) one

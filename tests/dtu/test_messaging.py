@@ -166,8 +166,8 @@ def test_transfer_time_charged_to_xfer_tag(platform):
         yield sender.send(0, "x", 32)
 
     platform.sim.run_process(sender_sw())
-    assert platform.sim.ledger.total("xfer") > 0
-    assert platform.sim.ledger.total("app") == 0
+    assert platform.sim.ledger.snapshot().get("xfer", 0) > 0
+    assert platform.sim.ledger.snapshot().get("app", 0) == 0
 
 
 # -- the credit refill rule, per mode ---------------------------------------

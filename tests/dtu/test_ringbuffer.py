@@ -34,7 +34,7 @@ def test_full_ring_drops():
     assert ring.push(_msg(1)) is not None
     assert ring.push(_msg(2)) is None
     assert ring.dropped == 1
-    assert ring.delivered == 2
+    assert ring.occupied == 2
 
 
 def test_slot_freed_by_ack_is_reusable():

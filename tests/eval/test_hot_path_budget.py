@@ -28,6 +28,7 @@ import repro
 from repro.eval import fig5_apps
 from repro.obs import SloMonitor, SloSpec
 from repro.workloads.traffic import TrafficProfile, run_profile
+from tests.noc.test_path_reservation import windows_held
 
 _PACKAGE = str(pathlib.Path(repro.__file__).resolve().parent)
 
@@ -67,9 +68,9 @@ def _m3fs_point() -> None:
 #: changes only meet or lower it; raising one is a decision to write
 #: down in CHANGES.md, not a number to bump until the test passes.
 PYTHON_CALL_BUDGETS = [
-    pytest.param(_serving_point, 185_798, id="serving"),
-    pytest.param(_m3fs_point, 22_705, id="m3fs"),
-    pytest.param(_observed_serving_point, 225_831, id="serving-observed"),
+    pytest.param(_serving_point, 185_774, id="serving"),
+    pytest.param(_m3fs_point, 22_693, id="m3fs"),
+    pytest.param(_observed_serving_point, 225_807, id="serving-observed"),
 ]
 
 #: Occupancy windows all 288 links together still hold after the
@@ -134,8 +135,7 @@ def test_serving_point_retains_only_the_tail_of_its_link_history():
     """With or without an observer: observing keeps no link history."""
     for point in (_serving_point, _observed_serving_point):
         network = point().system.platform.network
-        retained = sum(link.windows_retained
-                       for _key, link in network.iter_links())
+        retained = sum(windows_held(link) for _key, link in network.iter_links())
         assert network.packets_injected == 5_800
         assert retained <= RETAINED_WINDOW_BUDGET, (
             f"the links of {point.__name__} hold {retained:,} occupancy "

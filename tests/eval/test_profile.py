@@ -11,7 +11,7 @@ def test_histogram_table_renders_buckets_and_summary():
     obs = Observer(Simulator())
     for value in (100, 200, 3000):
         obs.observe("lat", value)
-    text = profile.histogram_table(obs.histogram("lat"))
+    text = profile.histogram_table(obs.histograms["lat"])
     assert "Histogram lat" in text
     assert "n=3" in text
     assert "[128, 256)" in text
@@ -33,10 +33,10 @@ def test_summary_and_counter_tables():
 def test_profile_run_produces_report_and_matches_stats(tmp_path):
     system = profile.run()
     obs = system.sim.obs
-    assert obs.histogram("kernel.syscall_cycles").count >= profile.PROFILE_SYSCALLS
-    assert obs.histogram("m3.syscall_rtt").count >= profile.PROFILE_SYSCALLS
-    assert obs.histogram("dtu.msg_rtt").count > 0
-    assert obs.histogram("m3fs.request_cycles").count > 0
+    assert obs.histograms["kernel.syscall_cycles"].count >= profile.PROFILE_SYSCALLS
+    assert obs.histograms["m3.syscall_rtt"].count >= profile.PROFILE_SYSCALLS
+    assert obs.histograms["dtu.msg_rtt"].count > 0
+    assert obs.histograms["m3fs.request_cycles"].count > 0
 
     # Exact utilisation: never above 1.0, and some link was busy.
     report = system.platform.network.utilization_report()

@@ -1,17 +1,20 @@
 """The reachability tracer: what it counts, and that its allow-list
 names functions that exist."""
 
+import re
 import sys
 
 from benchmarks.perf import reach
-from repro.noc import MeshTopology, XYRouter
+from repro.faults.plan import PacketRule
+from repro.noc import MeshTopology, Network, Packet, XYRouter
+from repro.sim import Simulator
 
 
 def test_tracer_tells_entered_from_never_entered_and_goes_quiet():
     table = reach.function_bodies()
     by_name = {record[0]: record for record in table.values()}
     route = by_name["repro.noc.routing:XYRouter.route"]
-    hops = by_name["repro.noc.routing:XYRouter.hops"]
+    unused = by_name["repro.noc.topology:MeshTopology.__repr__"]
     assert route[2] == len(route[1]) > 0 and not route[3]
     reach.install(table)
     try:
@@ -23,7 +26,31 @@ def test_tracer_tells_entered_from_never_entered_and_goes_quiet():
         assert not route[1]  # every line seen: the body is not traced again
     finally:
         sys.settrace(None)
-    assert not hops[3] and len(hops[1]) == hops[2]
+    assert not unused[3] and len(unused[1]) == unused[2]
+
+
+def test_a_comprehension_counts_toward_its_function():
+    """As on 3.12, which inlines comprehensions (PEP 709): the lines of
+    the list built in ``PacketRule.matches`` are its own, unseen until
+    a link-scoped rule builds it, and no record is the comprehension's."""
+    table = reach.function_bodies()
+    assert not any(record[0].endswith(tuple(reach.COMPREHENSIONS))
+                   for record in table.values())
+    by_name = {record[0]: record for record in table.values()}
+    matches = by_name["repro.faults.plan:PacketRule.matches"]
+    network = Network(Simulator(), MeshTopology(3, 1))
+    packet = Packet(0, 2, "message", 8)
+    reach.install(table)
+    try:
+        PacketRule("drop", 1.0).matches(packet, 0, network)
+        unseen = set(matches[1])
+        PacketRule("drop", 1.0, link=(1, 2)).matches(packet, 0, network)
+    finally:
+        sys.settrace(None)
+    assert matches[3]
+    built = unseen - matches[1]  # the link test and the list it builds
+    assert built and len(built) < len(unseen) <= matches[2]
+    assert "repro.faults.plan:PacketRule.matches" not in reach.report(table)
 
 
 def test_every_allowed_name_is_a_function_under_src():
@@ -49,3 +76,22 @@ def test_no_reason_cites_design():
         if name.strip():
             assert reason.strip(), name
             assert "DESIGN" not in reason, line
+
+
+#: a reason naming tests as what reads the function.
+TESTS_AS_READER = re.compile(
+    r"\bfor tests\b|\bread API\b.*\btests\b|\btests?\b.*\b(read|check)s?\b")
+
+
+def test_no_reason_names_tests_as_the_reader():
+    """A function only tests read leaves src/ (or gains a production
+    reader); the one exception is a read a law of tests/m3/invariants.py
+    needs, named as that law."""
+    for planted in ("introspection for tests",
+                    "link read API for tests and the retained-window budget",
+                    "allocator accounting the memmgr and capexchange tests check"):
+        assert TESTS_AS_READER.search(planted), planted
+    for line in reach.ALLOW_PATH.read_text().splitlines():
+        name, _, reason = line.partition("#")
+        if name.strip() and TESTS_AS_READER.search(reason):
+            assert "tests/m3/invariants.py" in reason, line

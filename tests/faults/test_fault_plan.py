@@ -63,7 +63,7 @@ def test_delay_postpones_delivery(platform):
     assert platform.sim.now >= 500
     assert platform.network.packets_delayed == 1
     # Extra fault latency is charged to the ledger's fault tag.
-    assert platform.sim.ledger.total(Tag.FAULT) >= 500
+    assert platform.sim.ledger.snapshot().get(Tag.FAULT, 0) >= 500
 
 
 def test_filters_compose_source_destination_kind(platform):

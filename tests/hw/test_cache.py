@@ -42,10 +42,9 @@ def test_read_hits_after_first_miss():
     sim, backend, cache = _cache()
     backend.memory[0:4] = b"abcd"
     assert _run(sim, cache.read(0, 4)) == b"abcd"
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert backend.reads == 1  # a miss
     assert _run(sim, cache.read(0, 4)) == b"abcd"
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert backend.reads == 1
+    assert backend.reads == 1  # a hit
 
 
 def test_lru_within_a_set():
@@ -56,11 +55,11 @@ def test_lru_within_a_set():
         _run(sim, cache.read(way * SET_STRIDE, 1))
     _run(sim, cache.read(0, 1))                   # touch the first
     _run(sim, cache.read(WAYS * SET_STRIDE, 1))   # evicts SET_STRIDE
-    misses = cache.misses
+    misses = backend.reads
     _run(sim, cache.read(0, 1))                   # still resident
-    assert cache.misses == misses
+    assert backend.reads == misses
     _run(sim, cache.read(SET_STRIDE, 1))          # evicted
-    assert cache.misses == misses + 1
+    assert backend.reads == misses + 1
 
 
 def test_misses_cost_more_than_hits():
@@ -109,4 +108,3 @@ def test_cached_memory_equals_reference(loads):
         address = slot * SET_STRIDE + offset
         got = _run(sim, cache.read(address, size))
         assert got == bytes(backend.memory[address : address + size])
-    assert cache.misses == backend.reads

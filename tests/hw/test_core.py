@@ -3,7 +3,7 @@
 import pytest
 
 from repro import params
-from repro.hw import CORE_TYPES, Core
+from repro.hw import CORE_TYPES
 from repro.hw.core import FFT_ACCEL, FFT_ASIC, XTENSA
 
 
@@ -20,8 +20,7 @@ def test_fft_accelerator_speedup_factor():
 
 
 def test_asic_refuses_general_purpose_work():
-    assert not FFT_ASIC.supports("sort")
-    assert FFT_ASIC.supports("fft")
+    assert FFT_ASIC.cycles_for("fft", 100) >= 1
     with pytest.raises(ValueError):
         FFT_ASIC.cycles_for("sort", 100)
 
@@ -33,10 +32,3 @@ def test_general_purpose_core_needs_cost_entry():
 
 def test_zero_bytes_still_costs_a_cycle():
     assert XTENSA.cycles_for("fft", 0) == 1
-
-
-def test_core_accumulates_busy_cycles():
-    core = Core(XTENSA)
-    first = core.cycles_for("fft", 100)
-    second = core.cycles_for("fft", 50)
-    assert core.busy_cycles == first + second

@@ -13,7 +13,7 @@ def test_build_places_dram_on_last_node():
 
 def test_heterogeneous_build():
     platform = Platform.build(pe_count=2, accelerators={"fft-accel": 1})
-    types = [pe.core.type.name for pe in platform.pes]
+    types = [pe.core.name for pe in platform.pes]
     assert types == ["xtensa", "xtensa", "fft-accel"]
 
 
@@ -81,4 +81,4 @@ def test_compute_charges_app_tag():
         yield pe.compute(500)
 
     platform.sim.run_process(body())
-    assert platform.sim.ledger.total("app") == 500
+    assert platform.sim.ledger.snapshot().get("app", 0) == 500

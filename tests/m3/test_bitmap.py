@@ -12,7 +12,7 @@ def test_alloc_progresses():
     assert bitmap.alloc() == 0
     assert bitmap.alloc() == 1
     assert bitmap.used == 2
-    assert bitmap.free == 6
+    assert bitmap.count - bitmap.used == 6
 
 
 def test_alloc_run_takes_first_fit():
@@ -52,7 +52,7 @@ def test_free_and_double_free():
     bitmap = Bitmap(8)
     start, got = bitmap.alloc_run(4)
     bitmap.free_run(start, got)
-    assert bitmap.free == 8
+    assert bitmap.used == 0
     with pytest.raises(ValueError):
         bitmap.free_run(start, got)
 

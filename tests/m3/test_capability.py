@@ -15,7 +15,7 @@ def test_insert_assigns_selectors_in_order():
     table = CapTable()
     assert table.insert(_cap()) == 0
     assert table.insert(_cap()) == 1
-    assert len(table) == 2
+    assert len(table.caps()) == 2
 
 
 def test_insert_at_explicit_selector():
@@ -71,7 +71,7 @@ def test_revoke_removes_subtree_from_all_tables():
     carol.insert(to_carol)
     removed = revoke(root)
     assert len(removed) == 3
-    assert len(alice) == len(bob) == len(carol) == 0
+    assert alice.caps() == bob.caps() == carol.caps() == []
 
 
 def test_revoke_midtree_keeps_ancestors():
@@ -83,9 +83,9 @@ def test_revoke_midtree_keeps_ancestors():
     to_carol = to_bob.derive()
     carol.insert(to_carol)
     revoke(to_bob)
-    assert len(alice) == 1
-    assert len(bob) == 0
-    assert len(carol) == 0
+    assert len(alice.caps()) == 1
+    assert bob.caps() == []
+    assert carol.caps() == []
     assert root.children == []  # detached from the tree
 
 

@@ -153,7 +153,7 @@ def test_accelerators_are_not_multiplexed():
             return str(exc)
         # If created, it must be queued on a general-purpose PE.
         child = system.kernel.vpes[vpe.vpe_id]
-        return child.pe.core.type.name
+        return child.pe.core.name
 
     result = system.run_app(parent)
     assert result == "xtensa" or "no free PE" in result

@@ -28,7 +28,6 @@ def test_put_get_roundtrip(kv_system):
 
     assert system.run_app(app) == (5, b"alice", None, 3)
     server = servers[0]
-    assert server.gets == 2 and server.puts == 2
     assert server.misses == 1  # the get of an absent key
     assert server.bytes_stored == 3  # the overwrite replaced alice
 
@@ -93,8 +92,6 @@ def test_close_reclaims_the_session(kv_system):
 
     assert system.run_app(app) == "no such session"
     assert servers[0].sessions == {}
-    assert servers[0].sessions_opened == 1
-    assert servers[0].sessions_closed == 1
 
 
 def test_tier_replicates_across_domains_round_robin():
@@ -121,8 +118,6 @@ def test_tier_replicates_across_domains_round_robin():
     same, other = system.run_app(app)
     assert same == b"from-c0"
     assert other is None  # replicas are independent shards
-    assert servers[0].sessions_opened == 2
-    assert servers[1].sessions_opened == 2
     assert system.kernel.router.route_counts == {"kv0": 2, "kv1": 2}
     # every session was reclaimed, on both sides of the ik path
     assert servers[0].sessions == {} and servers[1].sessions == {}

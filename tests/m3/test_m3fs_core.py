@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.m3.services.m3fs.extents import Extent, locate, total_bytes
+from repro.m3.services.m3fs.extents import Extent, total_bytes
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
 
@@ -73,8 +73,9 @@ def test_append_extent_and_locate():
     first = fs.append_extent(inode)
     second = fs.append_extent(inode)
     assert first.block_count == 4 and second.block_count == 4
-    index, offset = fs.locate(inode, 5 * 1024)
-    assert index == 1 and offset == 1024
+    assert inode.extents == [first, second]
+    # byte 5 KiB lies 1 KiB into the second extent
+    assert 5 * 1024 - first.size_bytes(1024) == 1024 < second.size_bytes(1024)
 
 
 def test_extent_region_maps_blocks_to_offsets():
@@ -129,9 +130,6 @@ def test_fragmented_allocation_produces_short_extents():
 def test_extent_helpers():
     extents = [Extent(0, 4), Extent(10, 2)]
     assert total_bytes(extents, 1024) == 6 * 1024
-    assert locate(extents, 4096, 1024) == (1, 0)
-    with pytest.raises(IndexError):
-        locate(extents, 6 * 1024, 1024)
     with pytest.raises(ValueError):
         Extent(-1, 4)
     with pytest.raises(ValueError):

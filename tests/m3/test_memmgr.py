@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 from repro.m3.kernel.memmgr import ALIGN, MemoryManager, OutOfMemory
 
 
+def free_total(mm):
+    """The bytes ``mm``'s free list holds."""
+    return sum(length for _, length in mm._free)
+
+
 def test_simple_allocation_progression():
     mm = MemoryManager(0, 1024)
     a = mm.allocate(128)
     b = mm.allocate(128)
     assert a != b
-    assert mm.free_bytes == 1024 - 256
+    assert free_total(mm) == 1024 - 256
 
 
 def test_alignment_respected():
@@ -21,7 +26,7 @@ def test_alignment_respected():
     aligned = mm.allocate(16)
     assert aligned == ALIGN
     # The gap the alignment skipped stays free for later.
-    assert mm.free_bytes == 1024 - 10 - 16
+    assert free_total(mm) == 1024 - 10 - 16
 
 
 def test_exhaustion_raises():
@@ -44,7 +49,7 @@ def test_coalescing_restores_large_hole():
     b = mm.allocate(512)
     mm.free(a, 512)
     mm.free(b, 512)
-    assert mm.largest_hole == 1024
+    assert mm._free == [(0, 1024)]  # one hole again
 
 
 def test_double_free_detected():
@@ -88,4 +93,4 @@ def test_allocations_are_disjoint_and_in_bounds(data):
         for other_addr, other_size in live:
             assert address + size <= other_addr or other_addr + other_size <= address
         live.append((address, size))
-    assert mm.free_bytes == 4096 - sum(size for _, size in live)
+    assert free_total(mm) == 4096 - sum(size for _, size in live)

@@ -300,7 +300,6 @@ def test_tx_command_credits_are_refunded(net_system):
     system.sim.run(until=system.sim.now + 30_000)
     system.run_app(sender, name="tx")
     assert system.wait(receiver_vpe) == count
-    assert servers[0].nic.frames_sent == count
 
 
 def test_interrupts_outlive_any_credit_count(net_system):
@@ -338,8 +337,7 @@ def test_interrupts_outlive_any_credit_count(net_system):
 
     system.run_app(sender, name="tx")
     system.sim.run(until=system.sim.now + 30_000)  # drain txdone
-    assert servers[0].nic.frames_sent == count
-    assert servers[1].frames_dropped == count  # every "rx" irq arrived
+    assert servers[1].frames_dropped == count  # every frame sent arrived
     assert sorted(servers[0]._tx_free) == list(range(TX_SLOTS))
     for server in servers:
         assert server.nic.dtu.ep(IRQ_SEND_EP).credits == UNLIMITED_CREDITS

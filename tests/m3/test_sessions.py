@@ -203,7 +203,7 @@ def test_denied_session_grants_nothing():
     assert rig.replies == [
         (rig.client, 5, ("err", "service 'kv' denied the session"))
     ]
-    assert len(rig.client.captable) == 0
+    assert not rig.client.captable.caps()
     assert rig.sessions.services["kv"].sessions == {}
     assert not rig.sessions.parked and rig.sessions.depth("kv") == 0
 

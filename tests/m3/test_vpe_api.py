@@ -92,8 +92,8 @@ def test_create_requesting_accelerator_type():
     )
 
     def child(env):
-        yield env.compute_op("fft", 1024)
-        return env.pe.core.type.name
+        yield env.compute(env.pe.core.cycles_for("fft", 1024))
+        return env.pe.core.name
 
     def parent(env):
         vpe = yield from VPE.create(env, "fft", pe_type="fft-accel")
@@ -211,9 +211,9 @@ def test_clone_cost_includes_image_transfer(system):
 
     def parent(env):
         vpe = yield from VPE.create(env, "c")
-        before = env.sim.ledger.total("xfer")
+        before = env.sim.ledger.snapshot().get("xfer", 0)
         yield from vpe.run(child)
-        after = env.sim.ledger.total("xfer")
+        after = env.sim.ledger.snapshot().get("xfer", 0)
         yield from vpe.wait()
         return after - before
 

@@ -4,27 +4,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.noc import Link
+from repro.noc import Link, MeshTopology, Network, Packet
 from repro.noc.link import reserve_path
+from repro.noc.network import PACKET_HEADER_BYTES
+from repro.sim import Simulator
+from tests.noc.test_path_reservation import wire_cycles
 
 
 def _reserve(link, earliest, nbytes):
     """One packet's ``(start, end)`` on one link, reserved as
     ``Network.send`` reserves a path (the head is at ``earliest``)."""
-    duration = link.serialization_cycles(nbytes)
+    duration = wire_cycles(nbytes)
     end = reserve_path((link,), earliest, 0, duration)
     return end - duration, end
 
 
 def test_serialization_time():
-    link = Link(0, 1, bytes_per_cycle=8)
-    assert link.serialization_cycles(64) == 8
-    assert link.serialization_cycles(65) == 9
-    assert link.serialization_cycles(0) == 1  # even empty packets take a cycle
+    """A packet holds a link for ``ceil(wire bytes / bandwidth)``
+    cycles, header included: the network computes it once a packet."""
+    for wire, cycles in ((64, 8), (65, 9)):
+        net = Network(Simulator(), MeshTopology(2, 1), hop_cycles=0,
+                      bytes_per_cycle=8)
+        net.attach(1, lambda packet: None)
+        packet = Packet(0, 1, "message", wire - PACKET_HEADER_BYTES)
+        assert net.send(packet) == cycles
 
 
 def test_reservations_queue_fifo():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     first = _reserve(link, 0, 80)  # 10 cycles
     second = _reserve(link, 0, 80)
     assert first == (0, 10)
@@ -32,22 +39,22 @@ def test_reservations_queue_fifo():
 
 
 def test_reservation_respects_earliest():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     start, end = _reserve(link, 100, 8)
     assert start == 100 and end == 101
 
 
 def test_idle_gap_not_reclaimed():
-    # FIFO model: a late request cannot be scheduled before next_free even
-    # if the link was idle earlier.
-    link = Link(0, 1, bytes_per_cycle=8)
+    # FIFO model: a late request cannot be scheduled before the link's
+    # newest window ends, even if the link was idle earlier.
+    link = Link(0, 1)
     _reserve(link, 50, 8)
     start, _ = _reserve(link, 0, 8)
     assert start == 51
 
 
 def test_utilization():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     _reserve(link, 0, 80)  # busy 10 cycles
     assert link.utilization(20) == pytest.approx(0.5)
     assert link.utilization(0) == 0.0
@@ -55,10 +62,9 @@ def test_utilization():
 
 def test_invalid_bandwidth_and_size():
     with pytest.raises(ValueError):
-        Link(0, 1, bytes_per_cycle=0)
-    link = Link(0, 1, bytes_per_cycle=4)
+        Network(Simulator(), MeshTopology(2, 1), bytes_per_cycle=0)
     with pytest.raises(ValueError):
-        link.serialization_cycles(-1)
+        Packet(0, 1, "message", -1)
 
 
 @given(
@@ -72,7 +78,7 @@ def test_invalid_bandwidth_and_size():
     )
 )
 def test_reservations_never_overlap(requests):
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     windows = [_reserve(link, earliest, nbytes) for earliest, nbytes in requests]
     for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
         assert e1 <= s2, "link occupied by two packets at once"
@@ -82,7 +88,7 @@ def test_reservations_never_overlap(requests):
 
 
 def test_utilization_is_exact_within_elapsed_window():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     _reserve(link, 100, 80)  # busy [100, 110)
     # The whole reservation lies in the future of cycle 50: no busy time
     # may be counted (the old implementation counted it all, then clamped).
@@ -97,7 +103,7 @@ def test_utilization_is_exact_within_elapsed_window():
 
 
 def test_utilization_never_exceeds_one():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     for _ in range(10):
         _reserve(link, 0, 80)  # back-to-back [0, 100)
     for elapsed in (1, 5, 50, 99, 100, 1000):
@@ -106,7 +112,7 @@ def test_utilization_never_exceeds_one():
 
 
 def test_busy_within_merges_contiguous_windows():
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     _reserve(link, 0, 40)    # [0, 5)
     _reserve(link, 0, 40)    # [5, 10) - contiguous, merged internally
     _reserve(link, 20, 40)   # [20, 25) - a gap before it

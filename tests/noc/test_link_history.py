@@ -20,7 +20,8 @@ from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
 from repro.noc.link import reserve_path
 from repro.obs import Observer
 from repro.sim import Simulator
-from tests.noc.test_path_reservation import BANDWIDTH, HOP, FullLink, Oracle
+from tests.noc.test_path_reservation import (
+    BANDWIDTH, HOP, FullLink, Oracle, next_free, windows_held, wire_cycles)
 
 # -- one link ------------------------------------------------------------------
 
@@ -40,12 +41,12 @@ steps = st.lists(
 @settings(deadline=None, max_examples=300)
 @given(steps)
 def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
-    folded, twin = Link(0, 1, BANDWIDTH), FullLink()
+    folded, twin = Link(0, 1), FullLink()
     head = 0
     for step in steps:
         if step[0] == "reserve":
             stall, nbytes = step[1:]
-            duration = folded.serialization_cycles(nbytes)
+            duration = wire_cycles(nbytes)
             end = reserve_path((folded,), head, stall, duration)
             assert (end - duration, end) == twin.reserve(head + stall, nbytes)
         elif step[0] == "advance":
@@ -59,24 +60,24 @@ def test_folded_link_answers_exactly_what_an_unfolded_twin_does(steps):
             try:  # below the last head: loud or right, never wrong
                 answer = folded.busy_within(t)
             except ValueError:
-                assert folded.windows_retained < twin.windows_retained
+                assert windows_held(folded) < len(twin.windows)
             else:
                 assert answer == twin.busy_within(t)
         assert folded.busy_cycles == twin.busy_cycles
-        assert folded.next_free == twin.next_free
+        assert next_free(folded) == twin.next_free
         assert folded.packets == twin.packets
-        assert folded.windows_retained <= twin.windows_retained
+        assert windows_held(folded) <= len(twin.windows)
 
 
 def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
     """The floor is each packet's head: what ended by then goes."""
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     for start in (10, 30, 50, 70):
         # 5 cycles each, four separate windows, each packet's head at
         # its start: each window ends before the next head.
         reserve_path((link,), start, 0, 5)
-    assert link.windows_retained == 1  # [70, 75) only
-    assert link.busy_cycles == 20 and link.next_free == 75
+    assert windows_held(link) == 1  # [70, 75) only
+    assert link.busy_cycles == 20 and next_free(link) == 75
     assert link.busy_within(55) == 15
     assert link.busy_within(72) == 17
     assert link.utilization(100) == pytest.approx(0.2)
@@ -86,7 +87,7 @@ def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
     assert link.busy_within(0) == 0  # nothing to know about no time at all
     # A head at 72 that stalled 18 cycles upstream: [70, 75) ends after it.
     reserve_path((link,), 72, 18, 5)
-    assert link.windows_retained == 2
+    assert windows_held(link) == 2
     assert link.busy_within(73) == 18
     assert link.busy_within(80) == 20
 
@@ -94,10 +95,10 @@ def test_a_floor_keeps_what_ends_after_it_and_raises_below_it():
 def test_the_newest_window_is_never_forgotten():
     """It may still grow: a packet queueing behind it extends it in
     place, and ``[head, its new end)`` must stay answerable."""
-    link = Link(0, 1, bytes_per_cycle=8)
+    link = Link(0, 1)
     reserve_path((link,), 0, 10, 10)  # head at 0, reaches the link at 10: [10, 20)
     reserve_path((link,), 20, 0, 10)  # back to back: now [10, 30)
-    assert link.windows_retained == 1
+    assert windows_held(link) == 1
     assert link.busy_within(25) == 15
     assert link.busy_within(20) == 10
 
@@ -130,7 +131,7 @@ def _drive(sim, net, oracle, packets, rng):
 
 
 def _retained(net) -> int:
-    return sum(link.windows_retained for _key, link in net.iter_links())
+    return sum(windows_held(link) for _key, link in net.iter_links())
 
 
 def _expected_series(oracle, boundaries):
@@ -155,7 +156,7 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
             obs = Observer.install(sim, epoch=EPOCH)
         _drive(sim, net, oracle, packets, random.Random(packets))
         retained[packets] = _retained(net)
-        unfolded = sum(l.windows_retained for l in oracle.links.values())
+        unfolded = sum(len(l.windows) for l in oracle.links.values())
         # A link keeps its newest window and those that had not ended
         # when the next packet's head reached the network: the packets
         # still in flight then.

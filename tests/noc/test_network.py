@@ -97,7 +97,7 @@ def test_transfer_event_and_ledger_tag():
         return sim.now
 
     finish = sim.run_process(sender())
-    assert finish == sim.ledger.total("xfer")
+    assert finish == sim.ledger.snapshot().get("xfer", 0)
     assert finish == 2 * 3 + (240 + PACKET_HEADER_BYTES) // 8
 
 

@@ -23,6 +23,23 @@ WIDTH, HEIGHT, HOP, BANDWIDTH = 3, 3, 3, 8
 NODES = WIDTH * HEIGHT
 
 
+def wire_cycles(nbytes, bytes_per_cycle=BANDWIDTH):
+    """Cycles ``nbytes`` hold a link, as ``Network.send`` computes them
+    (pure-integer ceiling division, at least one cycle)."""
+    return -(-nbytes // bytes_per_cycle) or 1
+
+
+def next_free(link: Link) -> int:
+    """The cycle from which ``link`` is unreserved: its newest window's end."""
+    return link._window_end
+
+
+def windows_held(link: Link) -> int:
+    """How many merged windows ``link``'s record holds: the newest and
+    the older ones still in flight."""
+    return len(link._older_ends) + 1
+
+
 class FullLink:
     """One link as documented, with its whole history: reservations
     granted in request order, contiguous windows merged, nothing
@@ -43,14 +60,10 @@ class FullLink:
     def busy_cycles(self):
         return sum(end - start for start, end in self.windows)
 
-    @property
-    def windows_retained(self):
-        return len(self.windows)
-
     def reserve(self, earliest, nbytes):
         """``(start, end)`` of ``nbytes`` granted no earlier than ``earliest``."""
         start = max(earliest, self.next_free)
-        end = start + (-(-nbytes // self.bytes_per_cycle) or 1)
+        end = start + wire_cycles(nbytes, self.bytes_per_cycle)
         if start == self.next_free:
             self.windows[-1][1] = end
         else:
@@ -120,8 +133,8 @@ def test_path_reservation_equals_hop_by_hop_oracle(sends, probes):
         expected = oracle.links[key]
         assert link.packets == expected.packets
         assert link.busy_cycles == expected.busy_cycles
-        assert link.next_free == expected.next_free
-        for t in (*probes, link.next_free - 1, link.next_free, sim.now):
+        assert next_free(link) == expected.next_free
+        for t in (*probes, next_free(link) - 1, next_free(link), sim.now):
             if t >= floor:
                 assert link.busy_within(t) == expected.busy_within(t)
 
@@ -148,13 +161,13 @@ def test_a_probe_below_the_floor_raises():
                 min_size=1, max_size=40),
        st.lists(st.integers(min_value=-3, max_value=2000), max_size=12))
 def test_window_record_matches_a_cycle_by_cycle_count(requests, probes):
-    """``busy_within``/``busy_cycles``/``next_free`` read off the merged
+    """``busy_within``/``busy_cycles``/the newest end read off the merged
     (end, idle-before) record equal a brute-force set of busy cycles at
     or after the latest head; below it a probe is loud or right."""
-    link = Link(0, 1, BANDWIDTH)
+    link = Link(0, 1)
     busy = set()
     for head, stall, nbytes in requests:
-        duration = link.serialization_cycles(nbytes)
+        duration = wire_cycles(nbytes)
         end = reserve_path((link,), head, stall, duration)
         start = end - duration
         assert start >= head + stall
@@ -163,8 +176,8 @@ def test_window_record_matches_a_cycle_by_cycle_count(requests, probes):
     floor = max(head for head, _stall, _nbytes in requests)
     assert link.packets == len(requests)
     assert link.busy_cycles == len(busy)
-    assert link.next_free == max(busy) + 1
-    for t in (*probes, floor, link.next_free):
+    assert next_free(link) == max(busy) + 1
+    for t in (*probes, floor, next_free(link)):
         expected = sum(1 for cycle in busy if cycle < t)
         if t >= floor:
             assert link.busy_within(t) == expected

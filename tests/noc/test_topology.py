@@ -57,23 +57,6 @@ def test_out_of_range_node_rejected():
         topo.node_at(2, 0)
 
 
-@given(
-    st.integers(min_value=1, max_value=10),
-    st.integers(min_value=1, max_value=10),
-    st.data(),
-)
-def test_distance_is_a_metric(width, height, data):
-    topo = MeshTopology(width, height)
-    a = data.draw(st.integers(min_value=0, max_value=topo.node_count - 1))
-    b = data.draw(st.integers(min_value=0, max_value=topo.node_count - 1))
-    c = data.draw(st.integers(min_value=0, max_value=topo.node_count - 1))
-    assert topo.distance(a, a) == 0
-    assert topo.distance(a, b) == topo.distance(b, a)
-    assert topo.distance(a, c) <= topo.distance(a, b) + topo.distance(b, c)
-    if a != b:
-        assert topo.distance(a, b) >= 1
-
-
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
 def test_neighbors_are_symmetric(width, height):
     topo = MeshTopology(width, height)

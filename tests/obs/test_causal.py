@@ -105,10 +105,8 @@ def test_assemble_requests_builds_one_tree():
     assert request.root.name == "noop"
     assert request.root.category == "syscall-client"
     assert request.total_cycles == 100
-    children = request.children()
-    assert {s.name for s in children[request.root.span_id]} == {
-        "message", "noop"
-    }
+    children = [s for s in request.spans if s.parent_id == request.root.span_id]
+    assert {s.name for s in children} == {"message", "noop"}
 
 
 def test_find_request_picks_last_match():

@@ -80,32 +80,6 @@ def test_export_round_trips_json(tmp_path):
         assert "ph" in event and "pid" in event
 
 
-def test_telemetry_epochs_become_counter_events():
-    sim = Simulator()
-    obs = Observer.install(sim)
-    telemetry = obs.enable_telemetry(epoch=100)
-    sim.schedule(10, lambda _: obs.count("req", 3))
-    sim.schedule(150, lambda _: telemetry.gauge("depth", 7))
-    sim.schedule(160, lambda _: obs.observe("lat", 120))
-    sim.run()
-    telemetry.flush()
-    events = trace_events(obs)
-    counters = [e for e in events if e["ph"] == "C"]
-    assert {(e["name"], e["ts"], e["args"]["value"]) for e in counters} == {
-        ("req", 100, 3),
-        ("depth", 200, 7),
-        ("lat", 200, 121),  # quantile series chart their p99 bound
-    }
-    assert all(e["pid"] == -1 and e["cat"] == "telemetry"
-               for e in counters)
-    # The telemetry thread row is named in the metadata.
-    assert any(e["ph"] == "M" and e["name"] == "thread_name"
-               and e["tid"] == "telemetry" for e in events)
-    # Counter events keep the global timestamp ordering.
-    timed = [e for e in events if e["ph"] != "M"]
-    assert [e["ts"] for e in timed] == sorted(e["ts"] for e in timed)
-
-
 def test_trace_without_telemetry_has_no_counter_events():
     events = trace_events(_sample_observer())
     assert not any(e["ph"] == "C" for e in events)

@@ -57,8 +57,8 @@ def test_counters_and_histograms():
     obs.observe("lat", 100)
     obs.observe("lat", 200)
     assert obs.counters == {"a": 5}
-    assert obs.histogram("lat").count == 2
-    assert obs.histogram("missing").count == 0  # empty, not KeyError
+    assert obs.histograms["lat"].count == 2
+    assert "missing" not in obs.histograms  # only what was observed
 
 
 def test_span_capacity_rings_and_counts_drops():

@@ -202,8 +202,8 @@ def test_over_threshold_counts_from_buffered_samples_are_exact():
             for index, hist in telemetry.points("lat")] == \
         [(0, 5, 5000), (1, 1, 7), (2, 3, 101)]
     # So did the run histogram, read at any time.
-    assert obs.histogram("lat").count == 9
-    assert obs.histogram("lat").total == sum(map(sum, samples.values()))
+    assert obs.histograms["lat"].count == 9
+    assert obs.histograms["lat"].total == sum(map(sum, samples.values()))
 
 
 def test_a_sample_after_a_flush_lands_in_the_reopened_epoch():
@@ -220,4 +220,4 @@ def test_a_sample_after_a_flush_lands_in_the_reopened_epoch():
     assert telemetry.points(over) == [(0, 2)]
     with pytest.raises(ValueError):
         obs.observe("lat", -1)
-    assert obs.histogram("lat").count == 2
+    assert obs.histograms["lat"].count == 2

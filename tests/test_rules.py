@@ -87,8 +87,8 @@ ROWS = (
         "link-window-record",
         r"_window_(start|end|idle)\b|_older_(ends|starts|idles)\b|_forgotten_to\b",
         ("src/",), exempt=("src/repro/noc/",),
-        message="read a link through busy_within / busy_cycles / next_free / "
-                "windows_retained: it forgets windows behind them",
+        message="read a link through busy_within / busy_cycles / utilization: "
+                "it forgets windows behind them",
         planted="start = link._window_start",
         owned=dict.fromkeys(
             ("_window_start", "_window_end", "_window_idle", "_older_ends",
@@ -116,7 +116,7 @@ ROWS = (
         "memory-extents",
         r"_extent_(starts|bytes)\b",
         ("src/",), exempt=("src/repro/hw/",),
-        message="go through read / write / zero: a memory keeps payloads by "
+        message="go through read / write: a memory keeps payloads by "
                 "reference and trims them behind those",
         planted="starts = dram._extent_starts",
         owned=dict.fromkeys(("_extent_starts", "_extent_bytes"), "src/repro/hw/"),
@@ -261,9 +261,26 @@ ROWS = (
         owned=dict.fromkeys(("Platform", "PlatformConfig"), "src/repro/hw/"),
     ),
     Rule(
+        "test-only-reads",
+        r"\b(largest_hole|free_bytes|windows_retained|serialization_cycles|"
+        r"spm_code|SPM_CODE_BYTES|spm_bytes|frames_carried|frames_received|"
+        r"interrupts_sent|compute_op|sessions_opened|sessions_closed|"
+        r"context_switches|_counter_events)\b",
+        ("src/", "tests/"),
+        message="this read had no reader outside its own tests and was "
+                "deleted: give a new one a production reader, or compute it "
+                "in the test from public state",
+        planted="hole = kernel.memory.largest_hole",
+        retired=("largest_hole", "free_bytes", "windows_retained",
+                 "serialization_cycles", "spm_code", "SPM_CODE_BYTES",
+                 "spm_bytes", "frames_carried", "frames_received",
+                 "interrupts_sent", "compute_op", "sessions_opened",
+                 "sessions_closed", "context_switches", "_counter_events"),
+    ),
+    Rule(
         "obs-ledger-lines",
         None,
-        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1848,
+        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1789,
         message="the observer and the time ledger do not grow: make room by "
                 "deleting code, not by moving it to another file",
         planted="pass",
