@@ -61,7 +61,7 @@ def revocation_demo(env):
 
 
 def borrower(env, mem_sel):
-    gate = MemGate(env, mem_sel, 4096)
+    gate = MemGate(env, mem_sel)
     before = bytes((yield from gate.read(0, 9)))
     yield 6000  # revocation strikes here
     try:

@@ -37,7 +37,6 @@ class RingBuffer:
         #: messages pushed and not fetched yet: the read position may
         #: wrap onto a slot that is read but still held (not acked).
         self._unread = 0
-        self.dropped = 0
         #: reliable delivery: recently accepted (source, seq) pairs, so a
         #: retransmit whose ack was lost is re-acked but not re-delivered.
         self._seen: collections.OrderedDict = collections.OrderedDict()
@@ -74,7 +73,6 @@ class RingBuffer:
             return DUPLICATE
         slot = self._write_pos
         if self._slots[slot] is not None:  # ring full: not acked yet
-            self.dropped += 1
             return None
         self._slots[slot] = message
         self._write_pos = (slot + 1) % self.slot_count

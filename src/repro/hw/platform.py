@@ -48,7 +48,6 @@ class Platform:
     """The assembled chip: simulator, NoC, PEs, DRAM."""
 
     def __init__(self, config: PlatformConfig):
-        self.config = config
         self.topology = MeshTopology(config.mesh_width, config.mesh_height)
         self.sim = Simulator()
         self.network = Network(
@@ -117,6 +116,6 @@ class Platform:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Platform {self.config.mesh_width}x{self.config.mesh_height} "
+            f"<Platform {self.topology.width}x{self.topology.height} "
             f"{len(self.pes)} PEs>"
         )

@@ -35,17 +35,19 @@ class Cpu:
         if self._owner is who:
             return
         if self._owner is not None:
-            ticket = self.sim.event(f"cpu.wait.{who}")
+            ticket = self.sim.event("cpu.wait")
             self._waiters.append((who, ticket))
             yield ticket
             # ownership transferred by release()
             return
+        self._owner = who
         yield from self._switch_to(who)
 
     def _switch_to(self, who: object):
+        """Generator: charge the switch to ``who``, which already owns
+        the CPU, so whoever asks meanwhile queues behind it."""
         if self._last_owner is not None and self._last_owner is not who:
             yield self.sim.delay(self.switch_cycles, tag=Tag.OS)
-        self._owner = who
         self._last_owner = who
 
     def release(self, who: object) -> None:
@@ -55,6 +57,7 @@ class Cpu:
         self._owner = None
         if self._waiters:
             next_who, ticket = self._waiters.popleft()
+            self._owner = next_who
 
             def handoff(next_who=next_who, ticket=ticket):
                 yield from self._switch_to(next_who)

@@ -32,12 +32,10 @@ O_TRUNC = 8
 class _Descriptor:
     """One open-file-table entry."""
 
-    def __init__(self, kind: str, node=None, pipe: LxPipe | None = None,
-                 path: str = ""):
+    def __init__(self, kind: str, node=None, pipe: LxPipe | None = None):
         self.kind = kind  # "file" | "pipe_r" | "pipe_w"
         self.node = node
         self.pipe = pipe
-        self.path = path
         self.position = 0
 
 
@@ -52,7 +50,6 @@ class LinuxMachine:
         self.warm_cache = warm_cache
         self.cpu = Cpu(self.sim, costs.context_switch_cycles)
         self.fs = TmpFs()
-        self._next_pid = 1
 
     # -- bandwidth model ------------------------------------------------------
 
@@ -83,8 +80,7 @@ class LinuxMachine:
     def spawn(self, func, *args, name: str = "proc",
               parent: "LxEnv | None" = None) -> "LxEnv":
         """Start ``func(env, *args)`` as a process; returns its env."""
-        env = LxEnv(self, name=name, pid=self._next_pid)
-        self._next_pid += 1
+        env = LxEnv(self, name=name)
         if parent is not None:
             env.inherit_fds(parent)
 
@@ -114,16 +110,14 @@ def _join(env: "LxEnv"):
 class LxEnv:
     """What a simulated Linux program sees: POSIX-ish syscalls."""
 
-    def __init__(self, machine: LinuxMachine, name: str, pid: int):
+    def __init__(self, machine: LinuxMachine, name: str):
         self.machine = machine
         self.sim = machine.sim
         self.costs = machine.costs
         self.name = name
-        self.pid = pid
         self.process: "Process | None" = None
         self._fds: dict[int, _Descriptor] = {}
         self._next_fd = 3  # 0..2 are the std streams
-        self.syscall_count = 0
 
     # -- plumbing ------------------------------------------------------------
 
@@ -180,12 +174,10 @@ class LxEnv:
 
     def null_syscall(self):
         """Generator: the Figure 3 micro-benchmark (410 cycles on Xtensa)."""
-        self.syscall_count += 1
         yield self._kernel(self.costs.syscall_cycles)
 
     def open(self, path: str, flags: int):
         """Generator: open/create a tmpfs file; returns an fd."""
-        self.syscall_count += 1
         fs = self.machine.fs
         yield self._kernel(
             self.costs.syscall_enter_leave_cycles
@@ -202,11 +194,10 @@ class LxEnv:
             raise LxFsError(f"EISDIR: {path!r}")
         if flags & O_TRUNC:
             node.data.clear()
-        return self._install(_Descriptor("file", node=node, path=path))
+        return self._install(_Descriptor("file", node=node))
 
     def read(self, fd: int, count: int):
         """Generator: read bytes (files and pipe read ends)."""
-        self.syscall_count += 1
         descriptor = self._get(fd)
         if descriptor.kind == "pipe_r":
             return (yield from self._pipe_read(descriptor, count))
@@ -228,7 +219,6 @@ class LxEnv:
         """Generator: write bytes; zeroes freshly allocated blocks first
         ("Linux is overwriting each block with zeros before handing it
         out to a writing application", Section 5.4)."""
-        self.syscall_count += 1
         descriptor = self._get(fd)
         if descriptor.kind == "pipe_w":
             return (yield from self._pipe_write(descriptor, data))
@@ -255,7 +245,6 @@ class LxEnv:
 
     def lseek(self, fd: int, offset: int, whence: int = 0):
         """Generator: reposition a file descriptor."""
-        self.syscall_count += 1
         descriptor = self._get(fd)
         if descriptor.kind != "file":
             raise LxFsError("ESPIPE")
@@ -272,7 +261,6 @@ class LxEnv:
 
     def close(self, fd: int):
         """Generator: release a descriptor."""
-        self.syscall_count += 1
         descriptor = self._get(fd)
         yield self._kernel(self.costs.syscall_cycles)
         del self._fds[fd]
@@ -281,25 +269,21 @@ class LxEnv:
     def stat(self, path: str):
         """Generator: (kind, size, links).  "stat is well optimized on
         Linux" (Section 5.6) — one flat, tuned cost."""
-        self.syscall_count += 1
         yield self._kernel(self.costs.stat_cycles)
         node = self.machine.fs.lookup(path)
         size = len(node.data) if node.kind == "file" else 0
         return (node.kind, size, node.links)
 
     def mkdir(self, path: str):
-        self.syscall_count += 1
         yield self._kernel(self._namespace_cost(path))
         self.machine.fs.mkdir(path)
 
     def unlink(self, path: str):
-        self.syscall_count += 1
         yield self._kernel(self._namespace_cost(path))
         self.machine.fs.unlink(path)
 
     def readdir(self, path: str):
         """Generator: getdents, one pass."""
-        self.syscall_count += 1
         yield self._kernel(self._namespace_cost(path))
         return self.machine.fs.readdir(path)
 
@@ -315,7 +299,6 @@ class LxEnv:
 
     def pipe(self):
         """Generator: create a pipe; returns (read_fd, write_fd)."""
-        self.syscall_count += 1
         yield self._kernel(self.costs.syscall_cycles)
         pipe_obj = LxPipe(self.sim)
         pipe_obj.writer_count = 1
@@ -358,7 +341,6 @@ class LxEnv:
     def fork(self, child_func, *args, name: str | None = None):
         """Generator: start a child process running ``child_func``;
         returns its env (the waitpid handle)."""
-        self.syscall_count += 1
         yield self._kernel(self.costs.fork_cycles)
         child = self.machine.spawn(
             child_func, *args,
@@ -368,7 +350,6 @@ class LxEnv:
 
     def execve(self, binary_path: str):
         """Generator: account for program loading (image read + setup)."""
-        self.syscall_count += 1
         node = self.machine.fs.lookup(binary_path)
         yield self._kernel(self.costs.exec_cycles)
         yield self._copy(len(node.data))
@@ -377,7 +358,6 @@ class LxEnv:
         """Generator: block until the child exits; returns its result
         (a child's crash is thrown into a parent blocked here, and one
         nobody waits on leaves the run where it is raised)."""
-        self.syscall_count += 1
         yield self._kernel(self.costs.syscall_cycles)
         if not child.process.done.triggered:
             yield from self._block_until(lambda: child.process.done)
@@ -387,7 +367,6 @@ class LxEnv:
         """Generator: in-kernel copy, no per-block user crossings —
         "both benchmarks use sendfile to transfer the data"
         (Section 5.6)."""
-        self.syscall_count += 1
         source = self._get(in_fd)
         target = self._get(out_fd)
         if source.kind != "file" or target.kind != "file":

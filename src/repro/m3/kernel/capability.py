@@ -10,10 +10,6 @@ database found in some L4 microkernels" (Section 4.5.3).
 from __future__ import annotations
 
 import enum
-import typing
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.m3.kernel.vpe import VpeObject
 
 
 class CapKind(enum.Enum):
@@ -83,8 +79,7 @@ class Capability:
 class CapTable:
     """Per-VPE selector → capability mapping."""
 
-    def __init__(self, vpe: "VpeObject | None" = None):
-        self.vpe = vpe
+    def __init__(self):
         self._caps: dict[int, Capability] = {}
         self._next_selector = 0
 

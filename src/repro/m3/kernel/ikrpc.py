@@ -85,13 +85,9 @@ class IkTransport:
         self._inflight: dict[tuple, int] = {}
         self._replied: collections.OrderedDict = collections.OrderedDict()
         self.requests_sent = 0
-        self.requests_served = 0
         self.retries = 0
         self.timeouts = 0
         self.duplicates = 0
-        #: fault-path-only record of ``(cycle, negotiation, attempt)``
-        #: per client-side retransmit, for determinism checks.
-        self.retry_log: list[tuple] = []
 
     @property
     def idle(self) -> bool:
@@ -232,9 +228,6 @@ class IkTransport:
             # After the send: the DTU has closed the telemetry epochs
             # that ended, so the sampled total lands in the right one.
             self.retries += 1
-            self.retry_log.append(
-                (self.sim.now, call.negotiation, call.attempts)
-            )
             if self.sim.obs is not None:
                 self.sim.obs.instant(
                     "ik_retry", "ik", self.pe.node, peer=call.peer,
@@ -332,7 +325,6 @@ class IkTransport:
                 self.dtu.ack_message(KERNEL_IK_EP, slot)
             return None
         self._inflight[key] = slot
-        self.requests_served += 1
         if self.sim.obs is not None:
             self.sim.obs.count(f"kernel{self.kernel_id}.ik_served")
         return operation, args

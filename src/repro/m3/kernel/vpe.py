@@ -32,7 +32,7 @@ class VpeObject:
         self.id = vpe_id
         self.name = name
         self.pe = pe
-        self.captable = CapTable(self)
+        self.captable = CapTable()
         self.state = VpeState.INIT
         self.exit_code: object = None
         #: set when the kernel's watchdog declared this VPE's PE dead.

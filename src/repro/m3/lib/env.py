@@ -102,7 +102,6 @@ class Env:
         #: the standard reply endpoint, shared by syscalls, service
         #: sessions and a driver's device commands.
         self.reply_gate = BoundRecvGate(self, Env.EP_REPLY)
-        self.syscall_count = 0
         #: Figure 6 methodology: replace DRAM data transfers with
         #: equal-time spinning (messages still go over the NoC).
         self.spin_io = False
@@ -119,7 +118,6 @@ class Env:
         for the reply (Section 5.3); raises :class:`SyscallError` on an
         error reply.
         """
-        self.syscall_count += 1
         obs = self.sim.obs
         started = self.sim.now
         # The client span is the root of the request's causal trace

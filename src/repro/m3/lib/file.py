@@ -81,7 +81,7 @@ class File:
         return bool(entries)
 
     def _install_extent(self, selector: int, length: int) -> None:
-        gate = MemGate(self.env, selector, size=length)
+        gate = MemGate(self.env, selector)
         self._extents.append(_CachedExtent(gate, self._capacity, length))
         self._capacity += length
         self._next_extent_index += 1

@@ -82,12 +82,6 @@ class RecvGate(Gate):
 
     pinned = True
 
-    def __init__(self, env: "Env", selector: int, slot_size: int,
-                 slot_count: int):
-        super().__init__(env, selector)
-        self.slot_size = slot_size
-        self.slot_count = slot_count
-
     @classmethod
     def create(cls, env: "Env", slot_size: int = 256, slot_count: int = 8):
         """Generator: create + activate a fresh receive gate."""
@@ -96,7 +90,7 @@ class RecvGate(Gate):
         selector = yield from env.syscall(
             syscalls.CREATE_RGATE, slot_size, slot_count
         )
-        gate = cls(env, selector, slot_size, slot_count)
+        gate = cls(env, selector)
         yield from gate.activate()
         return gate
 
@@ -140,26 +134,18 @@ class BoundRecvGate(RecvGate):
     standard reply endpoint every VPE gets at creation)."""
 
     def __init__(self, env: "Env", ep_index: int):
-        registers = env.pe.dtu.ep(ep_index)
-        super().__init__(env, selector=-1, slot_size=registers.slot_size,
-                         slot_count=registers.slot_count)
+        super().__init__(env, selector=-1)
         self.ep = ep_index
 
 
 class MemGate(Gate):
     """Access to a region of remote memory via a memory endpoint."""
 
-    def __init__(self, env: "Env", selector: int, size: int | None = None):
-        super().__init__(env, selector)
-        #: region size, when known client-side (bounds are enforced by
-        #: the DTU regardless).
-        self.size = size
-
     @classmethod
     def create(cls, env: "Env", size: int, perm_value: int):
         """Generator: allocate a DRAM region and wrap its capability."""
         selector = yield from env.request_mem(size, perm_value)
-        return cls(env, selector, size)
+        return cls(env, selector)
 
     def derive(self, offset: int, size: int, perm_value: int):
         """Generator: a sub-region gate (derive_mem syscall)."""
@@ -168,7 +154,7 @@ class MemGate(Gate):
         selector = yield from self.env.syscall(
             syscalls.DERIVE_MEM, self.selector, offset, size, perm_value
         )
-        return MemGate(self.env, selector, size)
+        return MemGate(self.env, selector)
 
     def read(self, offset: int, length: int):
         """Generator: RDMA-read bytes from the region; returns a

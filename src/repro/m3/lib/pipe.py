@@ -74,9 +74,7 @@ class Pipe:
     # -- local endpoints (for the creating VPE) ------------------------------
 
     def reader(self) -> "PipeReader":
-        return PipeReader(
-            self.env, self.mem_gate, self.rgate_sel, self.ring_bytes, self.slots
-        )
+        return PipeReader(self.env, self.mem_gate, self.rgate_sel)
 
     def writer(self) -> "PipeWriter":
         return PipeWriter(
@@ -87,10 +85,10 @@ class Pipe:
 
     def delegate_reader(self, vpe: "VPE"):
         """Generator: grant the reader-end capabilities to ``vpe``;
-        returns (mem_sel, rgate_sel, ring_bytes, slots) for its entry args."""
+        returns (mem_sel, rgate_sel) for its entry args."""
         mem_sel = yield from vpe.delegate(self.mem_gate.selector)
         rgate_sel = yield from vpe.delegate(self.rgate_sel)
-        return (mem_sel, rgate_sel, self.ring_bytes, self.slots)
+        return (mem_sel, rgate_sel)
 
     def delegate_writer(self, vpe: "VPE"):
         """Generator: grant the writer-end capabilities to ``vpe``."""
@@ -102,22 +100,18 @@ class Pipe:
 class PipeReader:
     """The consuming end."""
 
-    def __init__(self, env: "Env", mem, rgate_sel: int, ring_bytes: int,
-                 slots: int):
+    def __init__(self, env: "Env", mem, rgate_sel: int):
         self.env = env
-        self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem, ring_bytes)
-        self.rgate = RecvGate(env, rgate_sel, NOTIFY_BYTES + 16, slots)
-        self.ring_bytes = ring_bytes
-        self.slots = slots
+        self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem)
+        self.rgate = RecvGate(env, rgate_sel)
         self._leftover = b""
         self._eof = False
 
     @classmethod
-    def attach(cls, env: "Env", mem_sel: int, rgate_sel: int,
-               ring_bytes: int, slots: int):
+    def attach(cls, env: "Env", mem_sel: int, rgate_sel: int):
         """Generator: bind the delegated reader end (activates the gate,
         which also releases any sender blocked in a deferred activate)."""
-        reader = cls(env, mem_sel, rgate_sel, ring_bytes, slots)
+        reader = cls(env, mem_sel, rgate_sel)
         yield from reader.rgate.activate()
         return reader
 
@@ -158,9 +152,8 @@ class PipeWriter:
     def __init__(self, env: "Env", mem, sgate_sel: int, ring_bytes: int,
                  slots: int):
         self.env = env
-        self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem, ring_bytes)
+        self.mem = mem if isinstance(mem, MemGate) else MemGate(env, mem)
         self.sgate = SendGate(env, sgate_sel)
-        self.ring_bytes = ring_bytes
         self.slots = slots
         self.chunk_bytes = ring_bytes // slots
         self._sequence = 0

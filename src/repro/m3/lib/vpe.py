@@ -28,12 +28,11 @@ class VPE:
     """A handle on another VPE, owned by the creating application."""
 
     def __init__(self, env: "Env", selector: int, spm_gate: MemGate,
-                 vpe_id: int, name: str):
+                 vpe_id: int):
         self.env = env
         self.selector = selector
         self.spm_gate = spm_gate
         self.vpe_id = vpe_id
-        self.name = name
 
     @classmethod
     def create(cls, env: "Env", name: str, pe_type: str | None = None):
@@ -46,8 +45,8 @@ class VPE:
         vpe_sel, spm_sel, vpe_id = yield from env.syscall(
             syscalls.CREATE_VPE, name, pe_type
         )
-        spm_gate = MemGate(env, spm_sel, size=env.pe.spm_data.size)
-        return cls(env, vpe_sel, spm_gate, vpe_id, name)
+        spm_gate = MemGate(env, spm_sel)
+        return cls(env, vpe_sel, spm_gate, vpe_id)
 
     # -- capability exchange -----------------------------------------------
 

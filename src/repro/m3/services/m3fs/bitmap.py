@@ -11,7 +11,6 @@ class Bitmap:
             raise ValueError("bitmap needs at least one bit")
         self.count = count
         self._bits = bytearray(count)  # one byte per bit: simple and fast enough
-        self.used = 0
 
     def alloc(self) -> int:
         """Allocate one unit; returns its index."""
@@ -52,7 +51,6 @@ class Bitmap:
             raise MemoryError(f"no free run of at least {minimum} units")
         start, got = best
         bits[start : start + got] = b"\x01" * got
-        self.used += got
         return start, got
 
     def free_run(self, start: int, count: int) -> None:
@@ -64,7 +62,6 @@ class Bitmap:
         if hole != -1:
             raise ValueError(f"double free of unit {hole}")
         self._bits[start : start + count] = bytes(count)
-        self.used -= count
 
     def _check(self, index: int) -> None:
         if not (0 <= index < self.count):

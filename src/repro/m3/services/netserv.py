@@ -89,8 +89,6 @@ class NetServ(Server):
         self.buffer: MemGate | None = None
         self.nic_cmd: SendGate | None = None
         self.nic: NetworkDevice | None = None
-        #: the session table, by the name the driver side knows it by.
-        self.sockets: dict[int, _Socket] = self.sessions
         self.ports: dict[int, _Socket] = {}
         self.frames_routed = 0
         self.frames_dropped = 0
@@ -228,7 +226,7 @@ class NetServ(Server):
             del self.ports[socket.port]
         socket.port = None
         socket.inbox.clear()
-        self.sockets.pop(socket.session_id, None)
+        self.sessions.pop(socket.session_id, None)
         return ()
         yield  # pragma: no cover
 

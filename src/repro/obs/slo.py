@@ -107,8 +107,6 @@ class SloMonitor:
         self.timeline: list[tuple] = []
         #: (end_cycle, severity, "fire" | "resolve", short, long).
         self.alerts: list[tuple] = []
-        #: most recent fired alert: (end_cycle, slo name, severity).
-        self.last_fired: tuple | None = None
         self._active: dict[str, bool] = {}
         self.telemetry.on_epoch_close.append(self._on_epoch_close)
         observer.slo_monitors.append(self)
@@ -155,7 +153,6 @@ class SloMonitor:
                 self.alerts.append(
                     (end_cycle, severity, "fire", short_burn, long_burn)
                 )
-                self.last_fired = (end_cycle, self.spec.name, severity)
                 self.observer.instant(
                     f"slo_{severity}", "slo", -1, slo=self.spec.name,
                     epoch=index, short_burn=round(short_burn, 2),

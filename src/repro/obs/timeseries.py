@@ -62,8 +62,6 @@ class Telemetry:
         #: name -> deque of (epoch_index, value); value is an int/float
         #: for counter/gauge series, a Histogram for quantile series.
         self._series: dict[str, collections.deque] = {}
-        #: name -> closed epochs evicted by the retention ring.
-        self.dropped_epochs: dict[str, int] = {}
         #: index of the open (accumulating) epoch, and the cycle it ends
         #: at: a record at or after it calls :meth:`advance` first.
         self._open_index = 0
@@ -190,8 +188,6 @@ class Telemetry:
                 value = last_value
             ring[-1] = (last_index, value)
             return
-        if len(ring) == RETENTION:
-            self.dropped_epochs[name] = self.dropped_epochs.get(name, 0) + 1
         ring.append((index, value))
 
     # -- reading ---------------------------------------------------------

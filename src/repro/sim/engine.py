@@ -230,12 +230,12 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
 
-    def run_process(self, generator, name: str = "main", limit: int | None = None):
+    def run_process(self, generator, name: str = "main"):
         """Start a process, run the simulation to its completion, and
         return its result.  Nobody else waits on the process, so its
         failure leaves :meth:`run` where it is raised."""
         proc = self.process(generator, name)
-        self.run(until=limit, until_event=proc.done)
+        self.run(until_event=proc.done)
         if not proc.done.triggered:
             raise RuntimeError(
                 f"process {name!r} did not finish "

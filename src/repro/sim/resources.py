@@ -75,11 +75,10 @@ class Signal:
     leaves nothing behind for the fire to clear.
     """
 
-    __slots__ = ("sim", "name", "_wait_name", "_armed")
+    __slots__ = ("sim", "_wait_name", "_armed")
 
     def __init__(self, sim: "Simulator", name: str = "signal"):
         self.sim = sim
-        self.name = name
         self._wait_name = f"{name}.wait"  # built once, not per wait
         self._armed: Event | None = None
 

@@ -41,10 +41,10 @@ def _gen_cycles(nbytes: int) -> int:
 # -- M3 ----------------------------------------------------------------------
 
 
-def m3_fft_program(env, mem_sel, rgate_sel, ring, slots):
+def m3_fft_program(env, mem_sel, rgate_sel):
     """The FFT application: pipe -> FFT -> file.  Registered under both
     binary names; the PE it lands on prices the ``fft`` operation."""
-    reader = yield from PipeReader.attach(env, mem_sel, rgate_sel, ring, slots)
+    reader = yield from PipeReader.attach(env, mem_sel, rgate_sel)
     out = yield from env.vfs.open(OUTPUT_PATH, OpenFlags.W | OpenFlags.CREATE)
     while True:
         chunk = yield from reader.read(CHUNK)

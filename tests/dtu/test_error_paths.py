@@ -23,12 +23,11 @@ def _snapshot(dtu):
             ring._write_pos,
             ring._read_pos,
             tuple(ring._slots),
-            ring.dropped,
             ring.duplicates,
         )
         for index, ring in dtu._ringbufs.items()
     }
-    return eps, rings, dtu.messages_sent
+    return eps, rings, dtu.messages_sent, dtu.messages_dropped
 
 
 @pytest.fixture

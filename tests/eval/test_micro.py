@@ -73,7 +73,7 @@ def test_m3_pipe_and_drain_deliver_every_round(slots):
     def app(env):
         reader, vpe = yield from m3_pipe(env, payload, rounds * len(payload),
                                          slots)
-        assert vpe.name == "writer"
+        assert system.kernel.vpes[vpe.vpe_id].name == "writer"
         data = yield from m3_drain(reader, len(payload))
         yield from vpe.wait()
         return data

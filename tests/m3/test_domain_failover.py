@@ -22,6 +22,14 @@ def _spin(env):
         yield env.compute(1_000)
 
 
+def _retries(system, kernel):
+    """``(cycle, operation, attempt)`` of each RPC copy ``kernel``
+    resent, from the observer's ``ik_retry`` instants."""
+    return [(instant.time, instant.args["operation"], instant.args["attempt"])
+            for instant in system.sim.obs.instants
+            if instant.name == "ik_retry" and instant.node == kernel.node]
+
+
 # -- idempotent inter-kernel RPC ---------------------------------------------
 
 
@@ -61,7 +69,7 @@ def test_unanswered_rpc_times_out_with_capped_backoff():
     """A peer whose core died (but whose DTU still hardware-acks) never
     replies: the RPC is retried on an exact, capped exponential
     schedule and then completed with a timeout verdict."""
-    system = M3System(pe_count=4, kernel_count=2, reliable=True)
+    system = M3System(pe_count=4, kernel_count=2, reliable=True, observe=True)
     system.boot(with_fs=False)
     k0, k1 = system.kernels
     k1.pe.fail(cause="halted for the test")  # core dies, DTU answers
@@ -79,7 +87,7 @@ def test_unanswered_rpc_times_out_with_capped_backoff():
     assert f"no reply after {params.IK_RPC_MAX_ATTEMPTS} attempts" in detail
     assert k0.ik.timeouts == 1
     # Retry schedule: base * 2^n, exactly — bit-identical across runs.
-    times = [now for now, _neg, _attempt in k0.ik.retry_log]
+    times = [now for now, _operation, _attempt in _retries(system, k0)]
     assert len(times) == params.IK_RPC_MAX_ATTEMPTS - 1
     deltas = [later - earlier for earlier, later in zip(times, times[1:])]
     base = params.IK_RPC_TIMEOUT_CYCLES
@@ -142,7 +150,8 @@ def test_heartbeats_detect_dead_kernel_and_fail_over():
 
 def test_failover_is_deterministic():
     def run_once():
-        system = M3System(pe_count=4, kernel_count=2, reliable=True)
+        system = M3System(pe_count=4, kernel_count=2, reliable=True,
+                          observe=True)
         k1 = system.kernels[1]
         plan = FaultPlan(seed=9).drop(0.01)
         plan.kill_pe(node=k1.node, at=10_000)
@@ -163,7 +172,7 @@ def test_failover_is_deterministic():
         system.stop_heartbeats()
         system.sim.run()
         k0 = system.kernels[0]
-        return (outcome, k0.failover.failover_log, list(k0.ik.retry_log),
+        return (outcome, k0.failover.failover_log, _retries(system, k0),
                 k0.ik_retries, k0.ik.timeouts, system.sim.now)
 
     assert run_once() == run_once()

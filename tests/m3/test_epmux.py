@@ -35,10 +35,10 @@ def test_bound_gate_reuses_endpoint_without_syscalls(system):
     def app(env):
         gate = yield from MemGate.create(env, 1024, MemoryPerm.RW.value)
         yield from gate.write(0, b"warm")
-        syscalls_before = env.syscall_count
+        syscalls_before = system.kernel.syscall_count
         for _ in range(5):
             yield from gate.read(0, 4)
-        return env.syscall_count - syscalls_before
+        return system.kernel.syscall_count - syscalls_before
 
     assert system.run_app(app) == 0  # the binding is cached
 

@@ -5,6 +5,7 @@ import pytest
 from repro.m3.services.m3fs.extents import Extent, total_bytes
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
+from tests.m3.test_bitmap import used
 
 
 def _fs(blocks=1024, block_size=1024, append=16):
@@ -50,9 +51,9 @@ def test_unlink_file_frees_blocks():
     fs = _fs()
     inode = fs.create("/victim")
     fs.append_extent(inode, 8)
-    used_before = fs.block_bitmap.used
+    used_before = used(fs.block_bitmap)
     fs.unlink("/victim")
-    assert fs.block_bitmap.used == used_before - 8
+    assert used(fs.block_bitmap) == used_before - 8
     assert not fs.exists("/victim")
 
 
@@ -95,7 +96,7 @@ def test_truncate_frees_tail_blocks():
     fs.truncate(inode, 3 * 1024 + 100)  # keep 4 blocks
     assert inode.size == 3 * 1024 + 100
     assert sum(e.block_count for e in inode.extents) == 4
-    assert fs.block_bitmap.used == 4
+    assert used(fs.block_bitmap) == 4
 
 
 def test_truncate_to_zero_frees_everything():
@@ -104,7 +105,7 @@ def test_truncate_to_zero_frees_everything():
     fs.append_extent(inode, 8)
     fs.truncate(inode, 0)
     assert inode.extents == []
-    assert fs.block_bitmap.used == 0
+    assert used(fs.block_bitmap) == 0
 
 
 def test_truncate_beyond_allocation_refused():

@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.m3.services.m3fs.extents import total_bytes
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
+from tests.m3.test_bitmap import used
 
 _names = st.sampled_from([f"n{i}" for i in range(8)])
 
@@ -61,13 +62,13 @@ class M3fsMachine(RuleBasedStateMachine):
         if not isinstance(entry, tuple):
             return
         inode = self.fs.resolve(path)
-        used_before = self.fs.block_bitmap.used
+        used_before = used(self.fs.block_bitmap)
         try:
             extent = self.fs.append_extent(inode, blocks)
         except MemoryError:
             return
         assert 1 <= extent.block_count <= blocks
-        assert self.fs.block_bitmap.used == used_before + extent.block_count
+        assert used(self.fs.block_bitmap) == used_before + extent.block_count
 
     @rule(name=_names, size=st.integers(min_value=0, max_value=8 * 1024))
     def truncate(self, name, size):
@@ -116,7 +117,7 @@ class M3fsMachine(RuleBasedStateMachine):
             for inode in self.fs.inodes.values()
             for extent in inode.extents
         )
-        assert claimed == self.fs.block_bitmap.used
+        assert claimed == used(self.fs.block_bitmap)
 
     @invariant()
     def extents_are_disjoint(self):

@@ -109,9 +109,7 @@ def test_remote_session_reads_a_file_across_domains():
     assert system.wait(vpe) == b"hello across domains"
     k0, k1 = system.kernels
     assert k1.ik_requests_sent >= 1  # srv_open to domain 0
-    assert k0.ik.requests_served >= 1
     assert k0.ik_requests_sent >= 1  # delegate_mem back to domain 1
-    assert k1.ik.requests_served >= 1
 
 
 def test_unknown_service_fails_across_all_domains():
@@ -152,7 +150,7 @@ def test_memory_delegation_to_a_spilled_child():
     system = boot_partitioned(pe_count=4, kernel_count=2)
 
     def child(env, mem_sel):
-        gate = MemGate(env, mem_sel, 4096)
+        gate = MemGate(env, mem_sel)
         data = yield from gate.read(0, 11)
         yield from gate.write(100, b"child reply")
         return bytes(data)

@@ -437,10 +437,10 @@ def test_close_reclaims_session_and_port(net_system):
     def app(env):
         a = yield from NetClient.connect(env, "net")
         yield from a.request("bind", 50)
-        sessions_before = len(server.sockets)
+        sessions_before = len(server.sessions)
         yield from a.request("close")
         outcomes = [
-            len(server.sockets) == sessions_before - 1,
+            len(server.sessions) == sessions_before - 1,
             50 not in server.ports,
         ]
         try:

@@ -83,9 +83,8 @@ def test_pipe_parent_writes_child_reads(system):
     """The reverse direction: the creator holds the writer end."""
     payload = b"downstream data " * 500
 
-    def child_reader(env, mem_sel, rgate_sel, ring, slot_count):
-        reader = yield from PipeReader.attach(env, mem_sel, rgate_sel, ring,
-                                              slot_count)
+    def child_reader(env, mem_sel, rgate_sel):
+        reader = yield from PipeReader.attach(env, mem_sel, rgate_sel)
         data = bytearray()
         while True:
             chunk = yield from reader.read(4096)

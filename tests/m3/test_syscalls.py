@@ -180,7 +180,7 @@ def test_revoke_tears_down_memory_access(system):
         return (yield from child.wait())
 
     def child_reader(env, mem_sel):
-        gate = MemGate(env, mem_sel, 4096)
+        gate = MemGate(env, mem_sel)
         first = yield from gate.read(0, 6)
         yield 4000  # revocation happens here
         try:

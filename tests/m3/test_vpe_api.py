@@ -182,7 +182,7 @@ def test_exec_unregistered_program_fails(fs_system):
 
 def test_delegated_memory_is_usable_by_child(system):
     def child(env, mem_sel):
-        gate = MemGate(env, mem_sel, 4096)
+        gate = MemGate(env, mem_sel)
         data = yield from gate.read(0, 11)
         yield from gate.write(100, b"child reply")
         return data

@@ -106,7 +106,7 @@ def test_last_alert_before():
     telemetry.advance(100)
     assert last_alert_before(obs, 100) == (100, "lat", "page")
     assert last_alert_before(obs, 99) is None
-    assert monitor.last_fired == (100, "lat", "page")
+    assert monitor.alerts[-1][:3] == (100, "page", "fire")
 
 
 def test_monitor_requires_telemetry():

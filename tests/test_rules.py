@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from collections.abc import Callable, Mapping
 from pathlib import Path
@@ -37,9 +38,10 @@ class Rule:
     path starts with an ``exempt`` prefix or the line matches an
     ``allow`` pattern.  A pattern is grep -E's syntax, which Python's
     ``re`` reads alike for every row here.  ``pattern`` may instead be a
-    function from a file's source to its offending ``(line, text)``
-    pairs, for what a line regex cannot state, or ``None``, which counts
-    every line (``wc -l``).  With a ``limit``, the row fails only when
+    function from a file's source and the tree's root to its offending
+    ``(line, text)`` pairs, for what a line regex cannot state (``allow``
+    then matches the text), or ``None``, which counts every line
+    (``wc -l``).  With a ``limit``, the row fails only when
     more lines than that offend.
 
     ``owned`` maps each forbidden name its owner still uses to where it
@@ -49,7 +51,7 @@ class Rule:
     """
 
     name: str
-    pattern: str | Callable[[str], list[tuple[int, str]]] | None
+    pattern: str | Callable[[str, Path], list[tuple[int, str]]] | None
     paths: tuple[str, ...]
     message: str
     planted: str
@@ -60,7 +62,7 @@ class Rule:
     retired: tuple[str, ...] = ()
 
 
-def _floor_parameters(source: str) -> list[tuple[int, str]]:
+def _floor_parameters(source: str, _root: Path) -> list[tuple[int, str]]:
     """The module-level ``def reserve_path``'s parameters named ``floor``
     (and the def's absence, which would empty the rule)."""
     for node in ast.parse(source).body:
@@ -70,6 +72,66 @@ def _floor_parameters(source: str) -> list[tuple[int, str]]:
             return [(p.lineno, f"reserve_path({p.arg})") for p in params
                     if p is not None and p.arg == "floor"]
     return [(1, "no module-level def reserve_path")]
+
+
+#: where a read of a field counts: production, and the laws every
+#: system fixture asserts.
+READERS = ("src/", "benchmarks/", "examples/", "tests/m3/invariants.py")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+_FILLS = frozenset(("add", "append", "appendleft", "clear", "discard", "extend",
+                    "insert", "pop", "popleft", "remove", "setdefault", "update"))
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The attribute names ``tree`` reads: each attribute load, unless it
+    only fills or empties a container (``x.log.append(...)`` as a
+    statement, ``x.table[key] = value``), and each part of a string that
+    is a dotted name (the ``monitor`` and ``attrgetter`` tables name
+    attributes so), unless it is a docstring or a ``__slots__`` entry."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            skip.add(id(node.body[0].value))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets):
+            skip.update(id(entry) for entry in ast.walk(node.value))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            skip.add(id(node.value))
+        elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Attribute)
+              and node.value.func.attr in _FILLS):
+            skip.add(id(node.value.func.value))
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.match(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+@functools.cache
+def _read_anywhere(root: Path) -> frozenset[str]:
+    return frozenset().union(*(
+        _reads(ast.parse(file.read_text(encoding="utf-8")))
+        for path in READERS for file in _files(root, path)))
+
+
+def _write_only_state(source: str, root: Path) -> list[tuple[int, str]]:
+    """Each assignment to ``self.<name>`` where nothing ``READERS`` name
+    reads ``<name>``.  Names are not types: a field that shares its name
+    with a field production reads passes unseen."""
+    read, lines = _read_anywhere(root), source.splitlines()
+    return [(node.lineno, lines[node.lineno - 1].strip())
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr not in read]
 
 
 ROWS = (
@@ -265,7 +327,8 @@ ROWS = (
         r"\b(largest_hole|free_bytes|windows_retained|serialization_cycles|"
         r"spm_code|SPM_CODE_BYTES|spm_bytes|frames_carried|frames_received|"
         r"interrupts_sent|compute_op|sessions_opened|sessions_closed|"
-        r"context_switches|_counter_events)\b",
+        r"context_switches|_counter_events|retry_log|last_fired|"
+        r"dropped_epochs)\b",
         ("src/", "tests/"),
         message="this read had no reader outside its own tests and was "
                 "deleted: give a new one a production reader, or compute it "
@@ -275,12 +338,32 @@ ROWS = (
                  "serialization_cycles", "spm_code", "SPM_CODE_BYTES",
                  "spm_bytes", "frames_carried", "frames_received",
                  "interrupts_sent", "compute_op", "sessions_opened",
-                 "sessions_closed", "context_switches", "_counter_events"),
+                 "sessions_closed", "context_switches", "_counter_events",
+                 "retry_log", "last_fired", "dropped_epochs"),
+    ),
+    Rule(
+        "write-only-state",
+        _write_only_state,
+        ("src/repro/",),
+        allow=(
+            # Process.interrupt's cause: what an interrupted process may
+            # ask of its Interrupt, though no committed program asks yet.
+            r"^self\.cause\b",
+            # the NoC's counts of the faults FaultPlan.corrupt and .delay
+            # inject: the fault fuzzer of ROADMAP item 5 is to read them,
+            # or delete them with those fault kinds.
+            r"^self\.packets_(corrupted|delayed)\b",
+        ),
+        message="a field production never reads: give it a reader under "
+                "src/, benchmarks/ or examples/ (or a law in "
+                "tests/m3/invariants.py), or delete it and let a test compute "
+                "what it needs from public state",
+        planted="def reset(self): self.unread_total = 0",
     ),
     Rule(
         "obs-ledger-lines",
         None,
-        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1789,
+        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1782,
         message="the observer and the time ledger do not grow: make room by "
                 "deleting code, not by moving it to another file",
         planted="pass",
@@ -313,7 +396,9 @@ def offences(rule: Rule, root: Path) -> list[str]:
                 continue
             source = file.read_text(encoding="utf-8")
             if callable(rule.pattern):
-                found += [f"{rel}:{n}: {text}" for n, text in rule.pattern(source)]
+                found += [f"{rel}:{n}: {text}"
+                          for n, text in rule.pattern(source, root)
+                          if not any(re.search(allow, text) for allow in rule.allow)]
             elif rule.pattern is None:
                 found += [f"{rel}:{n}: {line.strip()}"
                           for n, line in enumerate(source.splitlines(), 1)]
