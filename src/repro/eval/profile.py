@@ -21,17 +21,20 @@ from repro import params
 from repro.eval.common import Eval
 from repro.eval.report import render_table
 from repro.obs import to_chrome_trace
+from repro.obs.timeseries import LINK_SERIES
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.m3.system import M3System
     from repro.noc.network import Network
-    from repro.obs import Histogram, Observer
+    from repro.obs import Histogram, Observer, Telemetry
 
 #: the profile microbenchmark's workload geometry (a scaled-down
 #: Figure 3: enough traffic for meaningful histograms, fast to run).
 PROFILE_SYSCALLS = 16
 PROFILE_FILE_BYTES = 256 * 1024
 PROFILE_BUFFER_BYTES = params.MICRO_BUFFER_BYTES
+#: telemetry epoch of the link-occupancy table, in cycles.
+PROFILE_EPOCH = 10_000
 
 
 # -- table rendering -----------------------------------------------------------
@@ -91,18 +94,26 @@ def utilization_table(network: "Network") -> str:
     )
 
 
-def link_series_table(observer: "Observer", top: int = 3) -> str:
-    """Occupancy time series (epoch boundaries) for the busiest links."""
+def link_series_table(telemetry: "Telemetry", top: int = 3) -> str:
+    """Occupancy time series (epoch ends; a flushed last epoch ends at
+    the current cycle) for the busiest links."""
+    series = {}
+    for name in telemetry.names():
+        if name.startswith(LINK_SERIES):
+            a, b = name.removeprefix(LINK_SERIES).split("->")
+            series[int(a), int(b)] = telemetry.points(name)
     busiest = sorted(
-        observer.link_series.items(),
-        key=lambda kv: (-math.fsum(f for _t, f in kv[1]), kv[0]),
+        series.items(),
+        key=lambda kv: (-math.fsum(f for _i, f in kv[1]), kv[0]),
     )[:top]
+    now = telemetry.sim.now
     rows = []
-    for (a, b), series in busiest:
-        for epoch_end, fraction in series:
-            rows.append((f"{a}->{b}", epoch_end, f"{fraction:.2%}"))
+    for (a, b), points in busiest:
+        for index, fraction in points:
+            rows.append((f"{a}->{b}", min(telemetry.end_cycle(index), now),
+                         f"{fraction:.2%}"))
     return render_table(
-        f"Link occupancy per {observer.epoch:,}-cycle epoch (busiest {top})",
+        f"Link occupancy per {telemetry.epoch:,}-cycle epoch (busiest {top})",
         ["link", "epoch end", "busy"],
         rows,
     )
@@ -122,8 +133,8 @@ def render(system: "M3System") -> str:
         pieces.append(histogram_table(obs.histograms[name]))
     pieces.append(counter_table(obs))
     pieces.append(utilization_table(network))
-    if obs.link_series:
-        pieces.append(link_series_table(obs))
+    if obs.telemetry is not None:
+        pieces.append(link_series_table(obs.telemetry))
     return "\n\n".join(pieces)
 
 
@@ -141,7 +152,10 @@ def run() -> "M3System":
     from repro.workloads.data import deterministic_bytes
     from repro.workloads.micro import m3_read, m3_syscalls
 
-    system = M3System(pe_count=4, observe=True).boot()
+    system = M3System(pe_count=4, observe=True)
+    # From cycle 0, as the links' traffic is: boot sends packets too.
+    telemetry = system.enable_telemetry(PROFILE_EPOCH)
+    system.boot()
     system.fs_preload(
         {"/profile.dat": deterministic_bytes("profile", PROFILE_FILE_BYTES)}
     )
@@ -154,7 +168,7 @@ def run() -> "M3System":
     system.run_app(app, name="profile")
     # Flush the trailing partial epoch so the occupancy series covers
     # the whole run.
-    system.sim.obs.sample_links(system.platform.network, force=True)
+    telemetry.flush()
     return system
 
 

@@ -167,7 +167,7 @@ def start_kv_tier(system: "M3System", domains: list | None = None,
         # copy of the signal the depth router and autoscaler act on.
         # Reading the live route each time keeps replicas the
         # autoscaler adds (or retires) in the series automatically.
-        def depth_sampler():
+        def depth_sampler(_start, _end, _closes):
             return tuple(
                 (f"kv.{replica}.depth",
                  system.kernels[owner].sessions.depth(replica))

@@ -117,19 +117,25 @@ class M3System:
 
         return Observer.install(self.sim, **kwargs)
 
-    def enable_telemetry(self, **kwargs):
-        """Attach the streaming telemetry plane (requires an observer).
+    def enable_telemetry(self, epoch: int):
+        """Attach the streaming telemetry plane of ``epoch``-cycle epochs
+        (requires an observer).
 
         Returns the :class:`repro.obs.Telemetry` hub; from here on the
         Observer's counters/gauges/histograms also fold into per-epoch
-        series (see docs/observability.md, "Telemetry").
+        series, and each NoC link's occupancy is one (``noc.link.*``,
+        see docs/observability.md, "Telemetry").
         """
+        from repro.obs.timeseries import LinkOccupancy
+
         if self.sim.obs is None:
             raise RuntimeError(
                 "enable observability before telemetry (observe=True "
                 "or enable_observability())"
             )
-        return self.sim.obs.enable_telemetry(**kwargs)
+        telemetry = self.sim.obs.enable_telemetry(epoch)
+        telemetry.add_sampler(LinkOccupancy(self.platform.network))
+        return telemetry
 
     def domain_map(self) -> dict[int, int]:
         """NoC node -> kernel-domain id, for failure attribution."""

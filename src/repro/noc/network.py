@@ -123,11 +123,11 @@ class Network:
 
         An installed observer meets the packet first, before anything
         is reserved or counted: it registers this network's totals
-        (``Observer.monitor``) once and folds every epoch that ended
-        (``fold_at``), so the epochs close without this packet and every
-        reader of the links asks at or after the cycle of every
-        reservation already made.  The links on the path then forget
-        what ended before the packet's head (``reserve_path``).
+        (``Observer.monitor``) once, and its telemetry, if any, closes
+        every epoch that ended, so the epochs close without this packet
+        and every reader of the links asks at or after the cycle of
+        every reservation already made.  The links on the path then
+        forget what ended before the packet's head (``reserve_path``).
         """
         try:
             handler = self._handlers[packet.destination]
@@ -144,8 +144,9 @@ class Network:
                              "noc.packets_delivered": "packets_sent",
                              "noc.packets_dropped": "packets_lost",
                              "noc.payload_bytes": "bytes_injected"}, self)
-            if sim.now >= obs.fold_at:
-                obs.sample_links(self)
+            telemetry = obs.telemetry
+            if telemetry is not None and sim.now >= telemetry.closes_at:
+                telemetry.advance()
         size = packet.size_bytes
         path = self.paths[packet.source, packet.destination]
         # A network's links share its bandwidth: one wire time a packet.

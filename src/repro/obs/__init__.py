@@ -6,13 +6,14 @@ probes, recovery) is invisible without runtime introspection.  One
 module per concern, each with its own docstring:
 
 - :mod:`~repro.obs.observer` — the per-simulation hub (``sim.obs``):
-  typed spans, instants, counters, histograms, link epochs.
+  typed spans, instants, counters, histograms; no epochs of its own.
 - :mod:`~repro.obs.metrics` — deterministic log2/log-linear histograms.
 - :mod:`~repro.obs.causal` — trace contexts carried in DTU headers,
   per-request span trees, critical paths attributed per component.
 - :mod:`~repro.obs.timeseries` — epoch-bucketed telemetry series
-  (``observer.enable_telemetry()``); :mod:`~repro.obs.slo` — burn-rate
-  SLO alerts over them, feeding the autoscaler and failover verdicts.
+  (``observer.enable_telemetry(epoch)``), per-link NoC occupancy among
+  them; :mod:`~repro.obs.slo` — burn-rate SLO alerts over them,
+  feeding the autoscaler and failover verdicts.
 - :mod:`~repro.obs.flight` — a per-domain flight recorder that reads
   the recent log on failure verdicts (``observer.enable_flight_recorder()``).
 - :mod:`~repro.obs.chrome`, :mod:`~repro.obs.prom` — Chrome/Perfetto

@@ -11,9 +11,10 @@ the rest is derived when an epoch closes or somebody reads.  Collected:
   identity :mod:`repro.obs.causal` links into per-request trees;
 - **instants** — point events (a retransmit, a watchdog probe);
 - **counters / histograms** — named metrics, histograms in the
-  deterministic log2 buckets of :mod:`repro.obs.metrics`;
-- **link occupancy epochs** — per-link busy fraction per fixed epoch,
-  sampled from packet injections (never a timer).
+  deterministic log2 buckets of :mod:`repro.obs.metrics`.
+
+It keeps no epochs: series over time, per-link NoC occupancy among
+them, are the telemetry plane's (:mod:`repro.obs.timeseries`).
 
 Span/instant storage is optionally bounded (a ring with a dropped-record
 counter) so long fault sweeps cannot grow without bound.
@@ -33,11 +34,7 @@ from repro.obs.metrics import Histogram
 from repro.obs.timeseries import Telemetry
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.network import Network
     from repro.sim.engine import Simulator
-
-#: default link-occupancy sampling period in cycles.
-DEFAULT_EPOCH = 10_000
 
 
 class Span(typing.NamedTuple):
@@ -114,12 +111,9 @@ class SpanLog(collections.abc.Sequence):
 class Observer:
     """Collects spans, instants, and metrics for one simulation."""
 
-    def __init__(self, sim: "Simulator", span_capacity: int | None = None,
-                 epoch: int = DEFAULT_EPOCH):
+    def __init__(self, sim: "Simulator", span_capacity: int | None = None):
         if span_capacity is not None and span_capacity < 1:
             raise ValueError("span capacity must be positive")
-        if epoch < 1:
-            raise ValueError("epoch must be positive")
         self.sim = sim
         self.span_capacity = span_capacity
         #: every span held, oldest first (read-only); the kinds table.
@@ -133,18 +127,6 @@ class Observer:
         self._monitors: list[list] = []
         self._histograms: dict[str, Histogram] = {}
         self._samples: dict[str, array.array] = {}
-        #: (source, destination) -> [(epoch_end_cycle, busy_fraction)].
-        self.link_series: dict[tuple, list[tuple[int, float]]] = {}
-        self.epoch = epoch
-        #: the open link-occupancy epoch starts here (at first, creation).
-        self.links_sampled_to = sim.now
-        self._next_epoch = (sim.now // epoch + 1) * epoch
-        #: per link, its busy cycles by :attr:`links_sampled_to`.
-        self._link_busy: dict[tuple, int] | None = None
-        #: the network calls :meth:`sample_links` before it reserves for a
-        #: packet at or after this cycle: creation (the first contact), then
-        #: the end of the first open epoch, link or telemetry.
-        self.fold_at = sim.now
         self._open: dict[int, tuple] = {}
         self._span_ids = itertools.count(1)
         #: per-node trace-context stacks (causal request tracing).
@@ -166,14 +148,14 @@ class Observer:
         sim.obs = observer = cls(sim, **kwargs)
         return observer
 
-    def enable_telemetry(self, **kwargs):
-        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub: what is
-        recorded from here on also fans into epoch series."""
+    def enable_telemetry(self, epoch: int):
+        """Attach a :class:`~repro.obs.timeseries.Telemetry` hub of
+        ``epoch``-cycle epochs: what is recorded from here on also fans
+        into epoch series."""
         if self.telemetry is not None:
             raise RuntimeError("telemetry is already enabled")
         self._settle()
-        self.telemetry = Telemetry(self.sim, settle=self._settle, **kwargs)
-        self.fold_at = min(self.fold_at, self.telemetry.closes_at)
+        self.telemetry = Telemetry(self.sim, self._settle, epoch)
         return self.telemetry
 
     def enable_flight_recorder(self):
@@ -300,7 +282,7 @@ class Observer:
         :attr:`counters` is read or an epoch closes: a source moves it
         only after a call that closes ended epochs in the same cycle
         (:meth:`count`, :meth:`observe`, :meth:`instant`, or
-        ``Network.send``: :attr:`fold_at`)."""
+        ``Network.send``)."""
         for name, attribute in totals.items():
             read = operator.attrgetter(attribute)
             self._monitors.append(
@@ -352,53 +334,6 @@ class Observer:
         self._settle()
         return self._histograms
 
-    # -- link occupancy epochs ----------------------------------------------
-
-    def sample_links(self, network: "Network", force: bool = False) -> None:
-        """Fold completed epochs into the per-link occupancy series;
-        called by :meth:`Network.send` before it reserves for a packet at
-        or after :attr:`fold_at`, so sampling never schedules anything.
-        The first call takes each link's busy total at
-        :attr:`links_sampled_to`; a closed epoch moves it on.  ``force``
-        flushes the partial epoch too, moving no total; its point is
-        replaced when it is flushed again or closes."""
-        now = self.sim.now
-        if self._link_busy is None:  # first contact
-            self._link_busy = {key: link.busy_within(self.links_sampled_to)
-                               for key, link in network.iter_links()}
-        while self._next_epoch <= now:
-            self._record_epoch(network, self.links_sampled_to,
-                               self._next_epoch, True)
-            self.links_sampled_to = self._next_epoch
-            self._next_epoch += self.epoch
-        if force and now > self.links_sampled_to:
-            self._record_epoch(network, self.links_sampled_to, now, False)
-        self.fold_at = self._next_epoch
-        if self.telemetry is not None:
-            self.telemetry.advance(now)
-            self.fold_at = min(self.fold_at, self.telemetry.closes_at)
-
     def label_node(self, node: int, label: str) -> None:
         """Name a NoC node's role (the Perfetto process name)."""
         self.node_labels[node] = label
-
-    def _record_epoch(self, network: "Network", start: int, end: int,
-                      closes: bool) -> None:
-        busy_links, busiest = 0, 0.0
-        for key, link in network.iter_links():
-            total = link.packets and link.busy_within(end)
-            busy = total - self._link_busy[key]
-            if closes:
-                self._link_busy[key] = total
-            if busy:
-                fraction = busy / (end - start)
-                series = self.link_series.setdefault(key, [])
-                if series and series[-1][0] > start:
-                    series.pop()  # this epoch's flushed partial point
-                series.append((end, fraction))
-                busy_links += 1
-                if fraction > busiest:
-                    busiest = fraction
-        if self.telemetry is not None and busy_links:
-            self.telemetry.gauge("noc.links_busy", busy_links)
-            self.telemetry.gauge("noc.link_busy_max", round(busiest, 4))

@@ -8,21 +8,23 @@ cycle:
 
 - **counter series** — per-epoch deltas (requests this epoch, retries
   this epoch), summed within the epoch;
-- **gauge series** — last-written value per epoch (queue depth, live
-  replica count);
+- **gauge series** — one sampled value per epoch (queue depth, link
+  occupancy), from the *samplers* below;
 - **quantile series** — one deterministic
   :class:`~repro.obs.metrics.Histogram` per epoch (per-epoch p99
   without storing samples).
 
 Epochs advance *lazily*: every record checks the clock
-(:attr:`Telemetry.closes_at`), as does the Observer's ``sample_links``
-path — the telemetry plane never schedules simulator events, so an idle
-simulation still drains its queue.  When an epoch closes the Observer
-first *settles* (adds its buffered samples and what its monitored
-counters moved by), then registered *samplers* (callables returning
-``(name, value)`` gauge pairs) are polled — how sources nobody pushes,
-like per-replica kv queue depth, get a series.  Retention is a ring:
-each series keeps its latest ``RETENTION`` epochs and counts the rest.
+(:attr:`Telemetry.closes_at`), as does ``Network.send`` before it
+reserves — the telemetry plane never schedules simulator events, so an
+idle simulation still drains its queue.  The first epoch is the one
+containing the cycle the plane is enabled at, counted from that cycle.
+When an epoch closes the Observer first *settles* (adds its buffered
+samples and what its monitored counters moved by), then registered
+*samplers* are polled with the epoch's bounds — how sources nobody
+pushes get a series: per-replica kv queue depth, and per-link NoC
+occupancy (:class:`LinkOccupancy`).  Retention is a ring: each series
+keeps its latest ``RETENTION`` epochs and counts the rest.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ from repro.obs.metrics import Histogram
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
-#: default telemetry epoch in cycles — coarser than the 10k-cycle link
-#: epochs; one row per epoch in the eval reports.
-DEFAULT_TELEMETRY_EPOCH = 50_000
-
 #: per-series ring size, in epochs.
 RETENTION = 1024
 
@@ -47,12 +45,14 @@ PRECISION = 7
 
 COUNTER, GAUGE, QUANTILE = "counter", "gauge", "quantile"
 
+#: prefix of a link's occupancy series, ``noc.link.<source>-><destination>``.
+LINK_SERIES = "noc.link."
+
 
 class Telemetry:
     """Per-epoch series for one simulation (``observer.telemetry``)."""
 
-    def __init__(self, sim: "Simulator", settle,
-                 epoch: int = DEFAULT_TELEMETRY_EPOCH):
+    def __init__(self, sim: "Simulator", settle, epoch: int):
         if epoch < 1:
             raise ValueError("telemetry epoch must be positive")
         self.sim = sim
@@ -62,32 +62,28 @@ class Telemetry:
         #: name -> deque of (epoch_index, value); value is an int/float
         #: for counter/gauge series, a Histogram for quantile series.
         self._series: dict[str, collections.deque] = {}
-        #: index of the open (accumulating) epoch, and the cycle it ends
-        #: at: a record at or after it calls :meth:`advance` first.
-        self._open_index = 0
-        self.closes_at = epoch
+        #: the open (accumulating) epoch: its index, the cycle it opened
+        #: at (creation's, for the first) and the cycle it ends at, at or
+        #: after which a record calls :meth:`advance` first.
+        self._open_index = sim.now // epoch
+        self._opened_at = sim.now
+        self.closes_at = (self._open_index + 1) * epoch
         #: called before the open epoch is taken (close or flush) so the
         #: owner can add what it has not pushed yet.
         self._settle = settle
         self.open_counters: dict[str, int] = {}
-        self._open_gauges: dict[str, float] = {}
         self._open_quantiles: dict[str, Histogram] = {}
         #: quantile series name -> sorted thresholds; a sample above one
         #: bumps the counter series ``{name}.over_{threshold}`` (SLO
         #: monitors get exact bad-event counts, not sub-bucket reads).
         self._watches: dict[str, tuple[int, ...]] = {}
-        #: callables polled at each epoch close; each returns an
-        #: iterable of (gauge name, value) pairs.
+        #: callables polled at each epoch close and flush; each returns
+        #: an iterable of (gauge name, value) pairs (:meth:`add_sampler`).
         self.samplers: list = []
         #: called after an epoch folds: fn(epoch_index, end_cycle).
         self.on_epoch_close: list = []
 
     # -- recording -------------------------------------------------------
-
-    def gauge(self, name: str, value) -> None:
-        """Set the open epoch's value for ``name`` (last write wins)."""
-        self.advance()
-        self._open_gauges[name] = value
 
     def observe_many(self, name: str, samples) -> None:
         """Fold samples taken *while the open epoch was open* into its
@@ -113,59 +109,66 @@ class Telemetry:
         return f"{name}.over_{threshold}"
 
     def add_sampler(self, sampler) -> None:
-        """Register a callable polled at each epoch close; it returns
-        an iterable of ``(gauge name, value)`` pairs."""
+        """Register ``sampler(start, end, closes)``, polled with the
+        bounds of each epoch that closes (``closes`` true) or is flushed
+        (``end`` is then the current cycle); it returns an iterable of
+        ``(gauge name, value)`` pairs."""
         self.samplers.append(sampler)
 
     # -- epoch machinery -------------------------------------------------
 
     def advance(self, now: int | None = None) -> None:
-        """Close every epoch that ended at or before ``now``."""
-        if now is None:
-            now = self.sim.now
-        target = now // self.epoch
+        """Close every epoch that ended at or before ``now`` (by default,
+        the current cycle)."""
+        epoch = self.epoch
+        target = (self.sim.now if now is None else now) // epoch
         if self._open_index < target:
             # Move on before anything runs: a sampler or hook that
             # records re-enters here, and what it records belongs to
             # the epoch containing ``now``, not to one being closed.
             first, self._open_index = self._open_index, target
-            self.closes_at = (target + 1) * self.epoch
-            self._close_epoch(first, *self._take_open())
+            start, self._opened_at = self._opened_at, target * epoch
+            self.closes_at = (target + 1) * epoch
+            self._close_epoch(first, start, self.end_cycle(first), True,
+                              *self._take_open())
             # Every record ticks first, so the epochs after the one
             # that was open saw none.
             for index in range(first + 1, target):
-                self._close_epoch(index, {}, {}, {})
+                self._close_epoch(index, index * epoch, (index + 1) * epoch,
+                                  True, {}, {})
 
     def flush(self) -> None:
         """Fold the trailing partial epoch (for end-of-run reports).
 
         Idempotent: records landing after a flush re-open the same
-        epoch and a later flush combines them.
+        epoch and a later flush combines them; a sampler's gauge is
+        replaced by its value at the later flush or at the close.
         """
-        self.advance(self.sim.now)
-        self._close_epoch(self._open_index, *self._take_open())
+        self.advance()
+        self._close_epoch(self._open_index, self._opened_at, self.sim.now,
+                          False, *self._take_open())
 
-    def _take_open(self) -> tuple[dict, dict, dict]:
+    def _take_open(self) -> tuple[dict, dict]:
         """Hand over the open epoch's accumulators, leaving fresh ones."""
         self._settle()
-        taken = self.open_counters, self._open_gauges, self._open_quantiles
-        self.open_counters, self._open_gauges, self._open_quantiles = \
-            {}, {}, {}
+        taken = self.open_counters, self._open_quantiles
+        self.open_counters, self._open_quantiles = {}, {}
         return taken
 
-    def _close_epoch(self, index: int, counters: dict, gauges: dict,
-                     quantiles: dict) -> None:
-        """Fold what epoch ``index`` recorded, plus the samplers' gauges,
-        into the series; then run the close hooks."""
+    def _close_epoch(self, index: int, start: int, end: int, closes: bool,
+                     counters: dict, quantiles: dict) -> None:
+        """Fold what epoch ``index`` recorded over ``[start, end)``, plus
+        the samplers' gauges, into the series; then run the close hooks."""
+        gauges = {}
         for sampler in self.samplers:
-            gauges.update(sampler())
+            gauges.update(sampler(start, end, closes))
         for name, value in counters.items():
             self._fold(name, COUNTER, index, value)
         for name, value in gauges.items():
             self._fold(name, GAUGE, index, value)
         for name, hist in quantiles.items():
             self._fold(name, QUANTILE, index, hist)
-        end_cycle = (index + 1) * self.epoch
+        end_cycle = self.end_cycle(index)
         for hook in self.on_epoch_close:
             hook(index, end_cycle)
 
@@ -219,3 +222,34 @@ class Telemetry:
             if first <= index <= last_index:
                 total += value
         return total
+
+
+class LinkOccupancy:
+    """A sampler (:meth:`Telemetry.add_sampler`): each NoC link's exact
+    busy fraction per epoch it was busy in, as the gauge series
+    ``noc.link.<source>-><destination>``.  Created when telemetry is
+    enabled, it keeps one busy total per link from then on (the links
+    forget what ended before their last reservation), emits
+    ``busy_within(end)`` less the total over ``end - start``, and moves
+    the total only when the epoch closes.  ``Network.send`` closes ended
+    epochs before it reserves, so no ``end`` is before a reservation's
+    head."""
+
+    def __init__(self, network):
+        now = network.sim.now
+        self._links = [(f"{LINK_SERIES}{source}->{destination}", link)
+                       for (source, destination), link in network.iter_links()]
+        self._busy = [link.busy_within(now) for _name, link in self._links]
+
+    def __call__(self, start: int, end: int, closes: bool) -> list:
+        points = []
+        if end > start:
+            busy_totals = self._busy
+            for index, (name, link) in enumerate(self._links):
+                total = link.packets and link.busy_within(end)
+                busy = total - busy_totals[index]
+                if busy:
+                    points.append((name, busy / (end - start)))
+                    if closes:
+                        busy_totals[index] = total
+        return points

@@ -1,7 +1,5 @@
 """The profiling report module."""
 
-import types
-
 from repro.eval import profile
 from repro.obs import Observer
 from repro.sim import Simulator
@@ -63,9 +61,13 @@ def test_busiest_links_tie_exactly_and_rank_by_link_key():
     """Naive float ``sum`` (3.10, 3.11) gives 0.1 + 0.2 + 0.3 one ulp
     more than 0.3 + 0.2 + 0.1, so a rounding error used to pick the
     busiest links on those Pythons; the exact sum ties them."""
-    observer = types.SimpleNamespace(epoch=100, link_series={
-        (1, 2): [(100, 0.1), (200, 0.2), (300, 0.3)],
-        (0, 1): [(100, 0.3), (200, 0.2), (300, 0.1)],
-    })
-    text = profile.link_series_table(observer, top=1)
+    sim = Simulator()
+    telemetry = Observer.install(sim).enable_telemetry(epoch=100)
+    busy = {0: (0.1, 0.3), 100: (0.2, 0.2), 200: (0.3, 0.1)}  # by epoch start
+    telemetry.add_sampler(lambda start, _end, _closes: zip(
+        ("noc.link.1->2", "noc.link.0->1"), busy.get(start, ())))
+    sim.run(until=300)
+    telemetry.flush()
+    assert telemetry.points("noc.link.1->2") == [(0, 0.1), (1, 0.2), (2, 0.3)]
+    text = profile.link_series_table(telemetry, top=1)
     assert "0->1" in text and "1->2" not in text

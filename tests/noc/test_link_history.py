@@ -3,7 +3,7 @@
 ``reserve_path`` keeps the window a new one succeeds only while it ends
 after the packet's own head cycle, with or without an observer: every
 reader asks at or after the cycle of every reservation already made
-(an observer folds its ended epochs before a packet reserves).  Two
+(telemetry closes its ended epochs before a packet reserves).  Two
 things must hold: whatever a link answers at or after the last head is
 exactly what a never-forgetting twin (``FullLink``) answers, and what
 the links retain follows the traffic in flight instead of growing with
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.noc import Link, MeshTopology, Network, Packet, XYRouter
 from repro.noc.link import reserve_path
 from repro.obs import Observer
+from repro.obs.timeseries import LinkOccupancy
 from repro.sim import Simulator
 from tests.noc.test_path_reservation import (
     BANDWIDTH, HOP, FullLink, Oracle, next_free, windows_held, wire_cycles)
@@ -134,10 +135,29 @@ def _retained(net) -> int:
     return sum(windows_held(link) for _key, link in net.iter_links())
 
 
+def _observe(sim, net):
+    """An observer with telemetry and ``net``'s link series, from now."""
+    telemetry = Observer.install(sim).enable_telemetry(epoch=EPOCH)
+    telemetry.add_sampler(LinkOccupancy(net))
+    return telemetry
+
+
+def _link_series(telemetry):
+    """Per link, ``(epoch end, busy fraction)`` for every epoch it has a
+    point in; a flushed last epoch ends at the current cycle."""
+    now = telemetry.sim.now
+    return {
+        tuple(map(int, name.removeprefix("noc.link.").split("->"))):
+        [(min(telemetry.end_cycle(index), now), fraction)
+         for index, fraction in telemetry.points(name)]
+        for name in telemetry.names() if name.startswith("noc.link.")
+    }
+
+
 def _expected_series(oracle, boundaries):
-    """What ``Observer._record_epoch`` should have appended, read off
-    the oracle's never-forgetting links: per link, ``(end, busy fraction)``
-    for every epoch it was busy in."""
+    """What ``LinkOccupancy`` should have emitted, read off the oracle's
+    never-forgetting links: per link, ``(end, busy fraction)`` for every
+    epoch it was busy in."""
     series = {}
     for start, end in zip(boundaries, boundaries[1:]):
         for key, link in oracle.links.items():
@@ -153,7 +173,7 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
     for packets in (5_000, 10_000):
         sim, net, oracle = _bare_network()
         if observed:
-            obs = Observer.install(sim, epoch=EPOCH)
+            telemetry = _observe(sim, net)
         _drive(sim, net, oracle, packets, random.Random(packets))
         retained[packets] = _retained(net)
         unfolded = sum(len(l.windows) for l in oracle.links.values())
@@ -168,9 +188,10 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
                 assert link.busy_cycles == twin.busy_cycles
                 assert link.utilization(sim.now) == twin.utilization(sim.now)
         if observed:
-            sampled_to = obs.links_sampled_to
+            # The last packet closed every epoch that had ended.
+            sampled_to = telemetry.closes_at - EPOCH
             assert sampled_to == sim.now // EPOCH * EPOCH
-            assert obs.link_series == _expected_series(
+            assert _link_series(telemetry) == _expected_series(
                 oracle, range(0, sampled_to + 1, EPOCH))
             # Observing keeps no history of its own on the links.
             bare_sim, bare, bare_oracle = _bare_network()
@@ -184,49 +205,51 @@ def test_retained_windows_follow_the_floor_not_the_packet_count(observed):
 
 
 def _install_mid_epoch(seed):
-    """A network after 2,000 random sends and an observer installed
-    137 cycles later, mid-epoch."""
+    """A network after 2,000 random sends and an observer with telemetry
+    installed 137 cycles later, mid-epoch."""
     sim, net, oracle = _bare_network()
     rng = random.Random(seed)
     _drive(sim, net, oracle, 2_000, rng)  # each send forgets behind its head
     sim.run(until=sim.now + 137)
     installed_at = sim.now
     assert installed_at % EPOCH  # mid-epoch, or the case is not the hard one
-    obs = Observer.install(sim, epoch=EPOCH)
-    assert obs.links_sampled_to == installed_at
-    return sim, net, oracle, rng, obs
+    telemetry = _observe(sim, net)
+    assert telemetry.closes_at == (installed_at // EPOCH + 1) * EPOCH
+    return sim, net, oracle, rng, telemetry
 
 
 def test_an_observer_installed_mid_run_samples_from_there_on():
-    sim, net, oracle, rng, obs = _install_mid_epoch(11)
+    sim, net, oracle, rng, telemetry = _install_mid_epoch(11)
     installed_at = sim.now
     _drive(sim, net, oracle, 2_000, rng)  # must not ask below the floor
-    obs.sample_links(net, force=True)
+    telemetry.flush()
     first_boundary = (installed_at // EPOCH + 1) * EPOCH
     boundaries = [installed_at,
-                  *range(first_boundary, obs.links_sampled_to + 1, EPOCH),
+                  *range(first_boundary, sim.now // EPOCH * EPOCH + 1, EPOCH),
                   sim.now]
     # The epoch the observer arrived in is sampled from its arrival (a
     # partial epoch, over its true length); nothing earlier is.
-    assert obs.link_series == _expected_series(oracle, boundaries)
-    assert min(end for series in obs.link_series.values()
-               for end, _fraction in series) == first_boundary
+    series = _link_series(telemetry)
+    assert series == _expected_series(oracle, boundaries)
+    assert min(end for points in series.values()
+               for end, _fraction in points) == first_boundary
 
 
 def test_a_flush_before_any_packet_is_the_observers_first_contact():
-    """The busy totals are taken at the first flush, not at the first
-    packet: the links still answer for the cycle the observer arrived,
-    and a flushed partial epoch never moves the totals."""
-    sim, net, oracle, rng, obs = _install_mid_epoch(12)
+    """The busy totals are taken when the link series is registered, not
+    at the first packet: a flush before any packet reads the windows
+    still in flight from the cycle the observer arrived, and a flushed
+    partial epoch never moves the totals."""
+    sim, net, oracle, rng, telemetry = _install_mid_epoch(12)
     installed_at = sim.now
     sim.run(until=installed_at + 50)  # windows still in flight run on
-    obs.sample_links(net, force=True)
+    telemetry.flush()
     flushed = _expected_series(oracle, [installed_at, sim.now])
-    assert flushed and obs.link_series == flushed
+    assert flushed and _link_series(telemetry) == flushed
     _drive(sim, net, oracle, 2_000, rng)
-    obs.sample_links(net, force=True)
+    telemetry.flush()
     first_boundary = (installed_at // EPOCH + 1) * EPOCH
     boundaries = [installed_at,
-                  *range(first_boundary, obs.links_sampled_to + 1, EPOCH),
+                  *range(first_boundary, sim.now // EPOCH * EPOCH + 1, EPOCH),
                   sim.now]
-    assert obs.link_series == _expected_series(oracle, boundaries)
+    assert _link_series(telemetry) == _expected_series(oracle, boundaries)

@@ -1,9 +1,11 @@
-"""The Observer hub: spans, metrics, capacity, and epoch sampling."""
+"""The Observer hub: spans, metrics, capacity, and link occupancy on
+the telemetry plane's epochs."""
 
 import pytest
 
-from repro.noc import MeshTopology, Network, Packet
+from repro.noc import Link, MeshTopology, Network, Packet
 from repro.obs import Observer
+from repro.obs.timeseries import LinkOccupancy
 from repro.sim import Simulator
 
 
@@ -119,12 +121,28 @@ def test_spans_with_equal_args_share_one_read_only_mapping():
     assert "status" not in first.args
 
 
+def _link_telemetry(sim, network):
+    """Telemetry of 100-cycle epochs with ``network``'s link series."""
+    telemetry = Observer.install(sim).enable_telemetry(epoch=100)
+    telemetry.add_sampler(LinkOccupancy(network))
+    return telemetry
+
+
+def _link_series(telemetry, source=0, destination=1):
+    """One link's ``(epoch end, busy fraction)`` points; a flushed last
+    epoch ends at the current cycle."""
+    now = telemetry.sim.now
+    points = telemetry.points(f"noc.link.{source}->{destination}")
+    return [(min(telemetry.end_cycle(index), now), fraction)
+            for index, fraction in points]
+
+
 def test_link_epoch_sampling_is_lazy_and_flushable():
     sim = Simulator()
-    obs = Observer.install(sim, epoch=100)
     network = Network(sim, MeshTopology(2, 1), hop_cycles=1, bytes_per_cycle=1)
     network.attach(0, lambda packet: None)
     network.attach(1, lambda packet: None)
+    telemetry = _link_telemetry(sim, network)
 
     def traffic():
         for pause in (0, 300):
@@ -135,25 +153,25 @@ def test_link_epoch_sampling_is_lazy_and_flushable():
     sim.run_process(traffic(), "traffic")
     sim.run()
     # The second send (cycle ~351) folded the completed epochs in.
-    series = obs.link_series[(0, 1)]
+    series = _link_series(telemetry)
     assert series and all(end % 100 == 0 for end, _f in series)
     assert all(0.0 < fraction <= 1.0 for _end, fraction in series)
     before = len(series)
-    obs.sample_links(network, force=True)
+    telemetry.flush()
     # The trailing partial epoch (the second transfer) is flushed on
     # demand for end-of-run reports.
-    assert len(obs.link_series[(0, 1)]) > before
-    assert obs.link_series[(0, 1)][-1][0] == sim.now
+    assert len(_link_series(telemetry)) > before
+    assert _link_series(telemetry)[-1][0] == sim.now
 
 
 def _two_transfers(then=()):
     """The scenario above (one transfer at cycle 0, one at ~351), then
     more transfers after the given extra delays."""
     sim = Simulator()
-    obs = Observer.install(sim, epoch=100)
     network = Network(sim, MeshTopology(2, 1), hop_cycles=1, bytes_per_cycle=1)
     network.attach(0, lambda packet: None)
     network.attach(1, lambda packet: None)
+    telemetry = _link_telemetry(sim, network)
 
     def traffic(delays):
         for delay in delays:
@@ -166,7 +184,7 @@ def _two_transfers(then=()):
         sim.run()
 
     run((0, 300))
-    return sim, obs, network, run
+    return sim, telemetry, network, run
 
 
 def _busy_cycles(series, epoch=100):
@@ -179,28 +197,54 @@ def _busy_cycles(series, epoch=100):
 
 
 def test_a_forced_link_flush_is_idempotent():
-    sim, obs, network, _run = _two_transfers()
+    sim, telemetry, _network, _run = _two_transfers()
     assert sim.now == 402
-    obs.sample_links(network, force=True)
-    flushed = list(obs.link_series[(0, 1)])
+    telemetry.flush()
+    flushed = _link_series(telemetry)
     assert flushed == [(100, 0.5), (400, 0.48), (402, 1.0)]
-    obs.sample_links(network, force=True)
+    telemetry.flush()
     # A second flush at the same cycle used to append (402, 1.0) again.
-    assert obs.link_series[(0, 1)] == flushed
+    assert _link_series(telemetry) == flushed
 
 
 def test_traffic_after_a_forced_flush_is_not_counted_twice():
-    sim, obs, network, run = _two_transfers()
+    sim, telemetry, network, run = _two_transfers()
     link = network.link(0, 1)
-    series = obs.link_series[(0, 1)]
-    obs.sample_links(network, force=True)
+    telemetry.flush()
     run((20,))  # cycles 422..473: still the epoch that was flushed
-    obs.sample_links(network, force=True)
+    telemetry.flush()
     # The later flush replaces the earlier one's point ...
-    assert series == [(100, 0.5), (400, 0.48), (473, 52 / 73)]
+    assert _link_series(telemetry) == [(100, 0.5), (400, 0.48), (473, 52 / 73)]
     run((150,))  # cycles 623..674
-    obs.sample_links(network, force=True)
+    telemetry.flush()
     # ... and so does the close of [400, 500): it used to be appended
     # after the flushed point, which counted cycles 400..402 twice.
+    series = _link_series(telemetry)
     assert [end for end, _fraction in series] == [100, 400, 500, 674]
     assert _busy_cycles(series) == link.busy_within(sim.now) == link.busy_cycles
+
+
+def test_an_observer_without_telemetry_reads_no_link(monkeypatch):
+    """Only the telemetry plane has epochs: an observed ``Network.send``
+    with none enabled folds nothing (an observer of its own used to
+    read every link at its first packet and every 10,000 cycles)."""
+    asked = []
+    busy_within = Link.busy_within
+    monkeypatch.setattr(
+        Link, "busy_within",
+        lambda link, t: asked.append(t) or busy_within(link, t))
+    sim = Simulator()
+    Observer.install(sim)
+    network = Network(sim, MeshTopology(2, 1), hop_cycles=1, bytes_per_cycle=1)
+    network.attach(0, lambda packet: None)
+    network.attach(1, lambda packet: None)
+
+    def traffic():
+        for _ in range(5):
+            completion = network.send(Packet(0, 1, "msg", 34))
+            yield sim.delay(completion - sim.now + 10_000)
+
+    sim.run_process(traffic(), "traffic")
+    assert sim.now > 50_000
+    assert network.link(0, 1).packets == 5
+    assert asked == []

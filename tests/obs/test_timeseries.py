@@ -29,8 +29,13 @@ def test_counters_sum_within_their_epoch():
 
 def test_gauges_last_write_wins_and_quantiles_per_epoch():
     sim, obs, telemetry = _hub()
-    sim.schedule(10, lambda _: telemetry.gauge("depth", 4))
-    sim.schedule(90, lambda _: telemetry.gauge("depth", 7))
+    pending = {}  # what the sampler reports at the next close or flush
+    telemetry.add_sampler(
+        lambda *_bounds: [pending.popitem()] if pending else [])
+    # Epoch 0 gets a point at the flush, which its close replaces.
+    sim.schedule(10, lambda _: pending.update(depth=4))
+    sim.schedule(10, lambda _: telemetry.flush())
+    sim.schedule(90, lambda _: pending.update(depth=7))
     sim.schedule(110, lambda _: obs.observe("lat", 30))
     sim.schedule(120, lambda _: obs.observe("lat", 50))
     sim.schedule(210, lambda _: obs.observe("lat", 9000))
@@ -47,7 +52,7 @@ def test_series_kind_conflict_raises():
     _sim, obs, telemetry = _hub()
     obs.count("x")
     telemetry.flush()
-    telemetry.gauge("x", 1)
+    telemetry.add_sampler(lambda *_bounds: (("x", 1),))
     with pytest.raises(ValueError, match="is a counter"):
         telemetry.flush()
 
@@ -77,7 +82,7 @@ def test_retention_ring_drops_oldest_epochs():
 def test_samplers_polled_at_epoch_close():
     sim, _obs, telemetry = _hub()
     depth = {"value": 5}
-    telemetry.add_sampler(lambda: (("kv.kv0.depth", depth["value"]),))
+    telemetry.add_sampler(lambda *_bounds: (("kv.kv0.depth", depth["value"]),))
     sim.schedule(150, lambda _: depth.__setitem__("value", 9))
     sim.schedule(150, lambda _: telemetry.advance())
     sim.schedule(250, lambda _: telemetry.advance())
@@ -128,10 +133,34 @@ def test_a_recording_hook_survives_a_long_idle_gap():
     assert telemetry.points("hook.ran") == [(5_000, 5_000)]
 
 
+def test_telemetry_enabled_mid_run_starts_at_the_epoch_it_joins():
+    """The first epoch is the one containing the enable cycle, from that
+    cycle: the epochs that ended before the plane existed get no point,
+    not even from a sampler, which is polled with each epoch's bounds."""
+    sim = Simulator()
+    obs = Observer.install(sim)
+    sim.run(until=250)
+    telemetry = obs.enable_telemetry(epoch=100)
+    polled = []
+
+    def sampler(*bounds):
+        polled.append(bounds)
+        return (("depth", 7),)
+
+    telemetry.add_sampler(sampler)
+    obs.count("reqs")
+    sim.schedule(80, lambda _: obs.count("reqs"))  # cycle 330
+    sim.run()
+    telemetry.flush()
+    assert telemetry.points("reqs") == [(2, 1), (3, 1)]
+    assert telemetry.points("depth") == [(2, 7), (3, 7)]
+    assert polled == [(250, 300, True), (300, 330, False)]
+
+
 def test_a_sampler_that_records_does_not_reclose_its_epoch():
     sim, obs, telemetry = _hub()
 
-    def sampler():
+    def sampler(_start, _end, _closes):
         obs.count("sampler.polls")
         return (("depth", 1),)
 
@@ -172,8 +201,8 @@ def test_observer_without_telemetry_keeps_plain_metrics():
     obs.observe("h", 10)
     assert obs.counters == {"a": 1}
     with pytest.raises(RuntimeError):
-        obs.enable_telemetry()
-        obs.enable_telemetry()
+        obs.enable_telemetry(epoch=100)
+        obs.enable_telemetry(epoch=100)
 
 
 # -- buffered samples: folded at epoch close and on read ----------------------

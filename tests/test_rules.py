@@ -159,12 +159,15 @@ ROWS = (
     ),
     Rule(
         "links-sampled-to",
-        "links_sampled_to",
-        ("src/",), exempt=("src/repro/obs/",),
-        message="links_sampled_to is the observer's own mark: it folds ended "
-                "epochs before a packet reserves",
-        planted="floor = sim.obs.links_sampled_to",
-        owned={"links_sampled_to": "src/repro/obs/"},
+        r"\b(links_sampled_to|sample_links|link_series|fold_at|_record_epoch|"
+        r"links_busy|link_busy_max)\b",
+        ("src/",),
+        message="the observer keeps no epochs of its own: link occupancy is "
+                "the telemetry series noc.link.* (LinkOccupancy), on the "
+                "telemetry's clock",
+        planted="obs.sample_links(network, force=True)",
+        retired=("links_sampled_to", "sample_links", "link_series", "fold_at",
+                 "_record_epoch", "links_busy", "link_busy_max"),
     ),
     Rule(
         "reserve-path-floor",
@@ -363,7 +366,7 @@ ROWS = (
     Rule(
         "obs-ledger-lines",
         None,
-        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1782,
+        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1752,
         message="the observer and the time ledger do not grow: make room by "
                 "deleting code, not by moving it to another file",
         planted="pass",
