@@ -112,8 +112,7 @@ def lx_syscall_cycles(warm_cache: bool = False,
 
 def lx_read_cycles(warm_cache: bool) -> tuple[int, dict]:
     machine = LinuxMachine(warm_cache=warm_cache)
-    node = machine.fs.create("/bench.dat")
-    node.data.extend(deterministic_bytes("bench", FILE_BYTES))
+    machine.preload({"/bench.dat": deterministic_bytes("bench", FILE_BYTES)})
     return machine.run_program(
         _measured(lambda lx: lx_read(lx, "/bench.dat", BUFFER)))
 

@@ -63,17 +63,10 @@ def lx_run(benchmark: str, warm_cache: bool) -> tuple[int, dict]:
     """(wall cycles, ledger delta) for one benchmark on the baseline."""
     machine = LinuxMachine(warm_cache=warm_cache)
     if benchmark == "cat+tr":
-        node = machine.fs.create(INPUT_PATH)
-        node.data.extend(input_bytes())
+        machine.preload({INPUT_PATH: input_bytes()})
         return machine.run_program(linux_cat_tr, name="cat+tr")
     setup_files, trace = TRACE_BENCHMARKS[benchmark]()
-    for path, content in setup_files.items():
-        directory = ""
-        for part in machine.fs.split(path)[:-1]:
-            directory = f"{directory}/{part}"
-            if not machine.fs.exists(directory):
-                machine.fs.mkdir(directory)
-        machine.fs.create(path).data.extend(content)
+    machine.preload(setup_files)
     return machine.run_program(_measured_replay_lx(trace), name=benchmark)
 
 

@@ -54,8 +54,7 @@ def create_overhead(costs: params.LinuxCosts) -> int:
 def copy_overhead(costs: params.LinuxCosts) -> int:
     """Copying a 2 MiB file, minus the ideal transfer time (2x: in+out)."""
     machine = LinuxMachine(costs=costs)
-    node = machine.fs.create("/src")
-    node.data.extend(deterministic_bytes("arm-copy", FILE_BYTES))
+    machine.preload({"/src": deterministic_bytes("arm-copy", FILE_BYTES)})
 
     def program(lx):
         start = lx.sim.now

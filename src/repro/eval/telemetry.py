@@ -35,7 +35,7 @@ from repro.eval.traffic import (REFERENCE_GAP, _curve_profile,
 from repro.faults import FaultPlan
 from repro.m3.kernel import syscalls
 from repro.m3.system import M3System
-from repro.obs import SloMonitor, SloSpec, render_dump, render_prometheus
+from repro.obs import SloMonitor, SloSpec, render_prometheus
 from repro.workloads import traffic
 
 #: telemetry epoch for the serving act (cycles); the reference run
@@ -178,7 +178,8 @@ def failover_results(seed: int = DEFAULT_SEED,
                      name=f"worker{index}", domain=0)
         for index in range(FAIL_WORKERS)
     ]
-    finished = [system.wait(vpe) for vpe in workers]
+    for vpe in workers:
+        system.wait(vpe)
     system.sim.run()  # drain heartbeat timers and the failover itself
     system.stop_heartbeats()
     telemetry.flush()
@@ -187,8 +188,9 @@ def failover_results(seed: int = DEFAULT_SEED,
     peer = detected = completed = reason = None
     if failover.failover_log:
         peer, detected, completed, reason = failover.failover_log[0]
-    dump = next((d for d in flight.dumps if "declared dead" in d["reason"]),
-                None)
+    dump = next((text for text in flight.dumps
+                 if "declared dead" in text.partition("\n")[0]),
+                "(no flight dump)")
     prom = render_prometheus(obs).splitlines()
     prom_excerpt = [
         line for line in prom
@@ -197,7 +199,6 @@ def failover_results(seed: int = DEFAULT_SEED,
         )
     ]
     return {
-        "workers_finished": finished,
         "killed_at": domain_failover.KILL_AT,
         "loss_rate": loss_rate,
         "peer": peer,
@@ -207,8 +208,7 @@ def failover_results(seed: int = DEFAULT_SEED,
         "annotation": failover.failover_alerts.get(peer),
         "verdict": monitor.verdict(),
         "alerts": _alert_rows({FAIL_SLO.name: monitor.alerts}),
-        "dump_text": (render_dump(dump) if dump is not None
-                      else "(no flight dump)"),
+        "dump_text": dump,
         "prom_excerpt": prom_excerpt,
     }
 

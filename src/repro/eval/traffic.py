@@ -77,7 +77,6 @@ def _summarize(result: traffic.TrafficResult) -> dict:
     }
     return {
         "name": result.profile.name,
-        "arrival": result.profile.arrival,
         "mean_gap": result.profile.mean_gap,
         "sent": result.sent,
         "completed": result.completed,

@@ -75,6 +75,19 @@ class LinuxMachine:
         )
         return max(1, math.ceil(nbytes / bandwidth))
 
+    def preload(self, files: dict) -> None:
+        """Populate the tmpfs with ``files`` (path -> bytes), parent
+        directories first, outside simulated time — the twin of
+        ``M3System.fs_preload``."""
+        fs = self.fs
+        for path, content in files.items():
+            directory = ""
+            for part in fs.split(path)[:-1]:
+                directory = f"{directory}/{part}"
+                if not fs.exists(directory):
+                    fs.mkdir(directory)
+            fs.create(path).data.extend(content)
+
     # -- processes ---------------------------------------------------------------
 
     def spawn(self, func, *args, name: str = "proc",

@@ -145,9 +145,7 @@ class Failover:
         its grants.
         """
         kernel = self.kernel
-        self.recoveries += 1
         if self.sim.obs is not None:
-            self.sim.obs.count("kernel.recoveries")
             self.sim.obs.instant("recover", "watchdog", vpe.node,
                                  vpe=vpe.id, reason=reason)
             if self.sim.obs.flight is not None:
@@ -156,6 +154,7 @@ class Failover:
                     f"#{vpe.id} ({vpe.name}): {reason}",
                     domain=kernel.kernel_id,
                 )
+        self.recoveries += 1
         vpe.failed = True
         yield from kernel.quarantine_pe(vpe.pe)
         # DEAD before revoking, so tearing down its own VPE capability

@@ -88,6 +88,7 @@ KERNEL_REPLY_RING_SLOTS = 64
 #: own ``kernel<id>.ik_retries`` samples :data:`OBSERVED_RETRIES`.
 OBSERVED_TOTALS = {
     "kernel.probes_sent": "failover.probes_sent",
+    "kernel.recoveries": "failover.recoveries",
     "kernel.migrations": "migration.migrations",
     "kernel.migrations_out": "migration.migrations_out",
     "kernel.migrations_in": "migration.migrations_in",

@@ -15,7 +15,8 @@ module per concern, each with its own docstring:
   them; :mod:`~repro.obs.slo` — burn-rate SLO alerts over them,
   feeding the autoscaler and failover verdicts.
 - :mod:`~repro.obs.flight` — a per-domain flight recorder that reads
-  the recent log on failure verdicts (``observer.enable_flight_recorder()``).
+  the recent log on failure verdicts and writes it as text
+  (``observer.enable_flight_recorder()``).
 - :mod:`~repro.obs.chrome`, :mod:`~repro.obs.prom` — Chrome/Perfetto
   trace-event JSON and Prometheus text exposition.
 
@@ -41,7 +42,7 @@ from repro.obs.observer import Instant, Observer, Span
 from repro.obs.chrome import trace_events, to_chrome_trace, export_chrome_trace
 from repro.obs.timeseries import Telemetry
 from repro.obs.slo import SloMonitor, SloSpec, last_alert_before
-from repro.obs.flight import FlightRecorder, render_dump
+from repro.obs.flight import FlightRecorder
 from repro.obs.prom import render_prometheus
 
 __all__ = [
@@ -49,6 +50,6 @@ __all__ = [
     "Request", "Segment", "SloMonitor", "SloSpec", "Span", "Telemetry",
     "TraceContext", "assemble_requests", "component_breakdown",
     "critical_path", "find_request", "header_context", "last_alert_before",
-    "render_dump", "render_prometheus", "trace_events", "to_chrome_trace",
+    "render_prometheus", "trace_events", "to_chrome_trace",
     "export_chrome_trace",
 ]

@@ -135,6 +135,5 @@ def linux_fft_chain(lx):
 
 def linux_fft_setup(machine) -> None:
     """Install the FFT binary in the baseline's tmpfs."""
-    machine.fs.mkdir("/bin")
-    node = machine.fs.create(FFT_SW_BINARY)
-    node.data.extend(deterministic_bytes("fft-binary", BINARY_BYTES))
+    binary = deterministic_bytes("fft-binary", BINARY_BYTES)
+    machine.preload({FFT_SW_BINARY: binary})

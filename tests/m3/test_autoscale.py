@@ -67,9 +67,9 @@ def test_no_live_replica_dumps_the_flight_recorder():
 
     assert "no live replica" in system.run_app(client, name="client")
     assert len(flight.dumps) == 1
-    assert flight.dumps[0]["reason"] == \
-        "kernel0: no live replica for route 'kv'"
-    assert flight.dumps[0]["domain"] == 0
+    assert flight.dumps[0].splitlines()[0] == \
+        "flight dump: kernel0: no live replica for route 'kv'"
+    assert flight.dumps[0].splitlines()[1].endswith(", domain 0")
 
 
 def test_depth_route_skips_dead_domains_too():

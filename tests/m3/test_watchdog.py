@@ -1,5 +1,7 @@
 """Kernel watchdog: failure detection, recovery, and non-interference."""
 
+import re
+
 import pytest
 
 from repro.faults import FaultPlan
@@ -127,13 +129,14 @@ def test_recovery_dumps_the_flight_recorder():
     system.run_app(parent, name="parent")
     system.kernel.failover.stop_watchdog()
     assert len(flight.dumps) == 1
-    dump = flight.dumps[0]
-    assert "watchdog recovers VPE" in dump["reason"]
-    assert "victim" in dump["reason"]
-    assert dump["domain"] == 0
-    # The ring holds the probes that led to the verdict.
-    names = [i.name for i in dump["instants"].get(0, [])]
-    assert "recover" in names
+    text = flight.dumps[0]
+    heading, cycle = text.splitlines()[:2]
+    assert heading.startswith("flight dump: kernel0: watchdog recovers VPE")
+    assert "victim" in heading
+    assert cycle.endswith(", domain 0")
+    # Domain 0's history holds the verdict itself.
+    domain0 = re.search(r"^  domain 0:\n((?:    .*\n?)*)", text, re.M)
+    assert " ! recover/" in domain0.group(1)
 
 
 def test_watchdog_leaves_healthy_system_alone():

@@ -154,16 +154,33 @@ def _link_series(telemetry):
     }
 
 
+def _busy_at(windows, boundaries):
+    """``busy_within(b)`` of a link with these sorted, disjoint windows,
+    for each ascending ``b`` in ``boundaries``, in one sweep."""
+    totals, ended, index = [], 0, 0  # ended: the windows over by ``b``
+    for boundary in boundaries:
+        while index < len(windows) and windows[index][1] <= boundary:
+            ended += windows[index][1] - windows[index][0]
+            index += 1
+        running = windows[index][0] if index < len(windows) else boundary
+        totals.append(ended + max(0, boundary - running))
+    return totals
+
+
 def _expected_series(oracle, boundaries):
     """What ``LinkOccupancy`` should have emitted, read off the oracle's
     never-forgetting links: per link, ``(end, busy fraction)`` for every
     epoch it was busy in."""
     series = {}
-    for start, end in zip(boundaries, boundaries[1:]):
-        for key, link in oracle.links.items():
-            busy = link.busy_within(end) - link.busy_within(start)
-            if busy:
-                series.setdefault(key, []).append((end, busy / (end - start)))
+    for key, link in oracle.links.items():
+        busy = _busy_at(link.windows, boundaries)
+        assert busy[-1] == link.busy_within(boundaries[-1])
+        points = [(end, (after - before) / (end - start))
+                  for start, end, before, after
+                  in zip(boundaries, boundaries[1:], busy, busy[1:])
+                  if after != before]
+        if points:
+            series[key] = points
     return series
 
 

@@ -116,10 +116,14 @@ def _reads(tree: ast.AST) -> set[str]:
 
 
 @functools.cache
+def _reader_trees(root: Path) -> tuple[ast.Module, ...]:
+    return tuple(ast.parse(file.read_text(encoding="utf-8"))
+                 for path in READERS for file in _files(root, path))
+
+
+@functools.cache
 def _read_anywhere(root: Path) -> frozenset[str]:
-    return frozenset().union(*(
-        _reads(ast.parse(file.read_text(encoding="utf-8")))
-        for path in READERS for file in _files(root, path)))
+    return frozenset().union(*map(_reads, _reader_trees(root)))
 
 
 def _write_only_state(source: str, root: Path) -> list[tuple[int, str]]:
@@ -132,6 +136,50 @@ def _write_only_state(source: str, root: Path) -> list[tuple[int, str]]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
             and isinstance(node.value, ast.Name) and node.value.id == "self"
             and node.attr not in read]
+
+
+def _loads(tree: ast.AST) -> set:
+    """The constant keys ``tree`` loads: ``x["key"]`` and ``x.get("key")``."""
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            keys.add(node.args[0].value)
+    return keys
+
+
+@functools.cache
+def _loaded_anywhere(root: Path) -> frozenset:
+    return frozenset().union(*map(_loads, _reader_trees(root)))
+
+
+def _unloaded_keys(source: str, root: Path) -> list[tuple[int, str]]:
+    """Each string key of a dict literal a function returns, directly or
+    through the name it assigned the dict to, that nothing ``READERS``
+    name loads by key, as ``function: 'key'``.  A key read only by
+    iterating the dict passes through an allow entry."""
+    loaded, found = _loaded_anywhere(root), []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        returns = [node.value for node in ast.walk(function)
+                   if isinstance(node, ast.Return)]
+        names = {value.id for value in returns if isinstance(value, ast.Name)}
+        dicts = [value for value in returns if isinstance(value, ast.Dict)]
+        dicts += [node.value for node in ast.walk(function)
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Dict)
+                  and any(isinstance(target, ast.Name) and target.id in names
+                          for target in node.targets)]
+        found += [(key.lineno, f"{function.name}: {key.value!r}")
+                  for literal in dicts for key in literal.keys
+                  if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                  and key.value not in loaded]
+    return found
 
 
 ROWS = (
@@ -203,7 +251,7 @@ ROWS = (
         # docs/observability.md, "Sampled counters", gives each kept push
         # its reason.
         allow=(
-            r'"(dtu\.sends\.|traffic\.(sent|completions)"|autoscale\.scale_(ups|downs)"|kernel\.(recoveries|checkpoints|ctx_switches)")',
+            r'"(dtu\.sends\.|traffic\.(sent|completions)"|autoscale\.scale_(ups|downs)"|kernel\.(checkpoints|ctx_switches)")',
             r'\}\.(ik_(requests|timeouts|duplicates|served)|heartbeats|heartbeat_misses|peer_deaths|syscalls)"',
         ),
         message="sample the component's own total with Observer.monitor "
@@ -364,9 +412,33 @@ ROWS = (
         planted="def reset(self): self.unread_total = 0",
     ),
     Rule(
+        "returned-dict-keys",
+        _unloaded_keys,
+        ("src/repro/",),
+        allow=(
+            # M3System.stats() flattens every component's stats() by
+            # iterating it, and its readers load the flattened names.
+            r"^stats:",
+            # the Chrome/Perfetto trace format's own field, for the viewer.
+            r"^to_chrome_trace:",
+        ),
+        message="a key no production code reads: delete it, or give it a "
+                "reader under src/, benchmarks/ or examples/",
+        planted='def summary(self): return {"unread_key": self.total}',
+    ),
+    Rule(
+        "flight-dump-text",
+        r"\brender_dump\b",
+        ("src/", "tests/"),
+        message="a flight dump is the text FlightRecorder.dump returns: "
+                "there is no dump dict and no second renderer",
+        planted="text = render_dump(dump)",
+        retired=("render_dump",),
+    ),
+    Rule(
         "obs-ledger-lines",
         None,
-        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1752,
+        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1709,
         message="the observer and the time ledger do not grow: make room by "
                 "deleting code, not by moving it to another file",
         planted="pass",

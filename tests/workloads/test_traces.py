@@ -18,13 +18,7 @@ from repro.workloads.tracegen import (
 
 def _replay_on_linux(setup_files, trace):
     machine = LinuxMachine()
-    for path, content in setup_files.items():
-        directory = ""
-        for part in machine.fs.split(path)[:-1]:
-            directory = f"{directory}/{part}"
-            if not machine.fs.exists(directory):
-                machine.fs.mkdir(directory)
-        machine.fs.create(path).data.extend(content)
+    machine.preload(setup_files)
 
     def program(lx):
         yield from LinuxReplayer(lx).replay(trace)
