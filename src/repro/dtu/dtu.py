@@ -530,11 +530,6 @@ class DTU:
             self.eps[ep_index].invalidate()
             self._ringbufs.pop(ep_index, None)
             return "ok"
-        if operation == "refill_credits":
-            (ep_index,) = args
-            ep = self.eps[ep_index]
-            ep.credits = ep.max_credits
-            return "ok"
         if operation == "downgrade":
             self.privileged = False
             return "ok"

@@ -107,7 +107,6 @@ class EndpointRegisters:
         buffer_addr: int,
         slot_size: int,
         slot_count: int,
-        replies_enabled: bool = True,
     ) -> "EndpointRegisters":
         """Build a receive-endpoint configuration."""
         if slot_size <= 0 or slot_count <= 0:
@@ -117,7 +116,6 @@ class EndpointRegisters:
             buffer_addr=buffer_addr,
             slot_size=slot_size,
             slot_count=slot_count,
-            replies_enabled=replies_enabled,
         )
 
     @classmethod

@@ -19,6 +19,8 @@ Each quantifies a claim the paper makes in prose:
 
 from __future__ import annotations
 
+import functools
+
 from repro import params
 from repro.eval.common import single
 from repro.eval.fig6_scale import average_instance_time
@@ -285,36 +287,6 @@ def cache_vs_bulk() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def buffer_size_table(rows: list[tuple[int, int]]) -> str:
-    """The ``results/abl_buffer_size.txt`` table."""
-    return render_table("Ablation: read buffer size (1 MiB file)",
-                        ["buffer bytes", "cycles"], rows)
-
-
-def pipe_slot_table(rows: list[tuple[int, int]]) -> str:
-    """The ``results/abl_pipe_slots.txt`` table."""
-    return render_table("Ablation: pipe ring slots (256 KiB transfer)",
-                        ["slots", "cycles"], rows)
-
-
-def hop_latency_table(rows: list[tuple[int, int]]) -> str:
-    """The ``results/abl_hop_latency.txt`` table."""
-    return render_table("Ablation: NoC hop latency vs syscall cost",
-                        ["hop cycles", "syscall cycles"], rows)
-
-
-def placement_table(rows: list[tuple[int, int]]) -> str:
-    """The ``results/abl_placement.txt`` table."""
-    return render_table("Ablation: app placement vs syscall cost",
-                        ["app node", "syscall cycles"], rows)
-
-
-def multi_fs_table(rows: list[tuple[int, float]]) -> str:
-    """The ``results/abl_multi_fs.txt`` table."""
-    return render_table("Ablation: 16x find vs number of m3fs instances",
-                        ["m3fs instances", "avg cycles/instance"], rows)
-
-
 def multiplexing_table(trade: dict) -> str:
     """The ``results/abl_multiplexing.txt`` table."""
     return render_table(
@@ -334,15 +306,28 @@ def cache_table(results: dict) -> str:
          ("2 KiB hot set x32", results["hot_bulk"], results["hot_cached"])])
 
 
+def _rows(title: str, *headers: str):
+    """The renderer of a sweep whose results are the table's rows."""
+    return functools.partial(render_table, title, list(headers))
+
+
 #: result-file stem -> (sweep function, table renderer)
 BENCH_SWEEPS = {
-    "abl_buffer_size": (buffer_size_sweep, buffer_size_table),
-    "abl_pipe_slots": (pipe_slot_sweep, pipe_slot_table),
-    "abl_hop_latency": (hop_latency_sweep, hop_latency_table),
-    "abl_placement": (placement_sweep, placement_table),
+    "abl_buffer_size": (buffer_size_sweep, _rows(
+        "Ablation: read buffer size (1 MiB file)", "buffer bytes", "cycles")),
+    "abl_pipe_slots": (pipe_slot_sweep, _rows(
+        "Ablation: pipe ring slots (256 KiB transfer)", "slots", "cycles")),
+    "abl_hop_latency": (hop_latency_sweep, _rows(
+        "Ablation: NoC hop latency vs syscall cost",
+        "hop cycles", "syscall cycles")),
+    "abl_placement": (placement_sweep, _rows(
+        "Ablation: app placement vs syscall cost",
+        "app node", "syscall cycles")),
     "abl_multiplexing": (multiplexing_tradeoff, multiplexing_table),
     "abl_cache": (cache_vs_bulk, cache_table),
-    "abl_multi_fs": (multi_fs_sweep, multi_fs_table),
+    "abl_multi_fs": (multi_fs_sweep, _rows(
+        "Ablation: 16x find vs number of m3fs instances",
+        "m3fs instances", "avg cycles/instance")),
 }
 
 EVALS = tuple(single(name, sweep, table)

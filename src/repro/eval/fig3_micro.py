@@ -103,9 +103,8 @@ def m3_pipe_cycles() -> tuple[int, dict]:
 # -- Linux side -----------------------------------------------------------------
 
 
-def lx_syscall_cycles(warm_cache: bool = False,
-                      costs=params.LINUX_XTENSA) -> tuple[int, dict]:
-    machine = LinuxMachine(costs=costs, warm_cache=warm_cache)
+def lx_syscall_cycles(warm_cache: bool) -> tuple[int, dict]:
+    machine = LinuxMachine(warm_cache=warm_cache)
     return _per_syscall(*machine.run_program(
         _measured(lambda lx: lx_syscalls(lx, SYSCALL_ITERATIONS))))
 

@@ -35,6 +35,8 @@ PROFILE_FILE_BYTES = 256 * 1024
 PROFILE_BUFFER_BYTES = params.MICRO_BUFFER_BYTES
 #: telemetry epoch of the link-occupancy table, in cycles.
 PROFILE_EPOCH = 10_000
+#: links the occupancy table shows, busiest first.
+BUSIEST_LINKS = 3
 
 
 # -- table rendering -----------------------------------------------------------
@@ -94,7 +96,7 @@ def utilization_table(network: "Network") -> str:
     )
 
 
-def link_series_table(telemetry: "Telemetry", top: int = 3) -> str:
+def link_series_table(telemetry: "Telemetry") -> str:
     """Occupancy time series (epoch ends; a flushed last epoch ends at
     the current cycle) for the busiest links."""
     series = {}
@@ -105,7 +107,7 @@ def link_series_table(telemetry: "Telemetry", top: int = 3) -> str:
     busiest = sorted(
         series.items(),
         key=lambda kv: (-math.fsum(f for _i, f in kv[1]), kv[0]),
-    )[:top]
+    )[:BUSIEST_LINKS]
     now = telemetry.sim.now
     rows = []
     for (a, b), points in busiest:
@@ -113,7 +115,8 @@ def link_series_table(telemetry: "Telemetry", top: int = 3) -> str:
             rows.append((f"{a}->{b}", min(telemetry.end_cycle(index), now),
                          f"{fraction:.2%}"))
     return render_table(
-        f"Link occupancy per {telemetry.epoch:,}-cycle epoch (busiest {top})",
+        f"Link occupancy per {telemetry.epoch:,}-cycle epoch "
+        f"(busiest {BUSIEST_LINKS})",
         ["link", "epoch end", "busy"],
         rows,
     )

@@ -10,10 +10,10 @@ kill whole PEs.  The plan hooks into
 network pays exactly one ``is None`` branch per packet, so all
 calibrated figures stay cycle-identical.
 
-Every injected fault is recorded twice: in :attr:`FaultPlan.events`
-(for assertions and reports) and as a :class:`~repro.sim.ledger.TimeLedger`
-mark under the ``fault`` tag (so faults show up next to the App/OS/Xfer
-cycle accounting in traces).
+Every injected fault is recorded in :attr:`FaultPlan.events` (its
+cycle and action), and the cycles a stall or delay adds to a packet are
+charged to the :class:`~repro.sim.ledger.TimeLedger`'s ``fault`` tag
+(so they show up next to the App/OS/Xfer cycle accounting).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class FaultRecord:
 
     cycle: int
     action: str  # drop | corrupt | delay | kill | stall
-    detail: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,7 +259,7 @@ class FaultPlan:
         pe = platform.pe(fault.node)
 
         def kill(_):
-            self._record(fault.at, "kill", f"PE {fault.node} core halted")
+            self._record(fault.at, "kill")
             pe.fail(cause=f"fault-plan kill at cycle {fault.at}")
 
         self.sim.schedule(max(0, fault.at - self.sim.now), kill)
@@ -283,34 +282,27 @@ class FaultPlan:
             if packet.destination != fault.node and packet.source != fault.node:
                 continue
             if fault.at <= now < fault.end:
-                held = fault.end - now
-                extra = max(extra, held)
-                self._record(now, "stall", f"{packet.kind} held {held} cycles "
-                                           f"at stalled node {fault.node}")
+                extra = max(extra, fault.end - now)
+                self._record(now, "stall")
         for rule in self.packet_rules:
             if not rule.matches(packet, now, network):
                 continue
             if self.rng.random() >= rule.rate:
                 continue
             if rule.action == DROP:
-                self._record(now, DROP, self._describe(packet))
+                self._record(now, DROP)
                 return DROP, 0
             if rule.action == CORRUPT:
-                self._record(now, CORRUPT, self._describe(packet))
+                self._record(now, CORRUPT)
                 return CORRUPT, extra
-            jitter = self.rng.randint(rule.delay_min, rule.delay_max)
-            extra += jitter
-            self._record(now, DELAY, f"{self._describe(packet)} +{jitter} cycles")
+            extra += self.rng.randint(rule.delay_min, rule.delay_max)
+            self._record(now, DELAY)
         if extra and self.sim is not None:
             self.sim.ledger.charge(Tag.FAULT, extra)
         return "deliver", extra
 
-    def _describe(self, packet: "Packet") -> str:
-        return (f"{packet.kind} #{packet.packet_id} "
-                f"{packet.source}->{packet.destination}")
-
-    def _record(self, cycle: int, action: str, detail: str) -> None:
-        self.events.append(FaultRecord(cycle, action, detail))
+    def _record(self, cycle: int, action: str) -> None:
+        self.events.append(FaultRecord(cycle, action))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FaultPlan seed={self.seed} rules={len(self.packet_rules)} "

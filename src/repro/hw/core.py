@@ -20,7 +20,6 @@ class CoreType:
     """A kind of core: its name and per-operation cost densities."""
 
     name: str
-    description: str = ""
     #: cycles per byte for named operations this core accelerates or runs
     #: in software; operations not listed cannot run on this core unless
     #: ``general_purpose`` is set.
@@ -45,14 +44,12 @@ class CoreType:
 #: General-purpose Xtensa-like RISC core (the default PE of Tomahawk).
 XTENSA = CoreType(
     name="xtensa",
-    description="general-purpose Xtensa-like RISC core",
     op_cycles_per_byte={"fft": params.FFT_SW_CYCLES_PER_BYTE},
 )
 
 #: Core with FFT instruction extensions (Section 5.8): ~30x faster FFT.
 FFT_ACCEL = CoreType(
     name="fft-accel",
-    description="Xtensa core with FFT instruction extensions",
     op_cycles_per_byte={
         "fft": params.FFT_SW_CYCLES_PER_BYTE / params.FFT_ACCEL_SPEEDUP
     },
@@ -63,7 +60,6 @@ FFT_ACCEL = CoreType(
 #: exists to support.
 FFT_ASIC = CoreType(
     name="fft-asic",
-    description="fixed-function FFT circuit",
     op_cycles_per_byte={
         "fft": params.FFT_SW_CYCLES_PER_BYTE / params.FFT_ACCEL_SPEEDUP
     },

@@ -59,7 +59,7 @@ class Cpu:
             next_who, ticket = self._waiters.popleft()
             self._owner = next_who
 
-            def handoff(next_who=next_who, ticket=ticket):
+            def handoff():
                 yield from self._switch_to(next_who)
                 ticket.succeed()
 

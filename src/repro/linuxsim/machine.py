@@ -24,7 +24,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: open(2) flag values for the baseline (mirrors OpenFlags numerically).
 O_RDONLY = 1
 O_WRONLY = 2
-O_RDWR = 3
 O_CREAT = 4
 O_TRUNC = 8
 

@@ -19,7 +19,7 @@ import dataclasses
 
 @dataclasses.dataclass(frozen=True)
 class VpeCheckpoint:
-    """One VPE's PE-local state, snapshotted at ``taken_at``."""
+    """One VPE's PE-local state, snapshotted for a migration."""
 
     vpe_id: int
     name: str
@@ -34,12 +34,11 @@ class VpeCheckpoint:
     #: endpoint, cloned via ``dataclasses.replace`` so later mutation
     #: of the live registers cannot leak into the snapshot.
     eps: tuple
-    taken_at: int
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VpeCheckpoint vpe={self.vpe_id} node={self.node} "
-            f"{len(self.spm_image)}B spm, {len(self.eps)} eps @ {self.taken_at}>"
+            f"{len(self.spm_image)}B spm, {len(self.eps)} eps>"
         )
 
 

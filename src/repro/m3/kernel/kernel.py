@@ -65,7 +65,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: kernel endpoint assignment.
 KERNEL_SYSCALL_EP = 0  # receive endpoint for all syscalls
 KERNEL_REPLY_EP = 1  # receive endpoint for replies to kernel-sent messages
-KERNEL_FIRST_SRV_EP = 2  # send endpoints to services (single-kernel layout)
+#: a single kernel's send endpoints to services follow KERNEL_REPLY_EP.
 #: multi-kernel layout only: requests from peer kernels arrive on
 #: ``KERNEL_IK_EP`` (= 2, see ikrpc) and peer send endpoints follow;
 #: services then get the endpoints after the last peer (``Sessions``
@@ -131,7 +131,6 @@ class Kernel:
         #: per-kernel VPE ids, so runs are reproducible regardless of
         #: what else the hosting Python process simulated before.
         self._vpe_ids = itertools.count(1)
-        self._booted = False
         #: callbacks used by the M3 system layer to start software on a
         #: PE (models the kernel writing the boot registers via the DTU)
         #: and to look up the program an exec names.
@@ -305,7 +304,6 @@ class Kernel:
             if pe.node not in self.domain:
                 continue  # a peer kernel downgrades its own domain
             yield from self.dtu.configure_remote(pe.node, "downgrade")
-        self._booted = True
 
     # ------------------------------------------------------------------
     # VPE management (also used directly for boot-time root VPEs)
@@ -460,10 +458,9 @@ class Kernel:
         The loop is strictly event-driven and never blocks on a single
         peer: it serves syscall messages *and* service replies (session
         negotiations, Section 4.5.3), so a service doing a syscall while
-        the kernel negotiates with it cannot deadlock the system.
+        the kernel negotiates with it cannot deadlock the system.  The
+        kernel is booted first (:meth:`boot`).
         """
-        if not self._booted:
-            yield from self.boot()
         inboxes = [(KERNEL_SYSCALL_EP, self._handle_syscall),
                    (KERNEL_REPLY_EP, self._handle_reply)]
         if self.peers:

@@ -75,7 +75,6 @@ class Migration:
             spm_image=bytes(pe.spm_data.read(0, pe.spm_data.size)),
             alloc_mark=pe.alloc_mark,
             eps=_live_endpoints(pe.dtu),
-            taken_at=self.sim.now,
         )
         if self.sim.obs is not None:
             self.sim.obs.count("kernel.checkpoints")

@@ -82,25 +82,3 @@ OPEN_SESSION = "open_session"
 #: in the session's client table; the service-side delegation used by
 #: m3fs to hand out extent capabilities.
 SRV_DELEGATE = "srv_delegate"
-
-ALL_OPCODES = frozenset(
-    {
-        CREATE_VPE,
-        VPE_START,
-        VPE_WAIT,
-        VPE_WAIT_YIELD,
-        MIGRATE_VPE,
-        EXIT,
-        NOOP,
-        REQUEST_MEM,
-        DERIVE_MEM,
-        CREATE_RGATE,
-        CREATE_SGATE,
-        ACTIVATE,
-        DELEGATE,
-        REVOKE,
-        CREATE_SRV,
-        OPEN_SESSION,
-        SRV_DELEGATE,
-    }
-)

@@ -86,11 +86,11 @@ class File:
         self._capacity += length
         self._next_extent_index += 1
 
-    def _append_extent(self, want_blocks=None):
-        """Generator: grow the file's allocation by one extent."""
+    def _append_extent(self):
+        """Generator: grow the file's allocation by one extent of the
+        server's append chunk (the request's ``None``)."""
         selector, length = yield from self.client.request(
-            "append", self.fd, want_blocks
-        )
+            "append", self.fd, None)
         self._install_extent(selector, length)
 
     def _extent_at(self, offset: int) -> _CachedExtent | None:

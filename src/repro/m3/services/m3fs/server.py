@@ -33,8 +33,6 @@ FS_RING_SLOTS = 64
 class _OpenFile:
     inode: object
     flags: int
-    #: extents already delegated to the client (index high-water mark).
-    delegated_upto: int = 0
 
 
 class _Session:

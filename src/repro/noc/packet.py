@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
-_packet_ids = itertools.count()
-
 
 class Packet:
     """A unit of NoC traffic.
@@ -27,11 +23,11 @@ class Packet:
     """
 
     __slots__ = ("source", "destination", "kind", "size_bytes", "payload",
-                 "corrupted", "trace_id", "trace_parent", "packet_id")
+                 "corrupted", "trace_id", "trace_parent")
 
     def __init__(self, source: int, destination: int, kind: str,
                  size_bytes: int, payload: object = None, trace_id: int = -1,
-                 trace_parent: int = -1, corrupted: bool = False):
+                 trace_parent: int = -1):
         if size_bytes < 0:
             raise ValueError(f"negative packet size: {size_bytes}")
         self.source = source
@@ -39,13 +35,12 @@ class Packet:
         self.kind = kind  # "message" | "reply" | "msg_ack" | "mem_read" | ...
         self.size_bytes = size_bytes
         self.payload = payload
-        self.corrupted = corrupted
+        self.corrupted = False
         self.trace_id = trace_id
         self.trace_parent = trace_parent
-        self.packet_id = next(_packet_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Packet #{self.packet_id} {self.kind} "
+            f"<Packet {self.kind} "
             f"{self.source}->{self.destination} {self.size_bytes}B>"
         )

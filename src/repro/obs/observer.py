@@ -265,16 +265,16 @@ class Observer:
 
     # -- metrics -----------------------------------------------------------
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a named counter."""
+    def count(self, name: str) -> None:
+        """Bump a named counter by one."""
         counters = self._counters
-        counters[name] = counters.get(name, 0) + n
+        counters[name] = counters.get(name, 0) + 1
         telemetry = self.telemetry
         if telemetry is not None:
             if self.sim.now >= telemetry.closes_at:
                 telemetry.advance()
             counters = telemetry.open_counters
-            counters[name] = counters.get(name, 0) + n
+            counters[name] = counters.get(name, 0) + 1
 
     def monitor(self, totals: dict[str, str], *sources) -> None:
         """Counter ``name`` follows attribute ``totals[name]`` summed over

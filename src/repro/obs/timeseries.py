@@ -117,11 +117,10 @@ class Telemetry:
 
     # -- epoch machinery -------------------------------------------------
 
-    def advance(self, now: int | None = None) -> None:
-        """Close every epoch that ended at or before ``now`` (by default,
-        the current cycle)."""
+    def advance(self) -> None:
+        """Close every epoch that ended at or before the current cycle."""
         epoch = self.epoch
-        target = (self.sim.now if now is None else now) // epoch
+        target = self.sim.now // epoch
         if self._open_index < target:
             # Move on before anything runs: a sampler or hook that
             # records re-enters here, and what it records belongs to
@@ -206,12 +205,12 @@ class Telemetry:
         """The cycle at which epoch ``index`` ends (exclusive)."""
         return (index + 1) * self.epoch
 
-    def value_at(self, name: str, index: int, default=0):
-        """The series value at one epoch (``default`` when absent)."""
+    def value_at(self, name: str, index: int):
+        """The series value at one epoch (0 when absent)."""
         for point_index, value in self._series.get(name, ()):
             if point_index == index:
                 return value
-        return default
+        return 0
 
     def window_sum(self, name: str, last_index: int, width: int) -> int:
         """Sum of a counter series over ``[last_index - width + 1,

@@ -46,7 +46,7 @@ class Process:
 
     # -- driving the generator ----------------------------------------------
 
-    def _start(self, _=None) -> None:
+    def _start(self, _) -> None:
         self._advance(self.generator.send, None)
 
     def _wake(self, event: Event) -> None:

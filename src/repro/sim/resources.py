@@ -89,12 +89,12 @@ class Signal:
             armed = self._armed = Event(self.sim, self._wait_name)
         return armed
 
-    def fire(self, value: object = None) -> None:
-        """Wake all current waiters with ``value``."""
+    def fire(self) -> None:
+        """Wake all current waiters."""
         armed = self._armed
         if armed is not None:
             self._armed = None
-            armed.succeed(value)
+            armed.succeed()
 
     @property
     def waiting(self) -> int:

@@ -50,23 +50,17 @@ def m3_cat_child(env, mem_sel, sgate_sel, ring, slots, spin, input_path):
     return ()
 
 
-def m3_cat_tr(env, spin: bool = False, prefix: str = "",
-              serialize: bool = False):
+def m3_cat_tr(env, spin: bool = False, prefix: str = ""):
     """The parent: pipe -> tr -> output file.  Returns (wall, ledger).
 
-    ``serialize=True`` uses a one-slot pipe so reader and writer strictly
-    alternate — the paper's fairness rule ("M3 did not take advantage of
-    multiple PEs", Section 5.1); the default overlaps them, quantifying
-    the "M3 could achieve better performance by letting reader and
-    writer work in parallel" remark of Section 5.6.
+    Reader and writer overlap, quantifying the "M3 could achieve better
+    performance by letting reader and writer work in parallel" remark of
+    Section 5.6.
     """
     env.spin_io = spin
     start = env.sim.now
     snapshot = env.sim.ledger.snapshot()
-    if serialize:
-        pipe = yield from Pipe.create(env, ring_bytes=CHUNK, slots=1)
-    else:
-        pipe = yield from Pipe.create(env)
+    pipe = yield from Pipe.create(env)
     child = yield from VPE.create(env, f"cat{prefix}".replace("/", "-"))
     child_args = yield from pipe.delegate_writer(child)
     yield from child.run(m3_cat_child, *child_args, spin, prefix + INPUT_PATH)

@@ -46,7 +46,9 @@ def tar_file_set() -> dict[str, int]:
     """The tar corpus: "files between 60 and 500 KiB and 1.2 MiB in
     total" (Section 5.6).  Five files summing to exactly 1.2 MiB."""
     sizes_kib = [500, 300, 200, 120, 80]
-    assert sum(sizes_kib) * 1024 == params.TAR_TOTAL_BYTES
+    assert (sum(sizes_kib) * 1024 == params.TAR_TOTAL_BYTES
+            and params.TAR_MIN_FILE_BYTES <= min(sizes_kib) * 1024
+            and max(sizes_kib) * 1024 <= params.TAR_MAX_FILE_BYTES)
     return {
         f"/src/file{i}.dat": kib * 1024 for i, kib in enumerate(sizes_kib)
     }
@@ -60,7 +62,8 @@ def tar_source_files() -> dict[str, bytes]:
     }
 
 
-def _padded(size: int) -> int:
+def tar_padded(size: int) -> int:
+    """``size`` rounded up to whole tar records."""
     return -(-size // TAR_RECORD_BYTES) * TAR_RECORD_BYTES
 
 
@@ -74,7 +77,7 @@ def tar_archive_bytes() -> bytes:
         header = deterministic_bytes(f"hdr:{path}", TAR_RECORD_BYTES)
         out.extend(header)
         out.extend(content)
-        out.extend(bytes(_padded(len(content)) - len(content)))
+        out.extend(bytes(tar_padded(len(content)) - len(content)))
     out.extend(bytes(2 * TAR_RECORD_BYTES))
     return bytes(out)
 

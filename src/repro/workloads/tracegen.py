@@ -14,6 +14,7 @@ from repro.workloads.data import (
     TAR_RECORD_BYTES,
     find_tree_layout,
     tar_archive_bytes,
+    tar_padded,
     tar_source_files,
 )
 from repro.workloads.trace import (
@@ -48,10 +49,6 @@ def _prefixed(prefix: str, setup: dict, trace: list) -> tuple[dict, list]:
     return setup, rewritten
 
 
-def _padded(size: int) -> int:
-    return -(-size // TAR_RECORD_BYTES) * TAR_RECORD_BYTES
-
-
 def make_tar_trace(prefix: str = "") -> tuple[dict[str, bytes], list[TraceOp]]:
     """busybox tar cf /arch.tar /src — headers written per member, data
     moved with sendfile (Section 5.6)."""
@@ -67,7 +64,7 @@ def make_tar_trace(prefix: str = "") -> tuple[dict[str, bytes], list[TraceOp]]:
         trace.append(_op("open", path, MODE_R))
         trace.append(_op("write", archive_slot, TAR_RECORD_BYTES))  # header
         trace.append(_op("sendfile", archive_slot, slot, size))
-        padding = _padded(size) - size
+        padding = tar_padded(size) - size
         if padding:
             trace.append(_op("write", archive_slot, padding))
         trace.append(_op("close", slot))
@@ -92,7 +89,7 @@ def make_untar_trace(prefix: str = "") -> tuple[dict[str, bytes], list[TraceOp]]
         trace.append(_op("read", archive_slot, TAR_RECORD_BYTES))
         trace.append(_op("open", f"/out/{name}", MODE_W | MODE_CREATE))
         trace.append(_op("sendfile", slot, archive_slot, size))
-        padding = _padded(size) - size
+        padding = tar_padded(size) - size
         if padding:
             trace.append(_op("seek", archive_slot, padding, 1))
         trace.append(_op("close", slot))

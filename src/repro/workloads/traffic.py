@@ -361,7 +361,6 @@ class TrafficResult:
     #: req_id -> end-to-end cycles (scheduled arrival -> response).
     latencies: dict
     histogram: Histogram
-    makespan: int
     offered_per_mcycle: float
     goodput_per_mcycle: float
     tx_retries: int
@@ -505,7 +504,6 @@ def run_profile(profile: TrafficProfile,
         completed=completed,
         latencies=latencies,
         histogram=histogram,
-        makespan=makespan,
         offered_per_mcycle=1e6 * (sent - 1) / arrival_span,
         goodput_per_mcycle=1e6 * completed / makespan,
         tx_retries=run.tx_retries,

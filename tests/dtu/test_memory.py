@@ -158,7 +158,7 @@ def test_one_transfer_schedules_only_what_it_moves(kind, reliable,
         elif kind == "write":
             yield from near.write_memory(3, 0, b"x" * 64)
         else:
-            yield from near.configure_remote(far.node, "refill_credits", 5)
+            yield from near.configure_remote(far.node, "probe")
 
     platform.sim.run_process(transfer())
     platform.sim.run()  # a reliable transfer's timer fires into nothing

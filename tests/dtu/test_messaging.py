@@ -233,7 +233,7 @@ def test_refill_never_passes_the_ceiling(reliable):
     platform, client, serve = _request_reply_pair(reliable)
     platform.pe(1).run(serve(1), "server")
     client.send(0, "request", 8, reply_ep=2)
-    client.configure_local("refill_credits", 0)  # the kernel got there first
+    configure_channel(client, platform.pe(1).dtu, credits=2)  # a kernel regrant
     assert client.ep(0).credits == 2
     platform.sim.run()
     assert client.fetch_message(2) is not None  # the reply did arrive

@@ -106,20 +106,6 @@ def test_kernel_can_reupgrade_pe(platform):
     assert app.privileged
 
 
-def test_kernel_refills_credits_remotely(platform):
-    kernel = platform.pe(0).dtu
-    sender, receiver = platform.pe(1).dtu, platform.pe(2).dtu
-    configure_channel(sender, receiver, credits=1)
-
-    def flow():
-        yield sender.send(0, "a", 8)
-        assert sender.ep(0).credits == 0
-        yield from kernel.configure_remote(sender.node, "refill_credits", 0)
-        assert sender.ep(0).credits == 1
-
-    platform.sim.run_process(flow())
-
-
 def test_invalidate_endpoint_remotely(platform):
     kernel = platform.pe(0).dtu
     sender, receiver = platform.pe(1).dtu, platform.pe(2).dtu

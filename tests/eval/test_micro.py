@@ -14,8 +14,8 @@ def test_m3_syscall_near_200_cycles():
 
 
 def test_lx_syscall_exactly_410_and_320():
-    assert fig3_micro.lx_syscall_cycles()[0] == 410
-    assert fig3_micro.lx_syscall_cycles(costs=params.LINUX_ARM)[0] == 320
+    assert fig3_micro.lx_syscall_cycles(False)[0] == 410
+    assert tab_arm.syscall_cycles(params.LINUX_ARM) == 320
 
 
 def test_arm_table_rows():

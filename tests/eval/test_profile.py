@@ -19,8 +19,9 @@ def test_histogram_table_renders_buckets_and_summary():
 def test_summary_and_counter_tables():
     obs = Observer(Simulator())
     obs.observe("a.lat", 10)
-    obs.count("x", 3)
-    obs.count("y", 9)
+    for name, n in (("x", 3), ("y", 9)):
+        for _ in range(n):
+            obs.count(name)
     summary = profile.histogram_summary_table(obs)
     assert "a.lat" in summary and "p99<" in summary
     counters = profile.counter_table(obs)
@@ -57,7 +58,7 @@ def test_profile_run_produces_report_and_matches_stats(tmp_path):
     assert len(distinct) * 10 < len(shared)
 
 
-def test_busiest_links_tie_exactly_and_rank_by_link_key():
+def test_busiest_links_tie_exactly_and_rank_by_link_key(monkeypatch):
     """Naive float ``sum`` (3.10, 3.11) gives 0.1 + 0.2 + 0.3 one ulp
     more than 0.3 + 0.2 + 0.1, so a rounding error used to pick the
     busiest links on those Pythons; the exact sum ties them."""
@@ -69,5 +70,6 @@ def test_busiest_links_tie_exactly_and_rank_by_link_key():
     sim.run(until=300)
     telemetry.flush()
     assert telemetry.points("noc.link.1->2") == [(0, 0.1), (1, 0.2), (2, 0.3)]
-    text = profile.link_series_table(telemetry, top=1)
+    monkeypatch.setattr(profile, "BUSIEST_LINKS", 1)
+    text = profile.link_series_table(telemetry)
     assert "0->1" in text and "1->2" not in text

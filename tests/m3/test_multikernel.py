@@ -230,10 +230,10 @@ def test_single_kernel_layout_is_unchanged():
     assert system.kernel.domain == set(range(6))
     assert system.kernel.label == "kernel"
     # service endpoints still start right after the reply endpoint
-    from repro.m3.kernel.kernel import KERNEL_FIRST_SRV_EP
+    from repro.m3.kernel.kernel import KERNEL_REPLY_EP
 
     system.start_m3fs()
-    assert system.kernel.services["m3fs"].kernel_ep == KERNEL_FIRST_SRV_EP
+    assert system.kernel.services["m3fs"].kernel_ep == KERNEL_REPLY_EP + 1
 
 
 # -- the system.wait bugfix --------------------------------------------------

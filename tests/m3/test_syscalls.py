@@ -49,7 +49,9 @@ def test_noop_syscall_cost_near_paper_value(system):
 def test_dispatch_table_covers_exactly_the_abi(system):
     """Every opcode the ABI module declares has a handler, and the
     kernel serves nothing the ABI does not name."""
-    assert system.kernel.syscall_table.keys() == syscalls.ALL_OPCODES
+    opcodes = {value for name, value in vars(syscalls).items()
+               if name.isupper() and isinstance(value, str)}
+    assert system.kernel.syscall_table.keys() == opcodes
 
 
 def test_unknown_syscall_reports_error(system):

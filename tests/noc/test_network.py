@@ -45,13 +45,13 @@ def test_delivery_latency_grows_with_hops():
 def test_contention_serializes_packets_on_shared_link():
     sim, net = _network(hop=0, bw=8)
     arrivals = []
-    net.attach(1, lambda p: arrivals.append((sim.now, p.packet_id)))
+    net.attach(1, lambda p: arrivals.append((sim.now, p)))
     a = Packet(0, 1, "message", 8 * 10 - PACKET_HEADER_BYTES)  # 10 cycles
     b = Packet(0, 1, "message", 8 * 10 - PACKET_HEADER_BYTES)
     net.send(a)
     net.send(b)
     sim.run()
-    assert arrivals == [(10, a.packet_id), (20, b.packet_id)]
+    assert arrivals == [(10, a), (20, b)]
 
 
 def test_disjoint_paths_do_not_interfere():

@@ -54,8 +54,8 @@ def test_complete_records_retroactively():
 
 def test_counters_and_histograms():
     obs = Observer(Simulator())
-    obs.count("a")
-    obs.count("a", 4)
+    for _ in range(5):
+        obs.count("a")
     obs.observe("lat", 100)
     obs.observe("lat", 200)
     assert obs.counters == {"a": 5}

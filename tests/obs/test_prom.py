@@ -15,7 +15,8 @@ def test_metric_name_sanitization():
 def test_exposition_shape_and_determinism():
     def build():
         obs = Observer.install(Simulator())
-        obs.count("kv.kv0.requests", 7)
+        for _ in range(7):
+            obs.count("kv.kv0.requests")
         obs.count("autoscale.scale_ups")
         obs.observe("kv.request_cycles", 100)
         obs.observe("kv.request_cycles", 5000)

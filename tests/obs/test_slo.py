@@ -16,6 +16,12 @@ def _hub(epoch=100):
     return sim, obs, obs.enable_telemetry(epoch=epoch)
 
 
+def _close_to(sim, telemetry, cycle):
+    """Move the clock to ``cycle`` and close the epochs that ended."""
+    sim.run(until=cycle)
+    telemetry.advance()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="target"):
         SloSpec("bad", target=1.0, series="lat", threshold=10)
@@ -33,14 +39,14 @@ def test_spec_validation():
 
 
 def test_latency_slo_burns_fires_and_resolves():
-    _sim, obs, telemetry = _hub()
+    sim, obs, telemetry = _hub()
     spec = SloSpec("kv-latency", target=0.9, series="lat", threshold=100)
     monitor = SloMonitor(obs, spec, windows=FAST)
     # Epoch 0: 10 samples, 5 over threshold -> bad fraction 0.5, budget
     # 0.1 -> burn 5.0 on both windows -> page fires.
     for value in (10, 10, 10, 10, 10, 200, 200, 200, 200, 200):
         obs.observe("lat", value)
-    telemetry.advance(100)
+    _close_to(sim, telemetry, 100)
     (alert,) = monitor.alerts
     assert alert[:3] == (100, "page", "fire")
     assert alert[3] == pytest.approx(5.0) and alert[4] == pytest.approx(5.0)
@@ -50,7 +56,7 @@ def test_latency_slo_burns_fires_and_resolves():
     # window still carries epoch 0, but the rule needs both.
     for _ in range(10):
         obs.observe("lat", 10)
-    telemetry.advance(200)
+    _close_to(sim, telemetry, 200)
     assert monitor.alerts[-1][:3] == (200, "page", "resolve")
     assert monitor.verdict()["bad"] == 5
     assert monitor.verdict()["total"] == 20
@@ -60,36 +66,38 @@ def test_latency_slo_burns_fires_and_resolves():
 
 
 def test_availability_slo_and_empty_windows_do_not_burn():
-    _sim, obs, telemetry = _hub()
+    sim, obs, telemetry = _hub()
     spec = SloSpec("delivery", target=0.99, bad_series="net.drops",
                    total_series="net.sent")
     monitor = SloMonitor(obs, spec, windows=FAST)
-    telemetry.advance(100)  # empty epoch: no traffic, no burn
+    _close_to(sim, telemetry, 100)  # empty epoch: no traffic, no burn
     assert monitor.timeline[0][4]["page"] == (0.0, 0.0)
-    obs.count("net.sent", 100)
-    obs.count("net.drops", 4)
-    telemetry.advance(200)
+    for _ in range(100):
+        obs.count("net.sent")
+    for _ in range(4):
+        obs.count("net.drops")
+    _close_to(sim, telemetry, 200)
     # bad fraction 0.04 / budget 0.01 = burn 4.0 >= 2.0 on both.
     assert monitor.alerts[0][:3] == (200, "page", "fire")
     assert monitor.breached
 
 
 def test_slow_burn_needs_the_long_window_too():
-    _sim, obs, telemetry = _hub()
+    sim, obs, telemetry = _hub()
     spec = SloSpec("lat", target=0.9, series="lat", threshold=100)
     monitor = SloMonitor(obs, spec, windows=(("page", 1, 3, 2.0),))
     # A bad epoch after enough good history: the short window spikes
     # but the 3-epoch window stays below the factor, so no page.
     for _ in range(20):
         obs.observe("lat", 10)
-    telemetry.advance(100)
+    _close_to(sim, telemetry, 100)
     for _ in range(20):
         obs.observe("lat", 10)
-    telemetry.advance(200)
+    _close_to(sim, telemetry, 200)
     for _ in range(10):
         obs.observe("lat", 200)
     obs.observe("lat", 10)
-    telemetry.advance(300)
+    _close_to(sim, telemetry, 300)
     # long window over epochs 0..2: 10 bad / 51 total = 0.196 -> burn
     # 1.96 < 2.0, even though the short-window burn is 9.1.
     assert monitor.alerts == []
@@ -98,12 +106,12 @@ def test_slow_burn_needs_the_long_window_too():
 
 
 def test_last_alert_before():
-    _sim, obs, telemetry = _hub()
+    sim, obs, telemetry = _hub()
     spec = SloSpec("lat", target=0.9, series="lat", threshold=100)
     monitor = SloMonitor(obs, spec, windows=FAST)
     for _ in range(10):
         obs.observe("lat", 500)
-    telemetry.advance(100)
+    _close_to(sim, telemetry, 100)
     assert last_alert_before(obs, 100) == (100, "lat", "page")
     assert last_alert_before(obs, 99) is None
     assert monitor.alerts[-1][:3] == (100, "page", "fire")

@@ -13,12 +13,17 @@ def _hub(epoch=100):
     return sim, obs, obs.enable_telemetry(epoch=epoch)
 
 
+def _count(obs, name, n):
+    for _ in range(n):
+        obs.count(name)
+
+
 def test_counters_sum_within_their_epoch():
     sim, obs, telemetry = _hub()
     sim.schedule(10, lambda _: obs.count("req"))
-    sim.schedule(20, lambda _: obs.count("req", 2))
+    sim.schedule(20, lambda _: _count(obs, "req", 2))
     sim.schedule(150, lambda _: obs.count("req"))
-    sim.schedule(320, lambda _: obs.count("req", 5))
+    sim.schedule(320, lambda _: _count(obs, "req", 5))
     sim.run()
     telemetry.flush()
     assert telemetry.points("req") == [(0, 3), (1, 1), (3, 5)]
@@ -59,12 +64,12 @@ def test_series_kind_conflict_raises():
 
 def test_flush_is_idempotent_and_refolds_partial_epochs():
     sim, obs, telemetry = _hub()
-    sim.schedule(10, lambda _: obs.count("req", 2))
+    sim.schedule(10, lambda _: _count(obs, "req", 2))
     sim.run()
     telemetry.flush()
     telemetry.flush()
     assert telemetry.points("req") == [(0, 2)]
-    obs.count("req", 3)  # lands in the same (re-opened) epoch 0
+    _count(obs, "req", 3)  # lands in the same (re-opened) epoch 0
     telemetry.flush()
     assert telemetry.points("req") == [(0, 5)]
 
@@ -105,7 +110,7 @@ def test_a_close_hook_that_records_runs_once_per_epoch():
 
     telemetry.on_epoch_close.append(hook)
     sim.schedule(0, lambda _: obs.count("req"))
-    sim.schedule(250, lambda _: obs.count("req", 4))
+    sim.schedule(250, lambda _: _count(obs, "req", 4))
     sim.run()
     # Epochs 0 and 1 closed at cycle 250, each exactly once ...
     assert closed == [(0, 100), (1, 200)]

@@ -131,22 +131,24 @@ def test_schedule_at_same_cycle_keeps_fifo():
 
 def test_mixed_waiters_on_one_fire():
     """Several waiters — blocked processes and a ``first_of`` race —
-    on one fire: each wakes with the value at the fire's cycle, and
-    nothing stays registered or queued."""
+    on one fire: each wakes at the fire's cycle, and nothing stays
+    registered or queued."""
     sim = Simulator()
     signal = Signal(sim, "sig")
     woken = []
 
     def waiter():
-        woken.append((yield signal.wait()))
+        yield signal.wait()
+        woken.append(sim.now)
 
     sim.process(waiter(), "a")
     sim.process(waiter(), "b")
-    race = first_of(sim, signal.wait(), sim.event("never"))
-    sim.schedule(50, lambda _: signal.fire("go"))
+    armed = signal.wait()
+    race = first_of(sim, armed, sim.event("never"))
+    sim.schedule(50, lambda _: signal.fire())
     sim.run()
-    assert woken == ["go", "go"]
-    assert race.value.value == "go"
+    assert woken == [50, 50]
+    assert race.value is armed
     assert signal.waiting == 0
     assert sim.pending_events == 0
     assert sim.now == 50

@@ -75,11 +75,11 @@ def test_signal_wakes_all_current_waiters():
 
     def firer():
         yield 33
-        sig.fire("go")
+        sig.fire()
 
     sim.process(firer(), "f")
     sim.run()
-    assert sorted(woken) == [("a", "go", 33), ("b", "go", 33)]
+    assert sorted(woken) == [("a", None, 33), ("b", None, 33)]
     assert sig.waiting == 0
 
 
@@ -153,9 +153,9 @@ def test_signal_arms_one_event_and_wakes_waiters_in_order():
     armed = sig.wait()
     assert armed is sig.wait()
     assert sig.waiting == 3
-    sig.fire("go")
+    sig.fire()
     sim.run()
-    assert woken == [("a", "go"), ("b", "go"), ("c", "go")]
+    assert woken == [("a", None), ("b", None), ("c", None)]
     assert sig.waiting == 0
     assert sig.wait() is not armed
 

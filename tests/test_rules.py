@@ -82,16 +82,19 @@ _FILLS = frozenset(("add", "append", "appendleft", "clear", "discard", "extend",
                     "insert", "pop", "popleft", "remove", "setdefault", "update"))
 
 
-def _reads(tree: ast.AST) -> set[str]:
-    """The attribute names ``tree`` reads: each attribute load, unless it
-    only fills or empties a container (``x.log.append(...)`` as a
-    statement, ``x.table[key] = value``), and each part of a string that
-    is a dotted name (the ``monitor`` and ``attrgetter`` tables name
-    attributes so), unless it is a docstring or a ``__slots__`` entry."""
+def _reads(tree: ast.AST, strings: bool = True) -> set[str]:
+    """The attribute names ``tree`` reads outside a ``__repr__``: each
+    attribute load, unless it only fills or empties a container
+    (``x.log.append(...)`` as a statement, ``x.table[key] = value``),
+    and with ``strings`` each part of a string that is a dotted name
+    (the ``monitor`` and ``attrgetter`` tables name attributes so),
+    unless it is a docstring or a ``__slots__`` entry."""
     skip = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__repr__":
+            skip.update(map(id, ast.walk(node)))
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                               ast.AsyncFunctionDef)) and ast.get_docstring(node):
             skip.add(id(node.body[0].value))
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__slots__"
@@ -109,8 +112,8 @@ def _reads(tree: ast.AST) -> set[str]:
             continue
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and _DOTTED.match(node.value)):
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and _DOTTED.match(node.value)):
             names.update(node.value.split("."))
     return names
 
@@ -122,8 +125,9 @@ def _reader_trees(root: Path) -> tuple[ast.Module, ...]:
 
 
 @functools.cache
-def _read_anywhere(root: Path) -> frozenset[str]:
-    return frozenset().union(*map(_reads, _reader_trees(root)))
+def _read_anywhere(root: Path, strings: bool = True) -> frozenset[str]:
+    return frozenset().union(*(_reads(tree, strings)
+                               for tree in _reader_trees(root)))
 
 
 def _write_only_state(source: str, root: Path) -> list[tuple[int, str]]:
@@ -180,6 +184,128 @@ def _unloaded_keys(source: str, root: Path) -> list[tuple[int, str]]:
                   if isinstance(key, ast.Constant) and isinstance(key.value, str)
                   and key.value not in loaded]
     return found
+
+
+
+def _callee(node: ast.expr) -> str | None:
+    """The name a call matches by: ``f`` of ``f(...)`` and ``x.f(...)``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _passes(tree: ast.AST) -> tuple[dict, set[str], set[str]]:
+    """What ``tree`` passes to functions it names.  For each callee
+    name, each call's ``(positional count, keyword names)``, or ``None``
+    for a call that unpacks ``*`` or ``**``; the names it uses as values,
+    which may be called with anything: a name or attribute it loads
+    other than as a callee, an attribute's object or in an annotation,
+    unless the name is a variable of this file; and the attribute names
+    it assigns, which are fields rather than functions."""
+    calls, skip, variables, fields = {}, set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skip.add(id(node.func))
+            name = _callee(node.func)
+            unpacks = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                       or any(keyword.arg is None for keyword in node.keywords))
+            calls.setdefault(name, []).append(None if unpacks else (
+                len(node.args), {keyword.arg for keyword in node.keywords}))
+        elif isinstance(node, ast.Attribute):
+            skip.add(id(node.value))
+            if not isinstance(node.ctx, ast.Load):
+                fields.add(node.attr)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            variables.add(node.id)
+        elif isinstance(node, ast.arg):
+            variables.add(node.arg)
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if note is not None:
+                skip.update(map(id, ast.walk(note)))
+    values = set()
+    for node in ast.walk(tree):
+        if id(node) in skip or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name) and node.id not in variables:
+            values.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            values.add(node.attr)
+    return calls, values, fields
+
+
+@functools.cache
+def _passed_anywhere(root: Path) -> tuple[dict, frozenset[str]]:
+    calls, values, fields = {}, set(), set()
+    for tree in _reader_trees(root):
+        tree_calls, tree_values, tree_fields = _passes(tree)
+        for name, found in tree_calls.items():
+            calls.setdefault(name, []).extend(found)
+        values |= tree_values
+        fields |= tree_fields
+    return calls, frozenset(values - fields)
+
+
+def _test_only_options(source: str, root: Path) -> list[tuple[int, str]]:
+    """Each parameter with a default that no call ``READERS`` name
+    passes, by keyword or by position, as ``function(parameter=)``.
+    Calls match by name (a class's name for its ``__init__``), and a
+    function whose name is used as a value passes everything: names are
+    not types, so an option that shares its function's name with one
+    production passes goes unseen."""
+    calls, values = _passed_anywhere(root)
+    found = []
+    for owner in ast.walk(ast.parse(source)):
+        for function in ast.iter_child_nodes(owner):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(decorator, ast.Name) and decorator.id == "staticmethod"
+                for decorator in function.decorator_list)
+            name = label = function.name
+            if method and name == "__init__":
+                name = label = owner.name
+            elif method:
+                label = f"{owner.name}.{name}"
+            if name in values:
+                continue
+            args = function.args
+            positional = [*args.posonlyargs, *args.args]
+            first, receiver = len(positional) - len(args.defaults), int(method)
+            options = [(index - receiver, param)
+                       for index, param in enumerate(positional) if index >= first]
+            options += [(None, param)
+                        for param, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+            found += [(param.lineno, f"{label}({param.arg}=)")
+                      for index, param in options
+                      if not any(call is None or param.arg in call[1]
+                                 or index is not None and index < call[0]
+                                 for call in calls.get(name, ()))]
+    return found
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    decorators = [decorator.func if isinstance(decorator, ast.Call) else decorator
+                  for decorator in node.decorator_list]
+    return ("dataclass" in map(_callee, decorators)
+            or "NamedTuple" in map(_callee, node.bases))
+
+
+def _unread_record_fields(source: str, root: Path) -> list[tuple[int, str]]:
+    """Each dataclass or NamedTuple field that no attribute load under
+    ``READERS`` names, outside a ``__repr__``, as ``Record.field``.
+    Strings do not count: a column header is as often a field's name as
+    an ``attrgetter`` is.  Names are not types, as for
+    ``write-only-state``."""
+    read = _read_anywhere(root, strings=False)
+    return [(field.lineno, f"{record.name}.{field.target.id}")
+            for record in ast.walk(ast.parse(source))
+            if isinstance(record, ast.ClassDef) and _is_record(record)
+            for field in record.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
 
 
 ROWS = (
@@ -427,6 +553,41 @@ ROWS = (
         planted='def summary(self): return {"unread_key": self.total}',
     ),
     Rule(
+        "test-only-options",
+        _test_only_options,
+        ("src/repro/",),
+        allow=(
+            # the span log's ring bound for long observed runs
+            # (docs/observability.md), kept settable on purpose.
+            r"^Observer\(span_capacity=\)",
+            # the syscall ABI: migrate_vpe takes the target domain
+            # (docs/protocols.md, "Elastic scaling").
+            r"^VPE\.migrate\(domain=\)",
+            # hostperf's frozen fold.py counts schedule_at by name; its
+            # signature stays schedule's.
+            r"^Simulator\.schedule_at\(argument=\)",
+        ),
+        message="an option no production code sets: delete it and its "
+                "branch, or give it a caller under src/, benchmarks/ or "
+                "examples/; a test that needs another value patches a "
+                "module constant",
+        planted="def scale(value, factor=2): return value * factor",
+    ),
+    Rule(
+        "unread-record-fields",
+        _unread_record_fields,
+        ("src/repro/",),
+        allow=(
+            # the paper's ringbuffer register (§4.4.2); hostperf's frozen
+            # micro.py passes it to receive_config.
+            r"^EndpointRegisters\.buffer_addr$",
+        ),
+        message="a record field no production code reads: delete it and "
+                "what computes it, or give it a reader under src/, "
+                "benchmarks/ or examples/",
+        planted="class Reading(typing.NamedTuple): unread_value: int",
+    ),
+    Rule(
         "flight-dump-text",
         r"\brender_dump\b",
         ("src/", "tests/"),
@@ -438,7 +599,7 @@ ROWS = (
     Rule(
         "obs-ledger-lines",
         None,
-        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1709,
+        ("src/repro/obs/*.py", "src/repro/sim/ledger.py"), limit=1707,
         message="the observer and the time ledger do not grow: make room by "
                 "deleting code, not by moving it to another file",
         planted="pass",

@@ -136,10 +136,7 @@ def test_replayer_rejects_unknown_op():
         machine.run_program(program)
 
 
-def test_cat_tr_serialized_variant_matches_parallel():
-    """Figure 5's fairness: cat+tr is parent-bound, so the one-slot
-    (strictly alternating) pipe and the parallel pipe cost the same
-    within a few percent — and both produce correct output."""
+def test_cat_tr_writes_the_translated_file():
     from repro.m3.system import M3System
     from repro.workloads.cat_tr import (
         INPUT_PATH,
@@ -148,14 +145,8 @@ def test_cat_tr_serialized_variant_matches_parallel():
         m3_cat_tr,
     )
 
-    walls = {}
-    for serialize in (True, False):
-        system = M3System(pe_count=6).boot()
-        system.fs_preload({INPUT_PATH: input_bytes()})
-        wall, _ledger = system.run_app(
-            m3_cat_tr, False, "", serialize, name="cat+tr"
-        )
-        walls[serialize] = wall
-        produced = system.fs_read_back(OUTPUT_PATH)
-        assert produced == input_bytes().replace(b"a", b"b")
-    assert abs(walls[True] - walls[False]) < 0.05 * walls[False]
+    system = M3System(pe_count=6).boot()
+    system.fs_preload({INPUT_PATH: input_bytes()})
+    wall, _ledger = system.run_app(m3_cat_tr, name="cat+tr")
+    assert wall > 0
+    assert system.fs_read_back(OUTPUT_PATH) == input_bytes().replace(b"a", b"b")

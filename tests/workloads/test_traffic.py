@@ -126,7 +126,7 @@ def test_mid_load_fault_plan_is_survived():
 def _fingerprint(result: traffic.TrafficResult) -> tuple:
     """Everything the eval report is a function of, hashable."""
     return (
-        result.sent, result.completed, result.makespan,
+        result.sent, result.completed, result.goodput_per_mcycle,
         tuple(sorted(result.latencies.items())),
         result.tx_retries, result.gw_tx_retries,
         tuple(result.served_by),
