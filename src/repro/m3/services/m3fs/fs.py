@@ -82,20 +82,37 @@ class M3FS:
     def create(self, path: str) -> Inode:
         """Create an empty regular file."""
         parent, name = self.resolve_parent(path)
-        if name in parent.entries:
-            raise FsError(f"already exists: {path!r}")
-        ino = self.inode_bitmap.alloc()
-        inode = Inode(ino=ino, kind="file")
-        self.inodes[ino] = inode
-        parent.entries[name] = ino
-        return inode
+        return self._link(parent, name, "file", path)
 
     def mkdir(self, path: str) -> Inode:
         parent, name = self.resolve_parent(path)
+        return self._link(parent, name, "dir", path)
+
+    def create_with_parents(self, path: str) -> Inode:
+        """Create an empty regular file, making each missing directory
+        on the way in one walk from the root — what ``mkdir`` of every
+        missing ancestor and then ``create`` do, in the same order, so
+        the same inode numbers are allocated."""
+        parts = self.split(path)
+        if not parts:
+            raise FsError("path resolves to the root directory")
+        parent = self.inodes[self.ROOT_INO]
+        for part in parts[:-1]:
+            ino = parent.entries.get(part)
+            if ino is None:
+                parent = self._link(parent, part, "dir", path)
+                continue
+            parent = self.inodes[ino]
+            if not parent.is_dir:
+                raise FsError(f"{part!r} is not a directory")
+        return self._link(parent, parts[-1], "file", path)
+
+    def _link(self, parent: Inode, name: str, kind: str, path: str) -> Inode:
+        """A new ``kind`` inode entered in ``parent`` as ``name``."""
         if name in parent.entries:
             raise FsError(f"already exists: {path!r}")
         ino = self.inode_bitmap.alloc()
-        inode = Inode(ino=ino, kind="dir")
+        inode = Inode(ino=ino, kind=kind)
         self.inodes[ino] = inode
         parent.entries[name] = ino
         return inode

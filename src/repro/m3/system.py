@@ -359,12 +359,7 @@ class M3System:
         for path, content in files.items():
             # views of immutable content: DRAM shares the caller's bytes
             view = memoryview(content)
-            directory = ""
-            for part in fs.split(path)[:-1]:
-                directory = f"{directory}/{part}"
-                if not fs.exists(directory):
-                    fs.mkdir(directory)
-            inode = fs.create(path)
+            inode = fs.create_with_parents(path)
             remaining = len(content)
             written = 0
             while remaining > 0:

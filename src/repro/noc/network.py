@@ -33,7 +33,9 @@ DeliveryHandler = typing.Callable[[Packet], None]
 class _PathTable(dict):
     """``(source, destination) -> tuple of Links``, resolved on first
     use: the topology is immutable, so a route never changes, and a
-    hit costs the per-packet path one dict lookup and no call."""
+    hit costs the per-packet path one dict lookup and no call.  The hop
+    pairs come from the router's memo, shared by every network of this
+    mesh shape; each network maps them to its own links."""
 
     def __init__(self, router: XYRouter, links: dict):
         super().__init__()
@@ -41,10 +43,8 @@ class _PathTable(dict):
         self._links = links
 
     def __missing__(self, key: tuple[int, int]) -> tuple[Link, ...]:
-        source, destination = key
-        hops = (self._router.links_on_path(source, destination)
-                or [(source, source)])
-        path = self[key] = tuple(self._links[hop] for hop in hops)
+        path = self[key] = tuple(map(self._links.__getitem__,
+                                     self._router.hops(*key)))
         return path
 
 

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from repro.noc.topology import MeshTopology
 
+#: ``(width, height, source, destination) -> hops``: a route is a pure
+#: function of the mesh shape, so every router of one shape shares it
+#: and each pair is resolved once per process.
+_HOPS: dict[tuple[int, int, int, int], tuple[tuple[int, int], ...]] = {}
+
 
 class XYRouter:
     """Computes XY paths on a mesh."""
@@ -39,4 +44,16 @@ class XYRouter:
         them to."""
         path = self.route(source, destination)
         return list(zip(path, path[1:]))
+
+    def hops(self, source: int, destination: int) -> tuple[tuple[int, int], ...]:
+        """:meth:`links_on_path` as a tuple, a same-node transfer
+        crossing its node's loopback link, memoised for every router of
+        this mesh shape."""
+        topo = self.topology
+        key = (topo.width, topo.height, source, destination)
+        hops = _HOPS.get(key)
+        if hops is None:
+            hops = _HOPS[key] = (tuple(self.links_on_path(source, destination))
+                                 or ((source, source),))
+        return hops
 

@@ -197,3 +197,26 @@ def test_paths_are_cached_tuples_of_the_networks_own_links():
         net.router.links_on_path(0, 8)
     assert all(hop is net.link(hop.source, hop.destination) for hop in path)
     assert net.paths[4, 4] == (net.link(4, 4),)
+
+
+def test_networks_of_one_shape_share_hops_but_not_links():
+    sim = Simulator()
+    first = Network(sim, MeshTopology(WIDTH, HEIGHT))
+    second = Network(Simulator(), MeshTopology(WIDTH, HEIGHT))
+    other = Network(sim, MeshTopology(WIDTH + 1, HEIGHT))
+    pairs = [(0, 8), (8, 0), (3, 5), (4, 4)]
+    for source, destination in pairs:
+        mine, theirs = first.paths[source, destination], \
+            second.paths[source, destination]
+        assert [(hop.source, hop.destination) for hop in mine] == \
+            [(hop.source, hop.destination) for hop in theirs]
+        assert all(a is not b for a, b in zip(mine, theirs))
+        assert all(hop is second.link(hop.source, hop.destination)
+                   for hop in theirs)
+        hops = first.router.hops(source, destination)
+        assert hops is second.router.hops(source, destination)
+        assert hops is not other.router.hops(source, destination)
+    # node 3 is a row's end on one shape and mid-row on the other
+    assert first.router.hops(0, 3) != other.router.hops(0, 3)
+    assert all(hop is other.link(hop.source, hop.destination)
+               for hop in other.paths[0, 3])

@@ -6,7 +6,8 @@ from repro import params
 from repro.linuxsim.machine import LinuxMachine
 from repro.m3.system import M3System
 from repro.workloads.data import tar_source_files
-from repro.workloads.trace import LinuxReplayer, M3Replayer
+from repro.workloads import tracegen
+from repro.workloads.trace import LinuxReplayer, M3Replayer, TraceOp
 from repro.workloads.tracegen import (
     TRACE_BENCHMARKS,
     make_find_trace,
@@ -108,6 +109,49 @@ def test_prefix_rewrites_all_paths():
         for op in trace:
             if op.op in ("open", "stat", "mkdir", "unlink", "readdir"):
                 assert op.args[0].startswith("/p7"), (name, op)
+
+
+def _oracle_prefixed(prefix, setup, trace):
+    """The per-op rewrite traces were prefixed with before templates
+    were memoised: each op's leading path arguments move under
+    ``prefix``, and so does every setup path."""
+    path_args = {"open": 1, "stat": 1, "mkdir": 1, "unlink": 1, "readdir": 1}
+    if not prefix:
+        return setup, trace
+    setup = {prefix + path: content for path, content in setup.items()}
+    rewritten = []
+    for op, args in trace:
+        n = path_args.get(op, 0)
+        args = tuple((prefix + a) if i < n else a for i, a in enumerate(args))
+        rewritten.append(TraceOp(op, args))
+    return setup, rewritten
+
+
+@pytest.mark.parametrize("prefix", ["", "/i3", "/tar12"])
+@pytest.mark.parametrize("name", sorted(TRACE_BENCHMARKS))
+def test_a_prefixed_trace_equals_the_per_op_rewrite(name, prefix):
+    template_setup, template_trace = tracegen._BUILDERS[name]()
+    expected_setup, expected_trace = _oracle_prefixed(
+        prefix, template_setup, template_trace)
+    setup, trace = TRACE_BENCHMARKS[name](prefix)
+    assert dict(setup) == expected_setup
+    assert list(setup) == list(expected_setup)  # preload order
+    assert type(trace) is tuple
+    assert list(trace) == expected_trace
+    again = TRACE_BENCHMARKS[name](prefix)
+    assert (dict(again[0]), again[1]) == (dict(setup), trace)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_BENCHMARKS))
+def test_a_shared_trace_cannot_be_mutated(name):
+    setup, trace = TRACE_BENCHMARKS[name]("/p9")
+    with pytest.raises(TypeError):
+        trace[0] = TraceOp("wait", (1,))
+    with pytest.raises(TypeError):
+        setup["/p9/extra"] = b"x"
+    with pytest.raises(TypeError):
+        del setup[next(iter(setup), "/p9/none")]
+    assert TRACE_BENCHMARKS[name]("/p9") == (setup, trace)
 
 
 def test_both_replayers_execute_identical_op_sequences():
