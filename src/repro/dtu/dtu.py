@@ -64,7 +64,6 @@ OBSERVED_TOTALS = {
     "dtu.acks_sent": "acks_sent",
     RETRANSMITS_SERIES: "retransmits",
     "dtu.redirected": "redirected",
-    "dtu.crc_drops": "crc_drops",
 }
 
 
@@ -136,7 +135,6 @@ class DTU:
         self.messages_dropped = 0
         self.retransmits = 0
         self.acks_sent = 0
-        self.crc_drops = 0
         #: set by the owning PE: where the privileged "probe" config
         #: operation reads the core's halted/running status.
         self.status_source = None
@@ -565,17 +563,6 @@ class DTU:
     def handle_packet(self, packet: Packet) -> None:
         """Entry point for packets the NoC delivers to this node."""
         kind = packet.kind
-        if packet.corrupted:
-            # The link-level CRC catches in-flight bit errors; the
-            # packet is discarded here, which a reliable sender observes
-            # as a missing ack and retransmits.
-            if self.sim.obs is not None:
-                self.sim.obs.instant("crc_drop", "dtu", self.node,
-                                     kind=kind, source=packet.source)
-            self.crc_drops += 1
-            if kind in ("message", "reply"):
-                self.messages_dropped += 1
-            return
         if kind == "message" or kind == "reply":
             if self.redirect_to is not None:
                 # Live-migration window: software-visible traffic chases

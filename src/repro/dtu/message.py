@@ -12,8 +12,7 @@ import typing
 
 #: Wire size of the header the DTU prepends (label, length, reply info).
 #: The reliable-delivery sequence number fits the padding of the 16-byte
-#: header, so enabling reliability does not change any wire size.  (The
-#: checksum is the NoC's link-level one: ``Packet.corrupted``.)
+#: header, so enabling reliability does not change any wire size.
 HEADER_BYTES = 16
 
 

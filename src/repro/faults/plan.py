@@ -1,19 +1,17 @@
-"""Seeded fault plans: deterministic NoC and PE fault injection.
+"""Seeded fault plans: deterministic packet loss and fail-stop PEs.
 
 MGSim-style deterministic event injection for the M3 reproduction: a
 :class:`FaultPlan` owns a seeded PRNG (never wall-clock — the engine is
-deterministic, and so are fault schedules) and a set of composable
-rules that drop, corrupt, or delay individual NoC packets, or stall and
-kill whole PEs.  The plan hooks into
-:meth:`repro.noc.network.Network.send` and into
+deterministic, and so are fault schedules), a set of composable rules
+that drop individual NoC packets, and the cycles at which whole cores
+are killed.  Those are the two faults the experiments draw.  The plan
+hooks into :meth:`repro.noc.network.Network.send` and into
 :class:`repro.hw.pe.ProcessingElement`; with no plan installed the
 network pays exactly one ``is None`` branch per packet, so all
 calibrated figures stay cycle-identical.
 
 Every injected fault is recorded in :attr:`FaultPlan.events` (its
-cycle and action), and the cycles a stall or delay adds to a packet are
-charged to the :class:`~repro.sim.ledger.TimeLedger`'s ``fault`` tag
-(so they show up next to the App/OS/Xfer cycle accounting).
+cycle and action).
 """
 
 from __future__ import annotations
@@ -22,18 +20,14 @@ import dataclasses
 import random
 import typing
 
-from repro.sim.ledger import Tag
-
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.platform import Platform
     from repro.noc.network import Network
     from repro.noc.packet import Packet
     from repro.sim import Simulator
 
-#: packet-fault actions a rule can take.
+#: the action recorded for a dropped packet.
 DROP = "drop"
-CORRUPT = "corrupt"
-DELAY = "delay"
 
 #: every packet kind the NoC carries; a rule naming anything else is a
 #: typo that would silently never fire, so construction rejects it.
@@ -54,12 +48,12 @@ class FaultRecord:
     """One injected fault, as recorded in :attr:`FaultPlan.events`."""
 
     cycle: int
-    action: str  # drop | corrupt | delay | kill | stall
+    action: str  # drop | kill
 
 
 @dataclasses.dataclass(frozen=True)
 class PacketRule:
-    """A rate-based packet fault, optionally windowed and targeted.
+    """A rate-based packet drop, optionally windowed and targeted.
 
     ``rate`` is the per-matching-packet probability of firing.  The
     filters compose: a packet must match *all* given filters for the
@@ -67,7 +61,6 @@ class PacketRule:
     randomness, which keeps unrelated traffic schedules independent).
     """
 
-    action: str
     rate: float
     #: restrict to these packet kinds (None = all kinds).
     kinds: frozenset | None = None
@@ -78,9 +71,6 @@ class PacketRule:
     link: tuple | None = None
     #: half-open cycle window [start, end) in which the rule is armed.
     window: tuple | None = None
-    #: delay bounds in cycles (DELAY rules only).
-    delay_min: int = 0
-    delay_max: int = 0
 
     def matches(self, packet: "Packet", now: int, network: "Network") -> bool:
         if self.window is not None and not (self.window[0] <= now < self.window[1]):
@@ -103,25 +93,18 @@ class PacketRule:
 
 @dataclasses.dataclass(frozen=True)
 class NodeFault:
-    """A whole-PE fault: kill the core, or stall the node's NoC interface."""
+    """A fail-stop PE: the core at ``node`` halts at cycle ``at``."""
 
-    action: str  # kill | stall
     node: int
     at: int
-    #: stall duration in cycles (stalls only).
-    duration: int = 0
-
-    @property
-    def end(self) -> int:
-        return self.at + self.duration
 
 
 class FaultPlan:
-    """A deterministic, seeded schedule of NoC and PE faults.
+    """A deterministic, seeded schedule of packet drops and PE kills.
 
-    Build a plan with the fluent rule methods, then :meth:`install` it
-    on a :class:`~repro.hw.platform.Platform` (packet rules + node
-    faults) or a bare :class:`~repro.noc.network.Network` (packet rules
+    Build a plan with :meth:`drop` and :meth:`kill_pe`, then
+    :meth:`install` it on a :class:`~repro.hw.platform.Platform` (drops
+    + kills) or a bare :class:`~repro.noc.network.Network` (drops
     only).  The same seed over the same simulation produces the same
     fault schedule, packet for packet.
     """
@@ -138,25 +121,13 @@ class FaultPlan:
     # -- rule construction (fluent) -------------------------------------
 
     def drop(self, rate: float, **filters) -> "FaultPlan":
-        """Drop matching packets with probability ``rate``."""
-        return self._rule(DROP, rate, **filters)
+        """Drop matching packets with probability ``rate``; the filters
+        are :class:`PacketRule`'s ``kinds``, ``source``, ``destination``,
+        ``link`` and ``window``."""
+        return self._rule(rate, **filters)
 
-    def corrupt(self, rate: float, **filters) -> "FaultPlan":
-        """Flip bits in matching packets: the receiver's CRC check
-        discards them, so a corruption behaves like a loss that still
-        burned NoC bandwidth."""
-        return self._rule(CORRUPT, rate, **filters)
-
-    def delay(self, rate: float, cycles: tuple, **filters) -> "FaultPlan":
-        """Delay matching packets by a uniform draw from ``cycles``."""
-        lo, hi = cycles
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad delay bounds {cycles}")
-        return self._rule(DELAY, rate, delay_min=lo, delay_max=hi, **filters)
-
-    def _rule(self, action: str, rate: float, kinds=None, source=None,
-              destination=None, link=None, window=None,
-              delay_min=0, delay_max=0) -> "FaultPlan":
+    def _rule(self, rate: float, kinds=None, source=None, destination=None,
+              link=None, window=None) -> "FaultPlan":
         if not (0.0 <= rate <= 1.0):
             raise ValueError(f"rate must be a probability, got {rate}")
         if kinds is not None:
@@ -182,15 +153,12 @@ class FaultPlan:
                 )
         self.packet_rules.append(
             PacketRule(
-                action=action,
                 rate=rate,
                 kinds=frozenset(kinds) if kinds is not None else None,
                 source=source,
                 destination=destination,
                 link=tuple(link) if link is not None else None,
                 window=tuple(window) if window is not None else None,
-                delay_min=delay_min,
-                delay_max=delay_max,
             )
         )
         return self
@@ -204,26 +172,14 @@ class FaultPlan:
         """
         if at < 0:
             raise ValueError(f"kill cycle must be >= 0, got {at}")
-        self.node_faults.append(NodeFault("kill", node, at))
-        return self
-
-    def stall_pe(self, node: int, at: int, duration: int) -> "FaultPlan":
-        """Clock-gate the node's NoC interface for ``duration`` cycles:
-        packets to or from the node are held until the window ends.
-        (The model keeps the core's own computation advancing — only
-        the node's NoC traffic stalls.)"""
-        if at < 0:
-            raise ValueError(f"stall cycle must be >= 0, got {at}")
-        if duration <= 0:
-            raise ValueError("stall duration must be positive")
-        self.node_faults.append(NodeFault("stall", node, at, duration))
+        self.node_faults.append(NodeFault(node, at))
         return self
 
     # -- installation ----------------------------------------------------
 
     def install(self, target) -> "FaultPlan":
         """Hook the plan into a Platform (or bare Network) and schedule
-        the node faults.  Returns self."""
+        the kills.  Returns self."""
         from repro.hw.platform import Platform
 
         if isinstance(target, Platform):
@@ -236,10 +192,9 @@ class FaultPlan:
         # plan naming a nonexistent PE or link fails loudly at install
         # time instead of silently never firing.
         for fault in self.node_faults:
-            if platform is not None:
-                platform.pe(fault.node)  # raises ValueError on a bad node
-            else:
-                network.topology._check(fault.node)
+            if platform is None:
+                raise ValueError("PE faults need a Platform, not a bare Network")
+            platform.pe(fault.node)  # raises ValueError on a bad node
         for rule in self.packet_rules:
             for node in (rule.source, rule.destination):
                 if node is not None:
@@ -249,10 +204,7 @@ class FaultPlan:
         self.sim = network.sim
         network.fault_plan = self
         for fault in self.node_faults:
-            if fault.action == "kill":
-                if platform is None:
-                    raise ValueError("PE faults need a Platform, not a bare Network")
-                self._schedule_kill(platform, fault)
+            self._schedule_kill(platform, fault)
         return self
 
     def _schedule_kill(self, platform: "Platform", fault: NodeFault) -> None:
@@ -266,40 +218,16 @@ class FaultPlan:
 
     # -- the per-packet decision ------------------------------------------
 
-    def judge(self, packet: "Packet", now: int,
-              network: "Network") -> tuple[str, int]:
-        """Decide this packet's fate: ``(verdict, extra_delay_cycles)``.
-
-        ``verdict`` is ``"deliver"``, ``"drop"``, or ``"corrupt"``;
-        stall windows and DELAY rules accumulate into the extra delay.
-        Called once per packet from :meth:`Network.send`, which keeps
-        the PRNG consumption order deterministic.
-        """
-        extra = 0
-        for fault in self.node_faults:
-            if fault.action != "stall":
-                continue
-            if packet.destination != fault.node and packet.source != fault.node:
-                continue
-            if fault.at <= now < fault.end:
-                extra = max(extra, fault.end - now)
-                self._record(now, "stall")
+    def judge(self, packet: "Packet", now: int, network: "Network") -> bool:
+        """Whether this packet is dropped.  Called once per packet from
+        :meth:`Network.send`, which keeps the PRNG consumption order
+        deterministic: each matching rule draws once, in rule order,
+        until one fires."""
         for rule in self.packet_rules:
-            if not rule.matches(packet, now, network):
-                continue
-            if self.rng.random() >= rule.rate:
-                continue
-            if rule.action == DROP:
+            if rule.matches(packet, now, network) and self.rng.random() < rule.rate:
                 self._record(now, DROP)
-                return DROP, 0
-            if rule.action == CORRUPT:
-                self._record(now, CORRUPT)
-                return CORRUPT, extra
-            extra += self.rng.randint(rule.delay_min, rule.delay_max)
-            self._record(now, DELAY)
-        if extra and self.sim is not None:
-            self.sim.ledger.charge(Tag.FAULT, extra)
-        return "deliver", extra
+                return True
+        return False
 
     def _record(self, cycle: int, action: str) -> None:
         self.events.append(FaultRecord(cycle, action))

@@ -49,10 +49,6 @@ class DramModule:
 
     def handle_packet(self, packet: Packet) -> None:
         """NoC delivery entry point."""
-        if packet.corrupted:
-            # Link-level CRC failure: discard; a reliable DTU re-issues
-            # the request when no response arrives.
-            return
         if packet.kind == "mem_read":
             transfer_id, address, length = packet.payload
             data = self.memory.read(address, length)

@@ -317,7 +317,8 @@ class M3System:
         An uncaught exception of any simulated process leaves the run
         where it is raised, so it leaves this call too.  Raises if the
         simulation goes idle without the VPE exiting (a deadlock in the
-        simulated software).
+        simulated software); the error names each PE whose DTU dropped
+        a message, the likeliest reason a request went unanswered.
         """
         from repro.m3.kernel.vpe import VpeState
 
@@ -327,10 +328,13 @@ class M3System:
         vpe.exit_waiters.append(exit_event.succeed)
         self.sim.run(until_event=exit_event)
         if not exit_event._state:
-            raise RuntimeError(
-                f"simulation went idle but VPE {vpe.name!r} never exited "
-                "(deadlock in simulated software)"
-            )
+            error = (f"simulation went idle but VPE {vpe.name!r} never "
+                     "exited (deadlock in simulated software)")
+            for pe in self.platform.pes:
+                if pe.dtu.messages_dropped:
+                    error += (f"; PE {pe.node}'s DTU dropped "
+                              f"{pe.dtu.messages_dropped} message(s)")
+            raise RuntimeError(error)
         status, detail = exit_event._value
         return detail if status == "ok" else ("failed", detail)
 

@@ -89,8 +89,6 @@ class Network:
         #: installed, delivery pays exactly one branch per packet.
         self.fault_plan = None
         self.packets_lost = 0
-        self.packets_corrupted = 0
-        self.packets_delayed = 0
         #: the observer that samples the counters above.
         self._monitored_by = None
 
@@ -153,33 +151,23 @@ class Network:
         wire_cycles = -(-(size + PACKET_HEADER_BYTES)
                         // self.bytes_per_cycle) or 1
         completion = reserve_path(path, sim.now, self.hop_cycles, wire_cycles)
-        verdict = "deliver"
-        if self.fault_plan is not None:
-            # The fault verdict comes first: delivered-traffic counters
-            # and the trace must record the packet's actual fate, not
-            # the pre-fault plan.
-            verdict, extra = self.fault_plan.judge(packet, sim.now, self)
-            if verdict == "drop":
-                # The packet burned its path reservations, then vanished;
-                # the sender still observes the nominal completion time.
-                if obs is not None:
-                    self._observe_packet(packet, len(path), wire_cycles,
-                                         completion, verdict)
-                self.packets_injected += 1
-                self.bytes_injected += size
-                self.packets_lost += 1
-                return completion
-            # Set per transmission: a retransmitted copy is the same
-            # object and crosses the links again, intact or not.
-            packet.corrupted = verdict == "corrupt"
-            if packet.corrupted:
-                self.packets_corrupted += 1
-            if extra:
-                self.packets_delayed += 1
-                completion += extra
+        # The fault verdict comes first: delivered-traffic counters and
+        # the trace must record the packet's actual fate, not the
+        # pre-fault plan.
+        if (self.fault_plan is not None
+                and self.fault_plan.judge(packet, sim.now, self)):
+            # The packet burned its path reservations, then vanished;
+            # the sender still observes the nominal completion time.
+            if obs is not None:
+                self._observe_packet(packet, len(path), wire_cycles,
+                                     completion, "drop")
+            self.packets_injected += 1
+            self.bytes_injected += size
+            self.packets_lost += 1
+            return completion
         if obs is not None:
             self._observe_packet(packet, len(path), wire_cycles, completion,
-                                 verdict)
+                                 "deliver")
         self.packets_injected += 1
         self.bytes_injected += size
         self.packets_sent += 1

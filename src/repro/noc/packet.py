@@ -8,10 +8,7 @@ class Packet:
 
     ``size_bytes`` drives the timing model (header + payload wire
     bytes); ``payload`` carries the simulated content (a message object
-    or raw bytes) to the receiving hardware model.  ``corrupted`` is
-    set by an installed fault plan (in-flight bit errors): receivers
-    detect it through the NoC's link-level CRC and discard the packet
-    (reliable DTU channels then retransmit).  ``trace_id`` /
+    or raw bytes) to the receiving hardware model.  ``trace_id`` /
     ``trace_parent`` are the causal trace context (they mirror the
     MessageHeader stamp, and are also set on headerless memory/config
     packets so RDMA transactions join the request trace):
@@ -23,7 +20,7 @@ class Packet:
     """
 
     __slots__ = ("source", "destination", "kind", "size_bytes", "payload",
-                 "corrupted", "trace_id", "trace_parent")
+                 "trace_id", "trace_parent")
 
     def __init__(self, source: int, destination: int, kind: str,
                  size_bytes: int, payload: object = None, trace_id: int = -1,
@@ -35,7 +32,6 @@ class Packet:
         self.kind = kind  # "message" | "reply" | "msg_ack" | "mem_read" | ...
         self.size_bytes = size_bytes
         self.payload = payload
-        self.corrupted = False
         self.trace_id = trace_id
         self.trace_parent = trace_parent
 

@@ -16,11 +16,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Interrupt(Exception):
-    """Thrown into a process that is interrupted while blocked."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
+    """Thrown into a process that is interrupted while blocked; its one
+    argument (``args[0]``) is the cause ``Process.interrupt`` was given."""
 
 
 #: Event states.  Pending is falsy, so the engine, ``Process._wake`` and

@@ -20,7 +20,6 @@ class Tag:
     APP = "app"  # application computation
     OS = "os"  # OS/library software path (syscall handling, libm3, VFS...)
     XFER = "xfer"  # data transfers (DTU/NoC, or Linux memcpy)
-    FAULT = "fault"  # injected fault delay (repro.faults; empty by default)
 
 
 class TimeLedger:

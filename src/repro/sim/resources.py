@@ -1,18 +1,19 @@
 """Blocking resources built on events: mailboxes and signals.
 
-These are convenience synchronisation objects for simulated software.
-They do not model hardware — the DTU has its own ringbuffer/credit
-machinery — but OS services and the Linux baseline use them for
-scheduler queues and producer/consumer hand-off.
+These are synchronisation objects for simulated processes.  They do
+not model hardware state of their own: the DTU keeps one
+:class:`Signal` per receive endpoint to wake the processes waiting
+for a message there (its ringbuffer and credits are its own), and the
+engine micro-benchmark (``benchmarks/perf/harness.engine_workload``)
+passes tokens round rings of mailboxes.  No OS service and nothing in
+the Linux baseline uses them.
 
 Deadlock freedom: nothing here bounds a wait.  Mailbox waiters are
-woken in FIFO order by ``put``, and the kernel and Linux baselines never
-block on a mailbox whose producer is not itself scheduled.  In
-fault-prone setups the waits are bounded where the loss happens: a
-reliable DTU fails a transfer nobody acknowledges with
-``TransferTimeout``, ik-RPC gives every call its own timer, and the
-kernels' heartbeats declare a silent peer dead — so a lost message
-never stalls a process forever.
+woken in FIFO order by ``put``.  In fault-prone setups the waits are
+bounded where the loss happens: a reliable DTU fails a transfer nobody
+acknowledges with ``TransferTimeout``, ik-RPC gives every call its own
+timer, and the kernels' heartbeats declare a silent peer dead — so a
+lost message never stalls a process forever.
 """
 
 from __future__ import annotations

@@ -42,9 +42,9 @@ def test_a_comprehension_counts_toward_its_function():
     packet = Packet(0, 2, "message", 8)
     reach.install(table)
     try:
-        PacketRule("drop", 1.0).matches(packet, 0, network)
+        PacketRule(1.0).matches(packet, 0, network)
         unseen = set(matches[1])
-        PacketRule("drop", 1.0, link=(1, 2)).matches(packet, 0, network)
+        PacketRule(1.0, link=(1, 2)).matches(packet, 0, network)
     finally:
         sys.settrace(None)
     assert matches[3]

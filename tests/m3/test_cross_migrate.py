@@ -84,20 +84,24 @@ def test_cross_domain_migration_round_trips_vpe_and_wait():
 
 
 def test_duplicate_migrate_in_delivery_restores_exactly_once():
-    """Every reply toward the source kernel outlasts the inter-kernel
-    RPC timeout, so ``ik_migrate_in`` is retransmitted at the kernel
-    level — and the peer's dedup must absorb the duplicates: the VPE
-    re-materializes exactly once and the verdict is still correct."""
+    """Every reply toward the source kernel is lost for longer than the
+    inter-kernel RPC timeout once the migration starts, so
+    ``ik_migrate_in`` is retransmitted at the kernel level — and the
+    peer's dedup must absorb the duplicates: the VPE re-materializes
+    exactly once and the verdict is still correct."""
     system = M3System(pe_count=6, kernel_count=2, reliable=True)
     k0, k1 = system.kernels
-    FaultPlan(seed=6).delay(
-        1.0, cycles=(3_000, 3_000), kinds=("reply",), destination=k0.node
-    ).install(system.platform)
     system.boot(with_fs=False)
 
     def parent(env):
         vpe = yield from VPE.create(env, name="mover")
         yield from vpe.run(_worker, 40, 42)
+        # The checkpoint and the restore take ~18,000 cycles: the loss
+        # window reaches past the first ik_migrate_in reply.
+        now = env.sim.now
+        FaultPlan(seed=6).drop(
+            1.0, kinds=("reply",), destination=k0.node,
+            window=(now, now + 20_000)).install(system.platform)
         remote_id, _node = yield from vpe.migrate(domain=1)
         verdict = yield from vpe.wait()
         return remote_id, verdict
@@ -108,7 +112,8 @@ def test_duplicate_migrate_in_delivery_restores_exactly_once():
     system.sim.run()
 
     assert verdict == 42
-    assert k0.ik_retries > 0  # the delayed replies forced retransmits
+    assert system.platform.network.packets_lost > 0  # replies to k0 were lost
+    assert k0.ik_retries > 0  # the lost replies forced retransmits
     assert k1.ik.duplicates > 0  # ...which the dedup absorbed
     assert k1.migration.migrations_in == 1
     assert sum(1 for v in k1.vpes.values() if v.name == "mover") == 1

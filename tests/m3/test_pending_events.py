@@ -5,6 +5,7 @@ under reliable delivery) must leave ``pending_events`` exactly
 balanced now that execution consumes handles.
 """
 
+from repro import params
 from repro.faults import FaultPlan
 from repro.m3.lib.vpe import VPE
 from repro.m3.system import M3System
@@ -17,10 +18,12 @@ def test_ik_retry_timers_leave_pending_events_exact():
     went one negative per retry; it must drain to exactly zero."""
     system = M3System(pe_count=4, kernel_count=2, reliable=True)
     k0, _k1 = system.kernels
-    FaultPlan(seed=3).delay(
-        1.0, cycles=(3_000, 3_000), kinds=("reply",), destination=k0.node
-    ).install(system.platform)
     system.boot(with_fs=False)
+    # Every reply to kernel 0 is lost for two RPC timeouts: the first
+    # request is retried before the DTU's retransmit gets through.
+    lossy = (system.sim.now, system.sim.now + 2 * params.IK_RPC_TIMEOUT_CYCLES)
+    FaultPlan(seed=3).drop(1.0, kinds=("reply",), destination=k0.node,
+                           window=lossy).install(system.platform)
 
     def child(env, x):
         yield env.sim.delay(100)
@@ -42,8 +45,6 @@ def test_dtu_wipe_leaves_pending_events_exact():
     """A kernel-driven DTU wipe clears ``_retx`` under live retransmit
     timers; the orphaned timers fire as no-ops and the books balance
     to zero."""
-    from repro import params
-
     system = M3System(pe_count=4, reliable=True)
     system.boot(with_fs=False)
 

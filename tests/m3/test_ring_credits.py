@@ -26,5 +26,6 @@ def test_more_clients_than_ring_slots_lose_no_request():
         average_instance_time(system, "sqlite", CLIENTS)
     except RuntimeError as error:
         assert dtu.messages_dropped == 1 and "went idle" in str(error)
+        assert f"PE {dtu.node}'s DTU dropped 1 message(s)" in str(error)
         raise
     assert dtu.messages_dropped == 0

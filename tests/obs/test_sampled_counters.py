@@ -29,7 +29,7 @@ class _DropMarked:
     """A fault plan that drops exactly the packets whose payload says so."""
 
     def judge(self, packet, now, network):
-        return ("drop" if packet.payload else "deliver"), 0
+        return bool(packet.payload)
 
 
 def _schedule(seed: int) -> list[tuple]:

@@ -129,7 +129,7 @@ def test_interrupt_blocked_process():
         try:
             yield 1000
         except Interrupt as intr:
-            return ("interrupted", sim.now, intr.cause)
+            return ("interrupted", sim.now, intr.args[0])
 
     proc = sim.process(sleeper(), "sleeper")
 
