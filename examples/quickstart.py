@@ -70,11 +70,8 @@ def main_app(env):
     cap = child_vpe.captable.get(child_sel)
     own_sel = kernel.vpes[env.vpe_id].captable.insert(cap.derive())
 
-    from repro.m3.lib.gate import BoundRecvGate
-
     sgate = SendGate(env, own_sel)
-    reply_gate = BoundRecvGate(env, env.EP_REPLY)
-    reply = yield from sgate.call("ping from parent", reply_gate)
+    reply = yield from sgate.call("ping from parent", env.reply_gate)
     print(f"[t={env.sim.now:>8}] child answered: {reply.payload!r}")
     result = yield from child.wait()
     print(f"[t={env.sim.now:>8}] child exited with {result!r}")

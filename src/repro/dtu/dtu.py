@@ -67,6 +67,37 @@ OBSERVED_TOTALS = {
 }
 
 
+def serve_memory(memory: "Scratchpad", sim: "Simulator", network: "Network",
+                 node: int, access_cycles: int, packet: Packet) -> None:
+    """Answer a ``mem_read`` or ``mem_write`` against ``memory``: the
+    memory server of every DTU (its SPM) and of the DRAM module.
+
+    - ``mem_read``:  payload ``(transaction, address, length)``; the
+      response carries the bytes read.
+    - ``mem_write``: payload ``(transaction, address, data)``; the
+      response carries nothing.
+
+    The access happens at once; the ``mem_resp`` leaves after
+    ``access_cycles``.  It rides the request's trace context, so the
+    RDMA completion's NoC span joins the originating request tree.
+    """
+    kind = packet.kind
+    if kind == "mem_read":
+        transaction, address, length = packet.payload
+        data = memory.read(address, length)
+    elif kind == "mem_write":
+        transaction, address, data = packet.payload
+        memory.write(address, data)
+        data = b""
+    else:
+        raise RuntimeError(f"node {node} got {packet!r}")
+    # The send itself is the callback, with the response as its argument.
+    sim.schedule(access_cycles, network.send,
+                 Packet(node, packet.source, "mem_resp", len(data),
+                        (transaction, data),
+                        packet.trace_id, packet.trace_parent))
+
+
 class DtuError(Exception):
     """Base class for DTU-reported failures."""
 
@@ -582,14 +613,6 @@ class DTU:
         elif kind == "msg_ack" or kind == "mem_resp" or kind == "config_ack":
             transfer, value = packet.payload
             self._settle(transfer, value)
-        elif kind == "mem_read":
-            transaction, address, length = packet.payload
-            data = self.local_memory.read(address, length)
-            self._respond_memory(packet, transaction, data)
-        elif kind == "mem_write":
-            transaction, address, data = packet.payload
-            self.local_memory.write(address, data)
-            self._respond_memory(packet, transaction, b"")
         elif kind == "ep_config":
             transaction, privileged, operation, args = packet.payload
             if privileged:
@@ -603,8 +626,9 @@ class DTU:
                        (transaction, result),
                        packet.trace_id, packet.trace_parent)
             )
-        else:
-            raise RuntimeError(f"DTU at node {self.node} got {packet!r}")
+        else:  # mem_read / mem_write; any other kind raises there
+            serve_memory(self.local_memory, self.sim, self.network,
+                         self.node, SPM_ACCESS_CYCLES, packet)
 
     def _deliver_message(self, ep_index: int, message: Message,
                          credit_ep: int, source: int) -> None:
@@ -640,19 +664,6 @@ class DTU:
             Packet(self.node, destination, "msg_ack", 8, (seq, None))
         )
         self.acks_sent += 1
-
-    def _respond_memory(self, request: Packet, transaction: int,
-                        data: bytes) -> None:
-        # The response rides the request's trace context, so the RDMA
-        # completion's NoC span joins the originating request tree.
-        self.sim.schedule(
-            SPM_ACCESS_CYCLES,
-            lambda _: self.network.send(
-                Packet(self.node, request.source, "mem_resp", len(data),
-                       (transaction, data),
-                       request.trace_id, request.trace_parent)
-            ),
-        )
 
     # ------------------------------------------------------------------
     # The transfer pipeline: inject -> wire -> (ack | response | timeout)

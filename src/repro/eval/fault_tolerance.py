@@ -146,7 +146,7 @@ def pe_kill_scenario(seed: int = DEFAULT_SEED) -> dict:
 
     def child(env):
         while True:  # compute forever; only the fault stops this VPE
-            yield env.pe.compute(1_000)
+            yield env.compute(1_000)
 
     def parent(env):
         vpe = yield from VPE.create(env, "victim")

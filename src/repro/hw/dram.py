@@ -7,11 +7,12 @@ RDMA request packets; software never touches it directly.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro import params
+from repro.dtu.dtu import serve_memory
 from repro.hw.spm import Scratchpad
-from repro.noc.packet import Packet
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -33,38 +34,18 @@ class DramModule:
     give a 40-PE system hundreds of MiB of DRAM of which only the
     filesystem image is ever touched.
 
-    - ``mem_read``:  payload ``(requester_ep_transfer_id, address, length)``;
-      responds with a ``mem_resp`` packet carrying the data bytes.
-    - ``mem_write``: payload ``(transfer_id, address, data)``; applies the
-      write after :data:`params.DRAM_ACCESS_CYCLES` and acks.
+    Requests are answered by the DTU's memory server
+    (:func:`repro.dtu.dtu.serve_memory`): a ``mem_read`` or
+    ``mem_write`` touches the array at once, and its ``mem_resp`` —
+    the bytes read, or nothing for a write — leaves after
+    :data:`params.DRAM_ACCESS_CYCLES`, stamped with the request's
+    trace context.
     """
 
     def __init__(self, sim: "Simulator", network: "Network", node: int, size: int):
-        self.sim = sim
-        self.network = network
-        self.node = node
         self.memory = Scratchpad(size, name="dram")
-        self.access_cycles = params.DRAM_ACCESS_CYCLES
-        network.attach(node, self.handle_packet)
-
-    def handle_packet(self, packet: Packet) -> None:
-        """NoC delivery entry point."""
-        if packet.kind == "mem_read":
-            transfer_id, address, length = packet.payload
-            data = self.memory.read(address, length)
-            self.sim.schedule(
-                self.access_cycles, self._respond, (packet.source, transfer_id, data)
-            )
-        elif packet.kind == "mem_write":
-            transfer_id, address, data = packet.payload
-            self.memory.write(address, data)
-            self.sim.schedule(
-                self.access_cycles, self._respond, (packet.source, transfer_id, b"")
-            )
-        else:
-            raise RuntimeError(f"DRAM module got unexpected packet {packet!r}")
-
-    def _respond(self, request: tuple) -> None:
-        requester, transfer_id, data = request
-        self.network.send(Packet(self.node, requester, "mem_resp", len(data),
-                                 (transfer_id, data)))
+        # A partial, not a method: no Python frame of its own per request.
+        network.attach(node, functools.partial(
+            serve_memory, self.memory, sim, network, node,
+            params.DRAM_ACCESS_CYCLES,
+        ))

@@ -115,9 +115,5 @@ class ProcessingElement:
         self.alloc_mark = address + nbytes
         return address
 
-    def compute(self, cycles: int):
-        """An event representing ``cycles`` of application computation."""
-        return self.sim.delay(cycles, tag="app")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PE node={self.node} core={self.core.name}>"

@@ -245,9 +245,17 @@ class LxEnv:
             + self.costs.fd_lookup_checks_cycles
             + self.costs.page_cache_op_cycles * blocks
         )
+        return (yield from self._store(descriptor, data, fresh))
+
+    def _store(self, descriptor: _Descriptor, data: bytes, fresh: int):
+        """Generator: after the caller's syscall charge, zero the
+        ``fresh`` blocks the store allocates, copy ``data`` in at the
+        descriptor's position and advance it; returns its length."""
         if fresh:
-            yield self._kernel(self.machine.zero_cycles(fresh * fs.block_bytes))
+            yield self._kernel(
+                self.machine.zero_cycles(fresh * self.machine.fs.block_bytes))
         yield self._copy(len(data))
+        node = descriptor.node
         end = descriptor.position + len(data)
         if len(node.data) < end:
             node.data.extend(bytes(end - len(node.data)))
@@ -396,13 +404,6 @@ class LxEnv:
             + 2 * self.costs.fd_lookup_checks_cycles
             + 2 * self.costs.page_cache_op_cycles * blocks
         )
-        if fresh:
-            yield self._kernel(self.machine.zero_cycles(fresh * fs.block_bytes))
-        yield self._copy(len(data))
-        end = target.position + len(data)
-        if len(target.node.data) < end:
-            target.node.data.extend(bytes(end - len(target.node.data)))
-        target.node.data[target.position : end] = data
+        yield from self._store(target, data, fresh)
         source.position += len(data)
-        target.position = end
         return len(data)

@@ -174,8 +174,7 @@ class AutoScaler:
         for domain, kernel in enumerate(self.system.kernels):
             if domain in occupied:
                 continue
-            pe = kernel.platform.find_free_pe(nodes=kernel.domain)
-            if pe is not None and pe.node != kernel.node:
+            if kernel.find_free_pe() is not None:
                 return domain
         return None
 
@@ -226,10 +225,7 @@ class AutoScaler:
             except SyscallError:
                 # No room after all (lost a race for the target PE):
                 # release the staged clone and give up this epoch.
-                occupant = vpe.pe.occupant
-                if occupant is not None and occupant.alive:
-                    occupant.interrupt("scale-up-aborted")
-                source_kernel.vpe_exited(vpe, None)
+                source_kernel.reset_vpe(vpe, "scale-up-aborted")
                 return False
             vpe = target_kernel.vpes[new_id]
         else:

@@ -156,7 +156,8 @@ class Failover:
                 )
         self.recoveries += 1
         vpe.failed = True
-        yield from kernel.quarantine_pe(vpe.pe)
+        yield from kernel.wipe_node(vpe.pe.node)
+        vpe.pe.fail("pe-failed")
         # DEAD before revoking, so tearing down its own VPE capability
         # does not try to "exit" the corpse a second time.
         kernel.vpe_exited(vpe, ("failed", reason))

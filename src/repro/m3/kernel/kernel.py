@@ -435,19 +435,6 @@ class Kernel:
         except DtuError:
             pass  # node unreachable: fenced by the NoC instead
 
-    def quarantine_pe(self, pe):
-        """Generator: fence a PE whose core died — wipe its DTU, take
-        it out of allocation (``find_free_pe`` skips failed PEs), and
-        stop whatever software was still bound to it."""
-        yield from self.wipe_node(pe.node)
-        pe.failed = True
-        occupant = pe.occupant
-        if occupant is not None and occupant.alive:
-            try:
-                occupant.interrupt("pe-failed")
-            except RuntimeError:
-                pass  # not blocked; it is dead hardware either way
-
     # ------------------------------------------------------------------
     # The dispatch loop
     # ------------------------------------------------------------------

@@ -86,9 +86,8 @@ class EpMux:
 class Env:
     """libm3's runtime state for one running VPE."""
 
-    #: standard endpoint assignment (mirrors the kernel's constants).
-    EP_SYSCALL = APP_SYSCALL_EP
-    EP_REPLY = APP_REPLY_EP
+    #: the first endpoint after the syscall ABI's two
+    #: (``APP_SYSCALL_EP``, ``APP_REPLY_EP``).
     FIRST_FREE_EP = 2
 
     def __init__(self, system: "M3System", vpe_id: int,
@@ -101,7 +100,7 @@ class Env:
         self.epmux = EpMux(self)
         #: the standard reply endpoint, shared by syscalls, service
         #: sessions and a driver's device commands.
-        self.reply_gate = BoundRecvGate(self, Env.EP_REPLY)
+        self.reply_gate = BoundRecvGate(self, APP_REPLY_EP)
         #: Figure 6 methodology: replace DRAM data transfers with
         #: equal-time spinning (messages still go over the NoC).
         self.spin_io = False
@@ -133,17 +132,17 @@ class Env:
         try:
             yield self.sim.delay(params.M3_SYSCALL_CLIENT_CYCLES, tag=Tag.OS)
             self.dtu.send(
-                self.EP_SYSCALL,
+                APP_SYSCALL_EP,
                 payload,
                 min(wire_size(payload), SYSCALL_MSG_BYTES),
-                reply_ep=self.EP_REPLY,
+                reply_ep=APP_REPLY_EP,
             )
             slot, reply = yield from self.reply_gate.receive()
         except BaseException:
             if obs is not None:
                 obs.end(span, outcome="interrupted")
             raise
-        self.dtu.ack_message(self.EP_REPLY, slot)
+        self.dtu.ack_message(APP_REPLY_EP, slot)
         if obs is not None:
             # Client-observed syscall round trip: request marshalling,
             # both DTU transfers, and the kernel's handling.
@@ -158,7 +157,7 @@ class Env:
         """Generator: tell the kernel this VPE is done (no reply)."""
         yield self.sim.delay(params.M3_SYSCALL_CLIENT_CYCLES, tag=Tag.OS)
         yield self.dtu.send(
-            self.EP_SYSCALL,
+            APP_SYSCALL_EP,
             (syscalls.EXIT, (code,)),
             SYSCALL_MSG_BYTES,
         )

@@ -27,6 +27,9 @@ class Server:
     A subclass names its receive-gate geometry, its per-request cycles
     and the exceptions that are refusals rather than bugs, and writes
     one generator method ``_op_<name>(session, *args)`` per operation.
+    Its one hook before registration is :meth:`_setup`; once
+    registered, the server waits in ``RecvGate.receive`` until the
+    first message.
     """
 
     #: receive-gate geometry.
@@ -62,11 +65,6 @@ class Server:
 
     def _setup(self, env):
         """Generator: runs before the receive gate exists."""
-        return
-        yield  # pragma: no cover
-
-    def _started(self):
-        """Generator: runs once registered, before the first receive."""
         return
         yield  # pragma: no cover
 
@@ -108,7 +106,6 @@ class Server:
         env.system.servers[self.service_name] = self
         if self.ready is not None:
             self.ready.succeed(self)
-        yield from self._started()
         sim = env.sim
         category = self.category
         while True:

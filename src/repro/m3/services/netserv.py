@@ -82,10 +82,6 @@ class NetServ(Server):
 
     def __init__(self, service_name: str = "net"):
         super().__init__(service_name)
-        #: Event, attached before spawn: succeeds once the system layer
-        #: has wired the NIC and installed ``self.nic_cmd`` (replaces
-        #: the old poll-every-500-cycles startup busy-wait).
-        self.nic_attached = None
         self.buffer: MemGate | None = None
         self.nic_cmd: SendGate | None = None
         self.nic: NetworkDevice | None = None
@@ -98,17 +94,6 @@ class NetServ(Server):
         self.buffer = yield from MemGate.create(
             env, DMA_WINDOW_BYTES, MemoryPerm.RW.value
         )
-
-    def _started(self):
-        # the system layer wires the NIC and installs self.nic_cmd,
-        # then fires nic_attached — an event handoff, not a busy-wait.
-        if self.nic_cmd is None:
-            if self.nic_attached is None:
-                raise RuntimeError(
-                    f"{self.service_name}: no NIC attached and no "
-                    "nic_attached event to wait on (use start_network)"
-                )
-            yield self.nic_attached
 
     def _open_session(self, session_id: int) -> _Socket:
         return _Socket(session_id)
@@ -267,7 +252,10 @@ def start_network(system: "M3System"):
 
     Device wiring (DMA windows, command channels, interrupt routes) is
     the kernel's boot-time job, exactly like a device tree; the
-    services then drive their NICs with ordinary gates.
+    services then drive their NICs with ordinary gates.  The wiring
+    runs to completion before this returns, so no client reaches a
+    service, and no frame or interrupt arrives, before ``nic_cmd`` is
+    set: each service simply waits in its receive loop meanwhile.
     Returns the two :class:`NetServ` instances.
     """
     wire = Wire(system.sim)
@@ -284,9 +272,8 @@ def start_network(system: "M3System"):
             # driver (or the NIC's serve loop) forever.
             nic.dtu.enable_reliability()
         nics.append(nic)
-        server = NetServ(service_name=name)
-        server.nic_attached = system.sim.event(f"{name}.nic-attached")
-        servers.append(start_service(system, server))
+        server = start_service(system, NetServ(service_name=name))
+        servers.append(server)
         if system.sim.obs is not None:
             system.sim.obs.label_node(nic.node, f"nic:{nic.name}")
             system.sim.obs.monitor(DTU_TOTALS, nic.dtu)
@@ -339,7 +326,6 @@ def start_network(system: "M3System"):
             nic.start()
             server.nic = nic
             server.nic_cmd = SendGate(server.env, selector)
-            server.nic_attached.succeed(nic)
 
     system.sim.run_process(wire_devices(), "wire-network")
     return servers

@@ -7,7 +7,7 @@ Recording keeps the least it can — a row, a total, a buffered sample;
 the rest is derived when an epoch closes or somebody reads.  Collected:
 
 - **spans** — typed intervals (:meth:`Observer.begin` / ``end``, or
-  :meth:`Observer.complete` once the end is known), each with the causal
+  :meth:`Observer.record` once the end is known), each with the causal
   identity :mod:`repro.obs.causal` links into per-request trees;
 - **instants** — point events (a retransmit, a watchdog probe);
 - **counters / histograms** — named metrics, histograms in the
@@ -200,37 +200,23 @@ class Observer:
             raise ValueError(f"span id {span_id} is not open (unknown id, "
                              f"or the span was already ended)") from None
         self.causal.close(node, span_id)
-        merged = {**(begin_args or {}), **args} if args else begin_args
-        return self.complete(name, category, node, begin, None, span_id,
-                             trace_id, parent_id, merged)
-
-    def complete(self, name: str, category: str, node: int, begin: int,
-                 end: int | None = None, span_id: int = -1,
-                 trace_id: int | None = None, parent_id: int = -1,
-                 args: dict | None = None) -> int:
-        """Record a span whose begin (and optionally end) is known;
-        returns its id (the tuple is ``spans[-1]``).  It never starts a
-        trace: it joins one only under a valid ``(trace_id, parent_id)``
-        — a packet's or header's stamp or, by default, the node's active
-        context — and else stays unlinked, as background spans should.
-        Pass the ``span_id`` reserved for it if spans were parented on it
-        already.  ``args`` is interned by content (:attr:`kinds`); one
-        with an unhashable value is kept as it is, a kind of its own."""
-        if trace_id is None:
-            trace_id, parent_id = self.causal.current(node)
-        try:
-            kind = self.kinds[name, category, tuple(args or ()),
-                              tuple(args.values()) if args else ()]
-        except TypeError:
-            kind = len(self.spans.kinds)
-            self.spans.kinds.append((name, category, args))
-        end = self.sim.now if end is None else end
-        return self.record(kind, node, begin, end, span_id, trace_id, parent_id)
+        if args:
+            begin_args = {**(begin_args or {}), **args}
+        kind = self.kinds[name, category, tuple(begin_args or ()),
+                          tuple(begin_args.values()) if begin_args else ()]
+        return self.record(kind, node, begin, self.sim.now, span_id,
+                           trace_id, parent_id)
 
     def record(self, kind: int, node: int, begin: int, end: int,
                span_id: int, trace_id: int, parent_id: int) -> int:
-        """:meth:`complete` for a resolved ``kind`` (:attr:`kinds`) and
-        causal stamp, building no object; the hot sites call it directly."""
+        """Record a span whose begin and end are known; returns its id
+        (the tuple is ``spans[-1]``).  ``kind`` is interned in
+        :attr:`kinds`; ``(trace_id, parent_id)`` is the causal stamp —
+        a packet's or header's, or an open span's.  It never starts a
+        trace: under ``trace_id < 0`` the span stays unlinked, as
+        background spans should.  Pass the ``span_id`` reserved for it
+        if spans were parented on it already.  Builds no object: the
+        hot sites call it directly."""
         if trace_id < 0:
             trace_id = parent_id = -1
         elif span_id < 0:

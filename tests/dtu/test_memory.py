@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dtu import MemoryPerm, NoPermission
+from repro.obs import Observer
 from repro.sim import Simulator
 from tests.dtu.conftest import (
     BOTH_MODES,
@@ -23,6 +24,32 @@ def test_dram_write_then_read_roundtrip(platform):
 
     assert platform.sim.run_process(software()) == b"persistent payload"
     assert platform.dram.memory.read(0x1000 + 128, 18) == b"persistent payload"
+
+
+@pytest.mark.parametrize("target", ["dram", "spm"])
+def test_memory_response_joins_the_request_trace(platform, target):
+    """DRAM and a remote SPM answer with the one memory server: a read
+    inside an open span gets a ``mem_resp`` NoC span in the request's
+    trace, parented on the DTU's transaction span."""
+    obs = Observer.install(platform.sim)
+    dtu = platform.pe(0).dtu
+    node = platform.dram_node if target == "dram" else platform.pe(1).node
+    configure_memory_ep(dtu, 0, node, 0, 64, MemoryPerm.READ)
+
+    def software():
+        root = obs.begin("request", "test", dtu.node)
+        yield from dtu.read_memory(0, 0, 16)
+        obs.end(root)
+
+    platform.sim.run_process(software())
+    (root,) = [s for s in obs.spans if s.name == "request"]
+    (transaction,) = [s for s in obs.spans if s.category == "dtu"]
+    (response,) = [s for s in obs.spans
+                   if s.name == "mem_resp" and s.category == "noc"]
+    assert transaction.trace_id == root.trace_id
+    assert transaction.parent_id == root.span_id
+    assert response.trace_id == root.trace_id
+    assert response.parent_id == transaction.span_id
 
 
 def test_remote_spm_access_is_rdma(platform):

@@ -5,7 +5,7 @@ import re
 import sys
 
 from benchmarks.perf import reach
-from repro.faults.plan import PacketRule
+from repro.faults.plan import FaultPlan, PacketRule
 from repro.noc import MeshTopology, Network, Packet, XYRouter
 from repro.sim import Simulator
 
@@ -51,6 +51,26 @@ def test_a_comprehension_counts_toward_its_function():
     built = unseen - matches[1]  # the link test and the list it builds
     assert built and len(built) < len(unseen) <= matches[2]
     assert "repro.faults.plan:PacketRule.matches" not in reach.report(table)
+
+
+def test_a_generator_expression_counts_toward_its_function():
+    """Like a comprehension: ``FaultPlan._rule`` checks a link's nodes
+    with ``any`` over a generator expression, which a rule without a
+    link never enters — lines of ``_rule`` unreached, not a function
+    never entered."""
+    table = reach.function_bodies()
+    assert not any(record[0].endswith("<genexpr>")
+                   for record in table.values())
+    by_name = {record[0]: record for record in table.values()}
+    rule = by_name["repro.faults.plan:FaultPlan._rule"]
+    reach.install(table)
+    try:
+        FaultPlan(seed=1).drop(0.5)
+    finally:
+        sys.settrace(None)
+    assert rule[3] and rule[1]
+    assert not any(name.startswith("repro.faults.plan:FaultPlan._rule")
+                   for name in reach.report(table))
 
 
 def test_every_allowed_name_is_a_function_under_src():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import Platform, PlatformConfig
+from repro.sim.ledger import Tag
 
 
 def test_build_places_dram_on_last_node():
@@ -75,10 +76,9 @@ def test_spm_exhaustion():
 
 def test_compute_charges_app_tag():
     platform = Platform.build(pe_count=1)
-    pe = platform.pe(0)
 
     def body():
-        yield pe.compute(500)
+        yield platform.sim.delay(500, tag=Tag.APP)
 
     platform.sim.run_process(body())
     assert platform.sim.ledger.snapshot().get("app", 0) == 500

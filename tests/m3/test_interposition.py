@@ -3,7 +3,7 @@ virtualizable, i.e., they can be interposed by a proxy to e.g., monitor
 the communication" (Section 4.5.3)."""
 
 from repro.m3.kernel import syscalls
-from repro.m3.lib.gate import BoundRecvGate, RecvGate, SendGate
+from repro.m3.lib.gate import RecvGate, SendGate
 from repro.m3.lib.vpe import VPE
 
 
@@ -31,22 +31,20 @@ def test_full_interposition_pipeline(system):
         front_sel = yield from _make_sgate(env, front, 0)
         env.system.blackboard["proxy_ready"].succeed((env.vpe_id, front_sel))
         back = SendGate(env, back_sel)
-        reply_gate = BoundRecvGate(env, env.EP_REPLY)
         monitored = []
         for _ in range(2):
             slot, message = yield from front.receive()
             monitored.append(message.payload)
-            answer = yield from back.call(message.payload, reply_gate)
+            answer = yield from back.call(message.payload, env.reply_gate)
             yield from front.reply(slot, answer.payload, 64)
         env.system.blackboard["monitored"] = monitored
         return "proxied"
 
     def client(env, gate_sel):
         gate = SendGate(env, gate_sel)
-        reply_gate = BoundRecvGate(env, env.EP_REPLY)
         out = []
         for word in ("alpha", "beta"):
-            answer = yield from gate.call(word, reply_gate)
+            answer = yield from gate.call(word, env.reply_gate)
             out.append(answer.payload)
         return out
 

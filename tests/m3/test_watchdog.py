@@ -27,7 +27,7 @@ def _system(pe_count=4, kill_node=None, kill_at=KILL_AT):
 
 def _immortal_child(env):
     while True:
-        yield env.pe.compute(500)
+        yield env.compute(500)
 
 
 def test_watchdog_detects_kill_and_fails_the_wait():
@@ -88,7 +88,7 @@ def test_healthy_sibling_is_untouched_by_recovery():
     system.kernel.failover.start_watchdog(period=PERIOD, probe_timeout=PROBE_TIMEOUT)
 
     def worker(env):
-        yield env.pe.compute(60_000)
+        yield env.compute(60_000)
         return "survived"
 
     def parent(env):
@@ -147,7 +147,7 @@ def test_watchdog_leaves_healthy_system_alone():
         vpe = yield from VPE.create(env, "worker")
 
         def worker(env2):
-            yield env2.pe.compute(3 * PERIOD)
+            yield env2.compute(3 * PERIOD)
             return 13
 
         yield from vpe.run(worker)
@@ -167,7 +167,7 @@ def test_stop_watchdog_stops_probing():
         vpe = yield from VPE.create(env, "worker")
 
         def worker(env2):
-            yield env2.pe.compute(2 * PERIOD)
+            yield env2.compute(2 * PERIOD)
             return ()
 
         yield from vpe.run(worker)

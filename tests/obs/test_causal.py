@@ -62,14 +62,18 @@ def test_begin_records_lineage():
     assert spans["handle"].trace_id == spans["req"].trace_id
 
 
-def test_complete_joins_but_never_starts_traces():
+def test_record_joins_a_stamp_but_never_starts_traces():
     sim = Simulator()
     obs = Observer.install(sim)
-    assert obs.complete("background", "noc", 0, 0, 10) == -1
+    root = obs.begin("req", "syscall-client", node=0)
+    # Unstamped, even under an open span: background, outside any trace.
+    assert obs.record(obs.kinds["background", "noc", (), ()], 0, 0, 10,
+                      -1, -1, -1) == -1
     idle = obs.spans[-1]
     assert idle.trace_id == -1 and idle.span_id == -1
-    root = obs.begin("req", "syscall-client", node=0)
-    obs.complete("xfer", "dtu", 0, 0, 5)
+    trace_id, parent_id = obs.causal.current(0)
+    obs.record(obs.kinds["xfer", "dtu", (), ()], 0, 0, 5, -1,
+               trace_id, parent_id)
     nested = obs.spans[-1]
     obs.end(root)
     root_span = next(s for s in obs.spans if s.name == "req")
@@ -90,12 +94,13 @@ def _observer_with_tree():
     sim.schedule(100, lambda _: obs.end(root_id))
     sim.run()
     root = obs.spans[0]
-    ctx = {"trace_id": root.trace_id, "parent_id": root.span_id}
-    message = obs.complete("message", "dtu", 0, 10, 30, **ctx)
+    message = obs.record(obs.kinds["message", "dtu", (), ()], 0, 10, 30,
+                         -1, root.trace_id, root.span_id)
     assert obs.spans[-1].span_id == message
-    obs.complete("queueing", "noc-queue", 0, 20, 30,
-                 trace_id=root.trace_id, parent_id=message)
-    obs.complete("noop", "syscall", 1, 30, 80, **ctx)
+    obs.record(obs.kinds["queueing", "noc-queue", (), ()], 0, 20, 30,
+               -1, root.trace_id, message)
+    obs.record(obs.kinds["noop", "syscall", (), ()], 1, 30, 80,
+               -1, root.trace_id, root.span_id)
     return obs
 
 

@@ -8,8 +8,9 @@ from repro.sim import Simulator
 
 def _sample_observer() -> Observer:
     obs = Observer(Simulator())
-    obs.complete("noop", "syscall", 0, 10, 250, args={"vpe": 1})
-    obs.complete("message", "noc", 2, 15, 40)
+    obs.record(obs.kinds["noop", "syscall", ("vpe",), (1,)], 0, 10, 250,
+               -1, -1, -1)
+    obs.record(obs.kinds["message", "noc", (), ()], 2, 15, 40, -1, -1, -1)
     obs.instant("retransmit", "dtu", 2, attempt=1)
     obs.instant("probe", "watchdog")  # no node -> the global pid
     return obs
@@ -88,7 +89,7 @@ def test_trace_without_telemetry_has_no_counter_events():
 
 def test_dropped_counts_surface_in_metadata():
     obs = Observer(Simulator(), span_capacity=1)
-    obs.complete("a", "c", 0, 0, 1)
-    obs.complete("b", "c", 0, 1, 2)
+    obs.record(obs.kinds["a", "c", (), ()], 0, 0, 1, -1, -1, -1)
+    obs.record(obs.kinds["b", "c", (), ()], 0, 1, 2, -1, -1, -1)
     trace = to_chrome_trace(obs)
     assert trace["metadata"]["spans_dropped"] == 1

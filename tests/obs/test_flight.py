@@ -45,7 +45,8 @@ def test_rings_are_bounded_per_domain():
     for index in range(INSTANT_LIMIT + 2):
         obs.instant(f"evt{index}", "test", 1)
     for index in range(SPAN_LIMIT + 2):
-        obs.complete(f"req{index}", "kv", 2, begin=index, end=index + 1)
+        obs.record(obs.kinds[f"req{index}", "kv", (), ()], 2, index,
+                   index + 1, -1, -1, -1)
     obs.instant("other", "test", 5)
     obs.instant("unmapped", "test", 9)  # -> domain -1
     records = _records(flight.dump("on demand"))
@@ -61,7 +62,8 @@ def test_dump_includes_spans_and_telemetry_tail():
     telemetry = obs.enable_telemetry(epoch=100)
     for _ in range(3):
         obs.count("kernel0.ik_retries")
-    obs.complete("req", "kv", 3, begin=0, end=40, args={"status": "ok"})
+    obs.record(obs.kinds["req", "kv", ("status",), ("ok",)], 3, 0, 40,
+               -1, -1, -1)
     sim.schedule(350, lambda _: obs.observe("lat", 120))
     sim.run()
     telemetry.flush()
@@ -98,7 +100,8 @@ def test_dump_is_deterministic_and_domain_first():
         _sim, obs, flight = _hub(domain_of={1: 0, 5: 1})
         obs.instant("heartbeat_miss", "ik", 1, peer=1)
         obs.instant("peer_dead", "ik", 5, peer=0, reason="heartbeats")
-        obs.complete("req", "kv", 1, begin=10, end=25, args={"status": "ok"})
+        obs.record(obs.kinds["req", "kv", ("status",), ("ok",)], 1, 10, 25,
+                   -1, -1, -1)
         return flight.dump("test verdict", domain=1)
 
     text = build()
@@ -127,12 +130,13 @@ def test_dumps_read_the_log_from_where_the_recorder_attached():
     and instant log, leaving out what was logged before it attached."""
     sim = Simulator()
     obs = Observer.install(sim)
-    obs.complete("boot", "kernel", 1, begin=0, end=5)
+    obs.record(obs.kinds["boot", "kernel", (), ()], 1, 0, 5, -1, -1, -1)
     obs.instant("boot_done", "kernel", 1)
     flight = obs.enable_flight_recorder()
     flight.map_nodes({1: 0})
     for index in range(3):
-        obs.complete(f"req{index}", "kv", 1, begin=index, end=index + 1)
+        obs.record(obs.kinds[f"req{index}", "kv", (), ()], 1, index,
+                   index + 1, -1, -1, -1)
     obs.instant("retry", "ik", 1)
     assert _records(flight.dump("on demand")) == {
         0: ["retry", "req0", "req1", "req2"]}
@@ -143,7 +147,8 @@ def test_a_bounded_log_dumps_what_it_still_holds():
     obs = Observer.install(sim, span_capacity=3)
     flight = obs.enable_flight_recorder()
     for index in range(5):
-        obs.complete(f"s{index}", "kv", 1, begin=index, end=index + 1)
+        obs.record(obs.kinds[f"s{index}", "kv", (), ()], 1, index,
+                   index + 1, -1, -1, -1)
         obs.instant(f"i{index}", "kv", 1)
     assert _records(flight.dump("on demand")) == {
         -1: ["i2", "i3", "i4", "s2", "s3", "s4"]}

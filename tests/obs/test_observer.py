@@ -43,10 +43,11 @@ def test_end_of_unknown_or_already_ended_span_raises_value_error():
         obs.end(12345)
 
 
-def test_complete_records_retroactively():
+def test_record_stores_a_span_after_the_fact():
     sim = Simulator()
     obs = Observer.install(sim)
-    sim.schedule(50, lambda _: obs.complete("pkt", "noc", 1, 10, 40))
+    kind = obs.kinds["pkt", "noc", (), ()]
+    sim.schedule(50, lambda _: obs.record(kind, 1, 10, 40, -1, -1, -1))
     sim.run()
     (span,) = obs.spans
     assert (span.begin, span.end) == (10, 40)
@@ -66,7 +67,8 @@ def test_counters_and_histograms():
 def test_span_capacity_rings_and_counts_drops():
     obs = Observer(Simulator(), span_capacity=2)
     for index in range(5):
-        obs.complete(f"s{index}", "cat", -1, index, index + 1)
+        obs.record(obs.kinds[f"s{index}", "cat", (), ()], -1, index,
+                   index + 1, -1, -1, -1)
         obs.instant(f"i{index}", "cat")
     assert [s.name for s in obs.spans] == ["s3", "s4"]
     assert obs.spans_dropped == 3
@@ -100,20 +102,19 @@ def test_spans_with_equal_args_share_one_read_only_mapping():
     assert list(first.args) == ["destination", "bytes", "verdict"]
     assert second.args is first.args
     assert third.args is not first.args and third.args["bytes"] == 8
-    # ``complete`` interns by content: an equal dict is the same mapping,
-    # under another span name too; same values under other names are not.
-    obs.complete("pkt", "test", 0, 0, 1, args=dict(first.args))
+    # ``kinds`` interns by content: equal values under equal names are
+    # the same mapping, under another span name too; same values under
+    # other names are not.
+    values = tuple(first.args.values())
+    obs.record(obs.kinds["pkt", "test", tuple(first.args), values],
+               0, 0, 1, -1, -1, -1)
     assert obs.spans[-1].args is first.args
-    renamed = {"node": 1, "size": 64, "fate": "deliver"}
-    obs.complete("pkt", "test", 0, 0, 1, args=renamed)
+    renamed = ("node", "size", "fate")
+    obs.record(obs.kinds["pkt", "test", renamed, values], 0, 0, 1, -1, -1, -1)
     other = obs.spans[-1].args
-    assert other == renamed and other is not first.args
-    obs.complete("pkt", "test", 0, 1, 2, args=dict(renamed))
+    assert other == dict(zip(renamed, values)) and other is not first.args
+    obs.record(obs.kinds["pkt", "test", renamed, values], 0, 1, 2, -1, -1, -1)
     assert obs.spans[-1].args is other
-    # An unhashable value: kept as it is, a kind of its own.
-    listed = {"path": [0, 1]}
-    obs.complete("pkt", "test", 0, 2, 3, args=listed)
-    assert obs.spans[-1].args is listed
     # ``end`` merges into a copy, never into the mapping a begin stored.
     span_id = obs.begin("op", "test", 0, **first.args)
     assert obs.end(span_id, status="ok") == span_id

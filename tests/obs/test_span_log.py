@@ -3,8 +3,7 @@
 ``Observer.spans`` stores a span as one row of ints plus an interned
 kind ``(name, category, args)`` and builds ``Span`` tuples on demand;
 these tests record a random interleaving of ``begin`` / ``end`` /
-``complete`` / ``record`` while building the same tuples in a plain
-list beside it, and compare every way a reader gets at them — with and
+``record`` while building the same tuples in a plain list beside it, and compare every way a reader gets at them — with and
 without the ``span_capacity`` ring.
 """
 
@@ -23,28 +22,21 @@ PACKET_ARGS = ("destination", "bytes")
 
 
 def _draw_args(rng: random.Random):
-    """None, ``{}``, a fresh dict equal to earlier ones, or one holding
-    a list (unhashable: a kind of its own)."""
+    """None, ``{}``, or a fresh dict equal to earlier ones."""
     roll = rng.random()
     if roll < 0.15:
         return None
     if roll < 0.25:
         return {}
-    if roll < 0.35:
-        return {"size": rng.randrange(3), "path": [rng.randrange(2)]}
-    if roll < 0.65:
+    if roll < 0.6:
         return {"size": rng.randrange(3)}
     return {"destination": rng.randrange(2), "bytes": 64}
 
 
 def _content(args):
-    """What interning keys ``args`` by: ``None`` for no args, the items
-    for hashable ones, else the object's identity (a kind of its own)."""
-    if not args:
-        return None
-    if "path" in args:
-        return id(args)
-    return tuple(args.items())
+    """What interning keys ``args`` by: ``None`` for no args, else the
+    items."""
+    return tuple(args.items()) if args else None
 
 
 def _record(seed: int, steps: int, capacity: int | None):
@@ -59,7 +51,7 @@ def _record(seed: int, steps: int, capacity: int | None):
         sim.run(until=sim.now + rng.randrange(4))
         node = rng.randrange(NODES)
         name, category = rng.choice(NAMES), rng.choice(CATEGORIES)
-        action = rng.choice(("begin", "end", "complete", "complete", "record"))
+        action = rng.choice(("begin", "end", "record", "record", "record"))
         if action == "begin":
             parent = obs.causal.current(node)
             args = {"step": step % 4} if rng.random() < 0.5 else {}
@@ -77,31 +69,17 @@ def _record(seed: int, steps: int, capacity: int | None):
             args = {**args, **extra} or None
             recorded.append(Span(name, category, node, begin, sim.now, args,
                                  span_id, parent_id, trace_id))
-        elif action == "complete":
-            begin = sim.now - rng.randrange(10)
+        elif action == "record":  # after the fact: interned kind, stamp
+            begin, end = sim.now - rng.randrange(10), sim.now + 5
             args = _draw_args(rng)
-            if rng.random() < 0.5:  # stamped, like a packet's span
-                end = sim.now + 5
-                trace_id, parent_id = rng.choice(((-1, -1), (7, 3)))
-                span_id = obs.complete(name, category, node, begin, end, -1,
-                                       trace_id, parent_id, args)
-            else:  # under the node's active context, if it has one
-                end = sim.now
-                trace_id, parent_id = obs.causal.current(node)
-                span_id = obs.complete(name, category, node, begin, args=args)
+            kind = obs.kinds[name, category, tuple(args or ()),
+                             tuple(args.values()) if args else ()]
+            trace_id, parent_id = rng.choice(((-1, -1), (7, 3)))
+            span_id = obs.record(kind, node, begin, end, -1,
+                                 trace_id, parent_id)
             assert (span_id >= 0) == (trace_id >= 0)
             recorded.append(Span(name, category, node, begin, end,
                                  args or None, span_id, parent_id, trace_id))
-        elif action == "record":  # a hot site: interned kind, row of ints
-            values = (rng.randrange(2), 64)
-            kind = obs.kinds[name, category, PACKET_ARGS, values]
-            trace_id, parent_id = rng.choice(((-1, -1), (9, 4)))
-            span_id = obs.record(kind, node, sim.now, sim.now + 3, -1,
-                                 trace_id, parent_id)
-            assert (span_id >= 0) == (trace_id >= 0)
-            recorded.append(Span(name, category, node, sim.now, sim.now + 3,
-                                 dict(zip(PACKET_ARGS, values)),
-                                 span_id, parent_id, trace_id))
     # ``recorded`` holds every args object, so each ``id`` stays unique.
     triples = {(span.name, span.category, _content(span.args))
                for span in recorded}
@@ -131,7 +109,7 @@ def test_every_read_agrees_with_a_list_of_tuples(seed, capacity):
     # Equal args are the one mapping, not a copy per span or per kind.
     shared: dict = {}
     for span in obs.spans:
-        if span.args and "path" not in span.args:
+        if span.args:
             content = _content(span.args)
             assert shared.setdefault(content, span.args) is span.args
 
@@ -140,7 +118,8 @@ def test_a_slice_is_a_list_of_spans_in_log_order_around_the_ring():
     """Slicing used to raise ``TypeError`` (``int + range``)."""
     obs = Observer(Simulator(), span_capacity=3)
     for index in range(5):
-        obs.complete(f"s{index}", "cat", -1, index, index + 1)
+        obs.record(obs.kinds[f"s{index}", "cat", (), ()], -1, index,
+                   index + 1, -1, -1, -1)
     spans = list(obs.spans)
     assert [span.name for span in spans] == ["s2", "s3", "s4"]
     for cut in (slice(-2, None), slice(None, None, -1), slice(1, None)):
